@@ -1,11 +1,11 @@
-//! Wall-clock failure detection shared by the thread and UDP runtimes.
+//! Wall-clock failure detection shared by the thread and socket runtimes.
 //!
-//! Both real-time backends detect peer death the way the paper's
+//! The real-time backends detect peer death the way the paper's
 //! centralized topology manager does: every peer pings a run-local
 //! [`TopologyManager`] server on a fixed cadence, a peer missing three
 //! consecutive periods is evicted, and a monitor thread sweeping
 //! [`TopologyManager::evictions_since`] feeds each eviction into the
-//! volatility coordinator's recovery grant. This module keeps the two
+//! volatility coordinator's recovery grant. This module keeps the
 //! backends on one implementation of that rule — the cadence, the
 //! registration bookkeeping, the re-register-on-spurious-eviction
 //! behaviour and the monitor loop live here, not in each drive loop.
@@ -116,8 +116,7 @@ pub(crate) fn run_monitor(
 /// cap reached elsewhere while the peer was down). Returns `true` on a
 /// grant, `false` on a stop. `while_waiting` runs each poll round so the
 /// backend can keep losing traffic addressed to the dead incarnation (the
-/// thread runtime drains its channel; the UDP runtime's dead socket needs
-/// nothing).
+/// thread runtime drains its channel).
 pub(crate) fn await_recovery_grant(
     volatility: &Option<SharedVolatility>,
     shared: &SharedDetector,

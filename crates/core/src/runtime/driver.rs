@@ -32,8 +32,9 @@ pub enum RuntimeKind {
     /// Single-threaded in-process round-robin with instant delivery
     /// (deterministic, fastest).
     Loopback,
-    /// One OS thread per peer over real localhost UDP sockets with framing,
-    /// bootstrap discovery and an optional loss/reorder shim (wall-clock).
+    /// Real localhost UDP sockets with framing, bootstrap discovery and an
+    /// optional loss/reorder shim: the reactor's drive loop at one event
+    /// loop (one OS thread) per peer (wall-clock).
     Udp,
     /// Readiness-polled event loops multiplexing many peers per OS thread
     /// over nonblocking UDP sockets — the scale backend for hundreds to

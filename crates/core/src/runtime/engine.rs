@@ -1685,6 +1685,9 @@ pub(crate) mod testing {
         pub(crate) remaining: u64,
         pub(crate) relaxed: u64,
         pub(crate) incorporated: Vec<(usize, Vec<u8>)>,
+        /// Wall-clock cost of one relaxation (zero unless a test models
+        /// uneven per-rank work).
+        pub(crate) relax_cost: std::time::Duration,
     }
 
     impl RampTask {
@@ -1695,6 +1698,7 @@ pub(crate) mod testing {
                 remaining: ramp,
                 relaxed: 0,
                 incorporated: Vec::new(),
+                relax_cost: std::time::Duration::ZERO,
             }
         }
 
@@ -1713,6 +1717,7 @@ pub(crate) mod testing {
 
     impl IterativeTask for RampTask {
         fn relax(&mut self) -> LocalRelax {
+            std::thread::sleep(self.relax_cost);
             self.remaining = self.remaining.saturating_sub(1);
             self.relaxed += 1;
             LocalRelax {

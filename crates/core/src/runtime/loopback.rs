@@ -15,18 +15,14 @@
 //! engine abstraction really is runtime-agnostic (three transports, one peer
 //! loop).
 
-use crate::app::IterativeTask;
-use crate::churn::{ChurnEventKind, VolatilityState};
+use crate::churn::ChurnEventKind;
 use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
-use crate::metrics::RunMeasurement;
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{
-    ConvergenceDetector, PeerEngine, PeerTransport, TimerKey, TimerQueue,
-};
+use crate::runtime::engine::{PeerEngine, PeerTransport, TimerKey, TimerQueue};
+use crate::runtime::scaffold::RunScaffold;
 use crate::runtime::RunConfig;
 use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// The registered [`RuntimeDriver`] of the loopback backend. The loopback
 /// substrate needs nothing beyond the shared [`RunConfig`] (latencies are
@@ -53,23 +49,8 @@ impl RuntimeDriver for LoopbackDriver {
     }
 
     fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        let outcome = run_iterative_loopback(config, |rank| task_factory(rank));
-        DriverOutcome {
-            measurement: outcome.measurement,
-            results: outcome.results,
-            net: None,
-            datagrams_dropped: 0,
-        }
+        run_iterative_loopback(config, task_factory)
     }
-}
-
-/// Outcome of a loopback run.
-#[derive(Debug, Clone)]
-pub struct LoopbackRunOutcome {
-    /// Relaxation measurements (elapsed counts engine events, not time).
-    pub measurement: RunMeasurement,
-    /// Per-rank serialized results.
-    pub results: Vec<(usize, Vec<u8>)>,
 }
 
 enum LoopWire {
@@ -421,76 +402,26 @@ fn dump_no_progress_exit(
     }
 }
 
-/// Run a distributed iterative computation in-process with zero latency.
-pub(crate) fn run_iterative_loopback<F>(
+/// Run a distributed iterative computation in-process with zero latency
+/// (the outcome's elapsed time counts engine events, not time).
+pub(crate) fn run_iterative_loopback(
     config: &RunConfig,
-    mut task_factory: F,
-) -> LoopbackRunOutcome
-where
-    F: FnMut(usize) -> Box<dyn IterativeTask>,
-{
-    let alpha = config.topology.len();
-    assert!(alpha >= 1);
-    // Pre-provision substrate capacity (transports, inboxes) for ranks that
+    task_factory: TaskFactory<'_>,
+) -> DriverOutcome {
+    // Substrate capacity (transports, inboxes) is provisioned for ranks that
     // may join mid-run; their engines stay unspawned until the join fires.
-    let topology = config.provisioned_topology();
-    let total = topology.len();
-    let shared = ConvergenceDetector::shared_with_capacity(
-        config.tolerance,
-        config.scheme,
-        alpha,
-        topology.len(),
-    );
-    let volatility = config.churn.as_ref().map(|plan| {
-        let vol = VolatilityState::shared(plan, alpha, config.scheme);
-        if let Some(handle) = &config.repartitioner {
-            vol.lock().set_repartitioner(handle.clone());
-        }
-        vol
-    });
-    // Gossip control plane: the event-counter clock drives the probe
-    // cadence, so runs stay bit-for-bit deterministic; the stop decision
-    // comes from each rank's merged digest instead of the central fold.
-    let gossip_fanout = config.control_plane.fanout();
-    if gossip_fanout.is_some() {
-        shared.lock().set_distributed_decision(true);
-    }
+    // Under the gossip control plane the event-counter clock drives the
+    // probe cadence, so runs stay bit-for-bit deterministic.
+    let total = config.provisioned_peers();
+    let run = RunScaffold::new(config, GossipTiming::event_count(total));
+    let alpha = run.alpha;
+    let shared = &run.shared;
+    let volatility = &run.volatility;
     let mut gossips: Vec<Option<GossipNode>> = (0..total)
-        .map(|rank| {
-            if rank >= alpha {
-                return None;
-            }
-            gossip_fanout.map(|fanout| {
-                GossipNode::new(
-                    rank,
-                    alpha,
-                    total,
-                    fanout,
-                    config.seed,
-                    GossipTiming::event_count(total),
-                )
-            })
-        })
+        .map(|rank| (rank < alpha).then(|| run.gossip_node(rank)).flatten())
         .collect();
-
     let mut engines: Vec<Option<PeerEngine>> = (0..total)
-        .map(|rank| {
-            if rank >= alpha {
-                return None;
-            }
-            let mut engine = PeerEngine::new(
-                rank,
-                config.scheme,
-                &topology,
-                task_factory(rank),
-                Arc::clone(&shared),
-                config.max_relaxations,
-            );
-            if let Some(vol) = &volatility {
-                engine.attach_volatility(Arc::clone(vol));
-            }
-            Some(engine)
-        })
+        .map(|rank| (rank < alpha).then(|| run.engine(rank, task_factory(rank))))
         .collect();
     let mut transports: Vec<LoopbackTransport> = (0..total)
         .map(|rank| LoopbackTransport {
@@ -583,31 +514,15 @@ where
         }
         // A join fired: spawn the pre-provisioned rank. Its engine adopts
         // the joined slice of the membership plan and starts relaxing.
-        if let Some(vol) = &volatility {
+        if let Some(vol) = volatility {
             let spawn = vol.lock().take_pending_spawn();
             if let Some(rank) = spawn {
                 if engines[rank].is_none() {
-                    if let Some(engine) = PeerEngine::join_run(
-                        rank,
-                        config.scheme,
-                        &topology,
-                        Arc::clone(&shared),
-                        Arc::clone(vol),
-                        config.max_relaxations,
-                    ) {
+                    if let Some(engine) = run.join_engine(rank) {
                         clock += 1;
                         transports[rank].clock_ns = clock;
                         engines[rank] = Some(engine);
-                        gossips[rank] = gossip_fanout.map(|fanout| {
-                            GossipNode::new(
-                                rank,
-                                alpha,
-                                total,
-                                fanout,
-                                config.seed,
-                                GossipTiming::event_count(total),
-                            )
-                        });
+                        gossips[rank] = run.gossip_node(rank);
                         engines[rank]
                             .as_mut()
                             .expect("just spawned")
@@ -745,7 +660,7 @@ where
                 // Arm due link-fault events on this rank's relaxation clock
                 // (the engine never sees them — the link model owns them).
                 if let Some(l) = links.as_mut() {
-                    if let Some(vol) = &volatility {
+                    if let Some(vol) = volatility {
                         let relaxations = engines[rank].as_ref().expect("spawned").relaxations();
                         if vol.event_due(rank, relaxations) {
                             for event in vol.lock().take_link_events(rank, relaxations) {
@@ -758,7 +673,12 @@ where
             }
             // Gossip control plane turn: author the latest sweep, run the
             // probe cycle on the event-counter clock, and evaluate the stop
-            // decision over the merged digest.
+            // decision over the merged digest. Not `RunScaffold::gossip_turn`:
+            // this one ticks the event clock between its steps (the probe
+            // delivery and the decision are each one event) and leaves the
+            // recovery grant to the crashed rank's own visit above, and
+            // same-seed outcomes — elapsed events, placement loads — depend
+            // on both.
             if let Some(g) = gossips[rank].as_mut() {
                 let engine = engines[rank].as_mut().expect("spawned");
                 if !engine.finished() && !engine.crashed() {
@@ -892,14 +812,7 @@ where
         }
     }
 
-    let (mut measurement, results) = shared.lock().finish_run(clock, config.max_relaxations);
-    if let Some(vol) = &volatility {
-        vol.lock().annotate(&mut measurement);
-    }
-    LoopbackRunOutcome {
-        measurement,
-        results,
-    }
+    run.finish(clock, None, 0)
 }
 
 #[cfg(test)]
@@ -910,9 +823,9 @@ mod tests {
 
     const RAMP: u64 = 10;
 
-    fn run(config: &RunConfig) -> LoopbackRunOutcome {
+    fn run(config: &RunConfig) -> DriverOutcome {
         let peers = config.topology.len();
-        run_iterative_loopback(config, |rank| Box::new(RampTask::line(rank, peers, RAMP)))
+        run_iterative_loopback(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
     }
 
     #[test]
@@ -962,7 +875,7 @@ mod tests {
         let peers = 2;
         let problem = Arc::new(ObstacleProblem::membrane(n));
         let config = RunConfig::quick(Scheme::Synchronous, peers);
-        let outcome = run_iterative_loopback(&config, |rank| {
+        let outcome = run_iterative_loopback(&config, &|rank| {
             Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
         });
         assert!(outcome.measurement.converged);
@@ -996,7 +909,7 @@ mod tests {
         let mut config = RunConfig::quick(Scheme::Asynchronous, peers);
         config.churn = Some(ChurnPlan::kill(1, 12).with_checkpoint_interval(5));
         let run = |config: &RunConfig| {
-            run_iterative_loopback(config, |rank| {
+            run_iterative_loopback(config, &|rank| {
                 Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
             })
         };
@@ -1030,7 +943,7 @@ mod tests {
         let problem = Arc::new(ObstacleProblem::membrane(n));
         let mut config = RunConfig::quick(Scheme::Synchronous, peers);
         config.churn = Some(ChurnPlan::kill(0, 14).with_checkpoint_interval(5));
-        let outcome = run_iterative_loopback(&config, |rank| {
+        let outcome = run_iterative_loopback(&config, &|rank| {
             Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
         });
         assert!(outcome.measurement.converged);
@@ -1130,7 +1043,7 @@ mod tests {
             let workload = kind.build(size, peers);
             let run = |forced: bool| {
                 set_force_locked(forced);
-                let outcome = run_iterative_loopback(&config, |rank| workload.task(rank));
+                let outcome = run_iterative_loopback(&config, &|rank| workload.task(rank));
                 set_force_locked(false);
                 outcome
             };

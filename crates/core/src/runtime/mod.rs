@@ -1,6 +1,6 @@
-//! The P2PDC runtimes: one peer loop, three substrates.
+//! The P2PDC runtimes: one peer loop, one run scaffold, five substrates.
 //!
-//! # Engine / transport split
+//! # Engine / scaffold / transport split
 //!
 //! The paper's claim that the programming model is independent of the
 //! execution substrate is enforced structurally here:
@@ -17,6 +17,14 @@
 //!   protocol timer, schedule compute completion, broadcast the stop
 //!   signal, pace an asynchronous send).
 //!
+//! * `scaffold` — what every backend does *around* its drive loop, written
+//!   once: the detector / volatility / repartitioner construction, the
+//!   ping-server-or-gossip choice, engine construction and the mid-run join
+//!   poll, the gossip turn, and the assembly of the uniform
+//!   [`driver::DriverOutcome`].
+//!
+//! A backend is then "deliver bytes, supply a clock, call the scaffold":
+//!
 //! * [`sim`] — the virtual-time substrate used by the evaluation harness:
 //!   every peer is a [`desim::Process`], segments ride the [`netsim`]
 //!   fabric (serialization, latency, loss, optional netem impairment), and
@@ -29,32 +37,26 @@
 //!
 //! * [`loopback`] — the zero-latency in-process substrate used by quick
 //!   tests: instant delivery, round-robin drive, an event counter for a
-//!   clock. The cheapest way to exercise the full peer loop, and the proof
-//!   that the engine abstraction carries to a third backend unchanged.
+//!   clock. The cheapest way to exercise the full peer loop.
 //!
-//! * [`udp`] — the real-socket substrate: one OS thread per peer owning a
-//!   `UdpSocket` bound to an ephemeral localhost port, P2PSAP segments
-//!   framed into datagrams (with reassembly), peer discovery over the
-//!   socket itself, and an optional deterministic loss/reorder shim so the
-//!   protocol's reliability machinery is exercised by a genuinely lossy
-//!   network stack.
-//!
-//! * [`reactor`] — the scale substrate: a few readiness-polled event loops
+//! * [`reactor`] — the socket drive loop: readiness-polled event loops
 //!   (the vendored `polling` epoll wrapper) each multiplexing many peers
-//!   over nonblocking UDP sockets, reusing the [`udp`] framing, bootstrap
-//!   and detection machinery. Runs thousands of peers where the
+//!   over nonblocking localhost UDP sockets. As the `reactor` backend it
+//!   runs thousands of peers on a handful of loops, where the
 //!   thread-per-peer backends cap out at tens.
+//!
+//! * [`udp`] — the wire layer under the socket drive loop (P2PSAP segments
+//!   framed into datagrams with reassembly, peer discovery over the socket
+//!   itself, an optional deterministic loss/reorder shim so the protocol's
+//!   reliability machinery meets a genuinely lossy network stack), and the
+//!   `udp` backend: the reactor at one event loop per peer.
 //!
 //! Every backend registers as a [`driver::RuntimeDriver`]: the dispatch
 //! layer, the bench grids and the e2e helpers iterate the
 //! [`driver::DRIVERS`] registry instead of matching on backends, so adding
 //! a substrate is one module implementing [`engine::PeerTransport`] plus a
-//! drive loop behind the trait, and one registry entry (see the "adding a
-//! backend" recipe in ARCHITECTURE.md).
-//!
-//! All runtimes assemble their [`crate::metrics::RunMeasurement`] through
-//! [`engine::ConvergenceDetector::finish_run`], so they report identical
-//! metric shapes.
+//! drive loop that calls into the scaffold, and one registry entry (see the
+//! "adding a backend" recipe in ARCHITECTURE.md).
 
 pub(crate) mod detection;
 pub mod driver;
@@ -62,6 +64,7 @@ pub mod engine;
 pub mod loopback;
 pub mod reactor;
 pub mod report_cell;
+pub(crate) mod scaffold;
 pub mod sim;
 pub mod threads;
 pub mod udp;
@@ -361,6 +364,12 @@ impl RunConfig {
     /// Number of join events the churn plan schedules.
     pub fn planned_joins(&self) -> usize {
         self.churn.as_ref().map(ChurnPlan::join_count).unwrap_or(0)
+    }
+
+    /// Number of ranks the run provisions: the initial peers plus one
+    /// dormant slot per scheduled join.
+    pub fn provisioned_peers(&self) -> usize {
+        self.peers() + self.planned_joins()
     }
 
     /// The run's topology extended with one pre-provisioned node (in the

@@ -1,46 +1,46 @@
-//! The reactor runtime of P2PDC: readiness-polled event loops multiplexing
-//! many peers per OS thread over nonblocking UDP sockets.
+//! The socket drive loop of P2PDC: readiness-polled event loops, each
+//! multiplexing any number of peers over nonblocking UDP sockets.
 //!
-//! The thread-per-peer backends ([`threads`](crate::runtime::threads),
-//! [`udp`](crate::runtime::udp)) cap out at tens of peers: every peer costs
-//! an OS thread, and past the core count the scheduler burns the run's time
-//! context-switching idle waiters. This backend keeps the *wire* of the UDP
-//! runtime — the same datagram framing, fragment reassembly, bootstrap
-//! discovery, loss shim, pacing gate and failure detection, reused from
-//! [`crate::runtime::udp`] verbatim — but replaces its drive loop: a small
-//! fixed pool of event-loop threads each owns a contiguous slice of peers
-//! and multiplexes their nonblocking sockets through the vendored
-//! [`polling`] readiness poller (epoll on Linux). A thousand peers are a
-//! thousand sockets on a handful of threads, so the 1024-peer rows of the
-//! scaling grid run on a laptop.
+//! Both real-socket backends run this module. The wire — datagram framing,
+//! fragment reassembly, bootstrap discovery, loss shim, pacing gate — is
+//! [`crate::runtime::udp`]'s; the run around the loop is the shared
+//! `RunScaffold`; what lives here is the per-peer state machine
+//! (`Peer`) and the event loop that drives it through the vendored
+//! [`polling`] readiness poller (epoll on Linux). The backends differ only
+//! in how many loops share the provisioned peers:
 //!
-//! Blocking is forbidden inside an event loop, so every wait the UDP
-//! runtime performs inline becomes a per-peer state machine phase:
-//! bootstrap discovery resends hellos on poll ticks until the rank→address
-//! table lands, a pre-provisioned join rank stays dormant until its seeded
-//! join fires, and a crashed peer parks in an await-grant phase (its
-//! replacement socket already bound) until the failure monitor grants
-//! recovery or the run stops.
+//! * `reactor` — a small fixed pool of event-loop threads, each owning a
+//!   contiguous slice of peers. A thousand peers are a thousand sockets on
+//!   a handful of threads, so the 1024-peer rows of the scaling grid run on
+//!   a laptop (the thread-per-peer backends cap out at tens: past the core
+//!   count the scheduler burns the run's time context-switching idle
+//!   waiters).
+//! * `udp` — one event loop per provisioned peer
+//!   ([`UdpDriver`](crate::runtime::udp::UdpDriver)).
+//!
+//! Blocking is forbidden inside an event loop, so every wait is a per-peer
+//! state machine phase: bootstrap discovery resends hellos on poll ticks
+//! until the rank→address table lands, a pre-provisioned join rank stays
+//! dormant until its seeded join fires, and a crashed peer parks in an
+//! await-grant phase (its replacement socket already bound) until the
+//! failure monitor grants recovery or the run stops.
 
-use crate::app::IterativeTask;
-use crate::churn::{SharedVolatility, VolatilityState};
-use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
-use crate::metrics::RunMeasurement;
-use crate::runtime::detection::{self, Heartbeat, LoopHeartbeat};
+use crate::gossip::GossipNode;
+use crate::runtime::detection::{Heartbeat, LoopHeartbeat};
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{
-    ConvergenceDetector, PeerEngine, PeerTransport, SharedDetector, TimerQueue,
-};
+use crate::runtime::engine::{PeerEngine, TimerQueue};
+use crate::runtime::scaffold::{self, JoinPoll, RunScaffold};
 use crate::runtime::udp::{
-    bootstrap_service, localhost, send_gossip, Datagram, LossShim, Reassembler, UdpTransport,
+    bootstrap_service, localhost_addr, table_addrs, wake_bootstrap, Datagram, LossShim,
+    Reassembler, UdpTransport,
 };
 use crate::runtime::RunConfig;
-use netsim::{NodeId, Topology};
+use netsim::NodeId;
 use polling::{Events, Poller};
 use std::collections::HashMap;
-use std::net::{SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How often the event loops compare their measured busy time and consider
@@ -70,8 +70,9 @@ pub fn rebalance_enabled() -> bool {
     REBALANCE_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Per-loop busy-time observability of the most recent reactor run (see
-/// [`last_loop_stats`]).
+/// Per-loop busy-time observability of a socket run: returned with the run
+/// ([`SocketRunOutcome::loops`]) and kept for the most recent run of the
+/// process (see [`last_loop_stats`]).
 #[derive(Debug, Clone)]
 pub struct LoopStats {
     /// Per-loop busy nanoseconds over the first completed rebalance period
@@ -83,7 +84,14 @@ pub struct LoopStats {
     pub migrations: u64,
 }
 
-/// Stats of the most recent completed reactor run on this process, for
+impl LoopStats {
+    /// Number of event loops the run spawned.
+    pub fn loops(&self) -> usize {
+        self.busy_ns_final.len()
+    }
+}
+
+/// Stats of the most recent completed socket run on this process, for
 /// examples and benches ([`run_iterative_reactor`] overwrites it per run).
 static LAST_LOOP_STATS: Mutex<Option<LoopStats>> = Mutex::new(None);
 
@@ -116,27 +124,38 @@ impl RuntimeDriver for ReactorDriver {
     }
 
     fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        let outcome = run_iterative_reactor(config, |rank| task_factory(rank));
-        DriverOutcome {
-            measurement: outcome.measurement,
-            results: outcome.results,
-            net: None,
-            datagrams_dropped: outcome.datagrams_dropped,
-        }
+        Self::run_sockets(config, task_factory).outcome
     }
 }
 
-/// Outcome of a reactor run.
+impl ReactorDriver {
+    /// The run behind [`RuntimeDriver::run`], with its socket-level detail
+    /// (bound ports, per-loop stats) still attached. The event-loop pool is
+    /// explicit via extras, otherwise sized from the host's parallelism (the
+    /// loops are compute-bound — the relaxation kernels run inline on them).
+    pub(crate) fn run_sockets(
+        config: &RunConfig,
+        task_factory: TaskFactory<'_>,
+    ) -> SocketRunOutcome {
+        let loops = config.extras.event_loops().unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        });
+        run_iterative_reactor(config, task_factory, loops)
+    }
+}
+
+/// Outcome of a socket run: the uniform [`DriverOutcome`] plus what only a
+/// real-socket run has.
 #[derive(Debug, Clone)]
-pub struct ReactorRunOutcome {
-    /// Timing and relaxation measurements (elapsed is wall-clock).
-    pub measurement: RunMeasurement,
-    /// Per-rank serialized results.
-    pub results: Vec<(usize, Vec<u8>)>,
-    /// The localhost ports the peers bound during bootstrap, in rank order.
+pub struct SocketRunOutcome {
+    /// What the driver reports (elapsed is wall-clock).
+    pub outcome: DriverOutcome,
+    /// The localhost ports the peers last bound, in rank order.
     pub ports: Vec<u16>,
-    /// Datagrams dropped by the loss shim, summed over all peers.
-    pub datagrams_dropped: u64,
+    /// Per-loop busy time and migrations of this run.
+    pub loops: LoopStats,
 }
 
 /// How long a discovering peer waits before re-announcing itself to the
@@ -144,8 +163,7 @@ pub struct ReactorRunOutcome {
 const HELLO_RETRY: Duration = Duration::from_millis(25);
 
 /// Poll-timeout ceiling when every owned peer is quiescent: bounds the
-/// latency of the dormant-join, await-grant and stop polls (the same 2 ms
-/// the UDP runtime's idle backoff tops out at).
+/// latency of the dormant-join, await-grant and stop polls.
 const IDLE_POLL_CAP: Duration = Duration::from_millis(2);
 
 /// What to do with a peer's engine once the rank→address table arrives.
@@ -203,12 +221,9 @@ struct Peer {
 
 /// Everything an event loop shares with its siblings.
 struct LoopShared<'a> {
-    alpha: usize,
-    topology: &'a Topology,
-    config: &'a RunConfig,
-    shared: &'a SharedDetector,
-    volatility: &'a Option<SharedVolatility>,
-    topo: &'a Option<detection::SharedTopologyManager>,
+    run: &'a RunScaffold,
+    /// The loss shim's `(loss, reorder)` probabilities.
+    impairment: (f64, f64),
     bootstrap_addr: SocketAddr,
     start: Instant,
     ports: &'a Mutex<Vec<u16>>,
@@ -281,9 +296,9 @@ impl Balancer {
     }
 
     /// A peer retired (reached [`Phase::Done`]); the run drains out once
-    /// every provisioned rank has.
-    fn mark_done(&self) {
-        self.done.fetch_add(1, Ordering::Release);
+    /// every provisioned rank has. Returns whether this was the last one.
+    fn mark_done(&self) -> bool {
+        self.done.fetch_add(1, Ordering::AcqRel) + 1 >= self.total
     }
 
     fn all_done(&self) -> bool {
@@ -405,42 +420,67 @@ fn grow_socket_buffers(socket: &UdpSocket) {
 #[cfg(not(target_os = "linux"))]
 fn grow_socket_buffers(_socket: &UdpSocket) {}
 
+/// Bind a fresh nonblocking socket for `rank`, register it with the poller
+/// under the rank as key, and publish its port.
+fn bind_peer_socket(rank: usize, poller: &Poller, ctx: &LoopShared<'_>) -> UdpSocket {
+    let socket = UdpSocket::bind(localhost_addr(0)).expect("bind peer socket on localhost");
+    socket.set_nonblocking(true).expect("set nonblocking");
+    grow_socket_buffers(&socket);
+    poller.add(&socket, rank).expect("register peer socket");
+    ctx.ports.lock().unwrap()[rank] = socket.local_addr().expect("peer local addr").port();
+    ctx.ports_version.fetch_add(1, Ordering::Release);
+    socket
+}
+
 impl Peer {
-    /// Bind a fresh nonblocking socket for this rank, register it with the
-    /// poller under the rank as key, publish its port, and enter discovery.
-    fn bind_and_discover(&mut self, poller: &Poller, ctx: &LoopShared<'_>, then: OnTable) {
-        let socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-            .expect("bind peer socket on localhost");
-        socket.set_nonblocking(true).expect("set nonblocking");
-        grow_socket_buffers(&socket);
-        ctx.ports.lock().unwrap()[self.rank] = socket.local_addr().expect("peer local addr").port();
-        ctx.ports_version.fetch_add(1, Ordering::Release);
-        poller
-            .add(&socket, self.rank)
-            .expect("register peer socket");
-        let total = ctx.topology.len();
-        let (loss, reorder) = ctx.config.extras.impairment();
+    /// A pre-provisioned slot: no socket, no engine.
+    fn dormant(rank: usize) -> Self {
+        Self {
+            rank,
+            phase: Phase::Dormant,
+            engine: None,
+            transport: None,
+            reassembler: Reassembler::new(),
+            heartbeat: None,
+            table: None,
+            gossip: None,
+            seen_ports_version: 0,
+        }
+    }
+
+    /// Bring the peer's engine onto the wire: SWIM node (if the run
+    /// gossips), a fresh socket, and the bootstrap hello.
+    fn bind_and_discover(
+        &mut self,
+        engine: PeerEngine,
+        poller: &Poller,
+        ctx: &LoopShared<'_>,
+        then: OnTable,
+    ) {
+        self.engine = Some(engine);
+        self.gossip = ctx.run.gossip_node(self.rank);
+        let (loss, reorder) = ctx.impairment;
         self.transport = Some(UdpTransport {
             rank: self.rank,
             start: ctx.start,
-            socket,
-            addrs: vec![SocketAddr::V4(SocketAddrV4::new(localhost(), 0)); total],
+            socket: bind_peer_socket(self.rank, poller, ctx),
+            addrs: vec![localhost_addr(0); ctx.run.total()],
             // Per-rank stream so peers do not share drop decisions.
-            shim: LossShim::new(
-                ctx.config.seed.wrapping_add(self.rank as u64),
-                loss,
-                reorder,
-            ),
+            shim: LossShim::new(ctx.run.seed.wrapping_add(self.rank as u64), loss, reorder),
             next_msg_id: 0,
             timers: TimerQueue::new(),
             compute_pending: false,
-            topology: ctx.topology.clone(),
+            topology: ctx.run.topology.clone(),
             next_send_ok: HashMap::new(),
             send_frame: Vec::new(),
         });
-        if self.heartbeat.is_none() {
-            self.heartbeat = Some(Heartbeat::new(ctx.topology, self.rank));
-        }
+        self.heartbeat = Some(Heartbeat::new(&ctx.run.topology, self.rank));
+        self.discover(ctx, then);
+    }
+
+    /// Announce this peer's socket to the bootstrap service and wait for
+    /// the rank→address table.
+    fn discover(&mut self, ctx: &LoopShared<'_>, then: OnTable) {
         self.send_hello(ctx);
         self.phase = Phase::Discovering {
             hello_at: Instant::now(),
@@ -470,27 +510,24 @@ impl Peer {
         self.phase = Phase::Done;
     }
 
-    /// Drain everything the kernel has buffered on this peer's socket.
-    /// While discovering, only the bootstrap table is acted on (data
-    /// fragments racing ahead of it are discarded — the reliable channel
-    /// retransmits and asynchronous ghosts are superseded, exactly as with
-    /// the UDP runtime's blocking discovery). While running, this is the
-    /// UDP runtime's receive sweep verbatim.
+    /// Drain everything the kernel has buffered on this peer's socket and
+    /// dispatch it: the one place a socket backend reads datagrams. Network
+    /// bytes are untrusted — anything that does not decode, or names a
+    /// table of the wrong length, is dropped. While discovering, only the
+    /// bootstrap table is acted on (data fragments racing ahead of it are
+    /// discarded — the reliable channel retransmits and asynchronous ghosts
+    /// are superseded).
     fn drain(&mut self, buf: &mut [u8]) {
         let Some(transport) = self.transport.as_mut() else {
             return;
         };
         while let Ok((len, _)) = transport.socket.recv_from(buf) {
+            let bytes = &buf[..len];
             match &mut self.phase {
                 Phase::Discovering { .. } => {
-                    if let Some(Datagram::Table { ports }) = Datagram::decode(&buf[..len]) {
-                        if ports.len() == transport.addrs.len() {
-                            self.table = Some(
-                                ports
-                                    .into_iter()
-                                    .map(|p| SocketAddr::V4(SocketAddrV4::new(localhost(), p)))
-                                    .collect(),
-                            );
+                    if let Some(Datagram::Table { ports }) = Datagram::decode(bytes) {
+                        if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
+                            self.table = Some(addrs);
                         }
                     }
                 }
@@ -503,7 +540,7 @@ impl Peer {
                     // copied once, into a pooled reassembly buffer; control
                     // datagrams take the allocating decode.
                     if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                        Datagram::fragment_fields(&buf[..len])
+                        Datagram::fragment_fields(bytes)
                     {
                         if let Some((from, segment)) = self
                             .reassembler
@@ -513,9 +550,8 @@ impl Peer {
                         }
                         continue;
                     }
-                    match Datagram::decode(&buf[..len]) {
+                    match Datagram::decode(bytes) {
                         Some(Datagram::Stop { .. }) => engine.on_stop_signal(transport),
-                        Some(Datagram::Fragment { .. }) => unreachable!("fragments parsed above"),
                         Some(Datagram::Rollback {
                             to_iteration,
                             generation,
@@ -523,28 +559,19 @@ impl Peer {
                         }) => engine.on_rollback(to_iteration, generation, transport),
                         // A table re-broadcast mid-run: a joiner announced
                         // or a recovered peer rebound its socket.
-                        Some(Datagram::Table { ports }) if ports.len() == transport.addrs.len() => {
-                            transport.addrs = ports
-                                .into_iter()
-                                .map(|p| SocketAddr::V4(SocketAddrV4::new(localhost(), p)))
-                                .collect();
-                        }
-                        Some(Datagram::Gossip { payload, .. }) => {
-                            if let (Some(g), Some(msg)) =
-                                (self.gossip.as_mut(), GossipMessage::decode(&payload))
-                            {
-                                let now = transport.now_ns();
-                                for (to, reply) in g.on_message(&msg, now) {
-                                    send_gossip(
-                                        &transport.socket,
-                                        &transport.addrs,
-                                        transport.rank,
-                                        to,
-                                        &reply,
-                                    );
-                                }
+                        Some(Datagram::Table { ports }) => {
+                            if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
+                                transport.addrs = addrs;
                             }
                         }
+                        Some(Datagram::Gossip { payload, .. }) => scaffold::on_gossip_frame(
+                            self.gossip.as_mut(),
+                            &payload,
+                            transport,
+                            UdpTransport::send_gossip,
+                        ),
+                        // Fragments were parsed above; late hellos and
+                        // foreign noise are ignored.
                         _ => {}
                     }
                 }
@@ -559,32 +586,15 @@ impl Peer {
     fn advance(&mut self, poller: &Poller, ctx: &LoopShared<'_>) {
         match &mut self.phase {
             Phase::Done => {}
-            Phase::Dormant => {
-                // A joiner builds its task from the checkpointed slice it
-                // adopts (`join_run`), not from the task factory.
-                let vol = ctx.volatility.as_ref().expect("join ranks imply churn");
-                if vol.lock().take_spawn_if(self.rank) {
-                    match PeerEngine::join_run(
-                        self.rank,
-                        ctx.config.scheme,
-                        ctx.topology,
-                        Arc::clone(ctx.shared),
-                        Arc::clone(vol),
-                        ctx.config.max_relaxations,
-                    ) {
-                        Some(engine) => {
-                            self.engine = Some(engine);
-                            self.gossip = new_gossip_node(ctx, self.rank);
-                            self.bind_and_discover(poller, ctx, OnTable::JoinStart);
-                        }
-                        None => self.phase = Phase::Done,
-                    }
-                } else if ctx.shared.stopped() {
-                    // The run ended before the join fired: exit without ever
-                    // having existed.
-                    self.phase = Phase::Done;
+            Phase::Dormant => match ctx.run.poll_join(self.rank) {
+                JoinPoll::Joined(engine) => {
+                    self.bind_and_discover(*engine, poller, ctx, OnTable::JoinStart)
                 }
-            }
+                // The run ended before the join fired: exit without ever
+                // having existed.
+                JoinPoll::Never => self.phase = Phase::Done,
+                JoinPoll::Pending => {}
+            },
             Phase::Discovering { hello_at, .. } => {
                 if let Some(addrs) = self.table.take() {
                     let transport = self
@@ -598,33 +608,25 @@ impl Peer {
                     else {
                         unreachable!()
                     };
-                    match then {
-                        OnTable::Start => engine.on_start(transport),
-                        OnTable::JoinStart => {
-                            // The joiner announces itself to the failure
-                            // detector before its first relaxation.
-                            if let Some(topo) = ctx.topo {
-                                self.heartbeat
-                                    .as_mut()
-                                    .expect("bound peer has heartbeat")
-                                    .rejoin(topo, ctx.start);
-                            }
-                            engine.on_start(transport);
+                    // A joiner or a revived rank (re-)registers with the
+                    // failure detector before its first relaxation.
+                    if let (OnTable::JoinStart | OnTable::Recover, Some(topo)) =
+                        (&then, &ctx.run.topo)
+                    {
+                        self.heartbeat
+                            .as_mut()
+                            .expect("bound peer has heartbeat")
+                            .rejoin(topo, ctx.start);
+                    }
+                    if let OnTable::Recover = then {
+                        engine.recover(transport);
+                        // Refute the (correct) death verdict with a bumped
+                        // incarnation.
+                        if let Some(g) = self.gossip.as_mut() {
+                            g.on_recovered();
                         }
-                        OnTable::Recover => {
-                            if let Some(topo) = ctx.topo {
-                                self.heartbeat
-                                    .as_mut()
-                                    .expect("bound peer has heartbeat")
-                                    .rejoin(topo, ctx.start);
-                            }
-                            engine.recover(transport);
-                            // Refute the (correct) death verdict with a
-                            // bumped incarnation.
-                            if let Some(g) = self.gossip.as_mut() {
-                                g.on_recovered();
-                            }
-                        }
+                    } else {
+                        engine.on_start(transport);
                     }
                 } else if hello_at.elapsed() >= HELLO_RETRY {
                     *hello_at = Instant::now();
@@ -632,7 +634,7 @@ impl Peer {
                 }
             }
             Phase::AwaitGrant => {
-                if ctx.shared.stopped() {
+                if ctx.run.shared.stopped() {
                     // Relaxation cap reached elsewhere while this peer was
                     // down: fold it into the stop instead of reviving it.
                     let transport = self
@@ -645,6 +647,7 @@ impl Peer {
                         .on_stop_signal(transport);
                     self.finish(poller, ctx);
                 } else if ctx
+                    .run
                     .volatility
                     .as_ref()
                     .is_some_and(|vol| vol.lock().is_granted(self.rank))
@@ -652,11 +655,7 @@ impl Peer {
                     // Rejoin: announce the replacement socket to the
                     // bootstrap (which re-broadcasts the table to every
                     // peer), then restore from the checkpoint.
-                    self.send_hello(ctx);
-                    self.phase = Phase::Discovering {
-                        hello_at: Instant::now(),
-                        then: OnTable::Recover,
-                    };
+                    self.discover(ctx, OnTable::Recover);
                 }
             }
             Phase::Running => {
@@ -671,8 +670,7 @@ impl Peer {
                     self.seen_ports_version = ports_version;
                     for (nb, &port) in ctx.ports.lock().unwrap().iter().enumerate() {
                         if nb != self.rank && port != 0 {
-                            transport.addrs[nb] =
-                                SocketAddr::V4(SocketAddrV4::new(localhost(), port));
+                            transport.addrs[nb] = localhost_addr(port);
                         }
                     }
                 }
@@ -700,58 +698,25 @@ impl Peer {
                         let _ = poller.delete(&transport.socket);
                         transport.timers = TimerQueue::new();
                         transport.compute_pending = false;
-                        transport.socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-                            .expect("bind replacement socket on localhost");
-                        transport
-                            .socket
-                            .set_nonblocking(true)
-                            .expect("set replacement socket nonblocking");
-                        grow_socket_buffers(&transport.socket);
-                        poller
-                            .add(&transport.socket, self.rank)
-                            .expect("register replacement socket");
-                        ctx.ports.lock().unwrap()[self.rank] = transport
-                            .socket
-                            .local_addr()
-                            .expect("replacement local addr")
-                            .port();
-                        ctx.ports_version.fetch_add(1, Ordering::Release);
+                        transport.socket = bind_peer_socket(self.rank, poller, ctx);
                         self.reassembler = Reassembler::new();
                         self.phase = Phase::AwaitGrant;
                         return;
                     }
                 }
-                // Gossip control plane: author the latest sweep, run the
-                // probe cycle, feed death verdicts into the recovery
-                // coordinator (level-triggered; `grant` no-ops unless the
-                // rank really crashed), and evaluate the stop decision over
-                // the merged digest — same order as the UDP drive loop.
                 if !engine.finished() {
                     if let Some(g) = self.gossip.as_mut() {
-                        if let Some(sweep) = engine.sweep_summary() {
-                            g.record_sweep(&sweep);
-                        }
-                        let now = transport.now_ns();
-                        for (to, msg) in g.poll(now) {
-                            send_gossip(&transport.socket, &transport.addrs, self.rank, to, &msg);
-                        }
-                        if let Some(vol) = ctx.volatility {
-                            for dead in g.dead_ranks() {
-                                vol.lock()
-                                    .grant(dead, &g.gossiped_loads(ctx.topology.len()));
-                            }
-                        }
-                        if g.decide(ctx.config.scheme, engine.generation()) {
-                            engine.on_distributed_decision(transport);
-                        }
+                        ctx.run
+                            .gossip_turn(g, engine, transport, UdpTransport::send_gossip);
                     }
                 }
                 if !engine.finished() {
                     // Another peer may have stopped the run while this one
-                    // was idling in a scheme wait (or its stop datagram was
-                    // dropped). Poll the detector's published verdicts as
-                    // the safety net, exactly like the UDP drive loop.
-                    if ctx.shared.stopped() {
+                    // was idling in a scheme wait, and the stop and rollback
+                    // broadcasts are single datagrams the kernel may drop
+                    // under load: poll the detector's published verdicts as
+                    // the safety net.
+                    if ctx.run.shared.stopped() {
                         engine.on_stop_signal(transport);
                     } else {
                         engine.poll_rollback(transport);
@@ -789,20 +754,6 @@ impl Peer {
     }
 }
 
-/// The peer's SWIM node, when the run gossips its control plane.
-fn new_gossip_node(ctx: &LoopShared<'_>, rank: usize) -> Option<GossipNode> {
-    ctx.config.control_plane.fanout().map(|fanout| {
-        GossipNode::new(
-            rank,
-            ctx.alpha,
-            ctx.topology.len(),
-            fanout,
-            ctx.config.seed,
-            GossipTiming::wall_clock(),
-        )
-    })
-}
-
 /// One event loop: drive the peers of `ranks` (its initial shard) plus any
 /// peers migrated in from busier loops, until every provisioned rank —
 /// wherever it ended up living — has retired.
@@ -810,7 +761,7 @@ fn event_loop(
     index: usize,
     ranks: std::ops::Range<usize>,
     ctx: &LoopShared<'_>,
-    task_factory: &(dyn Fn(usize) -> Box<dyn IterativeTask> + Sync),
+    task_factory: TaskFactory<'_>,
 ) {
     let poller = Poller::new().expect("create readiness poller");
     let mut events = Events::new();
@@ -819,42 +770,13 @@ fn event_loop(
     let mut running_nodes: Vec<NodeId> = Vec::new();
     // Keyed by rank (the rank is also each socket's poller key), because
     // migration makes the resident set non-contiguous.
-    let mut peers: HashMap<usize, Peer> = ranks
-        .map(|rank| {
-            (
-                rank,
-                Peer {
-                    rank,
-                    phase: Phase::Dormant,
-                    engine: None,
-                    transport: None,
-                    reassembler: Reassembler::new(),
-                    heartbeat: None,
-                    table: None,
-                    gossip: None,
-                    seen_ports_version: 0,
-                },
-            )
-        })
-        .collect();
+    let mut peers: HashMap<usize, Peer> = ranks.map(|rank| (rank, Peer::dormant(rank))).collect();
     // Initial ranks get their engine and socket up front; pre-provisioned
     // join ranks stay dormant.
     for peer in peers.values_mut() {
-        if peer.rank < ctx.alpha {
-            let mut engine = PeerEngine::new(
-                peer.rank,
-                ctx.config.scheme,
-                ctx.topology,
-                task_factory(peer.rank),
-                Arc::clone(ctx.shared),
-                ctx.config.max_relaxations,
-            );
-            if let Some(vol) = ctx.volatility {
-                engine.attach_volatility(Arc::clone(vol));
-            }
-            peer.engine = Some(engine);
-            peer.gossip = new_gossip_node(ctx, peer.rank);
-            peer.bind_and_discover(&poller, ctx, OnTable::Start);
+        if peer.rank < ctx.run.alpha {
+            let engine = ctx.run.engine(peer.rank, task_factory(peer.rank));
+            peer.bind_and_discover(engine, &poller, ctx, OnTable::Start);
         }
     }
 
@@ -892,7 +814,7 @@ fn event_loop(
         // One batched heartbeat per ping period covering every running peer
         // this loop multiplexes: a single topology-server acquisition
         // instead of one per peer.
-        if let Some(topo) = ctx.topo {
+        if let Some(topo) = &ctx.run.topo {
             if heartbeat.due() {
                 running_nodes.clear();
                 running_nodes.extend(
@@ -901,7 +823,7 @@ fn event_loop(
                         .filter(|p| matches!(p.phase, Phase::Running))
                         .map(|p| NodeId(p.rank)),
                 );
-                heartbeat.beat_many(topo, ctx.topology, ctx.start, &running_nodes);
+                heartbeat.beat_many(topo, &ctx.run.topology, ctx.start, &running_nodes);
             }
         }
         for peer in peers.values_mut() {
@@ -909,7 +831,11 @@ fn event_loop(
         }
         peers.retain(|_, peer| {
             if matches!(peer.phase, Phase::Done) {
-                ctx.balancer.mark_done();
+                // The run's last retirement releases the calling thread
+                // from the bootstrap service.
+                if ctx.balancer.mark_done() {
+                    wake_bootstrap(ctx.bootstrap_addr);
+                }
                 false
             } else {
                 true
@@ -942,74 +868,32 @@ fn event_loop(
 }
 
 /// Run a distributed iterative computation over nonblocking localhost UDP
-/// sockets multiplexed onto a few readiness-polled event loops.
-pub(crate) fn run_iterative_reactor<F>(config: &RunConfig, task_factory: F) -> ReactorRunOutcome
-where
-    F: Fn(usize) -> Box<dyn IterativeTask> + Send + Sync,
-{
-    let alpha = config.topology.len();
-    assert!(alpha >= 1);
-    // Pre-provision bootstrap-table slots and a dormant event-loop slot for
-    // ranks that may join mid-run.
-    let topology = config.provisioned_topology();
-    let total = topology.len();
-    let shared = ConvergenceDetector::shared_with_capacity(
-        config.tolerance,
-        config.scheme,
-        alpha,
-        topology.len(),
-    );
-    let volatility = config.churn.as_ref().map(|plan| {
-        let vol = VolatilityState::shared(plan, alpha, config.scheme);
-        if let Some(handle) = &config.repartitioner {
-            vol.lock().set_repartitioner(handle.clone());
-        }
-        vol
-    });
-    // Bootstrap: bind the service port first so peers have a rendezvous.
-    let bootstrap_socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-        .expect("bind bootstrap socket on localhost");
-    let bootstrap_addr = bootstrap_socket.local_addr().expect("bootstrap addr");
-    let bootstrap_stop = Arc::new(AtomicBool::new(false));
-    let bootstrap = bootstrap_service(bootstrap_socket, alpha, total, Arc::clone(&bootstrap_stop));
-
-    // Event-loop pool: explicit via extras, otherwise sized from the host's
-    // parallelism (the loops are compute-bound — the relaxation kernels run
-    // inline on them).
-    let loops = config
-        .extras
-        .event_loops()
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, total);
-    let chunk = total.div_ceil(loops);
+/// sockets, the provisioned peers sharded over (at most) `loops`
+/// readiness-polled event loops.
+pub(crate) fn run_iterative_reactor(
+    config: &RunConfig,
+    task_factory: TaskFactory<'_>,
+    loops: usize,
+) -> SocketRunOutcome {
+    // Bootstrap-table slots and a dormant event-loop slot are provisioned
+    // for ranks that may join mid-run.
+    let total = config.provisioned_peers();
+    let chunk = total.div_ceil(loops.clamp(1, total));
     // div_ceil can leave trailing loops with empty shards; size the balancer
     // to the loops that actually spawn, or a migration could land in a
     // mailbox no thread ever collects.
     let live_loops = total.div_ceil(chunk);
+    // Each loop heartbeats all its peers at once, so the eviction window
+    // scales with the multiplex degree (a loaded loop's iteration outlasting
+    // three bare ping periods must not read as the death of every peer it
+    // drives).
+    let run = RunScaffold::wall_clock(config, chunk);
 
-    // Wall-clock failure detection, shared with the other real-time
-    // backends: peers ping a run-local topology-manager server; the monitor
-    // thread sweeps it for missed-ping evictions. Each loop heartbeats all
-    // its peers at once, so the eviction window scales with the multiplex
-    // degree (a loaded loop's iteration outlasting three bare ping periods
-    // must not read as the death of every peer it drives). Under the gossip
-    // control plane the ping server is retired for the run — eviction
-    // verdicts come from SWIM rumors, the stop decision from merged
-    // digests.
-    let topo = if config.control_plane.is_gossip() {
-        None
-    } else {
-        volatility
-            .as_ref()
-            .map(|_| detection::server_with_all_ranks(&config.topology, chunk))
-    };
-    if config.control_plane.is_gossip() {
-        shared.lock().set_distributed_decision(true);
-    }
+    // Bootstrap: bind the service port first so peers have a rendezvous
+    // (hellos queue in the kernel until the service below reads them).
+    let bootstrap_socket =
+        UdpSocket::bind(localhost_addr(0)).expect("bind bootstrap socket on localhost");
+    let bootstrap_addr = bootstrap_socket.local_addr().expect("bootstrap addr");
 
     let start = Instant::now();
     let ports = Mutex::new(vec![0u16; total]);
@@ -1017,12 +901,8 @@ where
     let dropped = AtomicU64::new(0);
     let balancer = Balancer::new(live_loops, total);
     let ctx = LoopShared {
-        alpha,
-        topology: &topology,
-        config,
-        shared: &shared,
-        volatility: &volatility,
-        topo: &topo,
+        run: &run,
+        impairment: config.extras.impairment(),
         bootstrap_addr,
         start,
         ports: &ports,
@@ -1030,37 +910,35 @@ where
         dropped: &dropped,
         balancer: &balancer,
     };
-    let task_factory = &task_factory;
     std::thread::scope(|scope| {
-        if let (Some(vol), Some(topo)) = (&volatility, &topo) {
-            let vol = Arc::clone(vol);
-            let topo = Arc::clone(topo);
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || detection::run_monitor(&vol, &topo, &shared, total, start));
-        }
+        run.spawn_monitor(scope, start);
         let ctx = &ctx;
-        for index in 0..live_loops {
-            let lo = index * chunk;
-            let hi = ((index + 1) * chunk).min(total);
-            scope.spawn(move || event_loop(index, lo..hi, ctx, task_factory));
-        }
+        let loops: Vec<_> = (0..live_loops)
+            .map(|index| {
+                let lo = index * chunk;
+                let hi = ((index + 1) * chunk).min(total);
+                scope.spawn(move || event_loop(index, lo..hi, ctx, task_factory))
+            })
+            .collect();
+        // The calling thread would only wait for the loops to retire: it
+        // serves the bootstrap meanwhile, so a run costs no thread of its
+        // own for it and ends the moment the last peer does. A loop that
+        // ended early panicked; stop serving so the scope can report it.
+        bootstrap_service(&bootstrap_socket, run.alpha, total, || {
+            balancer.all_done() || loops.iter().any(|l| l.is_finished())
+        });
     });
-    bootstrap_stop.store(true, Ordering::Relaxed);
-    let _ = bootstrap.join();
-    *LAST_LOOP_STATS.lock().unwrap() = Some(balancer.stats());
+    let loops = balancer.stats();
+    *LAST_LOOP_STATS.lock().unwrap() = Some(loops.clone());
 
-    let fallback_now = start.elapsed().as_nanos() as u64;
-    let (mut measurement, results) = shared
-        .lock()
-        .finish_run(fallback_now, config.max_relaxations);
-    if let Some(vol) = &volatility {
-        vol.lock().annotate(&mut measurement);
-    }
-    ReactorRunOutcome {
-        measurement,
-        results,
+    SocketRunOutcome {
+        outcome: run.finish(
+            start.elapsed().as_nanos() as u64,
+            None,
+            dropped.load(Ordering::Relaxed),
+        ),
         ports: ports.into_inner().unwrap(),
-        datagrams_dropped: dropped.load(Ordering::Relaxed),
+        loops,
     }
 }
 
@@ -1073,9 +951,17 @@ mod tests {
 
     const RAMP: u64 = 10;
 
-    fn run(config: &RunConfig) -> ReactorRunOutcome {
+    /// Serializes the tests that read or flip the process-global rebalance
+    /// switch (the test harness runs tests on parallel threads).
+    static REBALANCE_SWITCH: Mutex<()> = Mutex::new(());
+
+    fn run_sockets(config: &RunConfig) -> SocketRunOutcome {
         let peers = config.topology.len();
-        run_iterative_reactor(config, |rank| Box::new(RampTask::line(rank, peers, RAMP)))
+        ReactorDriver::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
+    }
+
+    fn run(config: &RunConfig) -> DriverOutcome {
+        run_sockets(config).outcome
     }
 
     /// Two event loops multiplexing three peers: the loops genuinely share
@@ -1090,7 +976,9 @@ mod tests {
                 reorder_probability: 0.0,
             });
         config.tolerance = 0.5;
-        let outcome = run(&config);
+        let SocketRunOutcome {
+            outcome, mut ports, ..
+        } = run_sockets(&config);
         assert!(outcome.measurement.converged);
         // Lockstep counts: the convergence iteration is the ramp length;
         // before the stop lands a wall-clock peer can overshoot it by at
@@ -1113,7 +1001,6 @@ mod tests {
         );
         assert_eq!(outcome.results.len(), 3);
         // Bootstrap assigned a distinct real port to every peer.
-        let mut ports = outcome.ports.clone();
         ports.sort_unstable();
         ports.dedup();
         assert_eq!(ports.len(), 3);
@@ -1145,6 +1032,7 @@ mod tests {
     /// guards, and the target is the least-busy loop.
     #[test]
     fn shed_target_picks_the_least_busy_loop_only_under_real_imbalance() {
+        let _switch = REBALANCE_SWITCH.lock().unwrap();
         let balancer = Balancer::new(3, 6);
         // Synthetic period: loop 0 did 40 ms of work, loop 1 did 10 ms,
         // loop 2 did 2 ms.
@@ -1184,6 +1072,7 @@ mod tests {
     /// period accounting keeps running.
     #[test]
     fn shed_target_respects_noise_floor_and_disable_switch() {
+        let _switch = REBALANCE_SWITCH.lock().unwrap();
         let quiet = Balancer::new(2, 4);
         quiet.add_busy(0, 100_000); // 0.1 ms: under the 5 ms floor
         std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
@@ -1209,19 +1098,8 @@ mod tests {
     #[test]
     fn mailbox_delivery_and_done_counting() {
         let balancer = Balancer::new(2, 2);
-        let peer = Peer {
-            rank: 7,
-            phase: Phase::Dormant,
-            engine: None,
-            transport: None,
-            reassembler: Reassembler::new(),
-            heartbeat: None,
-            table: None,
-            gossip: None,
-            seen_ports_version: 0,
-        };
         assert!(balancer.collect(1).is_empty());
-        balancer.deliver(1, peer);
+        balancer.deliver(1, Peer::dormant(7));
         assert!(balancer.collect(0).is_empty(), "wrong mailbox stays empty");
         let arrived = balancer.collect(1);
         assert_eq!(arrived.len(), 1);
@@ -1234,6 +1112,197 @@ mod tests {
         assert!(balancer.all_done());
     }
 
+    /// Rank 1 of a three-rank run on a real socket, standing alone: the
+    /// "bootstrap" and both neighbours are sink sockets the test owns, so
+    /// whatever the peer sends in reaction to hostile input lands nowhere
+    /// else on the machine.
+    struct Hostile {
+        run: RunScaffold,
+        sinks: [UdpSocket; 2],
+        injector: UdpSocket,
+        poller: Poller,
+        ports: Mutex<Vec<u16>>,
+        ports_version: AtomicU64,
+        dropped: AtomicU64,
+        balancer: Balancer,
+    }
+
+    const HOSTILE_RANKS: usize = 3;
+
+    impl Hostile {
+        fn new() -> Self {
+            let bind = || UdpSocket::bind(localhost_addr(0)).expect("bind test socket");
+            let config = RunConfig::quick(Scheme::Synchronous, HOSTILE_RANKS).with_gossip(2);
+            Self {
+                run: RunScaffold::wall_clock(&config, 1),
+                sinks: [bind(), bind()],
+                injector: bind(),
+                poller: Poller::new().expect("create poller"),
+                ports: Mutex::new(vec![0; HOSTILE_RANKS]),
+                ports_version: AtomicU64::new(0),
+                dropped: AtomicU64::new(0),
+                balancer: Balancer::new(1, HOSTILE_RANKS),
+            }
+        }
+
+        fn sink_port(&self, pick: u64) -> u16 {
+            let sink = &self.sinks[pick as usize % 2];
+            sink.local_addr().expect("sink addr").port()
+        }
+
+        fn ctx(&self) -> LoopShared<'_> {
+            LoopShared {
+                run: &self.run,
+                impairment: (0.0, 0.0),
+                bootstrap_addr: localhost_addr(self.sink_port(0)),
+                start: Instant::now(),
+                ports: &self.ports,
+                ports_version: &self.ports_version,
+                dropped: &self.dropped,
+                balancer: &self.balancer,
+            }
+        }
+
+        /// The peer, bound and waiting for the bootstrap table.
+        fn discovering_peer(&self) -> Peer {
+            let mut peer = Peer::dormant(1);
+            let task = Box::new(RampTask::line(1, HOSTILE_RANKS, RAMP));
+            let engine = self.run.engine(1, task);
+            peer.bind_and_discover(engine, &self.poller, &self.ctx(), OnTable::Start);
+            peer
+        }
+
+        /// The peer after the table (every rank at a sink) arrived.
+        fn running_peer(&self, buf: &mut [u8]) -> Peer {
+            let mut peer = self.discovering_peer();
+            let table = Datagram::Table {
+                ports: vec![self.sink_port(0); HOSTILE_RANKS],
+            };
+            self.inject(&mut peer, &table.encode(), buf);
+            peer.advance(&self.poller, &self.ctx());
+            assert!(matches!(peer.phase, Phase::Running));
+            peer
+        }
+
+        /// Deliver `bytes` to the peer's socket the way an event loop sees
+        /// them: wait for readiness, then drain.
+        fn inject(&self, peer: &mut Peer, bytes: &[u8], buf: &mut [u8]) {
+            let socket = &peer.transport.as_ref().expect("bound peer").socket;
+            let addr = socket.local_addr().expect("peer addr");
+            self.injector.send_to(bytes, addr).expect("inject datagram");
+            let mut events = Events::new();
+            self.poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
+                .expect("poll peer socket");
+            peer.drain(buf);
+        }
+
+        /// One hostile datagram: random bytes, or a datagram of any kind
+        /// with fields drawn to include the malformed corners (foreign and
+        /// out-of-range senders, `frag_index >= frag_count`, tables of the
+        /// wrong length, truncated gossip frames) — then, half the time, one
+        /// flipped bit. Table ports only ever name the test's own sinks.
+        fn hostile_datagram(&self, rng: &mut proptest::TestRng, gossip_frame: &[u8]) -> Vec<u8> {
+            let noise = |rng: &mut proptest::TestRng, max: u64| -> Vec<u8> {
+                (0..rng.below(max)).map(|_| rng.next_u64() as u8).collect()
+            };
+            let from = [0, 1, 2, HOSTILE_RANKS, 1000, 65535][rng.below(6) as usize];
+            let datagram = match rng.below(7) {
+                0 => return noise(rng, 64),
+                1 => Datagram::Fragment {
+                    from,
+                    msg_id: rng.below(4) as u32,
+                    frag_index: rng.below(4) as u16,
+                    frag_count: rng.below(4) as u16,
+                    payload: noise(rng, 48),
+                },
+                2 => Datagram::Stop { from },
+                3 => Datagram::Hello { rank: from },
+                4 => Datagram::Rollback {
+                    from,
+                    to_iteration: rng.next_u64(),
+                    generation: rng.next_u64() as u32,
+                },
+                5 => Datagram::Table {
+                    ports: (0..rng.below(6))
+                        .map(|_| [0, self.sink_port(0), self.sink_port(1)][rng.below(3) as usize])
+                        .collect(),
+                },
+                _ => {
+                    let keep = match rng.below(2) {
+                        0 => gossip_frame.len(),
+                        _ => rng.below(gossip_frame.len() as u64) as usize,
+                    };
+                    Datagram::Gossip {
+                        from,
+                        payload: gossip_frame[..keep].to_vec(),
+                    }
+                }
+            };
+            let mut bytes = datagram.encode();
+            if rng.below(2) == 0 {
+                let bit = rng.below(bytes.len() as u64 * 8) as usize;
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            bytes
+        }
+    }
+
+    proptest::proptest! {
+        /// No bytes off the network panic the receive sweep, in either phase
+        /// that reads the socket, and the address book only ever changes to
+        /// what a well-formed bootstrap table of the run's length published.
+        #[test]
+        fn hostile_datagrams_never_panic_or_move_the_address_book(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let hostile = Hostile::new();
+            let mut buf = vec![0u8; 65536];
+            // A genuine gossip frame from rank 0, as the valid baseline the
+            // truncations and bit flips start from.
+            let gossip_frame = hostile
+                .run
+                .gossip_node(0)
+                .expect("gossip run")
+                .poll(0)
+                .first()
+                .expect("the first poll probes")
+                .1
+                .encode();
+            let published = |bytes: &[u8]| match Datagram::decode(bytes) {
+                Some(Datagram::Table { ports }) => table_addrs(&ports, HOSTILE_RANKS),
+                _ => None,
+            };
+
+            let mut peer = hostile.discovering_peer();
+            let unset = vec![localhost_addr(0); HOSTILE_RANKS];
+            let mut expected = None;
+            for _ in 0..24 {
+                let bytes = hostile.hostile_datagram(&mut rng, &gossip_frame);
+                expected = published(&bytes).or(expected);
+                hostile.inject(&mut peer, &bytes, &mut buf);
+                proptest::prop_assert_eq!(&peer.table, &expected);
+                proptest::prop_assert_eq!(&peer.transport.as_ref().unwrap().addrs, &unset);
+            }
+
+            let mut peer = hostile.running_peer(&mut buf);
+            let mut expected = peer.transport.as_ref().unwrap().addrs.clone();
+            for _ in 0..48 {
+                // A forged stop ends the engine, and a finished peer stops
+                // reading its socket: carry on with a fresh one.
+                if peer.engine.as_ref().unwrap().finished() {
+                    peer = hostile.running_peer(&mut buf);
+                    expected = peer.transport.as_ref().unwrap().addrs.clone();
+                }
+                let bytes = hostile.hostile_datagram(&mut rng, &gossip_frame);
+                expected = published(&bytes).unwrap_or(expected);
+                hostile.inject(&mut peer, &bytes, &mut buf);
+                proptest::prop_assert_eq!(&peer.transport.as_ref().unwrap().addrs, &expected);
+            }
+        }
+    }
+
     /// Crash + recovery inside an event loop: the victim's socket is
     /// replaced, the failure monitor grants recovery, and the revived peer
     /// rediscovers and restores from its checkpoint — all without blocking
@@ -1243,6 +1312,7 @@ mod tests {
         use crate::churn::ChurnPlan;
         use crate::obstacle_app::ObstacleTask;
         use obstacle::ObstacleProblem;
+        use std::sync::Arc;
 
         let n = 8;
         let peers = 2;
@@ -1254,7 +1324,7 @@ mod tests {
                 reorder_probability: 0.0,
             });
         config.churn = Some(ChurnPlan::kill(1, 12).with_checkpoint_interval(5));
-        let outcome = run_iterative_reactor(&config, |rank| {
+        let outcome = ReactorDriver.run(&config, &|rank| {
             Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
         });
         assert!(outcome.measurement.converged, "faulty run must converge");

@@ -14,21 +14,18 @@
 //! peer's clock by the [`ComputeModel`] cost and every message experiences
 //! the simulated network delays.
 
-use crate::app::IterativeTask;
-use crate::churn::{ChurnEventKind, SharedVolatility, VolatilityState};
+use crate::churn::ChurnEventKind;
 use crate::compute::ComputeModel;
 use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
-use crate::metrics::RunMeasurement;
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{
-    ConvergenceDetector, PeerEngine, PeerTransport, SharedDetector, TimerKey,
-};
+use crate::runtime::engine::{PeerEngine, PeerTransport, TimerKey};
+use crate::runtime::scaffold::{self, RunScaffold};
 use crate::runtime::RunConfig;
 use bytes::Bytes;
 use desim::{Context, Payload, Process, ProcessId, SimDuration, SimTime, Simulator, TimerId};
 use netsim::{
-    shared_stats, Deliver, LinkFaults, NetStats, NetworkFabric, NodeId, Packet, SharedLinkFaults,
-    Topology, Transmit,
+    shared_stats, Deliver, LinkFaults, NetworkFabric, NodeId, Packet, SharedLinkFaults, Topology,
+    Transmit,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -69,25 +66,8 @@ impl RuntimeDriver for SimDriver {
     }
 
     fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        let outcome = run_iterative(config, |rank| task_factory(rank));
-        DriverOutcome {
-            measurement: outcome.measurement,
-            results: outcome.results,
-            net: Some(outcome.net),
-            datagrams_dropped: 0,
-        }
+        run_iterative(config, task_factory)
     }
-}
-
-/// Outcome of a simulated distributed run.
-#[derive(Debug, Clone)]
-pub struct SimRunOutcome {
-    /// Timing and relaxation measurements.
-    pub measurement: RunMeasurement,
-    /// Per-rank serialized results (from [`IterativeTask::result`]).
-    pub results: Vec<(usize, Vec<u8>)>,
-    /// Network statistics of the run.
-    pub net: NetStats,
 }
 
 /// Signal broadcast to every peer once global convergence has been detected,
@@ -136,6 +116,17 @@ impl SimNet {
     fn cpu_speed(&self) -> f64 {
         self.topology.node(NodeId(self.rank)).cpu_speed
     }
+}
+
+/// Send one gossip message as a [`GossipSignal`] (the `send` of the
+/// scaffold's gossip turn on this backend).
+fn send_gossip(transport: &mut SimTransport<'_, '_>, to: usize, msg: &GossipMessage) {
+    transport.ctx.send(
+        ProcessId(to),
+        Box::new(GossipSignal {
+            bytes: msg.encode(),
+        }),
+    );
 }
 
 /// The [`PeerTransport`] of the simulated runtime: a borrow of the peer's
@@ -239,18 +230,9 @@ impl PeerTransport for SimTransport<'_, '_> {
 /// and come alive on the [`JoinSignal`] the triggering peer sends.
 struct PeerActor {
     rank: usize,
-    scheme: p2psap::Scheme,
-    max_relaxations: u64,
-    shared: SharedDetector,
+    run: Arc<RunScaffold>,
     engine: Option<PeerEngine>,
     net: SimNet,
-    /// The run's volatility coordinator and convergence detector (for load
-    /// snapshots at grant time), when failure injection is active.
-    volatility: Option<(SharedVolatility, SharedDetector)>,
-    /// Initial rank count and seed, for building a joiner's gossip node.
-    alpha: usize,
-    seed: u64,
-    gossip_fanout: Option<usize>,
     gossip: Option<GossipNode>,
     /// Scenario link faults shared with the fabric (armed by this rank's due
     /// link events, consulted for the fabric-bypassing gossip signals).
@@ -262,56 +244,16 @@ impl PeerActor {
         SimTransport { net, ctx }
     }
 
-    fn new_gossip_node(&self) -> Option<GossipNode> {
-        self.gossip_fanout.map(|fanout| {
-            GossipNode::new(
-                self.rank,
-                self.alpha,
-                self.net.topology.len(),
-                fanout,
-                self.seed,
-                GossipTiming::virtual_time(),
-            )
-        })
-    }
-
-    /// One gossip control-plane turn: author the latest sweep, run the SWIM
-    /// probe cycle, feed death verdicts into the recovery coordinator, and
-    /// evaluate the stop decision over the merged digest.
+    /// The periodic gossip control-plane turn of a live peer.
     fn gossip_turn(&mut self, ctx: &mut Context<'_>) {
-        let Some(g) = self.gossip.as_mut() else {
-            return;
-        };
-        let Some(engine) = self.engine.as_mut() else {
+        let (Some(g), Some(engine)) = (self.gossip.as_mut(), self.engine.as_mut()) else {
             return;
         };
         if engine.finished() || engine.crashed() {
             return;
         }
-        if let Some(sweep) = engine.sweep_summary() {
-            g.record_sweep(&sweep);
-        }
-        let now = ctx.now().as_nanos();
-        for (to, msg) in g.poll(now) {
-            ctx.send(
-                ProcessId(to),
-                Box::new(GossipSignal {
-                    bytes: msg.encode(),
-                }),
-            );
-        }
-        // Level-triggered: `grant` no-ops for ranks that did not really
-        // crash, so a false verdict cannot corrupt recovery.
-        if let Some((vol, _)) = &self.volatility {
-            let total = self.net.topology.len();
-            for dead in g.dead_ranks() {
-                vol.lock().grant(dead, &g.gossiped_loads(total));
-            }
-        }
-        if g.decide(self.scheme, engine.generation()) {
-            let mut transport = Self::transport(&mut self.net, ctx);
-            engine.on_distributed_decision(&mut transport);
-        }
+        let mut transport = Self::transport(&mut self.net, ctx);
+        self.run.gossip_turn(g, engine, &mut transport, send_gossip);
     }
 
     /// The engine just crashed: its protocol timers die with it, failure
@@ -320,13 +262,17 @@ impl PeerActor {
     fn schedule_recovery(&mut self, ctx: &mut Context<'_>) {
         self.net.slots.clear();
         self.net.armed.clear();
-        let (vol, detector) = self.volatility.as_ref().expect("crash implies volatility");
+        let vol = self
+            .run
+            .volatility
+            .as_ref()
+            .expect("crash implies volatility");
         // Placement weights: gossiped load estimates under the
         // decentralized control plane, the central detector's otherwise.
         let loads = if let Some(g) = self.gossip.as_ref() {
             g.gossiped_loads(self.net.topology.len())
         } else {
-            detector.lock().loads().to_vec()
+            self.run.shared.lock().loads().to_vec()
         };
         let mut vol = vol.lock();
         vol.grant(self.rank, &loads);
@@ -341,7 +287,7 @@ impl PeerActor {
         let Some(faults) = self.faults.as_ref() else {
             return;
         };
-        let Some((vol, _)) = self.volatility.as_ref() else {
+        let Some(vol) = self.run.volatility.as_ref() else {
             return;
         };
         if !vol.event_due(self.rank, relaxations) {
@@ -368,7 +314,7 @@ impl PeerActor {
                 ChurnEventKind::Corruption { flips } => faults.corrupt_next(
                     self.rank,
                     flips,
-                    self.seed ^ ((self.rank as u64) << 32) ^ event.at_iteration,
+                    self.run.seed ^ ((self.rank as u64) << 32) ^ event.at_iteration,
                 ),
                 _ => {}
             }
@@ -378,7 +324,7 @@ impl PeerActor {
     /// A join event fired somewhere in the run: wake the dormant rank it
     /// named (the joiner builds its engine from the membership plan).
     fn dispatch_spawn(&mut self, ctx: &mut Context<'_>) {
-        if let Some((vol, _)) = &self.volatility {
+        if let Some(vol) = &self.run.volatility {
             let spawn = vol.lock().take_pending_spawn();
             if let Some(rank) = spawn {
                 ctx.send(ProcessId(rank), Box::new(JoinSignal));
@@ -391,23 +337,13 @@ impl PeerActor {
         if self.engine.is_some() {
             return;
         }
-        let Some((vol, _)) = &self.volatility else {
-            return;
-        };
-        let Some(mut engine) = PeerEngine::join_run(
-            self.rank,
-            self.scheme,
-            &self.net.topology,
-            Arc::clone(&self.shared),
-            Arc::clone(vol),
-            self.max_relaxations,
-        ) else {
+        let Some(mut engine) = self.run.join_engine(self.rank) else {
             return;
         };
         let mut transport = Self::transport(&mut self.net, ctx);
         engine.on_start(&mut transport);
         self.engine = Some(engine);
-        self.gossip = self.new_gossip_node();
+        self.gossip = self.run.gossip_node(self.rank);
         if self.gossip.is_some() {
             ctx.set_timer(GOSSIP_TICK, GOSSIP_TIMER_TAG);
         }
@@ -452,19 +388,13 @@ impl Process for PeerActor {
                     .as_ref()
                     .is_some_and(|e| !e.crashed() && !e.finished());
                 if alive {
-                    if let (Some(g), Some(msg)) =
-                        (self.gossip.as_mut(), GossipMessage::decode(&signal.bytes))
-                    {
-                        let now = ctx.now().as_nanos();
-                        for (to, reply) in g.on_message(&msg, now) {
-                            ctx.send(
-                                ProcessId(to),
-                                Box::new(GossipSignal {
-                                    bytes: reply.encode(),
-                                }),
-                            );
-                        }
-                    }
+                    let mut transport = Self::transport(&mut self.net, ctx);
+                    scaffold::on_gossip_frame(
+                        self.gossip.as_mut(),
+                        &signal.bytes,
+                        &mut transport,
+                        send_gossip,
+                    );
                 }
                 return;
             }
@@ -560,33 +490,11 @@ impl Process for PeerActor {
 
 /// Run a distributed iterative computation on the simulated runtime. The
 /// factory builds the per-rank task (the application's `Calculate()`).
-pub(crate) fn run_iterative<F>(config: &RunConfig, mut task_factory: F) -> SimRunOutcome
-where
-    F: FnMut(usize) -> Box<dyn IterativeTask>,
-{
-    let alpha = config.peers();
-    assert!(alpha >= 1);
-    // Pre-provision fabric nodes and (dormant) peer processes for ranks
+pub(crate) fn run_iterative(config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
+    // Fabric nodes and (dormant) peer processes are provisioned for ranks
     // that may join mid-run.
-    let topology = config.provisioned_topology();
-    let total = topology.len();
-    let shared = ConvergenceDetector::shared_with_capacity(
-        config.tolerance,
-        config.scheme,
-        alpha,
-        topology.len(),
-    );
-    let volatility = config.churn.as_ref().map(|plan| {
-        let vol = VolatilityState::shared(plan, alpha, config.scheme);
-        if let Some(handle) = &config.repartitioner {
-            vol.lock().set_repartitioner(handle.clone());
-        }
-        vol
-    });
-    let gossip_fanout = config.control_plane.fanout();
-    if gossip_fanout.is_some() {
-        shared.lock().set_distributed_decision(true);
-    }
+    let run = Arc::new(RunScaffold::new(config, GossipTiming::virtual_time()));
+    let total = run.total();
     let faults = config
         .churn
         .as_ref()
@@ -600,53 +508,17 @@ where
     let fabric_id = ProcessId(total);
     let mut endpoints = Vec::with_capacity(total);
     for rank in 0..total {
-        let engine = if rank < alpha {
-            let mut engine = PeerEngine::new(
-                rank,
-                config.scheme,
-                &topology,
-                task_factory(rank),
-                Arc::clone(&shared),
-                config.max_relaxations,
-            );
-            if let Some(vol) = &volatility {
-                engine.attach_volatility(Arc::clone(vol));
-            }
-            Some(engine)
-        } else {
-            None
-        };
+        let initial = rank < run.alpha;
         let actor = PeerActor {
             rank,
-            scheme: config.scheme,
-            max_relaxations: config.max_relaxations,
-            shared: Arc::clone(&shared),
-            engine,
-            volatility: volatility
-                .as_ref()
-                .map(|vol| (Arc::clone(vol), Arc::clone(&shared))),
-            alpha,
-            seed: config.seed,
-            gossip_fanout,
-            gossip: if rank < alpha {
-                gossip_fanout.map(|fanout| {
-                    GossipNode::new(
-                        rank,
-                        alpha,
-                        total,
-                        fanout,
-                        config.seed,
-                        GossipTiming::virtual_time(),
-                    )
-                })
-            } else {
-                None
-            },
+            engine: initial.then(|| run.engine(rank, task_factory(rank))),
+            gossip: initial.then(|| run.gossip_node(rank)).flatten(),
+            run: Arc::clone(&run),
             faults: faults.clone(),
             net: SimNet {
                 rank,
                 fabric: fabric_id,
-                topology: topology.clone(),
+                topology: run.topology.clone(),
                 compute: config.compute,
                 next_send_ok: HashMap::new(),
                 slots: HashMap::new(),
@@ -658,7 +530,7 @@ where
         assert_eq!(pid.index(), rank);
         endpoints.push(pid);
     }
-    let mut fabric = NetworkFabric::new(topology.clone(), endpoints, Arc::clone(&stats));
+    let mut fabric = NetworkFabric::new(run.topology.clone(), endpoints, Arc::clone(&stats));
     if config.topology.cluster_count() > 1 {
         fabric = fabric.with_inter_cluster_netem(netsim::Netem::delay_100ms());
     }
@@ -670,15 +542,9 @@ where
 
     let _ = sim.run_until(SimTime::ZERO + config.extras.sim_deadline());
 
-    let (mut measurement, results) = shared
-        .lock()
-        .finish_run(sim.now().as_nanos(), config.max_relaxations);
-    if let Some(vol) = &volatility {
-        vol.lock().annotate(&mut measurement);
-    }
-    SimRunOutcome {
-        measurement,
-        results,
-        net: netsim::stats_snapshot(&stats),
-    }
+    run.finish(
+        sim.now().as_nanos(),
+        Some(netsim::stats_snapshot(&stats)),
+        0,
+    )
 }

@@ -14,15 +14,11 @@
 //! Latencies are scaled down by default (fractions of the paper's 100 ms) so
 //! that examples and tests complete quickly.
 
-use crate::app::IterativeTask;
-use crate::churn::{SharedVolatility, VolatilityState};
-use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
-use crate::metrics::RunMeasurement;
+use crate::gossip::{GossipMessage, GossipNode};
 use crate::runtime::detection::{self, Heartbeat};
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{
-    ConvergenceDetector, PeerEngine, PeerTransport, TimerKey, TimerQueue,
-};
+use crate::runtime::engine::{PeerEngine, PeerTransport, TimerKey, TimerQueue};
+use crate::runtime::scaffold::{self, JoinPoll, RunScaffold};
 use crate::runtime::RunConfig;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -53,23 +49,8 @@ impl RuntimeDriver for ThreadsDriver {
     }
 
     fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        let outcome = run_iterative_threads(config, |rank| task_factory(rank));
-        DriverOutcome {
-            measurement: outcome.measurement,
-            results: outcome.results,
-            net: None,
-            datagrams_dropped: 0,
-        }
+        run_iterative_threads(config, task_factory)
     }
-}
-
-/// Outcome of a thread-runtime run.
-#[derive(Debug, Clone)]
-pub struct ThreadRunOutcome {
-    /// Timing and relaxation measurements (elapsed is wall-clock).
-    pub measurement: RunMeasurement,
-    /// Per-rank serialized results.
-    pub results: Vec<(usize, Vec<u8>)>,
 }
 
 /// What travels between peer threads.
@@ -201,48 +182,36 @@ impl PeerTransport for ThreadTransport {
     }
 }
 
-/// Run a distributed iterative computation with one OS thread per peer.
-pub(crate) fn run_iterative_threads<F>(config: &RunConfig, task_factory: F) -> ThreadRunOutcome
-where
-    F: Fn(usize) -> Box<dyn IterativeTask> + Send + Sync,
-{
-    let alpha = config.topology.len();
-    // Pre-provision substrate capacity (channels, a dormant thread) for
-    // ranks that may join mid-run.
-    let topology = config.provisioned_topology();
-    let total = topology.len();
-    let shared = ConvergenceDetector::shared_with_capacity(
-        config.tolerance,
-        config.scheme,
-        alpha,
-        topology.len(),
-    );
-    let volatility = config.churn.as_ref().map(|plan| {
-        let vol = VolatilityState::shared(plan, alpha, config.scheme);
-        if let Some(handle) = &config.repartitioner {
-            vol.lock().set_repartitioner(handle.clone());
+/// Hand one routed wire to the peer's engine (gossip frames to its SWIM
+/// node).
+fn dispatch(
+    from: usize,
+    wire: PeerWire,
+    engine: &mut PeerEngine,
+    gossip: Option<&mut GossipNode>,
+    transport: &mut ThreadTransport,
+) {
+    match wire {
+        PeerWire::Segment(segment) => engine.on_segment(from, segment, transport),
+        PeerWire::Stop => engine.on_stop_signal(transport),
+        PeerWire::Rollback(to_iteration, generation) => {
+            engine.on_rollback(to_iteration, generation, transport)
         }
-        vol
-    });
-    // Wall-clock failure detection: a run-local topology-manager server the
-    // peers ping; the monitor thread sweeps it for missed-ping evictions.
-    // Every initial rank is registered before any peer thread spawns (a
-    // slow spawn must not read as three missed pings); a joiner registers
-    // when its join fires. Under the gossip control plane the ping server
-    // is retired: SWIM probes detect silence, death rumors trigger the
-    // recovery grant, and merged digests carry the stop decision.
-    let gossip_fanout = config.control_plane.fanout();
-    let topo = if gossip_fanout.is_some() {
-        None
-    } else {
-        volatility
-            .as_ref()
-            .map(|_| detection::server_with_all_ranks(&config.topology, 1))
-    };
-    if gossip_fanout.is_some() {
-        shared.lock().set_distributed_decision(true);
+        PeerWire::Gossip(frame) => {
+            scaffold::on_gossip_frame(gossip, &frame, transport, ThreadTransport::send_gossip)
+        }
     }
-    let seed = config.seed;
+}
+
+/// Run a distributed iterative computation with one OS thread per peer.
+pub(crate) fn run_iterative_threads(
+    config: &RunConfig,
+    task_factory: TaskFactory<'_>,
+) -> DriverOutcome {
+    // Substrate capacity (channels, a dormant thread) is provisioned for
+    // ranks that may join mid-run.
+    let run = RunScaffold::wall_clock(config, 1);
+    let total = run.total();
 
     // Router: one inbox per peer plus a central routing channel.
     let (router_tx, router_rx) = unbounded::<Routed>();
@@ -254,7 +223,7 @@ where
         peer_rxs.push(rx);
     }
 
-    let router_shared = Arc::clone(&shared);
+    let router_shared = Arc::clone(&run.shared);
     let router = std::thread::spawn(move || {
         let mut queue: VecDeque<Routed> = VecDeque::new();
         loop {
@@ -282,117 +251,63 @@ where
     });
 
     let start = Instant::now();
-    let task_factory = &task_factory;
+    let run = &run;
     std::thread::scope(|scope| {
-        // The failure monitor: sweep the topology manager for missed-ping
-        // evictions and grant recovery for every evicted rank.
-        if let (Some(vol), Some(topo)) = (&volatility, &topo) {
-            let vol = Arc::clone(vol);
-            let topo = Arc::clone(topo);
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || detection::run_monitor(&vol, &topo, &shared, total, start));
-        }
+        run.spawn_monitor(scope, start);
         for (rank, peer_rx) in peer_rxs.iter().enumerate() {
             let rx = peer_rx.clone();
             let tx = router_tx.clone();
-            let shared = Arc::clone(&shared);
-            let volatility: Option<SharedVolatility> = volatility.as_ref().map(Arc::clone);
-            let topo = topo.as_ref().map(Arc::clone);
-            let topology = topology.clone();
-            let scheme = config.scheme;
-            let max_relaxations = config.max_relaxations;
             let latency_scale = config.extras.latency_scale();
             scope.spawn(move || {
-                let mut engine = if rank < alpha {
-                    let mut engine = PeerEngine::new(
-                        rank,
-                        scheme,
-                        &topology,
-                        task_factory(rank),
-                        Arc::clone(&shared),
-                        max_relaxations,
-                    );
-                    if let Some(vol) = &volatility {
-                        engine.attach_volatility(Arc::clone(vol));
-                    }
-                    engine
+                let mut engine = if rank < run.alpha {
+                    run.engine(rank, task_factory(rank))
                 } else {
                     // A pre-provisioned join rank: stay dormant (discarding
                     // any early broadcasts) until the seeded join fires,
                     // then adopt the membership plan's slice. If the run
                     // ends first, exit without ever having existed.
-                    let vol = volatility.as_ref().expect("join ranks imply churn");
-                    let engine = loop {
-                        if vol.lock().take_spawn_if(rank) {
-                            match PeerEngine::join_run(
-                                rank,
-                                scheme,
-                                &topology,
-                                Arc::clone(&shared),
-                                Arc::clone(vol),
-                                max_relaxations,
-                            ) {
-                                Some(engine) => break Some(engine),
-                                None => break None,
+                    loop {
+                        match run.poll_join(rank) {
+                            JoinPoll::Joined(engine) => break *engine,
+                            JoinPoll::Never => return,
+                            JoinPoll::Pending => {
+                                while rx.try_recv().is_ok() {}
+                                std::thread::sleep(Duration::from_millis(1));
                             }
                         }
-                        if shared.stopped() {
-                            break None;
-                        }
-                        while rx.try_recv().is_ok() {}
-                        std::thread::sleep(Duration::from_millis(1));
-                    };
-                    let Some(engine) = engine else {
-                        return;
-                    };
-                    engine
+                    }
                 };
-                let mut heartbeat = Heartbeat::new(&topology, rank);
+                let mut heartbeat = Heartbeat::new(&run.topology, rank);
                 let mut transport = ThreadTransport {
                     rank,
                     peers: total,
                     start,
                     router: tx,
-                    topology,
+                    topology: run.topology.clone(),
                     latency_scale,
                     timers: TimerQueue::new(),
                     compute_pending: false,
                 };
-                if rank >= alpha {
+                if rank >= run.alpha {
                     // The joiner announces itself to the failure detector.
-                    if let Some(topo) = &topo {
+                    if let Some(topo) = &run.topo {
                         heartbeat.rejoin(topo, start);
                     }
                 }
-                let mut gossip = gossip_fanout.map(|fanout| {
-                    GossipNode::new(rank, alpha, total, fanout, seed, GossipTiming::wall_clock())
-                });
+                let mut gossip = run.gossip_node(rank);
                 engine.on_start(&mut transport);
                 while !engine.finished() {
                     // Heartbeat towards the failure detector.
-                    if let Some(topo) = &topo {
+                    if let Some(topo) = &run.topo {
                         heartbeat.beat(topo, start);
                     }
-                    // Gossip control plane turn: author the latest sweep,
-                    // run the SWIM probe cycle, feed death verdicts into the
-                    // recovery coordinator (level-triggered; `grant` no-ops
-                    // for ranks that did not really crash), and evaluate the
-                    // stop decision over the merged digest.
                     if let Some(g) = gossip.as_mut() {
-                        if let Some(sweep) = engine.sweep_summary() {
-                            g.record_sweep(&sweep);
-                        }
-                        let now = transport.now_ns();
-                        for (to, msg) in g.poll(now) {
-                            transport.send_gossip(to, &msg);
-                        }
-                        if let Some(vol) = &volatility {
-                            for dead in g.dead_ranks() {
-                                vol.lock().grant(dead, &g.gossiped_loads(total));
-                            }
-                        }
-                        if g.decide(scheme, engine.generation()) {
-                            engine.on_distributed_decision(&mut transport);
+                        if run.gossip_turn(
+                            g,
+                            &mut engine,
+                            &mut transport,
+                            ThreadTransport::send_gossip,
+                        ) {
                             continue;
                         }
                     }
@@ -400,27 +315,8 @@ where
                     // relax back-to-back, so fresh ghosts must be picked up
                     // between sweeps, like deliveries interleave with compute
                     // windows on the simulated runtime).
-                    loop {
-                        match rx.try_recv() {
-                            Ok((from, PeerWire::Segment(segment))) => {
-                                engine.on_segment(from, segment, &mut transport);
-                            }
-                            Ok((_, PeerWire::Stop)) => engine.on_stop_signal(&mut transport),
-                            Ok((_, PeerWire::Rollback(to_iteration, generation))) => {
-                                engine.on_rollback(to_iteration, generation, &mut transport)
-                            }
-                            Ok((_, PeerWire::Gossip(bytes))) => {
-                                if let (Some(g), Some(msg)) =
-                                    (gossip.as_mut(), GossipMessage::decode(&bytes))
-                                {
-                                    let now = transport.now_ns();
-                                    for (to, reply) in g.on_message(&msg, now) {
-                                        transport.send_gossip(to, &reply);
-                                    }
-                                }
-                            }
-                            Err(_) => break,
-                        }
+                    while let Ok((from, wire)) = rx.try_recv() {
+                        dispatch(from, wire, &mut engine, gossip.as_mut(), &mut transport);
                     }
                     if engine.finished() {
                         break;
@@ -440,15 +336,17 @@ where
                             // the recovery this wait blocks on.
                             transport.timers = TimerQueue::new();
                             while rx.try_recv().is_ok() {}
-                            let granted =
-                                detection::await_recovery_grant(&volatility, &shared, rank, || {
-                                    while rx.try_recv().is_ok() {}
-                                });
+                            let granted = detection::await_recovery_grant(
+                                &run.volatility,
+                                &run.shared,
+                                rank,
+                                || while rx.try_recv().is_ok() {},
+                            );
                             if granted {
                                 while rx.try_recv().is_ok() {}
                                 // The revived rank re-registers (rejoin)
                                 // and resumes pinging.
-                                if let Some(topo) = &topo {
+                                if let Some(topo) = &run.topo {
                                     heartbeat.rejoin(topo, start);
                                 }
                                 engine.recover(&mut transport);
@@ -465,7 +363,7 @@ where
                     }
                     // Another peer may have stopped the run while this one
                     // was idling in a scheme wait.
-                    if shared.stopped() {
+                    if run.shared.stopped() {
                         engine.on_stop_signal(&mut transport);
                         continue;
                     }
@@ -478,7 +376,7 @@ where
                     // failure detector is active (centralized pings or SWIM
                     // probes alike), so a healthy-but-waiting peer never
                     // reads as dead.
-                    let wait_cap = if topo.is_some() || gossip.is_some() {
+                    let wait_cap = if run.topo.is_some() || gossip.is_some() {
                         Duration::from_millis(5)
                     } else {
                         Duration::from_millis(20)
@@ -487,25 +385,8 @@ where
                         .next_timer_wait()
                         .unwrap_or(wait_cap)
                         .min(wait_cap);
-                    match rx.recv_timeout(wait) {
-                        Ok((from, PeerWire::Segment(segment))) => {
-                            engine.on_segment(from, segment, &mut transport);
-                        }
-                        Ok((_, PeerWire::Stop)) => engine.on_stop_signal(&mut transport),
-                        Ok((_, PeerWire::Rollback(to_iteration, generation))) => {
-                            engine.on_rollback(to_iteration, generation, &mut transport)
-                        }
-                        Ok((_, PeerWire::Gossip(bytes))) => {
-                            if let (Some(g), Some(msg)) =
-                                (gossip.as_mut(), GossipMessage::decode(&bytes))
-                            {
-                                let now = transport.now_ns();
-                                for (to, reply) in g.on_message(&msg, now) {
-                                    transport.send_gossip(to, &reply);
-                                }
-                            }
-                        }
-                        Err(_) => {}
+                    if let Ok((from, wire)) = rx.recv_timeout(wait) {
+                        dispatch(from, wire, &mut engine, gossip.as_mut(), &mut transport);
                     }
                 }
             });
@@ -514,15 +395,5 @@ where
     drop(router_tx);
     let _ = router.join();
 
-    let fallback_now = start.elapsed().as_nanos() as u64;
-    let (mut measurement, results) = shared
-        .lock()
-        .finish_run(fallback_now, config.max_relaxations);
-    if let Some(vol) = &volatility {
-        vol.lock().annotate(&mut measurement);
-    }
-    ThreadRunOutcome {
-        measurement,
-        results,
-    }
+    run.finish(start.elapsed().as_nanos() as u64, None, 0)
 }

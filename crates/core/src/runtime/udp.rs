@@ -1,11 +1,12 @@
-//! The real-socket UDP runtime of P2PDC.
+//! The wire layer of the socket backends, and the `udp` backend itself.
 //!
-//! The fourth [`PeerTransport`] implementation, and the first whose segments
-//! leave the process: every peer is an OS thread owning a
-//! [`std::net::UdpSocket`] bound to an ephemeral localhost port, and P2PSAP
-//! wire segments travel as genuine UDP datagrams through the kernel's network
-//! stack. Everything scheme- and protocol-related still lives in the shared
-//! [`PeerEngine`] — this module only provides:
+//! P2PSAP wire segments leave the process here: every peer owns a
+//! [`std::net::UdpSocket`] bound to an ephemeral localhost port and segments
+//! travel as genuine UDP datagrams through the kernel's network stack.
+//! Everything scheme- and protocol-related lives in the shared
+//! [`PeerEngine`](crate::runtime::engine::PeerEngine), and the one socket
+//! drive loop lives in [`crate::runtime::reactor`] — this module provides
+//! what goes over the wire:
 //!
 //! * **Framing / reassembly** — a P2PSAP segment can exceed a safe datagram
 //!   size (boundary planes grow with the grid), so segments are split into
@@ -13,19 +14,24 @@
 //!   `(sender, message id, fragment index / count)` header, and reassembled
 //!   at the receiver (out-of-order tolerant, stale partials evicted).
 //! * **Bootstrap** — peers discover each other over the socket itself: a
-//!   bootstrap service owned by the run binds its own port, every peer
-//!   announces `HELLO(rank)` from its freshly bound socket (retrying until
-//!   answered), and once all ranks have announced, the service replies with
-//!   the full rank→port table. No addresses are configured up front.
+//!   bootstrap service owned by the run (served on the run's calling
+//!   thread, which would otherwise only wait) binds its own port, every
+//!   peer announces `HELLO(rank)` from its freshly bound socket (retrying
+//!   until answered), and once all ranks have announced, the service
+//!   replies with the full rank→port table. No addresses are configured up
+//!   front.
 //! * **Loss / reorder shim** — [`LossShim`] wraps the socket's send path
 //!   with a deterministic [`ChaCha8Rng`] seeded from the experiment seed,
 //!   dropping or swapping datagrams with configured probabilities, so the
 //!   congestion-control and protocol-adaptation paths are exercised over
 //!   genuinely lossy delivery rather than only netsim's model.
-//! * **Drive loop** — nonblocking receive with exponential sleep backoff
-//!   (reset on any event), wall-clock protocol timers through the shared
-//!   [`TimerQueue`], and the same compute-pending turn the thread runtime
-//!   uses.
+//! * **Transport** — `UdpTransport`, the [`PeerTransport`] every socket
+//!   peer drives its engine through: in-place framing, wall-clock protocol
+//!   timers, the asynchronous pacing gate and the control broadcasts.
+//!
+//! The `udp` backend ([`UdpDriver`]) is the reactor at one event loop per
+//! provisioned peer: the thread-per-peer shape of a small real-socket run,
+//! on the same state machine that multiplexes thousands.
 //!
 //! Latency is whatever the kernel's loopback path provides (microseconds);
 //! the topology only contributes the cluster split that the hybrid scheme's
@@ -34,15 +40,10 @@
 //! still match the other runtimes, which is what the cross-runtime
 //! agreement tests assert.
 
-use crate::app::IterativeTask;
-use crate::churn::{SharedVolatility, VolatilityState};
-use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
-use crate::metrics::RunMeasurement;
-use crate::runtime::detection::{self, Heartbeat};
+use crate::gossip::GossipMessage;
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{
-    ConvergenceDetector, PeerEngine, PeerTransport, TimerKey, TimerQueue,
-};
+use crate::runtime::engine::{PeerTransport, TimerKey, TimerQueue};
+use crate::runtime::reactor::{run_iterative_reactor, SocketRunOutcome};
 use crate::runtime::RunConfig;
 use bytes::Bytes;
 use netsim::Topology;
@@ -50,8 +51,6 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Magic tag opening every datagram of this runtime (stray traffic on a
@@ -535,8 +534,9 @@ impl LossShim {
     }
 }
 
-/// The registered [`RuntimeDriver`] of the UDP backend. Reads the
-/// loss/reorder shim probabilities from
+/// The registered [`RuntimeDriver`] of the UDP backend: the reactor's peer
+/// state machine at one event loop (one OS thread) per provisioned peer.
+/// Reads the loss/reorder shim probabilities from
 /// [`BackendExtras::Udp`](crate::BackendExtras). Link latencies are not
 /// emulated — the kernel's loopback path provides the real ones; the
 /// topology still drives the peer count, the hybrid wait rule and Table I.
@@ -561,32 +561,22 @@ impl RuntimeDriver for UdpDriver {
     }
 
     fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        let outcome = run_iterative_udp(config, |rank| task_factory(rank));
-        DriverOutcome {
-            measurement: outcome.measurement,
-            results: outcome.results,
-            net: None,
-            datagrams_dropped: outcome.datagrams_dropped,
-        }
+        Self::run_sockets(config, task_factory).outcome
     }
 }
 
-/// Outcome of a UDP-runtime run.
-#[derive(Debug, Clone)]
-pub struct UdpRunOutcome {
-    /// Timing and relaxation measurements (elapsed is wall-clock).
-    pub measurement: RunMeasurement,
-    /// Per-rank serialized results.
-    pub results: Vec<(usize, Vec<u8>)>,
-    /// The localhost ports the peers bound during bootstrap, in rank order.
-    pub ports: Vec<u16>,
-    /// Datagrams dropped by the loss shim, summed over all peers.
-    pub datagrams_dropped: u64,
+impl UdpDriver {
+    /// The run behind [`RuntimeDriver::run`], with its socket-level detail
+    /// (bound ports, per-loop stats) still attached.
+    pub(crate) fn run_sockets(
+        config: &RunConfig,
+        task_factory: TaskFactory<'_>,
+    ) -> SocketRunOutcome {
+        run_iterative_reactor(config, task_factory, config.provisioned_peers())
+    }
 }
 
-/// The [`PeerTransport`] of the UDP runtime (the reactor backend reuses it
-/// verbatim: framing, pacing gate and control broadcasts are identical; only
-/// the drive loop around it differs).
+/// The [`PeerTransport`] of the socket backends.
 pub(crate) struct UdpTransport {
     pub(crate) rank: usize,
     pub(crate) start: Instant,
@@ -616,9 +606,24 @@ impl UdpTransport {
     }
 
     /// Earliest armed timer deadline in start-relative nanoseconds (the
-    /// reactor derives its poll timeout from this).
+    /// event loop derives its poll timeout from this).
     pub(crate) fn earliest_timer_deadline(&self) -> Option<u64> {
         self.timers.earliest_deadline()
+    }
+
+    /// Send one gossip message as a [`Datagram::Gossip`] straight over the
+    /// socket — past the loss shim, because gossip *is* the
+    /// failure-detection path (a dropped probe must look like a dead peer,
+    /// not like shim noise), and skipping dormant ranks (port 0 in the
+    /// bootstrap table).
+    pub(crate) fn send_gossip(&mut self, to: usize, msg: &GossipMessage) {
+        if let Some(addr) = self.addrs.get(to).filter(|addr| addr.port() != 0) {
+            let datagram = Datagram::Gossip {
+                from: self.rank,
+                payload: msg.encode(),
+            };
+            let _ = self.socket.send_to(&datagram.encode(), addr);
+        }
     }
 }
 
@@ -727,509 +732,68 @@ impl PeerTransport for UdpTransport {
     }
 }
 
-pub(crate) fn localhost() -> Ipv4Addr {
-    Ipv4Addr::LOCALHOST
+/// The localhost address of `port` (port 0 binds an ephemeral one; in a
+/// rank→address table it marks a join rank that has not announced yet).
+pub(crate) fn localhost_addr(port: u16) -> SocketAddr {
+    SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port))
 }
 
-/// Bootstrap service: binds its own port, collects one `HELLO(rank)` from
-/// every *initial* peer, then answers every (re-)announcement with the full
-/// `total`-slot table (pre-provisioned join ranks appear as port 0 until
-/// they announce; a joiner's hello triggers a table re-broadcast so every
-/// running peer learns its address mid-run). Runs until `stop` is set.
+/// The address book a received [`Datagram::Table`] publishes, if it covers
+/// exactly the `expected` provisioned ranks (a table of any other length is
+/// not from this run's bootstrap).
+pub(crate) fn table_addrs(ports: &[u16], expected: usize) -> Option<Vec<SocketAddr>> {
+    (ports.len() == expected).then(|| ports.iter().copied().map(localhost_addr).collect())
+}
+
+/// Bootstrap service: collects one `HELLO(rank)` from every *initial* peer
+/// on the run's rendezvous `socket`, then answers every (re-)announcement
+/// with the full `total`-slot table (pre-provisioned join ranks appear as
+/// port 0 until they announce; a joiner's hello triggers a table
+/// re-broadcast so every running peer learns its address mid-run). Serves
+/// on the calling thread until `done()` holds; whoever makes it hold sends
+/// [`wake_bootstrap`], so the blocked receive returns at once — the read
+/// timeout is only the safety net behind that one droppable datagram.
 pub(crate) fn bootstrap_service(
-    socket: UdpSocket,
+    socket: &UdpSocket,
     initial: usize,
     total: usize,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        socket
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .expect("set bootstrap read timeout");
-        let mut ports: Vec<Option<u16>> = vec![None; total];
-        let mut buf = [0u8; 64];
-        while !stop.load(Ordering::Relaxed) {
-            let Ok((len, from_addr)) = socket.recv_from(&mut buf) else {
-                continue;
-            };
-            let Some(Datagram::Hello { rank }) = Datagram::decode(&buf[..len]) else {
-                continue;
-            };
-            if rank < total {
-                ports[rank] = Some(from_addr.port());
-            }
-            if ports.iter().take(initial).all(|p| p.is_some()) {
-                let table = Datagram::Table {
-                    ports: ports.iter().map(|p| p.unwrap_or(0)).collect(),
-                }
-                .encode();
-                // Answer the announcer (and everyone else, so peers whose
-                // earlier table reply was not yet sent make progress and a
-                // joiner's port reaches the already-running peers).
-                for port in ports.iter().flatten() {
-                    let _ = socket.send_to(
-                        &table,
-                        SocketAddr::V4(SocketAddrV4::new(localhost(), *port)),
-                    );
-                }
-            }
-        }
-    })
-}
-
-/// Announce `rank` to the bootstrap service until the rank→address table
-/// arrives; returns the table.
-pub(crate) fn discover_peers(
-    socket: &UdpSocket,
-    rank: usize,
-    bootstrap: SocketAddr,
-) -> Vec<SocketAddr> {
-    socket
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .expect("set discovery read timeout");
-    let hello = Datagram::Hello { rank }.encode();
-    let mut buf = vec![0u8; 65536];
-    loop {
-        let _ = socket.send_to(&hello, bootstrap);
-        let deadline = Instant::now() + Duration::from_millis(50);
-        while Instant::now() < deadline {
-            match socket.recv_from(&mut buf) {
-                Ok((len, _)) => {
-                    if let Some(Datagram::Table { ports }) = Datagram::decode(&buf[..len]) {
-                        return ports
-                            .into_iter()
-                            .map(|p| SocketAddr::V4(SocketAddrV4::new(localhost(), p)))
-                            .collect();
-                    }
-                }
-                Err(_) => std::thread::sleep(Duration::from_micros(200)),
-            }
-        }
-    }
-}
-
-/// Send one gossip message as a [`Datagram::Gossip`] straight over the
-/// socket — past the loss shim, because gossip *is* the failure-detection
-/// path (a dropped probe must look like a dead peer, not like shim noise),
-/// and skipping dormant ranks (port 0 in the bootstrap table).
-pub(crate) fn send_gossip(
-    socket: &UdpSocket,
-    addrs: &[SocketAddr],
-    from: usize,
-    to: usize,
-    msg: &GossipMessage,
+    done: impl Fn() -> bool,
 ) {
-    if let Some(addr) = addrs.get(to) {
-        if addr.port() != 0 {
-            let datagram = Datagram::Gossip {
-                from,
-                payload: msg.encode(),
-            };
-            let _ = socket.send_to(&datagram.encode(), addr);
+    socket
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("set bootstrap read timeout");
+    let mut ports: Vec<Option<u16>> = vec![None; total];
+    let mut buf = [0u8; 64];
+    while !done() {
+        let Ok((len, from_addr)) = socket.recv_from(&mut buf) else {
+            continue;
+        };
+        let Some(Datagram::Hello { rank }) = Datagram::decode(&buf[..len]) else {
+            continue;
+        };
+        if rank < total {
+            ports[rank] = Some(from_addr.port());
+        }
+        if ports.iter().take(initial).all(|p| p.is_some()) {
+            let table = Datagram::Table {
+                ports: ports.iter().map(|p| p.unwrap_or(0)).collect(),
+            }
+            .encode();
+            // Answer the announcer (and everyone else, so peers whose
+            // earlier table reply was not yet sent make progress and a
+            // joiner's port reaches the already-running peers).
+            for port in ports.iter().flatten() {
+                let _ = socket.send_to(&table, localhost_addr(*port));
+            }
         }
     }
 }
 
-/// Run a distributed iterative computation over real localhost UDP sockets,
-/// one OS thread per peer.
-pub(crate) fn run_iterative_udp<F>(config: &RunConfig, task_factory: F) -> UdpRunOutcome
-where
-    F: Fn(usize) -> Box<dyn IterativeTask> + Send + Sync,
-{
-    let alpha = config.topology.len();
-    assert!(alpha >= 1);
-    // Pre-provision bootstrap-table slots and a dormant thread for ranks
-    // that may join mid-run.
-    let topology = config.provisioned_topology();
-    let total = topology.len();
-    let shared = ConvergenceDetector::shared_with_capacity(
-        config.tolerance,
-        config.scheme,
-        alpha,
-        topology.len(),
-    );
-    let volatility = config.churn.as_ref().map(|plan| {
-        let vol = VolatilityState::shared(plan, alpha, config.scheme);
-        if let Some(handle) = &config.repartitioner {
-            vol.lock().set_repartitioner(handle.clone());
-        }
-        vol
-    });
-    // Wall-clock failure detection, as on the thread runtime: peers ping a
-    // run-local topology-manager server (initial ranks pre-registered; a
-    // joiner registers when its join fires); the monitor thread sweeps it
-    // for missed-ping evictions. Under the gossip control plane the ping
-    // server is retired for the run — eviction verdicts come from SWIM
-    // rumors, and the stop decision from the merged digests.
-    let gossip_fanout = config.control_plane.fanout();
-    let topo = if gossip_fanout.is_some() {
-        None
-    } else {
-        volatility
-            .as_ref()
-            .map(|_| detection::server_with_all_ranks(&config.topology, 1))
-    };
-    if gossip_fanout.is_some() {
-        shared.lock().set_distributed_decision(true);
-    }
-
-    // Bootstrap: bind the service port first so peers have a rendezvous.
-    let bootstrap_socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-        .expect("bind bootstrap socket on localhost");
-    let bootstrap_addr = bootstrap_socket.local_addr().expect("bootstrap addr");
-    let bootstrap_stop = Arc::new(AtomicBool::new(false));
-    let bootstrap = bootstrap_service(bootstrap_socket, alpha, total, Arc::clone(&bootstrap_stop));
-
-    let start = Instant::now();
-    let task_factory = &task_factory;
-    let ports = std::sync::Mutex::new(vec![0u16; total]);
-    // Bumped on every write to `ports` (initial binds, recovery rebinds,
-    // joins). Peers poll it each drive turn and re-sync their address book
-    // from the shared table when it moves: the bootstrap's Table
-    // re-broadcast is a single unacked datagram the kernel may drop under
-    // load, and a peer that misses it would send ghosts to a recovered
-    // peer's dead port forever (the victim's freshness guard then rightly
-    // never reports stability again, so the run never stops).
-    let ports_version = std::sync::atomic::AtomicU64::new(0);
-    let dropped = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        if let (Some(vol), Some(topo)) = (&volatility, &topo) {
-            let vol = Arc::clone(vol);
-            let topo = Arc::clone(topo);
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || detection::run_monitor(&vol, &topo, &shared, total, start));
-        }
-        for rank in 0..total {
-            let shared = Arc::clone(&shared);
-            let volatility: Option<SharedVolatility> = volatility.as_ref().map(Arc::clone);
-            let topo = topo.as_ref().map(Arc::clone);
-            let topology = topology.clone();
-            let scheme = config.scheme;
-            let max_relaxations = config.max_relaxations;
-            let seed = config.seed;
-            let (loss, reorder) = config.extras.impairment();
-            let ports = &ports;
-            let ports_version = &ports_version;
-            let dropped = &dropped;
-            scope.spawn(move || {
-                let mut engine = if rank < alpha {
-                    let mut engine = PeerEngine::new(
-                        rank,
-                        scheme,
-                        &topology,
-                        task_factory(rank),
-                        Arc::clone(&shared),
-                        max_relaxations,
-                    );
-                    if let Some(vol) = &volatility {
-                        engine.attach_volatility(Arc::clone(vol));
-                    }
-                    engine
-                } else {
-                    // A pre-provisioned join rank: no socket, no hello —
-                    // fully dormant until the seeded join fires. The run's
-                    // bootstrap table carries port 0 for it meanwhile. If
-                    // the run ends first, exit without ever having existed.
-                    let vol = volatility.as_ref().expect("join ranks imply churn");
-                    let engine = loop {
-                        if vol.lock().take_spawn_if(rank) {
-                            break PeerEngine::join_run(
-                                rank,
-                                scheme,
-                                &topology,
-                                Arc::clone(&shared),
-                                Arc::clone(vol),
-                                max_relaxations,
-                            );
-                        }
-                        if shared.stopped() {
-                            break None;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    };
-                    let Some(engine) = engine else {
-                        return;
-                    };
-                    engine
-                };
-                let socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-                    .expect("bind peer socket on localhost");
-                ports.lock().unwrap()[rank] = socket.local_addr().expect("peer local addr").port();
-                ports_version.fetch_add(1, Ordering::Release);
-                // A joiner's hello makes the bootstrap re-broadcast the
-                // table, so the already-running peers learn its port.
-                let addrs = discover_peers(&socket, rank, bootstrap_addr);
-                socket.set_nonblocking(true).expect("set nonblocking");
-                let mut heartbeat = Heartbeat::new(&topology, rank);
-                let mut transport = UdpTransport {
-                    rank,
-                    start,
-                    socket,
-                    addrs,
-                    // Per-rank stream so peers do not share drop decisions.
-                    shim: LossShim::new(seed.wrapping_add(rank as u64), loss, reorder),
-                    next_msg_id: 0,
-                    timers: TimerQueue::new(),
-                    compute_pending: false,
-                    topology: topology.clone(),
-                    next_send_ok: HashMap::new(),
-                    send_frame: Vec::new(),
-                };
-                // The gossip control plane: one SWIM node per peer, probing
-                // over this same socket (its own datagram kind, past the
-                // loss shim — gossip is the control path).
-                let mut gossip = gossip_fanout.map(|fanout| {
-                    GossipNode::new(rank, alpha, total, fanout, seed, GossipTiming::wall_clock())
-                });
-                let mut reassembler = Reassembler::new();
-                let mut buf = vec![0u8; 65536];
-                // Exponential sleep backoff for the idle path; any received
-                // datagram, due timer or pending compute resets it.
-                const BACKOFF_MIN: Duration = Duration::from_micros(20);
-                const BACKOFF_MAX: Duration = Duration::from_millis(2);
-                let mut backoff = BACKOFF_MIN;
-
-                if rank >= alpha {
-                    // The joiner announces itself to the failure detector.
-                    if let Some(topo) = &topo {
-                        heartbeat.rejoin(topo, start);
-                    }
-                }
-                engine.on_start(&mut transport);
-                let mut seen_ports_version = 0u64;
-                while !engine.finished() {
-                    // Heartbeat towards the failure detector.
-                    if let Some(topo) = &topo {
-                        heartbeat.beat(topo, start);
-                    }
-                    // Re-sync the address book from the shared port table
-                    // whenever any rank rebound (see `ports_version`): the
-                    // polling safety net behind the droppable Table
-                    // re-broadcast.
-                    let v = ports_version.load(Ordering::Acquire);
-                    if v != seen_ports_version {
-                        seen_ports_version = v;
-                        for (nb, &port) in ports.lock().unwrap().iter().enumerate() {
-                            if nb != rank && port != 0 {
-                                transport.addrs[nb] =
-                                    SocketAddr::V4(SocketAddrV4::new(localhost(), port));
-                            }
-                        }
-                    }
-                    // Gossip control plane: author the latest sweep, run the
-                    // probe cycle, feed death verdicts into the recovery
-                    // coordinator (level-triggered — `grant` no-ops unless
-                    // the rank really crashed), and evaluate the stop
-                    // decision over the merged digest.
-                    if let Some(g) = gossip.as_mut() {
-                        if let Some(sweep) = engine.sweep_summary() {
-                            g.record_sweep(&sweep);
-                        }
-                        let now = transport.now_ns();
-                        for (to, msg) in g.poll(now) {
-                            send_gossip(&transport.socket, &transport.addrs, rank, to, &msg);
-                        }
-                        if let Some(vol) = &volatility {
-                            for dead in g.dead_ranks() {
-                                vol.lock().grant(dead, &g.gossiped_loads(total));
-                            }
-                        }
-                        if g.decide(scheme, engine.generation()) {
-                            engine.on_distributed_decision(&mut transport);
-                            continue;
-                        }
-                    }
-                    // Drain everything the kernel has buffered (asynchronous
-                    // peers relax back-to-back, so fresh ghosts must be
-                    // picked up between sweeps).
-                    let mut received_any = false;
-                    loop {
-                        match transport.socket.recv_from(&mut buf) {
-                            Ok((len, _)) => {
-                                received_any = true;
-                                // Fragments (the data hot path) are parsed
-                                // borrowed and copied once, into a pooled
-                                // reassembly buffer; control datagrams take
-                                // the allocating decode.
-                                if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                                    Datagram::fragment_fields(&buf[..len])
-                                {
-                                    if let Some((from, segment)) = reassembler
-                                        .push_ref(from, msg_id, frag_index, frag_count, payload)
-                                    {
-                                        engine.on_segment(from, segment, &mut transport);
-                                    }
-                                    continue;
-                                }
-                                match Datagram::decode(&buf[..len]) {
-                                    Some(Datagram::Stop { .. }) => {
-                                        engine.on_stop_signal(&mut transport);
-                                    }
-                                    Some(Datagram::Fragment { .. }) => {
-                                        unreachable!("fragments parsed above")
-                                    }
-                                    Some(Datagram::Rollback {
-                                        to_iteration,
-                                        generation,
-                                        ..
-                                    }) => {
-                                        engine.on_rollback(
-                                            to_iteration,
-                                            generation,
-                                            &mut transport,
-                                        );
-                                    }
-                                    // A table re-broadcast mid-run: a
-                                    // recovered peer rebound its socket and
-                                    // the bootstrap published its new port.
-                                    Some(Datagram::Table { ports })
-                                        if ports.len() == transport.addrs.len() =>
-                                    {
-                                        transport.addrs = ports
-                                            .into_iter()
-                                            .map(|p| {
-                                                SocketAddr::V4(SocketAddrV4::new(localhost(), p))
-                                            })
-                                            .collect();
-                                    }
-                                    Some(Datagram::Gossip { payload, .. }) => {
-                                        if let (Some(g), Some(msg)) =
-                                            (gossip.as_mut(), GossipMessage::decode(&payload))
-                                        {
-                                            let now = transport.now_ns();
-                                            for (to, reply) in g.on_message(&msg, now) {
-                                                send_gossip(
-                                                    &transport.socket,
-                                                    &transport.addrs,
-                                                    rank,
-                                                    to,
-                                                    &reply,
-                                                );
-                                            }
-                                        }
-                                    }
-                                    // Late bootstrap hellos or foreign
-                                    // noise: ignore.
-                                    _ => {}
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(_) => break,
-                        }
-                    }
-                    if engine.finished() {
-                        break;
-                    }
-                    if let Some(key) = transport.pop_due_timer() {
-                        engine.on_timer(key, &mut transport);
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    if transport.compute_pending {
-                        transport.compute_pending = false;
-                        engine.on_compute_done(&mut transport);
-                        if engine.crashed() {
-                            // The peer died. Kill its socket for real: the
-                            // old port closes, in-flight datagrams to it are
-                            // dropped by the kernel, and neighbours' sends
-                            // go nowhere until the bootstrap publishes the
-                            // revived peer's new port. Timers die with it,
-                            // and it stops pinging — the topology manager
-                            // evicts it and the monitor grants recovery.
-                            transport.timers = TimerQueue::new();
-                            transport.socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-                                .expect("bind replacement socket on localhost");
-                            reassembler = Reassembler::new();
-                            let granted = detection::await_recovery_grant(
-                                &volatility,
-                                &shared,
-                                rank,
-                                // The dead socket swallows traffic by itself;
-                                // nothing to drain while waiting.
-                                || {},
-                            );
-                            if granted {
-                                // Rejoin: announce the new socket to the
-                                // bootstrap (which re-broadcasts the table
-                                // to every peer), re-register with the
-                                // failure detector, restore.
-                                let addrs = discover_peers(&transport.socket, rank, bootstrap_addr);
-                                transport
-                                    .socket
-                                    .set_nonblocking(true)
-                                    .expect("set replacement socket nonblocking");
-                                transport.addrs = addrs;
-                                ports.lock().unwrap()[rank] = transport
-                                    .socket
-                                    .local_addr()
-                                    .expect("replacement local addr")
-                                    .port();
-                                ports_version.fetch_add(1, Ordering::Release);
-                                if let Some(topo) = &topo {
-                                    heartbeat.rejoin(topo, start);
-                                }
-                                engine.recover(&mut transport);
-                                // Refute the (correct) death verdict with a
-                                // bumped incarnation.
-                                if let Some(g) = gossip.as_mut() {
-                                    g.on_recovered();
-                                }
-                            } else {
-                                engine.on_stop_signal(&mut transport);
-                            }
-                            backoff = BACKOFF_MIN;
-                            continue;
-                        }
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    // Another peer may have stopped the run while this one
-                    // was idling in a scheme wait (or its stop datagram was
-                    // still in flight).
-                    if shared.stopped() {
-                        engine.on_stop_signal(&mut transport);
-                        continue;
-                    }
-                    // The rollback broadcast is a single datagram the kernel
-                    // may drop under load; a peer stranded on an old
-                    // generation would report into the void forever. Poll
-                    // the detector's published rollback as the safety net,
-                    // exactly like the stop poll above.
-                    engine.poll_rollback(&mut transport);
-                    // Adopt a pending asynchronous/hybrid re-slice while
-                    // idle (the engine also polls between sweeps).
-                    engine.poll_membership(&mut transport);
-                    if engine.computing() {
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    if received_any {
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_MAX);
-                }
-                transport.shim.flush(&transport.socket);
-                dropped.fetch_add(transport.shim.dropped, Ordering::Relaxed);
-            });
-        }
-    });
-    bootstrap_stop.store(true, Ordering::Relaxed);
-    let _ = bootstrap.join();
-
-    let fallback_now = start.elapsed().as_nanos() as u64;
-    let (mut measurement, results) = shared
-        .lock()
-        .finish_run(fallback_now, config.max_relaxations);
-    if let Some(vol) = &volatility {
-        vol.lock().annotate(&mut measurement);
-    }
-    UdpRunOutcome {
-        measurement,
-        results,
-        ports: ports.into_inner().unwrap(),
-        datagrams_dropped: dropped.load(Ordering::Relaxed),
+/// Wake the [`bootstrap_service`] at `addr` out of its blocking receive with
+/// one empty datagram, so it re-checks its `done()` condition now.
+pub(crate) fn wake_bootstrap(addr: SocketAddr) {
+    if let Ok(waker) = UdpSocket::bind(localhost_addr(0)) {
+        let _ = waker.send_to(&[], addr);
     }
 }
 
@@ -1241,9 +805,13 @@ mod tests {
 
     const RAMP: u64 = 10;
 
-    fn run(config: &RunConfig) -> UdpRunOutcome {
+    fn run_sockets(config: &RunConfig) -> SocketRunOutcome {
         let peers = config.topology.len();
-        run_iterative_udp(config, |rank| Box::new(RampTask::line(rank, peers, RAMP)))
+        UdpDriver::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
+    }
+
+    fn run(config: &RunConfig) -> DriverOutcome {
+        run_sockets(config).outcome
     }
 
     #[test]
@@ -1426,7 +994,9 @@ mod tests {
     fn synchronous_scheme_over_udp_runs_in_lockstep() {
         let mut config = RunConfig::quick(Scheme::Synchronous, 3);
         config.tolerance = 0.5;
-        let outcome = run(&config);
+        let SocketRunOutcome {
+            outcome, mut ports, ..
+        } = run_sockets(&config);
         assert!(outcome.measurement.converged);
         // Lockstep counts: the convergence iteration is the ramp length;
         // before the stop lands a wall-clock peer can overshoot it by at
@@ -1449,11 +1019,45 @@ mod tests {
         );
         assert_eq!(outcome.results.len(), 3);
         // Bootstrap assigned a distinct real port to every peer.
-        let mut ports = outcome.ports.clone();
         ports.sort_unstable();
         ports.dedup();
         assert_eq!(ports.len(), 3);
         assert!(ports.iter().all(|&p| p != 0));
+    }
+
+    /// The udp backend is the reactor at one event loop per *provisioned*
+    /// peer (dormant join slots included), and its peers stay put: however
+    /// lopsided the measured busy time, a loop with a single running peer
+    /// never sheds it (the "require two running peers" rule).
+    #[test]
+    fn one_event_loop_per_provisioned_peer_and_no_migration_under_uneven_work() {
+        use crate::churn::ChurnPlan;
+
+        let peers = 3;
+        // A scheduled join provisions a fourth slot; RAMP relaxations never
+        // reach its trigger, so the slot stays dormant to the end.
+        let mut config = RunConfig::quick(Scheme::Synchronous, peers)
+            .with_churn(ChurnPlan::new(vec![]).with_join(0, u64::MAX));
+        config.tolerance = 0.5;
+        let relax_cost = Duration::from_millis(15);
+        let run = UdpDriver::run_sockets(&config, &|rank| {
+            let mut task = RampTask::line(rank, peers, RAMP);
+            if rank == 0 {
+                task.relax_cost = relax_cost;
+            }
+            Box::new(task)
+        });
+        assert!(run.outcome.measurement.converged);
+        assert_eq!(run.loops.loops(), peers + 1);
+        // The imbalance was real: rank 0's loop was busy for every one of
+        // its slow relaxations, the others only shuffled tiny datagrams.
+        let busy = &run.loops.busy_ns_final;
+        assert!(
+            busy[0] >= RAMP * relax_cost.as_nanos() as u64,
+            "rank 0's loop measured {busy:?}"
+        );
+        assert!(busy[0] > 2 * busy[1].max(busy[2]), "busy time {busy:?}");
+        assert_eq!(run.loops.migrations, 0);
     }
 
     #[test]

@@ -371,9 +371,11 @@ fn seeded_crash_plus_join_converges_with_repartition_on_every_backend() {
 /// Synchronous relaxation counts stay problem-determined through a
 /// repartitioned recovery *and* a join: the re-slice restores every peer
 /// onto one common global iterate (ghosts included) and the sweep sequence
-/// of a synchronous run does not depend on the decomposition, so loopback,
-/// sim and real-socket UDP agree on the convergence iteration even though
-/// their capacity estimates (and hence their new partitions) differ.
+/// of a synchronous run does not depend on the decomposition, so all five
+/// backends (udp is the reactor at one event loop per peer, so udp ≡ reactor
+/// ≡ loopback is one plan's assertion) agree on the convergence iteration
+/// even though their capacity estimates (and hence their new partitions)
+/// differ.
 #[test]
 fn repartitioned_sync_run_keeps_cross_runtime_relaxation_agreement() {
     let peers = 3;
@@ -397,7 +399,7 @@ fn repartitioned_sync_run_keeps_cross_runtime_relaxation_agreement() {
             .with_repartition(true)
             .with_join(1, join_at),
     );
-    let counts: Vec<u64> = [RuntimeKind::Loopback, RuntimeKind::Sim, RuntimeKind::Udp]
+    let counts: Vec<u64> = RuntimeKind::ALL
         .into_iter()
         .map(|runtime| {
             let result = run_on(workload.as_ref(), &faulty, runtime);
@@ -416,14 +418,12 @@ fn repartitioned_sync_run_keeps_cross_runtime_relaxation_agreement() {
                 .unwrap()
         })
         .collect();
-    assert_eq!(
-        counts[0], counts[1],
-        "loopback vs sim disagree on the repartitioned convergence iteration"
-    );
-    assert_eq!(
-        counts[0], counts[2],
-        "loopback vs udp disagree on the repartitioned convergence iteration"
-    );
+    for (runtime, count) in RuntimeKind::ALL.into_iter().zip(&counts) {
+        assert_eq!(
+            counts[0], *count,
+            "sim vs {runtime} disagree on the repartitioned convergence iteration"
+        );
+    }
 }
 
 /// Join-mid-run over real sockets: the joiner binds a fresh UdpSocket,

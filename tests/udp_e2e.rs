@@ -1,6 +1,6 @@
 //! End-to-end tests of the UDP runtime: the obstacle application running
 //! over real localhost sockets, checked for agreement with the in-process
-//! backends. These are the tests CI's `udp-e2e` job runs with a hard
+//! backends. These are the tests CI's `socket-e2e` job runs with a hard
 //! timeout (a hung handshake must fail fast, not stall the workflow).
 
 use p2pdc::{
