@@ -5,9 +5,10 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use netsim::ConnectionType;
 use p2pdc::app::FrameSink;
 use p2pdc::{HeatTask, IterativeTask, ObstacleTask, PageRankGraph, PageRankTask};
-use p2psap::{ChannelConfig, Session};
+use p2psap::{ChannelConfig, Scheme, Session, Socket};
 use std::sync::Arc;
 
 fn bench_stack(c: &mut Criterion) {
@@ -95,5 +96,44 @@ fn bench_encode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_stack, bench_encode);
+/// The integrity checksum every segment and gossip frame pays twice (encode
+/// and decode), at the frame sizes of the benchmark's four workloads.
+fn bench_checksum(c: &mut Criterion) {
+    for size in [52usize, 1_528, 10_388, 25_108] {
+        let frame: Vec<u8> = (0..size).map(|i| i as u8).collect();
+        c.bench_function(&format!("frame_checksum/{size}"), |b| {
+            b.iter(|| p2psap::data::frame_checksum(std::hint::black_box(&frame)));
+        });
+    }
+}
+
+/// One ghost plane through the reliable synchronous mode, in memory:
+/// `send → on_data → receive`, then the acknowledgement's way back — what a
+/// synchronous sweep pays the session layer per neighbour.
+fn bench_roundtrip(c: &mut Criterion) {
+    let payload = Bytes::from(vec![7u8; 10_388]);
+    let open = || Socket::open(Scheme::Synchronous, ConnectionType::IntraCluster);
+    let (mut sender, mut receiver) = (open(), open());
+    let mut now = 0u64;
+    c.bench_function("session_roundtrip_reliable/10388", |b| {
+        b.iter(|| {
+            now += 10_000;
+            let (_, out) = sender.send(payload.clone(), now);
+            for segment in out.data {
+                for ack in receiver.on_data(segment, now).data {
+                    std::hint::black_box(sender.on_data(ack, now));
+                }
+            }
+            std::hint::black_box(receiver.receive())
+        });
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_stack,
+    bench_encode,
+    bench_checksum,
+    bench_roundtrip
+);
 criterion_main!(benches);

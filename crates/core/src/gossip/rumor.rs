@@ -195,7 +195,8 @@ const RUMOR_BYTES: usize = 7;
 /// rank(2) generation(4) epoch(4) latest(8) clean_since(8) streak(4)
 /// flags(1) points(8) busy_ns(8).
 const ROW_BYTES: usize = 47;
-/// Trailing FNV-1a integrity checksum over header + rumors + rows. Gossip
+/// Trailing integrity checksum (`p2psap::data::frame_checksum`, the one the
+/// data segments carry) over header + rumors + rows. Gossip
 /// frames cross lossy links; a flipped byte must fail decode rather than
 /// merge a phantom rumor or digest row into the member table.
 const CHECKSUM_BYTES: usize = 4;

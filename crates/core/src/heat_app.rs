@@ -15,7 +15,7 @@
 use crate::app::{Application, FrameSink, IterativeTask, LocalRelax, ProblemDefinition, SubTask};
 use crate::obstacle_app::UpdateMsg;
 use crate::workload::{balanced_partition, Repartitioner, Workload};
-use obstacle::sup_norm_diff;
+use obstacle::store_le_plane;
 use p2psap::Scheme;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -249,23 +249,18 @@ impl IterativeTask for HeatTask {
     }
 
     fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
-        let Some(msg) = UpdateMsg::decode(payload) else {
+        let Some(update) = UpdateMsg::parse(payload) else {
             return 0.0;
         };
-        if msg.plane.len() != self.n {
-            return 0.0;
-        }
-        if from + 1 == self.rank {
-            let change = sup_norm_diff(&msg.plane, &self.ghost_lo);
-            self.ghost_lo = msg.plane;
-            change
+        let ghost = if from + 1 == self.rank {
+            &mut self.ghost_lo
         } else if from == self.rank + 1 {
-            let change = sup_norm_diff(&msg.plane, &self.ghost_hi);
-            self.ghost_hi = msg.plane;
-            change
+            &mut self.ghost_hi
         } else {
-            0.0
-        }
+            return 0.0;
+        };
+        // A row of the wrong length is refused, the ghost left as it was.
+        store_le_plane(ghost, update.plane_le).unwrap_or(0.0)
     }
 
     fn neighbors(&self) -> Vec<usize> {
@@ -533,6 +528,7 @@ impl Application for HeatApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obstacle::sup_norm_diff;
 
     #[test]
     fn sequential_solution_is_physical() {
@@ -675,6 +671,46 @@ mod tests {
                         prop_assert_eq!(a.to_bits(), b.to_bits());
                     }
                 }
+            }
+
+            /// `incorporate` stores the row straight from the payload
+            /// bytes; the oracle is what it replaced — `UpdateMsg::decode`,
+            /// `sup_norm_diff` against the ghost, then the row moved in.
+            /// Same change and same ghost, bit for bit; a payload cut short
+            /// or carrying a row of another length leaves the ghost alone.
+            #[test]
+            fn incorporate_matches_decode_then_store(
+                n in 3usize..24,
+                from_lower in any::<bool>(),
+                seed in any::<u64>(),
+            ) {
+                let mut rng = proptest::TestRng::new(seed);
+                let mut task = HeatTask::new(n + 2, 3, 1);
+                let from = if from_lower { 0 } else { 2 };
+                let payload = |len: usize, rng: &mut proptest::TestRng| UpdateMsg {
+                    from: from as u32,
+                    iteration: 1,
+                    plane: (0..len).map(|_| rng.unit_f64()).collect(),
+                }
+                .encode();
+                let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let ghost = |task: &HeatTask| {
+                    bits(if from_lower { &task.ghost_lo } else { &task.ghost_hi })
+                };
+
+                let good = payload(n + 2, &mut rng);
+                let before = ghost(&task);
+                for refused in [&good[..good.len() - 1], &good[..15], &payload(n + 1, &mut rng)] {
+                    prop_assert_eq!(task.incorporate(from, refused), 0.0);
+                    prop_assert_eq!(ghost(&task), before.clone());
+                }
+                prop_assert_eq!(task.incorporate(1, &good), 0.0, "not a neighbour");
+
+                let msg = UpdateMsg::decode(&good).expect("a well-formed update");
+                let held = if from_lower { &task.ghost_lo } else { &task.ghost_hi };
+                let expected = sup_norm_diff(&msg.plane, held);
+                prop_assert_eq!(task.incorporate(from, &good).to_bits(), expected.to_bits());
+                prop_assert_eq!(ghost(&task), bits(&msg.plane));
             }
         }
     }

@@ -63,7 +63,7 @@ pub use metrics::{derive_row, format_table, FigureRow, RunMeasurement};
 pub use obstacle_app::{
     assemble_solution, build_problem, run_obstacle_experiment, run_obstacle_on, ExperimentResult,
     ObstacleApp, ObstacleExperiment, ObstacleInstance, ObstacleParams, ObstacleTask,
-    ObstacleWorkload, UpdateMsg,
+    ObstacleWorkload, UpdateMsg, UpdateView,
 };
 pub use pagerank_app::{
     assemble_pagerank_solution, pagerank_reference, pagerank_step, PageRankApp, PageRankGraph,

@@ -53,28 +53,45 @@ impl UpdateMsg {
         }
     }
 
-    /// Decode from bytes produced by [`UpdateMsg::encode`].
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 16 {
-            return None;
-        }
-        let from = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
-        let len = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-        let iteration = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-        if bytes.len() < 16 + len * 8 {
-            return None;
-        }
-        let mut plane = Vec::with_capacity(len);
-        for i in 0..len {
-            let start = 16 + i * 8;
-            plane.push(f64::from_le_bytes(bytes[start..start + 8].try_into().ok()?));
-        }
-        Some(Self {
-            from,
-            iteration,
-            plane,
+    /// Parse the header of an encoded update and borrow its plane bytes:
+    /// what a receiver needs to store the plane without first copying it
+    /// into a `Vec<f64>` (see [`obstacle::store_le_plane`]). `None` when the
+    /// buffer is shorter than the header or than the plane it advertises.
+    pub fn parse(bytes: &[u8]) -> Option<UpdateView<'_>> {
+        let (header, body) = bytes.split_at_checked(16)?;
+        let len = u32::from_le_bytes(header[4..8].try_into().ok()?) as usize;
+        Some(UpdateView {
+            from: u32::from_le_bytes(header[0..4].try_into().ok()?),
+            iteration: u64::from_le_bytes(header[8..16].try_into().ok()?),
+            plane_le: body.get(..len.checked_mul(8)?)?,
         })
     }
+
+    /// Decode from bytes produced by [`UpdateMsg::encode`].
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let view = Self::parse(bytes)?;
+        Some(Self {
+            from: view.from,
+            iteration: view.iteration,
+            plane: view
+                .plane_le
+                .chunks_exact(8)
+                .map(|raw| f64::from_le_bytes(raw.try_into().expect("an 8-byte chunk")))
+                .collect(),
+        })
+    }
+}
+
+/// An encoded [`UpdateMsg`] with its header parsed and its plane still in
+/// wire form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpdateView<'a> {
+    /// Rank of the sending peer.
+    pub from: u32,
+    /// Relaxation index the plane belongs to.
+    pub iteration: u64,
+    /// The boundary plane values, little-endian `f64`s.
+    pub plane_le: &'a [u8],
 }
 
 /// Parameters of the obstacle application (the paper passes these on the
@@ -219,17 +236,20 @@ impl IterativeTask for ObstacleTask {
     }
 
     fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
-        let Some(msg) = UpdateMsg::decode(payload) else {
+        let Some(update) = UpdateMsg::parse(payload) else {
             return 0.0;
         };
-        if from + 1 == self.rank {
+        let change = if from + 1 == self.rank {
             // The lower neighbour's last plane becomes our lower ghost.
-            self.state.set_ghost_lo(&msg.plane)
+            self.state.set_ghost_lo_le(update.plane_le)
         } else if from == self.rank + 1 {
-            self.state.set_ghost_hi(&msg.plane)
+            self.state.set_ghost_hi_le(update.plane_le)
         } else {
-            0.0
-        }
+            None
+        };
+        // A plane of the wrong size is refused like any other malformed
+        // payload: the bytes come off the network.
+        change.unwrap_or(0.0)
     }
 
     fn neighbors(&self) -> Vec<usize> {
@@ -675,6 +695,46 @@ mod tests {
             for cut in 0..bytes.len() {
                 prop_assert_eq!(UpdateMsg::decode(&bytes[..cut]), None);
             }
+        }
+
+        /// `incorporate` stores the plane straight from the payload bytes;
+        /// the oracle is what it replaced, `UpdateMsg::decode` then
+        /// `set_ghost_*`. Same returned change, bit for bit, and the same
+        /// ghosts — observed through the next sweep, which reads them. A
+        /// payload cut short or carrying a plane of another size is refused
+        /// and changes nothing.
+        #[test]
+        fn incorporate_matches_decode_then_set_ghost(
+            n in 3usize..8,
+            from in 0usize..3,
+            iteration in proptest::any::<u64>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            let mut rng = proptest::TestRng::new(seed);
+            let problem = Arc::new(ObstacleProblem::membrane(n));
+            let mut fused = ObstacleTask::new(Arc::clone(&problem), 3, 1);
+            let mut oracle = ObstacleTask::new(problem, 3, 1);
+            let payload = |len: usize, rng: &mut proptest::TestRng| UpdateMsg {
+                from: from as u32,
+                iteration,
+                plane: (0..len).map(|_| rng.unit_f64() - 0.5).collect(),
+            }
+            .encode();
+
+            let good = payload(n * n, &mut rng);
+            for refused in [&good[..good.len() - 1], &good[..15], &payload(n * n - 1, &mut rng)] {
+                prop_assert_eq!(fused.incorporate(from, refused), 0.0);
+            }
+            let got = fused.incorporate(from, &good);
+            let msg = UpdateMsg::decode(&good).expect("a well-formed update");
+            let expected = match from {
+                0 => oracle.state.set_ghost_lo(&msg.plane),
+                2 => oracle.state.set_ghost_hi(&msg.plane),
+                _ => 0.0, // rank 1 is no neighbour of itself
+            };
+            prop_assert_eq!(got.to_bits(), expected.to_bits());
+            prop_assert_eq!(fused.relax().local_diff.to_bits(), oracle.relax().local_diff.to_bits());
+            prop_assert_eq!(fused.result(), oracle.result());
         }
 
         /// Length-mismatch rejection: a header advertising more plane values

@@ -20,7 +20,7 @@
 use crate::app::{Application, FrameSink, IterativeTask, LocalRelax, ProblemDefinition, SubTask};
 use crate::obstacle_app::UpdateMsg;
 use crate::workload::{balanced_partition, Repartitioner, Workload};
-use obstacle::sup_norm_diff;
+use obstacle::{store_le_plane, sup_norm_diff};
 use p2psap::Scheme;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -358,18 +358,12 @@ impl IterativeTask for PageRankTask {
     }
 
     fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
-        let Some(msg) = UpdateMsg::decode(payload) else {
-            return 0.0;
-        };
-        if msg.plane.len() != self.ranks.len() {
-            return 0.0;
-        }
-        let change = match self.external.get(&from) {
-            Some(old) => sup_norm_diff(old, &msg.plane),
-            None => return 0.0,
-        };
-        self.external.insert(from, msg.plane);
-        change
+        // Every held contribution is `ranks.len()` long, so a vector of any
+        // other length is refused by the store.
+        UpdateMsg::parse(payload)
+            .zip(self.external.get_mut(&from))
+            .and_then(|(update, held)| store_le_plane(held, update.plane_le))
+            .unwrap_or(0.0)
     }
 
     fn neighbors(&self) -> Vec<usize> {

@@ -35,6 +35,7 @@ use crate::runtime::udp::{
     Reassembler, UdpTransport,
 };
 use crate::runtime::RunConfig;
+use bytes::Bytes;
 use netsim::NodeId;
 use polling::{Events, Poller};
 use std::collections::HashMap;
@@ -166,6 +167,11 @@ const HELLO_RETRY: Duration = Duration::from_millis(25);
 /// latency of the dormant-join, await-grant and stop polls.
 const IDLE_POLL_CAP: Duration = Duration::from_millis(2);
 
+/// How many complete segments a discovering peer keeps for its engine. A
+/// neighbour that already runs sends one update and, under the synchronous
+/// scheme, waits; what does not fit is dropped as the network would drop it.
+const EARLY_SEGMENTS: usize = 16;
+
 /// What to do with a peer's engine once the rank→address table arrives.
 enum OnTable {
     /// Initial rank: first discovery, then `on_start`.
@@ -207,6 +213,9 @@ struct Peer {
     /// `None` only while [`Phase::Dormant`] (no socket yet).
     transport: Option<UdpTransport>,
     reassembler: Reassembler,
+    /// Segments reassembled while [`Phase::Discovering`] (at most
+    /// [`EARLY_SEGMENTS`]), handed to the engine once it has started.
+    early: Vec<(usize, Bytes)>,
     heartbeat: Option<Heartbeat>,
     /// Table received by the drain sweep, applied by the advance sweep.
     table: Option<Vec<SocketAddr>>,
@@ -441,6 +450,7 @@ impl Peer {
             engine: None,
             transport: None,
             reassembler: Reassembler::new(),
+            early: Vec::new(),
             heartbeat: None,
             table: None,
             gossip: None,
@@ -513,10 +523,12 @@ impl Peer {
     /// Drain everything the kernel has buffered on this peer's socket and
     /// dispatch it: the one place a socket backend reads datagrams. Network
     /// bytes are untrusted — anything that does not decode, or names a
-    /// table of the wrong length, is dropped. While discovering, only the
-    /// bootstrap table is acted on (data fragments racing ahead of it are
-    /// discarded — the reliable channel retransmits and asynchronous ghosts
-    /// are superseded).
+    /// table of the wrong length, is dropped. While discovering, the
+    /// bootstrap table is the only datagram acted on, but data fragments
+    /// racing ahead of it — a neighbour whose table came first is already
+    /// sending — are reassembled and the complete segments kept for the
+    /// engine: discarding them would leave a synchronous sender waiting out
+    /// its retransmission timeout before the first sweep.
     fn drain(&mut self, buf: &mut [u8]) {
         let Some(transport) = self.transport.as_mut() else {
             return;
@@ -525,7 +537,16 @@ impl Peer {
             let bytes = &buf[..len];
             match &mut self.phase {
                 Phase::Discovering { .. } => {
-                    if let Some(Datagram::Table { ports }) = Datagram::decode(bytes) {
+                    if let Some((from, msg_id, frag_index, frag_count, payload)) =
+                        Datagram::fragment_fields(bytes)
+                    {
+                        let segment = self
+                            .reassembler
+                            .push_ref(from, msg_id, frag_index, frag_count, payload);
+                        if self.early.len() < EARLY_SEGMENTS {
+                            self.early.extend(segment);
+                        }
+                    } else if let Some(Datagram::Table { ports }) = Datagram::decode(bytes) {
                         if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
                             self.table = Some(addrs);
                         }
@@ -627,6 +648,9 @@ impl Peer {
                         }
                     } else {
                         engine.on_start(transport);
+                    }
+                    for (from, segment) in self.early.drain(..) {
+                        engine.on_segment(from, segment, transport);
                     }
                 } else if hello_at.elapsed() >= HELLO_RETRY {
                     *hello_at = Instant::now();
@@ -946,7 +970,10 @@ pub(crate) fn run_iterative_reactor(
 mod tests {
     use super::*;
     use crate::runtime::engine::testing::RampTask;
+    use crate::runtime::udp::{encode_fragment_into, MAX_FRAGMENT_PAYLOAD};
     use crate::BackendExtras;
+    use netsim::ConnectionType;
+    use p2psap::data::{SegmentKind, WireSegment};
     use p2psap::Scheme;
 
     const RAMP: u64 = 10;
@@ -1175,13 +1202,18 @@ mod tests {
         /// The peer after the table (every rank at a sink) arrived.
         fn running_peer(&self, buf: &mut [u8]) -> Peer {
             let mut peer = self.discovering_peer();
+            self.deliver_table(&mut peer, buf);
+            peer
+        }
+
+        /// Publish the table (every rank at sink 0) and let the peer start.
+        fn deliver_table(&self, peer: &mut Peer, buf: &mut [u8]) {
             let table = Datagram::Table {
                 ports: vec![self.sink_port(0); HOSTILE_RANKS],
             };
-            self.inject(&mut peer, &table.encode(), buf);
+            self.inject(peer, &table.encode(), buf);
             peer.advance(&self.poller, &self.ctx());
             assert!(matches!(peer.phase, Phase::Running));
-            peer
         }
 
         /// Deliver `bytes` to the peer's socket the way an event loop sees
@@ -1300,6 +1332,85 @@ mod tests {
                 hostile.inject(&mut peer, &bytes, &mut buf);
                 proptest::prop_assert_eq!(&peer.transport.as_ref().unwrap().addrs, &expected);
             }
+        }
+    }
+
+    /// The start-up race on two event loops, replayed by hand: rank 0 got
+    /// its table first and its first reliable update — three fragments —
+    /// reaches rank 1 while that peer still waits for the table. The peer
+    /// must keep the segment and hand it to its engine once started, which
+    /// shows on the wire as the acknowledgement rank 0 is waiting for;
+    /// dropping it costs the sender a full retransmission timeout.
+    #[test]
+    fn segment_arriving_before_the_table_reaches_the_engine() {
+        let hostile = Hostile::new();
+        let mut buf = vec![0u8; 65536];
+        let mut peer = hostile.discovering_peer();
+
+        let mut sender = p2psap::Socket::open(Scheme::Synchronous, ConnectionType::IntraCluster);
+        let (seq, out) = sender.send(Bytes::from(vec![7u8; 2 * MAX_FRAGMENT_PAYLOAD + 100]), 1);
+        let segment = &out.data[0];
+        let fragments: Vec<&[u8]> = segment.chunks(MAX_FRAGMENT_PAYLOAD).collect();
+        assert_eq!(fragments.len(), 3);
+        let mut datagram = Vec::new();
+        for (index, fragment) in fragments.iter().enumerate() {
+            encode_fragment_into(&mut datagram, 0, 9, index as u16, 3, fragment);
+            hostile.inject(&mut peer, &datagram, &mut buf);
+        }
+        assert!(matches!(peer.phase, Phase::Discovering { .. }));
+        assert_eq!(peer.early.len(), 1, "the complete segment is kept");
+
+        hostile.deliver_table(&mut peer, &mut buf);
+        assert!(peer.early.is_empty());
+        let sink = &hostile.sinks[0];
+        sink.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set sink timeout");
+        loop {
+            let (len, _) = sink
+                .recv_from(&mut buf)
+                .expect("the peer acknowledges the early segment");
+            let Some(Datagram::Fragment { from, payload, .. }) = Datagram::decode(&buf[..len])
+            else {
+                continue; // the hello to the "bootstrap"
+            };
+            assert_eq!(from, 1);
+            let reply = WireSegment::decode(Bytes::from(payload)).expect("a clean segment");
+            if reply.kind == SegmentKind::Ack {
+                assert_eq!(reply.seq, seq);
+                break;
+            }
+        }
+    }
+
+    /// The same race on real event loops: before discovering peers kept
+    /// early segments, a synchronous run on two loops waited out the
+    /// reliable channel's 600 ms retransmission timeout at start-up in 5 %
+    /// to 100 % of the solves of a pass. A healthy solve of this size takes
+    /// a few tens of milliseconds.
+    #[test]
+    fn two_loop_synchronous_solves_start_without_a_retransmission_timeout() {
+        use crate::obstacle_app::ObstacleTask;
+        use obstacle::ObstacleProblem;
+        use std::sync::Arc;
+
+        let peers = 4;
+        let problem = Arc::new(ObstacleProblem::membrane(12));
+        let config =
+            RunConfig::quick(Scheme::Synchronous, peers).with_extras(BackendExtras::Reactor {
+                event_loops: 2,
+                loss_probability: 0.0,
+                reorder_probability: 0.0,
+            });
+        // `ReliabilityMicro::with_defaults`.
+        let rto = Duration::from_millis(600);
+        for solve in 0..10 {
+            let started = Instant::now();
+            let outcome = ReactorDriver.run(&config, &|rank| {
+                Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
+            });
+            let took = started.elapsed();
+            assert!(outcome.measurement.converged);
+            assert!(took < rto, "solve {solve} took {took:?}: a start-up stall");
         }
     }
 

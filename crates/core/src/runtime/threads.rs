@@ -53,6 +53,13 @@ impl RuntimeDriver for ThreadsDriver {
     }
 }
 
+/// Messages a peer takes from its inbox before it looks at its timers and
+/// its pending sweep again. Unbounded, the drain is a livelock: two
+/// free-running asynchronous neighbours can fill the inbox faster than the
+/// peer between them empties it, so it never relaxes again, they never hear
+/// from it, and the run burns to the relaxation cap.
+const DRAIN_BUDGET: usize = 64;
+
 /// What travels between peer threads.
 enum PeerWire {
     /// A P2PSAP data-channel segment.
@@ -311,11 +318,14 @@ pub(crate) fn run_iterative_threads(
                             continue;
                         }
                     }
-                    // Drain everything already delivered (asynchronous peers
+                    // Drain what is already delivered (asynchronous peers
                     // relax back-to-back, so fresh ghosts must be picked up
                     // between sweeps, like deliveries interleave with compute
                     // windows on the simulated runtime).
-                    while let Ok((from, wire)) = rx.try_recv() {
+                    for _ in 0..DRAIN_BUDGET {
+                        let Ok((from, wire)) = rx.try_recv() else {
+                            break;
+                        };
                         dispatch(from, wire, &mut engine, gossip.as_mut(), &mut transport);
                     }
                     if engine.finished() {

@@ -4,7 +4,9 @@
 //! allocator and measures four regions once their buffers are warm:
 //!
 //! 1. every workload's `encode_outgoing` into a pooled [`FrameSink`] —
-//!    must allocate nothing;
+//!    must allocate nothing — and every workload's `incorporate` of a
+//!    neighbour's update, which stores the plane straight from the payload
+//!    bytes — must allocate nothing either;
 //! 2. UDP fragment framing of a large segment into a reused send buffer
 //!    (what `UdpTransport::transmit` does per datagram) — must allocate
 //!    nothing;
@@ -25,7 +27,7 @@
 use p2pdc::allocs::{self, CountingAllocator};
 use p2pdc::app::{FrameSink, IterativeTask};
 use p2pdc::runtime::udp::{encode_fragment_into, MAX_FRAGMENT_PAYLOAD};
-use p2pdc::{HeatTask, ObstacleTask, PageRankGraph, PageRankTask};
+use p2pdc::{HeatTask, ObstacleTask, PageRankGraph, PageRankTask, UpdateMsg};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -74,25 +76,64 @@ fn encode_delta(task: &mut dyn IterativeTask, rounds: u32) -> allocs::AllocCount
     })
 }
 
+/// Minimum delta of `rounds` incorporations of a `values`-long update from
+/// rank `from`. The first one must report a change, so a refused payload
+/// cannot pass for an allocation-free one.
+fn incorporate_delta(
+    task: &mut dyn IterativeTask,
+    from: usize,
+    values: usize,
+    rounds: u32,
+) -> allocs::AllocCounters {
+    let update = UpdateMsg {
+        from: from as u32,
+        iteration: 1,
+        plane: vec![1.5; values],
+    }
+    .encode();
+    assert!(task.incorporate(from, &update) > 0.0, "update refused");
+    min_delta(|| {
+        for _ in 0..rounds {
+            task.incorporate(from, &update);
+        }
+    })
+}
+
 #[test]
 fn steady_state_ghost_exchange_does_not_allocate() {
-    // 1. Task encode into a warm sink: zero allocations for all workloads.
+    // 1. Task encode into a warm sink, and incorporating a neighbour's
+    // update: zero allocations for all workloads.
     let problem = Arc::new(obstacle::ObstacleProblem::membrane(16));
     let mut task = ObstacleTask::new(problem, 4, 1);
     task.relax();
     let delta = encode_delta(&mut task, 64);
     assert_eq!(delta.allocations, 0, "obstacle encode allocated: {delta:?}");
+    let delta = incorporate_delta(&mut task, 2, 16 * 16, 64);
+    assert_eq!(
+        delta.allocations, 0,
+        "obstacle incorporate allocated: {delta:?}"
+    );
 
     let mut task = HeatTask::new(32, 4, 2);
     task.relax();
     let delta = encode_delta(&mut task, 64);
     assert_eq!(delta.allocations, 0, "heat encode allocated: {delta:?}");
+    let delta = incorporate_delta(&mut task, 1, 32, 64);
+    assert_eq!(
+        delta.allocations, 0,
+        "heat incorporate allocated: {delta:?}"
+    );
 
     let graph = Arc::new(PageRankGraph::ring_with_chords(120));
     let mut task = PageRankTask::new(graph, 4, 1);
     task.relax();
     let delta = encode_delta(&mut task, 64);
     assert_eq!(delta.allocations, 0, "pagerank encode allocated: {delta:?}");
+    let delta = incorporate_delta(&mut task, 2, 120 / 4, 64);
+    assert_eq!(
+        delta.allocations, 0,
+        "pagerank incorporate allocated: {delta:?}"
+    );
 
     // 2. UDP fragment framing into a reused send buffer: zero allocations
     // once the buffer has grown to a full datagram.

@@ -159,6 +159,20 @@ impl NodeState {
         change
     }
 
+    /// [`NodeState::set_ghost_lo`] straight from the plane's little-endian
+    /// wire bytes, in one pass and without an intermediate vector. `None`
+    /// (ghost untouched) unless `bytes` holds exactly one plane.
+    pub fn set_ghost_lo_le(&mut self, bytes: &[u8]) -> Option<f64> {
+        store_le_plane(&mut self.ghost_lo, bytes)
+    }
+
+    /// [`NodeState::set_ghost_hi`] straight from the plane's little-endian
+    /// wire bytes. `None` (ghost untouched) unless `bytes` holds exactly one
+    /// plane.
+    pub fn set_ghost_hi_le(&mut self, bytes: &[u8]) -> Option<f64> {
+        store_le_plane(&mut self.ghost_hi, bytes)
+    }
+
     /// Perform one projected Richardson sweep over the owned planes using the
     /// previous iterate and the current ghost planes. Returns the sup-norm of
     /// the local successive difference.
@@ -310,6 +324,45 @@ impl NodeState {
         self.relaxations = relaxations;
         true
     }
+}
+
+/// Overwrite `ghost` with the little-endian `f64` values in `bytes` and
+/// return the sup-norm of the change, touching each value once: decode,
+/// compare with the value it replaces, store. `None` — and `ghost` untouched
+/// — unless `bytes` holds exactly `ghost.len()` values (the bytes come off
+/// the network).
+///
+/// Four running maxima break the serial `max` chain. The result is
+/// bit-identical to `fold(0.0, |m, d| m.max(d))` over the differences front
+/// to back: the maximum of non-negative values does not depend on the order,
+/// and `d > max` skips a NaN difference exactly as `f64::max` does while the
+/// running maximum itself — started at 0 — is never NaN (the comparison
+/// compiles to a bare `maxpd`, `f64::max` to a NaN-checking sequence).
+pub fn store_le_plane(ghost: &mut [f64], bytes: &[u8]) -> Option<f64> {
+    if bytes.len() != ghost.len() * 8 {
+        return None;
+    }
+    let store = |slot: &mut f64, raw: &[u8], max: &mut f64| {
+        let value = f64::from_le_bytes(raw.try_into().expect("an 8-byte chunk"));
+        let change = (value - *slot).abs();
+        if change > *max {
+            *max = change;
+        }
+        *slot = value;
+    };
+    let mut maxima = [0.0f64; 4];
+    let mut slots = ghost.chunks_exact_mut(4);
+    let mut raws = bytes.chunks_exact(32);
+    for (slots, raws) in (&mut slots).zip(&mut raws) {
+        for ((slot, raw), max) in slots.iter_mut().zip(raws.chunks_exact(8)).zip(&mut maxima) {
+            store(slot, raw, max);
+        }
+    }
+    let tail = slots.into_remainder().iter_mut();
+    for (slot, raw) in tail.zip(raws.remainder().chunks_exact(8)) {
+        store(slot, raw, &mut maxima[0]);
+    }
+    Some(maxima.into_iter().fold(0.0, f64::max))
 }
 
 /// One projected Richardson update. The subtraction order (left, right,
@@ -686,6 +739,70 @@ mod tests {
         for n in [2usize, 3] {
             let problem = ObstacleProblem::membrane(n);
             assert_bit_identical(&problem, 1, 10);
+        }
+    }
+
+    mod ghost_store_proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Values a plane can carry, the awkward ones included.
+        fn plane_value(rng: &mut proptest::TestRng) -> f64 {
+            match rng.below(8) {
+                0 => [
+                    0.0,
+                    -0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                    5e-324,
+                ][rng.below(6) as usize],
+                _ => (rng.unit_f64() - 0.5) * 1e6,
+            }
+        }
+
+        proptest! {
+            /// Storing a plane from its wire bytes is `set_ghost_*` of the
+            /// decoded plane, bit for bit: the same ghost afterwards and the
+            /// same sup-norm change, whatever the values; bytes of any other
+            /// length are refused and leave the ghost alone.
+            #[test]
+            fn le_store_matches_set_ghost(n in 2usize..9, seed in any::<u64>()) {
+                let mut rng = proptest::TestRng::new(seed);
+                let problem = ObstacleProblem::membrane(n);
+                let decomp = BlockDecomposition::balanced(n, 2);
+                let mut fused = NodeState::new(&problem, &decomp, rng.below(2) as usize);
+                let lower = fused.z_start() > 0;
+                for slot in fused.ghost_lo.iter_mut().chain(&mut fused.ghost_hi) {
+                    *slot = plane_value(&mut rng);
+                }
+                let mut oracle = fused.clone();
+                let plane: Vec<f64> = (0..n * n).map(|_| plane_value(&mut rng)).collect();
+                let bytes: Vec<u8> = plane.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+                for wrong in [bytes.len() - 8, bytes.len() - 1, bytes.len() + 8, 0] {
+                    let mut resized = bytes.clone();
+                    resized.resize(wrong, 0);
+                    let refused = if lower {
+                        fused.set_ghost_lo_le(&resized)
+                    } else {
+                        fused.set_ghost_hi_le(&resized)
+                    };
+                    prop_assert_eq!(refused, None);
+                    prop_assert_eq!(bits(&fused.ghost_lo), bits(&oracle.ghost_lo));
+                    prop_assert_eq!(bits(&fused.ghost_hi), bits(&oracle.ghost_hi));
+                }
+
+                let (got, expected) = if lower {
+                    (fused.set_ghost_lo_le(&bytes), oracle.set_ghost_lo(&plane))
+                } else {
+                    (fused.set_ghost_hi_le(&bytes), oracle.set_ghost_hi(&plane))
+                };
+                prop_assert_eq!(got.map(f64::to_bits), Some(expected.to_bits()));
+                prop_assert_eq!(bits(&fused.ghost_lo), bits(&oracle.ghost_lo));
+                prop_assert_eq!(bits(&fused.ghost_hi), bits(&oracle.ghost_hi));
+            }
         }
     }
 

@@ -58,20 +58,86 @@ pub struct WireSegment {
 /// Size in bytes of the fixed segment header.
 pub const SEGMENT_HEADER_BYTES: usize = 1 + 1 + 8 + 8 + 4;
 
-/// Size in bytes of the trailing integrity checksum (FNV-1a over header and
-/// payload). Link-level corruption — a flipped byte anywhere in the frame —
-/// must be rejected by this codec rather than consumed as garbage boundary
-/// data, so every segment carries its own end-to-end check.
+/// Size in bytes of the trailing integrity checksum ([`frame_checksum`] over
+/// header and payload). Link-level corruption — a flipped byte anywhere in
+/// the frame — must be rejected by this codec rather than consumed as garbage
+/// boundary data, so every segment carries its own end-to-end check.
 pub const SEGMENT_CHECKSUM_BYTES: usize = 4;
 
-/// 32-bit FNV-1a over `bytes` (the segment integrity checksum).
-pub fn frame_checksum(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &byte in bytes {
-        hash ^= byte as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
+/// Independent accumulators of [`frame_checksum`]: one per little-endian
+/// `u32` word of a 32-byte block.
+const CHECKSUM_LANES: usize = 8;
+/// Odd multiplier of every checksum step (the 32-bit golden-ratio prime).
+const CHECKSUM_PRIME: u32 = 0x9E37_79B1;
+/// Start value of the final fold; the lanes start from [`LANE_SEEDS`].
+const CHECKSUM_SEED: u32 = 0x811C_9DC5;
+
+/// `step` of [`frame_checksum`]. The rotation is there for bit 31: an odd
+/// multiplier turns a flip of bit 31 into a flip of bit 31 and nothing else,
+/// so it has to be moved down to where the next multiplication spreads it.
+const fn checksum_step(state: u32, word: u32) -> u32 {
+    (state.rotate_left(5) ^ word).wrapping_mul(CHECKSUM_PRIME)
+}
+
+/// Distinct start values, so equal words in different lanes leave different
+/// lane states.
+const LANE_SEEDS: [u32; CHECKSUM_LANES] = {
+    let mut seeds = [0u32; CHECKSUM_LANES];
+    let mut lane = 0;
+    while lane < CHECKSUM_LANES {
+        seeds[lane] = checksum_step(CHECKSUM_SEED, lane as u32);
+        lane += 1;
     }
-    hash
+    seeds
+};
+
+fn le_word(word: &[u8]) -> u32 {
+    u32::from_le_bytes(word.try_into().expect("a 4-byte chunk"))
+}
+
+/// The 32-bit integrity checksum of every P2PSAP segment and gossip frame.
+///
+/// Definition, with `step(s, w) = (rotl(s, 5) ^ w) · 0x9E3779B1 mod 2³²`: the
+/// frame is read as little-endian `u32` words and word `i` updates lane
+/// `i mod 8` (`lane = step(lane, word)`; lane `k` starts at
+/// `step(0x811C9DC5, k)`), the whole words of the last partial block
+/// included. The result is `step` chained from `0x811C9DC5` over the frame
+/// length (mod 2³²), the 0–3 left-over bytes zero-padded to a word, and the
+/// eight lane states in order. A 32-byte block is thus eight *independent*
+/// multiplications, which the processor pipelines; a byte-serial hash chains
+/// one dependent multiplication per byte.
+///
+/// Guarantee, by construction: two frames of equal length that differ only
+/// inside one aligned 4-byte word — so any single-bit or single-byte
+/// corruption — have different checksums. A rotation, an XOR with a constant
+/// and a multiplication by an odd constant are each invertible modulo 2³², so
+/// `step` is a bijection of `s` for a fixed `w` and of `w` for a fixed `s`.
+/// The changed word enters exactly one step, which makes the lane state
+/// differ; every later step of that lane and of the fold keeps a difference
+/// in its `s` argument, and the fold step that absorbs the lane keeps a
+/// difference in its `w` argument. Damage of any other shape (several words,
+/// a swap, a different length) is caught as any 32-bit check catches it: not
+/// always, but at a miss rate near 2⁻³² unless it was crafted.
+pub fn frame_checksum(bytes: &[u8]) -> u32 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(4 * CHECKSUM_LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            *lane = checksum_step(*lane, le_word(word));
+        }
+    }
+    let mut words = blocks.remainder().chunks_exact(4);
+    for (lane, word) in lanes.iter_mut().zip(&mut words) {
+        *lane = checksum_step(*lane, le_word(word));
+    }
+    let mut last = [0u8; 4];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    let mut folded = checksum_step(CHECKSUM_SEED, bytes.len() as u32);
+    folded = checksum_step(folded, u32::from_le_bytes(last));
+    for lane in lanes {
+        folded = checksum_step(folded, lane);
+    }
+    folded
 }
 
 impl WireSegment {
@@ -230,6 +296,50 @@ mod tests {
                 "flip at byte {i} must be rejected"
             );
         }
+    }
+
+    /// Byte `i` of the golden-vector input.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
+    }
+
+    /// The checksum is wire format: both ends of a link must compute the
+    /// same value, so any edit that moves these vectors is a protocol
+    /// change. Lengths cover the empty frame, a lone tail byte, one byte
+    /// either side of a block, and the frames the benchmark workloads send.
+    #[test]
+    fn checksum_golden_vectors_are_pinned() {
+        const GOLDEN: [(usize, u32); 8] = [
+            (0, 0x250D_A3B7),
+            (1, 0x0A55_376F),
+            (31, 0x6BDF_6619),
+            (32, 0x979D_AD76),
+            (33, 0x0294_9570),
+            (52, 0x2AA6_C9E4),
+            (1_528, 0x7A11_0448),
+            (10_388, 0xFF3C_01C5),
+        ];
+        for (len, expected) in GOLDEN {
+            let got = frame_checksum(&pattern(len));
+            assert_eq!(got, expected, "{len} bytes: got {got:#010X}");
+        }
+    }
+
+    /// Why `checksum_step` rotates: an odd multiplier maps a flip of bit 31
+    /// onto a flip of bit 31, so without the rotation two words of one lane
+    /// that differ only there could trade places unnoticed.
+    #[test]
+    fn swapping_same_lane_words_that_differ_in_the_top_bit_is_detected() {
+        let mut frame = pattern(256);
+        let word = [0x11, 0x22, 0x33, 0x44];
+        frame[8..12].copy_from_slice(&word);
+        frame[8 + 64..12 + 64].copy_from_slice(&[0x11, 0x22, 0x33, 0xC4]);
+        let mut swapped = frame.clone();
+        swapped[8..12].copy_from_slice(&frame[8 + 64..12 + 64]);
+        swapped[8 + 64..12 + 64].copy_from_slice(&word);
+        assert_ne!(frame_checksum(&frame), frame_checksum(&swapped));
     }
 
     #[test]

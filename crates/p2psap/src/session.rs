@@ -53,6 +53,7 @@ pub struct Session {
     next_seq: u64,
     sent_segments: u64,
     received_segments: u64,
+    rejected_segments: u64,
     wire_pool: Vec<Vec<u8>>,
 }
 
@@ -68,6 +69,7 @@ impl Session {
             next_seq: 0,
             sent_segments: 0,
             received_segments: 0,
+            rejected_segments: 0,
             wire_pool: Vec::new(),
         }
     }
@@ -107,9 +109,15 @@ impl Session {
         self.sent_segments
     }
 
-    /// Number of segments received from the wire.
+    /// Number of well-formed segments received from the wire.
     pub fn received_segments(&self) -> u64 {
         self.received_segments
+    }
+
+    /// Number of wire frames dropped because they did not decode (failed
+    /// checksum, truncated, unknown kind).
+    pub fn rejected_segments(&self) -> u64 {
+        self.rejected_segments
     }
 
     /// Send an application payload. Returns the assigned sequence number and
@@ -129,16 +137,15 @@ impl Session {
 
     /// Process a segment received from the wire.
     pub fn on_wire(&mut self, bytes: Bytes, now_ns: u64) -> SessionOutput {
+        let Some(segment) = WireSegment::decode(bytes) else {
+            self.rejected_segments += 1;
+            return SessionOutput::default();
+        };
         self.received_segments += 1;
-        match WireSegment::decode(bytes) {
-            Some(segment) => {
-                let mut msg = segment.into_message();
-                msg.set_u64(ATTR_NOW, now_ns);
-                let out = self.stack.from_net(msg);
-                self.output_from_stack(out)
-            }
-            None => SessionOutput::default(),
-        }
+        let mut msg = segment.into_message();
+        msg.set_u64(ATTR_NOW, now_ns);
+        let out = self.stack.from_net(msg);
+        self.output_from_stack(out)
     }
 
     /// Fire a timer previously requested by the session.
@@ -288,5 +295,19 @@ mod tests {
         let out = s.on_wire(Bytes::from_static(b"garbage"), 1);
         assert!(out.delivered.is_empty());
         assert!(out.wire.is_empty());
+        // A frame with one flipped payload bit is well-formed but for its
+        // checksum.
+        let mut flipped = WireSegment::data(0, false, 1, Bytes::from_static(b"ghost"))
+            .encode()
+            .to_vec();
+        flipped[crate::data::SEGMENT_HEADER_BYTES] ^= 1;
+        let out = s.on_wire(Bytes::from(flipped), 2);
+        assert!(out.delivered.is_empty());
+        assert_eq!(s.rejected_segments(), 2);
+        assert_eq!(s.received_segments(), 0);
+        let clean = WireSegment::data(0, false, 1, Bytes::from_static(b"ghost")).encode();
+        assert_eq!(s.on_wire(clean, 3).delivered.len(), 1);
+        assert_eq!(s.rejected_segments(), 2);
+        assert_eq!(s.received_segments(), 1);
     }
 }

@@ -157,6 +157,12 @@ impl Socket {
         self.session.recycle_wire(buf);
     }
 
+    /// Number of data-channel frames the session dropped because they did
+    /// not decode (see [`Session::rejected_segments`]).
+    pub fn rejected_segments(&self) -> u64 {
+        self.session.rejected_segments()
+    }
+
     /// A data-channel segment arrived from the remote peer.
     pub fn on_data(&mut self, segment: Bytes, now_ns: u64) -> SocketOutput {
         let session_out = self.session.on_wire(segment, now_ns);

@@ -195,10 +195,10 @@ fn split_brain_then_heal_agrees_across_deterministic_backends() {
 }
 
 /// Every single-bit flip of a framed data segment must fail the trailing
-/// checksum: FNV-1a over the frame is invertible per byte step, so two
-/// same-length frames differing anywhere verify differently. This is the
-/// property the corruption fault model leans on when it declares corrupted
-/// traffic "effectively lost, never consumed".
+/// checksum: every step of `frame_checksum` is invertible, so two
+/// same-length frames differing inside one aligned word verify differently.
+/// This is the property the corruption fault model leans on when it declares
+/// corrupted traffic "effectively lost, never consumed".
 #[test]
 fn every_single_bit_flip_of_a_wire_segment_fails_decode() {
     let payload = Bytes::from((0u16..96).flat_map(u16::to_be_bytes).collect::<Vec<u8>>());
