@@ -7,8 +7,10 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsim::ConnectionType;
 use p2pdc::app::FrameSink;
+use p2pdc::runtime::udp::{accept_trains, recv_train, send_train, TRAIN_STRIDE};
 use p2pdc::{HeatTask, IterativeTask, ObstacleTask, PageRankGraph, PageRankTask};
 use p2psap::{ChannelConfig, Scheme, Session, Socket};
+use std::net::UdpSocket;
 use std::sync::Arc;
 
 fn bench_stack(c: &mut Criterion) {
@@ -129,11 +131,60 @@ fn bench_roundtrip(c: &mut Criterion) {
     });
 }
 
+/// What the kernel charges to move the n fragment datagrams of one segment
+/// between two localhost sockets: n `send_to` + n `recv_from`, against one
+/// `send_train` and the `recv_train`s that drain it on a socket that accepts
+/// trains (one, where the kernel takes `UDP_SEGMENT` and `UDP_GRO` — it
+/// falls back silently, so the send path is printed). n = 9 is
+/// `obstacle-lockstep`'s ghost plane; 53 is the most one train holds.
+fn bench_socket_train(c: &mut Criterion) {
+    let socket = || {
+        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind a localhost UDP socket");
+        socket.set_nonblocking(true).expect("set nonblocking");
+        socket
+    };
+    let (tx, plain, gro) = (socket(), socket(), socket());
+    let accepted = accept_trains(&gro);
+    let (plain_addr, gro_addr) = (plain.local_addr().unwrap(), gro.local_addr().unwrap());
+    let mut buf = vec![0u8; 65536];
+    let mut group = c.benchmark_group("socket_train");
+    for n in [1usize, 9, 21, 53] {
+        let train = vec![7u8; n * TRAIN_STRIDE];
+        group.throughput(Throughput::Bytes(train.len() as u64));
+        group.bench_with_input(BenchmarkId::new("per_datagram", n), &n, |b, _| {
+            b.iter(|| {
+                for datagram in train.chunks(TRAIN_STRIDE) {
+                    tx.send_to(datagram, plain_addr).expect("send datagram");
+                }
+                let mut read = 0;
+                while let Ok((len, _)) = plain.recv_from(&mut buf) {
+                    read += len;
+                }
+                assert_eq!(read, train.len());
+            });
+        });
+        let mut path = None;
+        group.bench_with_input(BenchmarkId::new("train", n), &n, |b, _| {
+            b.iter(|| {
+                path = Some(send_train(&tx, &train, TRAIN_STRIDE, gro_addr).expect("send train"));
+                let mut read = 0;
+                while let Ok(datagrams) = recv_train(&gro, &mut buf) {
+                    read += datagrams.map(<[u8]>::len).sum::<usize>();
+                }
+                assert_eq!(read, train.len());
+            });
+        });
+        println!("socket_train/train/{n}: send path {path:?}, UDP_GRO accepted: {accepted}");
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stack,
     bench_encode,
     bench_checksum,
-    bench_roundtrip
+    bench_roundtrip,
+    bench_socket_train
 );
 criterion_main!(benches);

@@ -31,8 +31,8 @@ use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeK
 use crate::runtime::engine::{PeerEngine, TimerQueue};
 use crate::runtime::scaffold::{self, JoinPoll, RunScaffold};
 use crate::runtime::udp::{
-    bootstrap_service, localhost_addr, table_addrs, wake_bootstrap, Datagram, LossShim,
-    Reassembler, UdpTransport,
+    accept_trains, bootstrap_service, grow_socket_buffers, localhost_addr, recv_train, table_addrs,
+    wake_bootstrap, Datagram, LossShim, Reassembler, UdpTransport,
 };
 use crate::runtime::RunConfig;
 use bytes::Bytes;
@@ -390,51 +390,15 @@ impl Balancer {
     }
 }
 
-/// Kernel buffer size requested for every peer socket. A single ghost
-/// exchange of a large-grid workload fragments into hundreds of datagrams
-/// arriving as one burst; the ~208 KiB default `rmem` drops most of such a
-/// burst, and every dropped fragment voids its whole segment's reassembly
-/// and triggers a retransmission of the full ghost — a feedback loop that
-/// can keep a large run from ever converging. Best-effort: the kernel
-/// clamps the request to `net.core.{r,w}mem_max`.
-const SOCKET_BUFFER_BYTES: i32 = 4 << 20;
-
-/// Grow a socket's kernel receive and send buffers (linux only; a no-op
-/// elsewhere). Failures are ignored — the run still works at the default
-/// size, just with more retransmissions.
-#[cfg(target_os = "linux")]
-fn grow_socket_buffers(socket: &UdpSocket) {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn setsockopt(
-            fd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const core::ffi::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    const SO_SNDBUF: i32 = 7;
-    const SO_RCVBUF: i32 = 8;
-    let val = SOCKET_BUFFER_BYTES;
-    let ptr = &val as *const i32 as *const core::ffi::c_void;
-    let len = core::mem::size_of::<i32>() as u32;
-    unsafe {
-        setsockopt(socket.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, ptr, len);
-        setsockopt(socket.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, ptr, len);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn grow_socket_buffers(_socket: &UdpSocket) {}
-
 /// Bind a fresh nonblocking socket for `rank`, register it with the poller
-/// under the rank as key, and publish its port.
+/// under the rank as key, and publish its port. The socket gets grown kernel
+/// buffers and asks for fragment trains whole (`UDP_GRO`), so from here on
+/// only [`recv_train`] may read it — [`Peer::drain`] does.
 fn bind_peer_socket(rank: usize, poller: &Poller, ctx: &LoopShared<'_>) -> UdpSocket {
     let socket = UdpSocket::bind(localhost_addr(0)).expect("bind peer socket on localhost");
     socket.set_nonblocking(true).expect("set nonblocking");
     grow_socket_buffers(&socket);
+    accept_trains(&socket);
     poller.add(&socket, rank).expect("register peer socket");
     ctx.ports.lock().unwrap()[rank] = socket.local_addr().expect("peer local addr").port();
     ctx.ports_version.fetch_add(1, Ordering::Release);
@@ -470,20 +434,15 @@ impl Peer {
         self.engine = Some(engine);
         self.gossip = ctx.run.gossip_node(self.rank);
         let (loss, reorder) = ctx.impairment;
-        self.transport = Some(UdpTransport {
-            rank: self.rank,
-            start: ctx.start,
-            socket: bind_peer_socket(self.rank, poller, ctx),
-            addrs: vec![localhost_addr(0); ctx.run.total()],
+        self.transport = Some(UdpTransport::new(
+            self.rank,
+            ctx.start,
+            bind_peer_socket(self.rank, poller, ctx),
+            vec![localhost_addr(0); ctx.run.total()],
             // Per-rank stream so peers do not share drop decisions.
-            shim: LossShim::new(ctx.run.seed.wrapping_add(self.rank as u64), loss, reorder),
-            next_msg_id: 0,
-            timers: TimerQueue::new(),
-            compute_pending: false,
-            topology: ctx.run.topology.clone(),
-            next_send_ok: HashMap::new(),
-            send_frame: Vec::new(),
-        });
+            LossShim::new(ctx.run.seed.wrapping_add(self.rank as u64), loss, reorder),
+            ctx.run.topology.clone(),
+        ));
         self.heartbeat = Some(Heartbeat::new(&ctx.run.topology, self.rank));
         self.discover(ctx, then);
     }
@@ -521,86 +480,104 @@ impl Peer {
     }
 
     /// Drain everything the kernel has buffered on this peer's socket and
-    /// dispatch it: the one place a socket backend reads datagrams. Network
-    /// bytes are untrusted — anything that does not decode, or names a
-    /// table of the wrong length, is dropped. While discovering, the
-    /// bootstrap table is the only datagram acted on, but data fragments
-    /// racing ahead of it — a neighbour whose table came first is already
-    /// sending — are reassembled and the complete segments kept for the
-    /// engine: discarding them would leave a synchronous sender waiting out
-    /// its retransmission timeout before the first sweep.
+    /// dispatch it: the one place a socket backend reads datagrams. A read
+    /// is a fragment train ([`recv_train`]) — the datagrams of one segment
+    /// when the sender's kernel and this socket's `UDP_GRO` kept them
+    /// together, else a single datagram — and each of its datagrams goes
+    /// through [`Peer::dispatch`] as if read alone. A peer whose engine has
+    /// finished stops reading.
     fn drain(&mut self, buf: &mut [u8]) {
-        let Some(transport) = self.transport.as_mut() else {
-            return;
-        };
-        while let Ok((len, _)) = transport.socket.recv_from(buf) {
-            let bytes = &buf[..len];
-            match &mut self.phase {
-                Phase::Discovering { .. } => {
-                    if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                        Datagram::fragment_fields(bytes)
-                    {
-                        let segment = self
-                            .reassembler
-                            .push_ref(from, msg_id, frag_index, frag_count, payload);
-                        if self.early.len() < EARLY_SEGMENTS {
-                            self.early.extend(segment);
-                        }
-                    } else if let Some(Datagram::Table { ports }) = Datagram::decode(bytes) {
-                        if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
-                            self.table = Some(addrs);
-                        }
-                    }
+        while let Some(transport) = self.transport.as_ref() {
+            let Ok(train) = recv_train(&transport.socket, buf) else {
+                return;
+            };
+            for datagram in train {
+                if !self.dispatch(datagram) {
+                    return;
                 }
-                Phase::Running => {
-                    let engine = self.engine.as_mut().expect("running peer has engine");
-                    if engine.finished() {
-                        break;
-                    }
-                    // Fragments (the data hot path) are parsed borrowed and
-                    // copied once, into a pooled reassembly buffer; control
-                    // datagrams take the allocating decode.
-                    if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                        Datagram::fragment_fields(bytes)
-                    {
-                        if let Some((from, segment)) = self
-                            .reassembler
-                            .push_ref(from, msg_id, frag_index, frag_count, payload)
-                        {
-                            engine.on_segment(from, segment, transport);
-                        }
-                        continue;
-                    }
-                    match Datagram::decode(bytes) {
-                        Some(Datagram::Stop { .. }) => engine.on_stop_signal(transport),
-                        Some(Datagram::Rollback {
-                            to_iteration,
-                            generation,
-                            ..
-                        }) => engine.on_rollback(to_iteration, generation, transport),
-                        // A table re-broadcast mid-run: a joiner announced
-                        // or a recovered peer rebound its socket.
-                        Some(Datagram::Table { ports }) => {
-                            if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
-                                transport.addrs = addrs;
-                            }
-                        }
-                        Some(Datagram::Gossip { payload, .. }) => scaffold::on_gossip_frame(
-                            self.gossip.as_mut(),
-                            &payload,
-                            transport,
-                            UdpTransport::send_gossip,
-                        ),
-                        // Fragments were parsed above; late hellos and
-                        // foreign noise are ignored.
-                        _ => {}
-                    }
-                }
-                // Dormant peers have no socket; a crashed peer's replacement
-                // socket swallows stray traffic unread until recovery.
-                _ => {}
             }
         }
+    }
+
+    /// Act on one datagram off the socket; returns whether the peer keeps
+    /// reading. Network bytes are untrusted — anything that does not
+    /// decode, or names a table of the wrong length, is dropped. While
+    /// discovering, the bootstrap table is the only datagram acted on, but
+    /// data fragments racing ahead of it — a neighbour whose table came
+    /// first is already sending — are reassembled and the complete segments
+    /// kept for the engine: discarding them would leave a synchronous
+    /// sender waiting out its retransmission timeout before the first
+    /// sweep.
+    fn dispatch(&mut self, bytes: &[u8]) -> bool {
+        let Some(transport) = self.transport.as_mut() else {
+            return false;
+        };
+        match &mut self.phase {
+            Phase::Discovering { .. } => {
+                if let Some((from, msg_id, frag_index, frag_count, payload)) =
+                    Datagram::fragment_fields(bytes)
+                {
+                    let segment = self
+                        .reassembler
+                        .push_ref(from, msg_id, frag_index, frag_count, payload);
+                    if self.early.len() < EARLY_SEGMENTS {
+                        self.early.extend(segment);
+                    }
+                } else if let Some(Datagram::Table { ports }) = Datagram::decode(bytes) {
+                    if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
+                        self.table = Some(addrs);
+                    }
+                }
+            }
+            Phase::Running => {
+                let engine = self.engine.as_mut().expect("running peer has engine");
+                if engine.finished() {
+                    return false;
+                }
+                // Fragments (the data hot path) are parsed borrowed and
+                // copied once, into a pooled reassembly buffer; control
+                // datagrams take the allocating decode.
+                if let Some((from, msg_id, frag_index, frag_count, payload)) =
+                    Datagram::fragment_fields(bytes)
+                {
+                    if let Some((from, segment)) = self
+                        .reassembler
+                        .push_ref(from, msg_id, frag_index, frag_count, payload)
+                    {
+                        engine.on_segment(from, segment, transport);
+                    }
+                    return true;
+                }
+                match Datagram::decode(bytes) {
+                    Some(Datagram::Stop { .. }) => engine.on_stop_signal(transport),
+                    Some(Datagram::Rollback {
+                        to_iteration,
+                        generation,
+                        ..
+                    }) => engine.on_rollback(to_iteration, generation, transport),
+                    // A table re-broadcast mid-run: a joiner announced or a
+                    // recovered peer rebound its socket.
+                    Some(Datagram::Table { ports }) => {
+                        if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
+                            transport.addrs = addrs;
+                        }
+                    }
+                    Some(Datagram::Gossip { payload, .. }) => scaffold::on_gossip_frame(
+                        self.gossip.as_mut(),
+                        &payload,
+                        transport,
+                        UdpTransport::send_gossip,
+                    ),
+                    // Fragments were parsed above; late hellos and foreign
+                    // noise are ignored.
+                    _ => {}
+                }
+            }
+            // Dormant peers have no socket; a crashed peer's replacement
+            // socket swallows stray traffic unread until recovery.
+            _ => {}
+        }
+        true
     }
 
     /// One state-machine turn.
@@ -970,7 +947,7 @@ pub(crate) fn run_iterative_reactor(
 mod tests {
     use super::*;
     use crate::runtime::engine::testing::RampTask;
-    use crate::runtime::udp::{encode_fragment_into, MAX_FRAGMENT_PAYLOAD};
+    use crate::runtime::udp::{encode_fragment_into, send_train, MAX_FRAGMENT_PAYLOAD};
     use crate::BackendExtras;
     use netsim::ConnectionType;
     use p2psap::data::{SegmentKind, WireSegment};
@@ -1216,12 +1193,18 @@ mod tests {
             assert!(matches!(peer.phase, Phase::Running));
         }
 
-        /// Deliver `bytes` to the peer's socket the way an event loop sees
-        /// them: wait for readiness, then drain.
+        /// Deliver `bytes` to the peer's socket as one datagram.
         fn inject(&self, peer: &mut Peer, bytes: &[u8], buf: &mut [u8]) {
+            self.inject_train(peer, bytes, bytes.len().max(1), buf);
+        }
+
+        /// Deliver `bytes` to the peer's socket as a fragment train cut
+        /// every `stride` bytes, the way an event loop sees it: wait for
+        /// readiness, then drain.
+        fn inject_train(&self, peer: &mut Peer, bytes: &[u8], stride: usize, buf: &mut [u8]) {
             let socket = &peer.transport.as_ref().expect("bound peer").socket;
             let addr = socket.local_addr().expect("peer addr");
-            self.injector.send_to(bytes, addr).expect("inject datagram");
+            send_train(&self.injector, bytes, stride, addr).expect("inject train");
             let mut events = Events::new();
             self.poller
                 .wait(&mut events, Some(Duration::from_secs(5)))
@@ -1283,7 +1266,9 @@ mod tests {
     proptest::proptest! {
         /// No bytes off the network panic the receive sweep, in either phase
         /// that reads the socket, and the address book only ever changes to
-        /// what a well-formed bootstrap table of the run's length published.
+        /// what a well-formed bootstrap table of the run's length published
+        /// — whether the bytes arrive as one datagram or as a train cut at a
+        /// stride that respects nothing.
         #[test]
         fn hostile_datagrams_never_panic_or_move_the_address_book(
             seed in proptest::prelude::any::<u64>(),
@@ -1302,37 +1287,99 @@ mod tests {
                 .expect("the first poll probes")
                 .1
                 .encode();
-            let published = |bytes: &[u8]| match Datagram::decode(bytes) {
-                Some(Datagram::Table { ports }) => table_addrs(&ports, HOSTILE_RANKS),
-                _ => None,
+            // One hostile datagram or, a third of the time, several laid end
+            // to end and cut at a stride of their own: through every header,
+            // past the end of the read, at the largest a control message
+            // can name, or anywhere.
+            let hostile_train = |rng: &mut proptest::TestRng| -> (Vec<u8>, usize) {
+                if rng.below(3) > 0 {
+                    let bytes = hostile.hostile_datagram(rng, &gossip_frame);
+                    let stride = bytes.len().max(1);
+                    return (bytes, stride);
+                }
+                let mut bytes = Vec::new();
+                for _ in 0..2 + rng.below(4) {
+                    bytes.extend(hostile.hostile_datagram(rng, &gossip_frame));
+                }
+                let len = bytes.len() as u64;
+                let stride = match rng.below(4) {
+                    0 => 7,
+                    1 => len + 1 + rng.below(100),
+                    2 => 65_535,
+                    _ => 1 + rng.below(len.max(1)),
+                };
+                (bytes, stride as usize)
+            };
+            // The address books a peer may hold after a train: `book`
+            // updated by the tables among the first 0, 1, … datagrams.
+            let books = |book: Option<Vec<SocketAddr>>, bytes: &[u8], stride: usize| {
+                let mut books = vec![book];
+                for datagram in bytes.chunks(stride) {
+                    let published = match Datagram::decode(datagram) {
+                        Some(Datagram::Table { ports }) => table_addrs(&ports, HOSTILE_RANKS),
+                        _ => None,
+                    };
+                    books.push(published.or_else(|| books.last().expect("seeded").clone()));
+                }
+                books
             };
 
             let mut peer = hostile.discovering_peer();
             let unset = vec![localhost_addr(0); HOSTILE_RANKS];
-            let mut expected = None;
             for _ in 0..24 {
-                let bytes = hostile.hostile_datagram(&mut rng, &gossip_frame);
-                expected = published(&bytes).or(expected);
-                hostile.inject(&mut peer, &bytes, &mut buf);
-                proptest::prop_assert_eq!(&peer.table, &expected);
+                let (bytes, stride) = hostile_train(&mut rng);
+                let expected = books(peer.table.clone(), &bytes, stride);
+                hostile.inject_train(&mut peer, &bytes, stride, &mut buf);
+                // A discovering peer reads every datagram.
+                proptest::prop_assert_eq!(Some(&peer.table), expected.last());
                 proptest::prop_assert_eq!(&peer.transport.as_ref().unwrap().addrs, &unset);
             }
 
             let mut peer = hostile.running_peer(&mut buf);
-            let mut expected = peer.transport.as_ref().unwrap().addrs.clone();
             for _ in 0..48 {
                 // A forged stop ends the engine, and a finished peer stops
                 // reading its socket: carry on with a fresh one.
                 if peer.engine.as_ref().unwrap().finished() {
                     peer = hostile.running_peer(&mut buf);
-                    expected = peer.transport.as_ref().unwrap().addrs.clone();
                 }
-                let bytes = hostile.hostile_datagram(&mut rng, &gossip_frame);
-                expected = published(&bytes).unwrap_or(expected);
-                hostile.inject(&mut peer, &bytes, &mut buf);
-                proptest::prop_assert_eq!(&peer.transport.as_ref().unwrap().addrs, &expected);
+                let (bytes, stride) = hostile_train(&mut rng);
+                let addrs = peer.transport.as_ref().unwrap().addrs.clone();
+                let expected = books(Some(addrs), &bytes, stride);
+                hostile.inject_train(&mut peer, &bytes, stride, &mut buf);
+                let addrs = Some(peer.transport.as_ref().unwrap().addrs.clone());
+                if peer.engine.as_ref().unwrap().finished() {
+                    // It stopped reading somewhere inside the train.
+                    proptest::prop_assert!(expected.contains(&addrs));
+                } else {
+                    proptest::prop_assert_eq!(Some(&addrs), expected.last());
+                }
             }
         }
+    }
+
+    /// A read that does not fit the buffer is dropped whole: its head may
+    /// look like a datagram, but what was cut off is gone and so is every
+    /// boundary behind the cut. (Only a kernel that reports `MSG_TRUNC` can
+    /// tell; the drive loop's own buffer holds the largest read there is.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn truncated_read_is_dropped_whole() {
+        let hostile = Hostile::new();
+        let mut buf = vec![0u8; 65536];
+        let mut peer = hostile.running_peer(&mut buf);
+        let before = peer.transport.as_ref().unwrap().addrs.clone();
+        let table = Datagram::Table {
+            ports: vec![hostile.sink_port(1); HOSTILE_RANKS],
+        }
+        .encode();
+        let mut padded = table.clone();
+        padded.extend_from_slice(&[0xEE; 5]);
+        // The buffer holds exactly the table: were the head of the
+        // truncated read dispatched, the address book would move.
+        hostile.inject(&mut peer, &padded, &mut buf[..table.len()]);
+        assert_eq!(peer.transport.as_ref().unwrap().addrs, before);
+        hostile.inject(&mut peer, &padded, &mut buf);
+        assert_ne!(peer.transport.as_ref().unwrap().addrs, before);
     }
 
     /// The start-up race on two event loops, replayed by hand: rank 0 got

@@ -12,7 +12,13 @@
 //!   size (boundary planes grow with the grid), so segments are split into
 //!   fragments of at most [`MAX_FRAGMENT_PAYLOAD`] bytes, each carrying a
 //!   `(sender, message id, fragment index / count)` header, and reassembled
-//!   at the receiver (out-of-order tolerant, stale partials evicted).
+//!   at the receiver (out-of-order tolerant, stale partials evicted by
+//!   count and by the slots they reserve). Each fragment is its own UDP
+//!   datagram, but a segment's fragments cross the kernel together, as a
+//!   *fragment train*: laid end to end, sent with one [`send_train`] and —
+//!   on a socket that [`accept_trains`] — read back with one
+//!   [`recv_train`]. The `sys` submodule holds that kernel boundary and
+//!   every `unsafe` line of the socket backends.
 //! * **Bootstrap** — peers discover each other over the socket itself: a
 //!   bootstrap service owned by the run (served on the run's calling
 //!   thread, which would otherwise only wait) binds its own port, every
@@ -24,7 +30,9 @@
 //!   with a deterministic [`ChaCha8Rng`] seeded from the experiment seed,
 //!   dropping or swapping datagrams with configured probabilities, so the
 //!   congestion-control and protocol-adaptation paths are exercised over
-//!   genuinely lossy delivery rather than only netsim's model.
+//!   genuinely lossy delivery rather than only netsim's model. It decides
+//!   fragment by fragment: a train leaves without the fragments it lost,
+//!   and one it held back follows the train alone.
 //! * **Transport** — `UdpTransport`, the [`PeerTransport`] every socket
 //!   peer drives its engine through: in-place framing, wall-clock protocol
 //!   timers, the asynchronous pacing gate and the control broadcasts.
@@ -53,6 +61,11 @@ use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::time::{Duration, Instant};
 
+mod sys;
+
+pub(crate) use sys::grow_socket_buffers;
+pub use sys::{accept_trains, recv_train, send_train, TrainPath};
+
 /// Magic tag opening every datagram of this runtime (stray traffic on a
 /// reused port is discarded instead of corrupting a run).
 pub const DATAGRAM_MAGIC: u16 = 0x5A7D;
@@ -66,10 +79,22 @@ pub const MAX_FRAGMENT_PAYLOAD: usize = 1200;
 /// magic(2) kind(1) from(2) msg_id(4) frag_index(2) frag_count(2) len(2).
 pub const FRAGMENT_HEADER_BYTES: usize = 15;
 
+/// Bytes from one fragment datagram to the next in a fragment train: every
+/// fragment of a segment but the last is exactly this long.
+pub const TRAIN_STRIDE: usize = FRAGMENT_HEADER_BYTES + MAX_FRAGMENT_PAYLOAD;
+
 /// Partial messages kept per receiver before the oldest is evicted. Stale
 /// partials accumulate only when fragments are lost on an unreliable
 /// channel; the reliable channel retransmits under a fresh message id.
 const MAX_PARTIAL_MESSAGES: usize = 256;
+
+/// Fragment slots the partial messages of one receiver may reserve between
+/// them before the oldest is evicted — ≈ 19 MiB of honest payload in flight
+/// to one peer (the largest message in the tree is 441 fragments). A
+/// fragment's `frag_count` is the sender's claim, and the slots are reserved
+/// on the first fragment: without this bound, 256 fifteen-byte datagrams
+/// that each claim 65 535 fragments pin ≈ 400 MiB.
+const MAX_RESERVED_SLOTS: usize = 16_384;
 
 const KIND_FRAGMENT: u8 = 0;
 const KIND_STOP: u8 = 1;
@@ -133,8 +158,8 @@ pub enum Datagram {
 
 /// Encode one fragment datagram (header + payload chunk) into `out`, which
 /// is cleared first. Shared by [`Datagram::encode`] and the transport's send
-/// path, which re-encodes into a pooled buffer — sharing the writer keeps
-/// the two byte-identical.
+/// path, which lays a segment's fragments end to end in a pooled buffer —
+/// sharing the writer keeps the two byte-identical.
 pub fn encode_fragment_into(
     out: &mut Vec<u8>,
     from: usize,
@@ -144,6 +169,19 @@ pub fn encode_fragment_into(
     payload: &[u8],
 ) {
     out.clear();
+    append_fragment(out, from, msg_id, frag_index, frag_count, payload);
+}
+
+/// [`encode_fragment_into`] without the clear: the fragment datagram goes
+/// behind whatever `out` holds.
+fn append_fragment(
+    out: &mut Vec<u8>,
+    from: usize,
+    msg_id: u32,
+    frag_index: u16,
+    frag_count: u16,
+    payload: &[u8],
+) {
     out.reserve(FRAGMENT_HEADER_BYTES + payload.len());
     out.extend_from_slice(&DATAGRAM_MAGIC.to_be_bytes());
     out.push(KIND_FRAGMENT);
@@ -337,14 +375,17 @@ pub fn frame_segment(from: usize, msg_id: u32, segment: &[u8]) -> Vec<Datagram> 
 }
 
 /// Reassembles framed segments from fragment datagrams, tolerating
-/// out-of-order and duplicate delivery. At most 256 partial messages are
-/// buffered; beyond that the oldest is evicted (stale partials correspond
-/// to fragments lost on an unreliable channel).
+/// out-of-order and duplicate delivery. At most 256 partial messages,
+/// reserving at most 16 384 fragment slots between them, are buffered;
+/// beyond either bound the oldest is evicted (stale partials correspond to
+/// fragments lost on an unreliable channel — or to a hostile sender).
 #[derive(Debug, Default)]
 pub struct Reassembler {
     partial: HashMap<(usize, u32), Partial>,
     /// Monotone admission counter used for oldest-first eviction.
     admitted: u64,
+    /// Fragment slots reserved across `partial`.
+    reserved: usize,
     /// Spare fragment buffers, kept warm across messages: in steady state a
     /// fragment's payload is copied into a recycled buffer instead of a
     /// fresh allocation (only the assembled segment handed to the engine is
@@ -368,6 +409,11 @@ impl Reassembler {
     /// Number of partially reassembled messages currently buffered.
     pub fn pending(&self) -> usize {
         self.partial.len()
+    }
+
+    /// Fragment slots those messages reserve between them (received or not).
+    pub fn reserved_slots(&self) -> usize {
+        self.reserved
     }
 
     /// Feed one fragment; returns the complete segment (with its sender)
@@ -398,7 +444,8 @@ impl Reassembler {
         frag_count: u16,
         payload: &[u8],
     ) -> Option<(usize, Bytes)> {
-        if frag_count == 0 || frag_index >= frag_count {
+        let slots = frag_count as usize;
+        if frag_count == 0 || frag_index >= frag_count || slots > MAX_RESERVED_SLOTS {
             return None;
         }
         // Single-fragment fast path: nothing to buffer; the copy is the
@@ -407,39 +454,45 @@ impl Reassembler {
             return Some((from, Bytes::from(payload.to_vec())));
         }
         let key = (from, msg_id);
-        if !self.partial.contains_key(&key) && self.partial.len() >= MAX_PARTIAL_MESSAGES {
-            if let Some(oldest) = self
-                .partial
-                .iter()
-                .min_by_key(|(_, p)| p.admitted_at)
-                .map(|(k, _)| *k)
+        let admitted = match self.partial.get(&key) {
+            Some(existing) if existing.fragments.len() == slots => true,
+            // A message id reused with a different shape restarts the
+            // message.
+            Some(_) => {
+                self.evict(key);
+                false
+            }
+            None => false,
+        };
+        if !admitted {
+            // Make room, oldest first. Terminates: with nothing buffered
+            // nothing is reserved, and `slots` alone fits the budget.
+            while self.partial.len() >= MAX_PARTIAL_MESSAGES
+                || self.reserved + slots > MAX_RESERVED_SLOTS
             {
-                if let Some(evicted) = self.partial.remove(&oldest) {
-                    self.recycle_fragments(evicted.fragments);
-                }
+                let oldest = self
+                    .partial
+                    .iter()
+                    .min_by_key(|(_, p)| p.admitted_at)
+                    .map(|(k, _)| *k)
+                    .expect("over a bound with nothing buffered");
+                self.evict(oldest);
             }
+            self.admitted += 1;
+            self.reserved += slots;
+            self.partial.insert(
+                key,
+                Partial {
+                    fragments: vec![None; slots],
+                    received: 0,
+                    admitted_at: self.admitted,
+                },
+            );
         }
-        self.admitted += 1;
-        let admitted = self.admitted;
-        // A message id reused with a different shape restarts the message.
-        if let Some(existing) = self.partial.get_mut(&key) {
-            if existing.fragments.len() != frag_count as usize {
-                let stale =
-                    std::mem::replace(&mut existing.fragments, vec![None; frag_count as usize]);
-                existing.received = 0;
-                existing.admitted_at = admitted;
-                self.recycle_fragments(stale);
-            }
-        }
-        // Fill the pooled buffer before borrowing the entry.
         let mut buf = self.pool.pop().unwrap_or_default();
         buf.clear();
         buf.extend_from_slice(payload);
-        let entry = self.partial.entry(key).or_insert_with(|| Partial {
-            fragments: vec![None; frag_count as usize],
-            received: 0,
-            admitted_at: admitted,
-        });
+        let entry = self.partial.get_mut(&key).expect("admitted above");
         let slot = &mut entry.fragments[frag_index as usize];
         if slot.is_none() {
             *slot = Some(buf);
@@ -452,6 +505,7 @@ impl Reassembler {
             return None;
         }
         let complete = self.partial.remove(&key).expect("checked above");
+        self.reserved -= complete.fragments.len();
         let total: usize = complete
             .fragments
             .iter()
@@ -466,10 +520,12 @@ impl Reassembler {
         Some((from, Bytes::from(segment)))
     }
 
-    /// Return a finished or abandoned message's fragment buffers to the pool.
-    fn recycle_fragments(&mut self, fragments: Vec<Option<Vec<u8>>>) {
-        for fragment in fragments.into_iter().flatten() {
-            self.pool.push(fragment);
+    /// Abandon the partial message under `key`: its slots are released and
+    /// its fragment buffers go back to the pool.
+    fn evict(&mut self, key: (usize, u32)) {
+        if let Some(evicted) = self.partial.remove(&key) {
+            self.reserved -= evicted.fragments.len();
+            self.pool.extend(evicted.fragments.into_iter().flatten());
         }
     }
 }
@@ -486,6 +542,8 @@ pub struct LossShim {
     loss: f64,
     reorder: f64,
     held: Option<(Vec<u8>, SocketAddr)>,
+    /// What the draws left of the train being sent (reused across trains).
+    survivors: Vec<u8>,
     /// Datagrams dropped so far (observability for tests and benches).
     pub dropped: u64,
     /// Datagram pairs swapped so far.
@@ -500,6 +558,7 @@ impl LossShim {
             loss,
             reorder,
             held: None,
+            survivors: Vec::new(),
             dropped: 0,
             reordered: 0,
         }
@@ -509,19 +568,47 @@ impl LossShim {
         p > 0.0 && (self.rng.next_u64() as f64 / u64::MAX as f64) < p
     }
 
-    /// Send `buf` to `addr` through the shim.
+    /// Send `buf` to `addr` through the shim: a train of one.
     pub fn send_to(&mut self, socket: &UdpSocket, buf: &[u8], addr: SocketAddr) {
-        if self.chance(self.loss) {
-            self.dropped += 1;
+        self.send_train(socket, buf, buf.len().max(1), addr);
+    }
+
+    /// Send the datagrams of `train` (see [`send_train`]) to `addr` through
+    /// the shim. Each datagram gets its own draws, in order — loss first,
+    /// then reorder unless one is already held — so a seed's `dropped` and
+    /// `reordered` do not depend on how datagrams are grouped into trains.
+    /// The survivors leave as one train; a held datagram that one of them
+    /// releases follows the train alone.
+    pub fn send_train(
+        &mut self,
+        socket: &UdpSocket,
+        train: &[u8],
+        stride: usize,
+        addr: SocketAddr,
+    ) {
+        if self.loss <= 0.0 && self.reorder <= 0.0 {
+            let _ = send_train(socket, train, stride, addr);
             return;
         }
-        if self.held.is_none() && self.chance(self.reorder) {
-            self.held = Some((buf.to_vec(), addr));
-            return;
+        self.survivors.clear();
+        let mut released = Vec::new();
+        for datagram in train.chunks(stride) {
+            if self.chance(self.loss) {
+                self.dropped += 1;
+            } else if self.held.is_none() && self.chance(self.reorder) {
+                self.held = Some((datagram.to_vec(), addr));
+            } else {
+                self.survivors.extend_from_slice(datagram);
+                if let Some(held) = self.held.take() {
+                    self.reordered += 1;
+                    released.push(held);
+                }
+            }
         }
-        let _ = socket.send_to(buf, addr);
-        if let Some((held_buf, held_addr)) = self.held.take() {
-            self.reordered += 1;
+        if !self.survivors.is_empty() {
+            let _ = send_train(socket, &self.survivors, stride, addr);
+        }
+        for (held_buf, held_addr) in released {
             let _ = socket.send_to(&held_buf, held_addr);
         }
     }
@@ -577,7 +664,7 @@ impl UdpDriver {
 }
 
 /// The [`PeerTransport`] of the socket backends.
-pub(crate) struct UdpTransport {
+pub struct UdpTransport {
     pub(crate) rank: usize,
     pub(crate) start: Instant,
     pub(crate) socket: UdpSocket,
@@ -593,13 +680,39 @@ pub(crate) struct UdpTransport {
     /// Earliest wall-clock ns the next update may be sent to each
     /// asynchronous neighbour (see [`PeerTransport::pacing_gate`]).
     pub(crate) next_send_ok: HashMap<usize, u64>,
-    /// Reused encode buffer for outgoing fragments: each fragment's header
-    /// and payload chunk are written into it in place, so the steady-state
-    /// send path performs no heap allocation.
+    /// Reused buffer for the outgoing fragment train: a segment's fragments
+    /// are written into it end to end, header and payload chunk in place,
+    /// so the steady-state send path performs no heap allocation.
     pub(crate) send_frame: Vec<u8>,
 }
 
 impl UdpTransport {
+    /// The transport of `rank` over `socket`, on a clock that started at
+    /// `start`; `addrs` is the rank → address book (port 0 marks a rank
+    /// that has not announced yet).
+    pub fn new(
+        rank: usize,
+        start: Instant,
+        socket: UdpSocket,
+        addrs: Vec<SocketAddr>,
+        shim: LossShim,
+        topology: Topology,
+    ) -> Self {
+        Self {
+            rank,
+            start,
+            socket,
+            addrs,
+            shim,
+            next_msg_id: 0,
+            timers: TimerQueue::new(),
+            compute_pending: false,
+            topology,
+            next_send_ok: HashMap::new(),
+            send_frame: Vec::new(),
+        }
+    }
+
     pub(crate) fn pop_due_timer(&mut self) -> Option<TimerKey> {
         let now = self.start.elapsed().as_nanos() as u64;
         self.timers.pop_due(now)
@@ -632,6 +745,14 @@ impl PeerTransport for UdpTransport {
         self.start.elapsed().as_nanos() as u64
     }
 
+    /// Frame `segment` and send it to rank `to` as one fragment train: the
+    /// same datagrams as [`frame_segment`] + [`Datagram::encode`] (the tests
+    /// pin it), laid end to end in the reused send buffer and handed to the
+    /// kernel together (see [`send_train`]; a single-fragment segment is a
+    /// train of one, a plain `send_to`). The loss shim still decides per
+    /// fragment, and send errors are ignored as they always were: a train
+    /// the kernel did not take is a lost segment, which the reliable channel
+    /// retransmits and the unreliable one tolerates.
     fn transmit(&mut self, to: usize, segment: Bytes) {
         // A pre-provisioned join rank that has not announced yet shows as
         // port 0: nothing to send to (the reliable channel retransmits once
@@ -641,18 +762,16 @@ impl PeerTransport for UdpTransport {
         }
         let msg_id = self.next_msg_id;
         self.next_msg_id = self.next_msg_id.wrapping_add(1);
-        // Frame the segment in place: every fragment is encoded into the
-        // reused send buffer (same bytes as `frame_segment` + `encode`,
-        // which the tests pin) and handed straight to the kernel.
         let frag_count = if segment.is_empty() {
             1
         } else {
             segment.len().div_ceil(MAX_FRAGMENT_PAYLOAD)
         } as u16;
+        self.send_frame.clear();
         for frag_index in 0..frag_count {
             let at = frag_index as usize * MAX_FRAGMENT_PAYLOAD;
             let chunk = &segment[at..(at + MAX_FRAGMENT_PAYLOAD).min(segment.len())];
-            encode_fragment_into(
+            append_fragment(
                 &mut self.send_frame,
                 self.rank,
                 msg_id,
@@ -660,9 +779,9 @@ impl PeerTransport for UdpTransport {
                 frag_count,
                 chunk,
             );
-            self.shim
-                .send_to(&self.socket, &self.send_frame, self.addrs[to]);
         }
+        self.shim
+            .send_train(&self.socket, &self.send_frame, TRAIN_STRIDE, self.addrs[to]);
     }
 
     fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
@@ -988,6 +1107,240 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..count).collect::<Vec<_>>(), "nothing lost");
         assert_ne!(seen, sorted, "delivery order was perturbed");
+    }
+
+    /// The segment sizes the train tests walk: empty, one byte, exactly one
+    /// fragment, one byte over, `obstacle-lockstep`'s ghost plane (nine
+    /// fragments) and one byte more than the 53 fragments one train holds.
+    const TRAIN_SEGMENT_BYTES: [usize; 6] = [
+        0,
+        1,
+        MAX_FRAGMENT_PAYLOAD,
+        MAX_FRAGMENT_PAYLOAD + 1,
+        10_414,
+        53 * MAX_FRAGMENT_PAYLOAD + 1,
+    ];
+
+    fn test_segment(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    fn test_socket() -> UdpSocket {
+        let socket = UdpSocket::bind(localhost_addr(0)).expect("bind test socket");
+        socket
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set test socket timeout");
+        socket
+    }
+
+    /// Rank 0's transport in a two-rank run whose rank 1 is `peer`.
+    fn transport_to(peer: &UdpSocket, shim: LossShim) -> UdpTransport {
+        UdpTransport::new(
+            0,
+            Instant::now(),
+            test_socket(),
+            vec![localhost_addr(0), peer.local_addr().unwrap()],
+            shim,
+            RunConfig::quick(Scheme::Synchronous, 2).topology,
+        )
+    }
+
+    /// Say in the test log which way this kernel moves a two-datagram
+    /// train. The train tests hold on either path — they assert that a train
+    /// is the datagrams it replaces, never that the fast path ran — so a
+    /// silent fallback shows here and nowhere else.
+    fn report_train_paths(test: &str) {
+        let (tx, rx) = (test_socket(), test_socket());
+        let accepted = accept_trains(&rx);
+        let sent = send_train(&tx, &[0u8; 4], 2, rx.local_addr().unwrap()).expect("probe train");
+        let mut buf = [0u8; 16];
+        let read = recv_train(&rx, &mut buf)
+            .expect("probe train arrives")
+            .len();
+        eprintln!(
+            "{test}: send path {sent:?}; UDP_GRO accepted: {accepted}; \
+             first read of a 2-datagram train held {read} datagram(s)"
+        );
+    }
+
+    /// What is left to read on `socket`, which must be nothing.
+    fn assert_drained(socket: &UdpSocket) {
+        socket.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 16];
+        assert!(socket.recv_from(&mut buf).is_err(), "a stray datagram");
+    }
+
+    /// A receiver that never heard of trains reads, datagram for datagram,
+    /// the bytes `frame_segment` + `Datagram::encode` produce.
+    #[test]
+    fn train_to_a_plain_socket_is_the_framed_datagrams() {
+        report_train_paths("train_to_a_plain_socket_is_the_framed_datagrams");
+        let sink = test_socket();
+        let mut transport = transport_to(&sink, LossShim::new(0, 0.0, 0.0));
+        let mut buf = vec![0u8; 65536];
+        for (msg_id, bytes) in TRAIN_SEGMENT_BYTES.into_iter().enumerate() {
+            let segment = test_segment(bytes);
+            transport.transmit(1, Bytes::from(segment.clone()));
+            for expected in frame_segment(0, msg_id as u32, &segment) {
+                let (len, _) = sink.recv_from(&mut buf).expect("every fragment arrives");
+                assert_eq!(
+                    &buf[..len],
+                    &expected.encode()[..],
+                    "{bytes}-byte segment, {expected:?}"
+                );
+            }
+        }
+        assert_drained(&sink);
+    }
+
+    /// The same segments into a socket that accepts trains, through
+    /// `recv_train` and the reassembler: the original bytes, in reads of at
+    /// most the 53 fragments one train holds.
+    #[test]
+    fn train_into_a_gro_socket_reassembles_to_the_segment() {
+        report_train_paths("train_into_a_gro_socket_reassembles_to_the_segment");
+        let rx = test_socket();
+        accept_trains(&rx);
+        let mut transport = transport_to(&rx, LossShim::new(0, 0.0, 0.0));
+        let mut buf = vec![0u8; 65536];
+        for bytes in TRAIN_SEGMENT_BYTES {
+            let segment = test_segment(bytes);
+            transport.transmit(1, Bytes::from(segment.clone()));
+            let mut reassembler = Reassembler::new();
+            let mut reads = Vec::new();
+            let (from, reassembled) = loop {
+                let train = recv_train(&rx, &mut buf).expect("the segment arrives");
+                assert!(train.len() <= 53, "a read of {} datagrams", train.len());
+                reads.push(train.len());
+                let mut complete = None;
+                for datagram in train {
+                    let (from, msg_id, frag_index, frag_count, payload) =
+                        Datagram::fragment_fields(datagram).expect("a fragment");
+                    let done = reassembler.push_ref(from, msg_id, frag_index, frag_count, payload);
+                    complete = complete.or(done);
+                }
+                if let Some(complete) = complete {
+                    break complete;
+                }
+            };
+            eprintln!("{bytes}-byte segment: reads of {reads:?} datagram(s)");
+            assert_eq!(from, 0);
+            assert_eq!(reassembled.as_ref(), &segment[..], "{bytes}-byte segment");
+        }
+        assert_drained(&rx);
+    }
+
+    /// The shim as it was before trains — one datagram, one decision, one
+    /// `send_to` — recording what it would have put on the wire.
+    struct PerDatagramShim {
+        rng: ChaCha8Rng,
+        loss: f64,
+        reorder: f64,
+        held: Option<Vec<u8>>,
+        dropped: u64,
+        reordered: u64,
+        delivered: Vec<Vec<u8>>,
+    }
+
+    impl PerDatagramShim {
+        fn chance(&mut self, p: f64) -> bool {
+            p > 0.0 && (self.rng.next_u64() as f64 / u64::MAX as f64) < p
+        }
+
+        fn send(&mut self, datagram: &[u8]) {
+            if self.chance(self.loss) {
+                self.dropped += 1;
+            } else if self.held.is_none() && self.chance(self.reorder) {
+                self.held = Some(datagram.to_vec());
+            } else {
+                self.delivered.push(datagram.to_vec());
+                if let Some(held) = self.held.take() {
+                    self.reordered += 1;
+                    self.delivered.push(held);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Grouping datagrams into trains moves neither the shim's draws nor
+        /// what it delivers: for any `(seed, loss, reorder)`, sending trains
+        /// reports the `dropped` / `reordered` of the per-datagram shim fed
+        /// the same datagrams, and the same multiset of datagrams arrives.
+        #[test]
+        fn train_grouping_moves_neither_the_shim_draws_nor_the_deliveries(
+            seed in proptest::prelude::any::<u64>(),
+            loss in 0.0f64..0.6,
+            reorder in 0.0f64..0.6,
+            datagrams in 1usize..24,
+        ) {
+            let stride = 8;
+            // Two trains, the last datagram of each shorter than the rest: a
+            // datagram held at the end of the first is released by the second.
+            let trains: Vec<Vec<u8>> = (0..2u8)
+                .map(|t| (0..datagrams * stride - 3).map(|i| t ^ i as u8).collect())
+                .collect();
+            let (tx, rx) = (test_socket(), test_socket());
+            let addr = rx.local_addr().unwrap();
+            let mut shim = LossShim::new(seed, loss, reorder);
+            let mut oracle = PerDatagramShim {
+                rng: ChaCha8Rng::seed_from_u64(seed),
+                loss,
+                reorder,
+                held: None,
+                dropped: 0,
+                reordered: 0,
+                delivered: Vec::new(),
+            };
+            for train in &trains {
+                shim.send_train(&tx, train, stride, addr);
+                train.chunks(stride).for_each(|datagram| oracle.send(datagram));
+            }
+            proptest::prop_assert_eq!(
+                (shim.dropped, shim.reordered),
+                (oracle.dropped, oracle.reordered)
+            );
+            shim.flush(&tx);
+            oracle.delivered.extend(oracle.held.take());
+            let mut buf = [0u8; 16];
+            let mut arrived: Vec<Vec<u8>> = oracle
+                .delivered
+                .iter()
+                .map(|_| {
+                    let (len, _) = rx.recv_from(&mut buf).expect("a delivered datagram arrives");
+                    buf[..len].to_vec()
+                })
+                .collect();
+            assert_drained(&rx);
+            arrived.sort_unstable();
+            oracle.delivered.sort_unstable();
+            proptest::prop_assert_eq!(arrived, oracle.delivered);
+        }
+    }
+
+    /// Fifteen-byte fragments that claim huge messages reserve slots only up
+    /// to the budget — the oldest claims go — and an honest message as large
+    /// as any in the tree (`reactor_cluster`'s 441-fragment plane) still
+    /// reassembles next to them.
+    #[test]
+    fn hostile_fragment_counts_reserve_no_more_than_the_slot_budget() {
+        let mut reassembler = Reassembler::new();
+        for msg_id in 0..256 {
+            assert!(reassembler.push_ref(9, msg_id, 0, u16::MAX, &[]).is_none());
+            assert!(reassembler.push_ref(9, msg_id, 0, 4096, &[]).is_none());
+            assert!(reassembler.reserved_slots() <= MAX_RESERVED_SLOTS);
+        }
+        assert_eq!(reassembler.pending(), MAX_RESERVED_SLOTS / 4096);
+        let segment = test_segment(440 * MAX_FRAGMENT_PAYLOAD + 77);
+        let mut complete = None;
+        for datagram in frame_segment(1, 0, &segment) {
+            let done = reassembler.push(datagram);
+            assert!(reassembler.reserved_slots() <= MAX_RESERVED_SLOTS);
+            complete = complete.or(done);
+        }
+        let (from, reassembled) = complete.expect("the honest message reassembles");
+        assert_eq!(from, 1);
+        assert_eq!(reassembled.as_ref(), &segment[..]);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!    must allocate nothing — and every workload's `incorporate` of a
 //!    neighbour's update, which stores the plane straight from the payload
 //!    bytes — must allocate nothing either;
-//! 2. UDP fragment framing of a large segment into a reused send buffer
-//!    (what `UdpTransport::transmit` does per datagram) — must allocate
-//!    nothing;
+//! 2. UDP fragment framing of a large segment into a reused send buffer,
+//!    and a whole `UdpTransport::transmit` of `obstacle-lockstep`'s
+//!    10 414-byte segment over a real socket — the fragment train is laid
+//!    out in the transport's reused buffer and its control message and
+//!    `iovec` live on the stack — must allocate nothing;
 //! 3. the engine's frame → `Bytes` → send → reclaim cycle — costs exactly
 //!    the one shared-handle allocation the wire hand-off inherently needs
 //!    (the buffer itself is reclaimed into the pool every round);
@@ -26,9 +28,14 @@
 
 use p2pdc::allocs::{self, CountingAllocator};
 use p2pdc::app::{FrameSink, IterativeTask};
-use p2pdc::runtime::udp::{encode_fragment_into, MAX_FRAGMENT_PAYLOAD};
-use p2pdc::{HeatTask, ObstacleTask, PageRankGraph, PageRankTask, UpdateMsg};
+use p2pdc::runtime::udp::{encode_fragment_into, UdpTransport, MAX_FRAGMENT_PAYLOAD};
+use p2pdc::{
+    HeatTask, LossShim, ObstacleTask, PageRankGraph, PageRankTask, PeerTransport, RunConfig,
+    Scheme, UpdateMsg,
+};
+use std::net::UdpSocket;
 use std::sync::Arc;
+use std::time::Instant;
 
 #[global_allocator]
 static COUNTING: CountingAllocator = CountingAllocator;
@@ -152,6 +159,30 @@ fn steady_state_ghost_exchange_does_not_allocate() {
     frame_rounds(2);
     let delta = min_delta(|| frame_rounds(32));
     assert_eq!(delta.allocations, 0, "udp framing allocated: {delta:?}");
+
+    // The whole send path of a socket peer, kernel included: a warm
+    // `transmit` of a nine-fragment segment. The receiver is never read —
+    // what its buffer cannot hold the kernel drops, which costs the sender
+    // nothing.
+    let sink = UdpSocket::bind("127.0.0.1:0").expect("bind sink");
+    let mut transport = UdpTransport::new(
+        0,
+        Instant::now(),
+        UdpSocket::bind("127.0.0.1:0").expect("bind sender"),
+        vec![sink.local_addr().unwrap(); 2],
+        LossShim::new(0, 0.0, 0.0),
+        RunConfig::quick(Scheme::Synchronous, 2).topology,
+    );
+    let segment = bytes::Bytes::from(vec![0x5Au8; 10_414]);
+    for _ in 0..3 {
+        transport.transmit(1, segment.clone());
+    }
+    let delta = min_delta(|| {
+        for _ in 0..32 {
+            transport.transmit(1, segment.clone());
+        }
+    });
+    assert_eq!(delta.allocations, 0, "udp transmit allocated: {delta:?}");
 
     // 3. Frame → Bytes → (send) → reclaim: exactly one shared-handle
     // allocation per frame; the buffer itself cycles through the pool.
