@@ -1,14 +1,18 @@
-//! Micro-benchmark: per-message overhead of the Cactus protocol stack
-//! (zero-copy send path), compared with a payload-copying baseline. This
-//! quantifies the benefit of the paper's "pointer passing between layers"
-//! modification.
+//! Micro-benchmark: per-message overhead of the P2PSAP session layer
+//! (zero-copy send path) compared with a payload-copying baseline — the
+//! benefit of the paper's "pointer passing between layers" modification —
+//! and of the session's straight-line data path compared with the Cactus
+//! micro-protocol reference it is checked against.
 
 use bytes::Bytes;
+use cactus::{Message, ProtocolStack, StackOutput};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsim::ConnectionType;
 use p2pdc::app::FrameSink;
 use p2pdc::runtime::udp::{accept_trains, recv_train, send_train, TRAIN_STRIDE};
 use p2pdc::{HeatTask, IterativeTask, ObstacleTask, PageRankGraph, PageRankTask};
+use p2psap::data::wire::{ATTR_SENT_AT, ATTR_SEQ};
+use p2psap::data::{build_physical, build_transport, WireSegment, ATTR_NOW};
 use p2psap::{ChannelConfig, Scheme, Session, Socket};
 use std::net::UdpSocket;
 use std::sync::Arc;
@@ -109,26 +113,97 @@ fn bench_checksum(c: &mut Criterion) {
     }
 }
 
-/// One ghost plane through the reliable synchronous mode, in memory:
-/// `send → on_data → receive`, then the acknowledgement's way back — what a
-/// synchronous sweep pays the session layer per neighbour.
+/// One message through the session layer, in memory: `send → on_data →
+/// receive`, then the acknowledgement's way back where the mode asks for one
+/// — what a sweep pays the session layer per neighbour. 10 388 bytes is
+/// `obstacle-lockstep`'s ghost plane in the reliable synchronous mode, 52
+/// bytes `pagerank-swarm`'s message in the unreliable asynchronous mode.
 fn bench_roundtrip(c: &mut Criterion) {
-    let payload = Bytes::from(vec![7u8; 10_388]);
-    let open = || Socket::open(Scheme::Synchronous, ConnectionType::IntraCluster);
-    let (mut sender, mut receiver) = (open(), open());
-    let mut now = 0u64;
-    c.bench_function("session_roundtrip_reliable/10388", |b| {
-        b.iter(|| {
-            now += 10_000;
-            let (_, out) = sender.send(payload.clone(), now);
-            for segment in out.data {
-                for ack in receiver.on_data(segment, now).data {
-                    std::hint::black_box(sender.on_data(ack, now));
+    for (name, size, scheme, connection) in [
+        (
+            "session_roundtrip_reliable",
+            10_388,
+            Scheme::Synchronous,
+            ConnectionType::IntraCluster,
+        ),
+        (
+            "session_roundtrip_unreliable",
+            52,
+            Scheme::Asynchronous,
+            ConnectionType::InterCluster,
+        ),
+    ] {
+        let payload = Bytes::from(vec![7u8; size]);
+        let open = || Socket::open(scheme, connection);
+        let (mut sender, mut receiver) = (open(), open());
+        let mut now = 0u64;
+        c.bench_function(&format!("{name}/{size}"), |b| {
+            b.iter(|| {
+                now += 10_000;
+                let (_, out) = sender.send(payload.clone(), now);
+                for segment in out.data {
+                    for ack in receiver.on_data(segment, now).data {
+                        std::hint::black_box(sender.on_data(ack, now));
+                    }
                 }
-            }
-            std::hint::black_box(receiver.receive())
+                std::hint::black_box(receiver.receive())
+            });
         });
-    });
+    }
+}
+
+/// The same two round trips over the Cactus reference — the physical and
+/// transport composites `build_physical` + `build_transport` give for the
+/// same configuration, driven event by event as `Session` drove them while
+/// they were its data path. The distance to the `session_roundtrip_*` rows
+/// is what resolving the composition once saves per message.
+fn bench_reference_roundtrip(c: &mut Criterion) {
+    let stack = |config: ChannelConfig| {
+        let mut stack = ProtocolStack::new();
+        stack.push_layer(build_physical(config.physical));
+        stack.push_layer(build_transport(config));
+        stack
+    };
+    let to_wire = |out: &StackOutput| -> Vec<Bytes> {
+        out.to_net
+            .iter()
+            .map(|msg| WireSegment::from_message(msg).encode())
+            .collect()
+    };
+    let from_wire = |stack: &mut ProtocolStack, bytes: Bytes, now: u64| {
+        let mut msg = WireSegment::decode(bytes)
+            .expect("well-formed")
+            .into_message();
+        msg.set_u64(ATTR_NOW, now);
+        stack.from_net(msg)
+    };
+    for (size, config) in [
+        (10_388, ChannelConfig::synchronous_reliable()),
+        (52, ChannelConfig::asynchronous_unreliable()),
+    ] {
+        let payload = Bytes::from(vec![7u8; size]);
+        let (mut sender, mut receiver) = (stack(config), stack(config));
+        let (mut now, mut seq) = (0u64, 0u64);
+        c.bench_function(&format!("reference_roundtrip/{size}"), |b| {
+            b.iter(|| {
+                now += 10_000;
+                let mut msg = Message::new(payload.clone());
+                msg.set_u64(ATTR_SEQ, seq);
+                msg.set_u64(ATTR_NOW, now);
+                msg.set_u64(ATTR_SENT_AT, now);
+                seq += 1;
+                let mut delivered = None;
+                for segment in to_wire(&sender.from_user(msg)) {
+                    let mut out = from_wire(&mut receiver, segment, now);
+                    for ack in to_wire(&out) {
+                        std::hint::black_box(from_wire(&mut sender, ack, now));
+                    }
+                    delivered = out.delivered.pop().map(|msg| msg.payload().clone());
+                }
+                std::hint::black_box(delivered)
+            });
+        });
+    }
 }
 
 /// What the kernel charges to move the n fragment datagrams of one segment
@@ -185,6 +260,7 @@ criterion_group!(
     bench_encode,
     bench_checksum,
     bench_roundtrip,
+    bench_reference_roundtrip,
     bench_socket_train
 );
 criterion_main!(benches);

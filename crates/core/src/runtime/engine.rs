@@ -718,8 +718,9 @@ pub struct PeerEngine {
     max_ghost_change: f64,
     /// Convergence tolerance (used to compute the stability flag).
     tolerance: f64,
-    /// Queued updates from synchronous neighbours (FIFO, one per iteration).
-    pending_sync: HashMap<usize, VecDeque<Vec<u8>>>,
+    /// Queued updates from synchronous neighbours (FIFO, one per iteration):
+    /// each the delivered slice of its received segment, not a copy.
+    pending_sync: HashMap<usize, VecDeque<Bytes>>,
     /// Whether a relaxation is currently "executing" (compute pending).
     computing: bool,
     finished: bool,
@@ -1190,10 +1191,10 @@ impl PeerEngine {
             let socket = self.sockets.get_mut(&dst).expect("socket per neighbour");
             let (_, out) = socket.send(payload.clone(), now);
             self.run_socket_output(transport, dst, out);
-            // In the asynchronous-unreliable mode the session copies the
-            // payload into its wire segment and retains nothing, so the
-            // buffer comes straight back; reliable channels hold a clone for
-            // retransmission and the pool refills by allocation instead.
+            // An unreliable channel copies the payload into its wire segment
+            // and retains nothing, so the buffer comes straight back; a
+            // reliable channel holds it for retransmission until the
+            // acknowledgement, and the pool refills by allocation instead.
             if let Ok(buf) = payload.try_reclaim() {
                 sink.recycle(buf);
             }
@@ -1576,7 +1577,7 @@ impl PeerEngine {
             self.pending_sync
                 .get_mut(&from)
                 .expect("checked")
-                .push_back(payload.to_vec());
+                .push_back(payload);
         } else {
             // Asynchronous neighbour: freshest value wins immediately.
             let change = self.task.incorporate(from, &payload);

@@ -12,12 +12,16 @@
 //!    10 414-byte segment over a real socket — the fragment train is laid
 //!    out in the transport's reused buffer and its control message and
 //!    `iovec` live on the stack — must allocate nothing;
-//! 3. the engine's frame → `Bytes` → send → reclaim cycle — costs exactly
-//!    the one shared-handle allocation the wire hand-off inherently needs
-//!    (the buffer itself is reclaimed into the pool every round);
-//! 4. a P2PSAP `P2P_Send` with a warm session wire-buffer pool — costs
-//!    exactly the protocol stack's fixed per-message bookkeeping, with the
-//!    segment's wire buffer reused through `Socket::recycle_wire`.
+//! 3. the engine's frame → `Bytes` → send → reclaim cycle through an
+//!    asynchronous-unreliable `Socket`, which keeps nothing of what it sends
+//!    — costs the one shared-handle allocation the wire hand-off inherently
+//!    needs on top of the send itself (the buffer is reclaimed into the pool
+//!    every round);
+//! 4. a P2PSAP `P2P_Send` with a warm session wire-buffer pool — costs the
+//!    segment's shared handle and the output vectors that carry it, with the
+//!    wire buffer reused through `Socket::recycle_wire` — and a whole
+//!    reliable round trip of one ghost plane (`send → on_data → receive →
+//!    ack → on_data`), pinned at its own figure.
 //!
 //! The counters are process-global, so all assertions live in one `#[test]`
 //! — parallel test threads would pollute each other's deltas. The libtest
@@ -40,12 +44,20 @@ use std::time::Instant;
 #[global_allocator]
 static COUNTING: CountingAllocator = CountingAllocator;
 
-/// Fixed allocations of one pooled-session `P2P_Send` (measured): the cactus
-/// message/attribute bookkeeping and output vectors, plus the one shared
-/// wire handle — with the segment buffer itself reused from the pool, so the
-/// count is independent of the ghost-plane size. The integer division in the
-/// assertion absorbs sub-window amortized map growth.
-const SESSION_SEND_ALLOCS: u64 = 26;
+/// Fixed allocations of one pooled-session `P2P_Send` on an unreliable
+/// asynchronous channel (measured): the segment's shared wire handle, the
+/// vector that carries it and the one that carries the completion — with the
+/// segment buffer itself reused from the pool, so the count is independent
+/// of the ghost-plane size.
+const SESSION_SEND_ALLOCS: u64 = 3;
+
+/// Allocations of one 10 388-byte ghost plane through the reliable
+/// synchronous mode and its acknowledgement back (measured). Send: the
+/// plane's wire buffer (it leaves with the delivered payload, so the pool
+/// does not get it back), its shared handle, the wire and timer vectors.
+/// Receive: the delivery vector, and the acknowledgement's buffer, handle
+/// and wire vector. Acknowledgement: the completion and cancel vectors.
+const RELIABLE_ROUNDTRIP_ALLOCS: u64 = 10;
 
 /// Minimum counter delta of `window()` over five identical runs, immunising
 /// the measurement against allocations the harness's other threads happen to
@@ -184,19 +196,33 @@ fn steady_state_ghost_exchange_does_not_allocate() {
     });
     assert_eq!(delta.allocations, 0, "udp transmit allocated: {delta:?}");
 
-    // 3. Frame → Bytes → (send) → reclaim: exactly one shared-handle
-    // allocation per frame; the buffer itself cycles through the pool.
+    // 3. Frame → Bytes → send → reclaim through an asynchronous-unreliable
+    // socket, as `PeerEngine::on_compute_done` does: the channel keeps no
+    // clone of the payload, so the frame buffer cycles through the pool and
+    // the cycle costs one shared-handle allocation on top of the send.
+    let open_unreliable = || {
+        p2psap::Socket::open(
+            p2psap::Scheme::Asynchronous,
+            netsim::ConnectionType::InterCluster,
+        )
+    };
+    let mut sock = open_unreliable();
     let mut sink = FrameSink::new();
     let mut generation = 0;
+    let mut now = 0u64;
     let mut cycle = |sink: &mut FrameSink| {
         sink.begin(generation);
         generation += 1;
+        now += 1_000;
         sink.frame(1).extend_from_slice(&[0u8; 512]);
         let (_, buf) = sink.take(0);
         let payload = bytes::Bytes::from(buf);
-        let on_the_wire = payload.clone(); // what socket.send copies from
-        drop(on_the_wire);
-        let buf = payload.try_reclaim().expect("wire released its reference");
+        let (_, out) = sock.send(payload.clone(), now);
+        for segment in out.data {
+            let buf = segment.try_reclaim().expect("the wire holds no reference");
+            sock.recycle_wire(buf);
+        }
+        let buf = payload.try_reclaim().expect("the session holds no clone");
         sink.recycle(buf);
     };
     for _ in 0..3 {
@@ -208,20 +234,18 @@ fn steady_state_ghost_exchange_does_not_allocate() {
         }
     });
     assert_eq!(
-        delta.allocations, 64,
-        "expected exactly one shared-handle allocation per cycle: {delta:?}"
+        delta.allocations,
+        64 * (1 + SESSION_SEND_ALLOCS),
+        "expected one shared-handle allocation per cycle on top of the send: {delta:?}"
     );
 
     // 4. The P2PSAP session send path with a warm wire-buffer pool: each
     // `P2P_Send` encodes its segment into a pooled buffer drawn back through
     // `Socket::recycle_wire` once the wire copy releases it, exactly as the
     // engine's `run_socket_output` does on the UDP and reactor backends. The
-    // remaining steady-state cost is the protocol stack's fixed per-message
-    // bookkeeping — not a fresh wire buffer per segment.
-    let mut sock = p2psap::Socket::open(
-        p2psap::Scheme::Asynchronous,
-        netsim::ConnectionType::InterCluster,
-    );
+    // remaining steady-state cost is the handle and the output vectors — not
+    // a fresh wire buffer per segment, and no per-message bookkeeping.
+    let mut sock = open_unreliable();
     let ghost = bytes::Bytes::from(vec![0xC3u8; 2048]);
     let mut now = 0u64;
     let mut send_cycle = |sock: &mut p2psap::Socket| {
@@ -243,8 +267,46 @@ fn steady_state_ghost_exchange_does_not_allocate() {
         }
     });
     assert_eq!(
-        delta.allocations / 64,
-        SESSION_SEND_ALLOCS,
+        delta.allocations,
+        64 * SESSION_SEND_ALLOCS,
         "session send path cost changed: {delta:?}"
+    );
+
+    // One ghost plane of `obstacle-lockstep` through the reliable
+    // synchronous mode, in memory: send → on_data → receive, and the
+    // acknowledgement's way back, which releases the retransmission copy.
+    let open_reliable = || {
+        p2psap::Socket::open(
+            p2psap::Scheme::Synchronous,
+            netsim::ConnectionType::IntraCluster,
+        )
+    };
+    let (mut sender, mut receiver) = (open_reliable(), open_reliable());
+    let plane = bytes::Bytes::from(vec![0x3Cu8; 10_388]);
+    let mut now = 0u64;
+    let mut round_trip = || {
+        now += 10_000;
+        let (seq, out) = sender.send(plane.clone(), now);
+        let mut completed = None;
+        for segment in out.data {
+            for ack in receiver.on_data(segment, now).data {
+                completed = sender.on_data(ack, now).completions.pop();
+            }
+        }
+        assert_eq!(receiver.receive().map(|p| p.len()), Some(plane.len()));
+        assert_eq!(completed, Some(seq));
+    };
+    for _ in 0..3 {
+        round_trip();
+    }
+    let delta = min_delta(|| {
+        for _ in 0..64 {
+            round_trip();
+        }
+    });
+    assert_eq!(
+        delta.allocations,
+        64 * RELIABLE_ROUNDTRIP_ALLOCS,
+        "reliable round trip cost changed: {delta:?}"
     );
 }

@@ -1,13 +1,21 @@
-//! The transport-layer micro-protocols of the P2PSAP data channel.
+//! The transport-layer micro-protocols of the P2PSAP data channel — the
+//! reference implementation, not the data path. [`crate::Session`] runs the
+//! composition its configuration names as straight-line code; these
+//! micro-protocols, composed by [`crate::data::build_transport`], define what
+//! that code must do and `tests/properties.rs` checks it against them step by
+//! step. `repro table1`, `repro ablation` and the `protocol_adaptation` bench
+//! exercise them directly.
 //!
 //! Each micro-protocol implements exactly one protocol function, as in the
 //! Cactus methodology:
 //!
 //! * [`SynchronousMode`] / [`AsynchronousMode`] — the two communication modes
 //!   the paper added to CTP, introducing the `UserSend`/`UserReceive` events.
-//! * [`BufferManagement`] — send and receive buffers.
+//! * [`BufferManagement`] — hand-over to the application's receive queue and
+//!   the send / acknowledged / delivered accounting.
 //! * [`ReliabilityMicro`] — acknowledgement-and-retransmission reliability.
-//! * [`OrderingMicro`] — in-sequence delivery (or passthrough when disabled).
+//! * [`OrderingMicro`] — in-sequence delivery (or passthrough when disabled),
+//!   switched in place by [`SET_ORDERING`].
 //! * [`CongestionMicro`] — glue binding a [`CongestionControl`] algorithm to
 //!   the event stream.
 //! * [`SegmentTx`] — the final hop that hands annotated segments to the layer
@@ -18,6 +26,7 @@
 
 use crate::data::congestion::CongestionControl;
 use crate::data::wire::{ATTR_ACK_REQUESTED, ATTR_KIND, ATTR_SENT_AT, ATTR_SEQ, ATTR_TIMER_TAG};
+use crate::session::{MAX_RETRANSMISSIONS, RETRANSMIT_TIMEOUT_NS};
 use cactus::{events, EventName, Message, MicroProtocol, Operations};
 use std::collections::{BTreeMap, HashMap};
 
@@ -28,6 +37,13 @@ pub const ATTR_NOW: &str = "now_ns";
 /// Internal event: a data segment passed the mode micro-protocol and is ready
 /// for (ordered) delivery.
 pub const DATA_IN: EventName = EventName("DataIn");
+
+/// Internal event: switch ordered delivery on or off in place, to the value
+/// of the flag [`ATTR_ENFORCE`]. Substituting a fresh [`OrderingMicro`] would
+/// forget how far delivery has got.
+pub const SET_ORDERING: EventName = EventName("SetOrdering");
+/// Attribute of [`SET_ORDERING`]: whether ordering is enforced from now on.
+pub const ATTR_ENFORCE: &str = "enforce";
 
 /// Kind value for data segments in [`ATTR_KIND`].
 pub const KIND_DATA: u64 = 0;
@@ -153,12 +169,13 @@ impl MicroProtocol for AsynchronousMode {
 // Buffer management
 // ---------------------------------------------------------------------------
 
-/// Send- and receive-buffer management: stores outgoing messages until they
-/// are acknowledged and queues incoming messages for delivery to the
-/// application.
+/// Buffer management: queues incoming messages for delivery to the
+/// application and counts what was sent, acknowledged and delivered. It keeps
+/// no copy of outgoing messages — the retransmission copy belongs to
+/// [`ReliabilityMicro`], and an unreliable channel never sees the
+/// acknowledgement that would release one.
 #[derive(Debug, Default)]
 pub struct BufferManagement {
-    send_buffer: HashMap<u64, Message>,
     sent_total: u64,
     acked_total: u64,
     delivered_total: u64,
@@ -184,21 +201,13 @@ impl MicroProtocol for BufferManagement {
     }
     fn handle(&mut self, event: EventName, msg: &mut Message, ops: &mut Operations) {
         if event == events::USER_SEND {
-            let seq = msg.u64(ATTR_SEQ).unwrap_or(0);
-            self.send_buffer.insert(seq, msg.clone());
             self.sent_total += 1;
         } else if event == events::SEGMENT_ACKED {
-            let seq = msg.u64(ATTR_SEQ).unwrap_or(0);
-            if self.send_buffer.remove(&seq).is_some() {
-                self.acked_total += 1;
-            }
+            self.acked_total += 1;
         } else if event == events::MSG_TO_USER {
             self.delivered_total += 1;
             ops.deliver_to_user(msg.clone());
         }
-    }
-    fn on_remove(&mut self) {
-        self.send_buffer.clear();
     }
 }
 
@@ -227,11 +236,10 @@ impl ReliabilityMicro {
         }
     }
 
-    /// Default configuration: 600 ms initial RTO (comfortably above the
-    /// 200 ms inter-cluster round trip of the paper's testbed, so reliable
-    /// WAN channels do not retransmit spuriously), 5 retries.
+    /// Default configuration: the session's [`RETRANSMIT_TIMEOUT_NS`] and
+    /// [`MAX_RETRANSMISSIONS`].
     pub fn with_defaults() -> Self {
-        Self::new(600_000_000, 5)
+        Self::new(RETRANSMIT_TIMEOUT_NS, MAX_RETRANSMISSIONS)
     }
 }
 
@@ -284,7 +292,9 @@ impl MicroProtocol for ReliabilityMicro {
 /// In-sequence delivery. When `enforce` is false the micro-protocol is a pure
 /// passthrough (asynchronous channels deliver whatever arrives, freshest
 /// first); when true, segments are delivered in sequence order and duplicates
-/// are suppressed.
+/// are suppressed. Either way it knows the next sequence number not yet
+/// delivered, so ordering switched on mid-session ([`SET_ORDERING`]) starts
+/// where delivery stands instead of waiting for sequence 0.
 #[derive(Debug)]
 pub struct OrderingMicro {
     enforce: bool,
@@ -313,14 +323,22 @@ impl MicroProtocol for OrderingMicro {
         "ordering"
     }
     fn subscriptions(&self) -> Vec<EventName> {
-        vec![DATA_IN]
+        vec![DATA_IN, SET_ORDERING]
     }
-    fn handle(&mut self, _event: EventName, msg: &mut Message, ops: &mut Operations) {
-        if !self.enforce {
-            ops.raise(events::MSG_TO_USER, msg.clone());
+    fn handle(&mut self, event: EventName, msg: &mut Message, ops: &mut Operations) {
+        if event == SET_ORDERING {
+            self.enforce = msg.flag(ATTR_ENFORCE);
+            if !self.enforce {
+                self.held_back.clear();
+            }
             return;
         }
         let seq = msg.u64(ATTR_SEQ).unwrap_or(0);
+        if !self.enforce {
+            self.next_expected = self.next_expected.max(seq.saturating_add(1));
+            ops.raise(events::MSG_TO_USER, msg.clone());
+            return;
+        }
         if seq < self.next_expected || self.held_back.contains_key(&seq) {
             // Duplicate: drop.
             return;
@@ -328,7 +346,7 @@ impl MicroProtocol for OrderingMicro {
         self.held_back.insert(seq, msg.clone());
         while let Some(entry) = self.held_back.remove(&self.next_expected) {
             ops.raise(events::MSG_TO_USER, entry);
-            self.next_expected += 1;
+            self.next_expected = self.next_expected.saturating_add(1);
         }
     }
     fn on_remove(&mut self) {

@@ -1,5 +1,10 @@
 //! The data channel of P2PSAP: wire format, transport micro-protocols,
 //! congestion control, physical layer adapters and the transport builder.
+//!
+//! [`wire`] and [`congestion`] are used by [`crate::Session`] on every
+//! segment. [`micros`], [`physical`] and the builders of [`transport`] are the
+//! Cactus composition of the same protocol: the reference the session is
+//! tested against, off the data path.
 
 pub mod congestion;
 pub mod micros;
@@ -10,7 +15,7 @@ pub mod wire;
 pub use congestion::{make_congestion, CongestionControl, HTcp, NewReno, Scp, Tahoe};
 pub use micros::{
     AsynchronousMode, BufferManagement, CongestionMicro, OrderingMicro, ReliabilityMicro,
-    SegmentTx, SynchronousMode, ATTR_NOW, DATA_IN,
+    SegmentTx, SynchronousMode, ATTR_ENFORCE, ATTR_NOW, DATA_IN, SET_ORDERING,
 };
 pub use physical::{adapter_name, build_physical, PhysicalAdapter};
 pub use transport::{

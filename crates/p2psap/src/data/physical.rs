@@ -7,6 +7,10 @@
 //! in-process channel in the thread runtime); the physical composite adapts
 //! between the transport layer and that wire and carries the network-type
 //! identity used by reconfiguration.
+//!
+//! The adapter forwards both ways unchanged, so [`crate::Session`], whose
+//! data path is straight-line code, has nothing to run for it; the composite
+//! is the bottom layer of the reference stack the session is tested against.
 
 use crate::config::PhysicalNetwork;
 use cactus::{

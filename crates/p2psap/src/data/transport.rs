@@ -2,14 +2,19 @@
 //! [`ChannelConfig`], and the reconfiguration planner that transforms one
 //! configuration into another by adding, removing and substituting
 //! micro-protocols (the data-channel reconfiguration of Section II.B).
+//!
+//! [`plan_reconfiguration`] is what [`crate::Session::reconfigure`] runs;
+//! [`build_transport`] and [`apply_reconfiguration`] build and rewire the
+//! reference composite the session is checked against (see
+//! [`crate::data::micros`]) — they are not on the data path.
 
 use crate::config::{ChannelConfig, CommunicationMode, Reliability};
 use crate::data::congestion::make_congestion;
 use crate::data::micros::{
     AsynchronousMode, BufferManagement, CongestionMicro, OrderingMicro, ReliabilityMicro,
-    SegmentTx, SynchronousMode,
+    SegmentTx, SynchronousMode, ATTR_ENFORCE, SET_ORDERING,
 };
-use cactus::CompositeProtocol;
+use cactus::{CompositeProtocol, Message};
 
 /// Priorities of the transport micro-protocols (lower runs first).
 pub mod priorities {
@@ -129,7 +134,10 @@ pub fn apply_reconfiguration(composite: &mut CompositeProtocol, actions: &[Recon
                 );
             }
             ReconfigAction::SetOrdering(enforce) => {
-                composite.substitute("ordering", Box::new(OrderingMicro::new(*enforce)));
+                // In place: the micro-protocol keeps its delivery position.
+                let mut msg = Message::default();
+                msg.set_flag(ATTR_ENFORCE, *enforce);
+                composite.raise(SET_ORDERING, msg);
             }
         }
     }

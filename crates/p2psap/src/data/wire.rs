@@ -1,5 +1,7 @@
-//! Wire format of the data channel and message attribute keys shared by the
-//! transport micro-protocols.
+//! Wire format of the data channel — read and written by [`crate::Session`]
+//! on every segment — and the message attribute keys under which the
+//! reference micro-protocols carry the same header fields
+//! ([`WireSegment::into_message`] / [`WireSegment::from_message`]).
 
 use bytes::Bytes;
 use cactus::Message;
@@ -140,6 +142,29 @@ pub fn frame_checksum(bytes: &[u8]) -> u32 {
     folded
 }
 
+/// Lay out one frame — header fields, payload, checksum — in `buf` (cleared
+/// first). What [`WireSegment::encode_into`] writes, for callers that hold
+/// the fields and a borrowed payload rather than a segment.
+pub(crate) fn encode_frame(
+    buf: &mut Vec<u8>,
+    kind: SegmentKind,
+    seq: u64,
+    ack_requested: bool,
+    sent_at_ns: u64,
+    payload: &[u8],
+) {
+    buf.clear();
+    buf.reserve(SEGMENT_HEADER_BYTES + payload.len() + SEGMENT_CHECKSUM_BYTES);
+    buf.push(kind.to_u8());
+    buf.push(u8::from(ack_requested));
+    buf.extend_from_slice(&seq.to_be_bytes());
+    buf.extend_from_slice(&sent_at_ns.to_be_bytes());
+    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    buf.extend_from_slice(payload);
+    let checksum = frame_checksum(buf);
+    buf.extend_from_slice(&checksum.to_be_bytes());
+}
+
 impl WireSegment {
     /// Build a data segment.
     pub fn data(seq: u64, ack_requested: bool, sent_at_ns: u64, payload: Bytes) -> Self {
@@ -174,16 +199,14 @@ impl WireSegment {
     /// their wire buffers use this to skip the per-segment allocation once
     /// the pooled buffer has grown to segment size.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.clear();
-        buf.reserve(SEGMENT_HEADER_BYTES + self.payload.len() + SEGMENT_CHECKSUM_BYTES);
-        buf.push(self.kind.to_u8());
-        buf.push(u8::from(self.ack_requested));
-        buf.extend_from_slice(&self.seq.to_be_bytes());
-        buf.extend_from_slice(&self.sent_at_ns.to_be_bytes());
-        buf.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        buf.extend_from_slice(&self.payload);
-        let checksum = frame_checksum(buf);
-        buf.extend_from_slice(&checksum.to_be_bytes());
+        encode_frame(
+            buf,
+            self.kind,
+            self.seq,
+            self.ack_requested,
+            self.sent_at_ns,
+            &self.payload,
+        );
     }
 
     /// Decode from the on-wire byte representation. Rejects frames whose

@@ -19,6 +19,17 @@
 //! the communication mode per connection from the context and can switch it
 //! at run time by substituting micro-protocols, without any change to the
 //! application's `P2P_Send` / `P2P_Receive` calls.
+//!
+//! The composition is a decision taken when a socket opens and at each
+//! reconfiguration, not per segment. A [`Session`] therefore resolves the
+//! composition its [`ChannelConfig`] names into typed state and straight-line
+//! send / receive / timer code ([`session`]); the Cactus composition of the
+//! same protocol ([`data::build_transport`] over `crates/cactus`) is kept,
+//! public and unchanged in behaviour, as the **reference implementation**:
+//! `tests/properties.rs` drives both with the same scripts and requires the
+//! same wire bytes, timers, deliveries and completions after every step, and
+//! `repro table1`, `repro ablation` and the `protocol_adaptation` bench
+//! exercise it directly.
 
 #![warn(missing_docs)]
 

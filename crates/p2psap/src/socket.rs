@@ -57,12 +57,17 @@ pub struct SocketOutput {
 }
 
 impl SocketOutput {
-    fn absorb(&mut self, session_output: SessionOutput, recv_queue: &mut VecDeque<Bytes>) {
-        self.data.extend(session_output.wire);
-        self.timers.extend(session_output.timers);
-        self.cancels.extend(session_output.cancels);
-        self.completions.extend(session_output.completions);
+    /// The socket's view of a session interaction: the session's vectors are
+    /// taken over as they are, and what it delivered joins the receive queue.
+    fn from_session(session_output: SessionOutput, recv_queue: &mut VecDeque<Bytes>) -> Self {
         recv_queue.extend(session_output.delivered);
+        Self {
+            data: session_output.wire,
+            control: Vec::new(),
+            timers: session_output.timers,
+            cancels: session_output.cancels,
+            completions: session_output.completions,
+        }
     }
 
     /// Merge another socket output after this one.
@@ -134,8 +139,7 @@ impl Socket {
         assert_eq!(self.state, SocketState::Established, "socket is closed");
         self.monitor.observe_sent();
         let (seq, session_out) = self.session.send(payload, now_ns);
-        let mut out = SocketOutput::default();
-        out.absorb(session_out, &mut self.recv_queue);
+        let out = SocketOutput::from_session(session_out, &mut self.recv_queue);
         (seq, out)
     }
 
@@ -166,9 +170,7 @@ impl Socket {
     /// A data-channel segment arrived from the remote peer.
     pub fn on_data(&mut self, segment: Bytes, now_ns: u64) -> SocketOutput {
         let session_out = self.session.on_wire(segment, now_ns);
-        let mut out = SocketOutput::default();
-        out.absorb(session_out, &mut self.recv_queue);
-        out
+        SocketOutput::from_session(session_out, &mut self.recv_queue)
     }
 
     /// A control-channel message arrived from the remote peer.
@@ -189,9 +191,7 @@ impl Socket {
     /// A previously armed timer fired.
     pub fn on_timer(&mut self, layer: usize, tag: u64, now_ns: u64) -> SocketOutput {
         let session_out = self.session.on_timer(layer, tag, now_ns);
-        let mut out = SocketOutput::default();
-        out.absorb(session_out, &mut self.recv_queue);
-        out
+        SocketOutput::from_session(session_out, &mut self.recv_queue)
     }
 
     /// Change a socket option; may trigger a coordinated reconfiguration of
@@ -302,6 +302,27 @@ mod tests {
         // Second send through the *same* API call: now asynchronous.
         let (seq2, out2) = a.send(Bytes::from_static(b"v2"), 5);
         assert_eq!(out2.completions, vec![seq2]);
+        let _ = shuttle(&out2, &mut b, 6);
+        assert_eq!(b.receive().unwrap().as_ref(), b"v1");
+        assert_eq!(b.receive().unwrap().as_ref(), b"v2");
+
+        // And back: the peer is local again, the channel synchronous and
+        // ordered again — from where delivery stands, in both directions.
+        let reconfig = a.set_option(SocketOption::Connection(ConnectionType::IntraCluster));
+        let b_reply = shuttle(&reconfig, &mut b, 7);
+        let _ = shuttle(&b_reply, &mut a, 8);
+        assert_eq!(a.config(), b.config());
+        assert_eq!(a.config().mode, CommunicationMode::Synchronous);
+        assert!(a.config().ordered);
+        let v3 = |tx: &mut Socket, rx: &mut Socket| {
+            let (seq3, out3) = tx.send(Bytes::from_static(b"v3"), 9);
+            assert!(out3.completions.is_empty());
+            let acks = shuttle(&out3, rx, 10);
+            assert_eq!(rx.receive().unwrap().as_ref(), b"v3");
+            assert_eq!(shuttle(&acks, tx, 11).completions, vec![seq3]);
+        };
+        v3(&mut a, &mut b);
+        v3(&mut b, &mut a);
     }
 
     #[test]
