@@ -51,10 +51,8 @@ fn bench_stack(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ghost-update serialization: the legacy per-exchange allocation chain
-/// (`outgoing()` payload `Vec`s + a fresh wire `Vec` per frame for the
-/// generation tag) against `encode_outgoing` into a warm pooled `FrameSink`
-/// — the zero-copy path the engine now drives.
+/// Ghost-update serialization: one `encode_outgoing` round into a warm
+/// pooled `FrameSink`, the path the engine drives.
 fn bench_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("ghost_encode");
     let tasks: Vec<(&str, Box<dyn IterativeTask>)> = vec![
@@ -78,19 +76,11 @@ fn bench_encode(c: &mut Criterion) {
     ];
     for (label, mut task) in tasks {
         task.relax();
-        let frame_bytes: usize = task.outgoing().iter().map(|(_, p)| 4 + p.len()).sum();
-        group.throughput(Throughput::Bytes(frame_bytes as u64));
-        group.bench_with_input(BenchmarkId::new("legacy_alloc", label), &label, |b, _| {
-            b.iter(|| {
-                for (dst, payload) in task.outgoing() {
-                    let mut wire = Vec::with_capacity(4 + payload.len());
-                    wire.extend_from_slice(&7u32.to_le_bytes());
-                    wire.extend_from_slice(&payload);
-                    std::hint::black_box((dst, wire.len()));
-                }
-            });
-        });
         let mut sink = FrameSink::new();
+        sink.begin(7);
+        task.encode_outgoing(&mut sink);
+        let frame_bytes: usize = (0..sink.len()).map(|index| sink.peek(index).1).sum();
+        group.throughput(Throughput::Bytes(frame_bytes as u64));
         group.bench_with_input(BenchmarkId::new("zero_copy_sink", label), &label, |b, _| {
             b.iter(|| {
                 sink.begin(7);

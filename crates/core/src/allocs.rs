@@ -1,7 +1,7 @@
 //! Allocation-counting hook for the hot-path zero-allocation assertions.
 //!
 //! The library never installs an allocator itself: the `hotpath_alloc`
-//! integration test and the `repro` measurement binary install
+//! integration test and the benchmark's traced binary install
 //! [`CountingAllocator`] as their `#[global_allocator]` and read
 //! [`counters`] around a code region to measure its heap traffic. The
 //! counters are process-global and monotone; callers snapshot before and
@@ -21,12 +21,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A `GlobalAlloc` that forwards to the system allocator and counts every
-/// allocation event and its size. `realloc` counts as one event of the new
-/// size (the data may move); frees are not tracked — the counters measure
-/// allocation *pressure*, not live heap.
+/// allocation event. `realloc` counts as one event (the data may move);
+/// frees are not tracked — the counter measures allocation *pressure*, not
+/// live heap.
 pub struct CountingAllocator;
 
 // SAFETY: every method forwards verbatim to `System`, which upholds the
@@ -35,13 +34,11 @@ pub struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -51,7 +48,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -61,8 +57,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 pub struct AllocCounters {
     /// Allocation events (alloc + alloc_zeroed + realloc) since start.
     pub allocations: u64,
-    /// Bytes requested by those events since start.
-    pub bytes: u64,
 }
 
 impl AllocCounters {
@@ -70,7 +64,6 @@ impl AllocCounters {
     pub fn since(&self, earlier: AllocCounters) -> AllocCounters {
         AllocCounters {
             allocations: self.allocations - earlier.allocations,
-            bytes: self.bytes - earlier.bytes,
         }
     }
 }
@@ -80,6 +73,5 @@ impl AllocCounters {
 pub fn counters() -> AllocCounters {
     AllocCounters {
         allocations: ALLOCATIONS.load(Ordering::Relaxed),
-        bytes: ALLOCATED_BYTES.load(Ordering::Relaxed),
     }
 }

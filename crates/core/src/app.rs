@@ -8,12 +8,12 @@
 //! In this reproduction `Calculate()` is expressed as an [`IterativeTask`]
 //! object rather than a blocking function: the environment drives the task's
 //! relaxation loop and performs the `P2P_Send` / `P2P_Receive` operations at
-//! the points the task exposes ([`IterativeTask::outgoing`] /
+//! the points the task exposes ([`IterativeTask::encode_outgoing`] /
 //! [`IterativeTask::incorporate`]). This inversion is what lets the same
 //! application code run unchanged on the virtual-time simulated runtime and
-//! on the thread runtime (see DESIGN.md); the programmer-visible structure —
-//! define the problem, write the per-peer relaxation, aggregate the results —
-//! is the paper's.
+//! on the wall-clock ones (see ARCHITECTURE.md, "Layer map"); the
+//! programmer-visible structure — define the problem, write the per-peer
+//! relaxation, aggregate the results — is the paper's.
 
 use p2psap::Scheme;
 use serde::{Deserialize, Serialize};
@@ -93,8 +93,7 @@ impl FrameSink {
 
     /// Append a frame for `dst` and return its buffer, positioned right
     /// after the pre-written generation tag. The task serializes its update
-    /// payload into it (same bytes as the legacy [`IterativeTask::outgoing`]
-    /// payload).
+    /// payload into it.
     pub fn frame(&mut self, dst: usize) -> &mut Vec<u8> {
         let mut buf = self.pool.pop().unwrap_or_default();
         buf.clear();
@@ -137,31 +136,30 @@ impl FrameSink {
 /// The per-peer computation created by `Calculate()`.
 ///
 /// The environment repeatedly calls [`IterativeTask::relax`], sends the
-/// updates returned by [`IterativeTask::outgoing`] through P2PSAP
+/// updates [`IterativeTask::encode_outgoing`] lays down through P2PSAP
 /// (`P2P_Send`), and feeds received updates back through
 /// [`IterativeTask::incorporate`] (`P2P_Receive`), until global convergence.
 pub trait IterativeTask: Send {
     /// Perform one local relaxation over the peer's sub-blocks.
     fn relax(&mut self) -> LocalRelax;
 
-    /// Updates to send to other peers after the latest relaxation, as
-    /// `(destination rank, payload)` pairs.
-    ///
-    /// This is the legacy allocating form; the runtimes drive
-    /// [`IterativeTask::encode_outgoing`] instead, whose default delegates
-    /// here. Tasks on the hot path override `encode_outgoing` and serialize
-    /// straight into the sink's pooled buffers.
-    fn outgoing(&mut self) -> Vec<(usize, Vec<u8>)>;
-
     /// Encode the updates of the latest relaxation into `sink`, one frame
-    /// per destination, without allocating in steady state. Every frame's
-    /// bytes (after the sink's generation tag) must be identical to the
-    /// corresponding legacy [`IterativeTask::outgoing`] payload. The caller
-    /// has already called [`FrameSink::begin`].
-    fn encode_outgoing(&mut self, sink: &mut FrameSink) {
-        for (dst, payload) in self.outgoing() {
-            sink.frame(dst).extend_from_slice(&payload);
-        }
+    /// per destination, without allocating in steady state: the task
+    /// serializes each update payload straight into the buffer
+    /// [`FrameSink::frame`] returns (`P2P_Send`). The caller has already
+    /// called [`FrameSink::begin`].
+    fn encode_outgoing(&mut self, sink: &mut FrameSink);
+
+    /// The updates of the latest relaxation as `(destination rank, payload)`
+    /// pairs: [`IterativeTask::encode_outgoing`] into a fresh sink with the
+    /// generation tag stripped. Allocates per call — for tests and tools;
+    /// the runtimes drive `encode_outgoing`.
+    fn outgoing(&mut self) -> Vec<(usize, Vec<u8>)> {
+        let mut sink = FrameSink::new();
+        self.encode_outgoing(&mut sink);
+        let FrameSink { frames, tag, .. } = sink;
+        let untagged = |(dst, frame): (usize, Vec<u8>)| (dst, frame[tag.len()..].to_vec());
+        frames.into_iter().map(untagged).collect()
     }
 
     /// Incorporate an update received from peer `from`. Returns the sup-norm
@@ -250,8 +248,8 @@ mod tests {
                 work_points: 1,
             }
         }
-        fn outgoing(&mut self) -> Vec<(usize, Vec<u8>)> {
-            vec![((self.rank + 1) % 2, vec![self.remaining as u8])]
+        fn encode_outgoing(&mut self, sink: &mut FrameSink) {
+            sink.frame((self.rank + 1) % 2).push(self.remaining as u8);
         }
         fn incorporate(&mut self, _from: usize, _payload: &[u8]) -> f64 {
             0.0

@@ -19,9 +19,9 @@
 //! therefore exhibits a witness iteration contained in every rank's clean
 //! interval — exactly an iteration the central fold would have declared
 //! globally converged. The decision can *lag* the central fold by the rumor
-//! propagation time (peers keep relaxing meanwhile — measured as the
-//! decision lag in `BENCH_gossip.json`), but it can never fire on evidence
-//! the central fold would have rejected.
+//! propagation time (peers keep relaxing meanwhile — the benchmark's
+//! `gossip.decision_lag_relaxations`), but it can never fire on evidence the
+//! central fold would have rejected.
 
 use crate::gossip::rumor::{DigestRow, ROW_HAS_ASYNC, ROW_STABLE};
 use crate::load_balance::PeerLoad;

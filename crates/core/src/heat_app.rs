@@ -132,16 +132,6 @@ impl HeatTask {
     fn last_row_slice(&self) -> &[f64] {
         &self.local[(self.rows - 1) * self.n..]
     }
-
-    /// The row sent up to peer `rank − 1`.
-    fn first_row(&self) -> Vec<f64> {
-        self.first_row_slice().to_vec()
-    }
-
-    /// The row sent down to peer `rank + 1`.
-    fn last_row(&self) -> Vec<f64> {
-        self.last_row_slice().to_vec()
-    }
 }
 
 /// One Jacobi row update with the neighbour rows resolved up front: the side
@@ -211,31 +201,9 @@ impl IterativeTask for HeatTask {
         }
     }
 
-    fn outgoing(&mut self) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        let iteration = self.relaxations;
-        if self.rank > 0 {
-            let msg = UpdateMsg {
-                from: self.rank as u32,
-                iteration,
-                plane: self.first_row(),
-            };
-            out.push((self.rank - 1, msg.encode()));
-        }
-        if self.rank + 1 < self.peers {
-            let msg = UpdateMsg {
-                from: self.rank as u32,
-                iteration,
-                plane: self.last_row(),
-            };
-            out.push((self.rank + 1, msg.encode()));
-        }
-        out
-    }
-
     fn encode_outgoing(&mut self, sink: &mut FrameSink) {
-        // Zero-copy form of `outgoing`: the boundary rows are serialized
-        // straight from grid storage into the sink's pooled buffers.
+        // The boundary rows are serialized straight from grid storage into
+        // the sink's pooled buffers.
         let iteration = self.relaxations;
         let from = self.rank as u32;
         if self.rank > 0 {
@@ -528,6 +496,7 @@ impl Application for HeatApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obstacle_app::encode_testing::{assert_frames, first_frame_hex};
     use obstacle::sup_norm_diff;
 
     #[test]
@@ -626,11 +595,60 @@ mod tests {
         diff
     }
 
-    mod kernel_equivalence_proptests {
+    /// Golden vector: the 4 × 4 plate split in two, rank 0 (the band under
+    /// the hot edge; rank 1's row is still all zero) after one sweep.
+    /// Tag, `from`, row length, iteration, then the row, all little-endian.
+    #[test]
+    fn encode_outgoing_wire_layout_is_pinned() {
+        let mut task = HeatTask::new(4, 2, 0);
+        task.relax();
+        assert_eq!(
+            first_frame_hex(&mut task),
+            concat!(
+                "07000000",         // generation tag
+                "00000000",         // from
+                "04000000",         // row length
+                "0100000000000000", // iteration
+                "0000000000000000", // the last owned row
+                "000000000000d03f",
+                "000000000000d03f",
+                "0000000000000000",
+            )
+        );
+    }
+
+    mod proptests {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
+            /// `encode_outgoing` against the band's own boundary rows: first
+            /// row up to `rank − 1`, last row down to `rank + 1`, in that
+            /// order, over random shapes, ranks and sweep counts.
+            #[test]
+            fn encode_outgoing_carries_the_boundary_rows(
+                n in 3usize..20,
+                peers_seed in 1usize..6,
+                rank_seed in 0usize..6,
+                sweeps in 0usize..6,
+                generation in any::<u32>(),
+            ) {
+                let peers = 1 + peers_seed % (n - 2).max(1);
+                let rank = rank_seed % peers;
+                let mut task = HeatTask::new(n, peers, rank);
+                for _ in 0..sweeps {
+                    task.relax();
+                }
+                let mut expected = Vec::new();
+                if rank > 0 {
+                    expected.push((rank - 1, task.first_row_slice().to_vec()));
+                }
+                if rank + 1 < peers {
+                    expected.push((rank + 1, task.last_row_slice().to_vec()));
+                }
+                assert_frames(&mut task, rank, generation, &expected);
+            }
+
             /// The blocked heat kernel is bit-identical to the per-point
             /// loop it replaced, over random plate sizes, band splits and
             /// sweep counts (with synchronous ghost exchange in between).

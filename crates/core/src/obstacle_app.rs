@@ -190,31 +190,9 @@ impl IterativeTask for ObstacleTask {
         }
     }
 
-    fn outgoing(&mut self) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        let iteration = self.state.relaxations();
-        if self.rank > 0 {
-            let msg = UpdateMsg {
-                from: self.rank as u32,
-                iteration,
-                plane: self.state.first_plane(),
-            };
-            out.push((self.rank - 1, msg.encode()));
-        }
-        if self.rank + 1 < self.alpha {
-            let msg = UpdateMsg {
-                from: self.rank as u32,
-                iteration,
-                plane: self.state.last_plane(),
-            };
-            out.push((self.rank + 1, msg.encode()));
-        }
-        out
-    }
-
     fn encode_outgoing(&mut self, sink: &mut FrameSink) {
-        // Zero-copy form of `outgoing`: the boundary planes are serialized
-        // straight from grid storage into the sink's pooled buffers.
+        // The boundary planes are serialized straight from grid storage
+        // into the sink's pooled buffers.
         let iteration = self.state.relaxations();
         let from = self.rank as u32;
         if self.rank > 0 {
@@ -587,8 +565,58 @@ pub fn run_obstacle_experiment(exp: &ObstacleExperiment) -> ExperimentResult {
     }
 }
 
+/// Test support for the three workloads' `encode_outgoing` tests: the wire
+/// is checked against the task's own boundary state, not against a second
+/// encoder.
+#[cfg(test)]
+pub(crate) mod encode_testing {
+    use super::UpdateMsg;
+    use crate::app::{FrameSink, IterativeTask};
+    use crate::runtime::engine::GENERATION_TAG_BYTES as TAG;
+
+    /// Encode `task`'s updates twice into one sink (the second round writes
+    /// into the first round's pooled buffers) and check the frames: one per
+    /// entry of `expected` — `(destination, boundary values)` in order —
+    /// each the generation tag followed by an [`UpdateMsg`] from `rank` at
+    /// the task's relaxation count carrying exactly those values.
+    pub(crate) fn assert_frames(
+        task: &mut dyn IterativeTask,
+        rank: usize,
+        generation: u32,
+        expected: &[(usize, Vec<f64>)],
+    ) {
+        let mut sink = FrameSink::new();
+        for _ in 0..2 {
+            sink.begin(generation);
+            task.encode_outgoing(&mut sink);
+        }
+        assert_eq!(sink.len(), expected.len(), "frame count");
+        for (index, (dst, plane)) in expected.iter().enumerate() {
+            let (to, frame) = sink.take(index);
+            assert_eq!(to, *dst, "destination order");
+            assert_eq!(frame[..TAG], generation.to_le_bytes(), "generation tag");
+            let msg = UpdateMsg::decode(&frame[TAG..]).expect("a well-formed update");
+            assert_eq!(msg.from as usize, rank);
+            assert_eq!(msg.iteration, task.relaxations());
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&msg.plane), bits(plane), "boundary values");
+        }
+    }
+
+    /// The first frame of one encode round under generation tag 7, in hex:
+    /// what the golden-vector tests pin.
+    pub(crate) fn first_frame_hex(task: &mut dyn IterativeTask) -> String {
+        let mut sink = FrameSink::new();
+        sink.begin(7);
+        task.encode_outgoing(&mut sink);
+        let (_, frame) = sink.take(0);
+        frame.iter().map(|byte| format!("{byte:02x}")).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::encode_testing::{assert_frames, first_frame_hex};
     use super::*;
     use obstacle::{solve_sequential, sup_norm_diff, RichardsonConfig};
     use proptest::prelude::*;
@@ -679,6 +707,33 @@ mod tests {
     }
 
     proptest! {
+        /// `encode_outgoing` against the block's own boundary planes: first
+        /// plane down to `rank − 1`, last plane up to `rank + 1`, in that
+        /// order, over random shapes, ranks and sweep counts.
+        #[test]
+        fn encode_outgoing_carries_the_boundary_planes(
+            n in 4usize..12,
+            alpha_seed in 1usize..6,
+            rank_seed in 0usize..6,
+            sweeps in 0usize..6,
+            generation in any::<u32>(),
+        ) {
+            let alpha = 1 + alpha_seed % n.min(5);
+            let rank = rank_seed % alpha;
+            let mut task = ObstacleTask::new(Arc::new(ObstacleProblem::membrane(n)), alpha, rank);
+            for _ in 0..sweeps {
+                task.relax();
+            }
+            let mut expected = Vec::new();
+            if rank > 0 {
+                expected.push((rank - 1, task.state.first_plane_slice().to_vec()));
+            }
+            if rank + 1 < alpha {
+                expected.push((rank + 1, task.state.last_plane_slice().to_vec()));
+            }
+            assert_frames(&mut task, rank, generation, &expected);
+        }
+
         /// Round trip: any message survives encode → decode bit-exactly, and
         /// every strict prefix of the encoding is rejected (the length field
         /// pins the exact size, so truncation anywhere must fail).
@@ -755,6 +810,28 @@ mod tests {
         }
     }
 
+    /// Golden vector: the 2³ membrane split in two, rank 1 after one sweep.
+    /// Tag, `from`, plane length, iteration, then the plane, all
+    /// little-endian — a peer built from another commit must read this.
+    #[test]
+    fn encode_outgoing_wire_layout_is_pinned() {
+        let mut task = ObstacleTask::new(Arc::new(ObstacleProblem::membrane(2)), 2, 1);
+        task.relax();
+        assert_eq!(
+            first_frame_hex(&mut task),
+            concat!(
+                "07000000",         // generation tag
+                "01000000",         // from
+                "04000000",         // plane length
+                "0100000000000000", // iteration
+                "787777777777b73f", // the first owned plane
+                "7a7777777777b73f",
+                "7a7777777777b73f",
+                "7c7777777777b73f",
+            )
+        );
+    }
+
     #[test]
     fn single_peer_run_matches_the_sequential_solver() {
         let exp = ObstacleExperiment::new(8, Scheme::Synchronous, 1, 1);
@@ -814,10 +891,9 @@ mod tests {
     fn asynchronous_two_cluster_run_converges_and_uses_the_wan() {
         // Across the 100 ms WAN the accuracy floor of an asynchronously
         // terminated run is tolerance × (WAN latency / compute per sweep) —
-        // the boundary planes lag by that many relaxations (see
-        // EXPERIMENTS.md). The run must converge, exchange inter-cluster
-        // traffic, perform more relaxations than the synchronous scheme, and
-        // stay within that staleness bound.
+        // the boundary planes lag by that many relaxations. The run must
+        // converge, exchange inter-cluster traffic, perform more relaxations
+        // than the synchronous scheme, and stay within that staleness bound.
         let exp = ObstacleExperiment::new(16, Scheme::Asynchronous, 4, 2);
         let result = run_obstacle_experiment(&exp);
         assert!(result.measurement.converged);

@@ -173,7 +173,7 @@ pub struct PageRankTask {
     /// Reusable sweep buffer (the next rank vector is built here and
     /// swapped in, instead of allocating a fresh vector per relaxation).
     next_scratch: Vec<f64>,
-    /// Reusable contribution buffer for the zero-copy outgoing path.
+    /// Reusable contribution buffer of the encode path.
     contribution_scratch: Vec<f64>,
 }
 
@@ -265,13 +265,6 @@ impl PageRankTask {
         contribution
     }
 
-    /// The contribution vector this peer currently pushes into `peer`.
-    fn contribution_to(&self, peer: usize) -> Vec<f64> {
-        let mut contribution = Vec::new();
-        self.contribution_to_into(peer, &mut contribution);
-        contribution
-    }
-
     /// Scatter this peer's current rank mass into `out` (resized to `peer`'s
     /// partition length), reusing the buffer's capacity across calls.
     fn contribution_to_into(&self, peer: usize, out: &mut Vec<f64>) {
@@ -326,26 +319,9 @@ impl IterativeTask for PageRankTask {
         }
     }
 
-    fn outgoing(&mut self) -> Vec<(usize, Vec<u8>)> {
-        let iteration = self.relaxations;
-        self.neighbor_peers
-            .clone()
-            .into_iter()
-            .map(|peer| {
-                let msg = UpdateMsg {
-                    from: self.rank as u32,
-                    iteration,
-                    plane: self.contribution_to(peer),
-                };
-                (peer, msg.encode())
-            })
-            .collect()
-    }
-
     fn encode_outgoing(&mut self, sink: &mut FrameSink) {
-        // Zero-copy form of `outgoing`: the contribution vector is scattered
-        // into a reused scratch buffer and serialized straight into the
-        // sink's pooled buffers.
+        // The contribution vector is scattered into a reused scratch buffer
+        // and serialized straight into the sink's pooled buffers.
         let iteration = self.relaxations;
         let from = self.rank as u32;
         let mut scratch = std::mem::take(&mut self.contribution_scratch);
@@ -594,6 +570,63 @@ impl Application for PageRankApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obstacle_app::encode_testing::{assert_frames, first_frame_hex};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `encode_outgoing` against the partition's own contribution
+        /// vectors, one per neighbour peer in `neighbors()` order, over
+        /// random graphs, ranks and sweep counts.
+        #[test]
+        fn encode_outgoing_carries_the_contribution_vectors(
+            vertices in 8usize..80,
+            peers_seed in 1usize..6,
+            rank_seed in 0usize..6,
+            sweeps in 0usize..6,
+            generation in any::<u32>(),
+        ) {
+            let peers = 1 + peers_seed % 5;
+            let rank = rank_seed % peers;
+            let graph = Arc::new(PageRankGraph::ring_with_chords(vertices));
+            let mut task = PageRankTask::new(graph, peers, rank);
+            for _ in 0..sweeps {
+                task.relax();
+            }
+            let expected: Vec<(usize, Vec<f64>)> = task
+                .neighbors()
+                .into_iter()
+                .map(|peer| {
+                    let mut contribution = Vec::new();
+                    task.contribution_to_into(peer, &mut contribution);
+                    (peer, contribution)
+                })
+                .collect();
+            assert_frames(&mut task, rank, generation, &expected);
+        }
+    }
+
+    /// Golden vector: 8 vertices split in two, rank 1 after one sweep. Tag,
+    /// `from`, vector length, iteration, then the contributions, all
+    /// little-endian.
+    #[test]
+    fn encode_outgoing_wire_layout_is_pinned() {
+        let graph = Arc::new(PageRankGraph::ring_with_chords(8));
+        let mut task = PageRankTask::new(graph, 2, 1);
+        task.relax();
+        assert_eq!(
+            first_frame_hex(&mut task),
+            concat!(
+                "07000000",         // generation tag
+                "01000000",         // from
+                "04000000",         // vector length
+                "0100000000000000", // iteration
+                "176cc1166cc1b53f", // mass pushed into rank 0's four vertices
+                "0000000000000000",
+                "0000000000000000",
+                "50faa44ffaa4b73f",
+            )
+        );
+    }
 
     #[test]
     fn reference_ranks_form_a_distribution() {

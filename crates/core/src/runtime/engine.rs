@@ -65,7 +65,7 @@ use crate::fault::Checkpoint;
 use crate::gossip::SweepSummary;
 use crate::load_balance::PeerLoad;
 use crate::metrics::RunMeasurement;
-use crate::runtime::report_cell::{self, contention, CellReport, ReportBoard};
+use crate::runtime::report_cell::{contention, CellReport, ReportBoard};
 use bytes::Bytes;
 use desim::SimDuration;
 use netsim::{NodeId, Topology};
@@ -237,8 +237,8 @@ pub struct ConvergenceDetector {
 /// [`ReportBoard`] for the common-case sweep beside the mutex-protected
 /// detector for everything that actually decides (convergence, rollback,
 /// results). Every locked entry point folds outstanding cell reports first,
-/// so locked code always observes the same state the fully-locked baseline
-/// would have.
+/// so locked code always observes the state it would see if every report
+/// had taken the lock (`publish_agrees_with_locked_reports` checks it).
 pub struct DetectorHandle {
     board: Arc<ReportBoard>,
     tolerance: f64,
@@ -269,11 +269,6 @@ impl DetectorHandle {
         self.board.current_rollback()
     }
 
-    /// The run's report board (for backends that want direct cell access).
-    pub fn board(&self) -> &Arc<ReportBoard> {
-        &self.board
-    }
-
     /// Publish one sweep's load accounting and convergence report; returns
     /// true when the run has stopped. The common case — a dirty sweep
     /// (`diff > tolerance`) of a running run — is lock-free: the load
@@ -292,7 +287,7 @@ impl DetectorHandle {
         work_points: u64,
         busy_ns: u64,
     ) -> bool {
-        if diff > self.tolerance && !report_cell::force_locked() {
+        if diff > self.tolerance {
             // A dirty sweep can never be stable (stability requires
             // `diff <= tolerance`) and can never complete an iteration below
             // the tolerance, so losing an overwritten intermediate report
@@ -317,11 +312,6 @@ impl DetectorHandle {
 }
 
 impl ConvergenceDetector {
-    /// Create the detector for a run of `peers` peers.
-    pub fn new(tolerance: f64, scheme: Scheme, peers: usize) -> Self {
-        Self::with_capacity(tolerance, scheme, peers, peers)
-    }
-
     /// Create the detector with report cells provisioned for `capacity`
     /// ranks (`capacity >= peers`). The cell array is lock-free and cannot
     /// be resized, so runs that may grow (planned joins) must provision the
@@ -379,10 +369,11 @@ impl ConvergenceDetector {
     /// Record the completion of relaxation number `iteration` (1-based) by
     /// peer `rank` with local difference `diff`; returns true when this
     /// report establishes global convergence. `stable` is computed by the
-    /// peer (see [`ConvergenceDetector::latest_stable`]); `generation` is
-    /// the peer's rollback generation — reports predating a synchronous
+    /// peer (below tolerance, and fresh updates from every asynchronous
+    /// neighbour since its last dirty sweep); `generation` is the peer's
+    /// rollback generation — reports predating a synchronous
     /// rollback are stale and discarded.
-    fn report(
+    pub fn report(
         &mut self,
         rank: usize,
         iteration: u64,
@@ -463,7 +454,7 @@ impl ConvergenceDetector {
 
     /// Fold every outstanding cell publication into the detector state.
     /// Called by [`DetectorHandle::lock`], so all locked operations observe
-    /// the same evidence the fully-locked baseline would have accumulated.
+    /// the evidence they would see if every report had taken the lock.
     fn fold_cells(&mut self) {
         let board = Arc::clone(&self.board);
         for rank in 0..self.peers {
@@ -549,7 +540,7 @@ impl ConvergenceDetector {
 
     /// Account `points` relaxed over `busy_ns` of the backend's clock by
     /// peer `rank` (live throughput estimation).
-    fn record_load(&mut self, rank: usize, points: u64, busy_ns: u64) {
+    pub fn record_load(&mut self, rank: usize, points: u64, busy_ns: u64) {
         self.loads[rank].points += points;
         self.loads[rank].busy_seconds += busy_ns as f64 / 1e9;
     }
@@ -1726,11 +1717,10 @@ pub(crate) mod testing {
                 work_points: 1,
             }
         }
-        fn outgoing(&mut self) -> Vec<(usize, Vec<u8>)> {
-            self.neighbors
-                .iter()
-                .map(|&nb| (nb, vec![self.relaxed as u8]))
-                .collect()
+        fn encode_outgoing(&mut self, sink: &mut FrameSink) {
+            for &nb in &self.neighbors {
+                sink.frame(nb).push(self.relaxed as u8);
+            }
         }
         fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
             self.incorporated.push((from, payload.to_vec()));
@@ -2070,5 +2060,123 @@ mod tests {
             !measurement.converged,
             "hitting the cap is reported as non-convergence"
         );
+    }
+
+    /// Everything of a detector a run can act on, read under its lock.
+    /// `iteration_reports` is left out on purpose: a cell overwritten
+    /// between two folds never counts its older iteration, and such an
+    /// entry — it holds a dirty report — could never have completed at or
+    /// below the tolerance.
+    fn observable(detector: &ConvergenceDetector) -> impl PartialEq + std::fmt::Debug {
+        (
+            (detector.stop, detector.stop_time_ns, detector.generation),
+            detector.streaks.clone(),
+            detector.latest_stable.clone(),
+            detector.last_reported.clone(),
+            detector.loads.iter().map(|l| l.points).collect::<Vec<_>>(),
+        )
+    }
+
+    proptest::proptest! {
+        /// The lock-free report cells defer work, they decide nothing: one
+        /// random report script — dirty and clean sweeps, re-reported and
+        /// skipped iterations, stale generations, loads, and interleaved
+        /// locked operations (a bare `lock()`, a rollback, a join, a crash)
+        /// — fed to two detectors, one through `publish` and one through
+        /// what a clean sweep runs anyway (`lock()` + `record_load` +
+        /// `report`), stops both at the same step with the same evidence
+        /// (streaks, stability, watermarks, loads, generation).
+        /// The lock-free view (`stopped()`, each report's return value) is
+        /// compared after every step, the full state whenever the script
+        /// locks and at the end.
+        #[test]
+        fn publish_agrees_with_locked_reports(
+            scheme_pick in 0usize..3,
+            peers in 2usize..5,
+            steps in 20u64..160,
+            seed in proptest::any::<u64>(),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let scheme = [Scheme::Synchronous, Scheme::Asynchronous, Scheme::Hybrid][scheme_pick];
+            let tolerance = 0.5;
+            let capacity = peers + 1;
+            let make = || {
+                let shared =
+                    ConvergenceDetector::shared_with_capacity(tolerance, scheme, peers, capacity);
+                // Hybrid: rank 0 sits on the cluster edge, so its stability
+                // gates the stop.
+                shared.lock().has_async_neighbor[0] = scheme == Scheme::Hybrid;
+                shared
+            };
+            let (cells, locked) = (make(), make());
+            let mut rng = proptest::TestRng::new(seed);
+            let mut live = peers;
+            let mut generation = 0u32;
+            // Each rank's own generation lags the detector's and only moves
+            // forward, as an engine's does.
+            let mut adopted = vec![0u32; capacity];
+            let mut iteration = vec![0u64; capacity];
+            for step in 0..steps {
+                match rng.below(24) {
+                    0 => prop_assert_eq!(observable(&cells.lock()), observable(&locked.lock())),
+                    1 => {
+                        generation += 1;
+                        let from = iteration[..live].iter().copied().min().unwrap_or(0);
+                        iteration[..live].fill(from);
+                        for shared in [&cells, &locked] {
+                            shared.lock().begin_generation(generation, from);
+                        }
+                    }
+                    2 if live < capacity => {
+                        live += 1;
+                        for shared in [&cells, &locked] {
+                            shared.lock().grow(live);
+                        }
+                    }
+                    3 => {
+                        let rank = rng.below(live as u64) as usize;
+                        for shared in [&cells, &locked] {
+                            shared.lock().mark_crashed(rank);
+                        }
+                    }
+                    _ => {
+                        let rank = rng.below(live as u64) as usize;
+                        // Mostly the next iteration; sometimes a re-report
+                        // (restored peer) or a skipped one.
+                        iteration[rank] += [0, 2, 1, 1, 1, 1, 1, 1][rng.below(8) as usize];
+                        let clean = rng.below(4) != 0;
+                        let diff = if clean {
+                            tolerance * rng.unit_f64()
+                        } else {
+                            tolerance + 0.01 + rng.unit_f64()
+                        };
+                        let stable = clean && rng.below(8) != 0;
+                        if rng.below(4) != 0 {
+                            adopted[rank] = generation;
+                        }
+                        let reported = adopted[rank];
+                        let (points, busy_ns) = (rng.below(1_000), rng.below(1_000_000));
+                        let through_cells = cells.publish(
+                            rank, iteration[rank], diff, stable, step, reported, points, busy_ns,
+                        );
+                        let through_lock = {
+                            let mut detector = locked.lock();
+                            detector.record_load(rank, points, busy_ns);
+                            detector.report(rank, iteration[rank], diff, stable, step, reported)
+                        };
+                        prop_assert_eq!(through_cells, through_lock, "step {}", step);
+                    }
+                }
+                prop_assert_eq!(cells.stopped(), locked.stopped(), "step {}", step);
+                prop_assert_eq!(cells.current_rollback(), locked.current_rollback());
+            }
+            let (a, b) = (cells.lock(), locked.lock());
+            prop_assert_eq!(observable(&a), observable(&b));
+            // Busy time is summed in integer nanoseconds in the cells and in
+            // seconds under the lock: equal up to rounding, not bit for bit.
+            for (x, y) in a.loads.iter().zip(&b.loads) {
+                prop_assert!((x.busy_seconds - y.busy_seconds).abs() <= 1e-9 * y.busy_seconds);
+            }
+        }
     }
 }

@@ -62,50 +62,28 @@ enum LoopWire {
     Gossip(Vec<u8>),
 }
 
-/// Event-count link-fault model of the loopback substrate — the analogue of
-/// [`netsim::LinkFaults`] on the virtual-time backend, with the event
-/// counter standing in for nanoseconds. Data wires crossing a cut edge are
-/// *held* until the edge reopens (the loopback clock cannot reach
-/// retransmission timescales, so dropping them would deadlock a synchronous
-/// edge — the same reasoning that holds in-flight traffic to crashed
-/// peers); gossip wires are *dropped* (the control plane is built for loss,
-/// and that loss is what raises suspicions during a partition). Stop and
-/// rollback broadcasts travel as pre-decoded structs and model reliable
-/// control delivery on both deterministic backends, so they pass unimpaired.
+/// Event-count link-fault model of the loopback substrate: the
+/// [`netsim::LinkFaults`] predicate the virtual-time backend uses, with the
+/// event counter standing in for nanoseconds, plus what is loopback's own.
+/// Data wires crossing a cut edge are *held* until the edge reopens (the
+/// loopback clock cannot reach retransmission timescales, so dropping them
+/// would deadlock a synchronous edge — the same reasoning that holds
+/// in-flight traffic to crashed peers); gossip wires are *dropped* (the
+/// control plane is built for loss, and that loss is what raises suspicions
+/// during a partition). Stop and rollback broadcasts travel as pre-decoded
+/// structs and model reliable control delivery on both deterministic
+/// backends, so they pass unimpaired.
+#[derive(Default)]
 struct LoopLinkState {
-    /// Armed partitions: (rank-group bitmask, from-event, heal-event).
-    partitions: Vec<(u64, u64, u64)>,
-    /// Flapping edges: (a, b, from-event, half-period events, cycles).
-    flaps: Vec<(usize, usize, u64, u64, u32)>,
+    /// Partitions, flapping edges and corruption budgets.
+    faults: netsim::LinkFaults,
     /// Asymmetric delays: (from, to, extra delivery delay in events).
     asym: Vec<(usize, usize, u64)>,
-    /// Corruption budgets: (sender, remaining flips, splitmix64 state).
-    corruption: Vec<(usize, u32, u64)>,
     /// Wires held on cut or slowed edges: (release-event, from, to, wire).
     held: Vec<(u64, usize, usize, LoopWire)>,
 }
 
-/// `splitmix64` step (the seeded corruption byte picker; kept in sync with
-/// the netsim fault model so both backends flip deterministically).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl LoopLinkState {
-    fn new() -> Self {
-        Self {
-            partitions: Vec::new(),
-            flaps: Vec::new(),
-            asym: Vec::new(),
-            corruption: Vec::new(),
-            held: Vec::new(),
-        }
-    }
-
     /// Arm one due link event of `rank` (the event-count twin of the sim
     /// backend's `PeerActor::apply_link_events`).
     fn arm(&mut self, rank: usize, event: crate::churn::ChurnEvent, clock: u64, seed: u64) {
@@ -114,17 +92,13 @@ impl LoopLinkState {
                 group,
                 heal_after_events,
                 ..
-            } => self
-                .partitions
-                .push((group, clock, clock.saturating_add(heal_after_events))),
+            } => self.faults.partition(group, clock, heal_after_events),
             ChurnEventKind::FlappingLink {
                 peer,
                 period_events,
                 cycles,
                 ..
-            } => self
-                .flaps
-                .push((rank, peer, clock, period_events.max(1), cycles)),
+            } => self.faults.flap(rank, peer, clock, period_events, cycles),
             ChurnEventKind::AsymmetricLatency { peer, factor } => {
                 // The loopback link has no latency to scale; each unit of
                 // slowdown beyond 1x becomes one engine event of delay.
@@ -133,64 +107,24 @@ impl LoopLinkState {
                     self.asym.push((rank, peer, delay));
                 }
             }
-            ChurnEventKind::Corruption { flips } => self.corruption.push((
+            ChurnEventKind::Corruption { flips } => self.faults.corrupt_next(
                 rank,
                 flips,
                 seed ^ ((rank as u64) << 32) ^ event.at_iteration,
-            )),
+            ),
             _ => {}
         }
     }
 
-    /// Whether the edge `from ↔ to` is cut at event `now`.
-    fn blocked(&self, from: usize, to: usize, now: u64) -> bool {
-        if from == to {
-            return false;
-        }
-        let side = |mask: u64, rank: usize| rank < 64 && mask & (1u64 << rank) != 0;
-        for &(group, from_ev, heal_at) in &self.partitions {
-            if now >= from_ev && now < heal_at && side(group, from) != side(group, to) {
-                return true;
-            }
-        }
-        for &(a, b, from_ev, half, cycles) in &self.flaps {
-            if ((a, b) != (from, to) && (a, b) != (to, from)) || now < from_ev {
-                continue;
-            }
-            let half_periods = (now - from_ev) / half;
-            if half_periods < 2 * cycles as u64 && half_periods.is_multiple_of(2) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The earliest event strictly after `now` at which the edge `from ↔ to`
+    /// The earliest event at or after `now` at which the edge `from ↔ to`
     /// is open (stepping through partition heals and flap transitions; every
     /// fault is finite, so this always terminates).
     fn next_open(&self, from: usize, to: usize, mut now: u64) -> u64 {
-        while self.blocked(from, to, now) {
-            let mut next = u64::MAX;
-            for &(_, from_ev, heal_at) in &self.partitions {
-                for t in [from_ev, heal_at] {
-                    if t > now {
-                        next = next.min(t);
-                    }
-                }
+        while self.faults.blocked(from, to, now) {
+            match self.faults.next_transition_after(now) {
+                Some(next) => now = next,
+                None => break,
             }
-            for &(_, _, from_ev, half, cycles) in &self.flaps {
-                for k in 0..=(2 * cycles as u64) {
-                    let t = from_ev + k * half;
-                    if t > now {
-                        next = next.min(t);
-                        break;
-                    }
-                }
-            }
-            if next == u64::MAX {
-                break;
-            }
-            now = next;
         }
         now
     }
@@ -202,21 +136,6 @@ impl LoopLinkState {
             .filter(|&&(f, t, _)| f == from && t == to)
             .map(|&(_, _, d)| d)
             .sum()
-    }
-
-    /// Charge one frame sent by `from` against the corruption budgets:
-    /// returns the seeded `(byte, bit)` flip for a frame of `len` bytes.
-    fn corrupt_frame(&mut self, from: usize, len: usize) -> Option<(usize, u8)> {
-        if len == 0 {
-            return None;
-        }
-        let budget = self
-            .corruption
-            .iter_mut()
-            .find(|b| b.0 == from && b.1 > 0)?;
-        budget.1 -= 1;
-        let draw = splitmix64(&mut budget.2);
-        Some(((draw % len as u64) as usize, 1 << ((draw >> 32) % 8)))
     }
 
     /// Route one flushed wire: deliver it, hold it, corrupt it or drop it.
@@ -232,14 +151,14 @@ impl LoopLinkState {
         // frame at the receiver, so a corrupted wire is effectively lost).
         match &mut wire {
             LoopWire::Segment(bytes) => {
-                if let Some((at, bit)) = self.corrupt_frame(from, bytes.len()) {
+                if let Some((at, bit)) = self.faults.corrupt_frame(from, bytes.len()) {
                     let mut corrupted = bytes.to_vec();
                     corrupted[at] ^= bit;
                     *bytes = Bytes::from(corrupted);
                 }
             }
             LoopWire::Gossip(bytes) => {
-                if let Some((at, bit)) = self.corrupt_frame(from, bytes.len()) {
+                if let Some((at, bit)) = self.faults.corrupt_frame(from, bytes.len()) {
                     bytes[at] ^= bit;
                 }
             }
@@ -247,7 +166,7 @@ impl LoopLinkState {
         }
         match &wire {
             LoopWire::Segment(_) => {
-                let release = if self.blocked(from, to, clock) {
+                let release = if self.faults.blocked(from, to, clock) {
                     self.next_open(from, to, clock)
                 } else {
                     clock + self.asym_delay(from, to)
@@ -258,7 +177,7 @@ impl LoopLinkState {
                     inboxes[to].push_back((from, wire));
                 }
             }
-            LoopWire::Gossip(_) if self.blocked(from, to, clock) => {}
+            LoopWire::Gossip(_) if self.faults.blocked(from, to, clock) => {}
             _ => inboxes[to].push_back((from, wire)),
         }
     }
@@ -443,7 +362,7 @@ pub(crate) fn run_iterative_loopback(
         .churn
         .as_ref()
         .filter(|plan| plan.link_fault_count() > 0)
-        .map(|_| LoopLinkState::new());
+        .map(|_| LoopLinkState::default());
 
     // Route one wire towards its destination inbox, through the link-fault
     // model when one is armed.
@@ -1002,60 +921,5 @@ mod tests {
             b.measurement.relaxations_per_peer
         );
         assert_eq!(a.results, b.results);
-    }
-
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The lock-free report cells are an exact refactor of the locked
-        /// detector: forcing every report through the mutex (`force_locked`,
-        /// the pre-cell baseline semantics) and letting dirty reports ride
-        /// the cells produce the identical convergence iteration, per-peer
-        /// relaxation counts and result bytes, for any (workload, scheme,
-        /// seed, peers). Loopback folds cells at the same deterministic
-        /// points the lock used to be taken, so the runs are comparable
-        /// byte for byte. (Toggling the global knob is safe under the
-        /// parallel test harness: it switches which path reports take, and
-        /// this test is precisely the proof that both paths agree.)
-        #[test]
-        fn cell_and_locked_detectors_agree(
-            workload_pick in 0usize..3,
-            scheme_pick in 0usize..3,
-            seed in proptest::any::<u64>(),
-            peers in 2usize..5,
-        ) {
-            use crate::runtime::report_cell::set_force_locked;
-            use crate::workload::WorkloadKind;
-
-            let kind = WorkloadKind::ALL[workload_pick];
-            let size = match kind {
-                WorkloadKind::Obstacle => 8,
-                WorkloadKind::Heat => 12,
-                WorkloadKind::PageRank => 40,
-            };
-            let scheme = [Scheme::Synchronous, Scheme::Asynchronous, Scheme::Hybrid]
-                [scheme_pick];
-            let mut config = match scheme {
-                Scheme::Hybrid => RunConfig::two_clusters(scheme, peers),
-                _ => RunConfig::quick(scheme, peers),
-            };
-            config.seed = seed;
-            let workload = kind.build(size, peers);
-            let run = |forced: bool| {
-                set_force_locked(forced);
-                let outcome = run_iterative_loopback(&config, &|rank| workload.task(rank));
-                set_force_locked(false);
-                outcome
-            };
-            let locked = run(true);
-            let cells = run(false);
-            prop_assert_eq!(locked.measurement.converged, cells.measurement.converged);
-            prop_assert_eq!(
-                locked.measurement.relaxations_per_peer,
-                cells.measurement.relaxations_per_peer,
-                "locked and cell detectors diverged on relaxation counts"
-            );
-            prop_assert_eq!(locked.results, cells.results);
-        }
     }
 }

@@ -40,7 +40,7 @@ use netsim::NodeId;
 use polling::{Events, Poller};
 use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -56,20 +56,6 @@ const REBALANCE_RATIO: f64 = 1.25;
 /// and one idler than `1 - this` never a source — absolute noise guard so
 /// quiescent phases (discovery, drain-out) do not shuffle peers.
 const REBALANCE_MIN_BUSY: Duration = Duration::from_millis(5);
-
-/// Global switch for the measured loop rebalance (on by default). The
-/// contention bench disables it to isolate the static-shard baseline.
-static REBALANCE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable migration of peers between reactor event loops.
-pub fn set_rebalance_enabled(enabled: bool) {
-    REBALANCE_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether reactor loop rebalancing is enabled.
-pub fn rebalance_enabled() -> bool {
-    REBALANCE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// Per-loop busy-time observability of a socket run: returned with the run
 /// ([`SocketRunOutcome::loops`]) and kept for the most recent run of the
@@ -358,9 +344,8 @@ impl Balancer {
         }
         drop(clock);
         // The period accounting above runs even when migration can't — the
-        // busy-share stats stay meaningful on single-loop and
-        // rebalance-disabled runs.
-        if !rebalance_enabled() || self.mailboxes.len() < 2 {
+        // busy-share stats stay meaningful on single-loop runs.
+        if self.mailboxes.len() < 2 {
             return None;
         }
         let (max_loop, max_delta) = deltas.iter().copied().enumerate().max_by_key(|&(_, d)| d)?;
@@ -955,10 +940,6 @@ mod tests {
 
     const RAMP: u64 = 10;
 
-    /// Serializes the tests that read or flip the process-global rebalance
-    /// switch (the test harness runs tests on parallel threads).
-    static REBALANCE_SWITCH: Mutex<()> = Mutex::new(());
-
     fn run_sockets(config: &RunConfig) -> SocketRunOutcome {
         let peers = config.topology.len();
         ReactorDriver::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
@@ -1036,7 +1017,6 @@ mod tests {
     /// guards, and the target is the least-busy loop.
     #[test]
     fn shed_target_picks_the_least_busy_loop_only_under_real_imbalance() {
-        let _switch = REBALANCE_SWITCH.lock().unwrap();
         let balancer = Balancer::new(3, 6);
         // Synthetic period: loop 0 did 40 ms of work, loop 1 did 10 ms,
         // loop 2 did 2 ms.
@@ -1072,28 +1052,13 @@ mod tests {
     }
 
     /// A quiescent imbalance (all deltas under the noise floor) must not
-    /// shuffle peers, and disabling rebalancing vetoes migration while the
-    /// period accounting keeps running.
+    /// shuffle peers.
     #[test]
-    fn shed_target_respects_noise_floor_and_disable_switch() {
-        let _switch = REBALANCE_SWITCH.lock().unwrap();
+    fn shed_target_respects_noise_floor() {
         let quiet = Balancer::new(2, 4);
         quiet.add_busy(0, 100_000); // 0.1 ms: under the 5 ms floor
         std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
         assert_eq!(quiet.shed_target(0), None, "noise must not migrate peers");
-
-        let disabled = Balancer::new(2, 4);
-        disabled.add_busy(0, 40_000_000);
-        set_rebalance_enabled(false);
-        std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
-        let decision = disabled.shed_target(0);
-        set_rebalance_enabled(true);
-        assert_eq!(decision, None, "disabled rebalance must not migrate");
-        assert_eq!(
-            disabled.stats().busy_ns_first_period,
-            vec![40_000_000, 0],
-            "stats still recorded while disabled"
-        );
     }
 
     /// The mailbox round trip: a delivered peer is visible through the

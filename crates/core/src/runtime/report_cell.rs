@@ -22,9 +22,10 @@
 //! the "control plane" section of ARCHITECTURE.md for the equivalence and
 //! determinism argument.
 //!
-//! The module also hosts the run-wide contention counters (feature
-//! `contention-count`, on by default) that `repro contention` snapshots to
-//! prove the hot sweep acquires zero locks.
+//! The module also hosts the run-wide [`contention`] counters: the
+//! benchmark's traced pass reports them per relaxation, and
+//! `tests/hot_sweep_locks.rs` proves with them that the hot sweep acquires
+//! zero locks.
 //!
 //! [`ConvergenceDetector`]: crate::runtime::engine::ConvergenceDetector
 
@@ -207,26 +208,13 @@ impl ReportBoard {
     }
 }
 
-/// When set, every report takes the locked path and the cells stay cold —
-/// the exact pre-cell detector semantics. The equivalence property test and
-/// the `control_plane` criterion baseline run under this knob.
-static FORCE_LOCKED: AtomicBool = AtomicBool::new(false);
-
-/// Force every report through the locked path (test/bench knob).
-pub fn set_force_locked(enabled: bool) {
-    FORCE_LOCKED.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether the locked path is being forced.
-pub fn force_locked() -> bool {
-    FORCE_LOCKED.load(Ordering::Relaxed)
-}
-
-/// Run-wide lock-acquisition counters, snapshotted by `repro contention` to
-/// prove the hot sweep is lock-free. Compiled to no-ops without the
-/// `contention-count` feature (on by default).
+/// Run-wide lock-acquisition counters: the benchmark's traced pass reads
+/// them as `detector.*` / `volatility.*` / `topology.*` locks per relaxation,
+/// and `tests/hot_sweep_locks.rs` asserts the per-sweep ones stay at zero on
+/// a run whose every sweep is the common case. Relaxed increments on paths
+/// that are rare by construction; process-global, so a reader that wants one
+/// run's counts must be the only run in its process.
 pub mod contention {
-    #[cfg(feature = "contention-count")]
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A snapshot of the counters.
@@ -236,7 +224,7 @@ pub mod contention {
         pub detector_locks: u64,
         /// Detector-mutex acquisitions taken from the per-sweep report path
         /// (a report at or below the tolerance). Zero while no peer is near
-        /// convergence — the hot-sweep smoke assertion.
+        /// convergence.
         pub detector_report_locks: u64,
         /// Volatility-mutex acquisitions, all entry points.
         pub volatility_locks: u64,
@@ -248,23 +236,17 @@ pub mod contention {
         pub topology_locks: u64,
     }
 
-    #[cfg(feature = "contention-count")]
     static DETECTOR: AtomicU64 = AtomicU64::new(0);
-    #[cfg(feature = "contention-count")]
     static DETECTOR_REPORT: AtomicU64 = AtomicU64::new(0);
-    #[cfg(feature = "contention-count")]
     static VOLATILITY: AtomicU64 = AtomicU64::new(0);
-    #[cfg(feature = "contention-count")]
     static VOLATILITY_SWEEP: AtomicU64 = AtomicU64::new(0);
-    #[cfg(feature = "contention-count")]
     static TOPOLOGY: AtomicU64 = AtomicU64::new(0);
 
     macro_rules! bump {
         ($name:ident, $counter:ident) => {
-            /// Count one acquisition (no-op without `contention-count`).
+            /// Count one acquisition.
             #[inline]
             pub fn $name() {
-                #[cfg(feature = "contention-count")]
                 $counter.fetch_add(1, Ordering::Relaxed);
             }
         };
@@ -278,30 +260,22 @@ pub mod contention {
 
     /// Reset all counters to zero.
     pub fn reset() {
-        #[cfg(feature = "contention-count")]
-        {
-            DETECTOR.store(0, Ordering::Relaxed);
-            DETECTOR_REPORT.store(0, Ordering::Relaxed);
-            VOLATILITY.store(0, Ordering::Relaxed);
-            VOLATILITY_SWEEP.store(0, Ordering::Relaxed);
-            TOPOLOGY.store(0, Ordering::Relaxed);
-        }
+        DETECTOR.store(0, Ordering::Relaxed);
+        DETECTOR_REPORT.store(0, Ordering::Relaxed);
+        VOLATILITY.store(0, Ordering::Relaxed);
+        VOLATILITY_SWEEP.store(0, Ordering::Relaxed);
+        TOPOLOGY.store(0, Ordering::Relaxed);
     }
 
-    /// Snapshot the counters. All zeros without `contention-count`.
+    /// Snapshot the counters.
     pub fn snapshot() -> Counters {
-        #[cfg(feature = "contention-count")]
-        {
-            Counters {
-                detector_locks: DETECTOR.load(Ordering::Relaxed),
-                detector_report_locks: DETECTOR_REPORT.load(Ordering::Relaxed),
-                volatility_locks: VOLATILITY.load(Ordering::Relaxed),
-                volatility_sweep_locks: VOLATILITY_SWEEP.load(Ordering::Relaxed),
-                topology_locks: TOPOLOGY.load(Ordering::Relaxed),
-            }
+        Counters {
+            detector_locks: DETECTOR.load(Ordering::Relaxed),
+            detector_report_locks: DETECTOR_REPORT.load(Ordering::Relaxed),
+            volatility_locks: VOLATILITY.load(Ordering::Relaxed),
+            volatility_sweep_locks: VOLATILITY_SWEEP.load(Ordering::Relaxed),
+            topology_locks: TOPOLOGY.load(Ordering::Relaxed),
         }
-        #[cfg(not(feature = "contention-count"))]
-        Counters::default()
     }
 }
 

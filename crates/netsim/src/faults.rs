@@ -228,9 +228,19 @@ impl LinkFaults {
             consider(p.heal_at_ns);
         }
         for f in &state.flaps {
-            let end = 2 * f.cycles as u64;
-            for k in 0..=end {
-                consider(f.from_ns + k * f.half_period_ns);
+            // The edges sit at `from + k · half` for `k` in `0..=2·cycles`;
+            // the first one past `now_ns` is computed, not searched for
+            // (`cycles` comes from a plan file read from disk).
+            let k = match now_ns.checked_sub(f.from_ns) {
+                None => 0,
+                Some(since) => (since / f.half_period_ns).saturating_add(1),
+            };
+            // An edge past the end of the clock never comes.
+            let edge = k
+                .checked_mul(f.half_period_ns)
+                .and_then(|offset| f.from_ns.checked_add(offset));
+            if let Some(at) = edge.filter(|_| k <= 2 * f.cycles as u64) {
+                consider(at);
             }
         }
         next
@@ -266,6 +276,40 @@ mod tests {
         assert!(!faults.blocked(1, 2, 400), "cycles exhausted: stays up");
         assert!(!faults.blocked(1, 2, 10_000));
         assert!(!faults.blocked(0, 2, 50), "other edges unaffected");
+    }
+
+    #[test]
+    fn next_flap_edge_is_computed_not_walked() {
+        // The walk this replaced, as the oracle on small cases.
+        let walk = |from: u64, half: u64, cycles: u32, now: u64| {
+            (0..=2 * cycles as u64)
+                .map(|k| from + k * half)
+                .find(|&t| t > now)
+        };
+        for (from, half, cycles) in [(0, 100, 2), (50, 7, 3), (10, 1, 0), (10, 1, 5)] {
+            let faults = LinkFaults::new();
+            faults.flap(1, 2, from, half, cycles);
+            for now in 0..from + 2 * cycles as u64 * half + 3 {
+                assert_eq!(
+                    faults.next_transition_after(now),
+                    walk(from, half, cycles, now),
+                    "from {from} half {half} cycles {cycles} now {now}"
+                );
+            }
+        }
+        // A hostile plan: 2³³ edges one tick apart answer at once, and
+        // nothing overflows at the end of the clock.
+        let faults = LinkFaults::new();
+        faults.flap(1, 2, 5, 1, u32::MAX);
+        assert_eq!(faults.next_transition_after(0), Some(5));
+        assert_eq!(faults.next_transition_after(1 << 32), Some((1 << 32) + 1));
+        let last = 5 + 2 * u32::MAX as u64;
+        assert_eq!(faults.next_transition_after(last - 1), Some(last));
+        assert_eq!(faults.next_transition_after(last), None);
+        assert_eq!(faults.next_transition_after(u64::MAX), None);
+        let late = LinkFaults::new();
+        late.flap(1, 2, u64::MAX - 1, u64::MAX, 2);
+        assert_eq!(late.next_transition_after(u64::MAX - 1), None);
     }
 
     #[test]

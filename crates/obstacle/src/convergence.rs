@@ -22,7 +22,7 @@ pub fn sup_norm_diff(a: &[f64], b: &[f64]) -> f64 {
 
 /// Stopping criterion based on the maximum norm of the successive-iterate
 /// difference (the criterion used for all experiments in this reproduction;
-/// the paper does not state its criterion explicitly, see EXPERIMENTS.md).
+/// the paper does not state its criterion explicitly).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConvergenceCriterion {
     /// Threshold on the sup-norm of the successive difference.

@@ -87,8 +87,7 @@ fn main() {
         "the crash must surface as a gossip death verdict"
     );
     // The ping server is never constructed under gossip, so its mutex is
-    // untouched (the counter is live when the `contention-count` feature is
-    // on, and trivially zero otherwise).
+    // untouched.
     let locks = p2pdc::runtime::report_cell::contention::snapshot();
     assert_eq!(
         locks.topology_locks, 0,

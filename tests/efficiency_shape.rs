@@ -17,7 +17,8 @@ fn experiment(scheme: Scheme, peers: usize, clusters: usize) -> ObstacleExperime
         tolerance: 1e-4,
         // Granularity-preserving scaling: each sweep costs what a 96-grid
         // sweep would, so the communication/computation ratio matches the
-        // paper's experiments (see DESIGN.md / EXPERIMENTS.md).
+        // paper's experiments (`FigureConfig::compute_model` in
+        // `crates/bench` has the reasoning).
         compute: ComputeModel::calibrated(50.0 * (96.0f64 / N as f64).powi(3)),
         seed: 42,
     }
@@ -48,9 +49,9 @@ fn synchronous_suffers_across_clusters_asynchronous_does_not() {
     // Asynchronous: the second cluster costs far less than it costs the
     // synchronous scheme. (At this reduced test scale the asynchronous
     // termination detection pays a roughly constant extra WAN round-trip,
-    // so a factor-2 margin is used; at the harness scale — see
-    // EXPERIMENTS.md — the one- and two-cluster asynchronous times are
-    // nearly identical, as in the paper.)
+    // so a factor-2 margin is used; at the harness scale — `repro fig5` —
+    // the one- and two-cluster asynchronous times are nearly identical, as
+    // in the paper.)
     assert!(
         async_2 < 2.0 * async_1,
         "asynchronous should change far less across clusters ({async_1:.2}s -> {async_2:.2}s)"
@@ -73,7 +74,7 @@ fn speedup_ordering_matches_the_paper_on_two_clusters() {
     // Both adaptive schemes dominate the synchronous scheme across the WAN,
     // and the asynchronous scheme stays in the same league as hybrid (at the
     // harness scale it wins outright; at this reduced scale its termination
-    // detection pays an extra WAN round trip, see EXPERIMENTS.md).
+    // detection pays an extra WAN round trip).
     assert!(
         hybrid > 2.0 * sync,
         "hybrid speedup {hybrid:.2} should dominate synchronous {sync:.2} across the WAN"

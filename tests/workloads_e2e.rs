@@ -114,6 +114,49 @@ fn reactor_agrees_with_loopback_on_synchronous_relaxation_counts() {
     }
 }
 
+/// The full grid — every workload on every backend under both schemes — at
+/// sizes bounded by the asynchronous × udp cells (a free-running peer
+/// relaxes hundreds of times per real-socket round trip). Every cell
+/// converges under its residual cap, and the synchronous convergence
+/// iteration is one number per workload on all five backends.
+#[test]
+fn every_workload_converges_on_every_backend_and_synchronous_counts_agree() {
+    let peers = 2;
+    for kind in WorkloadKind::ALL {
+        let (size, tolerance) = match kind {
+            WorkloadKind::Obstacle => (8, 1e-3),
+            WorkloadKind::Heat => (12, 1e-3),
+            WorkloadKind::PageRank => (60, 1e-6),
+        };
+        let workload = kind.build(size, peers);
+        let mut sync_counts = Vec::new();
+        for runtime in RuntimeKind::ALL {
+            for scheme in [Scheme::Synchronous, Scheme::Asynchronous] {
+                let mut config = RunConfig::single_cluster(scheme, peers);
+                config.tolerance = tolerance;
+                let m = run_on(workload.as_ref(), &config, runtime).measurement;
+                let cell = format!("{kind}/{runtime}/{scheme}");
+                assert!(m.converged, "{cell} did not converge");
+                // Synchronous termination leaves a residual on the order of
+                // the tolerance; asynchronous termination accepts boundary
+                // staleness, so its cap is looser.
+                let cap = match scheme {
+                    Scheme::Synchronous => tolerance * 10.0,
+                    _ => 5e-2,
+                };
+                assert!(m.residual < cap, "{cell}: residual {}", m.residual);
+                if scheme == Scheme::Synchronous {
+                    sync_counts.push((runtime, min_relaxations(&m)));
+                }
+            }
+        }
+        assert!(
+            sync_counts.windows(2).all(|pair| pair[0].1 == pair[1].1),
+            "{kind}: the synchronous convergence iteration differs: {sync_counts:?}"
+        );
+    }
+}
+
 /// Same-seed loopback runs of the new workloads are bit-for-bit
 /// reproducible, like the obstacle runs in `tests/determinism.rs`.
 #[test]
