@@ -72,7 +72,7 @@ pub use pagerank_app::{
 pub use runtime::{
     driver_for, BackendExtras, ClockDomain, ControlPlane, ConvergenceDetector, DetectorHandle,
     DriverOutcome, LossShim, PeerEngine, PeerTransport, Reassembler, RunConfig, RuntimeDriver,
-    TaskFactory, DRIVERS,
+    TaskFactory, Wire, DRIVERS,
 };
 pub use scenario::{check_case, FuzzCase, Violation};
 pub use task_manager::{parse_command, Command, Job, JobState, TaskManager};

@@ -8,7 +8,9 @@
 //! volatility coordinator's recovery grant. This module keeps the
 //! backends on one implementation of that rule — the cadence, the
 //! registration bookkeeping, the re-register-on-spurious-eviction
-//! behaviour and the monitor loop live here, not in each drive loop.
+//! behaviour and the monitor loop live here, not in each drive loop. The
+//! crashed peer's side — polling for the grant the monitor lands — is
+//! `RunScaffold::crash_verdict`, whoever detects the failure.
 
 use crate::churn::SharedVolatility;
 use crate::runtime::engine::SharedDetector;
@@ -108,33 +110,6 @@ pub(crate) fn run_monitor(
         if shared.stopped() {
             break;
         }
-    }
-}
-
-/// A crashed peer's wait for the run's verdict: block (cheaply) until the
-/// monitor grants this rank's recovery, or until the run stops (relaxation
-/// cap reached elsewhere while the peer was down). Returns `true` on a
-/// grant, `false` on a stop. `while_waiting` runs each poll round so the
-/// backend can keep losing traffic addressed to the dead incarnation (the
-/// thread runtime drains its channel).
-pub(crate) fn await_recovery_grant(
-    volatility: &Option<SharedVolatility>,
-    shared: &SharedDetector,
-    rank: usize,
-    mut while_waiting: impl FnMut(),
-) -> bool {
-    loop {
-        if shared.stopped() {
-            return false;
-        }
-        let granted = volatility
-            .as_ref()
-            .is_some_and(|vol| vol.lock().is_granted(rank));
-        if granted {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-        while_waiting();
     }
 }
 

@@ -14,14 +14,11 @@
 //! The engine is written in the same sans-io style as the P2PSAP
 //! [`Socket`]: it never blocks and never owns a clock. The runtime driver
 //! feeds it events (`on_start`, `on_segment`, `on_timer`,
-//! `on_compute_done`, `on_stop_signal`, `on_rollback`) and executes the
-//! actions the engine pushes through its transport (transmit a segment, arm
-//! or cancel a protocol timer, schedule the completion of a relaxation,
-//! broadcast the stop signal or a rollback). Four transports exist today:
-//! the virtual-time desim / netsim fabric ([`crate::runtime::sim`]), real
-//! OS threads with routed channels ([`crate::runtime::threads`]), the
-//! zero-latency in-process loopback ([`crate::runtime::loopback`]) and real
-//! localhost UDP sockets ([`crate::runtime::udp`]).
+//! `on_compute_done`, `on_stop_signal`, `on_rollback` — through the hosted
+//! peer of `runtime::host`) and executes the actions the engine pushes
+//! through its transport (transmit a [`Wire`], arm or cancel a protocol
+//! timer, schedule the completion of a relaxation, broadcast a stop or a
+//! rollback). [`crate::runtime`] lists the transports that exist.
 //!
 //! Global convergence detection lives in [`ConvergenceDetector`], shared by
 //! all peers of a run. It is an omniscient observer (it consumes no network
@@ -81,15 +78,34 @@ pub type TimerKey = (usize, usize, u64);
 /// payload (see [`PeerEngine::on_compute_done`]'s publish step).
 pub const GENERATION_TAG_BYTES: usize = 4;
 
+/// What crosses between the peers of a run, on every backend: channels move
+/// it as is, the simulator boxes it as a process message (segments ride the
+/// fabric), sockets frame it as datagrams
+/// ([`Datagram::from_wire`](crate::runtime::udp::Datagram::from_wire)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Wire {
+    /// A P2PSAP data-channel segment.
+    Segment(Bytes),
+    /// The termination broadcast.
+    Stop,
+    /// The synchronous rollback broadcast of a recovered (or joined-on)
+    /// run: `(restart iteration, new report generation)`.
+    Rollback(u64, u32),
+    /// An encoded [`GossipMessage`](crate::gossip::GossipMessage) (control
+    /// plane, not data path).
+    Gossip(Vec<u8>),
+}
+
 /// The substrate services a [`PeerEngine`] needs. Implementations execute
 /// the engine's actions on a concrete runtime; all methods are non-blocking.
 pub trait PeerTransport {
     /// Current time in nanoseconds (virtual or wall-clock since run start).
     fn now_ns(&mut self) -> u64;
 
-    /// Put one wire segment produced by a P2PSAP socket on the network
-    /// towards neighbour `to`.
-    fn transmit(&mut self, to: usize, segment: Bytes);
+    /// Put one wire on the network towards rank `to`: a segment a P2PSAP
+    /// socket produced, or a message of the peer's SWIM node. The receiving
+    /// driver hands it to `HostedPeer::deliver`.
+    fn transmit(&mut self, to: usize, wire: Wire);
 
     /// Arm a protocol timer; the driver must call
     /// [`PeerEngine::on_timer`] with `key` once `delay_ns` has elapsed,
@@ -106,11 +122,11 @@ pub trait PeerTransport {
     /// simulated one).
     fn schedule_compute(&mut self, work_points: u64);
 
-    /// Wake every other peer of the run: global convergence (or the
-    /// relaxation cap) has been reached and peers idling in a synchronous
-    /// wait must terminate. The driver delivers this as
-    /// [`PeerEngine::on_stop_signal`].
-    fn broadcast_stop(&mut self);
+    /// Send `wire` to every other peer over the substrate's control path:
+    /// [`Wire::Stop`] (convergence or the relaxation cap was reached, peers
+    /// idling in a synchronous wait must terminate) or [`Wire::Rollback`]
+    /// (a recovered peer restarted, the synchronous scheme realigns there).
+    fn broadcast(&mut self, wire: &Wire);
 
     /// Sender-side pacing gate for updates to *asynchronous* neighbours: an
     /// update that would only queue behind the previous one on the link may
@@ -122,21 +138,11 @@ pub trait PeerTransport {
     fn pacing_gate(&mut self, _to: usize, _wire_bytes: usize) -> bool {
         true
     }
-
-    /// Record a named statistic (the simulated runtime forwards these to
-    /// its tracer; other transports ignore them).
-    fn note(&mut self, _counter: &'static str) {}
-
-    /// Broadcast a synchronous rollback to every other peer of the run: a
-    /// recovered peer restarted from iteration `to_iteration` and the
-    /// synchronous scheme must realign there. The driver delivers this as
-    /// [`PeerEngine::on_rollback`]. Defaults to a no-op (fault-free runs
-    /// never roll back).
-    fn broadcast_rollback(&mut self, _to_iteration: u64, _generation: u32) {}
 }
 
-/// Deadline queue for protocol timers, shared by the transports that keep
-/// their own clock (threads, loopback). Re-arming a key replaces its
+/// Deadline queue for protocol timers: the timer half of the `Polled` core
+/// (`runtime::host`) every transport that is polled for due work embeds
+/// (threads, loopback, the socket backends). Re-arming a key replaces its
 /// previous deadline; popping is in deadline order.
 #[derive(Debug, Default)]
 pub struct TimerQueue {
@@ -755,6 +761,18 @@ pub struct PeerEngine {
     last_sweep: Option<SweepSummary>,
 }
 
+/// The wait rule of Table I: whether a peer running `scheme` waits for the
+/// update of a neighbour it reaches over `connection` before its next
+/// relaxation (synchronous: always; asynchronous: never; hybrid: within a
+/// cluster only).
+fn waits(scheme: Scheme, connection: netsim::ConnectionType) -> bool {
+    match scheme {
+        Scheme::Synchronous => true,
+        Scheme::Asynchronous => false,
+        Scheme::Hybrid => connection == netsim::ConnectionType::IntraCluster,
+    }
+}
+
 impl PeerEngine {
     /// Create the engine of peer `rank`. The topology classifies each
     /// neighbour connection so the scheme's wait rule (Table I semantics)
@@ -778,12 +796,7 @@ impl PeerEngine {
             // The socket derives the communication mode from (scheme,
             // connection) through the P2PSAP controller (Table I).
             sockets.insert(nb, Socket::open(scheme, connection));
-            let wait = match scheme {
-                Scheme::Synchronous => true,
-                Scheme::Asynchronous => false,
-                Scheme::Hybrid => connection == netsim::ConnectionType::IntraCluster,
-            };
-            if wait {
+            if waits(scheme, connection) {
                 sync_neighbors.push(nb);
                 pending_sync.insert(nb, VecDeque::new());
             } else {
@@ -895,12 +908,7 @@ impl PeerEngine {
             self.sockets
                 .entry(nb)
                 .or_insert_with(|| Socket::open(self.scheme, connection));
-            let wait = match self.scheme {
-                Scheme::Synchronous => true,
-                Scheme::Asynchronous => false,
-                Scheme::Hybrid => connection == netsim::ConnectionType::IntraCluster,
-            };
-            if wait {
+            if waits(self.scheme, connection) {
                 self.sync_neighbors.push(nb);
                 self.pending_sync.entry(nb).or_default();
                 self.async_fresh.remove(&nb);
@@ -931,12 +939,7 @@ impl PeerEngine {
     /// relaxation counter is kept; without it (a rollback realignment, a
     /// recovering rank, or the joiner) the plan's state and iteration are
     /// taken as-is.
-    fn adopt_ticket(
-        &mut self,
-        ticket: crate::churn::AdoptionTicket,
-        overlay: bool,
-        transport: &mut impl PeerTransport,
-    ) {
+    fn adopt_ticket(&mut self, ticket: crate::churn::AdoptionTicket, overlay: bool) {
         let mut global = ticket.global;
         let iteration = if overlay {
             crate::workload::write_block_state(
@@ -953,7 +956,6 @@ impl PeerEngine {
             .task_for(self.rank, &ticket.parts, &global, iteration);
         self.rebuild_comms();
         self.epoch = ticket.epoch;
-        transport.note("p2pdc.repartitions");
     }
 
     /// Adopt a pending asynchronous/hybrid membership plan, if one is newer
@@ -979,7 +981,7 @@ impl PeerEngine {
         let Some(ticket) = vol.lock().adoption(self.epoch, false) else {
             return false;
         };
-        self.adopt_ticket(ticket, true, transport);
+        self.adopt_ticket(ticket, true);
         if self.shared.stopped() {
             self.finish(transport);
             return true;
@@ -1035,7 +1037,6 @@ impl PeerEngine {
     /// active, the initial state is checkpointed first so a rollback target
     /// exists even before the first interval checkpoint.
     pub fn on_start(&mut self, transport: &mut impl PeerTransport) {
-        transport.note("p2pdc.peers_started");
         if let Some(vol) = &self.volatility {
             vol.lock().store_checkpoint(Checkpoint {
                 rank: self.rank,
@@ -1055,7 +1056,7 @@ impl PeerEngine {
         output: p2psap::SocketOutput,
     ) {
         for segment in output.data {
-            transport.transmit(neighbor, segment.clone());
+            transport.transmit(neighbor, Wire::Segment(segment.clone()));
             // Wall-clock transports copy the segment into their send frame
             // and drop the handle; reclaim the storage for the session's
             // wire-buffer pool. Retaining transports (sim, loopback) keep a
@@ -1150,7 +1151,6 @@ impl PeerEngine {
                         shared.record_load(self.rank, relax.work_points, busy_ns);
                         shared.mark_crashed(self.rank);
                     }
-                    transport.note("p2pdc.crashes");
                     return;
                 }
             }
@@ -1258,7 +1258,6 @@ impl PeerEngine {
             relax.work_points,
             busy_ns,
         );
-        transport.note("p2pdc.relaxations");
         if stop || iteration >= self.max_relaxations {
             self.finish(transport);
             return;
@@ -1309,13 +1308,13 @@ impl PeerEngine {
             self.shared.lock().begin_generation(generation, target);
             let ticket = vol.lock().adoption(self.epoch, true);
             if let Some(ticket) = ticket {
-                self.adopt_ticket(ticket, false, transport);
+                self.adopt_ticket(ticket, false);
             }
-            transport.broadcast_rollback(target, generation);
+            transport.broadcast(&Wire::Rollback(target, generation));
         } else {
             let ticket = vol.lock().adoption(self.epoch, false);
             if let Some(ticket) = ticket {
-                self.adopt_ticket(ticket, true, transport);
+                self.adopt_ticket(ticket, true);
             }
         }
         if self.shared.stopped() {
@@ -1377,7 +1376,7 @@ impl PeerEngine {
         if broadcast_needed {
             // Wake every other peer: some may be idling on a synchronous wait
             // whose counterpart has already terminated.
-            transport.broadcast_stop();
+            transport.broadcast(&Wire::Stop);
         }
     }
 
@@ -1410,7 +1409,7 @@ impl PeerEngine {
                 .filter(|ticket| ticket.rollback == rollback)
         };
         if let Some(ticket) = adoption {
-            self.adopt_ticket(ticket, false, transport);
+            self.adopt_ticket(ticket, false);
         } else if let Some(checkpoint) = checkpoint {
             // Tasks without restore support (the trait's default) keep their
             // live state: the rank rejoins without rewinding.
@@ -1428,7 +1427,6 @@ impl PeerEngine {
         // anything the crashed incarnation published is void evidence.
         self.report_epoch = self.report_epoch.wrapping_add(1);
         self.last_sweep = None;
-        transport.note("p2pdc.recoveries");
         if let Some((to_iteration, generation)) = rollback {
             // Rolling back: queued pre-rollback updates belong to abandoned
             // iterations and every peer will publish afresh from the common
@@ -1445,7 +1443,7 @@ impl PeerEngine {
             self.shared
                 .lock()
                 .begin_generation(generation, to_iteration);
-            transport.broadcast_rollback(to_iteration, generation);
+            transport.broadcast(&Wire::Rollback(to_iteration, generation));
         }
         // The run may have been stopped (relaxation cap) while this peer was
         // down; deposit the restored result instead of iterating on.
@@ -1505,7 +1503,7 @@ impl PeerEngine {
                 .filter(|ticket| ticket.rollback == Some((to_iteration, generation)))
         });
         if let Some(ticket) = adoption {
-            self.adopt_ticket(ticket, false, transport);
+            self.adopt_ticket(ticket, false);
         } else if let Some(checkpoint) = self
             .volatility
             .as_ref()
@@ -1526,7 +1524,6 @@ impl PeerEngine {
             *counter = 0;
         }
         self.max_ghost_change = 0.0;
-        transport.note("p2pdc.rollbacks");
         if self.shared.stopped() {
             self.finish(transport);
             return;
@@ -1579,28 +1576,38 @@ impl PeerEngine {
         }
     }
 
+    /// One event on the session with `neighbor` (`event` makes the socket
+    /// call): transmit and arm what the socket asks for, `P2P_Receive` what
+    /// it delivers, advance if the scheme's wait condition now allows.
+    fn socket_event(
+        &mut self,
+        neighbor: usize,
+        transport: &mut impl PeerTransport,
+        event: impl FnOnce(&mut Socket, u64) -> p2psap::SocketOutput,
+    ) {
+        let now = transport.now_ns();
+        let Some(socket) = self.sockets.get_mut(&neighbor) else {
+            return;
+        };
+        let out = event(socket, now);
+        // Delivered application payloads (a retransmission may bring none).
+        let mut received = Vec::new();
+        while let Some(p) = socket.receive() {
+            received.push(p);
+        }
+        self.run_socket_output(transport, neighbor, out);
+        for payload in received {
+            self.receive_payload(neighbor, payload, transport);
+        }
+        self.try_advance(transport);
+    }
+
     /// A data segment arrived from neighbour `from`.
     pub fn on_segment(&mut self, from: usize, segment: Bytes, transport: &mut impl PeerTransport) {
         if self.crashed {
             return;
         }
-        let now = transport.now_ns();
-        let Some(socket) = self.sockets.get_mut(&from) else {
-            return;
-        };
-        let out = socket.on_data(segment, now);
-        // Collect delivered application payloads (P2P_Receive).
-        let mut received = Vec::new();
-        while let Some(p) = socket.receive() {
-            received.push(p);
-        }
-        self.run_socket_output(transport, from, out);
-        for payload in received {
-            self.receive_payload(from, payload, transport);
-        }
-        if !self.finished {
-            self.try_advance(transport);
-        }
+        self.socket_event(from, transport, |socket, now| socket.on_data(segment, now));
     }
 
     /// A previously armed protocol timer fired.
@@ -1609,21 +1616,9 @@ impl PeerEngine {
             return;
         }
         let (neighbor, layer, tag) = key;
-        let now = transport.now_ns();
-        if let Some(socket) = self.sockets.get_mut(&neighbor) {
-            let out = socket.on_timer(layer, tag, now);
-            // Retransmissions may deliver nothing; received data handled as
-            // usual.
-            let mut received = Vec::new();
-            while let Some(p) = socket.receive() {
-                received.push(p);
-            }
-            self.run_socket_output(transport, neighbor, out);
-            for payload in received {
-                self.receive_payload(neighbor, payload, transport);
-            }
-            self.try_advance(transport);
-        }
+        self.socket_event(neighbor, transport, |socket, now| {
+            socket.on_timer(layer, tag, now)
+        });
     }
 
     /// The stop broadcast reached this peer. Peers in the middle of a sweep
@@ -1668,6 +1663,71 @@ impl PeerEngine {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
+    use crate::runtime::host::Polled;
+
+    /// Scripted in-memory transport: records what the engine (or the hosted
+    /// peer around it) does, in order, so tests can assert on it and shuttle
+    /// segments between engines by hand. The clock ticks 1 ns per reading.
+    #[derive(Default)]
+    pub(crate) struct ScriptTransport {
+        pub(crate) rank: usize,
+        pub(crate) now_ns: u64,
+        /// `(to, wire)` transmissions in order.
+        pub(crate) sent: Vec<(usize, Wire)>,
+        /// Broadcast wires in order.
+        pub(crate) broadcasts: Vec<Wire>,
+        /// `sent.len()` when each relaxation was scheduled.
+        pub(crate) computes_after_sent: Vec<usize>,
+        /// Armed timers (deadline = clock + delay) and the pending sweep.
+        pub(crate) polled: Polled,
+    }
+
+    impl ScriptTransport {
+        pub(crate) fn new(rank: usize) -> Self {
+            Self {
+                rank,
+                ..Self::default()
+            }
+        }
+
+        /// Drain the segments transmitted so far, as `(to, segment)`.
+        pub(crate) fn drain_segments(&mut self) -> Vec<(usize, Bytes)> {
+            let segment = |(to, wire)| match wire {
+                Wire::Segment(segment) => Some((to, segment)),
+                _ => None,
+            };
+            let sent = std::mem::take(&mut self.sent);
+            sent.into_iter().filter_map(segment).collect()
+        }
+    }
+
+    impl PeerTransport for ScriptTransport {
+        fn now_ns(&mut self) -> u64 {
+            self.now_ns += 1;
+            self.now_ns
+        }
+        fn transmit(&mut self, to: usize, wire: Wire) {
+            self.sent.push((to, wire));
+        }
+        fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
+            self.polled.timers.arm(key, self.now_ns + delay_ns);
+        }
+        fn cancel_timer(&mut self, key: TimerKey) {
+            self.polled.timers.cancel(key);
+        }
+        fn schedule_compute(&mut self, _work_points: u64) {
+            assert!(
+                !self.polled.compute_pending,
+                "peer {} double compute",
+                self.rank
+            );
+            self.polled.compute_pending = true;
+            self.computes_after_sent.push(self.sent.len());
+        }
+        fn broadcast(&mut self, wire: &Wire) {
+            self.broadcasts.push(wire.clone());
+        }
+    }
 
     /// A task whose local difference ramps down to zero after `ramp`
     /// relaxations; sends its relaxation count to every neighbour.
@@ -1740,69 +1800,8 @@ pub(crate) mod testing {
 
 #[cfg(test)]
 mod tests {
-    use super::testing::RampTask;
+    use super::testing::{RampTask, ScriptTransport};
     use super::*;
-
-    /// Scripted in-memory transport: records every action the engine takes
-    /// so tests can assert on it and shuttle segments between engines by
-    /// hand.
-    struct ScriptTransport {
-        rank: usize,
-        now_ns: u64,
-        /// `(to, segment)` transmissions in order.
-        sent: Vec<(usize, Bytes)>,
-        armed: Vec<(TimerKey, u64)>,
-        cancelled: Vec<TimerKey>,
-        compute_pending: bool,
-        stop_broadcasts: usize,
-        notes: Vec<&'static str>,
-    }
-
-    impl ScriptTransport {
-        fn new(rank: usize) -> Self {
-            Self {
-                rank,
-                now_ns: 0,
-                sent: Vec::new(),
-                armed: Vec::new(),
-                cancelled: Vec::new(),
-                compute_pending: false,
-                stop_broadcasts: 0,
-                notes: Vec::new(),
-            }
-        }
-
-        /// Drain the transmissions recorded so far.
-        fn drain_sent(&mut self) -> Vec<(usize, Bytes)> {
-            std::mem::take(&mut self.sent)
-        }
-    }
-
-    impl PeerTransport for ScriptTransport {
-        fn now_ns(&mut self) -> u64 {
-            self.now_ns += 1;
-            self.now_ns
-        }
-        fn transmit(&mut self, to: usize, segment: Bytes) {
-            self.sent.push((to, segment));
-        }
-        fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
-            self.armed.push((key, delay_ns));
-        }
-        fn cancel_timer(&mut self, key: TimerKey) {
-            self.cancelled.push(key);
-        }
-        fn schedule_compute(&mut self, _work_points: u64) {
-            assert!(!self.compute_pending, "peer {} double compute", self.rank);
-            self.compute_pending = true;
-        }
-        fn broadcast_stop(&mut self) {
-            self.stop_broadcasts += 1;
-        }
-        fn note(&mut self, counter: &'static str) {
-            self.notes.push(counter);
-        }
-    }
 
     fn engine_pair(
         scheme: Scheme,
@@ -1850,9 +1849,9 @@ mod tests {
 
         a.on_start(&mut ta);
         b.on_start(&mut tb);
-        assert!(ta.compute_pending && tb.compute_pending);
-        ta.compute_pending = false;
-        tb.compute_pending = false;
+        assert!(ta.polled.compute_pending && tb.polled.compute_pending);
+        ta.polled.compute_pending = false;
+        tb.polled.compute_pending = false;
         a.on_compute_done(&mut ta);
         b.on_compute_done(&mut tb);
 
@@ -1863,8 +1862,8 @@ mod tests {
             !a.computing(),
             "synchronous peer must wait for its neighbour"
         );
-        let from_a = ta.drain_sent();
-        let from_b = tb.drain_sent();
+        let from_a = ta.drain_segments();
+        let from_b = tb.drain_segments();
         assert!(!from_a.is_empty() && !from_b.is_empty());
 
         // B's update reaches A: the wait is satisfied, sweep 2 starts.
@@ -1887,8 +1886,8 @@ mod tests {
 
         a.on_start(&mut ta);
         for sweep in 1..=5u64 {
-            assert!(ta.compute_pending);
-            ta.compute_pending = false;
+            assert!(ta.polled.compute_pending);
+            ta.polled.compute_pending = false;
             a.on_compute_done(&mut ta);
             // The next sweep starts immediately inside on_compute_done —
             // the asynchronous scheme never waits for a delivery.
@@ -1931,8 +1930,8 @@ mod tests {
 
         peer.on_start(&mut tp);
         intra.on_start(&mut ti);
-        tp.compute_pending = false;
-        ti.compute_pending = false;
+        tp.polled.compute_pending = false;
+        ti.polled.compute_pending = false;
         peer.on_compute_done(&mut tp);
         intra.on_compute_done(&mut ti);
         assert!(
@@ -1942,7 +1941,7 @@ mod tests {
 
         // The intra-cluster update alone unblocks it — no word from the
         // cross-cluster neighbour 2 is needed.
-        let from_intra = ti.drain_sent();
+        let from_intra = ti.drain_segments();
         deliver(&mut peer, &mut tp, &from_intra, 0, 1);
         assert!(peer.computing(), "intra-cluster update suffices");
         assert_eq!(peer.relaxations(), 2);
@@ -1957,25 +1956,25 @@ mod tests {
 
         a.on_start(&mut ta);
         b.on_start(&mut tb);
-        ta.compute_pending = false;
+        ta.polled.compute_pending = false;
         a.on_compute_done(&mut ta);
         // A reported diff 0 but B has not: no convergence yet.
         assert!(!shared.lock().stopped());
         assert!(!a.finished());
 
-        tb.compute_pending = false;
+        tb.polled.compute_pending = false;
         b.on_compute_done(&mut tb);
         // B's report completes the iteration below tolerance: B detects the
         // stop, finishes, and is the one peer to broadcast.
         assert!(shared.lock().stopped());
         assert!(b.finished());
-        assert_eq!(tb.stop_broadcasts, 1);
+        assert_eq!(tb.broadcasts, vec![Wire::Stop]);
 
         // The broadcast reaches A (idling in its synchronous wait): it
         // terminates without broadcasting again.
         a.on_stop_signal(&mut ta);
         assert!(a.finished());
-        assert_eq!(ta.stop_broadcasts, 0);
+        assert!(ta.broadcasts.is_empty());
 
         // Every result was deposited and the shared assembly reports a
         // converged run with the metric shape all runtimes share.
@@ -2007,7 +2006,7 @@ mod tests {
         peer.attach_volatility(Arc::clone(&volatility));
         let mut transport = ScriptTransport::new(0);
         peer.on_start(&mut transport);
-        transport.compute_pending = false;
+        transport.polled.compute_pending = false;
         peer.on_compute_done(&mut transport);
         assert!(!peer.computing(), "waiting on its synchronous neighbour");
 
@@ -2024,10 +2023,10 @@ mod tests {
             peer.computing(),
             "the stranded peer restarts after the poll"
         );
-        assert!(transport.notes.contains(&"p2pdc.rollbacks"));
+        assert_eq!(peer.generation(), 1, "the rollback was applied");
 
         // Idempotent: a second poll (or the late datagram) is a no-op.
-        transport.compute_pending = false;
+        transport.polled.compute_pending = false;
         peer.on_compute_done(&mut transport);
         let relaxed_before = peer.relaxations();
         peer.poll_rollback(&mut transport);
@@ -2051,7 +2050,7 @@ mod tests {
         let mut ta = ScriptTransport::new(0);
         a.on_start(&mut ta);
         for _ in 0..3 {
-            ta.compute_pending = false;
+            ta.polled.compute_pending = false;
             a.on_compute_done(&mut ta);
         }
         assert!(a.finished(), "the cap must terminate the peer");

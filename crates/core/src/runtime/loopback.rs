@@ -1,24 +1,31 @@
 //! The loopback runtime of P2PDC: single-process, zero-latency, fully
 //! deterministic.
 //!
-//! The third [`PeerTransport`] implementation, and the cheapest: every peer's
-//! [`PeerEngine`] lives in one thread, wire segments are delivered instantly
-//! through in-memory queues, and the "clock" is a counter that advances one
-//! nanosecond per engine event (it only has to be monotone for the P2PSAP
-//! sockets and the convergence detector — the elapsed time it yields is not
-//! a performance measurement). Peers are driven round-robin, so runs are
-//! bit-for-bit reproducible with no simulator in the loop.
+//! The third [`PeerTransport`] implementation, and the cheapest: every peer
+//! lives in one thread, wires are delivered instantly through in-memory
+//! queues, and the "clock" is a counter that advances one nanosecond per
+//! engine event (it only has to be monotone for the P2PSAP sockets and the
+//! convergence detector — the elapsed time it yields is not a performance
+//! measurement). Peers are driven round-robin, so runs are bit-for-bit
+//! reproducible with no simulator in the loop.
 //!
 //! Quick tests and the engine's own unit tests use this runtime: it
 //! exercises the exact scheme-wait, socket and termination logic of the
 //! other substrates at a fraction of their cost, and demonstrates that the
-//! engine abstraction really is runtime-agnostic (three transports, one peer
-//! loop).
+//! engine abstraction really is runtime-agnostic.
+//!
+//! The substrate owns its clock, and same-seed outcomes depend on where it
+//! ticks: so instead of the hosted peer's whole `turn` it calls the same
+//! sub-steps (`runtime::host`), each as one `Loopback::event` — tick, show
+//! the clock to the peer's transport, call, flush what the call sent. Its
+//! own beyond that: traffic to a crashed peer is held, not lost, and the
+//! gossip turn ticks between its steps.
 
 use crate::churn::ChurnEventKind;
-use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
+use crate::gossip::GossipTiming;
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{PeerEngine, PeerTransport, TimerKey, TimerQueue};
+use crate::runtime::engine::{PeerEngine, PeerTransport, TimerKey, Wire};
+use crate::runtime::host::{CrashVerdict, HostedPeer, Polled};
 use crate::runtime::scaffold::RunScaffold;
 use crate::runtime::RunConfig;
 use bytes::Bytes;
@@ -53,15 +60,6 @@ impl RuntimeDriver for LoopbackDriver {
     }
 }
 
-enum LoopWire {
-    Segment(Bytes),
-    Stop,
-    /// Synchronous rollback broadcast: (restart iteration, generation).
-    Rollback(u64, u32),
-    /// An encoded SWIM gossip message (control plane, not data path).
-    Gossip(Vec<u8>),
-}
-
 /// Event-count link-fault model of the loopback substrate: the
 /// [`netsim::LinkFaults`] predicate the virtual-time backend uses, with the
 /// event counter standing in for nanoseconds, plus what is loopback's own.
@@ -70,9 +68,8 @@ enum LoopWire {
 /// would deadlock a synchronous edge — the same reasoning that holds
 /// in-flight traffic to crashed peers); gossip wires are *dropped* (the
 /// control plane is built for loss, and that loss is what raises suspicions
-/// during a partition). Stop and rollback broadcasts travel as pre-decoded
-/// structs and model reliable control delivery on both deterministic
-/// backends, so they pass unimpaired.
+/// during a partition). Stop and rollback broadcasts model reliable control
+/// delivery on both deterministic backends, so they pass unimpaired.
 #[derive(Default)]
 struct LoopLinkState {
     /// Partitions, flapping edges and corruption budgets.
@@ -80,42 +77,10 @@ struct LoopLinkState {
     /// Asymmetric delays: (from, to, extra delivery delay in events).
     asym: Vec<(usize, usize, u64)>,
     /// Wires held on cut or slowed edges: (release-event, from, to, wire).
-    held: Vec<(u64, usize, usize, LoopWire)>,
+    held: Vec<(u64, usize, usize, Wire)>,
 }
 
 impl LoopLinkState {
-    /// Arm one due link event of `rank` (the event-count twin of the sim
-    /// backend's `PeerActor::apply_link_events`).
-    fn arm(&mut self, rank: usize, event: crate::churn::ChurnEvent, clock: u64, seed: u64) {
-        match event.kind {
-            ChurnEventKind::Partition {
-                group,
-                heal_after_events,
-                ..
-            } => self.faults.partition(group, clock, heal_after_events),
-            ChurnEventKind::FlappingLink {
-                peer,
-                period_events,
-                cycles,
-                ..
-            } => self.faults.flap(rank, peer, clock, period_events, cycles),
-            ChurnEventKind::AsymmetricLatency { peer, factor } => {
-                // The loopback link has no latency to scale; each unit of
-                // slowdown beyond 1x becomes one engine event of delay.
-                let delay = (factor - 1.0).round().max(0.0) as u64;
-                if delay > 0 {
-                    self.asym.push((rank, peer, delay));
-                }
-            }
-            ChurnEventKind::Corruption { flips } => self.faults.corrupt_next(
-                rank,
-                flips,
-                seed ^ ((rank as u64) << 32) ^ event.at_iteration,
-            ),
-            _ => {}
-        }
-    }
-
     /// The earliest event at or after `now` at which the edge `from ↔ to`
     /// is open (stepping through partition heals and flap transitions; every
     /// fault is finite, so this always terminates).
@@ -143,21 +108,21 @@ impl LoopLinkState {
         &mut self,
         from: usize,
         to: usize,
-        mut wire: LoopWire,
+        mut wire: Wire,
         clock: u64,
-        inboxes: &mut [VecDeque<(usize, LoopWire)>],
+        inboxes: &mut [VecDeque<(usize, Wire)>],
     ) {
         // Seeded in-flight corruption (the framing checksums reject the
         // frame at the receiver, so a corrupted wire is effectively lost).
         match &mut wire {
-            LoopWire::Segment(bytes) => {
+            Wire::Segment(bytes) => {
                 if let Some((at, bit)) = self.faults.corrupt_frame(from, bytes.len()) {
                     let mut corrupted = bytes.to_vec();
                     corrupted[at] ^= bit;
                     *bytes = Bytes::from(corrupted);
                 }
             }
-            LoopWire::Gossip(bytes) => {
+            Wire::Gossip(bytes) => {
                 if let Some((at, bit)) = self.faults.corrupt_frame(from, bytes.len()) {
                     bytes[at] ^= bit;
                 }
@@ -165,7 +130,7 @@ impl LoopLinkState {
             _ => {}
         }
         match &wire {
-            LoopWire::Segment(_) => {
+            Wire::Segment(_) => {
                 let release = if self.faults.blocked(from, to, clock) {
                     self.next_open(from, to, clock)
                 } else {
@@ -177,14 +142,14 @@ impl LoopLinkState {
                     inboxes[to].push_back((from, wire));
                 }
             }
-            LoopWire::Gossip(_) if self.faults.blocked(from, to, clock) => {}
+            Wire::Gossip(_) if self.faults.blocked(from, to, clock) => {}
             _ => inboxes[to].push_back((from, wire)),
         }
     }
 
     /// Move held wires whose edge reopened (or delay elapsed) into the
     /// destination inboxes. Returns whether anything was released.
-    fn release_due(&mut self, clock: u64, inboxes: &mut [VecDeque<(usize, LoopWire)>]) -> bool {
+    fn release_due(&mut self, clock: u64, inboxes: &mut [VecDeque<(usize, Wire)>]) -> bool {
         let mut released = false;
         let mut at = 0;
         while at < self.held.len() {
@@ -205,8 +170,6 @@ impl LoopLinkState {
     }
 }
 
-/// The [`PeerTransport`] of the loopback runtime: instant delivery into
-/// sibling inboxes, timers on the shared event-counter clock.
 /// Nanoseconds of protocol-timer delay per loopback event tick (0.1 ms):
 /// the exchange rate [`LoopbackTransport::arm_timer`] applies to the
 /// session stack's ns-denominated timer requests. Chosen so the reliable
@@ -215,26 +178,17 @@ impl LoopLinkState {
 /// driver's wedge-guard gap even at full exponential back-off.
 const NS_PER_EVENT: u64 = 100_000;
 
+/// The [`PeerTransport`] of the loopback runtime: instant delivery into
+/// sibling inboxes, timers on the shared event-counter clock.
 struct LoopbackTransport {
     rank: usize,
     peers: usize,
     /// Event-counter clock, set by the driver before every engine call.
     clock_ns: u64,
-    /// Segments and stop signals produced by the last engine call, drained
-    /// into the destination inboxes by the driver.
-    outbox: Vec<(usize, LoopWire)>,
-    timers: TimerQueue,
-    compute_pending: bool,
-}
-
-impl LoopbackTransport {
-    fn pop_due_timer(&mut self) -> Option<TimerKey> {
-        self.timers.pop_due(self.clock_ns)
-    }
-
-    fn earliest_deadline(&self) -> Option<u64> {
-        self.timers.earliest_deadline()
-    }
+    /// Wires produced by the last call into the peer, drained into the
+    /// destination inboxes by the driver.
+    outbox: Vec<(usize, Wire)>,
+    polled: Polled,
 }
 
 impl PeerTransport for LoopbackTransport {
@@ -242,8 +196,8 @@ impl PeerTransport for LoopbackTransport {
         self.clock_ns
     }
 
-    fn transmit(&mut self, to: usize, segment: Bytes) {
-        self.outbox.push((to, LoopWire::Segment(segment)));
+    fn transmit(&mut self, to: usize, wire: Wire) {
+        self.outbox.push((to, wire));
     }
 
     fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
@@ -253,71 +207,101 @@ impl PeerTransport for LoopbackTransport {
         // (600 ms RTO) lands thousands of events out — reachable while
         // gossip chatter keeps the clock busy — instead of hundreds of
         // millions, which the wedge guard rightly calls a stalled run.
-        self.timers
+        self.polled
+            .timers
             .arm(key, self.clock_ns + (delay_ns / NS_PER_EVENT).max(1));
     }
 
     fn cancel_timer(&mut self, key: TimerKey) {
-        self.timers.cancel(key);
+        self.polled.timers.cancel(key);
     }
 
     fn schedule_compute(&mut self, _work_points: u64) {
         // Zero-cost compute: the driver advances the engine on its next turn.
-        self.compute_pending = true;
+        self.polled.compute_pending = true;
     }
 
-    fn broadcast_stop(&mut self) {
+    fn broadcast(&mut self, wire: &Wire) {
         for rank in 0..self.peers {
             if rank != self.rank {
-                self.outbox.push((rank, LoopWire::Stop));
-            }
-        }
-    }
-
-    fn broadcast_rollback(&mut self, to_iteration: u64, generation: u32) {
-        for rank in 0..self.peers {
-            if rank != self.rank {
-                self.outbox
-                    .push((rank, LoopWire::Rollback(to_iteration, generation)));
+                self.outbox.push((rank, wire.clone()));
             }
         }
     }
 }
 
-/// Env-gated (`LOOPBACK_WEDGE_DEBUG=1`) dump of the per-rank drive state on
-/// the two no-progress exit paths (wedge guard and empty idle-jump) — the
-/// scenario fuzzer's first debugging stop when a loopback run ends
-/// unconverged.
-fn dump_no_progress_exit(
-    path: &str,
+/// The substrate: every provisioned rank's slot (`None` until a join rank's
+/// join fires), transport and inbox, the event clock, and the link-fault
+/// model when the plan schedules link faults.
+struct Loopback {
     clock: u64,
-    engines: &[Option<PeerEngine>],
-    transports: &[LoopbackTransport],
-    inboxes: &[VecDeque<(usize, LoopWire)>],
-    gossips: &[Option<GossipNode>],
-) {
-    if std::env::var("LOOPBACK_WEDGE_DEBUG").is_err() {
-        return;
+    peers: Vec<Option<HostedPeer>>,
+    transports: Vec<LoopbackTransport>,
+    inboxes: Vec<VecDeque<(usize, Wire)>>,
+    links: Option<LoopLinkState>,
+}
+
+impl Loopback {
+    /// Drain `rank`'s outbox into the destination inboxes, through the
+    /// link-fault model when one is armed.
+    fn flush(&mut self, rank: usize) {
+        for (to, wire) in self.transports[rank].outbox.drain(..) {
+            match self.links.as_mut() {
+                Some(l) => l.route(rank, to, wire, self.clock, &mut self.inboxes),
+                None => self.inboxes[to].push_back((rank, wire)),
+            }
+        }
     }
-    eprintln!("{path} at clock {clock}:");
-    for rank in 0..engines.len() {
-        let Some(e) = engines[rank].as_ref() else {
-            eprintln!("  rank {rank}: unspawned");
-            continue;
-        };
-        eprintln!(
-            "  rank {rank}: relax={} finished={} crashed={} computing={} gen={} inbox={} compute_pending={} timer_deadline={:?} gossip_deadline={:?} dead_ranks={:?}",
-            e.relaxations(),
-            e.finished(),
-            e.crashed(),
-            e.computing(),
-            e.generation(),
-            inboxes[rank].len(),
-            transports[rank].compute_pending,
-            transports[rank].earliest_deadline(),
-            gossips[rank].as_ref().map(GossipNode::next_deadline),
-            gossips[rank].as_ref().map(|g| g.dead_ranks()),
-        );
+
+    /// One engine event of `rank`: tick the clock, show it to the peer's
+    /// transport, make the call, flush what it sent.
+    fn event<R>(
+        &mut self,
+        rank: usize,
+        call: impl FnOnce(&mut HostedPeer, &mut LoopbackTransport) -> R,
+    ) -> R {
+        self.clock += 1;
+        self.transports[rank].clock_ns = self.clock;
+        let peer = self.peers[rank]
+            .as_mut()
+            .expect("events go to spawned ranks");
+        let result = call(peer, &mut self.transports[rank]);
+        self.flush(rank);
+        result
+    }
+
+    fn engine(&self, rank: usize) -> &PeerEngine {
+        &self.peers[rank].as_ref().expect("spawned").engine
+    }
+
+    /// Env-gated (`LOOPBACK_WEDGE_DEBUG=1`) dump of the per-rank drive state
+    /// on the two no-progress exit paths (wedge guard and empty idle-jump) —
+    /// the scenario fuzzer's first debugging stop when a loopback run ends
+    /// unconverged.
+    fn dump_no_progress_exit(&self, path: &str) {
+        if std::env::var("LOOPBACK_WEDGE_DEBUG").is_err() {
+            return;
+        }
+        eprintln!("{path} at clock {}:", self.clock);
+        for (rank, peer) in self.peers.iter().enumerate() {
+            let Some(HostedPeer { engine: e, gossip }) = peer else {
+                eprintln!("  rank {rank}: unspawned");
+                continue;
+            };
+            eprintln!(
+                "  rank {rank}: relax={} finished={} crashed={} computing={} gen={} inbox={} compute_pending={} timer_deadline={:?} gossip_deadline={:?} dead_ranks={:?}",
+                e.relaxations(),
+                e.finished(),
+                e.crashed(),
+                e.computing(),
+                e.generation(),
+                self.inboxes[rank].len(),
+                self.transports[rank].polled.compute_pending,
+                self.transports[rank].polled.timers.earliest_deadline(),
+                gossip.as_ref().map(|g| g.next_deadline()),
+                gossip.as_ref().map(|g| g.dead_ranks()),
+            );
+        }
     }
 }
 
@@ -328,89 +312,43 @@ pub(crate) fn run_iterative_loopback(
     task_factory: TaskFactory<'_>,
 ) -> DriverOutcome {
     // Substrate capacity (transports, inboxes) is provisioned for ranks that
-    // may join mid-run; their engines stay unspawned until the join fires.
+    // may join mid-run; their peers stay unspawned until the join fires.
     // Under the gossip control plane the event-counter clock drives the
     // probe cadence, so runs stay bit-for-bit deterministic.
     let total = config.provisioned_peers();
     let run = RunScaffold::new(config, GossipTiming::event_count(total));
-    let alpha = run.alpha;
-    let shared = &run.shared;
-    let volatility = &run.volatility;
-    let mut gossips: Vec<Option<GossipNode>> = (0..total)
-        .map(|rank| (rank < alpha).then(|| run.gossip_node(rank)).flatten())
-        .collect();
-    let mut engines: Vec<Option<PeerEngine>> = (0..total)
-        .map(|rank| (rank < alpha).then(|| run.engine(rank, task_factory(rank))))
-        .collect();
-    let mut transports: Vec<LoopbackTransport> = (0..total)
-        .map(|rank| LoopbackTransport {
-            rank,
-            peers: total,
-            clock_ns: 0,
-            outbox: Vec::new(),
-            timers: TimerQueue::new(),
-            compute_pending: false,
-        })
-        .collect();
-    let mut inboxes: Vec<VecDeque<(usize, LoopWire)>> =
-        (0..total).map(|_| VecDeque::new()).collect();
+    let mut sub = Loopback {
+        clock: 0,
+        peers: (0..total)
+            .map(|rank| (rank < run.alpha).then(|| run.host(rank, task_factory(rank))))
+            .collect(),
+        transports: (0..total)
+            .map(|rank| LoopbackTransport {
+                rank,
+                peers: total,
+                clock_ns: 0,
+                outbox: Vec::new(),
+                polled: Polled::default(),
+            })
+            .collect(),
+        inboxes: (0..total).map(|_| VecDeque::new()).collect(),
+        // Scenario link faults, when the plan schedules any (the event-count
+        // twin of the sim backend's netsim fault schedule).
+        links: config
+            .churn
+            .as_ref()
+            .filter(|plan| plan.link_fault_count() > 0)
+            .map(|_| LoopLinkState::default()),
+    };
 
-    let mut clock: u64 = 0;
-    // Scenario link faults, when the plan schedules any (the event-count
-    // twin of the sim backend's netsim fault schedule).
-    let mut links: Option<LoopLinkState> = config
-        .churn
-        .as_ref()
-        .filter(|plan| plan.link_fault_count() > 0)
-        .map(|_| LoopLinkState::default());
-
-    // Route one wire towards its destination inbox, through the link-fault
-    // model when one is armed.
-    fn deliver(
-        links: &mut Option<LoopLinkState>,
-        inboxes: &mut [VecDeque<(usize, LoopWire)>],
-        from: usize,
-        to: usize,
-        wire: LoopWire,
-        clock: u64,
-    ) {
-        match links.as_mut() {
-            Some(l) => l.route(from, to, wire, clock, inboxes),
-            None => inboxes[to].push_back((from, wire)),
-        }
-    }
-
-    // Drain a transport's outbox into the destination inboxes.
-    fn flush(
-        rank: usize,
-        transports: &mut [LoopbackTransport],
-        inboxes: &mut [VecDeque<(usize, LoopWire)>],
-        links: &mut Option<LoopLinkState>,
-        clock: u64,
-    ) {
-        for (to, wire) in transports[rank].outbox.drain(..) {
-            deliver(links, inboxes, rank, to, wire, clock);
-        }
-    }
-
-    for rank in 0..alpha {
-        clock += 1;
-        transports[rank].clock_ns = clock;
-        engines[rank]
-            .as_mut()
-            .expect("initial ranks are spawned")
-            .on_start(&mut transports[rank]);
-        flush(rank, &mut transports, &mut inboxes, &mut links, clock);
+    for rank in 0..run.alpha {
+        sub.event(rank, |peer, transport| peer.engine.on_start(transport));
     }
 
     // Clock values at which crashed ranks recover (the plan's modelled
     // failure-detection latency stands in for the ping sweep the wall-clock
     // backends run for real).
     let mut recover_at: HashMap<usize, u64> = HashMap::new();
-    // Reusable snapshot of the detector's per-peer loads, copied under the
-    // shared lock without allocating once warm (the two locks stay
-    // un-nested).
-    let mut loads_scratch: Vec<crate::load_balance::PeerLoad> = Vec::new();
     // Wedge guard: the event clock at the last completed relaxation, and
     // the relaxation total it was observed at. A run where the clock keeps
     // advancing (gossip probes, protocol timers, link-fault releases) while
@@ -426,34 +364,27 @@ pub(crate) fn run_iterative_loopback(
         let mut progress = false;
         // Release wires whose cut edge reopened (or whose asymmetric delay
         // elapsed) into the destination inboxes.
-        if let Some(l) = links.as_mut() {
-            if l.release_due(clock, &mut inboxes) {
+        if let Some(l) = sub.links.as_mut() {
+            if l.release_due(sub.clock, &mut sub.inboxes) {
                 progress = true;
             }
         }
         // A join fired: spawn the pre-provisioned rank. Its engine adopts
         // the joined slice of the membership plan and starts relaxing.
-        if let Some(vol) = volatility {
+        if let Some(vol) = &run.volatility {
             let spawn = vol.lock().take_pending_spawn();
             if let Some(rank) = spawn {
-                if engines[rank].is_none() {
-                    if let Some(engine) = run.join_engine(rank) {
-                        clock += 1;
-                        transports[rank].clock_ns = clock;
-                        engines[rank] = Some(engine);
-                        gossips[rank] = run.gossip_node(rank);
-                        engines[rank]
-                            .as_mut()
-                            .expect("just spawned")
-                            .on_start(&mut transports[rank]);
-                        flush(rank, &mut transports, &mut inboxes, &mut links, clock);
+                if sub.peers[rank].is_none() {
+                    if let Some(peer) = run.join_host(rank) {
+                        sub.peers[rank] = Some(peer);
+                        sub.event(rank, |peer, transport| peer.engine.on_start(transport));
                         progress = true;
                     }
                 }
             }
         }
         for rank in 0..total {
-            if engines[rank].is_none() {
+            if sub.peers[rank].is_none() {
                 continue;
             }
             // A crashed peer is silent: its protocol timers die with it and
@@ -466,125 +397,64 @@ pub(crate) fn run_iterative_loopback(
             // would lose it forever and deadlock a synchronous edge. Real
             // loss-under-crash semantics live on the UDP backend, whose
             // sockets genuinely drop and retransmit in wall-clock time.
-            if engines[rank].as_ref().expect("spawned").crashed() {
+            if sub.engine(rank).crashed() {
                 if let std::collections::hash_map::Entry::Vacant(entry) = recover_at.entry(rank) {
-                    let vol = volatility.as_ref().expect("crash implies volatility");
-                    // Placement weights: the gossiped load estimates when the
-                    // decentralized control plane runs, the central
-                    // detector's otherwise.
-                    if let Some(g) = gossips[rank].as_ref() {
-                        loads_scratch.clear();
-                        loads_scratch.extend(g.gossiped_loads(total));
-                    } else {
-                        let shared = shared.lock();
-                        loads_scratch.clear();
-                        loads_scratch.extend_from_slice(shared.loads());
-                    }
-                    let mut vol = vol.lock();
-                    vol.grant(rank, &loads_scratch);
-                    entry.insert(clock + vol.detection_delay_events());
-                    drop(vol);
-                    transports[rank].timers = TimerQueue::new();
+                    let peer = sub.peers[rank].as_ref().expect("spawned");
+                    entry.insert(sub.clock + peer.self_grant(&run, ClockDomain::EventCount));
+                    sub.transports[rank].polled = Polled::default();
                     progress = true;
-                } else if shared.stopped() {
+                    continue;
+                }
+                match run.crash_verdict(rank) {
                     // The run ended (cap) while the peer was down.
-                    recover_at.remove(&rank);
-                    clock += 1;
-                    transports[rank].clock_ns = clock;
-                    engines[rank]
-                        .as_mut()
-                        .expect("spawned")
-                        .on_stop_signal(&mut transports[rank]);
-                    flush(rank, &mut transports, &mut inboxes, &mut links, clock);
-                    progress = true;
-                } else if clock >= recover_at[&rank] {
-                    recover_at.remove(&rank);
-                    clock += 1;
-                    transports[rank].clock_ns = clock;
-                    engines[rank]
-                        .as_mut()
-                        .expect("spawned")
-                        .recover(&mut transports[rank]);
-                    // Refute the death verdict with a bumped incarnation.
-                    if let Some(g) = gossips[rank].as_mut() {
-                        g.on_recovered();
+                    CrashVerdict::Stopped => {
+                        recover_at.remove(&rank);
+                        sub.event(rank, |peer, transport| {
+                            peer.deliver(rank, Wire::Stop, transport)
+                        });
+                        progress = true;
                     }
-                    flush(rank, &mut transports, &mut inboxes, &mut links, clock);
-                    progress = true;
+                    CrashVerdict::Granted if sub.clock >= recover_at[&rank] => {
+                        recover_at.remove(&rank);
+                        sub.event(rank, |peer, transport| peer.revive(transport));
+                        progress = true;
+                    }
+                    _ => {}
                 }
                 continue;
             }
             // Deliver everything queued for this peer.
-            while let Some((from, wire)) = inboxes[rank].pop_front() {
-                clock += 1;
-                transports[rank].clock_ns = clock;
-                match wire {
-                    LoopWire::Segment(segment) => engines[rank]
-                        .as_mut()
-                        .expect("spawned")
-                        .on_segment(from, segment, &mut transports[rank]),
-                    LoopWire::Stop => engines[rank]
-                        .as_mut()
-                        .expect("spawned")
-                        .on_stop_signal(&mut transports[rank]),
-                    LoopWire::Rollback(to_iteration, generation) => engines[rank]
-                        .as_mut()
-                        .expect("spawned")
-                        .on_rollback(to_iteration, generation, &mut transports[rank]),
-                    LoopWire::Gossip(bytes) => {
-                        if let (Some(g), Some(msg)) =
-                            (gossips[rank].as_mut(), GossipMessage::decode(&bytes))
-                        {
-                            for (to, reply) in g.on_message(&msg, clock) {
-                                deliver(
-                                    &mut links,
-                                    &mut inboxes,
-                                    rank,
-                                    to,
-                                    LoopWire::Gossip(reply.encode()),
-                                    clock,
-                                );
-                            }
-                        }
-                    }
-                }
-                flush(rank, &mut transports, &mut inboxes, &mut links, clock);
+            while let Some((from, wire)) = sub.inboxes[rank].pop_front() {
+                sub.event(rank, |peer, transport| peer.deliver(from, wire, transport));
                 progress = true;
-                if engines[rank].as_ref().expect("spawned").crashed() {
+                if sub.engine(rank).crashed() {
                     break;
                 }
             }
             // Fire due protocol timers.
-            transports[rank].clock_ns = clock;
-            while let Some(key) = transports[rank].pop_due_timer() {
-                clock += 1;
-                transports[rank].clock_ns = clock;
-                engines[rank]
-                    .as_mut()
-                    .expect("spawned")
-                    .on_timer(key, &mut transports[rank]);
-                flush(rank, &mut transports, &mut inboxes, &mut links, clock);
+            while let Some(key) = sub.transports[rank].polled.timers.pop_due(sub.clock) {
+                sub.event(rank, |peer, transport| peer.fire_timer(key, transport));
                 progress = true;
             }
             // Complete a pending relaxation.
-            if transports[rank].compute_pending {
-                transports[rank].compute_pending = false;
-                clock += 1;
-                transports[rank].clock_ns = clock;
-                engines[rank]
-                    .as_mut()
-                    .expect("spawned")
-                    .on_compute_done(&mut transports[rank]);
-                flush(rank, &mut transports, &mut inboxes, &mut links, clock);
-                // Arm due link-fault events on this rank's relaxation clock
-                // (the engine never sees them — the link model owns them).
-                if let Some(l) = links.as_mut() {
-                    if let Some(vol) = volatility {
-                        let relaxations = engines[rank].as_ref().expect("spawned").relaxations();
-                        if vol.event_due(rank, relaxations) {
-                            for event in vol.lock().take_link_events(rank, relaxations) {
-                                l.arm(rank, event, clock, config.seed);
-                            }
+            if std::mem::take(&mut sub.transports[rank].polled.compute_pending) {
+                sub.event(rank, |peer, transport| peer.complete_compute(transport));
+                // Arm due link-fault events on this rank's relaxation clock.
+                let relaxations = sub.engine(rank).relaxations();
+                if let Some(l) = sub.links.as_mut() {
+                    for event in run.arm_link_events(
+                        rank,
+                        relaxations,
+                        &l.faults,
+                        sub.clock,
+                        ClockDomain::EventCount,
+                    ) {
+                        // The loopback link has no latency to scale; each
+                        // unit of slowdown beyond 1x becomes one engine
+                        // event of delay.
+                        if let ChurnEventKind::AsymmetricLatency { peer, factor } = event.kind {
+                            let delay = (factor - 1.0).round().max(0.0) as u64;
+                            l.asym.push((rank, peer, delay));
                         }
                     }
                 }
@@ -592,87 +462,77 @@ pub(crate) fn run_iterative_loopback(
             }
             // Gossip control plane turn: author the latest sweep, run the
             // probe cycle on the event-counter clock, and evaluate the stop
-            // decision over the merged digest. Not `RunScaffold::gossip_turn`:
+            // decision over the merged digest. Not `HostedPeer::gossip_turn`:
             // this one ticks the event clock between its steps (the probe
             // delivery and the decision are each one event) and leaves the
             // recovery grant to the crashed rank's own visit above, and
             // same-seed outcomes — elapsed events, placement loads — depend
             // on both.
-            if let Some(g) = gossips[rank].as_mut() {
-                let engine = engines[rank].as_mut().expect("spawned");
+            let peer = sub.peers[rank].as_mut().expect("spawned");
+            if let Some(g) = peer.gossip.as_mut() {
+                let engine = &peer.engine;
                 if !engine.finished() && !engine.crashed() {
                     if let Some(sweep) = engine.sweep_summary() {
                         g.record_sweep(&sweep);
                     }
-                    let msgs = g.poll(clock);
+                    let msgs = g.poll(sub.clock);
+                    let decided = g.decide(config.scheme, engine.generation());
                     if !msgs.is_empty() {
-                        clock += 1;
+                        sub.clock += 1;
                         for (to, msg) in msgs {
-                            deliver(
-                                &mut links,
-                                &mut inboxes,
-                                rank,
-                                to,
-                                LoopWire::Gossip(msg.encode()),
-                                clock,
-                            );
+                            sub.transports[rank].transmit(to, Wire::Gossip(msg.encode()));
                         }
+                        sub.flush(rank);
                         progress = true;
                     }
-                    if g.decide(config.scheme, engine.generation()) {
-                        clock += 1;
-                        transports[rank].clock_ns = clock;
-                        engine.on_distributed_decision(&mut transports[rank]);
-                        flush(rank, &mut transports, &mut inboxes, &mut links, clock);
+                    if decided {
+                        sub.event(rank, |peer, transport| {
+                            peer.engine.on_distributed_decision(transport)
+                        });
                         progress = true;
                     }
                 }
             }
             // Adopt a pending asynchronous/hybrid re-slice even while idle
             // (the engine also polls between sweeps; this covers a peer
-            // parked in a scheme wait with no traffic in flight).
-            if !engines[rank].as_ref().expect("spawned").finished()
-                && !engines[rank].as_ref().expect("spawned").computing()
-            {
-                transports[rank].clock_ns = clock;
-                if engines[rank]
-                    .as_mut()
-                    .expect("spawned")
-                    .poll_membership(&mut transports[rank])
-                {
-                    clock += 1;
-                    flush(rank, &mut transports, &mut inboxes, &mut links, clock);
+            // parked in a scheme wait with no traffic in flight). The clock
+            // ticks only when a plan was adopted.
+            if !sub.engine(rank).finished() && !sub.engine(rank).computing() {
+                sub.transports[rank].clock_ns = sub.clock;
+                let peer = sub.peers[rank].as_mut().expect("spawned");
+                if peer.poll_membership(&mut sub.transports[rank]) {
+                    sub.clock += 1;
+                    sub.flush(rank);
                     progress = true;
                 }
             }
             // Propagate a stop another peer established.
-            if !engines[rank].as_ref().expect("spawned").finished()
-                && !engines[rank].as_ref().expect("spawned").computing()
-                && shared.stopped()
+            if !sub.engine(rank).finished() && !sub.engine(rank).computing() && run.shared.stopped()
             {
-                clock += 1;
-                transports[rank].clock_ns = clock;
-                engines[rank]
-                    .as_mut()
-                    .expect("spawned")
-                    .on_stop_signal(&mut transports[rank]);
-                flush(rank, &mut transports, &mut inboxes, &mut links, clock);
+                sub.event(rank, |peer, transport| {
+                    peer.deliver(rank, Wire::Stop, transport)
+                });
                 progress = true;
             }
         }
-        if engines.iter().flatten().all(|e| e.finished()) {
+        if sub.peers.iter().flatten().all(|p| p.engine.finished()) {
             break;
         }
-        let relax_total: u64 = engines.iter().flatten().map(PeerEngine::relaxations).sum();
+        let relax_total: u64 = sub
+            .peers
+            .iter()
+            .flatten()
+            .map(|p| p.engine.relaxations())
+            .sum();
         // `!=` rather than `>`: a checkpoint restore rewinds the counters,
         // and the rewind itself is evidence the run is still moving.
         if relax_total != last_relax_total {
             last_relax_total = relax_total;
-            last_relax_clock = clock;
-        } else if clock.saturating_sub(last_relax_clock) > WEDGE_EVENT_GAP {
+            last_relax_clock = sub.clock;
+        } else if sub.clock.saturating_sub(last_relax_clock) > WEDGE_EVENT_GAP {
             // Wedged (see the guard's declaration): end the run; finish_run
             // reports it as not converged.
-            dump_no_progress_exit("WEDGE", clock, &engines, &transports, &inboxes, &gossips);
+            sub.dump_no_progress_exit("WEDGE");
             break;
         }
         if !progress {
@@ -680,22 +540,24 @@ pub(crate) fn run_iterative_loopback(
             // protocol timer (e.g. a retransmission) or pending recovery, or
             // give up if neither exists — finish_run then reports the run as
             // not converged.
-            let earliest = transports
+            let clock = sub.clock;
+            let earliest = sub
+                .transports
                 .iter()
-                .filter_map(|t| t.earliest_deadline())
+                .filter_map(|t| t.polled.timers.earliest_deadline())
                 .chain(recover_at.values().copied())
                 .chain(
                     // Probe cadence: only live gossip nodes can still make
                     // progress, so only their deadlines keep the clock alive.
-                    gossips
+                    sub.peers
                         .iter()
-                        .zip(&engines)
-                        .filter(|(_, e)| e.as_ref().is_some_and(|e| !e.finished() && !e.crashed()))
-                        .filter_map(|(g, _)| g.as_ref().map(GossipNode::next_deadline)),
+                        .flatten()
+                        .filter(|p| !p.engine.finished() && !p.engine.crashed())
+                        .filter_map(|p| p.gossip.as_ref().map(|g| g.next_deadline())),
                 )
                 // A held wire behind a cut edge releases at a known clock; a
                 // quiet network must still advance to that point.
-                .chain(links.as_ref().and_then(LoopLinkState::next_release))
+                .chain(sub.links.as_ref().and_then(LoopLinkState::next_release))
                 // Only strictly-future instants can unblock anything: a
                 // deadline at or before the current clock was already swept
                 // this turn without progress, and letting it shadow a later
@@ -714,24 +576,17 @@ pub(crate) fn run_iterative_loopback(
                     // declare every corrupted-then-retransmitted synchronous
                     // segment a wedge before the retransmission fires.
                     last_relax_clock += deadline - clock;
-                    clock = deadline;
+                    sub.clock = deadline;
                 }
                 None => {
-                    dump_no_progress_exit(
-                        "IDLE-EXIT",
-                        clock,
-                        &engines,
-                        &transports,
-                        &inboxes,
-                        &gossips,
-                    );
+                    sub.dump_no_progress_exit("IDLE-EXIT");
                     break;
                 }
             }
         }
     }
 
-    run.finish(clock, None, 0)
+    run.finish(sub.clock, None, 0)
 }
 
 #[cfg(test)]

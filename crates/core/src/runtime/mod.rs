@@ -13,15 +13,16 @@
 //!   buffers, and the convergence / termination handshake against the shared
 //!   [`engine::ConvergenceDetector`]. The engine is sans-io: it never
 //!   blocks, never sleeps, and reaches the substrate only through the
-//!   [`engine::PeerTransport`] trait (transmit a segment, arm/cancel a
-//!   protocol timer, schedule compute completion, broadcast the stop
-//!   signal, pace an asynchronous send).
+//!   [`engine::PeerTransport`] trait (transmit or broadcast an
+//!   [`engine::Wire`], arm/cancel a protocol timer, schedule compute
+//!   completion, pace an asynchronous send).
 //!
-//! * `scaffold` — what every backend does *around* its drive loop, written
-//!   once: the detector / volatility / repartitioner construction, the
-//!   ping-server-or-gossip choice, engine construction and the mid-run join
-//!   poll, the gossip turn, and the assembly of the uniform
-//!   [`driver::DriverOutcome`].
+//! * `scaffold` + `host` — what every backend does *around* and *in* its
+//!   drive loop, written once: the detector / volatility / repartitioner
+//!   construction, the ping-server-or-gossip choice, the hosted peer (engine
+//!   and SWIM node) and its transitions — an inbound wire, due timers, the
+//!   finished sweep, the gossip turn, the verdict polls, crash → grant →
+//!   revive — and the assembly of the uniform [`driver::DriverOutcome`].
 //!
 //! A backend is then "deliver bytes, supply a clock, call the scaffold":
 //!
@@ -55,12 +56,13 @@
 //! layer, the bench grids and the e2e helpers iterate the
 //! [`driver::DRIVERS`] registry instead of matching on backends, so adding
 //! a substrate is one module implementing [`engine::PeerTransport`] plus a
-//! drive loop that calls into the scaffold, and one registry entry (see the
-//! "adding a backend" recipe in ARCHITECTURE.md).
+//! drive loop that hands wires and turns to hosted peers, and one registry
+//! entry (see the "adding a backend" recipe in ARCHITECTURE.md).
 
 pub(crate) mod detection;
 pub mod driver;
 pub mod engine;
+pub(crate) mod host;
 pub mod loopback;
 pub mod reactor;
 pub mod report_cell;
@@ -73,7 +75,7 @@ pub use driver::{
     driver_for, ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory, DRIVERS,
 };
 pub use engine::{
-    ConvergenceDetector, DetectorHandle, PeerEngine, PeerTransport, SharedDetector, TimerKey,
+    ConvergenceDetector, DetectorHandle, PeerEngine, PeerTransport, SharedDetector, TimerKey, Wire,
 };
 pub use report_cell::{ReportBoard, ReportCell};
 pub use udp::{LossShim, Reassembler};

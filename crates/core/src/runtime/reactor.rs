@@ -4,10 +4,13 @@
 //! Both real-socket backends run this module. The wire — datagram framing,
 //! fragment reassembly, bootstrap discovery, loss shim, pacing gate — is
 //! [`crate::runtime::udp`]'s; the run around the loop is the shared
-//! `RunScaffold`; what lives here is the per-peer state machine
-//! (`Peer`) and the event loop that drives it through the vendored
-//! [`polling`] readiness poller (epoll on Linux). The backends differ only
-//! in how many loops share the provisioned peers:
+//! `RunScaffold`, and what a running peer does per turn and with each
+//! inbound wire is the shared hosted peer's (`runtime::host`). What lives
+//! here is the wait — the per-peer phase machine (`Peer`) and the event loop
+//! that drives it through the vendored [`polling`] readiness poller (epoll
+//! on Linux) — and what a crash does to the wire: the socket closes and a
+//! replacement binds. The backends differ only in how many loops share the
+//! provisioned peers:
 //!
 //! * `reactor` — a small fixed pool of event-loop threads, each owning a
 //!   contiguous slice of peers. A thousand peers are a thousand sockets on
@@ -25,11 +28,11 @@
 //! await-grant phase (its replacement socket already bound) until the
 //! failure monitor grants recovery or the run stops.
 
-use crate::gossip::GossipNode;
 use crate::runtime::detection::{Heartbeat, LoopHeartbeat};
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{PeerEngine, TimerQueue};
-use crate::runtime::scaffold::{self, JoinPoll, RunScaffold};
+use crate::runtime::engine::Wire;
+use crate::runtime::host::{CrashVerdict, HostedPeer, Polled, Turn};
+use crate::runtime::scaffold::{JoinPoll, RunScaffold};
 use crate::runtime::udp::{
     accept_trains, bootstrap_service, grow_socket_buffers, localhost_addr, recv_train, table_addrs,
     wake_bootstrap, Datagram, LossShim, Reassembler, UdpTransport,
@@ -158,7 +161,7 @@ const IDLE_POLL_CAP: Duration = Duration::from_millis(2);
 /// scheme, waits; what does not fit is dropped as the network would drop it.
 const EARLY_SEGMENTS: usize = 16;
 
-/// What to do with a peer's engine once the rank→address table arrives.
+/// What to do with a hosted peer once the rank→address table arrives.
 enum OnTable {
     /// Initial rank: first discovery, then `on_start`.
     Start,
@@ -171,8 +174,8 @@ enum OnTable {
 
 /// One multiplexed peer's slot in an event loop.
 enum Phase {
-    /// Pre-provisioned join rank: no socket, no engine, waiting for its
-    /// seeded join to fire (or the run to end first).
+    /// Pre-provisioned join rank: no socket, no hosted peer, waiting for
+    /// its seeded join to fire (or the run to end first).
     Dormant,
     /// Socket bound, hello sent; waiting for the bootstrap table.
     Discovering {
@@ -194,8 +197,9 @@ enum Phase {
 struct Peer {
     rank: usize,
     phase: Phase,
-    /// `None` only while [`Phase::Dormant`].
-    engine: Option<PeerEngine>,
+    /// Engine and SWIM node (they migrate with the peer between event
+    /// loops). `None` only while [`Phase::Dormant`].
+    host: Option<HostedPeer>,
     /// `None` only while [`Phase::Dormant`] (no socket yet).
     transport: Option<UdpTransport>,
     reassembler: Reassembler,
@@ -205,10 +209,6 @@ struct Peer {
     heartbeat: Option<Heartbeat>,
     /// Table received by the drain sweep, applied by the advance sweep.
     table: Option<Vec<SocketAddr>>,
-    /// The peer's SWIM node under the gossip control plane (`None` under
-    /// the centralized plane and while [`Phase::Dormant`]). Migrates with
-    /// the peer between event loops.
-    gossip: Option<GossipNode>,
     /// Last observed [`LoopShared::ports_version`]; a newer shared value
     /// means some rank rebound and this peer must refresh its address book.
     seen_ports_version: u64,
@@ -396,28 +396,26 @@ impl Peer {
         Self {
             rank,
             phase: Phase::Dormant,
-            engine: None,
+            host: None,
             transport: None,
             reassembler: Reassembler::new(),
             early: Vec::new(),
             heartbeat: None,
             table: None,
-            gossip: None,
             seen_ports_version: 0,
         }
     }
 
-    /// Bring the peer's engine onto the wire: SWIM node (if the run
-    /// gossips), a fresh socket, and the bootstrap hello.
+    /// Bring the hosted peer onto the wire: a fresh socket and the
+    /// bootstrap hello.
     fn bind_and_discover(
         &mut self,
-        engine: PeerEngine,
+        host: HostedPeer,
         poller: &Poller,
         ctx: &LoopShared<'_>,
         then: OnTable,
     ) {
-        self.engine = Some(engine);
-        self.gossip = ctx.run.gossip_node(self.rank);
+        self.host = Some(host);
         let (loss, reorder) = ctx.impairment;
         self.transport = Some(UdpTransport::new(
             self.rank,
@@ -515,8 +513,8 @@ impl Peer {
                 }
             }
             Phase::Running => {
-                let engine = self.engine.as_mut().expect("running peer has engine");
-                if engine.finished() {
+                let host = self.host.as_mut().expect("running peer is hosted");
+                if host.engine.finished() {
                     return false;
                 }
                 // Fragments (the data hot path) are parsed borrowed and
@@ -529,17 +527,11 @@ impl Peer {
                         .reassembler
                         .push_ref(from, msg_id, frag_index, frag_count, payload)
                     {
-                        engine.on_segment(from, segment, transport);
+                        host.deliver(from, Wire::Segment(segment), transport);
                     }
                     return true;
                 }
                 match Datagram::decode(bytes) {
-                    Some(Datagram::Stop { .. }) => engine.on_stop_signal(transport),
-                    Some(Datagram::Rollback {
-                        to_iteration,
-                        generation,
-                        ..
-                    }) => engine.on_rollback(to_iteration, generation, transport),
                     // A table re-broadcast mid-run: a joiner announced or a
                     // recovered peer rebound its socket.
                     Some(Datagram::Table { ports }) => {
@@ -547,15 +539,14 @@ impl Peer {
                             transport.addrs = addrs;
                         }
                     }
-                    Some(Datagram::Gossip { payload, .. }) => scaffold::on_gossip_frame(
-                        self.gossip.as_mut(),
-                        &payload,
-                        transport,
-                        UdpTransport::send_gossip,
-                    ),
-                    // Fragments were parsed above; late hellos and foreign
-                    // noise are ignored.
-                    _ => {}
+                    // Stop, rollback, gossip. Fragments were parsed above;
+                    // late hellos and foreign noise are ignored.
+                    Some(datagram) => {
+                        if let Some((from, wire)) = datagram.into_wire() {
+                            host.deliver(from, wire, transport);
+                        }
+                    }
+                    None => {}
                 }
             }
             // Dormant peers have no socket; a crashed peer's replacement
@@ -570,8 +561,8 @@ impl Peer {
         match &mut self.phase {
             Phase::Done => {}
             Phase::Dormant => match ctx.run.poll_join(self.rank) {
-                JoinPoll::Joined(engine) => {
-                    self.bind_and_discover(*engine, poller, ctx, OnTable::JoinStart)
+                JoinPoll::Joined(host) => {
+                    self.bind_and_discover(*host, poller, ctx, OnTable::JoinStart)
                 }
                 // The run ended before the join fired: exit without ever
                 // having existed.
@@ -585,7 +576,7 @@ impl Peer {
                         .as_mut()
                         .expect("discovering peer has socket");
                     transport.addrs = addrs;
-                    let engine = self.engine.as_mut().expect("discovering peer has engine");
+                    let host = self.host.as_mut().expect("discovering peer is hosted");
                     let Phase::Discovering { then, .. } =
                         std::mem::replace(&mut self.phase, Phase::Running)
                     else {
@@ -602,51 +593,41 @@ impl Peer {
                             .rejoin(topo, ctx.start);
                     }
                     if let OnTable::Recover = then {
-                        engine.recover(transport);
-                        // Refute the (correct) death verdict with a bumped
-                        // incarnation.
-                        if let Some(g) = self.gossip.as_mut() {
-                            g.on_recovered();
-                        }
+                        host.revive(transport);
                     } else {
-                        engine.on_start(transport);
+                        host.engine.on_start(transport);
                     }
                     for (from, segment) in self.early.drain(..) {
-                        engine.on_segment(from, segment, transport);
+                        host.deliver(from, Wire::Segment(segment), transport);
                     }
                 } else if hello_at.elapsed() >= HELLO_RETRY {
                     *hello_at = Instant::now();
                     self.send_hello(ctx);
                 }
             }
-            Phase::AwaitGrant => {
-                if ctx.run.shared.stopped() {
-                    // Relaxation cap reached elsewhere while this peer was
-                    // down: fold it into the stop instead of reviving it.
+            Phase::AwaitGrant => match ctx.run.crash_verdict(self.rank) {
+                CrashVerdict::Pending => {}
+                // Rejoin: announce the replacement socket to the bootstrap
+                // (which re-broadcasts the table to every peer), then
+                // restore from the checkpoint.
+                CrashVerdict::Granted => self.discover(ctx, OnTable::Recover),
+                // Relaxation cap reached elsewhere while this peer was
+                // down: fold it into the stop instead of reviving it.
+                CrashVerdict::Stopped => {
                     let transport = self
                         .transport
                         .as_mut()
                         .expect("crashed peer keeps a socket");
-                    self.engine
-                        .as_mut()
-                        .expect("crashed peer has engine")
-                        .on_stop_signal(transport);
+                    self.host.as_mut().expect("crashed peer is hosted").deliver(
+                        self.rank,
+                        Wire::Stop,
+                        transport,
+                    );
                     self.finish(poller, ctx);
-                } else if ctx
-                    .run
-                    .volatility
-                    .as_ref()
-                    .is_some_and(|vol| vol.lock().is_granted(self.rank))
-                {
-                    // Rejoin: announce the replacement socket to the
-                    // bootstrap (which re-broadcasts the table to every
-                    // peer), then restore from the checkpoint.
-                    self.discover(ctx, OnTable::Recover);
                 }
-            }
+            },
             Phase::Running => {
                 let transport = self.transport.as_mut().expect("running peer has socket");
-                let engine = self.engine.as_mut().expect("running peer has engine");
                 // Re-sync the address book when any rank rebound its socket.
                 // Heals a lost `Table` re-broadcast: without this, ghosts to
                 // the victim's dead port keep its freshness guard unstable
@@ -663,16 +644,11 @@ impl Peer {
                 // (Heartbeats are batched at the event-loop level: one
                 // topology-server acquisition per ping period covers every
                 // running peer the loop multiplexes.)
-                while !engine.finished() {
-                    let Some(key) = transport.pop_due_timer() else {
-                        break;
-                    };
-                    engine.on_timer(key, transport);
-                }
-                if !engine.finished() && transport.compute_pending {
-                    transport.compute_pending = false;
-                    engine.on_compute_done(transport);
-                    if engine.crashed() {
+                let host = self.host.as_mut().expect("running peer is hosted");
+                match host.turn(ctx.run, transport, |t| &mut t.polled) {
+                    Turn::Running => {}
+                    Turn::Finished => self.finish(poller, ctx),
+                    Turn::Crashed => {
                         // The peer died. Kill its socket for real: the old
                         // port closes, in-flight datagrams to it are dropped
                         // by the kernel, and neighbours' sends go nowhere
@@ -682,35 +658,11 @@ impl Peer {
                         // monitor grants recovery.
                         transport.shim.flush(&transport.socket);
                         let _ = poller.delete(&transport.socket);
-                        transport.timers = TimerQueue::new();
-                        transport.compute_pending = false;
+                        transport.polled = Polled::default();
                         transport.socket = bind_peer_socket(self.rank, poller, ctx);
                         self.reassembler = Reassembler::new();
                         self.phase = Phase::AwaitGrant;
-                        return;
                     }
-                }
-                if !engine.finished() {
-                    if let Some(g) = self.gossip.as_mut() {
-                        ctx.run
-                            .gossip_turn(g, engine, transport, UdpTransport::send_gossip);
-                    }
-                }
-                if !engine.finished() {
-                    // Another peer may have stopped the run while this one
-                    // was idling in a scheme wait, and the stop and rollback
-                    // broadcasts are single datagrams the kernel may drop
-                    // under load: poll the detector's published verdicts as
-                    // the safety net.
-                    if ctx.run.shared.stopped() {
-                        engine.on_stop_signal(transport);
-                    } else {
-                        engine.poll_rollback(transport);
-                        engine.poll_membership(transport);
-                    }
-                }
-                if engine.finished() {
-                    self.finish(poller, ctx);
                 }
             }
         }
@@ -720,8 +672,10 @@ impl Peer {
     fn busy(&self) -> bool {
         match self.phase {
             Phase::Running => {
-                self.transport.as_ref().is_some_and(|t| t.compute_pending)
-                    || self.engine.as_ref().is_some_and(|e| e.computing())
+                self.transport
+                    .as_ref()
+                    .is_some_and(|t| t.polled.compute_pending)
+                    || self.host.as_ref().is_some_and(|h| h.engine.computing())
             }
             _ => false,
         }
@@ -733,7 +687,7 @@ impl Peer {
             Phase::Running => self
                 .transport
                 .as_ref()
-                .and_then(UdpTransport::earliest_timer_deadline)
+                .and_then(|t| t.polled.timers.earliest_deadline())
                 .map(|deadline| Duration::from_nanos(deadline.saturating_sub(now_ns))),
             _ => None,
         }
@@ -761,8 +715,8 @@ fn event_loop(
     // join ranks stay dormant.
     for peer in peers.values_mut() {
         if peer.rank < ctx.run.alpha {
-            let engine = ctx.run.engine(peer.rank, task_factory(peer.rank));
-            peer.bind_and_discover(engine, &poller, ctx, OnTable::Start);
+            let host = ctx.run.host(peer.rank, task_factory(peer.rank));
+            peer.bind_and_discover(host, &poller, ctx, OnTable::Start);
         }
     }
 
@@ -1136,8 +1090,8 @@ mod tests {
         fn discovering_peer(&self) -> Peer {
             let mut peer = Peer::dormant(1);
             let task = Box::new(RampTask::line(1, HOSTILE_RANKS, RAMP));
-            let engine = self.run.engine(1, task);
-            peer.bind_and_discover(engine, &self.poller, &self.ctx(), OnTable::Start);
+            let host = self.run.host(1, task);
+            peer.bind_and_discover(host, &self.poller, &self.ctx(), OnTable::Start);
             peer
         }
 
@@ -1245,7 +1199,8 @@ mod tests {
             // truncations and bit flips start from.
             let gossip_frame = hostile
                 .run
-                .gossip_node(0)
+                .host(0, Box::new(RampTask::line(0, HOSTILE_RANKS, RAMP)))
+                .gossip
                 .expect("gossip run")
                 .poll(0)
                 .first()
@@ -1304,7 +1259,7 @@ mod tests {
             for _ in 0..48 {
                 // A forged stop ends the engine, and a finished peer stops
                 // reading its socket: carry on with a fresh one.
-                if peer.engine.as_ref().unwrap().finished() {
+                if peer.host.as_ref().unwrap().engine.finished() {
                     peer = hostile.running_peer(&mut buf);
                 }
                 let (bytes, stride) = hostile_train(&mut rng);
@@ -1312,7 +1267,7 @@ mod tests {
                 let expected = books(Some(addrs), &bytes, stride);
                 hostile.inject_train(&mut peer, &bytes, stride, &mut buf);
                 let addrs = Some(peer.transport.as_ref().unwrap().addrs.clone());
-                if peer.engine.as_ref().unwrap().finished() {
+                if peer.host.as_ref().unwrap().engine.finished() {
                     // It stopped reading somewhere inside the train.
                     proptest::prop_assert!(expected.contains(&addrs));
                 } else {

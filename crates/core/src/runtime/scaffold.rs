@@ -4,19 +4,22 @@
 //! A backend delivers bytes and supplies a clock. What the run is made of —
 //! the shared convergence detector, the volatility coordinator and its
 //! repartitioner, the choice between the central ping server and the gossip
-//! control plane, how an engine is built or joins mid-run, the gossip turn,
-//! and how the measurement is assembled — does not depend on the substrate,
-//! so every `run_iterative_*` function builds one [`RunScaffold`] and calls
-//! into it instead of repeating the wiring.
+//! control plane, how a peer is built or joins mid-run, what verdict a
+//! crashed rank waits for, and how the measurement is assembled — does not
+//! depend on the substrate, so every `run_iterative_*` function builds one
+//! [`RunScaffold`] and calls into it instead of repeating the wiring. The
+//! peers it builds are [`HostedPeer`]s: what a drive loop does *with* a peer
+//! is written once too, in [`crate::runtime::host`].
 
 use crate::app::IterativeTask;
-use crate::churn::{SharedVolatility, VolatilityState};
-use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
+use crate::churn::{ChurnEvent, ChurnEventKind, SharedVolatility, VolatilityState};
+use crate::gossip::{GossipNode, GossipTiming};
 use crate::runtime::detection::{self, SharedTopologyManager};
-use crate::runtime::driver::DriverOutcome;
-use crate::runtime::engine::{ConvergenceDetector, PeerEngine, PeerTransport, SharedDetector};
+use crate::runtime::driver::{ClockDomain, DriverOutcome};
+use crate::runtime::engine::{ConvergenceDetector, PeerEngine, SharedDetector};
+use crate::runtime::host::{CrashVerdict, HostedPeer};
 use crate::runtime::RunConfig;
-use netsim::{NetStats, Topology};
+use netsim::{LinkFaults, NetStats, Topology};
 use p2psap::Scheme;
 use std::sync::Arc;
 use std::thread::Scope;
@@ -47,8 +50,8 @@ pub(crate) struct RunScaffold {
 pub(crate) enum JoinPoll {
     /// The join has not fired yet.
     Pending,
-    /// The join fired: the engine of the joined rank.
-    Joined(Box<PeerEngine>),
+    /// The join fired: the joined rank, ready to start.
+    Joined(Box<HostedPeer>),
     /// The run ended first, or no membership plan covers the rank: the rank
     /// never comes alive.
     Never,
@@ -132,8 +135,9 @@ impl RunScaffold {
         }
     }
 
-    /// The engine of initial rank `rank`.
-    pub(crate) fn engine(&self, rank: usize, task: Box<dyn IterativeTask>) -> PeerEngine {
+    /// Initial rank `rank`, ready to start: its engine and, when the run
+    /// gossips its control plane, its SWIM node.
+    pub(crate) fn host(&self, rank: usize, task: Box<dyn IterativeTask>) -> HostedPeer {
         let mut engine = PeerEngine::new(
             rank,
             self.scheme,
@@ -145,13 +149,12 @@ impl RunScaffold {
         if let Some(vol) = &self.volatility {
             engine.attach_volatility(Arc::clone(vol));
         }
-        engine
+        self.hosted(engine)
     }
 
-    /// The engine of a rank whose join fired: its task is the slice of the
-    /// latest membership plan ([`PeerEngine::join_run`]), not the task
-    /// factory's. `None` when no plan covers the rank.
-    pub(crate) fn join_engine(&self, rank: usize) -> Option<PeerEngine> {
+    /// A rank whose join fired: its task is its slice of the latest
+    /// membership plan ([`PeerEngine::join_run`]); `None` when none covers it.
+    pub(crate) fn join_host(&self, rank: usize) -> Option<HostedPeer> {
         PeerEngine::join_run(
             rank,
             self.scheme,
@@ -160,16 +163,25 @@ impl RunScaffold {
             Arc::clone(self.volatility.as_ref()?),
             self.max_relaxations,
         )
+        .map(|engine| self.hosted(engine))
+    }
+
+    fn hosted(&self, engine: PeerEngine) -> HostedPeer {
+        let gossip = self.gossip.map(|(fanout, timing)| {
+            let rank = engine.rank();
+            GossipNode::new(rank, self.alpha, self.total(), fanout, self.seed, timing)
+        });
+        HostedPeer { engine, gossip }
     }
 
     /// A dormant join rank's poll on the backends where every rank watches
     /// for its own join (the deterministic backends dispatch the spawn
-    /// centrally and call [`RunScaffold::join_engine`] directly).
+    /// centrally and call [`RunScaffold::join_host`] directly).
     pub(crate) fn poll_join(&self, rank: usize) -> JoinPoll {
         let vol = self.volatility.as_ref().expect("join ranks imply churn");
         if vol.lock().take_spawn_if(rank) {
-            self.join_engine(rank)
-                .map_or(JoinPoll::Never, |engine| JoinPoll::Joined(Box::new(engine)))
+            self.join_host(rank)
+                .map_or(JoinPoll::Never, |peer| JoinPoll::Joined(Box::new(peer)))
         } else if self.shared.stopped() {
             JoinPoll::Never
         } else {
@@ -177,44 +189,74 @@ impl RunScaffold {
         }
     }
 
-    /// The SWIM node of `rank`, when the run gossips its control plane.
-    pub(crate) fn gossip_node(&self, rank: usize) -> Option<GossipNode> {
-        self.gossip.map(|(fanout, timing)| {
-            GossipNode::new(rank, self.alpha, self.total(), fanout, self.seed, timing)
-        })
+    /// A crashed rank's non-blocking poll of the run's verdict: the run
+    /// stopped while it was down, its recovery was granted (by the failure
+    /// monitor, a death rumor, or its own [`HostedPeer::self_grant`]), or
+    /// neither yet. How to wait between polls is the backend's business.
+    pub(crate) fn crash_verdict(&self, rank: usize) -> CrashVerdict {
+        if self.shared.stopped() {
+            CrashVerdict::Stopped
+        } else if self
+            .volatility
+            .as_ref()
+            .is_some_and(|vol| vol.lock().is_granted(rank))
+        {
+            CrashVerdict::Granted
+        } else {
+            CrashVerdict::Pending
+        }
     }
 
-    /// One gossip control-plane turn of a live peer: author the latest
-    /// sweep, run the SWIM probe cycle (`send` carries each message on the
-    /// backend's wire), feed death verdicts into the recovery coordinator
-    /// (level-triggered — `grant` no-ops unless the rank really crashed, so
-    /// a false verdict cannot corrupt recovery), and evaluate the stop
-    /// decision over the merged digest. Returns whether the decision fired
-    /// and finished the engine.
-    pub(crate) fn gossip_turn<T: PeerTransport>(
+    /// Arm the link-fault events of `rank` that are due at its
+    /// `relaxations`-th sweep on `faults` at clock value `now` (the engine
+    /// never sees link faults — the backend's link model owns them). A plan
+    /// states every duration twice and `clock` says which one the caller's
+    /// clock counts: [`ClockDomain::EventCount`] reads the `_events` fields,
+    /// every other domain the `_ns` fields. Returns the events armed.
+    pub(crate) fn arm_link_events(
         &self,
-        node: &mut GossipNode,
-        engine: &mut PeerEngine,
-        transport: &mut T,
-        mut send: impl FnMut(&mut T, usize, &GossipMessage),
-    ) -> bool {
-        if let Some(sweep) = engine.sweep_summary() {
-            node.record_sweep(&sweep);
+        rank: usize,
+        relaxations: u64,
+        faults: &LinkFaults,
+        now: u64,
+        clock: ClockDomain,
+    ) -> Vec<ChurnEvent> {
+        let Some(vol) = &self.volatility else {
+            return Vec::new();
+        };
+        if !vol.event_due(rank, relaxations) {
+            return Vec::new();
         }
-        let now = transport.now_ns();
-        for (to, msg) in node.poll(now) {
-            send(transport, to, &msg);
-        }
-        if let Some(vol) = &self.volatility {
-            for dead in node.dead_ranks() {
-                vol.lock().grant(dead, &node.gossiped_loads(self.total()));
+        let pick = |ns: u64, events: u64| match clock {
+            ClockDomain::EventCount => events,
+            _ => ns,
+        };
+        let events = vol.lock().take_link_events(rank, relaxations);
+        for event in &events {
+            match event.kind {
+                ChurnEventKind::Partition {
+                    group,
+                    heal_after_ns,
+                    heal_after_events,
+                } => faults.partition(group, now, pick(heal_after_ns, heal_after_events)),
+                ChurnEventKind::FlappingLink {
+                    peer,
+                    period_ns,
+                    period_events,
+                    cycles,
+                } => faults.flap(rank, peer, now, pick(period_ns, period_events), cycles),
+                ChurnEventKind::AsymmetricLatency { peer, factor } => {
+                    faults.asym_latency(rank, peer, factor)
+                }
+                ChurnEventKind::Corruption { flips } => faults.corrupt_next(
+                    rank,
+                    flips,
+                    self.seed ^ ((rank as u64) << 32) ^ event.at_iteration,
+                ),
+                _ => {}
             }
         }
-        let decided = node.decide(self.scheme, engine.generation());
-        if decided {
-            engine.on_distributed_decision(transport);
-        }
-        decided
+        events
     }
 
     /// Assemble the run's uniform outcome: the detector's measurement and
@@ -239,23 +281,6 @@ impl RunScaffold {
             results,
             net,
             datagrams_dropped,
-        }
-    }
-}
-
-/// Hand one received gossip frame to the peer's SWIM node and `send` its
-/// replies. Frames that fail to decode, and frames for a peer without a
-/// node (centralized control plane), are dropped.
-pub(crate) fn on_gossip_frame<T: PeerTransport>(
-    node: Option<&mut GossipNode>,
-    frame: &[u8],
-    transport: &mut T,
-    mut send: impl FnMut(&mut T, usize, &GossipMessage),
-) {
-    if let (Some(node), Some(msg)) = (node, GossipMessage::decode(frame)) {
-        let now = transport.now_ns();
-        for (to, reply) in node.on_message(&msg, now) {
-            send(transport, to, &reply);
         }
     }
 }

@@ -48,9 +48,9 @@
 //! still match the other runtimes, which is what the cross-runtime
 //! agreement tests assert.
 
-use crate::gossip::GossipMessage;
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{PeerTransport, TimerKey, TimerQueue};
+use crate::runtime::engine::{PeerTransport, TimerKey, Wire};
+use crate::runtime::host::{PacingGate, Polled};
 use crate::runtime::reactor::{run_iterative_reactor, SocketRunOutcome};
 use crate::runtime::RunConfig;
 use bytes::Bytes;
@@ -322,6 +322,37 @@ impl Datagram {
                 Some(Datagram::Gossip { from, payload })
             }
             _ => None,
+        }
+    }
+
+    /// The control datagram that carries `wire` from rank `from`; `None` for
+    /// a segment, which travels as a train of [`Datagram::Fragment`]s.
+    pub fn from_wire(from: usize, wire: Wire) -> Option<Self> {
+        match wire {
+            Wire::Segment(_) => None,
+            Wire::Stop => Some(Datagram::Stop { from }),
+            Wire::Rollback(to_iteration, generation) => Some(Datagram::Rollback {
+                from,
+                to_iteration,
+                generation,
+            }),
+            Wire::Gossip(payload) => Some(Datagram::Gossip { from, payload }),
+        }
+    }
+
+    /// The sender and the [`Wire`] a control datagram carries. `None` for
+    /// the bootstrap handshake, which is the socket substrate's own, and for
+    /// a fragment, which is a piece of a wire (see [`Reassembler`]).
+    pub fn into_wire(self) -> Option<(usize, Wire)> {
+        match self {
+            Datagram::Stop { from } => Some((from, Wire::Stop)),
+            Datagram::Rollback {
+                from,
+                to_iteration,
+                generation,
+            } => Some((from, Wire::Rollback(to_iteration, generation))),
+            Datagram::Gossip { from, payload } => Some((from, Wire::Gossip(payload))),
+            Datagram::Fragment { .. } | Datagram::Hello { .. } | Datagram::Table { .. } => None,
         }
     }
 
@@ -673,13 +704,11 @@ pub struct UdpTransport {
     pub(crate) shim: LossShim,
     /// Per-sender message counter for framing.
     pub(crate) next_msg_id: u32,
-    pub(crate) timers: TimerQueue,
-    pub(crate) compute_pending: bool,
+    /// Timers by wall-clock deadline (ns since `start`); the pending sweep.
+    pub(crate) polled: Polled,
     /// Topology (for the asynchronous pacing gate's serialization rate).
     pub(crate) topology: Topology,
-    /// Earliest wall-clock ns the next update may be sent to each
-    /// asynchronous neighbour (see [`PeerTransport::pacing_gate`]).
-    pub(crate) next_send_ok: HashMap<usize, u64>,
+    pub(crate) pacing: PacingGate,
     /// Reused buffer for the outgoing fragment train: a segment's fragments
     /// are written into it end to end, header and payload chunk in place,
     /// so the steady-state send path performs no heap allocation.
@@ -705,37 +734,20 @@ impl UdpTransport {
             addrs,
             shim,
             next_msg_id: 0,
-            timers: TimerQueue::new(),
-            compute_pending: false,
+            polled: Polled::default(),
+            pacing: PacingGate::new(topology.len()),
             topology,
-            next_send_ok: HashMap::new(),
             send_frame: Vec::new(),
         }
     }
 
-    pub(crate) fn pop_due_timer(&mut self) -> Option<TimerKey> {
-        let now = self.start.elapsed().as_nanos() as u64;
-        self.timers.pop_due(now)
-    }
-
-    /// Earliest armed timer deadline in start-relative nanoseconds (the
-    /// event loop derives its poll timeout from this).
-    pub(crate) fn earliest_timer_deadline(&self) -> Option<u64> {
-        self.timers.earliest_deadline()
-    }
-
-    /// Send one gossip message as a [`Datagram::Gossip`] straight over the
-    /// socket — past the loss shim, because gossip *is* the
-    /// failure-detection path (a dropped probe must look like a dead peer,
-    /// not like shim noise), and skipping dormant ranks (port 0 in the
-    /// bootstrap table).
-    pub(crate) fn send_gossip(&mut self, to: usize, msg: &GossipMessage) {
+    /// Send one encoded control datagram to rank `to` — past the loss shim:
+    /// stop and rollback are the coordinator's reliable path, and gossip *is*
+    /// the failure-detection path (a dropped probe must look like a dead
+    /// peer, not like shim noise). Dormant ranks (port 0) are skipped.
+    fn send_control(&self, to: usize, datagram: &[u8]) {
         if let Some(addr) = self.addrs.get(to).filter(|addr| addr.port() != 0) {
-            let datagram = Datagram::Gossip {
-                from: self.rank,
-                payload: msg.encode(),
-            };
-            let _ = self.socket.send_to(&datagram.encode(), addr);
+            let _ = self.socket.send_to(datagram, addr);
         }
     }
 }
@@ -745,15 +757,25 @@ impl PeerTransport for UdpTransport {
         self.start.elapsed().as_nanos() as u64
     }
 
-    /// Frame `segment` and send it to rank `to` as one fragment train: the
+    /// Frame a segment and send it to rank `to` as one fragment train: the
     /// same datagrams as [`frame_segment`] + [`Datagram::encode`] (the tests
     /// pin it), laid end to end in the reused send buffer and handed to the
     /// kernel together (see [`send_train`]; a single-fragment segment is a
     /// train of one, a plain `send_to`). The loss shim still decides per
     /// fragment, and send errors are ignored as they always were: a train
     /// the kernel did not take is a lost segment, which the reliable channel
-    /// retransmits and the unreliable one tolerates.
-    fn transmit(&mut self, to: usize, segment: Bytes) {
+    /// retransmits and the unreliable one tolerates. Any other wire is one
+    /// control datagram.
+    fn transmit(&mut self, to: usize, wire: Wire) {
+        let segment = match wire {
+            Wire::Segment(segment) => segment,
+            control => {
+                if let Some(datagram) = Datagram::from_wire(self.rank, control) {
+                    self.send_control(to, &datagram.encode());
+                }
+                return;
+            }
+        };
         // A pre-provisioned join rank that has not announced yet shows as
         // port 0: nothing to send to (the reliable channel retransmits once
         // the bootstrap republishes the table with its real port).
@@ -785,69 +807,36 @@ impl PeerTransport for UdpTransport {
     }
 
     fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
-        let deadline = self.start.elapsed().as_nanos() as u64 + delay_ns;
-        self.timers.arm(key, deadline);
+        let deadline = self.now_ns() + delay_ns;
+        self.polled.timers.arm(key, deadline);
     }
 
     fn cancel_timer(&mut self, key: TimerKey) {
-        self.timers.cancel(key);
+        self.polled.timers.cancel(key);
     }
 
     fn schedule_compute(&mut self, _work_points: u64) {
         // The relaxation kernel already ran for real on this thread; the
         // engine is advanced on the next drive-loop turn.
-        self.compute_pending = true;
+        self.polled.compute_pending = true;
     }
 
-    fn broadcast_stop(&mut self) {
-        // In-flight reordered data must not outlive the stop.
+    fn broadcast(&mut self, wire: &Wire) {
+        // In-flight reordered data must not outlive a stop or a rollback.
         self.shim.flush(&self.socket);
-        let stop = Datagram::Stop { from: self.rank }.encode();
-        for (rank, addr) in self.addrs.iter().enumerate() {
-            if rank != self.rank && addr.port() != 0 {
-                // Stops bypass the shim: termination is the coordinator's
-                // reliable path, and the shared detector backs it up anyway.
-                let _ = self.socket.send_to(&stop, *addr);
-            }
-        }
-    }
-
-    fn broadcast_rollback(&mut self, to_iteration: u64, generation: u32) {
-        // Rollbacks ride the control path, like stops: in-flight reordered
-        // data must not outlive them, and they bypass the loss shim.
-        self.shim.flush(&self.socket);
-        let rollback = Datagram::Rollback {
-            from: self.rank,
-            to_iteration,
-            generation,
-        }
-        .encode();
-        for (rank, addr) in self.addrs.iter().enumerate() {
-            if rank != self.rank && addr.port() != 0 {
-                let _ = self.socket.send_to(&rollback, *addr);
-            }
+        let Some(datagram) = Datagram::from_wire(self.rank, wire.clone()) else {
+            return;
+        };
+        let datagram = datagram.encode();
+        for rank in (0..self.addrs.len()).filter(|&rank| rank != self.rank) {
+            self.send_control(rank, &datagram);
         }
     }
 
     fn pacing_gate(&mut self, to: usize, wire_bytes: usize) -> bool {
-        // Same sender-side pacing the simulated runtime applies: an update
-        // that would only queue behind the previous one at the link's
-        // serialization rate is skipped (the next relaxation's update
-        // supersedes it anyway). Without this gate a free-running
-        // asynchronous peer floods the kernel loopback path faster than the
-        // receiver drains it, and the reliable channel's retransmissions
-        // amplify the overload.
-        let now = self.start.elapsed().as_nanos() as u64;
-        let gate = self.next_send_ok.get(&to).copied().unwrap_or(0);
-        if now < gate {
-            return false;
-        }
-        let link = self
-            .topology
-            .link_between(netsim::NodeId(self.rank), netsim::NodeId(to));
-        self.next_send_ok
-            .insert(to, now + link.serialization_delay(wire_bytes).as_nanos());
-        true
+        let now = self.now_ns();
+        self.pacing
+            .admit(&self.topology, self.rank, to, wire_bytes, now)
     }
 }
 
@@ -1000,6 +989,30 @@ mod tests {
             let mut garbage = bytes.clone();
             garbage[0] ^= 0xFF; // break the magic
             proptest::prop_assert_eq!(Datagram::decode(&garbage), None);
+        }
+    }
+
+    /// Every control datagram is the socket framing of a [`Wire`] the
+    /// channel backends carry as is; the bootstrap handshake and a fragment
+    /// (a piece of a wire) are no wire.
+    #[test]
+    fn control_datagrams_map_to_the_wires_every_backend_carries() {
+        for wire in [
+            Wire::Stop,
+            Wire::Rollback(12, 3),
+            Wire::Gossip(vec![1, 2, 3]),
+        ] {
+            let datagram = Datagram::from_wire(5, wire.clone()).expect("a control wire");
+            let received = Datagram::decode(&datagram.encode()).expect("round trip");
+            assert_eq!(received.into_wire(), Some((5, wire)));
+        }
+        assert_eq!(Datagram::from_wire(5, Wire::Segment(Bytes::new())), None);
+        for datagram in [
+            Datagram::Hello { rank: 1 },
+            Datagram::Table { ports: vec![9; 2] },
+            frame_segment(0, 0, b"data").remove(0),
+        ] {
+            assert_eq!(datagram.into_wire(), None);
         }
     }
 
@@ -1180,7 +1193,7 @@ mod tests {
         let mut buf = vec![0u8; 65536];
         for (msg_id, bytes) in TRAIN_SEGMENT_BYTES.into_iter().enumerate() {
             let segment = test_segment(bytes);
-            transport.transmit(1, Bytes::from(segment.clone()));
+            transport.transmit(1, Wire::Segment(Bytes::from(segment.clone())));
             for expected in frame_segment(0, msg_id as u32, &segment) {
                 let (len, _) = sink.recv_from(&mut buf).expect("every fragment arrives");
                 assert_eq!(
@@ -1205,7 +1218,7 @@ mod tests {
         let mut buf = vec![0u8; 65536];
         for bytes in TRAIN_SEGMENT_BYTES {
             let segment = test_segment(bytes);
-            transport.transmit(1, Bytes::from(segment.clone()));
+            transport.transmit(1, Wire::Segment(Bytes::from(segment.clone())));
             let mut reassembler = Reassembler::new();
             let mut reads = Vec::new();
             let (from, reassembled) = loop {

@@ -35,7 +35,7 @@ use p2pdc::app::{FrameSink, IterativeTask};
 use p2pdc::runtime::udp::{encode_fragment_into, UdpTransport, MAX_FRAGMENT_PAYLOAD};
 use p2pdc::{
     HeatTask, LossShim, ObstacleTask, PageRankGraph, PageRankTask, PeerTransport, RunConfig,
-    Scheme, UpdateMsg,
+    Scheme, UpdateMsg, Wire,
 };
 use std::net::UdpSocket;
 use std::sync::Arc;
@@ -187,11 +187,11 @@ fn steady_state_ghost_exchange_does_not_allocate() {
     );
     let segment = bytes::Bytes::from(vec![0x5Au8; 10_414]);
     for _ in 0..3 {
-        transport.transmit(1, segment.clone());
+        transport.transmit(1, Wire::Segment(segment.clone()));
     }
     let delta = min_delta(|| {
         for _ in 0..32 {
-            transport.transmit(1, segment.clone());
+            transport.transmit(1, Wire::Segment(segment.clone()));
         }
     });
     assert_eq!(delta.allocations, 0, "udp transmit allocated: {delta:?}");
