@@ -1,7 +1,8 @@
 //! Micro-benchmark: throughput of the projected Richardson relaxation kernel
 //! (points relaxed per second), the quantity the compute model is calibrated
-//! from — plus the blocked-vs-scalar comparison of the per-peer
-//! [`NodeState`] kernels that the distributed runtimes actually execute.
+//! from — plus the roofline of the per-peer [`NodeState`] kernel that the
+//! distributed runtimes actually execute: lane-parallel vs scalar vs the
+//! bare memory streams.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use obstacle::{initial_iterate, sweep, BlockDecomposition, NodeState, ObstacleProblem};
@@ -21,12 +22,15 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// The hot-path comparison: the shipping cache-blocked, branch-free
-/// `NodeState::sweep` against the per-point `sweep_scalar` reference, on the
-/// single-peer block (full grid per sweep).
+/// The hot-path roofline: the shipping lane-parallel `NodeState::sweep`
+/// against the per-point `sweep_scalar` oracle on the single-peer block (full
+/// grid per sweep), beside `stream_floor` — the kernel's four streams with no
+/// stencil: read `u`, `rhs`, `psi`, write `next`. The gap between `blocked`
+/// and `stream_floor` is the kernel's headroom. n = 24 fits in L2; 36 and 56
+/// are the grids of `obstacle-lockstep` and `obstacle-kernel`.
 fn bench_node_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("node_kernel");
-    for n in [32usize, 64, 96] {
+    for n in [24usize, 36, 56] {
         let problem = ObstacleProblem::membrane(n);
         let decomp = BlockDecomposition::balanced(n, 1);
         let delta = problem.optimal_delta();
@@ -38,6 +42,17 @@ fn bench_node_kernels(c: &mut Criterion) {
         let mut state = NodeState::new(&problem, &decomp, 0);
         group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, _| {
             b.iter(|| std::hint::black_box(state.sweep_scalar(&problem, delta)));
+        });
+        let u = initial_iterate(&problem);
+        let mut next = vec![0.0; problem.len()];
+        group.bench_with_input(BenchmarkId::new("stream_floor", n), &n, |b, _| {
+            b.iter(|| {
+                let streams = std::hint::black_box(&u).iter().zip(&problem.rhs);
+                for ((out, (u, rhs)), psi) in next.iter_mut().zip(streams).zip(&problem.psi) {
+                    *out = u + rhs + psi;
+                }
+                std::hint::black_box(&mut next);
+            });
         });
     }
     group.finish();

@@ -73,11 +73,7 @@ impl UpdateMsg {
         Some(Self {
             from: view.from,
             iteration: view.iteration,
-            plane: view
-                .plane_le
-                .chunks_exact(8)
-                .map(|raw| f64::from_le_bytes(raw.try_into().expect("an 8-byte chunk")))
-                .collect(),
+            plane: view.plane_le.chunks_exact(8).map(le_f64).collect(),
         })
     }
 }
@@ -257,42 +253,54 @@ impl IterativeTask for ObstacleTask {
     }
 
     fn restore(&mut self, state: &[u8], iteration: u64) -> bool {
-        // The checkpoint format is the result format: z_start (u32), plane
-        // count (u32), then the owned values.
-        if state.len() < 8 {
+        // The checkpoint format is the result format.
+        let Some((z_start, count, body)) = split_block(state) else {
             return false;
-        }
-        let z_start = u32::from_le_bytes(state[0..4].try_into().unwrap()) as usize;
-        let count = u32::from_le_bytes(state[4..8].try_into().unwrap()) as usize;
+        };
         if z_start != self.state.z_start()
             || count != self.state.plane_count()
-            || state.len() != 8 + self.state.local_len() * 8
+            || body.len() != self.state.local_len() * 8
         {
             return false;
         }
-        let values: Vec<f64> = state[8..]
-            .chunks_exact(8)
-            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
+        let values: Vec<f64> = body.chunks_exact(8).map(le_f64).collect();
         self.state.restore(&values, iteration)
     }
 }
 
+/// Split a result (or checkpoint) of [`ObstacleTask::result`] into its
+/// header — first plane, plane count — and the bytes of its values. `None`
+/// when the header is cut short; the values are not checked here.
+fn split_block(bytes: &[u8]) -> Option<(usize, usize, &[u8])> {
+    let (header, body) = bytes.split_first_chunk::<8>()?;
+    let (z_start, count) = header.split_at(4);
+    let word = |raw: &[u8]| u32::from_le_bytes(raw.try_into().expect("a 4-byte word")) as usize;
+    Some((word(z_start), word(count), body))
+}
+
+/// One little-endian `f64` from an 8-byte chunk.
+fn le_f64(raw: &[u8]) -> f64 {
+    f64::from_le_bytes(raw.try_into().expect("an 8-byte chunk"))
+}
+
 /// Reassemble a global solution vector from the per-peer results produced by
-/// [`ObstacleTask::result`].
+/// [`ObstacleTask::result`]. Results arrive from peers: one whose header
+/// names planes outside the grid, or whose body does not hold exactly the
+/// planes it names, is skipped (its planes stay zero) instead of panicking.
 pub fn assemble_solution(n: usize, results: &[(usize, Vec<u8>)]) -> Vec<f64> {
     let plane = n * n;
     let mut global = vec![0.0; n * plane];
     for (_, bytes) in results {
-        if bytes.len() < 8 {
+        let Some((z_start, count, body)) = split_block(bytes) else {
+            continue;
+        };
+        let fits = z_start.checked_add(count).is_some_and(|end| end <= n);
+        if !fits || body.len() != count * plane * 8 {
             continue;
         }
-        let z_start = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let count = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        for i in 0..count * plane {
-            let start = 8 + i * 8;
-            global[z_start * plane + i] =
-                f64::from_le_bytes(bytes[start..start + 8].try_into().unwrap());
+        let target = &mut global[z_start * plane..(z_start + count) * plane];
+        for (slot, raw) in target.iter_mut().zip(body.chunks_exact(8)) {
+            *slot = le_f64(raw);
         }
     }
     global
@@ -674,6 +682,41 @@ mod tests {
         assert_eq!(iterations, reference.iterations);
         let solution = assemble_solution(8, &[(0, t0.result()), (1, t1.result())]);
         assert!(sup_norm_diff(&solution, &reference.u) < 1e-12);
+    }
+
+    #[test]
+    fn assemble_skips_malformed_results_instead_of_panicking() {
+        let app = ObstacleApp::new(ObstacleParams {
+            n: 6,
+            peers: 3,
+            scheme: Scheme::Synchronous,
+            instance: ObstacleInstance::Membrane,
+        });
+        let tasks: Vec<ObstacleTask> = (0..3)
+            .map(|rank| ObstacleTask::new(app.problem(), 3, rank))
+            .collect();
+        let reference = assemble_solution(6, &[(0, tasks[0].result())]);
+        // Rank 1's body lost its last value; rank 2's header names planes
+        // 5..7 of a six-plane grid (with a full body for two planes).
+        let mut truncated = tasks[1].result();
+        truncated.truncate(truncated.len() - 8);
+        let mut out_of_range = tasks[2].result();
+        out_of_range[0..4].copy_from_slice(&5u32.to_le_bytes());
+        let solution = assemble_solution(
+            6,
+            &[
+                (0, tasks[0].result()),
+                (1, truncated),
+                (2, out_of_range),
+                (2, vec![1, 2, 3]),
+            ],
+        );
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&solution),
+            bits(&reference),
+            "only rank 0 is assembled"
+        );
     }
 
     #[test]

@@ -177,79 +177,51 @@ impl NodeState {
     /// previous iterate and the current ghost planes. Returns the sup-norm of
     /// the local successive difference.
     ///
-    /// Blocked form of [`NodeState::sweep_scalar`]: neighbour planes/rows are
-    /// resolved once per plane and once per row (absent neighbours map to a
-    /// persistent zero plane — the homogeneous Dirichlet boundary — which is
-    /// bit-identical to skipping the subtraction, since `x - 0.0 == x` for
-    /// every `f64`), so the interior of each contiguous row runs branch-free
-    /// and 4-wide unrolled. Produces bit-identical iterates to the scalar
-    /// kernel, preserving the decomposition-invariant relaxation counts.
+    /// Runs `relax_planes`, the one obstacle kernel of the crate, with the
+    /// ghost planes standing in for the neighbours' planes (an absent
+    /// neighbour is a persistent zero plane — the homogeneous Dirichlet
+    /// boundary — which is bit-identical to skipping the subtraction, since
+    /// `x - 0.0 == x` for every `f64`). Produces bit-identical iterates to
+    /// [`NodeState::sweep_scalar`] and to the sequential
+    /// [`crate::richardson::sweep`], preserving the decomposition-invariant
+    /// relaxation counts.
     pub fn sweep(&mut self, problem: &ObstacleProblem, delta: f64) -> f64 {
-        let n = self.n;
-        let plane = n * n;
-        let pc = self.plane_count();
+        let plane = self.n * self.n;
         if self.zeros.len() < plane {
             // Deserialized states arrive without the scratch plane.
             self.zeros.resize(plane, 0.0);
         }
-        let mut max_diff = 0.0f64;
-        let u = &self.u;
-        let next = &mut self.next;
-        let zeros = &self.zeros;
-        for lz in 0..pc {
-            let z = self.z_start + lz;
-            let u_plane = &u[lz * plane..(lz + 1) * plane];
-            let below: &[f64] = if lz > 0 {
-                &u[(lz - 1) * plane..lz * plane]
-            } else if z > 0 {
-                &self.ghost_lo
-            } else {
-                &zeros[..plane]
-            };
-            let above: &[f64] = if lz + 1 < pc {
-                &u[(lz + 1) * plane..(lz + 2) * plane]
-            } else if z + 1 < n {
-                &self.ghost_hi
-            } else {
-                &zeros[..plane]
-            };
-            let rhs_plane = &problem.rhs[z * plane..(z + 1) * plane];
-            let psi_plane = &problem.psi[z * plane..(z + 1) * plane];
-            let next_plane = &mut next[lz * plane..(lz + 1) * plane];
-            for j in 0..n {
-                let row = &u_plane[j * n..(j + 1) * n];
-                let front: &[f64] = if j > 0 {
-                    &u_plane[(j - 1) * n..j * n]
-                } else {
-                    &zeros[..n]
-                };
-                let back: &[f64] = if j + 1 < n {
-                    &u_plane[(j + 1) * n..(j + 2) * n]
-                } else {
-                    &zeros[..n]
-                };
-                let d = relax_row(
-                    row,
-                    front,
-                    back,
-                    &below[j * n..(j + 1) * n],
-                    &above[j * n..(j + 1) * n],
-                    &rhs_plane[j * n..(j + 1) * n],
-                    &psi_plane[j * n..(j + 1) * n],
-                    &mut next_plane[j * n..(j + 1) * n],
-                    delta,
-                );
-                max_diff = max_diff.max(d);
-            }
-        }
+        let zeros = &self.zeros[..plane];
+        let below = if self.z_start > 0 {
+            &self.ghost_lo
+        } else {
+            zeros
+        };
+        let above = if self.z_end < self.n {
+            &self.ghost_hi
+        } else {
+            zeros
+        };
+        let window = self.z_start * plane..self.z_end * plane;
+        let max_diff = relax_planes(
+            self.n,
+            &self.u,
+            below,
+            above,
+            zeros,
+            &problem.rhs[window.clone()],
+            &problem.psi[window],
+            &mut self.next,
+            delta,
+        );
         std::mem::swap(&mut self.u, &mut self.next);
         self.relaxations += 1;
         max_diff
     }
 
-    /// The straightforward per-point sweep the blocked [`NodeState::sweep`]
-    /// replaced. Kept as the equivalence reference (the blocked kernel must
-    /// be bit-identical to this) and as the scalar side of the kernel bench.
+    /// The straightforward per-point sweep, independent of
+    /// `relax_planes`: the equivalence oracle the lane-parallel kernel
+    /// must match bit for bit, and the scalar side of the kernel bench.
     pub fn sweep_scalar(&mut self, problem: &ObstacleProblem, delta: f64) -> f64 {
         let n = self.n;
         let plane = n * n;
@@ -287,7 +259,7 @@ impl NodeState {
                         acc -= self.ghost_hi[i + n * j];
                     }
                     let candidate = center - delta * (acc - problem.rhs[gi]);
-                    let projected = candidate.max(problem.psi[gi]);
+                    let projected = project(candidate, problem.psi[gi]);
                     max_diff = max_diff.max((projected - center).abs());
                     self.next[li] = projected;
                 }
@@ -332,22 +304,16 @@ impl NodeState {
 /// — unless `bytes` holds exactly `ghost.len()` values (the bytes come off
 /// the network).
 ///
-/// Four running maxima break the serial `max` chain. The result is
-/// bit-identical to `fold(0.0, |m, d| m.max(d))` over the differences front
-/// to back: the maximum of non-negative values does not depend on the order,
-/// and `d > max` skips a NaN difference exactly as `f64::max` does while the
-/// running maximum itself — started at 0 — is never NaN (the comparison
-/// compiles to a bare `maxpd`, `f64::max` to a NaN-checking sequence).
+/// Four running maxima (`keep_max`) break the serial `max` chain; the
+/// result is bit-identical to `fold(0.0, |m, d| m.max(d))` over the
+/// differences front to back.
 pub fn store_le_plane(ghost: &mut [f64], bytes: &[u8]) -> Option<f64> {
     if bytes.len() != ghost.len() * 8 {
         return None;
     }
     let store = |slot: &mut f64, raw: &[u8], max: &mut f64| {
         let value = f64::from_le_bytes(raw.try_into().expect("an 8-byte chunk"));
-        let change = (value - *slot).abs();
-        if change > *max {
-            *max = change;
-        }
+        keep_max(max, value, *slot);
         *slot = value;
     };
     let mut maxima = [0.0f64; 4];
@@ -363,6 +329,21 @@ pub fn store_le_plane(ghost: &mut [f64], bytes: &[u8]) -> Option<f64> {
         store(slot, raw, &mut maxima[0]);
     }
     Some(maxima.into_iter().fold(0.0, f64::max))
+}
+
+/// The projection `P_K` of one candidate value onto `{ v ≥ ψ }`: the
+/// candidate when it exceeds the obstacle, the obstacle otherwise. Every
+/// obstacle kernel projects through this one rule, so they agree bit for bit
+/// even on a signed-zero tie (`+0.0` against `-0.0` yields `ψ`, which
+/// `f64::max` leaves unspecified). The comparison compiles to a single
+/// `maxsd` / `maxpd`; `f64::max` checks for NaN on every call.
+#[inline(always)]
+fn project(candidate: f64, psi: f64) -> f64 {
+    if candidate > psi {
+        candidate
+    } else {
+        psi
+    }
 }
 
 /// One projected Richardson update. The subtraction order (left, right,
@@ -389,17 +370,127 @@ fn relax_point(
     acc -= back;
     acc -= below;
     acc -= above;
-    (center - delta * (acc - rhs)).max(psi)
+    project(center - delta * (acc - rhs), psi)
+}
+
+/// Points per chunk of the row kernel's interior: the chunk's points are
+/// relaxed side by side and each lane keeps its own running maximum, so
+/// neither the stores nor the `max` reduction form one serial chain. Two
+/// lanes — one SSE2 register of `f64` — measured fastest: at n = 56 they and
+/// four lanes both sit within 5 % of the same loop with no `max` at all, and
+/// at n = 24 / 36 four lanes are 7–9 % slower (more scalar remainder).
+const LANES: usize = 2;
+
+/// Relax whole planes: `u` holds `u.len() / n²` consecutive z-planes, the
+/// relaxed values go to `next`, and the sup-norm of `next − u` is returned.
+/// This is the obstacle kernel: [`NodeState::sweep`] runs it over a peer's
+/// block with its ghost planes, [`crate::richardson::sweep`] over the whole
+/// grid with zero planes, so the distributed sweep, the sequential reference
+/// and the residual cannot disagree.
+///
+/// `below` / `above` are the planes just outside the block (zeros on the
+/// grid's boundary), `zeros` holds at least `n` zeros (the boundary row),
+/// and `rhs` / `psi` are the problem data over the block. Never inlined, so
+/// the hot loop's code layout is fixed per plane walk and does not move
+/// with the code of its callers.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+pub(crate) fn relax_planes(
+    n: usize,
+    u: &[f64],
+    below: &[f64],
+    above: &[f64],
+    zeros: &[f64],
+    rhs: &[f64],
+    psi: &[f64],
+    next: &mut [f64],
+    delta: f64,
+) -> f64 {
+    let plane = n * n;
+    let len = u.len();
+    assert!(
+        plane > 0
+            && len.is_multiple_of(plane)
+            && below.len() == plane
+            && above.len() == plane
+            && zeros.len() >= n
+            && rhs.len() == len
+            && psi.len() == len
+            && next.len() == len,
+        "block shape mismatch"
+    );
+    let zero_row = &zeros[..n];
+    let planes = len / plane;
+    let mut max_diff = 0.0f64;
+    for lz in 0..planes {
+        let at = lz * plane;
+        let u_plane = &u[at..at + plane];
+        let below = if lz > 0 { &u[at - plane..at] } else { below };
+        let above = if lz + 1 < planes {
+            &u[at + plane..at + 2 * plane]
+        } else {
+            above
+        };
+        let rhs_plane = &rhs[at..at + plane];
+        let psi_plane = &psi[at..at + plane];
+        let next_plane = &mut next[at..at + plane];
+        for j in 0..n {
+            let row = j * n..(j + 1) * n;
+            let front = if j > 0 {
+                &u_plane[row.start - n..row.start]
+            } else {
+                zero_row
+            };
+            let back = if j + 1 < n {
+                &u_plane[row.end..row.end + n]
+            } else {
+                zero_row
+            };
+            let d = relax_row(
+                &u_plane[row.clone()],
+                front,
+                back,
+                &below[row.clone()],
+                &above[row.clone()],
+                &rhs_plane[row.clone()],
+                &psi_plane[row.clone()],
+                &mut next_plane[row],
+                delta,
+            );
+            if d > max_diff {
+                max_diff = d;
+            }
+        }
+    }
+    max_diff
+}
+
+/// Raise the running maximum `lane` to `|p − center|`. The maximum of
+/// non-negative values does not depend on their order, the comparison skips
+/// a NaN difference exactly as `f64::max` does, and a maximum started at 0
+/// is never NaN — so any grouping of the differences into lanes gives the
+/// bits of the serial `f64::max` fold, and the comparison compiles to a bare
+/// `maxpd` where `f64::max` is a NaN-checking sequence.
+#[inline(always)]
+fn keep_max(lane: &mut f64, p: f64, center: f64) {
+    let d = (p - center).abs();
+    if d > *lane {
+        *lane = d;
+    }
 }
 
 /// Relax one contiguous row of `n` points with every neighbour row resolved
-/// up front. The `i = 0` and `i = n-1` columns (whose left/right neighbour is
-/// the zero boundary) are peeled, so the interior runs branch-free over
-/// contiguous slices, 4-wide unrolled. Returns the row's sup-norm successive
-/// difference; the `max` reduction is order-insensitive on the non-NaN
-/// absolute differences, so the unroll does not perturb it.
+/// up front, and return the row's sup-norm successive difference.
+///
+/// Columns `0` and `n-1`, whose left / right neighbour is the zero boundary,
+/// are peeled. The interior runs over slices cut to a whole number of
+/// [`LANES`]-point chunks, so it carries no boundary branch and no bounds
+/// check per point: each chunk relaxes its points side by side, stores them,
+/// and raises one running maximum per lane, and the lanes are folded once
+/// per row. The compiler turns a chunk into straight SSE2 code, projection
+/// and `max` included.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn relax_row(
     row: &[f64],
     front: &[f64],
@@ -412,9 +503,10 @@ fn relax_row(
     delta: f64,
 ) -> f64 {
     let n = row.len();
-    // One bounds proof up front lets the interior loop index freely.
+    // A grid has at least two points per dimension (`Grid3::new`).
     assert!(
-        front.len() == n
+        n >= 2
+            && front.len() == n
             && back.len() == n
             && below.len() == n
             && above.len() == n
@@ -422,109 +514,46 @@ fn relax_row(
             && psi.len() == n
             && out.len() == n
     );
-    // i = 0: the left neighbour is the boundary.
-    let right = if n > 1 { row[1] } else { 0.0 };
-    let p = relax_point(
-        row[0], 0.0, right, front[0], back[0], below[0], above[0], rhs[0], psi[0], delta,
-    );
-    let mut diff = (p - row[0]).abs();
-    out[0] = p;
-    if n == 1 {
-        return diff;
-    }
+    let point = |i: usize, left: f64, right: f64| {
+        relax_point(
+            row[i], left, right, front[i], back[i], below[i], above[i], rhs[i], psi[i], delta,
+        )
+    };
+    let mut maxima = [0.0f64; LANES];
     let last = n - 1;
-    let mut i = 1usize;
-    while i + 4 <= last {
-        let p0 = relax_point(
-            row[i],
-            row[i - 1],
-            row[i + 1],
-            front[i],
-            back[i],
-            below[i],
-            above[i],
-            rhs[i],
-            psi[i],
-            delta,
-        );
-        let p1 = relax_point(
-            row[i + 1],
-            row[i],
-            row[i + 2],
-            front[i + 1],
-            back[i + 1],
-            below[i + 1],
-            above[i + 1],
-            rhs[i + 1],
-            psi[i + 1],
-            delta,
-        );
-        let p2 = relax_point(
-            row[i + 2],
-            row[i + 1],
-            row[i + 3],
-            front[i + 2],
-            back[i + 2],
-            below[i + 2],
-            above[i + 2],
-            rhs[i + 2],
-            psi[i + 2],
-            delta,
-        );
-        let p3 = relax_point(
-            row[i + 3],
-            row[i + 2],
-            row[i + 4],
-            front[i + 3],
-            back[i + 3],
-            below[i + 3],
-            above[i + 3],
-            rhs[i + 3],
-            psi[i + 3],
-            delta,
-        );
-        out[i] = p0;
-        out[i + 1] = p1;
-        out[i + 2] = p2;
-        out[i + 3] = p3;
-        let d01 = (p0 - row[i]).abs().max((p1 - row[i + 1]).abs());
-        let d23 = (p2 - row[i + 2]).abs().max((p3 - row[i + 3]).abs());
-        diff = diff.max(d01.max(d23));
-        i += 4;
-    }
-    while i < last {
-        let p = relax_point(
-            row[i],
-            row[i - 1],
-            row[i + 1],
-            front[i],
-            back[i],
-            below[i],
-            above[i],
-            rhs[i],
-            psi[i],
-            delta,
-        );
-        diff = diff.max((p - row[i]).abs());
+    let interior = last - 1;
+    let chunked = interior - interior % LANES;
+    // The peeled columns and the interior's remainder, point by point.
+    let mut single = |i: usize, p: f64| {
         out[i] = p;
-        i += 1;
+        keep_max(&mut maxima[0], p, row[i]);
+    };
+    single(0, point(0, 0.0, row[1]));
+    single(last, point(last, row[last - 1], 0.0));
+    for i in 1 + chunked..last {
+        single(i, point(i, row[i - 1], row[i + 1]));
     }
-    // i = n-1: the right neighbour is the boundary.
-    let p = relax_point(
-        row[last],
-        row[last - 1],
-        0.0,
-        front[last],
-        back[last],
-        below[last],
-        above[last],
-        rhs[last],
-        psi[last],
-        delta,
-    );
-    diff = diff.max((p - row[last]).abs());
-    out[last] = p;
-    diff
+    // Every slice below is `chunked` long and index `i` is column `i + 1`.
+    let (c, l, r) = (&row[1..=chunked], &row[..chunked], &row[2..chunked + 2]);
+    let (f, b) = (&front[1..=chunked], &back[1..=chunked]);
+    let (lo, hi) = (&below[1..=chunked], &above[1..=chunked]);
+    let (rh, ps) = (&rhs[1..=chunked], &psi[1..=chunked]);
+    let o = &mut out[1..=chunked];
+    for chunk in 0..chunked / LANES {
+        let mut p = [0.0f64; LANES];
+        for (k, p) in p.iter_mut().enumerate() {
+            let i = chunk * LANES + k;
+            *p = relax_point(
+                c[i], l[i], r[i], f[i], b[i], lo[i], hi[i], rh[i], ps[i], delta,
+            );
+        }
+        for k in 0..LANES {
+            let i = chunk * LANES + k;
+            o[i] = p[k];
+            keep_max(&mut maxima[k], p[k], c[i]);
+        }
+    }
+    maxima.into_iter().fold(0.0, f64::max)
 }
 
 /// Sequentially emulate the *synchronous* distributed scheme with `alpha`
@@ -584,6 +613,10 @@ mod tests {
     use super::*;
     use crate::richardson::solve_sequential;
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn node_state_covers_decomposition() {
         let problem = ObstacleProblem::membrane(8);
@@ -612,14 +645,14 @@ mod tests {
                 distributed.iterations, reference.iterations,
                 "synchronous relaxation count must not depend on the decomposition (alpha={alpha})"
             );
-            let max_err = reference
-                .u
-                .iter()
-                .zip(distributed.u.iter())
-                .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-            assert!(
-                max_err < 1e-12,
-                "alpha={alpha}: distributed sync iterates diverged from sequential ({max_err})"
+            assert_eq!(
+                bits(&distributed.u),
+                bits(&reference.u),
+                "alpha={alpha}: distributed sync iterates diverged from sequential"
+            );
+            assert_eq!(
+                distributed.final_diff.to_bits(),
+                reference.final_diff.to_bits()
             );
         }
     }
@@ -735,8 +768,9 @@ mod tests {
 
     #[test]
     fn blocked_kernel_handles_single_point_rows() {
-        // n = 2 rows consist of the two peeled columns alone.
-        for n in [2usize, 3] {
+        // n = 2 rows consist of the two peeled columns alone; n = 3, 4, 5
+        // add a one-point remainder, one whole chunk, and both.
+        for n in [2usize, 3, 4, 5] {
             let problem = ObstacleProblem::membrane(n);
             assert_bit_identical(&problem, 1, 10);
         }
@@ -779,7 +813,6 @@ mod tests {
                 let mut oracle = fused.clone();
                 let plane: Vec<f64> = (0..n * n).map(|_| plane_value(&mut rng)).collect();
                 let bytes: Vec<u8> = plane.iter().flat_map(|v| v.to_le_bytes()).collect();
-                let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
                 for wrong in [bytes.len() - 8, bytes.len() - 1, bytes.len() + 8, 0] {
                     let mut resized = bytes.clone();
@@ -809,31 +842,77 @@ mod tests {
     mod kernel_equivalence_proptests {
         use super::*;
         use crate::grid::Grid3;
+        use crate::problem::NO_OBSTACLE;
+        use crate::richardson::{initial_iterate, sweep};
         use proptest::prelude::*;
 
+        /// A problem whose obstacle mixes random values with exact `0.0`,
+        /// `-0.0` and [`NO_OBSTACLE`], and whose right-hand side is zero half
+        /// the time, so that candidates land on signed-zero ties with the
+        /// obstacle.
+        fn awkward_problem(n: usize, seed: u64) -> ObstacleProblem {
+            let mut rng = proptest::TestRng::new(seed);
+            let grid = Grid3::new(n);
+            let zero_rhs = rng.below(2) == 0;
+            let rhs = (0..grid.len())
+                .map(|_| {
+                    if zero_rhs {
+                        0.0
+                    } else {
+                        rng.unit_f64() * 2.0 - 1.0
+                    }
+                })
+                .collect();
+            let psi = (0..grid.len())
+                .map(|_| match rng.below(6) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => NO_OBSTACLE,
+                    _ => rng.unit_f64() - 0.5,
+                })
+                .collect();
+            ObstacleProblem::new(grid, rhs, psi)
+        }
+
         proptest! {
-            /// The blocked kernel is bit-identical to the scalar kernel on
-            /// random problems, decompositions and sweep counts.
+            /// The lane-parallel kernel is bit-identical to the scalar kernel
+            /// on random problems, decompositions and sweep counts. Rows of
+            /// 2..14 points cover every interior remainder and rows of
+            /// several whole chunks.
             #[test]
             fn blocked_matches_scalar_on_random_problems(
-                n in 2usize..9,
+                n in 2usize..14,
                 alpha_seed in 1usize..16,
                 sweeps in 1usize..12,
-                rhs_seed in any::<u64>(),
+                seed in any::<u64>(),
             ) {
-                let grid = Grid3::new(n);
-                let len = grid.len();
-                // Deterministic pseudo-random rhs/psi from the seed.
-                let mut state = rhs_seed | 1;
-                let mut draw = || {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    ((state >> 33) as f64 / 2f64.powi(31)) - 1.0
-                };
-                let rhs: Vec<f64> = (0..len).map(|_| draw()).collect();
-                let psi: Vec<f64> = (0..len).map(|_| draw() * 0.5).collect();
-                let problem = ObstacleProblem::new(grid, rhs, psi);
+                let problem = awkward_problem(n, seed);
                 let alpha = 1 + alpha_seed % n;
                 assert_bit_identical(&problem, alpha, sweeps);
+            }
+
+            /// The sequential sweep is the distributed kernel over the whole
+            /// grid: at one peer both give the same iterate and the same
+            /// successive difference, bit for bit, sweep after sweep.
+            #[test]
+            fn sequential_sweep_matches_single_peer_sweep(
+                n in 2usize..14,
+                sweeps in 1usize..12,
+                seed in any::<u64>(),
+            ) {
+                let problem = awkward_problem(n, seed);
+                let delta = problem.optimal_delta();
+                let decomp = BlockDecomposition::balanced(n, 1);
+                let mut node = NodeState::new(&problem, &decomp, 0);
+                let mut u = initial_iterate(&problem);
+                let mut next = vec![0.0; problem.len()];
+                for _ in 0..sweeps {
+                    let sequential = sweep(&problem, &u, &mut next, delta);
+                    std::mem::swap(&mut u, &mut next);
+                    let distributed = node.sweep(&problem, delta);
+                    prop_assert_eq!(sequential.to_bits(), distributed.to_bits());
+                    prop_assert_eq!(bits(&u), bits(node.local_values()));
+                }
             }
         }
     }
