@@ -104,8 +104,9 @@ fn bench_checksum(c: &mut Criterion) {
 }
 
 /// One message through the session layer, in memory: `send → on_data →
-/// receive`, then the acknowledgement's way back where the mode asks for one
-/// — what a sweep pays the session layer per neighbour. 10 388 bytes is
+/// receive`, then whatever the receiver answers — on a reliable channel with
+/// no data going back, one bare ack per `MAX_ACKS_PER_SEGMENT` messages —
+/// what a sweep pays the session layer per neighbour. 10 388 bytes is
 /// `obstacle-lockstep`'s ghost plane in the reliable synchronous mode, 52
 /// bytes `pagerank-swarm`'s message in the unreliable asynchronous mode.
 fn bench_roundtrip(c: &mut Criterion) {

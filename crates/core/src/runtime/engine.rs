@@ -1017,6 +1017,16 @@ impl PeerEngine {
         self.crashed
     }
 
+    /// Data segments this peer's sockets sent, and bare acknowledgements:
+    /// the acknowledgements no data segment carried in time. Summed over the
+    /// sockets of the current neighbours.
+    pub fn sent_segments(&self) -> (u64, u64) {
+        self.sockets
+            .values()
+            .map(Socket::sent_segments)
+            .fold((0, 0), |(data, acks), (d, a)| (data + d, acks + a))
+    }
+
     /// Relaxations performed so far by the task.
     pub fn relaxations(&self) -> u64 {
         self.task.relaxations()
@@ -1874,8 +1884,19 @@ mod tests {
         );
         assert_eq!(a.relaxations(), 2);
 
-        // The reliable synchronous channel also acknowledged the segment.
-        assert!(ta.sent.iter().any(|(to, _)| *to == 1), "ack goes back to B");
+        // The reliable synchronous channel owes B the acknowledgement: no
+        // bare ack leaves, A's next update carries it.
+        assert!(ta.sent.is_empty(), "no bare ack to B");
+        ta.polled.compute_pending = false;
+        a.on_compute_done(&mut ta);
+        let to_b = ta.drain_segments();
+        assert_eq!(to_b.len(), 1);
+        let update = p2psap::data::WireSegment::decode(to_b[0].1.clone()).expect("decodes");
+        let acked: Vec<u64> = update.acks.as_slice().iter().map(|ack| ack.seq).collect();
+        let first_from_b = p2psap::data::WireSegment::decode(from_b[0].1.clone())
+            .expect("decodes")
+            .seq;
+        assert_eq!(acked, [first_from_b], "update 2 carries the ack to B");
     }
 
     #[test]

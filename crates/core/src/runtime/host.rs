@@ -258,7 +258,7 @@ mod tests {
     use crate::runtime::engine::testing::{RampTask, ScriptTransport};
     use crate::runtime::RunConfig;
     use netsim::LinkFaults;
-    use p2psap::data::WireSegment;
+    use p2psap::data::{SegmentKind, WireSegment};
     use p2psap::Scheme;
 
     const PEERS: usize = 3;
@@ -279,12 +279,19 @@ mod tests {
     }
 
     /// Sequence numbers of the data segments among `sent`, in send order.
-    fn data_seqs(sent: &[(usize, Wire)]) -> Vec<u64> {
+    fn segments(sent: &[(usize, Wire)]) -> Vec<WireSegment> {
         let segment = |(_, wire): &(usize, Wire)| match wire {
             Wire::Segment(bytes) => WireSegment::decode(bytes.clone()),
             _ => None,
         };
-        sent.iter().filter_map(segment).map(|s| s.seq).collect()
+        sent.iter().filter_map(segment).collect()
+    }
+
+    fn data_seqs(sent: &[(usize, Wire)]) -> Vec<u64> {
+        let data = segments(sent).into_iter();
+        data.filter(|s| s.kind == SegmentKind::Data)
+            .map(|s| s.seq)
+            .collect()
     }
 
     #[test]
@@ -310,7 +317,10 @@ mod tests {
         ta.now_ns += 10_000_000_000;
 
         assert_eq!(a.turn(&run, &mut ta, |t| &mut t.polled), Turn::Running);
-        // The due retransmission of update 1 went out before update 2 …
+        // The due timers fired in deadline order — the delayed ack of B's
+        // update, then the retransmission of update 1 — before update 2 …
+        let kinds: Vec<SegmentKind> = segments(&ta.sent).iter().map(|s| s.kind).collect();
+        assert_eq!(kinds[0], SegmentKind::Ack);
         assert_eq!(data_seqs(&ta.sent), [first, first + 1]);
         // … every gossip message after both …
         let is_gossip = |(_, wire): &(usize, Wire)| matches!(wire, Wire::Gossip(_));

@@ -72,6 +72,11 @@ pub struct LoopStats {
     pub busy_ns_final: Vec<u64>,
     /// Peer migrations performed between loops.
     pub migrations: u64,
+    /// Data segments the peers sent, summed when each retires
+    /// ([`PeerEngine::sent_segments`](crate::runtime::engine::PeerEngine::sent_segments)).
+    pub data_segments: u64,
+    /// Bare acknowledgement segments the peers sent, summed the same way.
+    pub bare_acks: u64,
 }
 
 impl LoopStats {
@@ -245,7 +250,8 @@ struct RebalanceClock {
     first_period: Option<Vec<u64>>,
 }
 
-/// Measured busy-time accounting and peer migration between event loops.
+/// Measured busy-time accounting and peer migration between event loops,
+/// and the tally of the segments retired peers sent.
 /// Each loop times its own drain+advance work into `busy_ns`; every
 /// [`REBALANCE_PERIOD`] one loop compares the per-period deltas, and the
 /// busiest loop sheds one Running peer into the least-busy loop's mailbox.
@@ -266,6 +272,8 @@ struct Balancer {
     done: AtomicUsize,
     total: usize,
     migrations: AtomicU64,
+    /// `(data segments, bare acks)` of the retired peers.
+    sent_segments: [AtomicU64; 2],
     clock: Mutex<RebalanceClock>,
 }
 
@@ -278,6 +286,7 @@ impl Balancer {
             done: AtomicUsize::new(0),
             total,
             migrations: AtomicU64::new(0),
+            sent_segments: [AtomicU64::new(0), AtomicU64::new(0)],
             clock: Mutex::new(RebalanceClock {
                 last_check: Instant::now(),
                 last_busy: vec![0; loops],
@@ -294,6 +303,12 @@ impl Balancer {
     /// every provisioned rank has. Returns whether this was the last one.
     fn mark_done(&self) -> bool {
         self.done.fetch_add(1, Ordering::AcqRel) + 1 >= self.total
+    }
+
+    /// Count a retiring peer's `(data segments, bare acks)`.
+    fn add_sent_segments(&self, (data, acks): (u64, u64)) {
+        self.sent_segments[0].fetch_add(data, Ordering::Relaxed);
+        self.sent_segments[1].fetch_add(acks, Ordering::Relaxed);
     }
 
     fn all_done(&self) -> bool {
@@ -371,6 +386,8 @@ impl Balancer {
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
             migrations: self.migrations.load(Ordering::Relaxed),
+            data_segments: self.sent_segments[0].load(Ordering::Relaxed),
+            bare_acks: self.sent_segments[1].load(Ordering::Relaxed),
         }
     }
 }
@@ -450,8 +467,11 @@ impl Peer {
     }
 
     /// Retire the peer: flush the shim's held-back datagram, account its
-    /// drops, deregister the socket.
+    /// drops and sent segments, deregister the socket.
     fn finish(&mut self, poller: &Poller, ctx: &LoopShared<'_>) {
+        if let Some(host) = &self.host {
+            ctx.balancer.add_sent_segments(host.engine.sent_segments());
+        }
         if let Some(transport) = &mut self.transport {
             transport.shim.flush(&transport.socket);
             ctx.dropped
@@ -1307,7 +1327,10 @@ mod tests {
     /// reaches rank 1 while that peer still waits for the table. The peer
     /// must keep the segment and hand it to its engine once started, which
     /// shows on the wire as the acknowledgement rank 0 is waiting for;
-    /// dropping it costs the sender a full retransmission timeout.
+    /// dropping it costs the sender a full retransmission timeout. The peer
+    /// is first turned once the delayed-ack timer is due — a turn fires due
+    /// timers before it completes the first sweep, whose planes would carry
+    /// the acknowledgement — so it leaves as a bare ack over a real socket.
     #[test]
     fn segment_arriving_before_the_table_reaches_the_engine() {
         let hostile = Hostile::new();
@@ -1329,6 +1352,8 @@ mod tests {
 
         hostile.deliver_table(&mut peer, &mut buf);
         assert!(peer.early.is_empty());
+        std::thread::sleep(Duration::from_nanos(p2psap::ACK_DELAY_NS));
+        peer.advance(&hostile.poller, &hostile.ctx());
         let sink = &hostile.sinks[0];
         sink.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("set sink timeout");
@@ -1342,11 +1367,61 @@ mod tests {
             };
             assert_eq!(from, 1);
             let reply = WireSegment::decode(Bytes::from(payload)).expect("a clean segment");
-            if reply.kind == SegmentKind::Ack {
-                assert_eq!(reply.seq, seq);
-                break;
-            }
+            assert_eq!(
+                reply.kind,
+                SegmentKind::Ack,
+                "the delayed ack leaves before the first sweep's planes"
+            );
+            let acked: Vec<u64> = reply.acks.as_slice().iter().map(|ack| ack.seq).collect();
+            assert_eq!(acked, [seq]);
+            break;
         }
+    }
+
+    /// Acknowledgements ride on data: in a synchronous solve every plane is
+    /// answered by the neighbour's next plane, which carries its
+    /// acknowledgement, so a bare ack only leaves when no plane follows in
+    /// time — at most one per directed link, the last plane's, against one
+    /// per plane before. Eight peers on one event loop, as
+    /// `obstacle-lockstep` runs them, on a grid small enough that an
+    /// unoptimised build's iteration stays well inside `ACK_DELAY_NS`; the
+    /// best of three solves is held to the bound, so one event-loop stall on
+    /// a loaded box cannot fail it. The counts are printed (CI runs this
+    /// with `--nocapture`).
+    #[test]
+    fn synchronous_solve_acknowledges_on_data_not_in_bare_acks() {
+        use crate::obstacle_app::ObstacleTask;
+        use obstacle::ObstacleProblem;
+        use std::sync::Arc;
+
+        let peers = 8;
+        let problem = Arc::new(ObstacleProblem::membrane(12));
+        let config =
+            RunConfig::quick(Scheme::Synchronous, peers).with_extras(BackendExtras::Reactor {
+                event_loops: 1,
+                loss_probability: 0.0,
+                reorder_probability: 0.0,
+            });
+        let directed_links = 2 * (peers as u64 - 1);
+        let mut fewest = u64::MAX;
+        for solve in 0..3 {
+            let run = ReactorDriver::run_sockets(&config, &|rank| {
+                Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
+            });
+            assert!(run.outcome.measurement.converged);
+            let relaxations: u64 = run.outcome.measurement.relaxations_per_peer.iter().sum();
+            let stats = &run.loops;
+            println!(
+                "solve {solve}: {} relaxations, {} data segments, {} bare acks",
+                relaxations, stats.data_segments, stats.bare_acks
+            );
+            assert!(stats.data_segments >= directed_links * 10);
+            fewest = fewest.min(stats.bare_acks);
+        }
+        assert!(
+            fewest <= directed_links,
+            "{fewest} bare acks for {directed_links} directed links"
+        );
     }
 
     /// The same race on real event loops: before discovering peers kept

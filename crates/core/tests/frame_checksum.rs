@@ -1,5 +1,6 @@
 //! Corruption properties of `p2psap::data::frame_checksum`, checked through
-//! the two codecs that carry it as their trailer: every kind of damage a
+//! the two codecs that carry it as their trailer (data segments with and
+//! without an ack block): every kind of damage a
 //! link can do to a frame of up to 32 KiB — one flipped bit, one changed
 //! byte, two words or two 32-byte blocks trading places, a lost tail, added
 //! zeros — must make `WireSegment::decode` and `GossipMessage::decode`
@@ -10,20 +11,31 @@
 use bytes::Bytes;
 use p2pdc::gossip::GossipKind;
 use p2pdc::{DigestRow, GossipMessage, MemberStatus, Rumor};
-use p2psap::data::{WireSegment, SEGMENT_CHECKSUM_BYTES};
+use p2psap::data::{Ack, AckBlock, WireSegment, MAX_ACKS_PER_SEGMENT, SEGMENT_CHECKSUM_BYTES};
 use proptest::TestRng;
 
 const MAX_FRAME_BYTES: u64 = 32 * 1024;
 /// Bytes of one checksum block: eight lanes of one `u32` word each.
 const BLOCK: usize = 32;
 
+/// A data segment of up to 32 KiB carrying 0 ..= `MAX_ACKS_PER_SEGMENT`
+/// acknowledgements, so the corruptions also land in the ack block.
 fn segment_frame(rng: &mut TestRng) -> Vec<u8> {
     let payload = (0..rng.below(MAX_FRAME_BYTES))
         .map(|_| rng.next_u64() as u8)
         .collect::<Vec<u8>>();
-    WireSegment::data(rng.next_u64(), true, rng.next_u64(), Bytes::from(payload))
-        .encode()
-        .to_vec()
+    let acks: AckBlock = (0..rng.below(MAX_ACKS_PER_SEGMENT as u64 + 1))
+        .map(|_| Ack {
+            seq: rng.next_u64(),
+            sent_at_ns: rng.next_u64(),
+        })
+        .collect();
+    WireSegment {
+        acks,
+        ..WireSegment::data(rng.next_u64(), true, rng.next_u64(), Bytes::from(payload))
+    }
+    .encode()
+    .to_vec()
 }
 
 fn segment_accepts(frame: &[u8]) -> bool {

@@ -20,8 +20,10 @@
 //! 4. a P2PSAP `P2P_Send` with a warm session wire-buffer pool — costs the
 //!    segment's shared handle and the output vectors that carry it, with the
 //!    wire buffer reused through `Socket::recycle_wire` — and a whole
-//!    reliable round trip of one ghost plane (`send → on_data → receive →
-//!    ack → on_data`), pinned at its own figure.
+//!    lockstep round over a reliable synchronous link (both ends send one
+//!    ghost plane, each carrying the acknowledgement of the plane it
+//!    answers), pinned at its own figure: no bare ack leaves, and the
+//!    carried acknowledgements allocate nothing of their own.
 //!
 //! The counters are process-global, so all assertions live in one `#[test]`
 //! — parallel test threads would pollute each other's deltas. The libtest
@@ -51,13 +53,16 @@ static COUNTING: CountingAllocator = CountingAllocator;
 /// of the ghost-plane size.
 const SESSION_SEND_ALLOCS: u64 = 3;
 
-/// Allocations of one 10 388-byte ghost plane through the reliable
-/// synchronous mode and its acknowledgement back (measured). Send: the
-/// plane's wire buffer (it leaves with the delivered payload, so the pool
-/// does not get it back), its shared handle, the wire and timer vectors.
-/// Receive: the delivery vector, and the acknowledgement's buffer, handle
-/// and wire vector. Acknowledgement: the completion and cancel vectors.
-const RELIABLE_ROUNDTRIP_ALLOCS: u64 = 10;
+/// Allocations of one 10 388-byte ghost plane one way across a reliable
+/// synchronous link in lockstep (measured; a round is two of them). Send:
+/// the plane's wire buffer (it leaves with the delivered payload, so the
+/// pool does not get it back), its shared handle, the wire and timer
+/// vectors, and the cancel vector of the delayed-ack timer its carried
+/// acknowledgement makes moot. Receive: the completion and cancel vectors of
+/// that acknowledgement, the delivery vector, and the timer vector arming
+/// the delayed ack the plane now makes owed. Before acknowledgements rode
+/// on data a bare ack cost its own buffer, handle and wire vector per plane.
+const LOCKSTEP_PLANE_ALLOCS: u64 = 9;
 
 /// Minimum counter delta of `window()` over five identical runs, immunising
 /// the measurement against allocations the harness's other threads happen to
@@ -272,41 +277,62 @@ fn steady_state_ghost_exchange_does_not_allocate() {
         "session send path cost changed: {delta:?}"
     );
 
-    // One ghost plane of `obstacle-lockstep` through the reliable
-    // synchronous mode, in memory: send → on_data → receive, and the
-    // acknowledgement's way back, which releases the retransmission copy.
+    // `obstacle-lockstep`'s exchange over one reliable synchronous link, in
+    // memory: both ends send one ghost plane per round, and each plane
+    // carries the acknowledgement of the plane it answers — which completes
+    // that send and releases its retransmission copy. No bare ack leaves.
     let open_reliable = || {
         p2psap::Socket::open(
             p2psap::Scheme::Synchronous,
             netsim::ConnectionType::IntraCluster,
         )
     };
-    let (mut sender, mut receiver) = (open_reliable(), open_reliable());
+    let (mut left, mut right) = (open_reliable(), open_reliable());
     let plane = bytes::Bytes::from(vec![0x3Cu8; 10_388]);
     let mut now = 0u64;
-    let mut round_trip = || {
+    // The link's first plane answers nothing.
+    assert_eq!(plane_across(&mut left, &mut right, &plane, now), None);
+    let mut lockstep_round = || {
         now += 10_000;
-        let (seq, out) = sender.send(plane.clone(), now);
-        let mut completed = None;
-        for segment in out.data {
-            for ack in receiver.on_data(segment, now).data {
-                completed = sender.on_data(ack, now).completions.pop();
-            }
-        }
-        assert_eq!(receiver.receive().map(|p| p.len()), Some(plane.len()));
-        assert_eq!(completed, Some(seq));
+        let right_seq = plane_across(&mut right, &mut left, &plane, now);
+        let left_seq = plane_across(&mut left, &mut right, &plane, now);
+        assert!(
+            right_seq.is_some() && left_seq.is_some(),
+            "a plane went unacknowledged"
+        );
     };
     for _ in 0..3 {
-        round_trip();
+        lockstep_round();
     }
     let delta = min_delta(|| {
         for _ in 0..64 {
-            round_trip();
+            lockstep_round();
         }
     });
     assert_eq!(
         delta.allocations,
-        64 * RELIABLE_ROUNDTRIP_ALLOCS,
-        "reliable round trip cost changed: {delta:?}"
+        64 * 2 * LOCKSTEP_PLANE_ALLOCS,
+        "lockstep exchange cost changed: {delta:?}"
     );
+    assert_eq!(left.sent_segments().1 + right.sent_segments().1, 0);
+}
+
+/// `tx` sends `plane` and `rx` takes it in. Returns the sequence number of
+/// the send of `rx`'s that the plane's carried acknowledgement completed.
+fn plane_across(
+    tx: &mut p2psap::Socket,
+    rx: &mut p2psap::Socket,
+    plane: &bytes::Bytes,
+    now: u64,
+) -> Option<u64> {
+    let (_, out) = tx.send(plane.clone(), now);
+    assert_eq!(out.data.len(), 1);
+    let mut completed = None;
+    for segment in out.data {
+        let answer = rx.on_data(segment, now);
+        assert!(answer.data.is_empty(), "a bare ack left: {answer:?}");
+        completed = answer.completions.first().copied();
+    }
+    assert_eq!(rx.receive().map(|p| p.len()), Some(plane.len()));
+    completed
 }

@@ -10,7 +10,10 @@
 //! Cactus methodology:
 //!
 //! * [`SynchronousMode`] / [`AsynchronousMode`] — the two communication modes
-//!   the paper added to CTP, introducing the `UserSend`/`UserReceive` events.
+//!   the paper added to CTP, introducing the `UserSend`/`UserReceive` events;
+//!   both turn the acknowledgements a segment carries into `SegmentAcked`
+//!   and make a data segment that asks for one owe an acknowledgement
+//!   ([`ACK_OWED`]).
 //! * [`BufferManagement`] — hand-over to the application's receive queue and
 //!   the send / acknowledged / delivered accounting.
 //! * [`ReliabilityMicro`] — acknowledgement-and-retransmission reliability.
@@ -19,15 +22,20 @@
 //! * [`CongestionMicro`] — glue binding a [`CongestionControl`] algorithm to
 //!   the event stream.
 //! * [`SegmentTx`] — the final hop that hands annotated segments to the layer
-//!   below (lowest priority, so every other micro-protocol has run first).
+//!   below (lowest priority, so every other micro-protocol has run first),
+//!   with the owed acknowledgements riding on them; what no data segment
+//!   carries in time leaves in a bare ack.
 //!
 //! Handlers receive the current virtual/wall time through the message
 //! attribute [`ATTR_NOW`], set by the session on every injection.
 
 use crate::data::congestion::CongestionControl;
-use crate::data::wire::{ATTR_ACK_REQUESTED, ATTR_KIND, ATTR_SENT_AT, ATTR_SEQ, ATTR_TIMER_TAG};
-use crate::session::{MAX_RETRANSMISSIONS, RETRANSMIT_TIMEOUT_NS};
-use cactus::{events, EventName, Message, MicroProtocol, Operations};
+use crate::data::wire::{
+    acks_of, acks_to_bytes, Ack, AckBlock, ATTR_ACKS, ATTR_ACK_REQUESTED, ATTR_KIND, ATTR_SENT_AT,
+    ATTR_SEQ, ATTR_TIMER_TAG,
+};
+use crate::session::{ACK_DELAY_NS, ACK_TIMER_TAG, MAX_RETRANSMISSIONS, RETRANSMIT_TIMEOUT_NS};
+use cactus::{events, AttrValue, EventName, Message, MicroProtocol, Operations};
 use std::collections::{BTreeMap, HashMap};
 
 /// Attribute: current time in nanoseconds, set by the session on every event
@@ -37,6 +45,10 @@ pub const ATTR_NOW: &str = "now_ns";
 /// Internal event: a data segment passed the mode micro-protocol and is ready
 /// for (ordered) delivery.
 pub const DATA_IN: EventName = EventName("DataIn");
+
+/// Internal event: a received data segment asked for an acknowledgement
+/// (its [`ATTR_SEQ`] and [`ATTR_SENT_AT`]), which [`SegmentTx`] now owes.
+pub const ACK_OWED: EventName = EventName("AckOwed");
 
 /// Internal event: switch ordered delivery on or off in place, to the value
 /// of the flag [`ATTR_ENFORCE`]. Substituting a fresh [`OrderingMicro`] would
@@ -54,14 +66,29 @@ fn now_ns(msg: &Message) -> u64 {
     msg.u64(ATTR_NOW).unwrap_or(0)
 }
 
-/// Build an acknowledgement message for a received data segment.
-fn ack_for(data: &Message) -> Message {
-    let mut ack = Message::default();
-    ack.set_u64(ATTR_KIND, KIND_ACK);
-    ack.set_u64(ATTR_SEQ, data.u64(ATTR_SEQ).unwrap_or(0));
-    // Echo the original send timestamp so the sender can measure the RTT.
-    ack.set_u64(ATTR_SENT_AT, data.u64(ATTR_SENT_AT).unwrap_or(0));
-    ack
+/// What both modes do with a segment from the network: each acknowledgement
+/// it carries is raised as `SegmentAcked`, in order; then a data segment
+/// that asks for an acknowledgement raises [`ACK_OWED`] and goes on to
+/// [`DATA_IN`].
+fn segment_from_net(msg: &Message, ops: &mut Operations) {
+    for ack in acks_of(msg) {
+        let mut acked = Message::default();
+        acked.set_u64(ATTR_SEQ, ack.seq);
+        acked.set_u64(ATTR_SENT_AT, ack.sent_at_ns);
+        acked.set_u64(ATTR_NOW, now_ns(msg));
+        ops.raise(events::SEGMENT_ACKED, acked);
+    }
+    if msg.u64(ATTR_KIND) == Some(KIND_ACK) {
+        return;
+    }
+    if msg.flag(ATTR_ACK_REQUESTED) {
+        let mut owed = Message::default();
+        owed.set_u64(ATTR_SEQ, msg.u64(ATTR_SEQ).unwrap_or(0));
+        // Echo the original send timestamp so the sender can measure the RTT.
+        owed.set_u64(ATTR_SENT_AT, msg.u64(ATTR_SENT_AT).unwrap_or(0));
+        ops.raise(ACK_OWED, owed);
+    }
+    ops.raise(DATA_IN, msg.clone());
 }
 
 // ---------------------------------------------------------------------------
@@ -69,7 +96,8 @@ fn ack_for(data: &Message) -> Message {
 // ---------------------------------------------------------------------------
 
 /// Synchronous communication mode: a send completes only when the receiver's
-/// acknowledgement arrives; received data segments are acknowledged.
+/// acknowledgement arrives; received data segments are acknowledged (the
+/// acknowledgement is owed, see [`SegmentTx`]).
 #[derive(Debug, Default)]
 pub struct SynchronousMode {
     /// Sequence numbers of sends waiting for their acknowledgement.
@@ -102,15 +130,7 @@ impl MicroProtocol for SynchronousMode {
             self.pending.insert(seq);
             ops.raise(events::MSG_TO_NET, msg.clone());
         } else if event == events::MSG_FROM_NET {
-            match msg.u64(ATTR_KIND) {
-                Some(KIND_ACK) => ops.raise(events::SEGMENT_ACKED, msg.clone()),
-                _ => {
-                    if msg.flag(ATTR_ACK_REQUESTED) {
-                        ops.send_down(ack_for(msg));
-                    }
-                    ops.raise(DATA_IN, msg.clone());
-                }
-            }
+            segment_from_net(msg, ops);
         } else if event == events::SEGMENT_ACKED {
             let seq = msg.u64(ATTR_SEQ).unwrap_or(0);
             if self.pending.remove(&seq) {
@@ -152,15 +172,7 @@ impl MicroProtocol for AsynchronousMode {
             // Asynchronous send: control returns to the application at once.
             ops.notify_send_complete(seq);
         } else if event == events::MSG_FROM_NET {
-            match msg.u64(ATTR_KIND) {
-                Some(KIND_ACK) => ops.raise(events::SEGMENT_ACKED, msg.clone()),
-                _ => {
-                    if msg.flag(ATTR_ACK_REQUESTED) {
-                        ops.send_down(ack_for(msg));
-                    }
-                    ops.raise(DATA_IN, msg.clone());
-                }
-            }
+            segment_from_net(msg, ops);
         }
     }
 }
@@ -294,7 +306,8 @@ impl MicroProtocol for ReliabilityMicro {
 /// first); when true, segments are delivered in sequence order and duplicates
 /// are suppressed. Either way it knows the next sequence number not yet
 /// delivered, so ordering switched on mid-session ([`SET_ORDERING`]) starts
-/// where delivery stands instead of waiting for sequence 0.
+/// where delivery stands instead of waiting for sequence 0. Switched off, it
+/// delivers what it held back for a gap, in order.
 #[derive(Debug)]
 pub struct OrderingMicro {
     enforce: bool,
@@ -329,7 +342,10 @@ impl MicroProtocol for OrderingMicro {
         if event == SET_ORDERING {
             self.enforce = msg.flag(ATTR_ENFORCE);
             if !self.enforce {
-                self.held_back.clear();
+                for (seq, held) in std::mem::take(&mut self.held_back) {
+                    ops.raise(events::MSG_TO_USER, held);
+                    self.next_expected = seq.saturating_add(1);
+                }
             }
             return;
         }
@@ -419,17 +435,40 @@ impl MicroProtocol for CongestionMicro {
 /// The last micro-protocol on the send path: hands the fully annotated data
 /// segment to the layer below. Registered with the numerically largest
 /// priority so every other micro-protocol has already seen (and possibly
-/// annotated) the segment.
+/// annotated) the segment — the reliability copy included, so a
+/// retransmission carries no acknowledgements.
+///
+/// It also holds the acknowledgements owed to the remote ([`ACK_OWED`]):
+/// every one rides on the next data segment, which cancels the delayed-ack
+/// timer the first of them armed ([`ACK_TIMER_TAG`], [`ACK_DELAY_NS`]). When
+/// the block is full
+/// ([`MAX_ACKS_PER_SEGMENT`](crate::data::wire::MAX_ACKS_PER_SEGMENT)), or
+/// the timer fires first, they leave in one bare ack.
 #[derive(Debug, Default)]
-pub struct SegmentTx;
+pub struct SegmentTx {
+    owed: AckBlock,
+}
 
 impl SegmentTx {
     /// Create the micro-protocol.
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
     /// Priority at which this micro-protocol must be registered.
     pub const PRIORITY: i32 = 1_000;
+
+    /// The owed acknowledgements, taken, as an [`ATTR_ACKS`] value.
+    fn take_owed(&mut self) -> AttrValue {
+        AttrValue::Bytes(acks_to_bytes(std::mem::take(&mut self.owed).as_slice()))
+    }
+
+    /// A bare ack carrying every owed acknowledgement.
+    fn bare_ack(&mut self) -> Message {
+        let mut ack = Message::default();
+        ack.set_u64(ATTR_KIND, KIND_ACK);
+        ack.set_attr(ATTR_ACKS, self.take_owed());
+        ack
+    }
 }
 
 impl MicroProtocol for SegmentTx {
@@ -437,10 +476,37 @@ impl MicroProtocol for SegmentTx {
         "segment-tx"
     }
     fn subscriptions(&self) -> Vec<EventName> {
-        vec![events::MSG_TO_NET]
+        vec![events::MSG_TO_NET, ACK_OWED, events::TIMEOUT]
     }
-    fn handle(&mut self, _event: EventName, msg: &mut Message, ops: &mut Operations) {
-        ops.send_down(msg.clone());
+    fn handle(&mut self, event: EventName, msg: &mut Message, ops: &mut Operations) {
+        if event == events::MSG_TO_NET {
+            let mut segment = msg.clone();
+            let carries_acks = !self.owed.is_empty();
+            if carries_acks {
+                segment.set_attr(ATTR_ACKS, self.take_owed());
+            }
+            ops.send_down(segment);
+            if carries_acks {
+                ops.cancel_timer(ACK_TIMER_TAG);
+            }
+        } else if event == ACK_OWED {
+            if self.owed.is_empty() {
+                ops.set_timer(ACK_DELAY_NS, ACK_TIMER_TAG);
+            }
+            // Never full here: a full block left at the previous push.
+            self.owed.push(Ack {
+                seq: msg.u64(ATTR_SEQ).unwrap_or(0),
+                sent_at_ns: msg.u64(ATTR_SENT_AT).unwrap_or(0),
+            });
+            if self.owed.is_full() {
+                let ack = self.bare_ack();
+                ops.send_down(ack);
+                ops.cancel_timer(ACK_TIMER_TAG);
+            }
+        } else if msg.u64(ATTR_TIMER_TAG) == Some(ACK_TIMER_TAG) && !self.owed.is_empty() {
+            let ack = self.bare_ack();
+            ops.send_down(ack);
+        }
     }
 }
 
@@ -449,6 +515,14 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use cactus::CompositeProtocol;
+
+    /// A bare ack of `seq` as it enters the stack from the network at `now`.
+    fn bare_ack(seq: u64, sent_at_ns: u64, now: u64) -> Message {
+        let acks = [Ack { seq, sent_at_ns }].into_iter().collect();
+        let mut msg = crate::data::WireSegment::bare_ack(acks).into_message();
+        msg.set_u64(ATTR_NOW, now);
+        msg
+    }
 
     fn user_send_msg(seq: u64, payload: &'static [u8]) -> Message {
         let mut m = Message::new(Bytes::from_static(payload));
@@ -496,40 +570,64 @@ mod tests {
             "sync send must not complete before the ack"
         );
         // Ack arrives from the network.
-        let mut ack = Message::default();
-        ack.set_u64(ATTR_KIND, KIND_ACK);
-        ack.set_u64(ATTR_SEQ, 1);
-        ack.set_u64(ATTR_NOW, 2_000);
-        let effects = c.raise(events::MSG_FROM_NET, ack);
+        let effects = c.raise(events::MSG_FROM_NET, bare_ack(1, 0, 2_000));
         assert!(effects
             .iter()
             .any(|e| matches!(e, cactus::Effect::NotifySendComplete { seq: 1 })));
     }
 
+    /// A received data segment is delivered and its acknowledgement owed:
+    /// the delayed-ack timer is armed, and the next send carries the
+    /// acknowledgement and cancels the timer.
     #[test]
     fn sync_mode_acknowledges_received_data() {
         let mut c = CompositeProtocol::new("t");
         c.add_micro(Box::new(SynchronousMode::new()));
         c.add_micro(Box::new(OrderingMicro::new(true)));
         c.add_micro(Box::new(BufferManagement::new()));
+        c.add_micro_with_priority(Box::new(SegmentTx::new()), SegmentTx::PRIORITY);
         let mut data = Message::new(Bytes::from_static(b"payload"));
         data.set_u64(ATTR_SEQ, 0);
         data.set_u64(ATTR_KIND, KIND_DATA);
+        data.set_u64(ATTR_SENT_AT, 4_000);
         data.set_flag(ATTR_ACK_REQUESTED, true);
         data.set_u64(ATTR_NOW, 5_000);
         let effects = c.raise(events::MSG_FROM_NET, data);
-        let acks: Vec<_> = effects
+        assert!(!effects
             .iter()
-            .filter(
-                |e| matches!(e, cactus::Effect::SendDown(m) if m.u64(ATTR_KIND) == Some(KIND_ACK)),
-            )
-            .collect();
-        let delivered: Vec<_> = effects
+            .any(|e| matches!(e, cactus::Effect::SendDown(_))));
+        assert!(effects.iter().any(|e| matches!(
+            e,
+            cactus::Effect::SetTimer {
+                delay_ns: ACK_DELAY_NS,
+                tag: ACK_TIMER_TAG
+            }
+        )));
+        let delivered = effects
             .iter()
             .filter(|e| matches!(e, cactus::Effect::DeliverToUser(_)))
+            .count();
+        assert_eq!(delivered, 1);
+
+        let effects = c.raise(events::USER_SEND, user_send_msg(0, b"reply"));
+        let carried: Vec<Ack> = effects
+            .iter()
+            .filter_map(|e| match e {
+                cactus::Effect::SendDown(m) => Some(acks_of(m).collect::<Vec<_>>()),
+                _ => None,
+            })
+            .flatten()
             .collect();
-        assert_eq!(acks.len(), 1);
-        assert_eq!(delivered.len(), 1);
+        assert_eq!(
+            carried,
+            [Ack {
+                seq: 0,
+                sent_at_ns: 4_000
+            }]
+        );
+        assert!(effects
+            .iter()
+            .any(|e| matches!(e, cactus::Effect::CancelTimer { tag: ACK_TIMER_TAG })));
     }
 
     #[test]
@@ -576,11 +674,7 @@ mod tests {
         );
 
         // Ack arrives: timer cancelled; later timeouts retransmit nothing.
-        let mut ack = Message::default();
-        ack.set_u64(ATTR_KIND, KIND_ACK);
-        ack.set_u64(ATTR_SEQ, 7);
-        ack.set_u64(ATTR_NOW, 20_000_000);
-        let effects = c.raise(events::MSG_FROM_NET, ack);
+        let effects = c.raise(events::MSG_FROM_NET, bare_ack(7, 0, 20_000_000));
         assert!(effects
             .iter()
             .any(|e| matches!(e, cactus::Effect::CancelTimer { tag: 7 })));
@@ -676,12 +770,7 @@ mod tests {
         c.add_micro_with_priority(Box::new(SegmentTx::new()), SegmentTx::PRIORITY);
         // One send, one ack: the window grows.
         let _ = c.raise(events::USER_SEND, user_send_msg(0, b"x"));
-        let mut ack = Message::default();
-        ack.set_u64(ATTR_KIND, KIND_ACK);
-        ack.set_u64(ATTR_SEQ, 0);
-        ack.set_u64(ATTR_NOW, 2_000_000);
-        ack.set_u64(ATTR_SENT_AT, 1_000_000);
-        let _ = c.raise(events::MSG_FROM_NET, ack);
+        let _ = c.raise(events::MSG_FROM_NET, bare_ack(0, 1_000_000, 2_000_000));
         // The micro-protocol is inside the composite; its state is not
         // directly observable, so this test only checks that the event flow
         // does not break. Window dynamics are covered by the congestion module

@@ -15,12 +15,13 @@ pub mod wire;
 pub use congestion::{make_congestion, CongestionControl, HTcp, NewReno, Scp, Tahoe};
 pub use micros::{
     AsynchronousMode, BufferManagement, CongestionMicro, OrderingMicro, ReliabilityMicro,
-    SegmentTx, SynchronousMode, ATTR_ENFORCE, ATTR_NOW, DATA_IN, SET_ORDERING,
+    SegmentTx, SynchronousMode, ACK_OWED, ATTR_ENFORCE, ATTR_NOW, DATA_IN, SET_ORDERING,
 };
 pub use physical::{adapter_name, build_physical, PhysicalAdapter};
 pub use transport::{
     apply_reconfiguration, build_transport, plan_reconfiguration, priorities, ReconfigAction,
 };
 pub use wire::{
-    frame_checksum, SegmentKind, WireSegment, SEGMENT_CHECKSUM_BYTES, SEGMENT_HEADER_BYTES,
+    frame_checksum, Ack, AckBlock, SegmentKind, WireSegment, ACK_BYTES, MAX_ACKS_PER_SEGMENT,
+    SEGMENT_CHECKSUM_BYTES, SEGMENT_HEADER_BYTES,
 };

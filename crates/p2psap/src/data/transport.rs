@@ -14,7 +14,7 @@ use crate::data::micros::{
     AsynchronousMode, BufferManagement, CongestionMicro, OrderingMicro, ReliabilityMicro,
     SegmentTx, SynchronousMode, ATTR_ENFORCE, SET_ORDERING,
 };
-use cactus::{CompositeProtocol, Message};
+use cactus::{CompositeProtocol, Effect, Message};
 
 /// Priorities of the transport micro-protocols (lower runs first).
 pub mod priorities {
@@ -101,8 +101,14 @@ pub fn plan_reconfiguration(from: ChannelConfig, to: ChannelConfig) -> Vec<Recon
     actions
 }
 
-/// Apply reconfiguration actions to a transport composite in place.
-pub fn apply_reconfiguration(composite: &mut CompositeProtocol, actions: &[ReconfigAction]) {
+/// Apply reconfiguration actions to a transport composite in place. Returns
+/// the effects the actions raised: the payloads switching ordering off
+/// delivers.
+pub fn apply_reconfiguration(
+    composite: &mut CompositeProtocol,
+    actions: &[ReconfigAction],
+) -> Vec<Effect> {
+    let mut effects = Vec::new();
     for action in actions {
         match action {
             ReconfigAction::SwitchMode(mode) => {
@@ -137,10 +143,11 @@ pub fn apply_reconfiguration(composite: &mut CompositeProtocol, actions: &[Recon
                 // In place: the micro-protocol keeps its delivery position.
                 let mut msg = Message::default();
                 msg.set_flag(ATTR_ENFORCE, *enforce);
-                composite.raise(SET_ORDERING, msg);
+                effects.extend(composite.raise(SET_ORDERING, msg));
             }
         }
     }
+    effects
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! ([`WireSegment::into_message`] / [`WireSegment::from_message`]).
 
 use bytes::Bytes;
-use cactus::Message;
+use cactus::{AttrValue, Message};
 
 /// Attribute: sequence number of a data segment.
 pub const ATTR_SEQ: &str = "seq";
@@ -16,6 +16,10 @@ pub const ATTR_ACK_REQUESTED: &str = "ack_requested";
 pub const ATTR_SENT_AT: &str = "sent_at_ns";
 /// Attribute set by the cactus stack on timer events.
 pub const ATTR_TIMER_TAG: &str = "timer_tag";
+/// Attribute: the acknowledgements a segment carries, as the bytes of its
+/// ack block without the count ([`ACK_BYTES`] per acknowledgement, in wire
+/// order). Absent when it carries none.
+pub const ATTR_ACKS: &str = "acks";
 
 /// Kind of a data-channel segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,17 +46,106 @@ impl SegmentKind {
     }
 }
 
+/// Most acknowledgements one segment carries. A session that owes this many
+/// sends them at once in a bare [`SegmentKind::Ack`], so a data segment
+/// carries at most one fewer. Sized so the ack block (1 + 8 · 16 bytes) still
+/// fits the slack of a ghost plane's last fragment: `obstacle-lockstep`'s
+/// 10 388-byte segment stays nine 1 200-byte fragments with a full block.
+pub const MAX_ACKS_PER_SEGMENT: usize = 8;
+
+/// Bytes of one acknowledgement in the ack block: the acknowledged
+/// segment's sequence number and its echoed send time.
+pub const ACK_BYTES: usize = 16;
+
+/// Flags-byte bit: the receiver must acknowledge this segment.
+const FLAG_ACK_REQUESTED: u8 = 1;
+/// Flags-byte bit: an ack block follows the fixed header.
+const FLAG_CARRIES_ACKS: u8 = 2;
+
+/// The acknowledgement of one data segment: its sequence number and the send
+/// time it carried, echoed so the sender can sample the round trip.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ack {
+    /// Sequence number of the acknowledged data segment.
+    pub seq: u64,
+    /// The acknowledged segment's `sent_at_ns`.
+    pub sent_at_ns: u64,
+}
+
+/// Up to [`MAX_ACKS_PER_SEGMENT`] acknowledgements, stored inline: carrying
+/// acks on a segment, or owing them, allocates nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AckBlock {
+    len: u8,
+    acks: [Ack; MAX_ACKS_PER_SEGMENT],
+}
+
+impl AckBlock {
+    /// Append `ack`; `false` (and nothing appended) when the block is full.
+    pub fn push(&mut self, ack: Ack) -> bool {
+        if self.is_full() {
+            return false;
+        }
+        self.acks[self.len as usize] = ack;
+        self.len += 1;
+        true
+    }
+
+    /// The acknowledgements, in the order they were pushed.
+    pub fn as_slice(&self) -> &[Ack] {
+        &self.acks[..self.len as usize]
+    }
+
+    /// Number of acknowledgements.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the block holds none.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether the block holds [`MAX_ACKS_PER_SEGMENT`].
+    pub fn is_full(&self) -> bool {
+        self.len() == MAX_ACKS_PER_SEGMENT
+    }
+}
+
+impl PartialEq for AckBlock {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl FromIterator<Ack> for AckBlock {
+    /// Collect at most [`MAX_ACKS_PER_SEGMENT`] acknowledgements; the rest
+    /// are ignored.
+    fn from_iter<I: IntoIterator<Item = Ack>>(iter: I) -> Self {
+        let mut block = Self::default();
+        for ack in iter {
+            if !block.push(ack) {
+                break;
+            }
+        }
+        block
+    }
+}
+
 /// A decoded data-channel segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireSegment {
     /// Segment kind.
     pub kind: SegmentKind,
-    /// Sequence number.
+    /// Sequence number (0 in a bare ack).
     pub seq: u64,
     /// Whether the receiver must acknowledge.
     pub ack_requested: bool,
-    /// Send timestamp in nanoseconds (0 when unknown).
+    /// Send timestamp in nanoseconds (0 when unknown, and in a bare ack).
     pub sent_at_ns: u64,
+    /// Acknowledgements of the remote's data segments carried along: on a
+    /// data segment they ride on the payload, a bare ack consists of them.
+    pub acks: AckBlock,
     /// Application payload (empty for acks).
     pub payload: Bytes,
 }
@@ -142,48 +235,78 @@ pub fn frame_checksum(bytes: &[u8]) -> u32 {
     folded
 }
 
-/// Lay out one frame — header fields, payload, checksum — in `buf` (cleared
-/// first). What [`WireSegment::encode_into`] writes, for callers that hold
-/// the fields and a borrowed payload rather than a segment.
+/// Bytes of the ack block of a segment carrying `acks`: none without acks,
+/// else the count byte and [`ACK_BYTES`] per acknowledgement.
+fn ack_block_bytes(acks: usize) -> usize {
+    if acks == 0 {
+        0
+    } else {
+        1 + ACK_BYTES * acks
+    }
+}
+
+/// Lay out one frame — header fields, ack block, payload, checksum — in
+/// `buf` (cleared first). What [`WireSegment::encode_into`] writes, for
+/// callers that hold the fields and a borrowed payload rather than a segment.
 pub(crate) fn encode_frame(
     buf: &mut Vec<u8>,
     kind: SegmentKind,
     seq: u64,
     ack_requested: bool,
     sent_at_ns: u64,
+    acks: &[Ack],
     payload: &[u8],
 ) {
+    debug_assert!(acks.len() <= MAX_ACKS_PER_SEGMENT);
     buf.clear();
-    buf.reserve(SEGMENT_HEADER_BYTES + payload.len() + SEGMENT_CHECKSUM_BYTES);
+    buf.reserve(
+        SEGMENT_HEADER_BYTES + ack_block_bytes(acks.len()) + payload.len() + SEGMENT_CHECKSUM_BYTES,
+    );
+    let mut flags = 0;
+    if ack_requested {
+        flags |= FLAG_ACK_REQUESTED;
+    }
+    if !acks.is_empty() {
+        flags |= FLAG_CARRIES_ACKS;
+    }
     buf.push(kind.to_u8());
-    buf.push(u8::from(ack_requested));
+    buf.push(flags);
     buf.extend_from_slice(&seq.to_be_bytes());
     buf.extend_from_slice(&sent_at_ns.to_be_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    if !acks.is_empty() {
+        buf.push(acks.len() as u8);
+        for ack in acks {
+            buf.extend_from_slice(&ack.seq.to_be_bytes());
+            buf.extend_from_slice(&ack.sent_at_ns.to_be_bytes());
+        }
+    }
     buf.extend_from_slice(payload);
     let checksum = frame_checksum(buf);
     buf.extend_from_slice(&checksum.to_be_bytes());
 }
 
 impl WireSegment {
-    /// Build a data segment.
+    /// Build a data segment carrying no acknowledgements.
     pub fn data(seq: u64, ack_requested: bool, sent_at_ns: u64, payload: Bytes) -> Self {
         Self {
             kind: SegmentKind::Data,
             seq,
             ack_requested,
             sent_at_ns,
+            acks: AckBlock::default(),
             payload,
         }
     }
 
-    /// Build an acknowledgement for `seq`.
-    pub fn ack(seq: u64, sent_at_ns: u64) -> Self {
+    /// Build a bare acknowledgement segment carrying `acks`.
+    pub fn bare_ack(acks: AckBlock) -> Self {
         Self {
             kind: SegmentKind::Ack,
-            seq,
+            seq: 0,
             ack_requested: false,
-            sent_at_ns,
+            sent_at_ns: 0,
+            acks,
             payload: Bytes::new(),
         }
     }
@@ -205,14 +328,18 @@ impl WireSegment {
             self.seq,
             self.ack_requested,
             self.sent_at_ns,
+            self.acks.as_slice(),
             &self.payload,
         );
     }
 
     /// Decode from the on-wire byte representation. Rejects frames whose
     /// trailing checksum does not match (corrupted in flight), that are
-    /// truncated, or that carry trailing bytes beyond the declared payload.
-    pub fn decode(mut bytes: Bytes) -> Option<Self> {
+    /// truncated, that set an unknown flag, whose ack block is empty, larger
+    /// than [`MAX_ACKS_PER_SEGMENT`] or longer than the frame, or whose
+    /// declared payload length differs from the bytes left after the header
+    /// and ack block.
+    pub fn decode(bytes: Bytes) -> Option<Self> {
         use bytes::Buf;
         if bytes.len() < SEGMENT_HEADER_BYTES + SEGMENT_CHECKSUM_BYTES {
             return None;
@@ -223,22 +350,41 @@ impl WireSegment {
         if u32::from_be_bytes(checksum_bytes) != frame_checksum(&bytes[..body_len]) {
             return None;
         }
-        let mut bytes = bytes.split_to(body_len);
+        let mut bytes = bytes.slice(..body_len);
         let kind = SegmentKind::from_u8(bytes.get_u8())?;
-        let ack_requested = bytes.get_u8() != 0;
+        let flags = bytes.get_u8();
+        if flags & !(FLAG_ACK_REQUESTED | FLAG_CARRIES_ACKS) != 0 {
+            return None;
+        }
         let seq = bytes.get_u64();
         let sent_at_ns = bytes.get_u64();
         let len = bytes.get_u32() as usize;
+        let mut acks = AckBlock::default();
+        if flags & FLAG_CARRIES_ACKS != 0 {
+            if bytes.is_empty() {
+                return None;
+            }
+            let count = bytes.get_u8() as usize;
+            if count == 0 || count > MAX_ACKS_PER_SEGMENT || bytes.len() < count * ACK_BYTES {
+                return None;
+            }
+            for _ in 0..count {
+                acks.push(Ack {
+                    seq: bytes.get_u64(),
+                    sent_at_ns: bytes.get_u64(),
+                });
+            }
+        }
         if bytes.len() != len {
             return None;
         }
-        let payload = bytes.split_to(len);
         Some(Self {
             kind,
             seq,
-            ack_requested,
+            ack_requested: flags & FLAG_ACK_REQUESTED != 0,
             sent_at_ns,
-            payload,
+            acks,
+            payload: bytes,
         })
     }
 
@@ -250,6 +396,12 @@ impl WireSegment {
         m.set_u64(ATTR_KIND, self.kind.to_u8() as u64);
         m.set_flag(ATTR_ACK_REQUESTED, self.ack_requested);
         m.set_u64(ATTR_SENT_AT, self.sent_at_ns);
+        if !self.acks.is_empty() {
+            m.set_attr(
+                ATTR_ACKS,
+                AttrValue::Bytes(acks_to_bytes(self.acks.as_slice())),
+            );
+        }
         m
     }
 
@@ -264,9 +416,32 @@ impl WireSegment {
             seq: msg.u64(ATTR_SEQ).unwrap_or(0),
             ack_requested: msg.flag(ATTR_ACK_REQUESTED),
             sent_at_ns: msg.u64(ATTR_SENT_AT).unwrap_or(0),
+            acks: acks_of(msg).collect(),
             payload: msg.payload().clone(),
         }
     }
+}
+
+/// The [`ATTR_ACKS`] value of a message carrying `acks`.
+pub(crate) fn acks_to_bytes(acks: &[Ack]) -> Bytes {
+    let mut bytes = Vec::with_capacity(ACK_BYTES * acks.len());
+    for ack in acks {
+        bytes.extend_from_slice(&ack.seq.to_be_bytes());
+        bytes.extend_from_slice(&ack.sent_at_ns.to_be_bytes());
+    }
+    Bytes::from(bytes)
+}
+
+/// The acknowledgements a message carries in [`ATTR_ACKS`] (none if absent).
+pub(crate) fn acks_of(msg: &Message) -> impl Iterator<Item = Ack> + '_ {
+    let bytes: &[u8] = match msg.attr(ATTR_ACKS) {
+        Some(AttrValue::Bytes(bytes)) => bytes,
+        _ => &[],
+    };
+    bytes.chunks_exact(ACK_BYTES).map(|ack| Ack {
+        seq: u64::from_be_bytes(ack[..8].try_into().expect("8 bytes")),
+        sent_at_ns: u64::from_be_bytes(ack[8..].try_into().expect("8 bytes")),
+    })
 }
 
 #[cfg(test)]
@@ -280,13 +455,76 @@ mod tests {
         assert_eq!(decoded, seg);
     }
 
+    fn acks(count: u64) -> AckBlock {
+        (0..count)
+            .map(|i| Ack {
+                seq: 7 + i,
+                sent_at_ns: 99 * i,
+            })
+            .collect()
+    }
+
     #[test]
     fn ack_round_trip() {
-        let seg = WireSegment::ack(7, 99);
-        let decoded = WireSegment::decode(seg.encode()).expect("decodes");
+        let seg = WireSegment::bare_ack(acks(3));
+        let bytes = seg.encode();
+        assert_eq!(
+            bytes.len(),
+            SEGMENT_HEADER_BYTES + 1 + 3 * ACK_BYTES + SEGMENT_CHECKSUM_BYTES
+        );
+        let decoded = WireSegment::decode(bytes).expect("decodes");
         assert_eq!(decoded.kind, SegmentKind::Ack);
-        assert_eq!(decoded.seq, 7);
+        assert_eq!(decoded.acks.as_slice(), acks(3).as_slice());
         assert!(decoded.payload.is_empty());
+    }
+
+    #[test]
+    fn data_carrying_acks_round_trips_and_keeps_its_payload() {
+        let seg = WireSegment {
+            acks: acks(MAX_ACKS_PER_SEGMENT as u64),
+            ..WireSegment::data(42, true, 5, Bytes::from_static(b"plane"))
+        };
+        let decoded = WireSegment::decode(seg.encode()).expect("decodes");
+        assert_eq!(decoded, seg);
+        assert_eq!(decoded.payload.as_ref(), b"plane");
+        let back = WireSegment::from_message(&seg.clone().into_message());
+        assert_eq!(back, seg);
+    }
+
+    #[test]
+    fn ack_block_holds_at_most_the_cap() {
+        let mut block = acks(MAX_ACKS_PER_SEGMENT as u64 - 1);
+        assert!(!block.is_full());
+        assert!(block.push(Ack::default()));
+        assert!(block.is_full());
+        assert!(!block.push(Ack::default()), "a full block refuses");
+        assert_eq!(block.len(), MAX_ACKS_PER_SEGMENT);
+    }
+
+    /// The slack `MAX_ACKS_PER_SEGMENT` is sized to: a full ack block on the
+    /// `obstacle-lockstep` plane's segment adds no fragment.
+    #[test]
+    fn a_full_ack_block_keeps_the_lockstep_plane_at_nine_fragments() {
+        const FRAGMENT: usize = 1_200;
+        let plain = WireSegment::data(0, true, 1, Bytes::from(vec![0; 10_388]));
+        let full = WireSegment {
+            acks: acks(MAX_ACKS_PER_SEGMENT as u64),
+            ..plain.clone()
+        };
+        assert_eq!(plain.encode().len().div_ceil(FRAGMENT), 9);
+        assert_eq!(full.encode().len().div_ceil(FRAGMENT), 9);
+    }
+
+    #[test]
+    fn unknown_flag_rejected() {
+        let mut raw = WireSegment::data(1, true, 0, Bytes::from_static(b"p"))
+            .encode()
+            .to_vec();
+        raw[1] |= 0x80;
+        let body = raw.len() - SEGMENT_CHECKSUM_BYTES;
+        let checksum = frame_checksum(&raw[..body]).to_be_bytes();
+        raw[body..].copy_from_slice(&checksum);
+        assert!(WireSegment::decode(Bytes::from(raw)).is_none());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! composition its [`ChannelConfig`] names into typed state and straight-line
 //! send / receive / timer code ([`session`]); the Cactus composition of the
 //! same protocol ([`data::build_transport`] over `crates/cactus`) is kept,
-//! public and unchanged in behaviour, as the **reference implementation**:
+//! public and held to the same behaviour, as the **reference implementation**:
 //! `tests/properties.rs` drives both with the same scripts and requires the
 //! same wire bytes, timers, deliveries and completions after every step, and
 //! `repro table1`, `repro ablation` and the `protocol_adaptation` bench
@@ -46,5 +46,7 @@ pub use control::{
     ContextMonitor, ContextSnapshot, ControlMessage, Controller, CoordinationOutcome, Coordinator,
     Rule,
 };
-pub use session::{Session, SessionOutput, PHYSICAL_LAYER, TRANSPORT_LAYER};
+pub use session::{
+    Session, SessionOutput, ACK_DELAY_NS, ACK_TIMER_TAG, PHYSICAL_LAYER, TRANSPORT_LAYER,
+};
 pub use socket::{Socket, SocketOption, SocketOutput, SocketState};

@@ -28,7 +28,7 @@
 use crate::config::{ChannelConfig, CommunicationMode, Reliability};
 use crate::data::congestion::{make_congestion, CongestionControl};
 use crate::data::transport::{plan_reconfiguration, ReconfigAction};
-use crate::data::wire::{encode_frame, SegmentKind, WireSegment};
+use crate::data::wire::{encode_frame, Ack, AckBlock, SegmentKind, WireSegment};
 use bytes::Bytes;
 use cactus::TimerRequest;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -44,6 +44,17 @@ pub const PHYSICAL_LAYER: usize = 0;
 pub const RETRANSMIT_TIMEOUT_NS: u64 = 600_000_000;
 /// Retransmissions of one segment before a reliable channel gives it up.
 pub const MAX_RETRANSMISSIONS: u32 = 5;
+/// How long an owed acknowledgement waits for an outgoing data segment to
+/// ride on before it leaves in a bare [`SegmentKind::Ack`]: 2 ms. Far below
+/// [`RETRANSMIT_TIMEOUT_NS`], so a delayed acknowledgement never provokes a
+/// retransmission; above one lockstep iteration (≈ 0.3 ms for
+/// `obstacle-lockstep`), so in lockstep the neighbour's next plane always
+/// carries it first and the timer is cancelled unfired.
+pub const ACK_DELAY_NS: u64 = 2_000_000;
+/// Tag of the delayed-acknowledgement timer on [`TRANSPORT_LAYER`].
+/// Retransmission timers are tagged with sequence numbers, which count up
+/// from 0 and never reach it.
+pub const ACK_TIMER_TAG: u64 = u64::MAX;
 
 /// Everything a session interaction produced, to be carried out by the
 /// runtime.
@@ -96,9 +107,14 @@ pub struct Session {
     next_expected: u64,
     /// Ordered channels: segments that arrived ahead of `next_expected`.
     held_back: BTreeMap<u64, Bytes>,
+    /// Acknowledgements owed to the remote for data segments that asked for
+    /// one: they ride on the next outgoing data segment, or leave in a bare
+    /// ack when the block fills up or the delayed-ack timer fires.
+    owed: AckBlock,
     /// Fed every acknowledgement and every retransmission timeout.
     congestion: Box<dyn CongestionControl>,
     sent_segments: u64,
+    bare_acks_sent: u64,
     received_segments: u64,
     rejected_segments: u64,
     wire_pool: Vec<Vec<u8>>,
@@ -114,8 +130,10 @@ impl Session {
             pending: HashSet::new(),
             next_expected: 0,
             held_back: BTreeMap::new(),
+            owed: AckBlock::default(),
             congestion: make_congestion(config.congestion),
             sent_segments: 0,
+            bare_acks_sent: 0,
             received_segments: 0,
             rejected_segments: 0,
             wire_pool: Vec::new(),
@@ -129,10 +147,19 @@ impl Session {
         seq: u64,
         ack_requested: bool,
         sent_at_ns: u64,
+        acks: &[Ack],
         payload: &[u8],
     ) -> Bytes {
         let mut buf = self.wire_pool.pop().unwrap_or_default();
-        encode_frame(&mut buf, kind, seq, ack_requested, sent_at_ns, payload);
+        encode_frame(
+            &mut buf,
+            kind,
+            seq,
+            ack_requested,
+            sent_at_ns,
+            acks,
+            payload,
+        );
         Bytes::from(buf)
     }
 
@@ -153,6 +180,12 @@ impl Session {
         self.sent_segments
     }
 
+    /// Number of bare acknowledgement segments sent: the owed acknowledgements
+    /// no data segment carried in time.
+    pub fn bare_acks_sent(&self) -> u64 {
+        self.bare_acks_sent
+    }
+
     /// Number of well-formed segments received from the wire.
     pub fn received_segments(&self) -> u64 {
         self.received_segments
@@ -170,7 +203,9 @@ impl Session {
     /// The segment asks for an acknowledgement when the channel is reliable
     /// (it is retransmitted until one arrives) or synchronous (the send
     /// completes when one arrives); an asynchronous send completes at once.
-    /// Only a reliable channel keeps the payload.
+    /// Only a reliable channel keeps the payload. Every acknowledgement the
+    /// session owes rides on the segment, and the delayed-ack timer is
+    /// cancelled.
     pub fn send(&mut self, payload: Bytes, now_ns: u64) -> (u64, SessionOutput) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -179,8 +214,19 @@ impl Session {
         let synchronous = self.config.mode == CommunicationMode::Synchronous;
         let mut out = SessionOutput::default();
         let ack_requested = reliable || synchronous;
-        out.wire
-            .push(self.encode(SegmentKind::Data, seq, ack_requested, now_ns, &payload));
+        let owed = std::mem::take(&mut self.owed);
+        let segment = self.encode(
+            SegmentKind::Data,
+            seq,
+            ack_requested,
+            now_ns,
+            owed.as_slice(),
+            &payload,
+        );
+        out.wire.push(segment);
+        if !owed.is_empty() {
+            out.cancels.push((TRANSPORT_LAYER, ACK_TIMER_TAG));
+        }
         if synchronous {
             self.pending.insert(seq);
         } else {
@@ -204,7 +250,8 @@ impl Session {
         (seq, out)
     }
 
-    /// Process a segment received from the wire.
+    /// Process a segment received from the wire: first the acknowledgements
+    /// it carries, in order, then — a data segment — its payload.
     pub fn on_wire(&mut self, bytes: Bytes, now_ns: u64) -> SessionOutput {
         let Some(segment) = WireSegment::decode(bytes) else {
             self.rejected_segments += 1;
@@ -212,31 +259,21 @@ impl Session {
         };
         self.received_segments += 1;
         let mut out = SessionOutput::default();
+        for &ack in segment.acks.as_slice() {
+            self.on_ack(ack, now_ns, &mut out);
+        }
         let seq = segment.seq;
         match segment.kind {
-            SegmentKind::Ack => {
-                if self.pending.remove(&seq) {
-                    out.completions.push(seq);
-                }
-                if self.unacked.remove(&seq).is_some() {
-                    out.cancels.push((TRANSPORT_LAYER, seq));
-                }
-                // The acknowledgement echoes the data segment's send time.
-                let sent_at_ns = segment.sent_at_ns;
-                let rtt_ns = if sent_at_ns > 0 {
-                    now_ns.saturating_sub(sent_at_ns)
-                } else {
-                    0
-                };
-                self.congestion
-                    .on_ack(rtt_ns as f64 / 1e9, now_ns as f64 / 1e9);
-            }
+            SegmentKind::Ack => {}
             SegmentKind::Data => {
                 // Acknowledged on the sender's request, duplicates included:
                 // a duplicate means the first acknowledgement may be lost.
                 if segment.ack_requested {
-                    let ack = self.encode(SegmentKind::Ack, seq, false, segment.sent_at_ns, &[]);
-                    out.wire.push(ack);
+                    let ack = Ack {
+                        seq,
+                        sent_at_ns: segment.sent_at_ns,
+                    };
+                    self.owe(ack, &mut out);
                 }
                 if !self.config.ordered {
                     self.next_expected = self.next_expected.max(seq.saturating_add(1));
@@ -257,11 +294,63 @@ impl Session {
         out
     }
 
-    /// Fire a timer previously requested by the session: the retransmission
-    /// timeout of segment `tag`, if it is still unacknowledged.
+    /// An acknowledgement of this end's segment `ack.seq` arrived: the send
+    /// completes, the retransmission copy and its timer go, and the echoed
+    /// send time gives the congestion algorithm its round-trip sample.
+    fn on_ack(&mut self, ack: Ack, now_ns: u64, out: &mut SessionOutput) {
+        if self.pending.remove(&ack.seq) {
+            out.completions.push(ack.seq);
+        }
+        if self.unacked.remove(&ack.seq).is_some() {
+            out.cancels.push((TRANSPORT_LAYER, ack.seq));
+        }
+        let rtt_ns = if ack.sent_at_ns > 0 {
+            now_ns.saturating_sub(ack.sent_at_ns)
+        } else {
+            0
+        };
+        self.congestion
+            .on_ack(rtt_ns as f64 / 1e9, now_ns as f64 / 1e9);
+    }
+
+    /// Owe the remote `ack`: the first owed acknowledgement arms the
+    /// delayed-ack timer, and a full block leaves at once as a bare ack.
+    fn owe(&mut self, ack: Ack, out: &mut SessionOutput) {
+        if self.owed.is_empty() {
+            out.timers.push(TimerRequest {
+                layer: TRANSPORT_LAYER,
+                delay_ns: ACK_DELAY_NS,
+                tag: ACK_TIMER_TAG,
+            });
+        }
+        self.owed.push(ack);
+        if self.owed.is_full() {
+            self.send_bare_ack(out);
+            out.cancels.push((TRANSPORT_LAYER, ACK_TIMER_TAG));
+        }
+    }
+
+    /// Send every owed acknowledgement in one bare ack segment.
+    fn send_bare_ack(&mut self, out: &mut SessionOutput) {
+        let acks = std::mem::take(&mut self.owed);
+        self.bare_acks_sent += 1;
+        out.wire
+            .push(self.encode(SegmentKind::Ack, 0, false, 0, acks.as_slice(), &[]));
+    }
+
+    /// Fire a timer previously requested by the session: the delayed-ack
+    /// timer ([`ACK_TIMER_TAG`]) sends what is still owed in a bare ack; any
+    /// other tag is the retransmission timeout of segment `tag`, if it is
+    /// still unacknowledged. A retransmission carries no acknowledgements.
     pub fn on_timer(&mut self, layer: usize, tag: u64, now_ns: u64) -> SessionOutput {
         let mut out = SessionOutput::default();
         if layer != TRANSPORT_LAYER {
+            return out;
+        }
+        if tag == ACK_TIMER_TAG {
+            if !self.owed.is_empty() {
+                self.send_bare_ack(&mut out);
+            }
             return out;
         }
         let Some(entry) = self.unacked.get_mut(&tag) else {
@@ -277,7 +366,7 @@ impl Session {
         let (sent_at_ns, payload) = (entry.sent_at_ns, entry.payload.clone());
         self.congestion.on_timeout(now_ns as f64 / 1e9);
         out.wire
-            .push(self.encode(SegmentKind::Data, tag, true, sent_at_ns, &payload));
+            .push(self.encode(SegmentKind::Data, tag, true, sent_at_ns, &[], &payload));
         out.timers.push(TimerRequest {
             layer: TRANSPORT_LAYER,
             delay_ns: backoff,
@@ -291,9 +380,12 @@ impl Session {
     /// [`plan_reconfiguration`], each applied to the state that
     /// micro-protocol stands for. State of removed micro-protocols is
     /// released, as required by the explicit-removal semantics; sequence
-    /// numbers and the delivery position carry over. The physical network is
-    /// an identity below the transport and touches none of this state.
-    pub fn reconfigure(&mut self, target: ChannelConfig) {
+    /// numbers, the delivery position and the owed acknowledgements carry
+    /// over. The physical network is an identity below the transport and
+    /// touches none of this state. Returns what switching ordering off
+    /// delivers.
+    pub fn reconfigure(&mut self, target: ChannelConfig) -> SessionOutput {
+        let mut out = SessionOutput::default();
         for action in plan_reconfiguration(self.config, target) {
             match action {
                 // Sends of the old mode no longer complete through this one.
@@ -304,12 +396,20 @@ impl Session {
                     self.congestion = make_congestion(algorithm)
                 }
                 // Switching on starts from `next_expected`, which the
-                // unordered path kept current; switching off drops the gap.
+                // unordered path kept current. Switching off delivers what
+                // waited for the gap, in order: its sender may already have
+                // seen it acknowledged, so nobody would send it again.
                 ReconfigAction::SetOrdering(true) => {}
-                ReconfigAction::SetOrdering(false) => self.held_back = BTreeMap::new(),
+                ReconfigAction::SetOrdering(false) => {
+                    for (seq, payload) in std::mem::take(&mut self.held_back) {
+                        out.delivered.push(payload);
+                        self.next_expected = seq.saturating_add(1);
+                    }
+                }
             }
         }
         self.config = target;
+        out
     }
 
     /// Names of the micro-protocols composing the transport layer under the
@@ -343,6 +443,17 @@ mod tests {
         merged
     }
 
+    /// Let `s`'s delayed-ack timer fire: what it owes leaves as a bare ack.
+    fn fire_ack_timer(s: &mut Session, now: u64) -> SessionOutput {
+        s.on_timer(TRANSPORT_LAYER, ACK_TIMER_TAG, now)
+    }
+
+    const ACK_TIMER: TimerRequest = TimerRequest {
+        layer: TRANSPORT_LAYER,
+        delay_ns: ACK_DELAY_NS,
+        tag: ACK_TIMER_TAG,
+    };
+
     #[test]
     fn async_session_round_trip() {
         let cfg = ChannelConfig::asynchronous_unreliable();
@@ -372,15 +483,73 @@ mod tests {
         assert!(out_a.completions.is_empty(), "no completion before the ack");
         assert!(!out_a.timers.is_empty(), "reliability must arm a timer");
 
-        // Deliver the data to B: B delivers to its user and produces an ack.
+        // Deliver the data to B: B delivers to its user and owes an ack,
+        // which waits for B's own data to ride on.
         let out_b = deliver(&out_a, &mut b, 20_000);
         assert_eq!(out_b.delivered.len(), 1);
-        assert!(!out_b.wire.is_empty(), "synchronous receiver must ack");
+        assert!(out_b.wire.is_empty(), "no bare ack");
+        assert_eq!(out_b.timers, vec![ACK_TIMER]);
 
-        // Deliver the ack back to A: completion + timer cancellation.
-        let out_a2 = deliver(&out_b, &mut a, 30_000);
+        // B's reply carries it and cancels the delayed-ack timer.
+        let (_, reply) = b.send(Bytes::from_static(b"reply"), 25_000);
+        assert_eq!(reply.cancels, vec![(TRANSPORT_LAYER, ACK_TIMER_TAG)]);
+
+        // A: completion + retransmission timer cancelled, reply delivered.
+        let out_a2 = deliver(&reply, &mut a, 30_000);
         assert_eq!(out_a2.completions, vec![seq]);
-        assert!(!out_a2.cancels.is_empty());
+        assert_eq!(out_a2.cancels, vec![(TRANSPORT_LAYER, seq)]);
+        assert_eq!(out_a2.delivered.len(), 1);
+        assert!(a.unacked.is_empty());
+        assert_eq!(a.bare_acks_sent() + b.bare_acks_sent(), 0);
+    }
+
+    /// What no data segment carries leaves when the delayed-ack timer fires,
+    /// in one bare ack; a timer with nothing owed sends nothing.
+    #[test]
+    fn delayed_ack_timer_sends_what_no_data_carried() {
+        let cfg = ChannelConfig::asynchronous_reliable();
+        let (mut a, mut b) = (Session::new(cfg), Session::new(cfg));
+        let (_, first) = a.send(Bytes::from_static(b"one"), 1);
+        let (_, second) = a.send(Bytes::from_static(b"two"), 2);
+        assert_eq!(deliver(&first, &mut b, 3).timers, vec![ACK_TIMER]);
+        assert!(deliver(&second, &mut b, 4).timers.is_empty(), "armed once");
+        let fired = fire_ack_timer(&mut b, 5);
+        assert_eq!(fired.wire.len(), 1);
+        let bare = WireSegment::decode(fired.wire[0].clone()).expect("decodes");
+        assert_eq!(bare.kind, SegmentKind::Ack);
+        let seqs: Vec<u64> = bare.acks.as_slice().iter().map(|a| a.seq).collect();
+        assert_eq!(seqs, [0, 1]);
+        assert_eq!(b.bare_acks_sent(), 1);
+        assert!(fire_ack_timer(&mut b, 6).wire.is_empty());
+        let acked = deliver(&fired, &mut a, 7);
+        assert_eq!(
+            acked.cancels,
+            vec![(TRANSPORT_LAYER, 0), (TRANSPORT_LAYER, 1)]
+        );
+        assert!(a.unacked.is_empty());
+    }
+
+    /// A one-way stream whose timers never fire holds at most
+    /// `MAX_ACKS_PER_SEGMENT` unacknowledged payloads: a full block of owed
+    /// acknowledgements leaves at once and cancels the timer.
+    #[test]
+    fn a_full_block_of_owed_acks_leaves_at_once() {
+        use crate::data::MAX_ACKS_PER_SEGMENT;
+        let cfg = ChannelConfig::synchronous_reliable();
+        let (mut a, mut b) = (Session::new(cfg), Session::new(cfg));
+        for round in 0..3 * MAX_ACKS_PER_SEGMENT as u64 {
+            let (_, out) = a.send(Bytes::from_static(b"one-way"), round);
+            let answer = deliver(&out, &mut b, round);
+            deliver(&answer, &mut a, round);
+            let flushed = (round + 1) % MAX_ACKS_PER_SEGMENT as u64 == 0;
+            assert_eq!(answer.wire.len(), usize::from(flushed));
+            if flushed {
+                assert_eq!(answer.cancels, vec![(TRANSPORT_LAYER, ACK_TIMER_TAG)]);
+                assert!(a.unacked.is_empty() && a.pending.is_empty());
+            }
+            assert!(a.unacked.len() < MAX_ACKS_PER_SEGMENT);
+        }
+        assert_eq!(b.bare_acks_sent(), 3);
     }
 
     #[test]
@@ -474,7 +643,7 @@ mod tests {
         let out_b = deliver(&out_a, &mut b, 110);
         assert_eq!(out_b.delivered.len(), 1, "sequence 3 is the next one");
         assert_eq!(out_b.delivered[0].as_ref(), b"lockstep");
-        let out_a2 = deliver(&out_b, &mut a, 120);
+        let out_a2 = deliver(&fire_ack_timer(&mut b, 115), &mut a, 120);
         assert_eq!(out_a2.completions, vec![seq]);
         assert_eq!(out_a2.cancels, vec![(TRANSPORT_LAYER, seq)]);
 
@@ -514,11 +683,12 @@ mod tests {
         let mut b = Session::new(ChannelConfig::synchronous_reliable());
         let payload = Bytes::from(vec![7u8; 64]);
         let (_, out_a) = a.send(payload.clone(), 1);
-        let out_b = deliver(&out_a, &mut b, 2);
+        deliver(&out_a, &mut b, 2);
+        let ack = fire_ack_timer(&mut b, 2);
         drop(out_a);
         drop(b);
         let payload = payload.try_reclaim().expect_err("held for retransmission");
-        deliver(&out_b, &mut a, 3);
+        deliver(&ack, &mut a, 3);
         assert!(a.unacked.is_empty() && a.pending.is_empty());
         // `out_b.delivered` still shares the wire segment, not the payload.
         payload.try_reclaim().expect("released by the ack");
@@ -555,8 +725,8 @@ mod tests {
         let mut b = Session::new(cfg);
         let initial = a.congestion.cwnd();
         let (seq, out_a) = a.send(Bytes::from_static(b"x"), 1_000_000);
-        let out_b = deliver(&out_a, &mut b, 2_000_000);
-        deliver(&out_b, &mut a, 3_000_000);
+        deliver(&out_a, &mut b, 2_000_000);
+        deliver(&fire_ack_timer(&mut b, 2_500_000), &mut a, 3_000_000);
         let grown = a.congestion.cwnd();
         assert!(grown > initial, "an ack grows the window");
         a.send(Bytes::from_static(b"y"), 4_000_000);

@@ -7,14 +7,35 @@ use cactus::{events, Message, ProtocolStack};
 use netsim::ConnectionType;
 use p2psap::data::wire::{ATTR_SENT_AT, ATTR_SEQ, ATTR_TIMER_TAG};
 use p2psap::data::{
-    apply_reconfiguration, build_physical, build_transport, make_congestion, plan_reconfiguration,
-    WireSegment, ATTR_NOW,
+    apply_reconfiguration, build_physical, build_transport, frame_checksum, make_congestion,
+    plan_reconfiguration, Ack, AckBlock, SegmentKind, WireSegment, ACK_BYTES, ATTR_NOW,
+    MAX_ACKS_PER_SEGMENT, SEGMENT_CHECKSUM_BYTES, SEGMENT_HEADER_BYTES,
 };
 use p2psap::{
     ChannelConfig, CommunicationMode, CongestionAlgorithm, Controller, Reliability, Scheme,
-    Session, SessionOutput, TRANSPORT_LAYER,
+    Session, SessionOutput, ACK_TIMER_TAG, TRANSPORT_LAYER,
 };
 use proptest::prelude::*;
+
+/// An ack block of the first `MAX_ACKS_PER_SEGMENT` of `values`, each value
+/// both a sequence number and a send time.
+fn ack_block(values: &[u64]) -> AckBlock {
+    values
+        .iter()
+        .map(|&v| Ack {
+            seq: v,
+            sent_at_ns: v.rotate_left(17),
+        })
+        .collect()
+}
+
+/// Decode `body` with a valid checksum appended: what the codec says of a
+/// frame whose structure alone is wrong.
+fn decode_rechecked(mut body: Vec<u8>) -> Option<WireSegment> {
+    let checksum = frame_checksum(&body);
+    body.extend_from_slice(&checksum.to_be_bytes());
+    WireSegment::decode(Bytes::from(body))
+}
 
 fn any_scheme() -> impl Strategy<Value = Scheme> {
     prop_oneof![
@@ -78,7 +99,7 @@ trait Endpoint {
     fn send(&mut self, payload: Bytes, now_ns: u64) -> SessionOutput;
     fn on_wire(&mut self, bytes: Bytes, now_ns: u64) -> SessionOutput;
     fn on_timer(&mut self, layer: usize, tag: u64, now_ns: u64) -> SessionOutput;
-    fn reconfigure(&mut self, target: ChannelConfig);
+    fn reconfigure(&mut self, target: ChannelConfig) -> SessionOutput;
     fn micros(&self) -> Vec<&'static str>;
 }
 
@@ -95,7 +116,7 @@ impl Endpoint for Session {
     fn on_timer(&mut self, layer: usize, tag: u64, now_ns: u64) -> SessionOutput {
         Session::on_timer(self, layer, tag, now_ns)
     }
-    fn reconfigure(&mut self, target: ChannelConfig) {
+    fn reconfigure(&mut self, target: ChannelConfig) -> SessionOutput {
         Session::reconfigure(self, target)
     }
     fn micros(&self) -> Vec<&'static str> {
@@ -166,10 +187,18 @@ impl Endpoint for Reference {
         msg.set_u64(ATTR_TIMER_TAG, tag);
         Self::output(self.stack.raise_at(layer, events::TIMEOUT, msg))
     }
-    fn reconfigure(&mut self, target: ChannelConfig) {
+    fn reconfigure(&mut self, target: ChannelConfig) -> SessionOutput {
         let plan = plan_reconfiguration(self.config, target);
-        apply_reconfiguration(self.stack.layer_mut(TRANSPORT_LAYER), &plan);
+        let effects = apply_reconfiguration(self.stack.layer_mut(TRANSPORT_LAYER), &plan);
         self.config = target;
+        let delivered = effects.into_iter().filter_map(|effect| match effect {
+            cactus::Effect::DeliverToUser(msg) => Some(msg.payload().clone()),
+            _ => None,
+        });
+        SessionOutput {
+            delivered: delivered.collect(),
+            ..SessionOutput::default()
+        }
     }
     fn micros(&self) -> Vec<&'static str> {
         self.stack.layer(TRANSPORT_LAYER).micro_names()
@@ -275,7 +304,9 @@ impl<E: Endpoint> Link<E> {
                 // end only as in the middle of it.
                 for side in [0, 1] {
                     if fate < 6 || fate as usize - 6 == side {
-                        self.ends[side].reconfigure(target);
+                        let out = self.ends[side].reconfigure(target);
+                        self.absorb(side, &out);
+                        outputs.push(out);
                     }
                 }
             }
@@ -286,8 +317,11 @@ impl<E: Endpoint> Link<E> {
 }
 
 /// A path the random scripts rarely reach: segments held back by an ordered
-/// channel are dropped when ordering is switched off, and switching it back
-/// on resumes after the highest sequence delivered meanwhile.
+/// channel are delivered, in order, when ordering is switched off (their
+/// sender may have seen them acknowledged and will not send them again);
+/// the gap fills as it comes while unordered; and switching ordering back on
+/// resumes after the highest sequence delivered meanwhile. Then the
+/// delayed-ack timer sends every owed acknowledgement in one bare ack.
 fn ordering_off_and_on_again<E: Endpoint>() -> Vec<SessionOutput> {
     let ordered = ChannelConfig::synchronous_reliable();
     let unordered = ChannelConfig::asynchronous_reliable();
@@ -295,18 +329,21 @@ fn ordering_off_and_on_again<E: Endpoint>() -> Vec<SessionOutput> {
     let sent: Vec<Bytes> = (0..6u64)
         .map(|seq| tx.send(Bytes::from(format!("m{seq}")), 10 + seq).wire[0].clone())
         .collect();
-    let mut outputs = vec![rx.on_wire(sent[4].clone(), 20)]; // held back
-    rx.reconfigure(unordered); // and dropped
-    outputs.push(rx.on_wire(sent[1].clone(), 21)); // delivered as it comes
-    rx.reconfigure(ordered);
-    for (seq, now_ns) in [(0, 22), (2, 23), (3, 24), (5, 25), (4, 26)] {
-        outputs.push(rx.on_wire(sent[seq].clone(), now_ns)); // 0 is stale, 5 waits for 4
+    let mut outputs = vec![rx.on_wire(sent[0].clone(), 20)];
+    outputs.push(rx.on_wire(sent[2].clone(), 21)); // held back
+    outputs.push(rx.on_wire(sent[3].clone(), 22)); // held back
+    outputs.push(rx.reconfigure(unordered)); // and delivered
+    outputs.push(rx.on_wire(sent[1].clone(), 23)); // delivered as it comes
+    outputs.push(rx.reconfigure(ordered));
+    for (seq, now_ns) in [(5, 24), (3, 25), (4, 26)] {
+        outputs.push(rx.on_wire(sent[seq].clone(), now_ns)); // 5 waits for 4, 3 is stale
     }
+    outputs.push(rx.on_timer(TRANSPORT_LAYER, ACK_TIMER_TAG, 27));
     outputs
 }
 
 #[test]
-fn ordering_switched_off_drops_the_gap_in_session_and_reference() {
+fn ordering_switched_off_flushes_the_gap_in_session_and_reference() {
     let got = ordering_off_and_on_again::<Session>();
     assert_eq!(got, ordering_off_and_on_again::<Reference>());
     let delivered: Vec<Vec<&[u8]>> = got
@@ -318,12 +355,28 @@ fn ordering_switched_off_drops_the_gap_in_session_and_reference() {
                 .collect()
         })
         .collect();
-    let expected: [&[&[u8]]; 7] = [&[], &[b"m1"], &[], &[b"m2"], &[b"m3"], &[], &[b"m4", b"m5"]];
+    let expected: [&[&[u8]]; 10] = [
+        &[b"m0"],
+        &[],
+        &[],
+        &[b"m2", b"m3"],
+        &[b"m1"],
+        &[],
+        &[],
+        &[],
+        &[b"m4", b"m5"],
+        &[],
+    ];
     assert_eq!(delivered, expected);
-    assert!(
-        got.iter().all(|out| out.wire.len() == 1),
-        "every copy is acked"
-    );
+    // Every copy is acknowledged, the duplicate included — by the timer,
+    // as no data went the other way.
+    let (last, before) = got.split_last().expect("outputs");
+    assert!(before.iter().all(|out| out.wire.is_empty()));
+    assert_eq!(last.wire.len(), 1);
+    let bare = WireSegment::decode(last.wire[0].clone()).expect("decodes");
+    assert_eq!(bare.kind, SegmentKind::Ack);
+    let acked: Vec<u64> = bare.acks.as_slice().iter().map(|ack| ack.seq).collect();
+    assert_eq!(acked, [0, 2, 3, 1, 5, 3, 4]);
 }
 
 proptest! {
@@ -364,14 +417,78 @@ proptest! {
         }
     }
 
-    /// The wire codec round-trips arbitrary payloads and header fields.
+    /// The wire codec round-trips arbitrary payloads and header fields,
+    /// with 0 ..= `MAX_ACKS_PER_SEGMENT` acknowledgements carried along.
     #[test]
     fn wire_codec_round_trips(seq in any::<u64>(), ack in any::<bool>(),
                               sent_at in any::<u64>(),
+                              acks in proptest::collection::vec(any::<u64>(), 0..2 * MAX_ACKS_PER_SEGMENT),
                               payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let seg = WireSegment::data(seq, ack, sent_at, Bytes::from(payload));
-        let decoded = WireSegment::decode(seg.encode()).expect("well-formed segment decodes");
-        prop_assert_eq!(decoded, seg);
+        let acks = ack_block(&acks);
+        let seg = WireSegment { acks, ..WireSegment::data(seq, ack, sent_at, Bytes::from(payload)) };
+        let bytes = seg.encode();
+        let block = if acks.is_empty() { 0 } else { 1 + ACK_BYTES * acks.len() };
+        prop_assert_eq!(
+            bytes.len(),
+            SEGMENT_HEADER_BYTES + block + seg.payload.len() + SEGMENT_CHECKSUM_BYTES
+        );
+        let decoded = WireSegment::decode(bytes).expect("well-formed segment decodes");
+        prop_assert_eq!(&decoded, &seg);
+        let bare = WireSegment::bare_ack(acks);
+        prop_assert_eq!(WireSegment::decode(bare.encode()), Some(bare));
+    }
+
+    /// Hostile ack blocks: the carries-acks flag without its count byte, a
+    /// count of zero or above the cap, a block that runs past the frame, and
+    /// a payload length that disagrees with what the block leaves. Each one
+    /// is re-checksummed so only the structure is wrong; every one is
+    /// rejected, none panics.
+    #[test]
+    fn malformed_ack_blocks_are_rejected(seq in any::<u64>(),
+                                         acks in proptest::collection::vec(any::<u64>(), 1..MAX_ACKS_PER_SEGMENT + 1),
+                                         payload in proptest::collection::vec(any::<u8>(), 0..64),
+                                         shift in 1u32..64) {
+        let acks = ack_block(&acks);
+        let plain = WireSegment::data(seq, true, 1, Bytes::from(payload.clone()));
+        let carrying = WireSegment { acks, ..plain.clone() };
+        let body = |seg: &WireSegment| {
+            let mut raw = seg.encode().to_vec();
+            raw.truncate(raw.len() - SEGMENT_CHECKSUM_BYTES);
+            raw
+        };
+        let count_at = SEGMENT_HEADER_BYTES;
+        let len_at = SEGMENT_HEADER_BYTES - 4;
+
+        // Flag set, count byte missing: a bare ack's frame ends at the header.
+        let mut raw = body(&WireSegment::bare_ack(AckBlock::default()));
+        raw[1] |= 2;
+        prop_assert!(decode_rechecked(raw).is_none(), "missing count accepted");
+
+        // Count zero, and count above the cap with enough bytes behind it.
+        for count in [0, MAX_ACKS_PER_SEGMENT + 1, 255] {
+            let mut raw = body(&carrying);
+            raw[count_at] = count as u8;
+            raw.extend(std::iter::repeat_n(0, ACK_BYTES * (count + 1)));
+            prop_assert!(decode_rechecked(raw).is_none(), "count {} accepted", count);
+        }
+
+        // A block that runs past the frame: the count claims more acks
+        // than there are bytes behind it (payload length zeroed to match).
+        let mut raw = body(&WireSegment { payload: Bytes::new(), ..carrying.clone() });
+        raw[count_at] = acks.len() as u8 + 1;
+        prop_assert!(decode_rechecked(raw.clone()).is_none(), "block past the frame accepted");
+        raw.truncate(count_at + 1 + ACK_BYTES * acks.len() - 1);
+        raw[count_at] = acks.len() as u8;
+        prop_assert!(decode_rechecked(raw).is_none(), "cut block accepted");
+
+        // A payload length off by `shift` in either direction.
+        for seg in [&plain, &carrying] {
+            for declared in [payload.len() as u32 + shift, (payload.len() as u32).wrapping_sub(shift)] {
+                let mut raw = body(seg);
+                raw[len_at..len_at + 4].copy_from_slice(&declared.to_be_bytes());
+                prop_assert!(decode_rechecked(raw).is_none(), "length {} accepted", declared);
+            }
+        }
     }
 
     /// The controller is total: every (scheme, connection) context yields a

@@ -29,7 +29,7 @@ use p2pdc::{
     check_case, run_on, ChurnPlan, ControlPlane, FuzzCase, GossipMessage, RuntimeKind, Scheme,
     WorkloadKind,
 };
-use p2psap::data::wire::WireSegment;
+use p2psap::data::wire::{Ack, AckBlock, WireSegment, MAX_ACKS_PER_SEGMENT};
 
 /// Master seed of the pinned batch — the same one `repro fuzz
 /// --seed-batch ci` uses, so an in-test failure reproduces immediately
@@ -199,18 +199,35 @@ fn split_brain_then_heal_agrees_across_deterministic_backends() {
 /// same-length frames differing inside one aligned word verify differently.
 /// This is the property the corruption fault model leans on when it declares
 /// corrupted traffic "effectively lost, never consumed".
+/// The sweep runs over a plain data segment, one carrying a full ack block
+/// and a bare ack, so no flip in the ack block lets a phantom
+/// acknowledgement complete a send either.
 #[test]
 fn every_single_bit_flip_of_a_wire_segment_fails_decode() {
     let payload = Bytes::from((0u16..96).flat_map(u16::to_be_bytes).collect::<Vec<u8>>());
-    let frame = WireSegment::data(7, true, 123_456_789, payload).encode();
-    for at in 0..frame.len() {
-        for bit in 0..8 {
-            let mut corrupted = frame.to_vec();
-            corrupted[at] ^= 1 << bit;
-            assert!(
-                WireSegment::decode(Bytes::from(corrupted)).is_none(),
-                "flip at byte {at} bit {bit} decoded"
-            );
+    let plain = WireSegment::data(7, true, 123_456_789, payload);
+    let acks: AckBlock = (0..MAX_ACKS_PER_SEGMENT as u64)
+        .map(|i| Ack {
+            seq: 40 + i,
+            sent_at_ns: 123_000_000 + i,
+        })
+        .collect();
+    let carrying = WireSegment {
+        acks,
+        ..plain.clone()
+    };
+    for segment in [plain, carrying, WireSegment::bare_ack(acks)] {
+        let frame = segment.encode();
+        for at in 0..frame.len() {
+            for bit in 0..8 {
+                let mut corrupted = frame.to_vec();
+                corrupted[at] ^= 1 << bit;
+                assert!(
+                    WireSegment::decode(Bytes::from(corrupted)).is_none(),
+                    "{:?}: flip at byte {at} bit {bit} decoded",
+                    segment.kind
+                );
+            }
         }
     }
 }
