@@ -9,7 +9,10 @@
 //! the driver feeds it into the run's volatility coordinator
 //! ([`crate::churn::VolatilityState::grant`]), which is exactly where the
 //! centralized `TopologyManager::evictions_since` sweep used to hand over
-//! (the recovery path downstream of the verdict is unchanged).
+//! (the recovery path downstream of the verdict is unchanged). The ack and
+//! suspicion windows follow the probe round trip the node measures, in its
+//! own clock units (RFC 6298's estimator; [`GossipTiming`] is their initial
+//! value and ceiling).
 //!
 //! The node is sans-io like the engine: `poll`/`on_message` return the
 //! messages to send and the driver owns delivery, so the same state machine
@@ -56,25 +59,35 @@ const MAX_ROWS_PER_MESSAGE: usize = 32;
 /// The gossip cadence and failure-detection windows, in the driving
 /// substrate's clock units (wall nanoseconds, virtual nanoseconds, or
 /// loopback event counts).
+///
+/// The two windows are the *initial value and ceiling* of what the node
+/// uses: once it has measured a probe round trip, its ack window is the
+/// RFC 6298 timeout `srtt + 4·rttvar` of those measurements (at least one
+/// clock unit, at most `ack_timeout`), and its suspicion window keeps the
+/// `suspect_timeout : ack_timeout` ratio to it.
 #[derive(Debug, Clone, Copy)]
 pub struct GossipTiming {
     /// Interval between probe rounds.
     pub probe_period: u64,
-    /// Direct-probe ack deadline before a member is suspected.
+    /// Direct-probe ack deadline before a member is suspected: the initial
+    /// value and ceiling of the derived ack window.
     pub ack_timeout: u64,
-    /// Suspicion window (indirect probes in flight) before a death verdict.
+    /// Suspicion window (indirect probes in flight) before a death verdict:
+    /// the initial value and ceiling of the derived suspicion window.
     pub suspect_timeout: u64,
 }
 
 impl GossipTiming {
-    /// Wall-clock defaults for the socket/thread backends. The windows must
-    /// absorb drive-loop scheduling latency — a reactor event loop
-    /// multiplexing dozens of computing peers can sit on an incoming probe
-    /// for tens of milliseconds before its next drain, and an ack deadline
-    /// tighter than that turns scheduling jitter into a storm of false
-    /// suspicion/refutation churn. Worst-case detection (ack + suspicion)
-    /// still lands within ~2.5x of the centralized detector's three missed
-    /// 10 ms ping periods.
+    /// Wall-clock defaults for the socket/thread backends. The windows are
+    /// what a node uses until its first probe is acknowledged, and the cap
+    /// of what it derives afterwards. On `gossip-churn` (32 reactor peers
+    /// on 2 event loops, 2 cores) 25–34 k direct probe → ack round trips
+    /// measured p50 0.46–0.51 ms, p99 1.4–1.8 ms, p99.9 7.9–9.0 ms and
+    /// 21 ms at most: a 25 ms ack window is about 50 median round trips and
+    /// above the slowest one seen, so before its first sample a node waits
+    /// out any round trip measured there. After it, the derived windows
+    /// take over (a crashed peer is declared dead in ≈ 15 ms instead of
+    /// ≈ 110 ms).
     pub fn wall_clock() -> Self {
         Self {
             probe_period: 10_000_000,
@@ -83,15 +96,20 @@ impl GossipTiming {
         }
     }
 
-    /// Virtual-time defaults for the simulated backend (same shape as wall
-    /// clock; the fabric's latencies are well under the windows).
+    /// Virtual-time defaults for the simulated backend (the wall-clock
+    /// values). Sim gossip bypasses the fabric, so every round trip it
+    /// measures is 0 and after the first ack the windows sit at their
+    /// one-unit floor: a silent member is declared dead a few gossip ticks
+    /// after its first unanswered probe.
     pub fn virtual_time() -> Self {
         Self::wall_clock()
     }
 
     /// Event-count defaults for the loopback backend, scaled to the round
     /// length so one probe round spans a couple of drive sweeps over all
-    /// `peers` ranks.
+    /// `peers` ranks. Loopback probe round trips (measured p50 19 events
+    /// at 4 peers, 91 at 16) keep `srtt + 4·rttvar` above these windows
+    /// nearly always, so the derived windows mostly stay at them.
     pub fn event_count(peers: usize) -> Self {
         let round = (2 * peers.max(2)) as u64;
         Self {
@@ -99,6 +117,56 @@ impl GossipTiming {
             ack_timeout: 2 * round,
             suspect_timeout: 4 * round,
         }
+    }
+
+    /// The windows a node uses once it has measured `rtt`: the ack window
+    /// is the estimate's timeout clamped to `1 ..= ack_timeout` (the
+    /// one-unit floor is RFC 6298's clock-granularity term `G`, so a
+    /// zero-RTT path cannot escalate a probe at the instant it was sent),
+    /// and the suspicion window scales with it. `None` (no sample yet)
+    /// gives the configured windows.
+    fn windows(&self, rtt: Option<RttEstimate>) -> (u64, u64) {
+        let Some(rtt) = rtt else {
+            return (self.ack_timeout, self.suspect_timeout);
+        };
+        let ack = rtt.timeout().min(self.ack_timeout).max(1);
+        // ack ≤ ack_timeout, so the quotient is ≤ suspect_timeout and fits.
+        let suspect = u128::from(ack) * u128::from(self.suspect_timeout)
+            / u128::from(self.ack_timeout.max(1));
+        (ack, suspect as u64)
+    }
+}
+
+/// The smoothed probe round trip and its variation, in the integer form of
+/// RFC 6298 (*Computing TCP's Retransmission Timer*), saturating instead of
+/// overflowing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RttEstimate {
+    srtt: u64,
+    rttvar: u64,
+}
+
+impl RttEstimate {
+    /// Fold one round-trip sample `r` into `estimate`: the first sample
+    /// sets `srtt = r`, `rttvar = r/2`; later ones update `rttvar` to
+    /// `¾·rttvar + ¼·|srtt − r|`, then `srtt` to `⅞·srtt + ⅛·r`.
+    fn sample(estimate: Option<Self>, r: u64) -> Self {
+        match estimate {
+            None => Self {
+                srtt: r,
+                rttvar: r / 2,
+            },
+            Some(Self { srtt, rttvar }) => Self {
+                rttvar: rttvar.saturating_mul(3).saturating_add(srtt.abs_diff(r)) / 4,
+                srtt: srtt.saturating_mul(7).saturating_add(r) / 8,
+            },
+        }
+    }
+
+    /// RFC 6298's retransmission timeout without its floor and ceiling:
+    /// `srtt + 4·rttvar`.
+    fn timeout(self) -> u64 {
+        self.srtt.saturating_add(self.rttvar.saturating_mul(4))
     }
 }
 
@@ -119,6 +187,17 @@ pub struct GossipNode {
     rank: usize,
     fanout: usize,
     timing: GossipTiming,
+    /// The direct-probe round trip, pooled over every member: one estimate
+    /// per node, not per member, because a node probes one member per
+    /// period and a per-member estimate would see less than one sample per
+    /// member per solve. Pooling assumes every member is equally far away.
+    /// That holds wherever gossip runs today: the socket backends share one
+    /// host, `sim` gossip bypasses the fabric and loopback has no latency.
+    /// On `threads` it holds within one cluster; a two-cluster `threads`
+    /// run (links three orders of magnitude apart) would pool a mixture
+    /// this one estimate does not describe, and no gossip run in the tree
+    /// is one. `None` until the first sample.
+    rtt: Option<RttEstimate>,
     rng: ChaCha8Rng,
     incarnation: u32,
     members: Vec<MemberState>,
@@ -161,6 +240,7 @@ impl GossipNode {
             rank,
             fanout: fanout.max(1),
             timing,
+            rtt: None,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x6055_1790_0000_0000 ^ rank as u64),
             incarnation: 0,
             members,
@@ -257,6 +337,7 @@ impl GossipNode {
     /// round, a pending ack deadline, or a suspicion expiry. Event-count
     /// drivers jump their clock here when every peer is otherwise idle.
     pub fn next_deadline(&self) -> u64 {
+        let (ack_window, suspect_window) = self.timing.windows(self.rtt);
         let mut deadline = self.next_probe_at;
         for member in &self.members {
             if member.status == MemberStatus::Alive {
@@ -268,16 +349,16 @@ impl GossipNode {
                     // deadline in the past, which reads as "nothing left to
                     // wait for" and ends the run under a live schedule.
                     let edge = if member.indirect_asked {
-                        2 * self.timing.ack_timeout
+                        2 * ack_window
                     } else {
-                        self.timing.ack_timeout
+                        ack_window
                     };
                     deadline = deadline.min(sent_at + edge);
                 }
             }
             if member.status == MemberStatus::Suspect {
                 if let Some(since) = member.suspect_since {
-                    deadline = deadline.min(since + self.timing.suspect_timeout);
+                    deadline = deadline.min(since + suspect_window);
                 }
             }
         }
@@ -287,9 +368,11 @@ impl GossipNode {
     /// Drive the probe cycle: emit the round's probe when due, escalate a
     /// missed direct ack into indirect probes, harden targets that answered
     /// neither path into disseminated suspicions, and suspicions that
-    /// survived the window into death verdicts. Returns the messages to
-    /// send.
+    /// survived the window into death verdicts. Both windows are derived
+    /// from the measured probe round trip (see [`GossipTiming`]). Returns
+    /// the messages to send.
     pub fn poll(&mut self, now: u64) -> Vec<(usize, GossipMessage)> {
+        let (ack_window, suspect_window) = self.timing.windows(self.rtt);
         let mut out = Vec::new();
         // Ack deadlines. A missed direct ack is NOT yet a suspicion: first
         // the target is probed indirectly through `fanout` helpers, and only
@@ -303,17 +386,14 @@ impl GossipNode {
             let member = self.members[target];
             if let Some(sent_at) = member.probe_sent_at {
                 if member.status == MemberStatus::Alive {
-                    if !member.indirect_asked
-                        && now.saturating_sub(sent_at) >= self.timing.ack_timeout
-                    {
+                    if !member.indirect_asked && now.saturating_sub(sent_at) >= ack_window {
                         self.members[target].indirect_asked = true;
                         let helpers = self.pick_targets(now, Some(target));
                         for helper in helpers {
                             stats::count_indirect_probe();
                             out.push((helper, self.message(GossipKind::ProbeReq, target as u16)));
                         }
-                    } else if member.indirect_asked
-                        && now.saturating_sub(sent_at) >= 2 * self.timing.ack_timeout
+                    } else if member.indirect_asked && now.saturating_sub(sent_at) >= 2 * ack_window
                     {
                         self.members[target].status = MemberStatus::Suspect;
                         self.members[target].suspect_since = Some(now);
@@ -339,7 +419,7 @@ impl GossipNode {
                     }
                 }
                 let since = self.members[target].suspect_since.unwrap_or(now);
-                if now.saturating_sub(since) >= self.timing.suspect_timeout {
+                if now.saturating_sub(since) >= suspect_window {
                     self.members[target].status = MemberStatus::Dead;
                     self.members[target].probe_sent_at = None;
                     stats::count_death_verdict();
@@ -394,6 +474,16 @@ impl GossipNode {
         let from = msg.from as usize;
         if from >= self.members.len() || from == self.rank {
             return Vec::new();
+        }
+        // A member's own ack to an outstanding probe is a round-trip sample
+        // — also after the probe escalated: sampling only the acks that beat
+        // the window would never see the tail, and the window would ratchet
+        // down into false suspicion. Relayed acks (subject ≠ sender) time
+        // two hops through a helper and are not samples.
+        if msg.kind == GossipKind::Ack && msg.subject == msg.from {
+            if let Some(sent_at) = self.members[from].probe_sent_at {
+                self.rtt = Some(RttEstimate::sample(self.rtt, now.saturating_sub(sent_at)));
+            }
         }
         self.heard_from(from, msg.incarnation);
         for row in &msg.digest {
@@ -747,6 +837,63 @@ mod tests {
             .collect()
     }
 
+    /// The windows `node` would use now.
+    fn windows(node: &GossipNode) -> (u64, u64) {
+        node.timing.windows(node.rtt)
+    }
+
+    /// The latency of one message `(nodes, from, to, msg)` on a
+    /// [`LatencyNet`]; `None` drops it.
+    type Latency<'a> = dyn FnMut(&[GossipNode], usize, usize, &GossipMessage) -> Option<u64> + 'a;
+
+    /// The in-memory exchange with latency: a message sent at `t` arrives
+    /// at `t + latency`, messages arrive in arrival order (replies
+    /// included), and every tick each live node polls.
+    struct LatencyNet {
+        nodes: Vec<GossipNode>,
+        /// `(arrival instant, to, message)` in send order.
+        flight: Vec<(u64, usize, GossipMessage)>,
+        now: u64,
+    }
+
+    impl LatencyNet {
+        fn new(nodes: Vec<GossipNode>) -> Self {
+            Self {
+                nodes,
+                flight: Vec::new(),
+                now: 0,
+            }
+        }
+
+        fn send(&mut self, from: usize, batch: Vec<(usize, GossipMessage)>, latency: &mut Latency) {
+            for (to, msg) in batch {
+                if let Some(delay) = latency(&self.nodes, from, to, &msg) {
+                    self.flight.push((self.now + delay, to, msg));
+                }
+            }
+        }
+
+        /// Deliver everything that arrives within the next `tick`, then
+        /// poll every rank of `live` at the tick's end.
+        fn step(&mut self, tick: u64, live: &[usize], latency: &mut Latency) {
+            let until = self.now + tick;
+            while let Some(next) = (0..self.flight.len())
+                .filter(|&i| self.flight[i].0 <= until)
+                .min_by_key(|&i| self.flight[i].0)
+            {
+                let (at, to, msg) = self.flight.remove(next);
+                self.now = at;
+                let replies = self.nodes[to].on_message(&msg, at);
+                self.send(to, replies, latency);
+            }
+            self.now = until;
+            for &rank in live {
+                let batch = self.nodes[rank].poll(until);
+                self.send(rank, batch, latency);
+            }
+        }
+    }
+
     #[test]
     fn responsive_members_stay_alive_and_digests_spread() {
         let mut nodes = cluster(4, 7);
@@ -889,5 +1036,251 @@ mod tests {
         assert!(!batch.is_empty());
         exchange(&mut nodes, batch, 10);
         assert_eq!(nodes[0].universe(), 3);
+    }
+
+    #[test]
+    fn rtt_estimate_follows_rfc_6298_integer_arithmetic() {
+        // (sample, srtt, rttvar) after folding it in: the first sample sets
+        // srtt = R, rttvar = R/2; later ones update rttvar from the old
+        // srtt, then srtt, both rounded down.
+        let script = [
+            (101, 101, 50),
+            (201, 113, 62), // (3·50 + 100)/4 = 62, (7·101 + 201)/8 = 113
+            (50, 105, 62),  // (3·62 + 63)/4 = 62, (7·113 + 50)/8 = 105
+            (50, 98, 60),   // (3·62 + 55)/4 = 60, (7·105 + 50)/8 = 98
+            (98, 98, 45),   // (3·60 + 0)/4 = 45, (7·98 + 98)/8 = 98
+            (0, 85, 58),    // (3·45 + 98)/4 = 58, (7·98 + 0)/8 = 85
+        ];
+        let mut estimate = None;
+        for (sample, srtt, rttvar) in script {
+            let next = RttEstimate::sample(estimate, sample);
+            assert_eq!(next, RttEstimate { srtt, rttvar }, "after sample {sample}");
+            assert_eq!(next.timeout(), srtt + 4 * rttvar);
+            estimate = Some(next);
+        }
+    }
+
+    #[test]
+    fn windows_start_at_the_configured_values_and_never_exceed_them() {
+        for timing in [GossipTiming::wall_clock(), GossipTiming::event_count(8)] {
+            let configured = (timing.ack_timeout, timing.suspect_timeout);
+            assert_eq!(timing.windows(None), configured, "before any sample");
+            let mut estimate = None;
+            for sample in [3, timing.ack_timeout, 10 * timing.ack_timeout, 7, 1, 0] {
+                estimate = Some(RttEstimate::sample(estimate, sample));
+                let (ack, suspect) = timing.windows(estimate);
+                assert!((1..=timing.ack_timeout).contains(&ack), "ack window {ack}");
+                assert!(
+                    suspect <= timing.suspect_timeout,
+                    "suspicion window {suspect}"
+                );
+                assert_eq!(suspect, ack * timing.suspect_timeout / timing.ack_timeout);
+            }
+        }
+        // A fresh node reads the configured windows; a sample far above the
+        // ceiling still leaves it at the ceiling.
+        let mut nodes = cluster(2, 3);
+        let timing = GossipTiming::wall_clock();
+        assert_eq!(
+            windows(&nodes[0]),
+            (timing.ack_timeout, timing.suspect_timeout)
+        );
+        let probe = poll_into(&mut nodes, 0, 0);
+        let late = 4 * timing.ack_timeout;
+        let mut acks = Vec::new();
+        for (_, to, msg) in probe {
+            acks.extend(nodes[to].on_message(&msg, late));
+        }
+        for (to, ack) in acks {
+            nodes[to].on_message(&ack, late);
+        }
+        assert!(nodes[0].rtt.is_some(), "the late ack was sampled");
+        assert_eq!(
+            windows(&nodes[0]),
+            (timing.ack_timeout, timing.suspect_timeout)
+        );
+    }
+
+    #[test]
+    fn zero_rtt_gives_a_one_unit_window_and_no_escalation_at_the_probe_instant() {
+        let mut nodes = cluster(3, 5);
+        let period = GossipTiming::wall_clock().probe_period;
+        // Zero-latency delivery: node 0's first probe is acked at the
+        // instant it was sent.
+        let batch = poll_into(&mut nodes, 0, 0);
+        exchange(&mut nodes, batch, 0);
+        assert_eq!(nodes[0].rtt, Some(RttEstimate { srtt: 0, rttvar: 0 }));
+        assert_eq!(windows(&nodes[0]), (1, 2));
+        // The next probe goes unanswered: polling again at the instant it
+        // left must not escalate it; one unit later the indirect round runs.
+        let probe = nodes[0].poll(period);
+        let (target, _) = probe[0];
+        assert!(
+            nodes[0].poll(period).is_empty(),
+            "escalated at the probe's own instant"
+        );
+        assert!(!nodes[0].members[target].indirect_asked);
+        let escalation = nodes[0].poll(period + 1);
+        assert!(nodes[0].members[target].indirect_asked);
+        assert!(escalation
+            .iter()
+            .all(|(to, msg)| msg.kind == GossipKind::ProbeReq && *to != target));
+        assert!(!escalation.is_empty(), "the helper was asked");
+    }
+
+    #[test]
+    fn max_sized_sample_saturates_instead_of_overflowing() {
+        let first = RttEstimate::sample(None, u64::MAX);
+        assert_eq!(
+            first,
+            RttEstimate {
+                srtt: u64::MAX,
+                rttvar: u64::MAX / 2
+            }
+        );
+        assert_eq!(first.timeout(), u64::MAX);
+        let again = RttEstimate::sample(Some(first), u64::MAX);
+        let small = RttEstimate::sample(Some(again), 0);
+        for timing in [GossipTiming::wall_clock(), GossipTiming::event_count(4)] {
+            for estimate in [first, again, small] {
+                assert_eq!(
+                    timing.windows(Some(estimate)),
+                    (timing.ack_timeout, timing.suspect_timeout)
+                );
+            }
+        }
+    }
+
+    /// The estimate must see the tail: a direct ack that arrives after the
+    /// probe escalated into the indirect round is a sample, while an ack a
+    /// helper relays (two hops, subject ≠ sender) is not.
+    #[test]
+    fn direct_ack_after_escalation_is_sampled_and_relayed_ack_is_not() {
+        let ack_timeout = GossipTiming::wall_clock().ack_timeout;
+        let escalated = |nodes: &mut Vec<GossipNode>| {
+            let probe = nodes[0].poll(0);
+            let (target, ref msg) = probe[0];
+            let req = nodes[0].poll(ack_timeout);
+            assert!(nodes[0].members[target].indirect_asked, "escalated");
+            (target, msg.clone(), req)
+        };
+        // Direct: the target answers the original probe late.
+        let mut nodes = cluster(3, 17);
+        let (target, probe, _) = escalated(&mut nodes);
+        let late = ack_timeout + 1_000;
+        let reply = nodes[target].on_message(&probe, late);
+        assert_eq!(reply.len(), 1);
+        assert_eq!(reply[0].1.kind, GossipKind::Ack);
+        nodes[0].on_message(&reply[0].1, late);
+        assert_eq!(nodes[0].rtt, Some(RttEstimate::sample(None, late)));
+        assert!(
+            !nodes[0].members[target].indirect_asked,
+            "the ack resolved the probe"
+        );
+        // Relayed: only the helper's answer reaches node 0.
+        let mut nodes = cluster(3, 17);
+        let (target, _, req) = escalated(&mut nodes);
+        let (helper, ref req) = req[0];
+        let probe = nodes[helper].on_message(req, ack_timeout);
+        assert_eq!(probe[0].0, target);
+        let ack = nodes[target].on_message(&probe[0].1, ack_timeout);
+        let relayed = nodes[helper].on_message(&ack[0].1, ack_timeout);
+        assert_eq!((relayed[0].0, relayed[0].1.subject), (0, target as u16));
+        nodes[0].on_message(&relayed[0].1, ack_timeout + 1_000);
+        assert_eq!(
+            nodes[0].rtt, None,
+            "a relayed ack is not a round-trip sample"
+        );
+        assert_eq!(
+            nodes[0].members[target].probe_sent_at, None,
+            "but it vouches"
+        );
+    }
+
+    /// After warm-up at a steady round trip `r`, detection runs on windows
+    /// derived from `r`, not on the configured ones. The ladder — ack
+    /// window, second ack window, suspicion window — is two suspicion
+    /// windows after the first unanswered probe, which leaves within one
+    /// probe period of the silence; a third window covers the poll ticks.
+    #[test]
+    fn silent_member_is_declared_dead_within_the_measured_windows() {
+        let timing = GossipTiming::wall_clock();
+        let (rtt, tick) = (500_000, 50_000);
+        let mut net = LatencyNet::new(cluster(2, 29));
+        let mut steady = |_: &[GossipNode], _: usize, _: usize, _: &GossipMessage| Some(rtt / 2);
+        // Rank 1 starts half a period late: any message from a member
+        // resolves the probe to it, so in lockstep rank 1's own probe would
+        // always reach rank 0 before its ack and no round trip would count.
+        while net.now < timing.probe_period / 2 {
+            net.step(tick, &[0], &mut steady);
+        }
+        while net.now < 20 * timing.probe_period {
+            net.step(tick, &[0, 1], &mut steady);
+        }
+        let (ack, suspect) = windows(&net.nodes[0]);
+        assert!(ack <= 2 * rtt, "the window follows the round trip: {ack}");
+        let silent_at = net.now;
+        let mut silent = |_: &[GossipNode], from: usize, to: usize, _: &GossipMessage| {
+            (from != 1 && to != 1).then_some(rtt / 2)
+        };
+        while net.nodes[0].dead_ranks().is_empty() {
+            net.step(tick, &[0], &mut silent);
+            assert!(net.now - silent_at < 1_000_000_000, "never declared dead");
+        }
+        let detection = net.now - silent_at;
+        assert!(
+            detection <= 3 * suspect + timing.probe_period,
+            "declared dead {detection} ns after the silence (windows {ack} / {suspect} ns)"
+        );
+        assert!(detection < 2 * timing.ack_timeout + timing.suspect_timeout);
+    }
+
+    /// A member whose direct acks now and then come back late — after its
+    /// probe escalated, but before the second ack window closes, when the
+    /// indirect round resolves — is never suspected, let alone declared
+    /// dead: the late ack clears the escalation and widens the window.
+    #[test]
+    fn late_acks_inside_the_indirect_round_never_harden_into_a_verdict() {
+        let timing = GossipTiming::wall_clock();
+        let (rtt, tick) = (500_000, 50_000);
+        let slow = 3;
+        let mut acks_from_slow = 0u64;
+        let mut late = 0u64;
+        let mut escalations = 0u64;
+        let mut latency = |nodes: &[GossipNode], from: usize, to: usize, msg: &GossipMessage| {
+            if msg.kind == GossipKind::ProbeReq {
+                escalations += 1;
+            }
+            if from == slow && msg.kind == GossipKind::Ack && msg.subject == slow as u16 {
+                acks_from_slow += 1;
+                if acks_from_slow.is_multiple_of(3) {
+                    // Arrive 1.5 ack windows after the probe left `to`.
+                    late += 1;
+                    return Some(3 * windows(&nodes[to]).0 / 2 - rtt / 2);
+                }
+            }
+            Some(rtt / 2)
+        };
+        let mut net = LatencyNet::new(cluster(4, 31));
+        while net.now < 300 * timing.probe_period {
+            net.step(tick, &[0, 1, 2, 3], &mut latency);
+            for node in &net.nodes {
+                assert!(
+                    node.members.iter().all(|m| m.status == MemberStatus::Alive),
+                    "rank {} suspected a live member at {} ns",
+                    node.rank,
+                    net.now
+                );
+            }
+        }
+        assert!(late >= 20, "only {late} late acks");
+        assert!(escalations >= 20, "only {escalations} escalations");
+        for node in &net.nodes {
+            assert!(node.dead_ranks().is_empty());
+            assert!(
+                windows(node).0 < timing.ack_timeout,
+                "windows left the ceiling"
+            );
+        }
     }
 }
