@@ -15,6 +15,7 @@
 //! programmer-visible structure — define the problem, write the per-peer
 //! relaxation, aggregate the results — is the paper's.
 
+use crate::workload::{balanced_partition, Workload};
 use p2psap::Scheme;
 use serde::{Deserialize, Serialize};
 
@@ -195,8 +196,7 @@ pub trait IterativeTask: Send {
 }
 
 /// Parse a scheme name as passed on the `run` command line
-/// ("synchronous" / "asynchronous" / "hybrid"); shared by every
-/// application's `Problem_Definition()` override handling.
+/// ("synchronous" / "asynchronous" / "hybrid").
 pub fn parse_scheme(s: &str) -> Option<Scheme> {
     match s {
         "synchronous" => Some(Scheme::Synchronous),
@@ -213,8 +213,10 @@ pub trait Application: Send + Sync {
 
     /// `Problem_Definition()`: split the problem into sub-tasks and choose
     /// the scheme and peer count. `params` carries the owner parameters
-    /// passed on the `run` command line.
-    fn problem_definition(&self, params: &serde_json::Value) -> ProblemDefinition;
+    /// passed on the `run` command line; a definition they make impossible
+    /// (a peer count the problem cannot be split into) is an error that
+    /// says why.
+    fn problem_definition(&self, params: &serde_json::Value) -> Result<ProblemDefinition, String>;
 
     /// `Calculate()`: build the per-peer computation for `rank`.
     fn calculate(&self, definition: &ProblemDefinition, rank: usize) -> Box<dyn IterativeTask>;
@@ -224,91 +226,145 @@ pub trait Application: Send + Sync {
     fn results_aggregation(&self, results: &[(usize, Vec<u8>)]) -> Vec<u8>;
 }
 
+/// Builds a workload for a peer count.
+type WorkloadFactory = dyn Fn(usize) -> Box<dyn Workload> + Send + Sync;
+
+/// The [`Application`] of a [`Workload`]: the paper's three functions,
+/// written once for every workload.
+///
+/// * `Problem_Definition()` applies the `peers` / `scheme` command-line
+///   overrides and splits the workload's item space (planes, rows,
+///   vertices — its [`crate::workload::Repartitioner`]) into one balanced
+///   `{"start", "count"}` range per peer.
+/// * `Calculate()` is [`Workload::task`] on the workload built for the
+///   defined peer count.
+/// * `Results_Aggregation()` is [`Workload::assemble`], written out as
+///   little-endian `f64` bytes.
+pub struct WorkloadApp {
+    build: Box<WorkloadFactory>,
+    /// The workload at the default peer count: name, item space, assembly.
+    default: Box<dyn Workload>,
+    scheme: Scheme,
+}
+
+impl WorkloadApp {
+    /// The application of the workloads `build` makes, defaulting to
+    /// `peers` peers and `scheme` when the command line does not override
+    /// them.
+    pub fn new(
+        build: impl Fn(usize) -> Box<dyn Workload> + Send + Sync + 'static,
+        peers: usize,
+        scheme: Scheme,
+    ) -> Self {
+        Self {
+            default: build(peers),
+            build: Box::new(build),
+            scheme,
+        }
+    }
+}
+
+impl Application for WorkloadApp {
+    fn name(&self) -> &str {
+        self.default.name()
+    }
+
+    fn problem_definition(&self, params: &serde_json::Value) -> Result<ProblemDefinition, String> {
+        let peers = params
+            .get("peers")
+            .and_then(|v| v.as_u64())
+            .map_or(self.default.peers(), |v| v as usize);
+        let scheme = params
+            .get("scheme")
+            .and_then(|v| v.as_str())
+            .and_then(parse_scheme)
+            .unwrap_or(self.scheme);
+        let name = self.name();
+        let space = self
+            .default
+            .repartitioner()
+            .ok_or_else(|| format!("{name} cannot be split into sub-tasks"))?;
+        let (base, count) = (space.item_base(), space.items());
+        if !(1..=count).contains(&peers) {
+            return Err(format!(
+                "{peers} peers cannot split the {count} items of {name}"
+            ));
+        }
+        let subtasks = (0..peers)
+            .map(|rank| {
+                let (offset, len) = balanced_partition(count, peers, rank);
+                let range = serde_json::json!({"start": base + offset, "count": len});
+                let data = serde_json::to_vec(&range).expect("subtask serialization");
+                SubTask { rank, data }
+            })
+            .collect();
+        Ok(ProblemDefinition {
+            app_name: name.to_string(),
+            scheme,
+            peers_needed: peers,
+            subtasks,
+        })
+    }
+
+    fn calculate(&self, definition: &ProblemDefinition, rank: usize) -> Box<dyn IterativeTask> {
+        (self.build)(definition.peers_needed).task(rank)
+    }
+
+    fn results_aggregation(&self, results: &[(usize, Vec<u8>)]) -> Vec<u8> {
+        let solution = self.default.assemble(results);
+        solution.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Minimal application used to exercise the trait object plumbing.
-    struct CountdownApp;
-
-    struct CountdownTask {
-        rank: usize,
-        remaining: u64,
-        done: u64,
-    }
-
-    impl IterativeTask for CountdownTask {
-        fn relax(&mut self) -> LocalRelax {
-            if self.remaining > 0 {
-                self.remaining -= 1;
-            }
-            self.done += 1;
-            LocalRelax {
-                local_diff: self.remaining as f64,
-                work_points: 1,
-            }
-        }
-        fn encode_outgoing(&mut self, sink: &mut FrameSink) {
-            sink.frame((self.rank + 1) % 2).push(self.remaining as u8);
-        }
-        fn incorporate(&mut self, _from: usize, _payload: &[u8]) -> f64 {
-            0.0
-        }
-        fn neighbors(&self) -> Vec<usize> {
-            vec![(self.rank + 1) % 2]
-        }
-        fn result(&self) -> Vec<u8> {
-            vec![self.remaining as u8]
-        }
-        fn relaxations(&self) -> u64 {
-            self.done
-        }
-    }
-
-    impl Application for CountdownApp {
-        fn name(&self) -> &str {
-            "countdown"
-        }
-        fn problem_definition(&self, params: &serde_json::Value) -> ProblemDefinition {
-            let start = params.get("start").and_then(|v| v.as_u64()).unwrap_or(3);
-            ProblemDefinition {
-                app_name: self.name().to_string(),
-                scheme: Scheme::Asynchronous,
-                peers_needed: 2,
-                subtasks: (0..2)
-                    .map(|rank| SubTask {
-                        rank,
-                        data: vec![start as u8],
-                    })
-                    .collect(),
-            }
-        }
-        fn calculate(&self, definition: &ProblemDefinition, rank: usize) -> Box<dyn IterativeTask> {
-            Box::new(CountdownTask {
-                rank,
-                remaining: definition.subtasks[rank].data[0] as u64,
-                done: 0,
-            })
-        }
-        fn results_aggregation(&self, results: &[(usize, Vec<u8>)]) -> Vec<u8> {
-            results.iter().flat_map(|(_, r)| r.clone()).collect()
-        }
-    }
+    use crate::workload::WorkloadKind;
 
     #[test]
     fn programming_model_round_trip() {
-        let app = CountdownApp;
-        let def = app.problem_definition(&serde_json::json!({"start": 2}));
+        let app = WorkloadApp::new(
+            |peers| WorkloadKind::Heat.build(6, peers),
+            2,
+            Scheme::Asynchronous,
+        );
+        assert_eq!(app.name(), "heat");
+        let def = app.problem_definition(&serde_json::json!({})).unwrap();
         assert_eq!(def.peers_needed, 2);
+        assert_eq!(def.scheme, Scheme::Asynchronous);
         assert_eq!(def.subtasks.len(), 2);
-        let mut task = app.calculate(&def, 0);
-        let r1 = task.relax();
-        assert_eq!(r1.local_diff, 1.0);
-        let r2 = task.relax();
-        assert_eq!(r2.local_diff, 0.0);
-        assert_eq!(task.relaxations(), 2);
-        assert_eq!(task.neighbors(), vec![1]);
-        let aggregated = app.results_aggregation(&[(0, task.result()), (1, vec![9])]);
-        assert_eq!(aggregated, vec![0, 9]);
+        let mut tasks: Vec<_> = (0..2).map(|rank| app.calculate(&def, rank)).collect();
+        assert_eq!(tasks[0].neighbors(), vec![1]);
+        assert!(
+            tasks[0].relax().local_diff > 0.0,
+            "the hot edge moves the plate"
+        );
+        assert_eq!(tasks[0].relaxations(), 1);
+        let results: Vec<(usize, Vec<u8>)> = tasks
+            .iter()
+            .enumerate()
+            .map(|(rank, task)| (rank, task.result()))
+            .collect();
+        let solution = WorkloadKind::Heat.build(6, 2).assemble(&results);
+        let expected: Vec<u8> = solution.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(app.results_aggregation(&results), expected);
+        assert_eq!(expected.len(), 6 * 6 * 8, "the whole plate");
+    }
+
+    /// `Calculate()` builds the task of the *defined* decomposition, not
+    /// of the default one: an override to 4 peers gives rank 1 two
+    /// neighbours and rank 3 one.
+    #[test]
+    fn calculate_builds_the_task_for_the_defined_peer_count() {
+        let app = WorkloadApp::new(
+            |peers| WorkloadKind::Heat.build(12, peers),
+            2,
+            Scheme::Synchronous,
+        );
+        let def = app
+            .problem_definition(&serde_json::json!({"peers": 4}))
+            .unwrap();
+        assert_eq!(app.calculate(&def, 1).neighbors(), vec![0, 2]);
+        assert_eq!(app.calculate(&def, 3).neighbors(), vec![2]);
     }
 }

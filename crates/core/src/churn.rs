@@ -936,15 +936,14 @@ impl VolatilityState {
     /// iteration (the synchronous realignment target); `None` takes each
     /// rank's latest.
     fn assembled_global(&self, rep: &dyn Repartitioner, at: Option<u64>) -> Vec<f64> {
-        let states: Vec<Vec<u8>> = (0..self.peers)
+        let states = (0..self.peers)
             .filter_map(|r| match at {
                 Some(target) => self.fault.checkpoint_at_or_before(r, target),
                 None => self.fault.checkpoint(r),
             })
-            .map(|c| c.state.clone())
-            .collect();
+            .map(|c| c.state.as_slice());
         let canvas = self.canvas.clone().unwrap_or_else(|| rep.global_canvas());
-        assemble_global(canvas, &states, rep.item_width())
+        assemble_global(canvas, states, rep.item_width())
     }
 
     /// Publish a new membership plan re-slicing the run over `new_peers`

@@ -1,21 +1,19 @@
 //! End-to-end experiment driver: run *any* workload for one (scheme,
-//! topology) configuration on any registered runtime backend and collect
-//! the paper's metrics.
+//! topology) configuration on any runtime backend and collect the paper's
+//! metrics.
 //!
 //! This layer is deliberately workload-agnostic AND backend-agnostic:
 //! [`run_on`] takes a [`Workload`] trait object and a shared [`RunConfig`],
-//! resolves the chosen [`RuntimeKind`] through the
-//! [`driver registry`](crate::runtime::driver), assembles the solution and
+//! hands the chosen [`RuntimeKind`] to its drive loop (the
+//! [`backend table`](crate::runtime::driver)), assembles the solution and
 //! fills in the workload's residual metric. No application-specific type and
-//! no per-backend dispatch arm appears here — backends plug in by
-//! registering a [`crate::runtime::RuntimeDriver`], and the obstacle
-//! wrappers the evaluation harness uses
-//! ([`crate::obstacle_app::run_obstacle_experiment`] /
-//! [`crate::obstacle_app::run_obstacle_on`]) live with the obstacle
-//! application and delegate to this generic path.
+//! no per-backend dispatch arm appears here. It is the one way to run an
+//! experiment: a paper figure cell is `run_on` with
+//! `WorkloadKind::Obstacle.build(n, peers)` and
+//! `RunConfig::clustered(scheme, peers, clusters)` on [`RuntimeKind::Sim`].
 
 use crate::metrics::RunMeasurement;
-use crate::runtime::{driver_for, RunConfig};
+use crate::runtime::RunConfig;
 use crate::workload::Workload;
 use netsim::NetStats;
 
@@ -66,7 +64,7 @@ pub fn run_on(
             config.repartitioner = Some(crate::workload::ReslicerHandle(rep));
         }
     }
-    let outcome = driver_for(runtime).run(&config, &|rank| workload.task(rank));
+    let outcome = runtime.run(&config, &|rank| workload.task(rank));
     let solution = workload.assemble(&outcome.results);
     let mut measurement = outcome.measurement;
     measurement.residual = workload.residual(&solution);

@@ -12,27 +12,17 @@
 //! much slower convergence rate (plain Jacobi has no obstacle projection to
 //! damp the error).
 
-use crate::app::{Application, FrameSink, IterativeTask, LocalRelax, ProblemDefinition, SubTask};
+use crate::app::{FrameSink, IterativeTask, LocalRelax};
 use crate::obstacle_app::UpdateMsg;
-use crate::workload::{balanced_partition, Repartitioner, Workload};
+use crate::workload::{
+    assemble_global, balanced_partition, encode_block_state, restore_block_state, Repartitioner,
+    Workload,
+};
 use obstacle::store_le_plane;
-use p2psap::Scheme;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Temperature of the heated (top) edge.
 pub const HOT_EDGE: f64 = 1.0;
-
-/// Parameters of the heat application (the `run` command-line parameters).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HeatParams {
-    /// Grid points per dimension (the plate is `n × n`).
-    pub n: usize,
-    /// Number of peers.
-    pub peers: usize,
-    /// Scheme of computation.
-    pub scheme: Scheme,
-}
 
 /// The per-peer computation: a band of interior rows relaxed by the Jacobi
 /// stencil, speaking the [`IterativeTask`] interface.
@@ -243,14 +233,7 @@ impl IterativeTask for HeatTask {
     }
 
     fn result(&self) -> Vec<u8> {
-        // Header: row_start (u32), row count (u32), then the owned values.
-        let mut out = Vec::with_capacity(8 + self.local.len() * 8);
-        out.extend_from_slice(&(self.row_start as u32).to_le_bytes());
-        out.extend_from_slice(&(self.rows as u32).to_le_bytes());
-        for v in &self.local {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
+        encode_block_state(self.row_start, self.rows, &self.local)
     }
 
     fn relaxations(&self) -> u64 {
@@ -258,23 +241,14 @@ impl IterativeTask for HeatTask {
     }
 
     fn restore(&mut self, state: &[u8], iteration: u64) -> bool {
-        // The checkpoint format is the result format: row_start (u32), row
-        // count (u32), then the owned values. The ghost rows are left as
-        // they are (a restored peer refreshes them from its neighbours'
-        // next updates).
-        if state.len() != 8 + self.local.len() * 8 {
-            return false;
+        // The checkpoint format is the result format. The ghost rows are
+        // left as they are (a restored peer refreshes them from its
+        // neighbours' next updates).
+        let restored = restore_block_state(&mut self.local, self.row_start, state, self.n);
+        if restored {
+            self.relaxations = iteration;
         }
-        let row_start = u32::from_le_bytes(state[0..4].try_into().unwrap()) as usize;
-        let rows = u32::from_le_bytes(state[4..8].try_into().unwrap()) as usize;
-        if row_start != self.row_start || rows != self.rows {
-            return false;
-        }
-        for (slot, bytes) in self.local.iter_mut().zip(state[8..].chunks_exact(8)) {
-            *slot = f64::from_le_bytes(bytes.try_into().unwrap());
-        }
-        self.relaxations = iteration;
-        true
+        restored
     }
 }
 
@@ -283,27 +257,6 @@ impl IterativeTask for HeatTask {
 pub fn initial_grid(n: usize) -> Vec<f64> {
     let mut grid = vec![0.0; n * n];
     grid[..n].fill(HOT_EDGE);
-    grid
-}
-
-/// Reassemble a global temperature grid from the per-peer results produced
-/// by [`HeatTask::result`].
-pub fn assemble_heat_solution(n: usize, results: &[(usize, Vec<u8>)]) -> Vec<f64> {
-    let mut grid = initial_grid(n);
-    for (_, bytes) in results {
-        if bytes.len() < 8 {
-            continue;
-        }
-        let row_start = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let rows = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        for i in 0..rows * n {
-            let at = 8 + i * 8;
-            if at + 8 > bytes.len() || row_start * n + i >= grid.len() {
-                break;
-            }
-            grid[row_start * n + i] = f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        }
-    }
     grid
 }
 
@@ -381,7 +334,8 @@ impl Workload for HeatWorkload {
     }
 
     fn assemble(&self, results: &[(usize, Vec<u8>)]) -> Vec<f64> {
-        assemble_heat_solution(self.n, results)
+        let states = results.iter().map(|(_, bytes)| bytes.as_slice());
+        assemble_global(initial_grid(self.n), states, self.n)
     }
 
     fn residual(&self, solution: &[f64]) -> f64 {
@@ -428,76 +382,14 @@ impl Repartitioner for HeatReslicer {
     }
 }
 
-/// The heat application registered with the P2PDC environment.
-pub struct HeatApp {
-    params: HeatParams,
-}
-
-impl HeatApp {
-    /// Create the application for a parameter set.
-    pub fn new(params: HeatParams) -> Self {
-        Self { params }
-    }
-}
-
-impl Application for HeatApp {
-    fn name(&self) -> &str {
-        "heat"
-    }
-
-    fn problem_definition(&self, params: &serde_json::Value) -> ProblemDefinition {
-        let peers = params
-            .get("peers")
-            .and_then(|v| v.as_u64())
-            .map(|v| v as usize)
-            .unwrap_or(self.params.peers);
-        let scheme = params
-            .get("scheme")
-            .and_then(|v| v.as_str())
-            .and_then(crate::app::parse_scheme)
-            .unwrap_or(self.params.scheme);
-        let n = self.params.n;
-        let subtasks = (0..peers)
-            .map(|rank| {
-                let (offset, rows) = balanced_partition(n - 2, peers, rank);
-                SubTask {
-                    rank,
-                    data: serde_json::to_vec(&serde_json::json!({
-                        "row_start": 1 + offset,
-                        "rows": rows,
-                        "n": n,
-                    }))
-                    .expect("subtask serialization"),
-                }
-            })
-            .collect();
-        ProblemDefinition {
-            app_name: self.name().to_string(),
-            scheme,
-            peers_needed: peers,
-            subtasks,
-        }
-    }
-
-    fn calculate(&self, definition: &ProblemDefinition, rank: usize) -> Box<dyn IterativeTask> {
-        Box::new(HeatTask::new(self.params.n, definition.peers_needed, rank))
-    }
-
-    fn results_aggregation(&self, results: &[(usize, Vec<u8>)]) -> Vec<u8> {
-        let solution = assemble_heat_solution(self.params.n, results);
-        let mut out = Vec::with_capacity(solution.len() * 8);
-        for v in &solution {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::{Application, WorkloadApp};
     use crate::obstacle_app::encode_testing::{assert_frames, first_frame_hex};
+    use crate::workload::WorkloadKind;
     use obstacle::sup_norm_diff;
+    use p2psap::Scheme;
 
     #[test]
     fn sequential_solution_is_physical() {
@@ -545,7 +437,7 @@ mod tests {
             assert!(iterations < 100_000, "did not converge");
         }
         assert_eq!(iterations, ref_iterations);
-        let solution = assemble_heat_solution(n, &[(0, t0.result()), (1, t1.result())]);
+        let solution = HeatWorkload::new(n, 2).assemble(&[(0, t0.result()), (1, t1.result())]);
         assert!(sup_norm_diff(&solution, &reference) < 1e-12);
     }
 
@@ -735,17 +627,20 @@ mod tests {
 
     #[test]
     fn problem_definition_honours_command_line_overrides() {
-        let app = HeatApp::new(HeatParams {
-            n: 12,
-            peers: 2,
-            scheme: Scheme::Synchronous,
-        });
-        let def = app.problem_definition(&serde_json::json!({
-            "peers": 4,
-            "scheme": "asynchronous",
-        }));
+        let app = WorkloadApp::new(
+            |peers| WorkloadKind::Heat.build(12, peers),
+            2,
+            Scheme::Synchronous,
+        );
+        let overrides = serde_json::json!({"peers": 4, "scheme": "asynchronous"});
+        let def = app
+            .problem_definition(&overrides)
+            .expect("4 peers split 10 rows");
         assert_eq!(def.peers_needed, 4);
         assert_eq!(def.scheme, Scheme::Asynchronous);
         assert_eq!(def.subtasks.len(), 4);
+        // Each sub-task names its rank's share of the interior rows.
+        let last = std::str::from_utf8(&def.subtasks[3].data).expect("JSON text");
+        assert_eq!(last, r#"{"start":9,"count":2}"#);
     }
 }

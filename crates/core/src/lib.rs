@@ -42,7 +42,9 @@ pub mod task_manager;
 pub mod topology_manager;
 pub mod workload;
 
-pub use app::{Application, FrameSink, IterativeTask, LocalRelax, ProblemDefinition, SubTask};
+pub use app::{
+    Application, FrameSink, IterativeTask, LocalRelax, ProblemDefinition, SubTask, WorkloadApp,
+};
 pub use churn::{
     AdoptionTicket, ChurnEvent, ChurnEventKind, ChurnPlan, FaultInjector, MembershipPlan,
     RecoveryRecord, SharedVolatility, VolatilityHandle, VolatilityState,
@@ -54,32 +56,26 @@ pub use gossip::{
     ConvergenceDigest, DigestRow, GossipMessage, GossipNode, GossipTiming, MemberStatus, Rumor,
     SweepSummary,
 };
-pub use heat_app::{
-    assemble_heat_solution, heat_residual, solve_heat_sequential, HeatApp, HeatParams, HeatTask,
-    HeatWorkload,
-};
+pub use heat_app::{heat_residual, solve_heat_sequential, HeatTask, HeatWorkload};
 pub use load_balance::{LoadBalancer, PeerLoad};
 pub use metrics::{derive_row, format_table, FigureRow, RunMeasurement};
 pub use obstacle_app::{
-    assemble_solution, build_problem, run_obstacle_experiment, run_obstacle_on, ExperimentResult,
-    ObstacleApp, ObstacleExperiment, ObstacleInstance, ObstacleParams, ObstacleTask,
-    ObstacleWorkload, UpdateMsg, UpdateView,
+    build_problem, ObstacleInstance, ObstacleParams, ObstacleTask, ObstacleWorkload, UpdateMsg,
+    UpdateView,
 };
 pub use pagerank_app::{
-    assemble_pagerank_solution, pagerank_reference, pagerank_step, PageRankApp, PageRankGraph,
-    PageRankParams, PageRankTask, PageRankWorkload,
+    pagerank_reference, pagerank_step, PageRankGraph, PageRankTask, PageRankWorkload,
 };
 pub use runtime::{
-    driver_for, BackendExtras, ClockDomain, ControlPlane, ConvergenceDetector, DetectorHandle,
-    DriverOutcome, LossShim, PeerEngine, PeerTransport, Reassembler, RunConfig, RuntimeDriver,
-    TaskFactory, Wire, DRIVERS,
+    BackendExtras, ClockDomain, ControlPlane, ConvergenceDetector, DetectorHandle, DriverOutcome,
+    LossShim, PeerEngine, PeerTransport, Reassembler, RunConfig, TaskFactory, Wire,
 };
 pub use scenario::{check_case, FuzzCase, Violation};
 pub use task_manager::{parse_command, Command, Job, JobState, TaskManager};
 pub use topology_manager::{PeerRecord, TopologyManager, MISSED_PINGS_BEFORE_EVICTION};
 pub use workload::{
-    assemble_global, balanced_partition, decode_block_state, encode_block_state,
-    reslice_moved_items, weighted_ranges, Repartitioner, ReslicerHandle, Workload, WorkloadKind,
+    assemble_global, balanced_partition, encode_block_state, reslice_moved_items, weighted_ranges,
+    Repartitioner, ReslicerHandle, Workload, WorkloadKind,
 };
 
 // Re-export the protocol types applications interact with.

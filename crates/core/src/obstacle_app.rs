@@ -6,17 +6,13 @@
 //! plane to peer `k+1`; incoming planes become ghost boundaries for the next
 //! relaxation.
 
-use crate::app::{Application, FrameSink, IterativeTask, LocalRelax, ProblemDefinition, SubTask};
-use crate::compute::ComputeModel;
-use crate::experiment::{run_on, RuntimeExperimentResult, RuntimeKind};
-use crate::metrics::RunMeasurement;
-use crate::runtime::RunConfig;
-use crate::workload::{Repartitioner, Workload};
-use netsim::{NetStats, Topology};
+use crate::app::{FrameSink, IterativeTask, LocalRelax};
+use crate::workload::{
+    assemble_global, encode_block_state, restore_block_state, Repartitioner, Workload,
+};
 use obstacle::{
     fixed_point_residual, initial_iterate, BlockDecomposition, NodeState, ObstacleProblem,
 };
-use p2psap::Scheme;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -90,16 +86,14 @@ pub struct UpdateView<'a> {
     pub plane_le: &'a [u8],
 }
 
-/// Parameters of the obstacle application (the paper passes these on the
-/// `run` command line).
+/// Parameters of the obstacle workload: the problem and its decomposition
+/// (the scheme is the run's, in [`crate::runtime::RunConfig`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ObstacleParams {
     /// Grid points per dimension.
     pub n: usize,
     /// Number of peers.
     pub peers: usize,
-    /// Scheme of computation.
-    pub scheme: Scheme,
     /// Which built-in problem instance to solve.
     pub instance: ObstacleInstance,
 }
@@ -238,14 +232,8 @@ impl IterativeTask for ObstacleTask {
     }
 
     fn result(&self) -> Vec<u8> {
-        // Header: z_start (u32), plane count (u32), then the local values.
-        let mut out = Vec::with_capacity(8 + self.state.local_len() * 8);
-        out.extend_from_slice(&(self.state.z_start() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.state.plane_count() as u32).to_le_bytes());
-        for v in self.state.local_values() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
+        let state = &self.state;
+        encode_block_state(state.z_start(), state.plane_count(), state.local_values())
     }
 
     fn relaxations(&self) -> u64 {
@@ -254,133 +242,16 @@ impl IterativeTask for ObstacleTask {
 
     fn restore(&mut self, state: &[u8], iteration: u64) -> bool {
         // The checkpoint format is the result format.
-        let Some((z_start, count, body)) = split_block(state) else {
-            return false;
-        };
-        if z_start != self.state.z_start()
-            || count != self.state.plane_count()
-            || body.len() != self.state.local_len() * 8
-        {
-            return false;
-        }
-        let values: Vec<f64> = body.chunks_exact(8).map(le_f64).collect();
-        self.state.restore(&values, iteration)
+        let mut values = vec![0.0; self.state.local_len()];
+        let width = self.problem.grid.plane_len();
+        restore_block_state(&mut values, self.state.z_start(), state, width)
+            && self.state.restore(&values, iteration)
     }
-}
-
-/// Split a result (or checkpoint) of [`ObstacleTask::result`] into its
-/// header — first plane, plane count — and the bytes of its values. `None`
-/// when the header is cut short; the values are not checked here.
-fn split_block(bytes: &[u8]) -> Option<(usize, usize, &[u8])> {
-    let (header, body) = bytes.split_first_chunk::<8>()?;
-    let (z_start, count) = header.split_at(4);
-    let word = |raw: &[u8]| u32::from_le_bytes(raw.try_into().expect("a 4-byte word")) as usize;
-    Some((word(z_start), word(count), body))
 }
 
 /// One little-endian `f64` from an 8-byte chunk.
 fn le_f64(raw: &[u8]) -> f64 {
     f64::from_le_bytes(raw.try_into().expect("an 8-byte chunk"))
-}
-
-/// Reassemble a global solution vector from the per-peer results produced by
-/// [`ObstacleTask::result`]. Results arrive from peers: one whose header
-/// names planes outside the grid, or whose body does not hold exactly the
-/// planes it names, is skipped (its planes stay zero) instead of panicking.
-pub fn assemble_solution(n: usize, results: &[(usize, Vec<u8>)]) -> Vec<f64> {
-    let plane = n * n;
-    let mut global = vec![0.0; n * plane];
-    for (_, bytes) in results {
-        let Some((z_start, count, body)) = split_block(bytes) else {
-            continue;
-        };
-        let fits = z_start.checked_add(count).is_some_and(|end| end <= n);
-        if !fits || body.len() != count * plane * 8 {
-            continue;
-        }
-        let target = &mut global[z_start * plane..(z_start + count) * plane];
-        for (slot, raw) in target.iter_mut().zip(body.chunks_exact(8)) {
-            *slot = le_f64(raw);
-        }
-    }
-    global
-}
-
-/// The obstacle application registered with the P2PDC environment.
-pub struct ObstacleApp {
-    problem: Arc<ObstacleProblem>,
-    params: ObstacleParams,
-}
-
-impl ObstacleApp {
-    /// Create the application for a parameter set (the problem is built once
-    /// and shared read-only between the peers, mirroring the identical
-    /// problem data every peer derives from the sub-task definition).
-    pub fn new(params: ObstacleParams) -> Self {
-        let problem = Arc::new(build_problem(&params));
-        Self { problem, params }
-    }
-
-    /// Access the underlying problem.
-    pub fn problem(&self) -> Arc<ObstacleProblem> {
-        Arc::clone(&self.problem)
-    }
-}
-
-impl Application for ObstacleApp {
-    fn name(&self) -> &str {
-        "obstacle"
-    }
-
-    fn problem_definition(&self, params: &serde_json::Value) -> ProblemDefinition {
-        // Command-line parameters may override the scheme and peer count, as
-        // in the paper.
-        let peers = params
-            .get("peers")
-            .and_then(|v| v.as_u64())
-            .map(|v| v as usize)
-            .unwrap_or(self.params.peers);
-        let scheme = params
-            .get("scheme")
-            .and_then(|v| v.as_str())
-            .and_then(crate::app::parse_scheme)
-            .unwrap_or(self.params.scheme);
-        let decomp = BlockDecomposition::balanced(self.params.n, peers);
-        let subtasks = (0..peers)
-            .map(|rank| SubTask {
-                rank,
-                data: serde_json::to_vec(&serde_json::json!({
-                    "z_start": decomp.start(rank),
-                    "z_end": decomp.end(rank),
-                    "n": self.params.n,
-                }))
-                .expect("subtask serialization"),
-            })
-            .collect();
-        ProblemDefinition {
-            app_name: self.name().to_string(),
-            scheme,
-            peers_needed: peers,
-            subtasks,
-        }
-    }
-
-    fn calculate(&self, definition: &ProblemDefinition, rank: usize) -> Box<dyn IterativeTask> {
-        Box::new(ObstacleTask::new(
-            Arc::clone(&self.problem),
-            definition.peers_needed,
-            rank,
-        ))
-    }
-
-    fn results_aggregation(&self, results: &[(usize, Vec<u8>)]) -> Vec<u8> {
-        let solution = assemble_solution(self.params.n, results);
-        let mut out = Vec::with_capacity(solution.len() * 8);
-        for v in &solution {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
 }
 
 /// The obstacle workload: problem construction, task factory, assembly and
@@ -426,7 +297,8 @@ impl Workload for ObstacleWorkload {
     }
 
     fn assemble(&self, results: &[(usize, Vec<u8>)]) -> Vec<f64> {
-        assemble_solution(self.n, results)
+        let states = results.iter().map(|(_, bytes)| bytes.as_slice());
+        assemble_global(vec![0.0; self.n * self.n * self.n], states, self.n * self.n)
     }
 
     fn residual(&self, solution: &[f64]) -> f64 {
@@ -474,102 +346,6 @@ impl Repartitioner for ObstacleReslicer {
             global,
             iteration,
         ))
-    }
-}
-
-/// One obstacle experiment configuration (one bar of Figures 5/6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ObstacleExperiment {
-    /// Grid points per dimension.
-    pub n: usize,
-    /// Problem instance.
-    pub instance: ObstacleInstance,
-    /// Scheme of computation.
-    pub scheme: Scheme,
-    /// Number of peers.
-    pub peers: usize,
-    /// Number of clusters (1 or 2; 2 uses the 100 ms netem path).
-    pub clusters: usize,
-    /// Convergence tolerance.
-    pub tolerance: f64,
-    /// Compute model (virtual ns per relaxed point).
-    pub compute: ComputeModel,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl ObstacleExperiment {
-    /// Default experiment: membrane instance, NICTA compute model.
-    pub fn new(n: usize, scheme: Scheme, peers: usize, clusters: usize) -> Self {
-        Self {
-            n,
-            instance: ObstacleInstance::Membrane,
-            scheme,
-            peers,
-            clusters,
-            tolerance: RunConfig::DEFAULT_TOLERANCE,
-            compute: ComputeModel::default(),
-            seed: RunConfig::DEFAULT_SEED,
-        }
-    }
-
-    /// Topology of the experiment.
-    pub fn topology(&self) -> Topology {
-        RunConfig::clustered(self.scheme, self.peers, self.clusters).topology
-    }
-
-    /// Human-readable topology label.
-    pub fn topology_label(&self) -> &'static str {
-        if self.clusters == 1 {
-            "1 cluster"
-        } else {
-            "2 clusters"
-        }
-    }
-
-    /// The workload-generic form of this experiment: the workload plus the
-    /// shared run configuration every backend consumes.
-    pub fn workload_and_config(&self) -> (ObstacleWorkload, RunConfig) {
-        let workload = ObstacleWorkload::new(ObstacleParams {
-            n: self.n,
-            peers: self.peers,
-            scheme: self.scheme,
-            instance: self.instance,
-        });
-        let mut config = RunConfig::clustered(self.scheme, self.peers, self.clusters);
-        config.tolerance = self.tolerance;
-        config.compute = self.compute;
-        config.seed = self.seed;
-        (workload, config)
-    }
-}
-
-/// Run one obstacle experiment on the chosen runtime backend, through the
-/// workload-generic [`run_on`] path.
-pub fn run_obstacle_on(exp: &ObstacleExperiment, runtime: RuntimeKind) -> RuntimeExperimentResult {
-    let (workload, config) = exp.workload_and_config();
-    run_on(&workload, &config, runtime)
-}
-
-/// Result of one simulated obstacle experiment: measurement (with residual),
-/// assembled solution and network statistics.
-#[derive(Debug, Clone)]
-pub struct ExperimentResult {
-    /// Measurement with the fixed-point residual filled in.
-    pub measurement: RunMeasurement,
-    /// Assembled global solution.
-    pub solution: Vec<f64>,
-    /// Network statistics.
-    pub net: NetStats,
-}
-
-/// Run one obstacle experiment on the simulated runtime.
-pub fn run_obstacle_experiment(exp: &ObstacleExperiment) -> ExperimentResult {
-    let result = run_obstacle_on(exp, RuntimeKind::Sim);
-    ExperimentResult {
-        measurement: result.measurement,
-        solution: result.solution,
-        net: result.net.expect("the simulated backend reports net stats"),
     }
 }
 
@@ -626,8 +402,34 @@ pub(crate) mod encode_testing {
 mod tests {
     use super::encode_testing::{assert_frames, first_frame_hex};
     use super::*;
+    use crate::app::{Application, WorkloadApp};
+    use crate::experiment::{run_on, RuntimeExperimentResult, RuntimeKind};
+    use crate::runtime::RunConfig;
+    use crate::workload::WorkloadKind;
     use obstacle::{solve_sequential, sup_norm_diff, RichardsonConfig};
+    use p2psap::Scheme;
     use proptest::prelude::*;
+
+    /// One cell of the paper's evaluation: the membrane at the experiment
+    /// defaults, `peers` peers in `clusters` clusters.
+    fn run_cell(
+        n: usize,
+        scheme: Scheme,
+        peers: usize,
+        clusters: usize,
+        runtime: RuntimeKind,
+    ) -> RuntimeExperimentResult {
+        let workload = WorkloadKind::Obstacle.build(n, peers);
+        let config = RunConfig::clustered(scheme, peers, clusters);
+        run_on(workload.as_ref(), &config, runtime)
+    }
+
+    /// [`run_cell`] on the simulated backend (Figures 5 and 6).
+    fn run_sim(n: usize, scheme: Scheme, peers: usize, clusters: usize) -> RuntimeExperimentResult {
+        run_cell(n, scheme, peers, clusters, RuntimeKind::Sim)
+    }
+
+    const TOLERANCE: f64 = RunConfig::DEFAULT_TOLERANCE;
 
     #[test]
     fn update_msg_round_trips() {
@@ -644,21 +446,18 @@ mod tests {
     fn tasks_with_exchange_reproduce_the_sequential_solution() {
         // Drive two obstacle tasks by hand with synchronous exchanges and
         // check the assembled solution matches the sequential solver.
-        let params = ObstacleParams {
+        let workload = ObstacleWorkload::new(ObstacleParams {
             n: 8,
             peers: 2,
-            scheme: Scheme::Synchronous,
             instance: ObstacleInstance::Membrane,
-        };
-        let app = ObstacleApp::new(params.clone());
-        let def = app.problem_definition(&serde_json::json!({}));
-        let mut t0 = app.calculate(&def, 0);
-        let mut t1 = app.calculate(&def, 1);
+        });
+        let mut t0 = workload.task(0);
+        let mut t1 = workload.task(1);
         let config = RichardsonConfig {
             tolerance: 1e-5,
             ..Default::default()
         };
-        let reference = solve_sequential(&app.problem(), config);
+        let reference = solve_sequential(&workload.problem(), config);
         let mut iterations = 0;
         loop {
             let d0 = t0.relax();
@@ -680,60 +479,27 @@ mod tests {
             assert!(iterations < 100_000, "did not converge");
         }
         assert_eq!(iterations, reference.iterations);
-        let solution = assemble_solution(8, &[(0, t0.result()), (1, t1.result())]);
+        let solution = workload.assemble(&[(0, t0.result()), (1, t1.result())]);
         assert!(sup_norm_diff(&solution, &reference.u) < 1e-12);
     }
 
     #[test]
-    fn assemble_skips_malformed_results_instead_of_panicking() {
-        let app = ObstacleApp::new(ObstacleParams {
-            n: 6,
-            peers: 3,
-            scheme: Scheme::Synchronous,
-            instance: ObstacleInstance::Membrane,
-        });
-        let tasks: Vec<ObstacleTask> = (0..3)
-            .map(|rank| ObstacleTask::new(app.problem(), 3, rank))
-            .collect();
-        let reference = assemble_solution(6, &[(0, tasks[0].result())]);
-        // Rank 1's body lost its last value; rank 2's header names planes
-        // 5..7 of a six-plane grid (with a full body for two planes).
-        let mut truncated = tasks[1].result();
-        truncated.truncate(truncated.len() - 8);
-        let mut out_of_range = tasks[2].result();
-        out_of_range[0..4].copy_from_slice(&5u32.to_le_bytes());
-        let solution = assemble_solution(
-            6,
-            &[
-                (0, tasks[0].result()),
-                (1, truncated),
-                (2, out_of_range),
-                (2, vec![1, 2, 3]),
-            ],
-        );
-        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&solution),
-            bits(&reference),
-            "only rank 0 is assembled"
-        );
-    }
-
-    #[test]
     fn problem_definition_honours_command_line_overrides() {
-        let app = ObstacleApp::new(ObstacleParams {
-            n: 8,
-            peers: 2,
-            scheme: Scheme::Synchronous,
-            instance: ObstacleInstance::Membrane,
-        });
-        let def = app.problem_definition(&serde_json::json!({
-            "peers": 4,
-            "scheme": "asynchronous",
-        }));
+        let app = WorkloadApp::new(
+            |peers| WorkloadKind::Obstacle.build(8, peers),
+            2,
+            Scheme::Synchronous,
+        );
+        let overrides = serde_json::json!({"peers": 4, "scheme": "asynchronous"});
+        let def = app
+            .problem_definition(&overrides)
+            .expect("4 peers split 8 planes");
         assert_eq!(def.peers_needed, 4);
         assert_eq!(def.scheme, Scheme::Asynchronous);
         assert_eq!(def.subtasks.len(), 4);
+        // Each sub-task names its rank's share of the item space (planes).
+        let last = std::str::from_utf8(&def.subtasks[3].data).expect("JSON text");
+        assert_eq!(last, r#"{"start":6,"count":2}"#);
     }
 
     #[test]
@@ -877,13 +643,12 @@ mod tests {
 
     #[test]
     fn single_peer_run_matches_the_sequential_solver() {
-        let exp = ObstacleExperiment::new(8, Scheme::Synchronous, 1, 1);
-        let result = run_obstacle_experiment(&exp);
+        let result = run_sim(8, Scheme::Synchronous, 1, 1);
         assert!(result.measurement.converged);
         let reference = solve_sequential(
             &obstacle::ObstacleProblem::membrane(8),
             RichardsonConfig {
-                tolerance: exp.tolerance,
+                tolerance: TOLERANCE,
                 ..Default::default()
             },
         );
@@ -891,16 +656,14 @@ mod tests {
             result.measurement.relaxations_per_peer[0],
             reference.iterations as u64
         );
-        assert!(result.measurement.residual < exp.tolerance * 2.0);
+        assert!(result.measurement.residual < TOLERANCE * 2.0);
     }
 
     #[test]
     fn synchronous_distributed_run_keeps_the_relaxation_count() {
-        let reference =
-            run_obstacle_experiment(&ObstacleExperiment::new(8, Scheme::Synchronous, 1, 1));
+        let reference = run_sim(8, Scheme::Synchronous, 1, 1);
         for peers in [2usize, 4] {
-            let exp = ObstacleExperiment::new(8, Scheme::Synchronous, peers, 1);
-            let result = run_obstacle_experiment(&exp);
+            let result = run_sim(8, Scheme::Synchronous, peers, 1);
             assert!(result.measurement.converged);
             // Paper: "the number of relaxations performed by synchronous schemes
             // remains constant"; allow the +1 sweep peers may start before the
@@ -911,7 +674,7 @@ mod tests {
                 max >= reference_count && max <= reference_count + 1,
                 "peers={peers}: {max} vs reference {reference_count}"
             );
-            assert!(result.measurement.residual < exp.tolerance * 2.0);
+            assert!(result.measurement.residual < TOLERANCE * 2.0);
         }
     }
 
@@ -920,11 +683,10 @@ mod tests {
         // Inside one cluster the boundary staleness is a couple of sweeps, so
         // the asynchronously terminated solution must satisfy the fixed-point
         // equation to a small multiple of the tolerance.
-        let exp = ObstacleExperiment::new(16, Scheme::Asynchronous, 4, 1);
-        let result = run_obstacle_experiment(&exp);
+        let result = run_sim(16, Scheme::Asynchronous, 4, 1);
         assert!(result.measurement.converged);
         assert!(
-            result.measurement.residual < exp.tolerance * 10.0,
+            result.measurement.residual < TOLERANCE * 10.0,
             "residual {} too large",
             result.measurement.residual
         );
@@ -937,11 +699,15 @@ mod tests {
         // the boundary planes lag by that many relaxations. The run must
         // converge, exchange inter-cluster traffic, perform more relaxations
         // than the synchronous scheme, and stay within that staleness bound.
-        let exp = ObstacleExperiment::new(16, Scheme::Asynchronous, 4, 2);
-        let result = run_obstacle_experiment(&exp);
+        let result = run_sim(16, Scheme::Asynchronous, 4, 2);
         assert!(result.measurement.converged);
         assert!(
-            result.net.inter.packets_delivered > 0,
+            result
+                .net
+                .expect("sim models the fabric")
+                .inter
+                .packets_delivered
+                > 0,
             "inter-cluster traffic expected"
         );
         assert!(
@@ -949,7 +715,7 @@ mod tests {
             "residual {} beyond the staleness bound",
             result.measurement.residual
         );
-        let sync = run_obstacle_experiment(&ObstacleExperiment::new(16, Scheme::Synchronous, 4, 2));
+        let sync = run_sim(16, Scheme::Synchronous, 4, 2);
         assert!(
             result.measurement.avg_relaxations() >= sync.measurement.avg_relaxations(),
             "asynchronous runs perform at least as many relaxations"
@@ -962,16 +728,15 @@ mod tests {
 
     #[test]
     fn every_runtime_backend_reports_the_shared_measurement_shape() {
-        let exp = ObstacleExperiment::new(8, Scheme::Synchronous, 2, 1);
         let reference = solve_sequential(
             &obstacle::ObstacleProblem::membrane(8),
             RichardsonConfig {
-                tolerance: exp.tolerance,
+                tolerance: TOLERANCE,
                 ..Default::default()
             },
         );
         for runtime in RuntimeKind::ALL {
-            let result = run_obstacle_on(&exp, runtime);
+            let result = run_cell(8, Scheme::Synchronous, 2, 1, runtime);
             assert_eq!(result.runtime, runtime);
             assert!(result.measurement.converged, "{runtime} did not converge");
             assert_eq!(result.measurement.peers, 2);
@@ -983,7 +748,7 @@ mod tests {
                 "{runtime}: {max} vs sequential {expected}"
             );
             assert!(
-                result.measurement.residual < exp.tolerance * 2.0,
+                result.measurement.residual < TOLERANCE * 2.0,
                 "{runtime}: residual {}",
                 result.measurement.residual
             );
@@ -993,8 +758,8 @@ mod tests {
 
     #[test]
     fn hybrid_run_converges_faster_than_sync_on_two_clusters() {
-        let sync = run_obstacle_experiment(&ObstacleExperiment::new(8, Scheme::Synchronous, 4, 2));
-        let hybrid = run_obstacle_experiment(&ObstacleExperiment::new(8, Scheme::Hybrid, 4, 2));
+        let sync = run_sim(8, Scheme::Synchronous, 4, 2);
+        let hybrid = run_sim(8, Scheme::Hybrid, 4, 2);
         assert!(sync.measurement.converged && hybrid.measurement.converged);
         assert!(
             hybrid.measurement.elapsed < sync.measurement.elapsed,

@@ -17,29 +17,18 @@
 //! asynchronous scheme peers free-run on the freshest received mass — the
 //! totally asynchronous iteration the paper's schemes of computation target.
 
-use crate::app::{Application, FrameSink, IterativeTask, LocalRelax, ProblemDefinition, SubTask};
+use crate::app::{FrameSink, IterativeTask, LocalRelax};
 use crate::obstacle_app::UpdateMsg;
-use crate::workload::{balanced_partition, Repartitioner, Workload};
+use crate::workload::{
+    assemble_global, balanced_partition, encode_block_state, restore_block_state, Repartitioner,
+    Workload,
+};
 use obstacle::{store_le_plane, sup_norm_diff};
-use p2psap::Scheme;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The damping factor of the PageRank iteration.
 pub const DAMPING: f64 = 0.85;
-
-/// Parameters of the PageRank application (the `run` command-line
-/// parameters).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PageRankParams {
-    /// Number of vertices.
-    pub vertices: usize,
-    /// Number of peers.
-    pub peers: usize,
-    /// Scheme of computation.
-    pub scheme: Scheme,
-}
 
 /// An undirected graph in adjacency-list form (every undirected edge counts
 /// as two directed edges, so a vertex's out-degree equals its degree).
@@ -347,14 +336,7 @@ impl IterativeTask for PageRankTask {
     }
 
     fn result(&self) -> Vec<u8> {
-        // Header: v_start (u32), vertex count (u32), then the owned ranks.
-        let mut out = Vec::with_capacity(8 + self.ranks.len() * 8);
-        out.extend_from_slice(&(self.v_start as u32).to_le_bytes());
-        out.extend_from_slice(&(self.ranks.len() as u32).to_le_bytes());
-        for v in &self.ranks {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
+        encode_block_state(self.v_start, self.ranks.len(), &self.ranks)
     }
 
     fn relaxations(&self) -> u64 {
@@ -362,45 +344,15 @@ impl IterativeTask for PageRankTask {
     }
 
     fn restore(&mut self, state: &[u8], iteration: u64) -> bool {
-        // The checkpoint format is the result format: v_start (u32), vertex
-        // count (u32), then the owned ranks. The freshest received external
-        // contributions are kept (they are at least as fresh as what the
-        // checkpoint saw).
-        if state.len() != 8 + self.ranks.len() * 8 {
-            return false;
+        // The checkpoint format is the result format. The freshest received
+        // external contributions are kept (they are at least as fresh as
+        // what the checkpoint saw).
+        let restored = restore_block_state(&mut self.ranks, self.v_start, state, 1);
+        if restored {
+            self.relaxations = iteration;
         }
-        let v_start = u32::from_le_bytes(state[0..4].try_into().unwrap()) as usize;
-        let count = u32::from_le_bytes(state[4..8].try_into().unwrap()) as usize;
-        if v_start != self.v_start || count != self.ranks.len() {
-            return false;
-        }
-        for (slot, bytes) in self.ranks.iter_mut().zip(state[8..].chunks_exact(8)) {
-            *slot = f64::from_le_bytes(bytes.try_into().unwrap());
-        }
-        self.relaxations = iteration;
-        true
+        restored
     }
-}
-
-/// Reassemble the global rank vector from the per-peer results produced by
-/// [`PageRankTask::result`].
-pub fn assemble_pagerank_solution(n: usize, results: &[(usize, Vec<u8>)]) -> Vec<f64> {
-    let mut ranks = vec![0.0; n];
-    for (_, bytes) in results {
-        if bytes.len() < 8 {
-            continue;
-        }
-        let v_start = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let count = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        for i in 0..count {
-            let at = 8 + i * 8;
-            if at + 8 > bytes.len() || v_start + i >= n {
-                break;
-            }
-            ranks[v_start + i] = f64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-        }
-    }
-    ranks
 }
 
 /// The PageRank workload: graph construction, task factory, assembly and
@@ -439,7 +391,8 @@ impl Workload for PageRankWorkload {
     }
 
     fn assemble(&self, results: &[(usize, Vec<u8>)]) -> Vec<f64> {
-        assemble_pagerank_solution(self.graph.len(), results)
+        let states = results.iter().map(|(_, bytes)| bytes.as_slice());
+        assemble_global(vec![0.0; self.graph.len()], states, 1)
     }
 
     fn residual(&self, solution: &[f64]) -> f64 {
@@ -493,84 +446,13 @@ impl Repartitioner for PageRankReslicer {
     }
 }
 
-/// The PageRank application registered with the P2PDC environment.
-pub struct PageRankApp {
-    graph: Arc<PageRankGraph>,
-    params: PageRankParams,
-}
-
-impl PageRankApp {
-    /// Create the application for a parameter set (the graph is built once
-    /// and shared read-only between the peers).
-    pub fn new(params: PageRankParams) -> Self {
-        Self {
-            graph: Arc::new(PageRankGraph::ring_with_chords(params.vertices)),
-            params,
-        }
-    }
-}
-
-impl Application for PageRankApp {
-    fn name(&self) -> &str {
-        "pagerank"
-    }
-
-    fn problem_definition(&self, params: &serde_json::Value) -> ProblemDefinition {
-        let peers = params
-            .get("peers")
-            .and_then(|v| v.as_u64())
-            .map(|v| v as usize)
-            .unwrap_or(self.params.peers);
-        let scheme = params
-            .get("scheme")
-            .and_then(|v| v.as_str())
-            .and_then(crate::app::parse_scheme)
-            .unwrap_or(self.params.scheme);
-        let n = self.params.vertices;
-        let subtasks = (0..peers)
-            .map(|rank| {
-                let (v_start, count) = balanced_partition(n, peers, rank);
-                SubTask {
-                    rank,
-                    data: serde_json::to_vec(&serde_json::json!({
-                        "v_start": v_start,
-                        "count": count,
-                        "vertices": n,
-                    }))
-                    .expect("subtask serialization"),
-                }
-            })
-            .collect();
-        ProblemDefinition {
-            app_name: self.name().to_string(),
-            scheme,
-            peers_needed: peers,
-            subtasks,
-        }
-    }
-
-    fn calculate(&self, definition: &ProblemDefinition, rank: usize) -> Box<dyn IterativeTask> {
-        Box::new(PageRankTask::new(
-            Arc::clone(&self.graph),
-            definition.peers_needed,
-            rank,
-        ))
-    }
-
-    fn results_aggregation(&self, results: &[(usize, Vec<u8>)]) -> Vec<u8> {
-        let solution = assemble_pagerank_solution(self.params.vertices, results);
-        let mut out = Vec::with_capacity(solution.len() * 8);
-        for v in &solution {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::{Application, WorkloadApp};
     use crate::obstacle_app::encode_testing::{assert_frames, first_frame_hex};
+    use crate::workload::WorkloadKind;
+    use p2psap::Scheme;
     use proptest::prelude::*;
 
     proptest! {
@@ -683,7 +565,7 @@ mod tests {
             .enumerate()
             .map(|(rank, t)| (rank, t.result()))
             .collect();
-        let solution = assemble_pagerank_solution(n, &results);
+        let solution = PageRankWorkload::ring_with_chords(n, peers).assemble(&results);
         let err = solution
             .iter()
             .zip(&reference)
@@ -733,17 +615,20 @@ mod tests {
 
     #[test]
     fn problem_definition_honours_command_line_overrides() {
-        let app = PageRankApp::new(PageRankParams {
-            vertices: 40,
-            peers: 2,
-            scheme: Scheme::Asynchronous,
-        });
-        let def = app.problem_definition(&serde_json::json!({
-            "peers": 4,
-            "scheme": "synchronous",
-        }));
+        let app = WorkloadApp::new(
+            |peers| WorkloadKind::PageRank.build(40, peers),
+            2,
+            Scheme::Asynchronous,
+        );
+        let overrides = serde_json::json!({"peers": 4, "scheme": "synchronous"});
+        let def = app
+            .problem_definition(&overrides)
+            .expect("4 peers split 40 vertices");
         assert_eq!(def.peers_needed, 4);
         assert_eq!(def.scheme, Scheme::Synchronous);
         assert_eq!(def.subtasks.len(), 4);
+        // Each sub-task names its rank's share of the vertices.
+        let last = std::str::from_utf8(&def.subtasks[3].data).expect("JSON text");
+        assert_eq!(last, r#"{"start":30,"count":10}"#);
     }
 }

@@ -1,15 +1,13 @@
-//! The pluggable backend API: one trait, one registry, zero per-backend
-//! dispatch arms anywhere else.
+//! The backend table: what a [`RuntimeKind`] is called and which drive
+//! loop runs it, one `match` each — the only per-backend dispatch above the
+//! drivers.
 //!
-//! Every runtime backend is a [`RuntimeDriver`]: it consumes the shared
-//! [`RunConfig`] (plus its own typed knobs from
-//! [`BackendExtras`](crate::runtime::BackendExtras)), runs a per-rank task
-//! factory to completion, and reports the uniform [`DriverOutcome`]. The
-//! [`DRIVERS`] registry holds one static driver per [`RuntimeKind`];
-//! [`driver_for`] is the only lookup, and [`crate::experiment::run_on`], the
-//! bench grids and the e2e helpers all iterate [`RuntimeKind::ALL`] — so
-//! adding a backend is one module implementing the trait plus one registry
-//! entry, with no dispatch edits anywhere else.
+//! Every runtime backend consumes the shared [`RunConfig`] (plus its own
+//! typed knobs from [`BackendExtras`](crate::runtime::BackendExtras)), runs
+//! a per-rank task factory to completion, and reports the uniform
+//! [`DriverOutcome`]. [`crate::experiment::run_on`], the bench grids and the
+//! e2e helpers all iterate [`RuntimeKind::ALL`] — so adding a backend is one
+//! module with a drive loop plus one row in each `match` here.
 
 use crate::app::IterativeTask;
 use crate::metrics::RunMeasurement;
@@ -52,10 +50,26 @@ impl RuntimeKind {
         RuntimeKind::Reactor,
     ];
 
-    /// Stable lowercase label (JSON artifacts, bench ids) — delegated to the
-    /// registered driver so the label and the implementation cannot drift.
+    /// Stable lowercase label (JSON artifacts, bench ids).
     pub fn label(&self) -> &'static str {
-        driver_for(*self).label()
+        match self {
+            RuntimeKind::Sim => "sim",
+            RuntimeKind::Threads => "threads",
+            RuntimeKind::Loopback => "loopback",
+            RuntimeKind::Udp => "udp",
+            RuntimeKind::Reactor => "reactor",
+        }
+    }
+
+    /// Run a distributed iterative computation on this backend.
+    pub(crate) fn run(self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
+        match self {
+            RuntimeKind::Sim => sim::run_iterative(config, task_factory),
+            RuntimeKind::Threads => threads::run_iterative_threads(config, task_factory),
+            RuntimeKind::Loopback => loopback::run_iterative_loopback(config, task_factory),
+            RuntimeKind::Udp => udp::run_sockets(config, task_factory).outcome,
+            RuntimeKind::Reactor => reactor::run_sockets(config, task_factory).outcome,
+        }
     }
 }
 
@@ -68,11 +82,12 @@ impl std::fmt::Display for RuntimeKind {
 /// The clock a backend measures elapsed time with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockDomain {
-    /// Simulated virtual time (deterministic, models the network).
+    /// Simulated virtual time (deterministic, models the network): `sim`.
     Virtual,
-    /// Real wall-clock time.
+    /// Real wall-clock time: `threads`, `udp`, `reactor`.
     Wall,
-    /// A monotone engine-event counter (deterministic, not a duration).
+    /// A monotone engine-event counter (deterministic, not a duration):
+    /// `loopback`.
     EventCount,
 }
 
@@ -95,93 +110,15 @@ pub struct DriverOutcome {
     pub datagrams_dropped: u64,
 }
 
-/// One runtime backend, as the dispatch layer sees it: construct the
-/// substrate from the shared [`RunConfig`] (reading its own
-/// [`BackendExtras`](crate::runtime::BackendExtras) variant), drive the
-/// per-rank engines to termination, report the uniform outcome and its
-/// clock/determinism traits.
-pub trait RuntimeDriver: Sync {
-    /// The [`RuntimeKind`] this driver implements.
-    fn kind(&self) -> RuntimeKind;
-
-    /// Stable lowercase label (JSON artifacts, bench ids).
-    fn label(&self) -> &'static str;
-
-    /// The clock behind this backend's elapsed-time measurement.
-    fn clock(&self) -> ClockDomain;
-
-    /// Whether same-seed runs are bit-for-bit reproducible.
-    fn deterministic(&self) -> bool;
-
-    /// Run a distributed iterative computation on this backend.
-    fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome;
-}
-
-/// The backend registry: one static driver per [`RuntimeKind`], in
-/// [`RuntimeKind::ALL`] order.
-pub static DRIVERS: [&dyn RuntimeDriver; 5] = [
-    &sim::SimDriver,
-    &threads::ThreadsDriver,
-    &loopback::LoopbackDriver,
-    &udp::UdpDriver,
-    &reactor::ReactorDriver,
-];
-
-/// Resolve the registered driver of a [`RuntimeKind`].
-pub fn driver_for(kind: RuntimeKind) -> &'static dyn RuntimeDriver {
-    *DRIVERS
-        .iter()
-        .find(|driver| driver.kind() == kind)
-        .expect("every RuntimeKind has a registered driver")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every kind resolves to a driver that agrees on its identity, and the
-    /// labels are stable (they name JSON artifact rows and bench ids, so a
-    /// rename is a data-compatibility break).
+    /// The labels are stable: they name JSON artifact rows and bench ids,
+    /// so a rename is a data-compatibility break.
     #[test]
     fn every_runtime_kind_resolves_to_a_driver_with_a_stable_label() {
-        let labels: Vec<&str> = RuntimeKind::ALL
-            .iter()
-            .map(|&kind| {
-                let driver = driver_for(kind);
-                assert_eq!(driver.kind(), kind, "registry entry mismatched");
-                assert_eq!(driver.label(), kind.label());
-                driver.label()
-            })
-            .collect();
+        let labels: Vec<&str> = RuntimeKind::ALL.iter().map(RuntimeKind::label).collect();
         assert_eq!(labels, ["sim", "threads", "loopback", "udp", "reactor"]);
-    }
-
-    /// The registry and `ALL` stay in lockstep: same length, same order, no
-    /// duplicate registrations.
-    #[test]
-    fn registry_covers_all_kinds_exactly_once() {
-        assert_eq!(DRIVERS.len(), RuntimeKind::ALL.len());
-        for (driver, &kind) in DRIVERS.iter().zip(RuntimeKind::ALL.iter()) {
-            assert_eq!(driver.kind(), kind);
-        }
-    }
-
-    /// Clock/determinism traits: the dispatch layer and bench grids rely on
-    /// these to pick agreement baselines (deterministic backends) vs
-    /// wall-clock rows.
-    #[test]
-    fn clock_and_determinism_traits_are_reported() {
-        assert!(driver_for(RuntimeKind::Sim).deterministic());
-        assert!(driver_for(RuntimeKind::Loopback).deterministic());
-        assert!(!driver_for(RuntimeKind::Udp).deterministic());
-        assert!(!driver_for(RuntimeKind::Reactor).deterministic());
-        assert_eq!(driver_for(RuntimeKind::Sim).clock(), ClockDomain::Virtual);
-        assert_eq!(
-            driver_for(RuntimeKind::Loopback).clock(),
-            ClockDomain::EventCount
-        );
-        assert_eq!(driver_for(RuntimeKind::Threads).clock(), ClockDomain::Wall);
-        assert_eq!(driver_for(RuntimeKind::Udp).clock(), ClockDomain::Wall);
-        assert_eq!(driver_for(RuntimeKind::Reactor).clock(), ClockDomain::Wall);
     }
 }

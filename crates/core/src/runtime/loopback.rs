@@ -23,42 +23,13 @@
 
 use crate::churn::ChurnEventKind;
 use crate::gossip::GossipTiming;
-use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
+use crate::runtime::driver::{ClockDomain, DriverOutcome, TaskFactory};
 use crate::runtime::engine::{PeerEngine, PeerTransport, TimerKey, Wire};
 use crate::runtime::host::{CrashVerdict, HostedPeer, Polled};
 use crate::runtime::scaffold::RunScaffold;
 use crate::runtime::RunConfig;
 use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
-
-/// The registered [`RuntimeDriver`] of the loopback backend. The loopback
-/// substrate needs nothing beyond the shared [`RunConfig`] (latencies are
-/// ignored; the topology only drives the peer count and the hybrid scheme's
-/// cluster-split wait rule), so every [`BackendExtras`](crate::BackendExtras)
-/// variant is accepted and none is read.
-pub struct LoopbackDriver;
-
-impl RuntimeDriver for LoopbackDriver {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Loopback
-    }
-
-    fn label(&self) -> &'static str {
-        "loopback"
-    }
-
-    fn clock(&self) -> ClockDomain {
-        ClockDomain::EventCount
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        run_iterative_loopback(config, task_factory)
-    }
-}
 
 /// Event-count link-fault model of the loopback substrate: the
 /// [`netsim::LinkFaults`] predicate the virtual-time backend uses, with the
@@ -306,7 +277,11 @@ impl Loopback {
 }
 
 /// Run a distributed iterative computation in-process with zero latency
-/// (the outcome's elapsed time counts engine events, not time).
+/// (the outcome's elapsed time counts engine events, not time). Needs
+/// nothing beyond the shared [`RunConfig`]: latencies are ignored, the
+/// topology only drives the peer count and the hybrid scheme's
+/// cluster-split wait rule, and no [`BackendExtras`](crate::BackendExtras)
+/// variant is read.
 pub(crate) fn run_iterative_loopback(
     config: &RunConfig,
     task_factory: TaskFactory<'_>,

@@ -52,12 +52,12 @@
 //!   reliability machinery meets a genuinely lossy network stack), and the
 //!   `udp` backend: the reactor at one event loop per peer.
 //!
-//! Every backend registers as a [`driver::RuntimeDriver`]: the dispatch
-//! layer, the bench grids and the e2e helpers iterate the
-//! [`driver::DRIVERS`] registry instead of matching on backends, so adding
+//! Every backend is one row of the [`driver`] table (its label and its
+//! drive loop); the dispatch layer, the bench grids and the e2e helpers
+//! iterate [`RuntimeKind::ALL`] instead of matching on backends, so adding
 //! a substrate is one module implementing [`engine::PeerTransport`] plus a
-//! drive loop that hands wires and turns to hosted peers, and one registry
-//! entry (see the "adding a backend" recipe in ARCHITECTURE.md).
+//! drive loop that hands wires and turns to hosted peers, and one table row
+//! (see the "adding a backend" recipe in ARCHITECTURE.md).
 
 pub(crate) mod detection;
 pub mod driver;
@@ -71,9 +71,7 @@ pub mod sim;
 pub mod threads;
 pub mod udp;
 
-pub use driver::{
-    driver_for, ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory, DRIVERS,
-};
+pub use driver::{ClockDomain, DriverOutcome, RuntimeKind, TaskFactory};
 pub use engine::{
     ConvergenceDetector, DetectorHandle, PeerEngine, PeerTransport, SharedDetector, TimerKey, Wire,
 };
@@ -125,7 +123,7 @@ impl ControlPlane {
 }
 
 /// Typed per-backend knobs layered on the shared [`RunConfig`]. Each
-/// [`driver::RuntimeDriver`] reads its own variant through the accessor
+/// backend reads its own variant through the accessor
 /// methods (which fall back to the backend's defaults for every other
 /// variant), so one `RunConfig` drives all five backends and a config built
 /// for one backend degrades gracefully on another.

@@ -19,7 +19,7 @@
 //!   count the scheduler burns the run's time context-switching idle
 //!   waiters).
 //! * `udp` — one event loop per provisioned peer
-//!   ([`UdpDriver`](crate::runtime::udp::UdpDriver)).
+//!   (`udp::run_sockets`).
 //!
 //! Blocking is forbidden inside an event loop, so every wait is a per-peer
 //! state machine phase: bootstrap discovery resends hellos on poll ticks
@@ -29,7 +29,7 @@
 //! failure monitor grants recovery or the run stops.
 
 use crate::runtime::detection::{Heartbeat, LoopHeartbeat};
-use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
+use crate::runtime::driver::{DriverOutcome, TaskFactory};
 use crate::runtime::engine::Wire;
 use crate::runtime::host::{CrashVerdict, HostedPeer, Polled, Turn};
 use crate::runtime::scaffold::{JoinPoll, RunScaffold};
@@ -96,49 +96,19 @@ pub fn last_loop_stats() -> Option<LoopStats> {
     LAST_LOOP_STATS.lock().unwrap().clone()
 }
 
-/// The registered [`RuntimeDriver`] of the reactor backend. Reads the
-/// event-loop count and the loss/reorder shim probabilities from
-/// [`BackendExtras::Reactor`](crate::BackendExtras).
-pub struct ReactorDriver;
-
-impl RuntimeDriver for ReactorDriver {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Reactor
-    }
-
-    fn label(&self) -> &'static str {
-        "reactor"
-    }
-
-    fn clock(&self) -> ClockDomain {
-        ClockDomain::Wall
-    }
-
-    fn deterministic(&self) -> bool {
-        false
-    }
-
-    fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        Self::run_sockets(config, task_factory).outcome
-    }
-}
-
-impl ReactorDriver {
-    /// The run behind [`RuntimeDriver::run`], with its socket-level detail
-    /// (bound ports, per-loop stats) still attached. The event-loop pool is
-    /// explicit via extras, otherwise sized from the host's parallelism (the
-    /// loops are compute-bound — the relaxation kernels run inline on them).
-    pub(crate) fn run_sockets(
-        config: &RunConfig,
-        task_factory: TaskFactory<'_>,
-    ) -> SocketRunOutcome {
-        let loops = config.extras.event_loops().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        run_iterative_reactor(config, task_factory, loops)
-    }
+/// The run of the `reactor` backend, with its socket-level detail (bound
+/// ports, per-loop stats) still attached. Reads the event-loop count and the
+/// loss/reorder shim probabilities from
+/// [`BackendExtras::Reactor`](crate::BackendExtras): the event-loop pool is
+/// explicit via extras, otherwise sized from the host's parallelism (the
+/// loops are compute-bound — the relaxation kernels run inline on them).
+pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> SocketRunOutcome {
+    let loops = config.extras.event_loops().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    run_iterative_reactor(config, task_factory, loops)
 }
 
 /// Outcome of a socket run: the uniform [`DriverOutcome`] plus what only a
@@ -916,7 +886,7 @@ mod tests {
 
     fn run_sockets(config: &RunConfig) -> SocketRunOutcome {
         let peers = config.topology.len();
-        ReactorDriver::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
+        super::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
     }
 
     fn run(config: &RunConfig) -> DriverOutcome {
@@ -1405,7 +1375,7 @@ mod tests {
         let directed_links = 2 * (peers as u64 - 1);
         let mut fewest = u64::MAX;
         for solve in 0..3 {
-            let run = ReactorDriver::run_sockets(&config, &|rank| {
+            let run = super::run_sockets(&config, &|rank| {
                 Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
             });
             assert!(run.outcome.measurement.converged);
@@ -1447,9 +1417,10 @@ mod tests {
         let rto = Duration::from_millis(600);
         for solve in 0..10 {
             let started = Instant::now();
-            let outcome = ReactorDriver.run(&config, &|rank| {
+            let outcome = super::run_sockets(&config, &|rank| {
                 Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
-            });
+            })
+            .outcome;
             let took = started.elapsed();
             assert!(outcome.measurement.converged);
             assert!(took < rto, "solve {solve} took {took:?}: a start-up stall");
@@ -1477,9 +1448,10 @@ mod tests {
                 reorder_probability: 0.0,
             });
         config.churn = Some(ChurnPlan::kill(1, 12).with_checkpoint_interval(5));
-        let outcome = ReactorDriver.run(&config, &|rank| {
+        let outcome = super::run_sockets(&config, &|rank| {
             Box::new(ObstacleTask::new(Arc::clone(&problem), peers, rank))
-        });
+        })
+        .outcome;
         assert!(outcome.measurement.converged, "faulty run must converge");
         assert_eq!(outcome.measurement.crashes, 1);
         assert_eq!(outcome.measurement.recoveries, 1);

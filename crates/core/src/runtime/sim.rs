@@ -19,7 +19,7 @@
 
 use crate::compute::ComputeModel;
 use crate::gossip::GossipTiming;
-use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
+use crate::runtime::driver::{ClockDomain, DriverOutcome, TaskFactory};
 use crate::runtime::engine::{PeerTransport, TimerKey, Wire};
 use crate::runtime::host::{HostedPeer, PacingGate};
 use crate::runtime::scaffold::RunScaffold;
@@ -45,32 +45,6 @@ const GOSSIP_TIMER_TAG: u64 = u64::MAX - 2;
 /// Virtual-time cadence of the gossip turn: a fraction of the probe period,
 /// so ack and suspicion deadlines are observed promptly.
 const GOSSIP_TICK: SimDuration = SimDuration::from_millis(1);
-
-/// The registered [`RuntimeDriver`] of the simulated backend. Reads the
-/// virtual-time deadline from [`BackendExtras::Sim`](crate::BackendExtras).
-pub struct SimDriver;
-
-impl RuntimeDriver for SimDriver {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Sim
-    }
-
-    fn label(&self) -> &'static str {
-        "sim"
-    }
-
-    fn clock(&self) -> ClockDomain {
-        ClockDomain::Virtual
-    }
-
-    fn deterministic(&self) -> bool {
-        true
-    }
-
-    fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        run_iterative(config, task_factory)
-    }
-}
 
 /// Signal sent to a pre-provisioned dormant rank when its join event fires:
 /// the rank builds its engine from the membership plan and starts relaxing.
@@ -312,6 +286,8 @@ impl Process for PeerActor {
 
 /// Run a distributed iterative computation on the simulated runtime. The
 /// factory builds the per-rank task (the application's `Calculate()`).
+/// Reads the virtual-time deadline from
+/// [`BackendExtras::Sim`](crate::BackendExtras).
 pub(crate) fn run_iterative(config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
     // Fabric nodes and (dormant) peer processes are provisioned for ranks
     // that may join mid-run.

@@ -20,7 +20,7 @@
 //! that examples and tests complete quickly.
 
 use crate::runtime::detection::Heartbeat;
-use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
+use crate::runtime::driver::{DriverOutcome, TaskFactory};
 use crate::runtime::engine::{PeerTransport, TimerKey, Wire};
 use crate::runtime::host::{CrashVerdict, HostedPeer, Polled, Turn};
 use crate::runtime::scaffold::{JoinPoll, RunScaffold};
@@ -30,32 +30,6 @@ use netsim::{NodeId, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The registered [`RuntimeDriver`] of the thread-per-peer backend. Reads
-/// the link-latency scale from [`BackendExtras::Threads`](crate::BackendExtras).
-pub struct ThreadsDriver;
-
-impl RuntimeDriver for ThreadsDriver {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Threads
-    }
-
-    fn label(&self) -> &'static str {
-        "threads"
-    }
-
-    fn clock(&self) -> ClockDomain {
-        ClockDomain::Wall
-    }
-
-    fn deterministic(&self) -> bool {
-        false
-    }
-
-    fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        run_iterative_threads(config, task_factory)
-    }
-}
 
 /// Messages a peer takes from its inbox before it looks at its timers and
 /// its pending sweep again. Unbounded, the drain is a livelock: two
@@ -249,6 +223,8 @@ fn peer_thread(
 }
 
 /// Run a distributed iterative computation with one OS thread per peer.
+/// Reads the link-latency scale from
+/// [`BackendExtras::Threads`](crate::BackendExtras).
 pub(crate) fn run_iterative_threads(
     config: &RunConfig,
     task_factory: TaskFactory<'_>,

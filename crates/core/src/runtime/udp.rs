@@ -37,7 +37,7 @@
 //!   peer drives its engine through: in-place framing, wall-clock protocol
 //!   timers, the asynchronous pacing gate and the control broadcasts.
 //!
-//! The `udp` backend ([`UdpDriver`]) is the reactor at one event loop per
+//! The `udp` backend (`run_sockets`) is the reactor at one event loop per
 //! provisioned peer: the thread-per-peer shape of a small real-socket run,
 //! on the same state machine that multiplexes thousands.
 //!
@@ -48,7 +48,7 @@
 //! still match the other runtimes, which is what the cross-runtime
 //! agreement tests assert.
 
-use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
+use crate::runtime::driver::TaskFactory;
 use crate::runtime::engine::{PeerTransport, TimerKey, Wire};
 use crate::runtime::host::{PacingGate, Polled};
 use crate::runtime::reactor::{run_iterative_reactor, SocketRunOutcome};
@@ -652,46 +652,16 @@ impl LossShim {
     }
 }
 
-/// The registered [`RuntimeDriver`] of the UDP backend: the reactor's peer
-/// state machine at one event loop (one OS thread) per provisioned peer.
-/// Reads the loss/reorder shim probabilities from
+/// The run of the `udp` backend: the reactor's peer state machine at one
+/// event loop (one OS thread) per provisioned peer, with its socket-level
+/// detail (bound ports, per-loop stats) still attached. Reads the
+/// loss/reorder shim probabilities from
 /// [`BackendExtras::Udp`](crate::BackendExtras). Link latencies are not
 /// emulated — the kernel's loopback path provides the real ones; the
 /// topology still drives the peer count, the hybrid wait rule and Table I.
 /// The shim draws its randomness from the shared `seed`.
-pub struct UdpDriver;
-
-impl RuntimeDriver for UdpDriver {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Udp
-    }
-
-    fn label(&self) -> &'static str {
-        "udp"
-    }
-
-    fn clock(&self) -> ClockDomain {
-        ClockDomain::Wall
-    }
-
-    fn deterministic(&self) -> bool {
-        false
-    }
-
-    fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        Self::run_sockets(config, task_factory).outcome
-    }
-}
-
-impl UdpDriver {
-    /// The run behind [`RuntimeDriver::run`], with its socket-level detail
-    /// (bound ports, per-loop stats) still attached.
-    pub(crate) fn run_sockets(
-        config: &RunConfig,
-        task_factory: TaskFactory<'_>,
-    ) -> SocketRunOutcome {
-        run_iterative_reactor(config, task_factory, config.provisioned_peers())
-    }
+pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> SocketRunOutcome {
+    run_iterative_reactor(config, task_factory, config.provisioned_peers())
 }
 
 /// The [`PeerTransport`] of the socket backends.
@@ -909,13 +879,14 @@ pub(crate) fn wake_bootstrap(addr: SocketAddr) {
 mod tests {
     use super::*;
     use crate::runtime::engine::testing::RampTask;
+    use crate::runtime::DriverOutcome;
     use p2psap::Scheme;
 
     const RAMP: u64 = 10;
 
     fn run_sockets(config: &RunConfig) -> SocketRunOutcome {
         let peers = config.topology.len();
-        UdpDriver::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
+        super::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
     }
 
     fn run(config: &RunConfig) -> DriverOutcome {
@@ -1406,7 +1377,7 @@ mod tests {
             .with_churn(ChurnPlan::new(vec![]).with_join(0, u64::MAX));
         config.tolerance = 0.5;
         let relax_cost = Duration::from_millis(15);
-        let run = UdpDriver::run_sockets(&config, &|rank| {
+        let run = super::run_sockets(&config, &|rank| {
             let mut task = RampTask::line(rank, peers, RAMP);
             if rank == 0 {
                 task.relax_cost = relax_cost;

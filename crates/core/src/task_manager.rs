@@ -68,47 +68,45 @@ impl TaskManager {
     }
 
     /// Handle a `run` command: call `Problem_Definition()`, collect peers from
-    /// the topology manager and create the job. Returns the job id.
+    /// the topology manager and create the job. Returns the job id. A job
+    /// that cannot start — unknown application, a definition the parameters
+    /// make impossible, not enough free peers — is recorded as
+    /// [`JobState::Rejected`] and holds no peers.
     pub fn submit(
         &mut self,
         app_name: &str,
         params: &serde_json::Value,
         topology: &mut TopologyManager,
     ) -> usize {
-        let job = match self.applications.get(app_name) {
-            None => Job {
-                definition: ProblemDefinition {
+        let defined = match self.applications.get(app_name) {
+            None => Err(format!("unknown application '{app_name}'")),
+            Some(app) => app.problem_definition(params),
+        };
+        let (definition, peers, state) = match defined {
+            Err(reason) => {
+                let definition = ProblemDefinition {
                     app_name: app_name.to_string(),
                     scheme: p2psap::Scheme::Synchronous,
                     peers_needed: 0,
                     subtasks: Vec::new(),
-                },
-                peers: Vec::new(),
-                results: BTreeMap::new(),
-                output: None,
-                state: JobState::Rejected(format!("unknown application '{app_name}'")),
-            },
-            Some(app) => {
-                let definition = app.problem_definition(params);
-                match topology.collect_peers(definition.peers_needed) {
-                    None => Job {
-                        definition,
-                        peers: Vec::new(),
-                        results: BTreeMap::new(),
-                        output: None,
-                        state: JobState::Rejected("not enough free peers".to_string()),
-                    },
-                    Some(peers) => Job {
-                        definition,
-                        peers,
-                        results: BTreeMap::new(),
-                        output: None,
-                        state: JobState::Running,
-                    },
-                }
+                };
+                (definition, Vec::new(), JobState::Rejected(reason))
             }
+            Ok(definition) => match topology.collect_peers(definition.peers_needed) {
+                None => {
+                    let reason = "not enough free peers".to_string();
+                    (definition, Vec::new(), JobState::Rejected(reason))
+                }
+                Some(peers) => (definition, peers, JobState::Running),
+            },
         };
-        self.jobs.push(job);
+        self.jobs.push(Job {
+            definition,
+            peers,
+            results: BTreeMap::new(),
+            output: None,
+            state,
+        });
         self.jobs.len() - 1
     }
 
@@ -207,7 +205,8 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obstacle_app::{ObstacleApp, ObstacleInstance, ObstacleParams};
+    use crate::app::WorkloadApp;
+    use crate::workload::WorkloadKind;
     use desim::{SimDuration, SimTime};
     use netsim::ClusterId;
     use p2psap::Scheme;
@@ -221,12 +220,11 @@ mod tests {
     }
 
     fn obstacle_app() -> Arc<dyn Application> {
-        Arc::new(ObstacleApp::new(ObstacleParams {
-            n: 6,
-            peers: 2,
-            scheme: Scheme::Synchronous,
-            instance: ObstacleInstance::Membrane,
-        }))
+        Arc::new(WorkloadApp::new(
+            |peers| WorkloadKind::Obstacle.build(6, peers),
+            2,
+            Scheme::Synchronous,
+        ))
     }
 
     #[test]

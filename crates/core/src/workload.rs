@@ -58,7 +58,6 @@ use crate::app::IterativeTask;
 use crate::heat_app::HeatWorkload;
 use crate::obstacle_app::{ObstacleInstance, ObstacleParams, ObstacleWorkload};
 use crate::pagerank_app::PageRankWorkload;
-use p2psap::Scheme;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -201,26 +200,9 @@ pub fn weighted_ranges(base: usize, items: usize, weights: &[f64]) -> Vec<(usize
     out
 }
 
-/// Decode a serialized block state (the shared result/checkpoint encoding):
-/// `start` (u32), `count` (u32), then `count × width` little-endian `f64`
-/// values. `None` for truncated or mis-sized input.
-pub fn decode_block_state(bytes: &[u8], width: usize) -> Option<(usize, usize, Vec<f64>)> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let start = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
-    let count = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
-    if bytes.len() != 8 + count * width * 8 {
-        return None;
-    }
-    let values = bytes[8..]
-        .chunks_exact(8)
-        .map(|b| f64::from_le_bytes(b.try_into().expect("chunked")))
-        .collect();
-    Some((start, count, values))
-}
-
-/// Encode a block state in the shared result/checkpoint encoding.
+/// Encode a block state in the shared result/checkpoint encoding: `start`
+/// (u32), `count` (u32), then the block's `count × width` values as
+/// little-endian `f64`s. Every task's `result` is this.
 pub fn encode_block_state(start: usize, count: usize, values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + values.len() * 8);
     out.extend_from_slice(&(start as u32).to_le_bytes());
@@ -231,28 +213,67 @@ pub fn encode_block_state(start: usize, count: usize, values: &[f64]) -> Vec<u8>
     out
 }
 
-/// Write one serialized block state (the shared `(start, count, values)`
-/// encoding) onto `canvas` at its absolute coordinates. States that fail to
-/// decode or would overrun the canvas are skipped; returns whether the
-/// values were written.
+/// Split a serialized block state into its header and its value bytes,
+/// borrowed: `(start, count, body)`. `None` for a header cut short or a body
+/// that does not hold exactly `count × width` values — the bytes come off
+/// the network, so nothing here may panic.
+fn split_block_state(bytes: &[u8], width: usize) -> Option<(usize, usize, &[u8])> {
+    let (header, body) = bytes.split_first_chunk::<8>()?;
+    let (start, count) = header.split_at(4);
+    let word = |raw: &[u8]| u32::from_le_bytes(raw.try_into().expect("a 4-byte word")) as usize;
+    let (start, count) = (word(start), word(count));
+    let values = count.checked_mul(width)?;
+    (values.checked_mul(8)? == body.len()).then_some((start, count, body))
+}
+
+/// Overwrite `values` with the little-endian `f64`s of a body
+/// [`split_block_state`] sized to them.
+fn read_values(values: &mut [f64], body: &[u8]) {
+    for (slot, raw) in values.iter_mut().zip(body.chunks_exact(8)) {
+        *slot = f64::from_le_bytes(raw.try_into().expect("an 8-byte chunk"));
+    }
+}
+
+/// Restore a task's owned block — `values`, the `values.len() / width`
+/// items from item `start` on — from a serialized state. `false`, and
+/// `values` untouched, unless the state names exactly that block and holds
+/// all of it. Every task's `restore` is this.
+pub fn restore_block_state(values: &mut [f64], start: usize, bytes: &[u8], width: usize) -> bool {
+    match split_block_state(bytes, width) {
+        Some((at, count, body)) if at == start && count * width == values.len() => {
+            read_values(values, body);
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Write one serialized block state onto `canvas` at its absolute
+/// coordinates, decoding straight from the state's bytes. A state that fails
+/// to split or would overrun the canvas is skipped whole; returns whether
+/// the values were written.
 pub fn write_block_state(canvas: &mut [f64], bytes: &[u8], width: usize) -> bool {
-    let Some((start, count, values)) = decode_block_state(bytes, width) else {
+    let Some((start, count, body)) = split_block_state(bytes, width) else {
         return false;
     };
-    let at = start * width;
-    if at + count * width > canvas.len() {
+    let Some(target) = canvas.get_mut(start * width..(start + count) * width) else {
         return false;
-    }
-    canvas[at..at + count * width].copy_from_slice(&values);
+    };
+    read_values(target, body);
     true
 }
 
 /// Assemble a global value vector by writing per-rank serialized states
 /// onto `canvas` at their absolute coordinates ([`write_block_state`] per
 /// state). Skipped states leave the canvas (the workload's canonical
-/// initial values, or the coordinator's last-known-value record) covering
-/// the gap.
-pub fn assemble_global(mut canvas: Vec<f64>, states: &[Vec<u8>], width: usize) -> Vec<f64> {
+/// values, or the coordinator's last-known-value record) covering the gap.
+/// Allocates nothing beyond the canvas the caller hands in. Every
+/// `Workload::assemble` is this.
+pub fn assemble_global<'a>(
+    mut canvas: Vec<f64>,
+    states: impl IntoIterator<Item = &'a [u8]>,
+    width: usize,
+) -> Vec<f64> {
     for bytes in states {
         write_block_state(&mut canvas, bytes, width);
     }
@@ -315,7 +336,6 @@ impl WorkloadKind {
             WorkloadKind::Obstacle => Box::new(ObstacleWorkload::new(ObstacleParams {
                 n: size,
                 peers,
-                scheme: Scheme::Synchronous,
                 instance: ObstacleInstance::Membrane,
             })),
             WorkloadKind::Heat => Box::new(HeatWorkload::new(size, peers)),
@@ -373,10 +393,13 @@ mod tests {
     fn block_state_codec_round_trips_and_rejects_mis_sized_input() {
         let values = vec![1.5, -2.25, 0.0, 7.75, 3.5, -1.0];
         let encoded = encode_block_state(3, 2, &values);
-        assert_eq!(decode_block_state(&encoded, 3), Some((3, 2, values)));
-        assert_eq!(decode_block_state(&encoded, 2), None, "width mismatch");
-        assert_eq!(decode_block_state(&encoded[..encoded.len() - 1], 3), None);
-        assert_eq!(decode_block_state(&[], 3), None);
+        assert_eq!(split_block_state(&encoded, 3), Some((3, 2, &encoded[8..])));
+        let mut restored = vec![0.0; 6];
+        assert!(restore_block_state(&mut restored, 3, &encoded, 3));
+        assert_eq!(restored, values);
+        assert_eq!(split_block_state(&encoded, 2), None, "width mismatch");
+        assert_eq!(split_block_state(&encoded[..encoded.len() - 1], 3), None);
+        assert_eq!(split_block_state(&[], 3), None);
     }
 
     #[test]
@@ -420,13 +443,38 @@ mod tests {
                     .collect()
             };
             let states_a = encode_under(parts_a, &global);
-            let assembled = assemble_global(vec![f64::NAN; items * width], &states_a, width);
+            let nan_canvas = || vec![f64::NAN; items * width];
+            let assembled =
+                assemble_global(nan_canvas(), states_a.iter().map(Vec::as_slice), width);
             prop_assert_eq!(&assembled, &global, "decompose -> reassemble");
             // Re-slice: cut the assembled vector under partition B and
             // reassemble again.
             let states_b = encode_under(parts_b, &assembled);
-            let again = assemble_global(vec![f64::NAN; items * width], &states_b, width);
+            let again = assemble_global(nan_canvas(), states_b.iter().map(Vec::as_slice), width);
             prop_assert_eq!(&again, &global, "re-slice -> reassemble");
+        }
+    }
+
+    proptest! {
+        /// The codec reads bytes that come off the network: any input
+        /// splits or is refused without a panic, and a state is written or
+        /// restored only when it splits, as a whole block.
+        #[test]
+        fn block_state_codec_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..64),
+            width in 1usize..4,
+        ) {
+            let split = split_block_state(&bytes, width);
+            let mut canvas = vec![f64::NAN; 12];
+            let written = write_block_state(&mut canvas, &bytes, width);
+            let untouched = canvas.iter().filter(|v| v.is_nan()).count();
+            match split {
+                Some((_, count, _)) if written => prop_assert_eq!(untouched, 12 - count * width),
+                _ => prop_assert_eq!(untouched, 12),
+            }
+            let mut block = vec![f64::NAN; 2 * width];
+            let restored = restore_block_state(&mut block, 1, &bytes, width);
+            prop_assert_eq!(restored, matches!(split, Some((1, 2, _))));
         }
     }
 
@@ -472,7 +520,11 @@ mod tests {
             // Re-slice into three uneven ranks seeded from the assembled
             // checkpoint states.
             let states: Vec<Vec<u8>> = tasks.iter().map(|t| t.checkpoint_state()).collect();
-            let global = assemble_global(rep.global_canvas(), &states, rep.item_width());
+            let global = assemble_global(
+                rep.global_canvas(),
+                states.iter().map(Vec::as_slice),
+                rep.item_width(),
+            );
             let parts = weighted_ranges(rep.item_base(), rep.items(), &[2.0, 1.0, 1.0]);
             let new_results: Vec<(usize, Vec<u8>)> = (0..3)
                 .map(|r| (r, rep.task_for(r, &parts, &global, 3).result()))
@@ -481,6 +533,83 @@ mod tests {
             assert_eq!(
                 reference, resliced,
                 "{kind}: re-slice must preserve the global solution exactly"
+            );
+        }
+    }
+
+    /// Every workload speaks the one block-state codec: `result` is
+    /// `encode_block_state` of the owned values, `restore` takes back
+    /// exactly its own block, and `assemble` skips a state that does not
+    /// split or does not fit as a whole block — never a prefix of it.
+    #[test]
+    fn every_workload_speaks_the_block_state_codec() {
+        for kind in WorkloadKind::ALL {
+            let size = match kind {
+                WorkloadKind::Obstacle => 6,
+                WorkloadKind::Heat => 8,
+                WorkloadKind::PageRank => 12,
+            };
+            let workload = kind.build(size, 3);
+            let rep = workload.repartitioner().expect("built-ins repartition");
+            let width = rep.item_width();
+            let seeded = |salt: f64| -> Vec<f64> {
+                let len = rep.global_canvas().len();
+                (0..len).map(|i| (i as f64 * 0.37 + salt).sin()).collect()
+            };
+            let (global, other) = (seeded(0.0), seeded(1.0));
+            let parts = weighted_ranges(rep.item_base(), rep.items(), &[1.0; 3]);
+            let mut results = Vec::new();
+            for (rank, &(start, len)) in parts.iter().enumerate() {
+                // `task_for` seeds the owned values from `global`.
+                let task = rep.task_for(rank, &parts, &global, 3);
+                let owned = &global[start * width..(start + len) * width];
+                assert_eq!(
+                    task.result(),
+                    encode_block_state(start, len, owned),
+                    "{kind}"
+                );
+                let state = task.checkpoint_state();
+                assert_eq!(state, task.result(), "{kind}: the checkpoint is the result");
+
+                let mut twin = rep.task_for(rank, &parts, &other, 0);
+                let before = twin.result();
+                let mut elsewhere = state.clone();
+                elsewhere[..4].copy_from_slice(&(start as u32 + 1).to_le_bytes());
+                for refused in [&elsewhere[..], &state[..state.len() - 1]] {
+                    assert!(!twin.restore(refused, 7), "{kind}/{rank}: restore accepted");
+                    assert_eq!(
+                        twin.result(),
+                        before,
+                        "{kind}/{rank}: a refused restore wrote"
+                    );
+                }
+                assert!(
+                    twin.restore(&state, 7),
+                    "{kind}/{rank}: own checkpoint refused"
+                );
+                assert_eq!((twin.result(), twin.relaxations()), (state, 7), "{kind}");
+                results.push((rank, task.result()));
+            }
+
+            // Rank 1's body lost its last byte; rank 2's header is moved one
+            // item past the end of the canvas; a 3-byte blob has no header.
+            let canvas_items = workload.assemble(&[]).len() / width;
+            let mut truncated = results[1].1.clone();
+            truncated.pop();
+            let mut past_the_end = results[2].1.clone();
+            let count = parts[2].1;
+            past_the_end[..4].copy_from_slice(&((canvas_items + 1 - count) as u32).to_le_bytes());
+            let malformed = [
+                results[0].clone(),
+                (1, truncated),
+                (2, past_the_end),
+                (2, vec![1, 2, 3]),
+            ];
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&workload.assemble(&malformed)),
+                bits(&workload.assemble(&results[..1])),
+                "{kind}: only rank 0 is assembled"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Zero-allocation assertions for the steady-state ghost-exchange hot path.
 //!
 //! This binary installs [`p2pdc::allocs::CountingAllocator`] as its global
-//! allocator and measures four regions once their buffers are warm:
+//! allocator and measures five regions once their buffers are warm:
 //!
 //! 1. every workload's `encode_outgoing` into a pooled [`FrameSink`] —
 //!    must allocate nothing — and every workload's `incorporate` of a
@@ -23,7 +23,10 @@
 //!    lockstep round over a reliable synchronous link (both ends send one
 //!    ghost plane, each carrying the acknowledgement of the plane it
 //!    answers), pinned at its own figure: no bare ack leaves, and the
-//!    carried acknowledgements allocate nothing of their own.
+//!    carried acknowledgements allocate nothing of their own;
+//! 5. every workload's `Workload::assemble` at the end of a solve, which
+//!    decodes each rank's result straight onto the canvas — allocates the
+//!    canvas and nothing else.
 //!
 //! The counters are process-global, so all assertions live in one `#[test]`
 //! — parallel test threads would pollute each other's deltas. The libtest
@@ -37,7 +40,7 @@ use p2pdc::app::{FrameSink, IterativeTask};
 use p2pdc::runtime::udp::{encode_fragment_into, UdpTransport, MAX_FRAGMENT_PAYLOAD};
 use p2pdc::{
     HeatTask, LossShim, ObstacleTask, PageRankGraph, PageRankTask, PeerTransport, RunConfig,
-    Scheme, UpdateMsg, Wire,
+    Scheme, UpdateMsg, Wire, WorkloadKind,
 };
 use std::net::UdpSocket;
 use std::sync::Arc;
@@ -315,6 +318,23 @@ fn steady_state_ghost_exchange_does_not_allocate() {
         "lockstep exchange cost changed: {delta:?}"
     );
     assert_eq!(left.sent_segments().1 + right.sent_segments().1, 0);
+
+    // 5. Assembling a solve's results: the canvas is the one allocation.
+    for kind in WorkloadKind::ALL {
+        let workload = kind.build(16, 4);
+        let results: Vec<(usize, Vec<u8>)> = (0..4)
+            .map(|rank| (rank, workload.task(rank).result()))
+            .collect();
+        let delta = min_delta(|| {
+            for _ in 0..8 {
+                std::hint::black_box(workload.assemble(&results));
+            }
+        });
+        assert_eq!(
+            delta.allocations, 8,
+            "{kind} assemble allocated beyond its canvas: {delta:?}"
+        );
+    }
 }
 
 /// `tx` sends `plane` and `rx` takes it in. Returns the sequence number of

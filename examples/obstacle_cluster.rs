@@ -7,16 +7,19 @@
 //! ```
 
 use p2pdc::{
-    derive_row, format_table, run_obstacle_experiment, ComputeModel, ObstacleExperiment, Scheme,
+    derive_row, format_table, run_on, ComputeModel, RunConfig, RuntimeExperimentResult,
+    RuntimeKind, Scheme, WorkloadKind,
 };
 
-/// Build an experiment whose per-sweep virtual cost matches the paper's 96³
-/// runs, so the computation/communication granularity is representative even
-/// at a reduced grid size (same scaling the benchmark harness uses).
-fn experiment(n: usize, scheme: Scheme, peers: usize, clusters: usize) -> ObstacleExperiment {
-    let mut exp = ObstacleExperiment::new(n, scheme, peers, clusters);
-    exp.compute = ComputeModel::calibrated(50.0 * (96.0_f64 / n as f64).powi(3));
-    exp
+/// Run one cell on the simulated backend with the granularity-preserving
+/// compute model (per-sweep cost of the paper's 96³ runs, the same scaling
+/// the benchmark harness uses), so the computation/communication ratio is
+/// representative even at a reduced grid size.
+fn experiment(n: usize, scheme: Scheme, peers: usize, clusters: usize) -> RuntimeExperimentResult {
+    let workload = WorkloadKind::Obstacle.build(n, peers);
+    let mut config = RunConfig::clustered(scheme, peers, clusters);
+    config.compute = ComputeModel::calibrated(50.0 * (96.0_f64 / n as f64).powi(3));
+    run_on(workload.as_ref(), &config, RuntimeKind::Sim)
 }
 
 fn main() {
@@ -26,7 +29,7 @@ fn main() {
     println!("obstacle problem {n}^3, single cluster, {peers} peers\n");
 
     // Single-peer reference for speedups.
-    let reference = run_obstacle_experiment(&experiment(n, Scheme::Synchronous, 1, 1));
+    let reference = experiment(n, Scheme::Synchronous, 1, 1);
     let mut rows = vec![derive_row(
         "synchronous",
         "1 cluster",
@@ -34,8 +37,7 @@ fn main() {
         &reference.measurement,
     )];
     for scheme in [Scheme::Synchronous, Scheme::Asynchronous, Scheme::Hybrid] {
-        let exp = experiment(n, scheme, peers, 1);
-        let result = run_obstacle_experiment(&exp);
+        let result = experiment(n, scheme, peers, 1);
         rows.push(derive_row(
             &scheme.to_string(),
             "1 cluster",
@@ -44,7 +46,12 @@ fn main() {
         ));
         println!(
             "{scheme}: residual {:.2e}, intra-cluster packets {}",
-            result.measurement.residual, result.net.intra.packets_delivered
+            result.measurement.residual,
+            result
+                .net
+                .expect("sim models the fabric")
+                .intra
+                .packets_delivered
         );
     }
     println!();

@@ -11,8 +11,8 @@
 use desim::{SimDuration, SimTime};
 use netsim::{ClusterId, NodeId};
 use p2pdc::{
-    parse_command, run_obstacle_experiment, Command, ObstacleApp, ObstacleExperiment,
-    ObstacleInstance, ObstacleParams, Scheme, TaskManager, TopologyManager,
+    parse_command, run_on, Command, ObstacleInstance, ObstacleParams, ObstacleWorkload, RunConfig,
+    RuntimeKind, Scheme, TaskManager, TopologyManager, Workload, WorkloadApp,
 };
 use std::sync::Arc;
 
@@ -32,14 +32,17 @@ fn main() {
         topology.free_count()
     );
 
-    // 2. The user submits the application through the user daemon.
+    // 2. The user submits the application through the user daemon: the
+    //    obstacle workload on the `Financial` instance, hybrid by default.
+    let financial = move |peers| -> Box<dyn Workload> {
+        Box::new(ObstacleWorkload::new(ObstacleParams {
+            n,
+            peers,
+            instance: ObstacleInstance::Financial,
+        }))
+    };
     let mut task_manager = TaskManager::new();
-    task_manager.register_application(Arc::new(ObstacleApp::new(ObstacleParams {
-        n,
-        peers,
-        scheme: Scheme::Hybrid,
-        instance: ObstacleInstance::Financial,
-    })));
+    task_manager.register_application(Arc::new(WorkloadApp::new(financial, peers, Scheme::Hybrid)));
     let command = parse_command(&format!(r#"run obstacle {{"peers": {peers}}}"#)).expect("command");
     let Command::Run { app, params } = command else {
         unreachable!()
@@ -53,17 +56,14 @@ fn main() {
 
     // 3. The sub-tasks execute on the simulated runtime (hybrid scheme over
     //    two clusters) — this is what the task-execution component drives.
-    let exp = ObstacleExperiment {
+    let workload = ObstacleWorkload::new(ObstacleParams {
         n,
-        instance: ObstacleInstance::Financial,
-        scheme: Scheme::Hybrid,
         peers,
-        clusters: 2,
-        tolerance: 1e-4,
-        compute: p2pdc::ComputeModel::default(),
-        seed: 7,
-    };
-    let result = run_obstacle_experiment(&exp);
+        instance: ObstacleInstance::Financial,
+    });
+    let mut config = RunConfig::two_clusters(Scheme::Hybrid, peers);
+    config.seed = 7;
+    let result = run_on(&workload, &config, RuntimeKind::Sim);
     println!(
         "converged: {}, virtual time {:.3} s, relaxations per peer {:?}, residual {:.2e}",
         result.measurement.converged,
@@ -84,12 +84,7 @@ fn main() {
     println!("peers released, {} free again", topology.free_count());
 
     // The "price surface" (solution) respects the payoff obstacle everywhere.
-    let problem = p2pdc::build_problem(&ObstacleParams {
-        n,
-        peers,
-        scheme: Scheme::Hybrid,
-        instance: ObstacleInstance::Financial,
-    });
+    let problem = workload.problem();
     let violations = result
         .solution
         .iter()

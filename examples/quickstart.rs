@@ -27,7 +27,6 @@ fn main() {
     let workload = ObstacleWorkload::new(ObstacleParams {
         n,
         peers,
-        scheme,
         instance: ObstacleInstance::Membrane,
     });
     let problem = workload.problem();

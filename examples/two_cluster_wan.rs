@@ -8,15 +8,19 @@
 //! ```
 
 use p2pdc::{
-    derive_row, format_table, run_obstacle_experiment, ComputeModel, ObstacleExperiment, Scheme,
+    derive_row, format_table, run_on, ComputeModel, RunConfig, RuntimeExperimentResult,
+    RuntimeKind, Scheme, WorkloadKind,
 };
 
-/// Experiment with the granularity-preserving compute model (per-sweep cost of
-/// the paper's 96³ runs), as used by the benchmark harness.
-fn experiment(n: usize, scheme: Scheme, peers: usize, clusters: usize) -> ObstacleExperiment {
-    let mut exp = ObstacleExperiment::new(n, scheme, peers, clusters);
-    exp.compute = ComputeModel::calibrated(50.0 * (96.0_f64 / n as f64).powi(3));
-    exp
+/// Run one cell on the simulated backend with the granularity-preserving
+/// compute model (per-sweep cost of the paper's 96³ runs, the same scaling
+/// the benchmark harness uses), so the computation/communication ratio is
+/// representative even at a reduced grid size.
+fn experiment(n: usize, scheme: Scheme, peers: usize, clusters: usize) -> RuntimeExperimentResult {
+    let workload = WorkloadKind::Obstacle.build(n, peers);
+    let mut config = RunConfig::clustered(scheme, peers, clusters);
+    config.compute = ComputeModel::calibrated(50.0 * (96.0_f64 / n as f64).powi(3));
+    run_on(workload.as_ref(), &config, RuntimeKind::Sim)
 }
 
 fn main() {
@@ -25,12 +29,11 @@ fn main() {
     let peers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
     println!("obstacle problem {n}^3, two clusters (100 ms WAN), {peers} peers\n");
 
-    let reference = run_obstacle_experiment(&experiment(n, Scheme::Synchronous, 1, 1));
+    let reference = experiment(n, Scheme::Synchronous, 1, 1);
     let mut rows = Vec::new();
     for scheme in [Scheme::Synchronous, Scheme::Asynchronous, Scheme::Hybrid] {
         for clusters in [1usize, 2] {
-            let exp = experiment(n, scheme, peers, clusters);
-            let result = run_obstacle_experiment(&exp);
+            let result = experiment(n, scheme, peers, clusters);
             rows.push(derive_row(
                 &scheme.to_string(),
                 if clusters == 1 {

@@ -30,7 +30,6 @@ fn main() {
         let workload = ObstacleWorkload::new(ObstacleParams {
             n,
             peers,
-            scheme,
             instance: ObstacleInstance::Membrane,
         });
         let config = RunConfig::quick(scheme, peers).with_extras(BackendExtras::Udp {

@@ -4,10 +4,16 @@
 //! future parallel backend against nondeterminism creeping into the
 //! virtual-time substrate — the property every evaluation figure rests on.
 
-use p2pdc::{run_obstacle_experiment, ObstacleExperiment, Scheme};
+use p2pdc::{run_on, RunConfig, RuntimeExperimentResult, RuntimeKind, Scheme, WorkloadKind};
 
-fn serialized_run(exp: &ObstacleExperiment) -> (String, Vec<(usize, Vec<u8>)>) {
-    let result = run_obstacle_experiment(exp);
+/// The membrane at `n`³ on the simulated backend.
+fn run(n: usize, config: &RunConfig) -> RuntimeExperimentResult {
+    let workload = WorkloadKind::Obstacle.build(n, config.peers());
+    run_on(workload.as_ref(), config, RuntimeKind::Sim)
+}
+
+fn serialized_run(n: usize, config: &RunConfig) -> (String, Vec<(usize, Vec<u8>)>) {
+    let result = run(n, config);
     let measurement = serde_json::to_string(&result.measurement).expect("measurement serializes");
     let results = result
         .solution
@@ -23,9 +29,9 @@ fn same_seed_same_measurement_bytes() {
     // Two clusters + asynchronous scheme exercises every source of
     // randomness in the substrate: netem jitter, per-link loss draws and the
     // asynchronous termination detection.
-    let exp = ObstacleExperiment::new(10, Scheme::Asynchronous, 4, 2);
-    let (first_measurement, first_solution) = serialized_run(&exp);
-    let (second_measurement, second_solution) = serialized_run(&exp);
+    let config = RunConfig::two_clusters(Scheme::Asynchronous, 4);
+    let (first_measurement, first_solution) = serialized_run(10, &config);
+    let (second_measurement, second_solution) = serialized_run(10, &config);
     assert_eq!(
         first_measurement, second_measurement,
         "same seed must serialize to identical measurement bytes"
@@ -40,17 +46,17 @@ fn same_seed_same_measurement_bytes() {
 fn different_seeds_still_converge() {
     // The NICTA topologies are deterministic (no loss, no jitter), so the
     // seed may not change the trajectory — but any seed must converge.
-    let mut exp = ObstacleExperiment::new(10, Scheme::Asynchronous, 4, 2);
-    let first = run_obstacle_experiment(&exp);
-    exp.seed = 43;
-    let second = run_obstacle_experiment(&exp);
+    let mut config = RunConfig::two_clusters(Scheme::Asynchronous, 4);
+    let first = run(10, &config);
+    config.seed = 43;
+    let second = run(10, &config);
     assert!(first.measurement.converged && second.measurement.converged);
 }
 
 #[test]
 fn synchronous_runs_are_also_deterministic() {
-    let exp = ObstacleExperiment::new(8, Scheme::Synchronous, 3, 1);
-    let (first, _) = serialized_run(&exp);
-    let (second, _) = serialized_run(&exp);
+    let config = RunConfig::single_cluster(Scheme::Synchronous, 3);
+    let (first, _) = serialized_run(8, &config);
+    let (second, _) = serialized_run(8, &config);
     assert_eq!(first, second);
 }

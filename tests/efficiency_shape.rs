@@ -3,29 +3,19 @@
 //! with many peers; asynchronous efficiency is barely affected by the second
 //! cluster; hybrid sits in between.
 
-use p2pdc::{run_obstacle_experiment, ComputeModel, ObstacleExperiment, ObstacleInstance, Scheme};
+use p2pdc::{run_on, ComputeModel, RunConfig, RuntimeKind, Scheme, WorkloadKind};
 
 const N: usize = 16;
 
-fn experiment(scheme: Scheme, peers: usize, clusters: usize) -> ObstacleExperiment {
-    ObstacleExperiment {
-        n: N,
-        instance: ObstacleInstance::Membrane,
-        scheme,
-        peers,
-        clusters,
-        tolerance: 1e-4,
-        // Granularity-preserving scaling: each sweep costs what a 96-grid
-        // sweep would, so the communication/computation ratio matches the
-        // paper's experiments (`FigureConfig::compute_model` in
-        // `crates/bench` has the reasoning).
-        compute: ComputeModel::calibrated(50.0 * (96.0f64 / N as f64).powi(3)),
-        seed: 42,
-    }
-}
-
 fn elapsed(scheme: Scheme, peers: usize, clusters: usize) -> f64 {
-    let m = run_obstacle_experiment(&experiment(scheme, peers, clusters)).measurement;
+    let workload = WorkloadKind::Obstacle.build(N, peers);
+    let mut config = RunConfig::clustered(scheme, peers, clusters);
+    // Granularity-preserving scaling: each sweep costs what a 96-grid sweep
+    // would, so the communication/computation ratio matches the paper's
+    // experiments (`FigureConfig::compute_model` in `crates/bench` has the
+    // reasoning).
+    config.compute = ComputeModel::calibrated(50.0 * (96.0f64 / N as f64).powi(3));
+    let m = run_on(workload.as_ref(), &config, RuntimeKind::Sim).measurement;
     assert!(
         m.converged,
         "{scheme} / {peers} peers / {clusters} clusters did not converge"

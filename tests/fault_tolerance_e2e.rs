@@ -8,7 +8,7 @@ use obstacle::BlockDecomposition;
 use p2pdc::IterativeTask;
 use p2pdc::{
     Checkpoint, FaultManager, LoadBalancer, ObstacleInstance, ObstacleParams, ObstacleTask,
-    RecoveryAction, Scheme, TopologyManager,
+    RecoveryAction, TopologyManager,
 };
 use std::sync::Arc;
 
@@ -26,7 +26,6 @@ fn failure_is_detected_and_the_subtask_reassigned_from_a_checkpoint() {
     let params = ObstacleParams {
         n: 10,
         peers: 4,
-        scheme: Scheme::Asynchronous,
         instance: ObstacleInstance::Membrane,
     };
     let problem = Arc::new(p2pdc::build_problem(&params));

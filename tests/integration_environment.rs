@@ -1,26 +1,31 @@
 //! Integration test of the P2PDC environment: user daemon commands, topology
-//! manager, task manager and the obstacle application working together.
+//! manager, task manager and the applications working together.
 
 use desim::{SimDuration, SimTime};
 use netsim::{ClusterId, NodeId};
 use p2pdc::{
-    parse_command, Command, JobState, ObstacleApp, ObstacleInstance, ObstacleParams, Scheme,
-    TaskManager, TopologyManager,
+    parse_command, Command, JobState, Scheme, TaskManager, TopologyManager, WorkloadApp,
+    WorkloadKind,
 };
 use std::sync::Arc;
 
+/// `peers` registered peers and a task manager knowing the three workloads:
+/// the 8³ obstacle problem (8 planes), the 8 × 8 plate (6 interior rows) and
+/// a 24-vertex PageRank, each defaulting to 2 peers.
 fn environment(peers: usize) -> (TopologyManager, TaskManager) {
     let mut topology = TopologyManager::new(SimDuration::from_secs(1));
     for i in 0..peers {
         topology.register(NodeId(i), ClusterId(i % 2), 1.0, SimTime::ZERO);
     }
     let mut tm = TaskManager::new();
-    tm.register_application(Arc::new(ObstacleApp::new(ObstacleParams {
-        n: 8,
-        peers: 2,
-        scheme: Scheme::Synchronous,
-        instance: ObstacleInstance::Membrane,
-    })));
+    for (kind, size) in [
+        (WorkloadKind::Obstacle, 8),
+        (WorkloadKind::Heat, 8),
+        (WorkloadKind::PageRank, 24),
+    ] {
+        let build = move |peers| kind.build(size, peers);
+        tm.register_application(Arc::new(WorkloadApp::new(build, 2, Scheme::Synchronous)));
+    }
     (topology, tm)
 }
 
@@ -77,4 +82,33 @@ fn submission_is_rejected_without_enough_free_peers() {
     assert!(matches!(tm.job(job).state, JobState::Rejected(_)));
     // The failed submission must not leak peer allocations.
     assert_eq!(topology.free_count(), 1);
+}
+
+/// A `peers` override the problem cannot be split into is refused at
+/// `Problem_Definition()`: the job is rejected with the reason and holds no
+/// peers, even when enough peers are free — instead of a panic inside
+/// `submit` or, later, inside `Calculate()`.
+#[test]
+fn impossible_peer_overrides_are_rejected_on_every_workload() {
+    let (mut topology, mut tm) = environment(32);
+    for (app, items) in [("obstacle", 8), ("heat", 6), ("pagerank", 24)] {
+        for peers in [0, items + 1] {
+            let params = serde_json::json!({ "peers": peers });
+            let job = tm.submit(app, &params, &mut topology);
+            let JobState::Rejected(reason) = &tm.job(job).state else {
+                panic!("{app} with {peers} peers was accepted");
+            };
+            assert!(
+                reason.contains(&format!("{peers} peers cannot split")),
+                "{app}: {reason}"
+            );
+            assert!(tm.job(job).peers.is_empty());
+            assert_eq!(topology.free_count(), 32, "{app}: peers leaked");
+        }
+        // One peer per item is still a valid split.
+        let params = serde_json::json!({ "peers": items });
+        let job = tm.submit(app, &params, &mut topology);
+        assert_eq!(tm.job(job).state, JobState::Running, "{app}");
+        tm.release(job, &mut topology);
+    }
 }

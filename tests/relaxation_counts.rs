@@ -3,12 +3,20 @@
 //! of the number of peers, while the asynchronous scheme performs more as the
 //! peer count grows.
 
-use p2pdc::{run_obstacle_experiment, ObstacleExperiment, Scheme};
+use p2pdc::{run_on, RunConfig, RuntimeExperimentResult, RuntimeKind, Scheme, WorkloadKind};
 
 const N: usize = 12;
 
+/// The membrane at `N`³ on the simulated backend, at the experiment
+/// defaults.
+fn experiment(scheme: Scheme, peers: usize, clusters: usize) -> RuntimeExperimentResult {
+    let workload = WorkloadKind::Obstacle.build(N, peers);
+    let config = RunConfig::clustered(scheme, peers, clusters);
+    run_on(workload.as_ref(), &config, RuntimeKind::Sim)
+}
+
 fn run(scheme: Scheme, peers: usize, clusters: usize) -> p2pdc::RunMeasurement {
-    run_obstacle_experiment(&ObstacleExperiment::new(N, scheme, peers, clusters)).measurement
+    experiment(scheme, peers, clusters).measurement
 }
 
 #[test]
@@ -50,7 +58,7 @@ fn asynchronous_relaxation_count_grows_with_the_peer_count() {
 fn all_schemes_produce_valid_obstacle_solutions() {
     let problem = obstacle::ObstacleProblem::membrane(N);
     for scheme in [Scheme::Synchronous, Scheme::Asynchronous, Scheme::Hybrid] {
-        let result = run_obstacle_experiment(&ObstacleExperiment::new(N, scheme, 4, 1));
+        let result = experiment(scheme, 4, 1);
         assert!(result.measurement.converged, "{scheme} did not converge");
         // Feasibility of the assembled solution.
         for (u, psi) in result.solution.iter().zip(problem.psi.iter()) {

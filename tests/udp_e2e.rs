@@ -4,9 +4,16 @@
 //! timeout (a hung handshake must fail fast, not stall the workflow).
 
 use p2pdc::{
-    run_obstacle_on, run_on, BackendExtras, ObstacleExperiment, ObstacleInstance, ObstacleParams,
-    ObstacleWorkload, RunConfig, RuntimeKind, Scheme,
+    run_on, BackendExtras, RunConfig, RuntimeExperimentResult, RuntimeKind, Scheme, WorkloadKind,
 };
+
+/// The membrane at `n`³ on `runtime`, decomposed for the config's peers.
+fn run_obstacle(n: usize, config: &RunConfig, runtime: RuntimeKind) -> RuntimeExperimentResult {
+    let workload = WorkloadKind::Obstacle.build(n, config.peers());
+    run_on(workload.as_ref(), config, runtime)
+}
+
+const TOLERANCE: f64 = RunConfig::DEFAULT_TOLERANCE;
 
 /// Fixed-seed cross-runtime agreement: the synchronous scheme converges at
 /// a problem-determined iteration, so the loopback and UDP backends must
@@ -18,9 +25,9 @@ use p2pdc::{
 /// topology diameter (observed +2 on a loaded 4-peer line).
 #[test]
 fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
-    let exp = ObstacleExperiment::new(10, Scheme::Synchronous, 4, 1);
-    let loopback = run_obstacle_on(&exp, RuntimeKind::Loopback);
-    let udp = run_obstacle_on(&exp, RuntimeKind::Udp);
+    let config = RunConfig::single_cluster(Scheme::Synchronous, 4);
+    let loopback = run_obstacle(10, &config, RuntimeKind::Loopback);
+    let udp = run_obstacle(10, &config, RuntimeKind::Udp);
     assert!(loopback.measurement.converged && udp.measurement.converged);
     let min = |m: &p2pdc::RunMeasurement| m.relaxations_per_peer.iter().copied().min().unwrap_or(0);
     assert_eq!(
@@ -31,16 +38,16 @@ fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
         udp.measurement.relaxations_per_peer
     );
     // Overshoot past the convergence iteration is bounded by the diameter.
-    let peers = exp.peers as u64;
+    let peers = config.peers() as u64;
     assert!(
         udp.measurement.max_relaxations() < min(&udp.measurement) + peers,
         "udp overshoot beyond the topology diameter: {:?}",
         udp.measurement.relaxations_per_peer
     );
     // Both backends assemble a solution satisfying the fixed-point equation.
-    assert!(loopback.measurement.residual < exp.tolerance * 2.0);
+    assert!(loopback.measurement.residual < TOLERANCE * 2.0);
     assert!(
-        udp.measurement.residual < exp.tolerance * 2.0,
+        udp.measurement.residual < TOLERANCE * 2.0,
         "udp residual {}",
         udp.measurement.residual
     );
@@ -51,9 +58,9 @@ fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
 /// multiple datagrams and the run exercises reassembly end to end.
 #[test]
 fn multi_fragment_boundary_planes_reassemble_end_to_end() {
-    let exp = ObstacleExperiment::new(16, Scheme::Synchronous, 2, 1);
-    let loopback = run_obstacle_on(&exp, RuntimeKind::Loopback);
-    let udp = run_obstacle_on(&exp, RuntimeKind::Udp);
+    let config = RunConfig::single_cluster(Scheme::Synchronous, 2);
+    let loopback = run_obstacle(16, &config, RuntimeKind::Loopback);
+    let udp = run_obstacle(16, &config, RuntimeKind::Udp);
     assert!(udp.measurement.converged);
     assert!(
         (udp.measurement.max_relaxations() as i64 - loopback.measurement.max_relaxations() as i64)
@@ -63,7 +70,7 @@ fn multi_fragment_boundary_planes_reassemble_end_to_end() {
         udp.measurement.relaxations_per_peer,
         loopback.measurement.relaxations_per_peer
     );
-    assert!(udp.measurement.residual < exp.tolerance * 2.0);
+    assert!(udp.measurement.residual < TOLERANCE * 2.0);
 }
 
 /// The asynchronous scheme across two clusters selects the unreliable
@@ -72,21 +79,12 @@ fn multi_fragment_boundary_planes_reassemble_end_to_end() {
 /// accurate solution, using the freshest updates that do arrive.
 #[test]
 fn asynchronous_two_cluster_run_tolerates_real_datagram_loss() {
-    let n = 10usize;
-    let peers = 2usize;
-    let workload = ObstacleWorkload::new(ObstacleParams {
-        n,
-        peers,
-        scheme: Scheme::Asynchronous,
-        instance: ObstacleInstance::Membrane,
-    });
-    let config = RunConfig::quick_two_clusters(Scheme::Asynchronous, peers).with_extras(
-        BackendExtras::Udp {
+    let config =
+        RunConfig::quick_two_clusters(Scheme::Asynchronous, 2).with_extras(BackendExtras::Udp {
             loss_probability: 0.05,
             reorder_probability: 0.05,
-        },
-    );
-    let result = run_on(&workload, &config, RuntimeKind::Udp);
+        });
+    let result = run_obstacle(10, &config, RuntimeKind::Udp);
     assert!(result.measurement.converged, "lossy run did not converge");
     assert!(
         result.datagrams_dropped > 0,
@@ -103,8 +101,8 @@ fn asynchronous_two_cluster_run_tolerates_real_datagram_loss() {
 /// waited-for, the cross-cluster link runs asynchronously — on real sockets.
 #[test]
 fn hybrid_scheme_converges_over_udp_across_two_clusters() {
-    let exp = ObstacleExperiment::new(10, Scheme::Hybrid, 4, 2);
-    let result = run_obstacle_on(&exp, RuntimeKind::Udp);
+    let config = RunConfig::two_clusters(Scheme::Hybrid, 4);
+    let result = run_obstacle(10, &config, RuntimeKind::Udp);
     assert!(result.measurement.converged);
     assert_eq!(result.measurement.peers, 4);
     assert!(

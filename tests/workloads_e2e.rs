@@ -4,9 +4,8 @@
 //! `tests/udp_e2e.rs` checks the obstacle workload.
 
 use p2pdc::{
-    pagerank_reference, run_on, solve_heat_sequential, HeatApp, HeatParams, ObstacleApp,
-    ObstacleInstance, ObstacleParams, PageRankApp, PageRankParams, RunConfig, RunMeasurement,
-    RuntimeKind, Scheme, WorkloadKind,
+    pagerank_reference, run_on, solve_heat_sequential, RunConfig, RunMeasurement, RuntimeKind,
+    Scheme, WorkloadApp, WorkloadKind,
 };
 use std::sync::Arc;
 
@@ -205,22 +204,14 @@ fn asynchronous_runs_of_new_workloads_converge() {
 #[test]
 fn all_three_applications_register_and_aggregate() {
     let mut tm = p2pdc::TaskManager::new();
-    tm.register_application(Arc::new(ObstacleApp::new(ObstacleParams {
-        n: 6,
-        peers: 2,
-        scheme: Scheme::Synchronous,
-        instance: ObstacleInstance::Membrane,
-    })));
-    tm.register_application(Arc::new(HeatApp::new(HeatParams {
-        n: 8,
-        peers: 2,
-        scheme: Scheme::Synchronous,
-    })));
-    tm.register_application(Arc::new(PageRankApp::new(PageRankParams {
-        vertices: 24,
-        peers: 2,
-        scheme: Scheme::Asynchronous,
-    })));
+    for (kind, size, scheme) in [
+        (WorkloadKind::Obstacle, 6, Scheme::Synchronous),
+        (WorkloadKind::Heat, 8, Scheme::Synchronous),
+        (WorkloadKind::PageRank, 24, Scheme::Asynchronous),
+    ] {
+        let build = move |peers| kind.build(size, peers);
+        tm.register_application(Arc::new(WorkloadApp::new(build, 2, scheme)));
+    }
     assert_eq!(
         tm.application_names(),
         vec![
@@ -234,7 +225,7 @@ fn all_three_applications_register_and_aggregate() {
     // obstacle problem.
     for name in ["heat", "pagerank"] {
         let app = tm.application(name).unwrap();
-        let def = app.problem_definition(&serde_json::json!({}));
+        let def = app.problem_definition(&serde_json::json!({})).unwrap();
         let results: Vec<(usize, Vec<u8>)> = (0..def.peers_needed)
             .map(|rank| {
                 let mut task = app.calculate(&def, rank);
