@@ -1,18 +1,22 @@
 //! SWIM-style gossip membership.
 //!
-//! Every peer runs one [`GossipNode`]: on a fixed cadence it probes a seeded
-//! random fanout of members, piggy-backing membership rumors and convergence
-//! digest rows ([`crate::gossip::aggregation`]) on every probe, ack and
-//! probe-req. A member that misses a direct probe is *suspected* and probed
-//! indirectly through `fanout` helpers; only when the suspicion survives the
-//! full window is it declared *dead* — the death rumor is disseminated and
-//! the driver feeds it into the run's volatility coordinator
-//! ([`crate::churn::VolatilityState::grant`]), which is exactly where the
-//! centralized `TopologyManager::evictions_since` sweep used to hand over
-//! (the recovery path downstream of the verdict is unchanged). The ack and
-//! suspicion windows follow the probe round trip the node measures, in its
-//! own clock units (RFC 6298's estimator; [`GossipTiming`] is their initial
-//! value and ceiling).
+//! Every peer runs one [`GossipNode`] on two cadences. The *probe* cadence
+//! is the failure detector: once per probe period the node probes one
+//! seeded random member, and a member that misses a direct probe is
+//! probed indirectly through `fanout` helpers; only when the suspicion
+//! survives the full window is it declared *dead* — the death rumor is
+//! disseminated and the driver feeds it into the run's volatility
+//! coordinator ([`crate::churn::VolatilityState::grant`]), which is exactly
+//! where the centralized `TopologyManager::evictions_since` sweep used to
+//! hand over (the recovery path downstream of the verdict is unchanged).
+//! The ack and suspicion windows follow the probe round trip the node
+//! measures, in its own clock units (RFC 6298's estimator; [`GossipTiming`]
+//! is their initial value and ceiling). The *push* cadence is
+//! dissemination: [`PUSHES_PER_PROBE`] times per probe period the node
+//! pushes its membership rumors and convergence digest rows
+//! ([`crate::gossip::aggregation`]) to one seeded random member, which
+//! merges them and answers nothing. Probes, acks and probe-reqs carry the
+//! same piggy-back, so every message is an anti-entropy round.
 //!
 //! The node is sans-io like the engine: `poll`/`on_message` return the
 //! messages to send and the driver owns delivery, so the same state machine
@@ -48,8 +52,20 @@ const MAX_RUMORS_PER_MESSAGE: usize = 16;
 /// genuinely dead members go unanswered and cost one datagram per period.
 const DEAD_REPROBE_PERIOD: u64 = 4;
 
-/// Digest rows piggy-backed per message. Every probe and ack carries rows,
-/// so this bounds the steady-state gossip bandwidth: at 64+ peers a full
+/// Digest pushes per probe period. The stop decision waits for every
+/// rank's post-convergence digest row to reach the decider, and on probes
+/// and acks alone a row crosses one hop per probe period — the gossip stop
+/// trailed the central fold by ≈ 32 relaxations on `gossip-churn`. A push
+/// is dissemination only: it arms no ack deadline and draws no reply, so
+/// the failure detector (probe period, windows, suspicion ladder) is
+/// exactly what it was. Probing faster would spread rows as fast, but
+/// every extra probe is one more chance for a stalled peer to miss an ack
+/// and raise a false suspicion (memberlist, likewise, gossips on an
+/// interval 5× shorter than its probe interval).
+pub const PUSHES_PER_PROBE: u64 = 5;
+
+/// Digest rows piggy-backed per message. Every probe, ack and push carries
+/// rows, so this bounds the steady-state gossip bandwidth: at 64+ peers a full
 /// digest on every datagram saturates localhost socket buffers under the
 /// data-plane load and the resulting kernel drops read as missed acks (mass
 /// false suspicion). A seeded 32-row subset per message keeps datagrams
@@ -117,6 +133,12 @@ impl GossipTiming {
             ack_timeout: 2 * round,
             suspect_timeout: 4 * round,
         }
+    }
+
+    /// Interval between digest pushes: a [`PUSHES_PER_PROBE`]th of the
+    /// probe period, at least one clock unit.
+    pub fn push_period(&self) -> u64 {
+        (self.probe_period / PUSHES_PER_PROBE).max(1)
     }
 
     /// The windows a node uses once it has measured `rtt`: the ack window
@@ -207,6 +229,8 @@ pub struct GossipNode {
     pending_indirect: HashMap<u16, Vec<u16>>,
     digest: ConvergenceDigest,
     next_probe_at: u64,
+    /// Next instant of the push cadence (see [`PUSHES_PER_PROBE`]).
+    next_push_at: u64,
     /// Probe rounds completed (drives the [`DEAD_REPROBE_PERIOD`] cadence).
     rounds: u64,
     /// Scratch for fanout selection.
@@ -255,6 +279,7 @@ impl GossipNode {
             pending_indirect: HashMap::new(),
             digest: ConvergenceDigest::new(capacity),
             next_probe_at: 0,
+            next_push_at: 0,
             rounds: 0,
             eligible: Vec::new(),
         }
@@ -334,11 +359,12 @@ impl GossipNode {
     }
 
     /// The earliest instant `poll` has scheduled work for: the next probe
-    /// round, a pending ack deadline, or a suspicion expiry. Event-count
-    /// drivers jump their clock here when every peer is otherwise idle.
+    /// round or push, a pending ack deadline, or a suspicion expiry.
+    /// Event-count drivers jump their clock here when every peer is
+    /// otherwise idle.
     pub fn next_deadline(&self) -> u64 {
         let (ack_window, suspect_window) = self.timing.windows(self.rtt);
-        let mut deadline = self.next_probe_at;
+        let mut deadline = self.next_probe_at.min(self.next_push_at);
         for member in &self.members {
             if member.status == MemberStatus::Alive {
                 if let Some(sent_at) = member.probe_sent_at {
@@ -365,12 +391,12 @@ impl GossipNode {
         deadline
     }
 
-    /// Drive the probe cycle: emit the round's probe when due, escalate a
+    /// Drive both cadences: emit the round's probe when due, escalate a
     /// missed direct ack into indirect probes, harden targets that answered
     /// neither path into disseminated suspicions, and suspicions that
-    /// survived the window into death verdicts. Both windows are derived
-    /// from the measured probe round trip (see [`GossipTiming`]). Returns
-    /// the messages to send.
+    /// survived the window into death verdicts; then emit the push when
+    /// due. Both windows are derived from the measured probe round trip
+    /// (see [`GossipTiming`]). Returns the messages to send.
     pub fn poll(&mut self, now: u64) -> Vec<(usize, GossipMessage)> {
         let (ack_window, suspect_window) = self.timing.windows(self.rtt);
         let mut out = Vec::new();
@@ -465,11 +491,21 @@ impl GossipNode {
                 }
             }
         }
+        // The push cadence (see [`PUSHES_PER_PROBE`]): rumors and rows to
+        // one member, no ack deadline armed.
+        if now >= self.next_push_at {
+            self.next_push_at = now + self.timing.push_period();
+            for target in self.pick_targets_n(now, None, 1) {
+                stats::count_push();
+                out.push((target, self.message(GossipKind::Push, self.rank as u16)));
+            }
+        }
         out
     }
 
     /// Handle one received gossip message; returns the replies/forwards to
-    /// send. Receiving anything from a rank is proof of life.
+    /// send (none for a push). Receiving anything from a rank is proof of
+    /// life.
     pub fn on_message(&mut self, msg: &GossipMessage, now: u64) -> Vec<(usize, GossipMessage)> {
         let from = msg.from as usize;
         if from >= self.members.len() || from == self.rank {
@@ -497,6 +533,7 @@ impl GossipNode {
         }
         let mut out = Vec::new();
         match msg.kind {
+            GossipKind::Push => {}
             GossipKind::Probe => {
                 out.push((from, self.message(GossipKind::Ack, self.rank as u16)));
             }
@@ -730,6 +767,8 @@ pub mod stats {
     pub struct Counters {
         /// Direct + indirect probes sent.
         pub probes_sent: u64,
+        /// Digest pushes sent (not probes: they arm no ack deadline).
+        pub pushes_sent: u64,
         /// Probe-req fan-outs (indirect probe requests).
         pub indirect_probes: u64,
         /// Rumors piggy-backed onto outgoing messages.
@@ -743,6 +782,7 @@ pub mod stats {
     }
 
     static PROBES: AtomicU64 = AtomicU64::new(0);
+    static PUSHES: AtomicU64 = AtomicU64::new(0);
     static INDIRECT: AtomicU64 = AtomicU64::new(0);
     static RUMORS_SENT: AtomicU64 = AtomicU64::new(0);
     static RUMORS_RECEIVED: AtomicU64 = AtomicU64::new(0);
@@ -759,6 +799,7 @@ pub mod stats {
         };
     }
     bump!(count_probe, PROBES);
+    bump!(count_push, PUSHES);
     bump!(count_indirect_probe, INDIRECT);
     bump!(count_rumor_sent, RUMORS_SENT);
     bump!(count_rumor_received, RUMORS_RECEIVED);
@@ -769,6 +810,7 @@ pub mod stats {
     pub fn reset() {
         for counter in [
             &PROBES,
+            &PUSHES,
             &INDIRECT,
             &RUMORS_SENT,
             &RUMORS_RECEIVED,
@@ -783,6 +825,7 @@ pub mod stats {
     pub fn snapshot() -> Counters {
         Counters {
             probes_sent: PROBES.load(Ordering::Relaxed),
+            pushes_sent: PUSHES.load(Ordering::Relaxed),
             indirect_probes: INDIRECT.load(Ordering::Relaxed),
             rumors_sent: RUMORS_SENT.load(Ordering::Relaxed),
             rumors_received: RUMORS_RECEIVED.load(Ordering::Relaxed),
@@ -840,6 +883,11 @@ mod tests {
     /// The windows `node` would use now.
     fn windows(node: &GossipNode) -> (u64, u64) {
         node.timing.windows(node.rtt)
+    }
+
+    /// The kinds of a `poll` / `on_message` batch, in order.
+    fn kinds(batch: &[(usize, GossipMessage)]) -> Vec<GossipKind> {
+        batch.iter().map(|(_, msg)| msg.kind).collect()
     }
 
     /// The latency of one message `(nodes, from, to, msg)` on a
@@ -1113,7 +1161,9 @@ mod tests {
         assert_eq!(windows(&nodes[0]), (1, 2));
         // The next probe goes unanswered: polling again at the instant it
         // left must not escalate it; one unit later the indirect round runs.
+        // The push that leaves with it arms nothing.
         let probe = nodes[0].poll(period);
+        assert_eq!(kinds(&probe), [GossipKind::Probe, GossipKind::Push]);
         let (target, _) = probe[0];
         assert!(
             nodes[0].poll(period).is_empty(),
@@ -1126,6 +1176,61 @@ mod tests {
             .iter()
             .all(|(to, msg)| msg.kind == GossipKind::ProbeReq && *to != target));
         assert!(!escalation.is_empty(), "the helper was asked");
+    }
+
+    /// The push cadence: one push per push period, between and alongside
+    /// the probes; a push arms no ack deadline, moves `next_deadline` to
+    /// its own instant, and its receiver merges the rows and answers
+    /// nothing.
+    #[test]
+    fn one_push_per_push_period_arms_nothing_and_draws_no_reply() {
+        let mut nodes = cluster(3, 13);
+        let timing = GossipTiming::wall_clock();
+        let push = timing.push_period();
+        assert_eq!(push, timing.probe_period / PUSHES_PER_PROBE);
+        nodes[1].record_sweep(&SweepSummary {
+            iteration: 9,
+            clean: true,
+            stable: true,
+            clean_since: 7,
+            stable_streak: 2,
+            generation: 0,
+            epoch: 0,
+            has_async_neighbors: false,
+            points: 10,
+            busy_ns: 100,
+        });
+        let armed = |node: &GossipNode| node.members.iter().map(|m| m.probe_sent_at).collect();
+        let mut probed = vec![None; 3];
+        for k in 0..2 * PUSHES_PER_PROBE {
+            let batch = nodes[1].poll(k * push);
+            let expected: &[GossipKind] = if k % PUSHES_PER_PROBE == 0 {
+                &[GossipKind::Probe, GossipKind::Push]
+            } else {
+                &[GossipKind::Push]
+            };
+            assert_eq!(kinds(&batch), expected, "at push instant {k}");
+            // Nothing is delivered back, so every probe stays outstanding —
+            // and only the probes: no push armed a deadline.
+            for (to, msg) in &batch {
+                if msg.kind == GossipKind::Probe {
+                    probed[*to].get_or_insert(k * push);
+                }
+            }
+            let outstanding: Vec<Option<u64>> = armed(&nodes[1]);
+            assert_eq!(outstanding, probed, "at push instant {k}");
+            assert!(nodes[1].poll(k * push + push / 2).is_empty());
+            assert_eq!(nodes[1].next_deadline(), (k + 1) * push);
+            let (to, msg) = batch.last().expect("a push");
+            assert_ne!(*to, 1, "a node never pushes to itself");
+            assert_eq!((msg.from, msg.subject), (1, 1));
+            assert_eq!(msg.digest, nodes[1].digest().rows());
+            // The receiver merges the rows and answers nothing.
+            assert!(nodes[*to].on_message(msg, k * push).is_empty());
+            assert_eq!(nodes[*to].digest().row(1).latest, 9);
+            let receiver: Vec<Option<u64>> = armed(&nodes[*to]);
+            assert_eq!(receiver, [None; 3]);
+        }
     }
 
     #[test]
@@ -1157,10 +1262,17 @@ mod tests {
     #[test]
     fn direct_ack_after_escalation_is_sampled_and_relayed_ack_is_not() {
         let ack_timeout = GossipTiming::wall_clock().ack_timeout;
+        // Node 0's probe and push at 0; at the ack deadline the probe-req,
+        // the next round's probe and the next push.
         let escalated = |nodes: &mut Vec<GossipNode>| {
             let probe = nodes[0].poll(0);
+            assert_eq!(kinds(&probe), [GossipKind::Probe, GossipKind::Push]);
             let (target, ref msg) = probe[0];
             let req = nodes[0].poll(ack_timeout);
+            assert_eq!(
+                kinds(&req),
+                [GossipKind::ProbeReq, GossipKind::Probe, GossipKind::Push]
+            );
             assert!(nodes[0].members[target].indirect_asked, "escalated");
             (target, msg.clone(), req)
         };

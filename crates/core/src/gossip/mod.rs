@@ -10,7 +10,8 @@
 //!   datagram/wire-frame kind on every backend.
 //! - [`membership`] — the [`GossipNode`] SWIM state machine: seeded-fanout
 //!   probes, ack timeouts, indirect probes, suspicion, death verdicts and
-//!   incarnation-based refutation.
+//!   incarnation-based refutation, plus the digest pushes that run on their
+//!   own, faster cadence.
 //! - [`aggregation`] — the [`ConvergenceDigest`]: per-rank evidence rows
 //!   merged as a join-semilattice, over which every peer evaluates the
 //!   stop criterion locally instead of reporting into the central fold.

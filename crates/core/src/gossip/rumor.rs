@@ -1,6 +1,6 @@
 //! Wire encoding of the gossip control plane: membership rumors and
-//! convergence-evidence digest rows, carried piggy-backed on every probe and
-//! ack (see [`crate::gossip::membership`]).
+//! convergence-evidence digest rows, carried piggy-backed on every probe,
+//! ack, probe-req and push (see [`crate::gossip::membership`]).
 //!
 //! The encoding follows the datagram layer's conventions
 //! ([`crate::runtime::udp::Datagram`]): big-endian fixed-width fields, `u16`
@@ -134,7 +134,8 @@ impl DigestRow {
     }
 }
 
-/// The three SWIM exchanges of the probe cycle.
+/// The three SWIM exchanges of the probe cycle, plus the dissemination
+/// push that runs on its own, faster cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GossipKind {
     /// Direct liveness probe (expects an [`GossipKind::Ack`]).
@@ -145,6 +146,9 @@ pub enum GossipKind {
     /// Indirect probe request: "probe `subject` for me" — the step before a
     /// suspicion hardens into a death verdict.
     ProbeReq,
+    /// Dissemination only: the sender's rumors and digest rows, merged by
+    /// the receiver and answered with nothing (no ack deadline is armed).
+    Push,
 }
 
 impl GossipKind {
@@ -153,6 +157,7 @@ impl GossipKind {
             GossipKind::Probe => 0,
             GossipKind::Ack => 1,
             GossipKind::ProbeReq => 2,
+            GossipKind::Push => 3,
         }
     }
 
@@ -161,13 +166,14 @@ impl GossipKind {
             0 => Some(GossipKind::Probe),
             1 => Some(GossipKind::Ack),
             2 => Some(GossipKind::ProbeReq),
+            3 => Some(GossipKind::Push),
             _ => None,
         }
     }
 }
 
-/// One gossip exchange: a probe/ack/probe-req with piggy-backed rumors and
-/// digest rows. Every message doubles as an anti-entropy round — receiving
+/// One gossip exchange: a probe/ack/probe-req/push with piggy-backed rumors
+/// and digest rows. Every message doubles as an anti-entropy round — receiving
 /// *any* message refreshes the sender's liveness and merges its evidence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipMessage {
@@ -178,8 +184,8 @@ pub struct GossipMessage {
     /// Sender's incarnation (receivers refresh their member table with it).
     pub incarnation: u32,
     /// [`GossipKind::Ack`]: the rank confirmed alive; [`GossipKind::ProbeReq`]:
-    /// the rank to probe on the sender's behalf; [`GossipKind::Probe`]: unused
-    /// (equals `from`).
+    /// the rank to probe on the sender's behalf; [`GossipKind::Probe`] and
+    /// [`GossipKind::Push`]: unused (equals `from`).
     pub subject: u16,
     /// Piggy-backed membership rumors.
     pub rumors: Vec<Rumor>,
@@ -413,7 +419,7 @@ mod tests {
         /// flipped-header garbage is rejected.
         #[test]
         fn gossip_message_round_trips_and_rejects_truncation(
-            kind in 0u8..3,
+            kind in 0u8..4,
             from in 0u16..u16::MAX,
             incarnation in proptest::prelude::any::<u32>(),
             subject in 0u16..u16::MAX,
@@ -451,6 +457,15 @@ mod tests {
             let mut garbage = bytes.clone();
             garbage[0] = 0xFF;
             proptest::prop_assert_eq!(GossipMessage::decode(&garbage), None);
+            // An unknown kind byte is rejected on its own, not only through
+            // the checksum: re-seal the frame around kinds 4 and up.
+            for unknown in [4, 5 + (rumor_seed % 250) as u8] {
+                let mut foreign = bytes[..bytes.len() - CHECKSUM_BYTES].to_vec();
+                foreign[0] = unknown;
+                let checksum = p2psap::data::frame_checksum(&foreign);
+                foreign.extend_from_slice(&checksum.to_be_bytes());
+                proptest::prop_assert_eq!(GossipMessage::decode(&foreign), None);
+            }
             // A single flipped bit anywhere in the frame fails the checksum.
             for at in 0..bytes.len() {
                 let mut corrupted = bytes.clone();

@@ -254,7 +254,7 @@ impl HostedPeer {
 mod tests {
     use super::*;
     use crate::churn::ChurnPlan;
-    use crate::gossip::GossipTiming;
+    use crate::gossip::{GossipKind, GossipTiming};
     use crate::runtime::engine::testing::{RampTask, ScriptTransport};
     use crate::runtime::RunConfig;
     use netsim::LinkFaults;
@@ -356,9 +356,15 @@ mod tests {
     #[test]
     fn deliver_is_total_over_wire() {
         let (_, mut gossiping, _) = started(config().with_gossip(1), 1);
-        let probe = gossiping.gossip.as_mut().expect("gossip run").poll(0)[0]
-            .1
-            .encode();
+        let first = gossiping.gossip.as_mut().expect("gossip run").poll(0);
+        let [(_, probe), (_, push)] = &first[..] else {
+            panic!("the first poll probes and pushes: {first:?}");
+        };
+        assert_eq!(
+            (probe.kind, push.kind),
+            (GossipKind::Probe, GossipKind::Push)
+        );
+        let (probe, push) = (probe.encode(), push.encode());
         // A frame for a peer without a SWIM node, a frame that does not
         // decode, a segment from a rank that is no neighbour: all dropped.
         let (_, mut central, mut tc) = started(config(), 0);
@@ -370,7 +376,10 @@ mod tests {
         peer.deliver(2, Wire::Rollback(0, 0), &mut transport);
         assert!(tc.sent.is_empty() && transport.sent.is_empty());
         assert!(transport.computes_after_sent == [0] && !peer.engine.finished());
-        // A frame that does decode is answered, straight back to its sender.
+        // A push that decodes is merged and answered with nothing; a probe
+        // is answered, straight back to its sender.
+        peer.deliver(1, Wire::Gossip(push), &mut transport);
+        assert!(transport.sent.is_empty());
         peer.deliver(1, Wire::Gossip(probe), &mut transport);
         assert!(matches!(transport.sent[..], [(1, Wire::Gossip(_))]));
     }

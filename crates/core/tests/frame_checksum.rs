@@ -70,7 +70,12 @@ fn gossip_frame(rng: &mut TestRng) -> Vec<u8> {
         })
         .collect();
     GossipMessage {
-        kind: [GossipKind::Probe, GossipKind::Ack, GossipKind::ProbeReq][rng.below(3) as usize],
+        kind: [
+            GossipKind::Probe,
+            GossipKind::Ack,
+            GossipKind::ProbeReq,
+            GossipKind::Push,
+        ][rng.below(4) as usize],
         from: rng.next_u64() as u16,
         incarnation: rng.next_u64() as u32,
         subject: rng.next_u64() as u16,
