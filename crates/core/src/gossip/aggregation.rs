@@ -180,20 +180,21 @@ impl ConvergenceDigest {
         }
         let rows = &self.rows[..universe];
         if rows.iter().enumerate().any(|(rank, row)| {
-            row.generation != generation || row.latest == 0 || !evidence_ok(rank)
+            row.generation != generation
+                || row.latest == 0
+                || !evidence_ok(rank)
+                || !row.meets_stop_criterion(scheme)
         }) {
             return false;
         }
         match scheme {
             Scheme::Synchronous | Scheme::Hybrid => {
-                // Witness iteration: the latest start of a clean streak. It
-                // must lie inside every rank's clean interval — then every
-                // rank's local difference at the witness was at or below the
-                // tolerance, which is the central fold's per-iteration test.
+                // Witness iteration: the latest start of a clean streak
+                // (every rank has one, checked above). It must lie inside
+                // every rank's clean interval — then every rank's local
+                // difference at the witness was at or below the tolerance,
+                // which is the central fold's per-iteration test.
                 let witness = rows.iter().map(|r| r.clean_since).max().unwrap_or(u64::MAX);
-                if witness == u64::MAX {
-                    return false;
-                }
                 let covered = rows.iter().all(|r| r.latest >= witness);
                 // Hybrid: ranks with asynchronous (cross-cluster) neighbours
                 // must additionally be stable, so stale inter-cluster
@@ -206,8 +207,8 @@ impl ConvergenceDigest {
                 covered && stable_ok
             }
             // Asynchronous: every rank reported two consecutive stable
-            // sweeps (the central fold's streak criterion).
-            Scheme::Asynchronous => rows.iter().all(|r| r.stable_streak >= 2),
+            // sweeps (the central fold's streak criterion), checked above.
+            Scheme::Asynchronous => true,
         }
     }
 }

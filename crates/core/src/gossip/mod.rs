@@ -8,10 +8,12 @@
 //! - [`rumor`] — the wire vocabulary: membership [`Rumor`]s, convergence
 //!   [`DigestRow`]s, and the [`GossipMessage`] envelope carried as one
 //!   datagram/wire-frame kind on every backend.
-//! - [`membership`] — the [`GossipNode`] SWIM state machine: seeded-fanout
-//!   probes, ack timeouts, indirect probes, suspicion, death verdicts and
+//! - [`membership`] — the [`GossipNode`] SWIM state machine: probes on a
+//!   schedule every node shares (each member probed once per period), ack
+//!   timeouts, indirect probes, suspicion, death verdicts and
 //!   incarnation-based refutation, plus the digest pushes that run on their
-//!   own, faster cadence.
+//!   own, faster cadence and at once when a node's own row starts to meet
+//!   the stop criterion.
 //! - [`aggregation`] — the [`ConvergenceDigest`]: per-rank evidence rows
 //!   merged as a join-semilattice, over which every peer evaluates the
 //!   stop criterion locally instead of reporting into the central fold.

@@ -11,6 +11,7 @@
 //! discipline is exercised on every substrate.
 
 use crate::load_balance::PeerLoad;
+use p2psap::Scheme;
 
 /// SWIM membership verdict a rumor disseminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +124,20 @@ impl DigestRow {
     /// generation beats older, then newer author epoch, then later iteration.
     pub fn supersedes(&self, other: &DigestRow) -> bool {
         (self.generation, self.epoch, self.latest) > (other.generation, other.epoch, other.latest)
+    }
+
+    /// Whether this row meets its own part of `scheme`'s stop criterion,
+    /// which every row of the universe must meet before
+    /// [`ConvergenceDigest::decision`](crate::gossip::ConvergenceDigest::decision)
+    /// can fire: two consecutive stable sweeps under the asynchronous
+    /// scheme, a running clean streak under the synchronous and hybrid ones
+    /// (which then also need a witness iteration common to every streak).
+    /// A node pushes its own row the moment it starts to meet it.
+    pub fn meets_stop_criterion(&self, scheme: Scheme) -> bool {
+        match scheme {
+            Scheme::Asynchronous => self.stable_streak >= 2,
+            Scheme::Synchronous | Scheme::Hybrid => self.clean_since != u64::MAX,
+        }
     }
 
     /// The load estimate this row gossips.

@@ -1656,7 +1656,8 @@ impl PeerEngine {
     /// definition (the digest already proved convergence), and
     /// `PeerEngine::finish`'s deposit flips the shared stop board, which
     /// every other peer observes at its next publish even if the stop
-    /// broadcast is lost.
+    /// broadcast is lost. A hosted turn that finds the stop board flipped
+    /// with a sweep pending ends the same way (`HostedPeer::turn`).
     pub fn on_distributed_decision(&mut self, transport: &mut impl PeerTransport) {
         if self.finished || self.crashed {
             return;

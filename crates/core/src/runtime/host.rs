@@ -177,7 +177,10 @@ impl HostedPeer {
 
     /// One turn of a running peer on a polled transport — nothing but the
     /// sub-steps, in this order. A fatal sweep ends the turn at once: a dead
-    /// peer neither gossips nor polls.
+    /// peer neither gossips nor polls. A sweep that completes after the run
+    /// stopped is abandoned instead of published: its planes and report
+    /// would only reach peers that are finishing, and the peer finishes now
+    /// instead of one more publish later.
     pub(crate) fn turn<T: PeerTransport>(
         &mut self,
         run: &RunScaffold,
@@ -193,11 +196,12 @@ impl HostedPeer {
             };
             self.fire_timer(key, transport);
         }
-        if !self.engine.finished()
-            && std::mem::take(&mut polled(transport).compute_pending)
-            && self.complete_compute(transport)
-        {
-            return Turn::Crashed;
+        if !self.engine.finished() && std::mem::take(&mut polled(transport).compute_pending) {
+            if run.shared.stopped() {
+                self.engine.on_distributed_decision(transport);
+            } else if self.complete_compute(transport) {
+                return Turn::Crashed;
+            }
         }
         self.gossip_turn(run, transport);
         // The verdicts the run publishes, polled as the safety net behind
@@ -351,6 +355,29 @@ mod tests {
         assert_eq!(run.crash_verdict(0), CrashVerdict::Granted);
         run.shared.lock().deposit_result(1, 0, Vec::new(), 1);
         assert_eq!(run.crash_verdict(0), CrashVerdict::Stopped);
+    }
+
+    /// The stop cut: a sweep that completes after the run stopped is not
+    /// published — the peer finishes at once, transmitting nothing and
+    /// broadcasting no second stop, with the sweep counted in its result.
+    #[test]
+    fn a_sweep_pending_when_the_run_stopped_finishes_without_transmitting() {
+        for config in [config(), config().with_gossip(1)] {
+            let (run, mut peer, mut transport) = started(config, 0);
+            assert!(transport.polled.compute_pending, "sweep 1 is pending");
+            transport.sent.clear();
+            // Rank 1 finished first: the stop board is flipped, its
+            // broadcast is owned.
+            assert!(run.shared.lock().deposit_result(1, 1, Vec::new(), 1));
+            assert_eq!(
+                peer.turn(&run, &mut transport, |t| &mut t.polled),
+                Turn::Finished
+            );
+            assert!(transport.sent.is_empty(), "published {:?}", transport.sent);
+            assert!(transport.broadcasts.is_empty());
+            assert!(!transport.polled.compute_pending);
+            assert_eq!(peer.engine.relaxations(), 1);
+        }
     }
 
     #[test]

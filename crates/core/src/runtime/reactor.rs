@@ -25,8 +25,9 @@
 //! state machine phase: bootstrap discovery resends hellos on poll ticks
 //! until the rank→address table lands, a pre-provisioned join rank stays
 //! dormant until its seeded join fires, and a crashed peer parks in an
-//! await-grant phase (its replacement socket already bound) until the
-//! failure monitor grants recovery or the run stops.
+//! await-grant phase (its replacement socket already bound and its port
+//! already published) until the failure monitor grants recovery — it
+//! revives at once — or the run stops.
 
 use crate::runtime::detection::{Heartbeat, LoopHeartbeat};
 use crate::runtime::driver::{DriverOutcome, TaskFactory};
@@ -128,7 +129,10 @@ pub struct SocketRunOutcome {
 const HELLO_RETRY: Duration = Duration::from_millis(25);
 
 /// Poll-timeout ceiling when every owned peer is quiescent: bounds the
-/// latency of the dormant-join, await-grant and stop polls.
+/// latency of the dormant-join, await-grant, discovery and mailbox polls.
+/// Not the end of a run: a stopped peer is woken by the stop broadcast on
+/// its socket, and the loop that retires the run's last peer wakes the
+/// others with [`Poller::notify`].
 const IDLE_POLL_CAP: Duration = Duration::from_millis(2);
 
 /// How many complete segments a discovering peer keeps for its engine. A
@@ -142,9 +146,6 @@ enum OnTable {
     Start,
     /// Mid-run joiner: announce to the failure detector, then `on_start`.
     JoinStart,
-    /// Revived crash victim: republish the new port, re-register with the
-    /// failure detector, then restore from the checkpoint.
-    Recover,
 }
 
 /// One multiplexed peer's slot in an event loop.
@@ -159,8 +160,8 @@ enum Phase {
         /// What to do once the table lands.
         then: OnTable,
     },
-    /// Crashed; replacement socket bound, waiting for the recovery grant
-    /// (or the run to stop).
+    /// Crashed; replacement socket bound and its port published, waiting
+    /// for the recovery grant (or the run to stop).
     AwaitGrant,
     /// Discovered and computing.
     Running,
@@ -192,6 +193,9 @@ struct Peer {
 /// Everything an event loop shares with its siblings.
 struct LoopShared<'a> {
     run: &'a RunScaffold,
+    /// Every loop's readiness poller, by loop index: a loop waits on its
+    /// own and [`Poller::notify`]s the others.
+    pollers: &'a [Poller],
     /// The loss shim's `(loss, reorder)` probabilities.
     impairment: (f64, f64),
     bootstrap_addr: SocketAddr,
@@ -377,6 +381,30 @@ fn bind_peer_socket(rank: usize, poller: &Poller, ctx: &LoopShared<'_>) -> UdpSo
     socket
 }
 
+/// Announce `rank`'s socket to the bootstrap service (one datagram; a
+/// discovering peer resends it until the table arrives).
+fn announce(socket: &UdpSocket, rank: usize, ctx: &LoopShared<'_>) {
+    let hello = Datagram::Hello { rank }.encode();
+    let _ = socket.send_to(&hello, ctx.bootstrap_addr);
+}
+
+/// Re-sync `transport`'s address book from the run's port table when any
+/// rank rebound its socket since `seen` (the [`LoopShared::ports_version`]
+/// it last read). Heals a lost `Table` re-broadcast: without this, ghosts
+/// to a recovered peer's dead port keep its freshness guard unstable
+/// forever and the run burns to the relaxation cap.
+fn sync_addrs(transport: &mut UdpTransport, seen: &mut u64, rank: usize, ctx: &LoopShared<'_>) {
+    let ports_version = ctx.ports_version.load(Ordering::Acquire);
+    if ports_version != *seen {
+        *seen = ports_version;
+        for (nb, &port) in ctx.ports.lock().unwrap().iter().enumerate() {
+            if nb != rank && port != 0 {
+                transport.addrs[nb] = localhost_addr(port);
+            }
+        }
+    }
+}
+
 impl Peer {
     /// A pre-provisioned slot: no socket, no engine.
     fn dormant(rank: usize) -> Self {
@@ -394,7 +422,7 @@ impl Peer {
     }
 
     /// Bring the hosted peer onto the wire: a fresh socket and the
-    /// bootstrap hello.
+    /// bootstrap hello, then wait for the rank→address table.
     fn bind_and_discover(
         &mut self,
         host: HostedPeer,
@@ -404,36 +432,43 @@ impl Peer {
     ) {
         self.host = Some(host);
         let (loss, reorder) = ctx.impairment;
+        let socket = bind_peer_socket(self.rank, poller, ctx);
+        announce(&socket, self.rank, ctx);
         self.transport = Some(UdpTransport::new(
             self.rank,
             ctx.start,
-            bind_peer_socket(self.rank, poller, ctx),
+            socket,
             vec![localhost_addr(0); ctx.run.total()],
             // Per-rank stream so peers do not share drop decisions.
             LossShim::new(ctx.run.seed.wrapping_add(self.rank as u64), loss, reorder),
             ctx.run.topology.clone(),
         ));
         self.heartbeat = Some(Heartbeat::new(&ctx.run.topology, self.rank));
-        self.discover(ctx, then);
-    }
-
-    /// Announce this peer's socket to the bootstrap service and wait for
-    /// the rank→address table.
-    fn discover(&mut self, ctx: &LoopShared<'_>, then: OnTable) {
-        self.send_hello(ctx);
         self.phase = Phase::Discovering {
             hello_at: Instant::now(),
             then,
         };
     }
 
-    fn send_hello(&mut self, ctx: &LoopShared<'_>) {
+    /// Revive the crashed peer the moment its recovery is granted: its
+    /// replacement socket's port has been in the run's port table (and
+    /// announced to the bootstrap) since the crash, so no bootstrap round
+    /// trip stands between the grant and the restore.
+    fn revive(&mut self, ctx: &LoopShared<'_>) {
+        if let Some(topo) = &ctx.run.topo {
+            self.heartbeat
+                .as_mut()
+                .expect("bound peer has heartbeat")
+                .rejoin(topo, ctx.start);
+        }
         let transport = self
             .transport
-            .as_ref()
-            .expect("discovering peer has socket");
-        let hello = Datagram::Hello { rank: self.rank }.encode();
-        let _ = transport.socket.send_to(&hello, ctx.bootstrap_addr);
+            .as_mut()
+            .expect("crashed peer keeps a socket");
+        sync_addrs(transport, &mut self.seen_ports_version, self.rank, ctx);
+        let host = self.host.as_mut().expect("crashed peer is hosted");
+        host.revive(transport);
+        self.phase = Phase::Running;
     }
 
     /// Retire the peer: flush the shim's held-back datagram, account its
@@ -572,35 +607,30 @@ impl Peer {
                     else {
                         unreachable!()
                     };
-                    // A joiner or a revived rank (re-)registers with the
-                    // failure detector before its first relaxation.
-                    if let (OnTable::JoinStart | OnTable::Recover, Some(topo)) =
-                        (&then, &ctx.run.topo)
-                    {
+                    // A joiner registers with the failure detector before its
+                    // first relaxation.
+                    if let (OnTable::JoinStart, Some(topo)) = (&then, &ctx.run.topo) {
                         self.heartbeat
                             .as_mut()
                             .expect("bound peer has heartbeat")
                             .rejoin(topo, ctx.start);
                     }
-                    if let OnTable::Recover = then {
-                        host.revive(transport);
-                    } else {
-                        host.engine.on_start(transport);
-                    }
+                    host.engine.on_start(transport);
                     for (from, segment) in self.early.drain(..) {
                         host.deliver(from, Wire::Segment(segment), transport);
                     }
                 } else if hello_at.elapsed() >= HELLO_RETRY {
                     *hello_at = Instant::now();
-                    self.send_hello(ctx);
+                    let transport = self
+                        .transport
+                        .as_ref()
+                        .expect("discovering peer has socket");
+                    announce(&transport.socket, self.rank, ctx);
                 }
             }
             Phase::AwaitGrant => match ctx.run.crash_verdict(self.rank) {
                 CrashVerdict::Pending => {}
-                // Rejoin: announce the replacement socket to the bootstrap
-                // (which re-broadcasts the table to every peer), then
-                // restore from the checkpoint.
-                CrashVerdict::Granted => self.discover(ctx, OnTable::Recover),
+                CrashVerdict::Granted => self.revive(ctx),
                 // Relaxation cap reached elsewhere while this peer was
                 // down: fold it into the stop instead of reviving it.
                 CrashVerdict::Stopped => {
@@ -618,19 +648,7 @@ impl Peer {
             },
             Phase::Running => {
                 let transport = self.transport.as_mut().expect("running peer has socket");
-                // Re-sync the address book when any rank rebound its socket.
-                // Heals a lost `Table` re-broadcast: without this, ghosts to
-                // the victim's dead port keep its freshness guard unstable
-                // forever and the run burns to the relaxation cap.
-                let ports_version = ctx.ports_version.load(Ordering::Acquire);
-                if ports_version != self.seen_ports_version {
-                    self.seen_ports_version = ports_version;
-                    for (nb, &port) in ctx.ports.lock().unwrap().iter().enumerate() {
-                        if nb != self.rank && port != 0 {
-                            transport.addrs[nb] = localhost_addr(port);
-                        }
-                    }
-                }
+                sync_addrs(transport, &mut self.seen_ports_version, self.rank, ctx);
                 // (Heartbeats are batched at the event-loop level: one
                 // topology-server acquisition per ping period covers every
                 // running peer the loop multiplexes.)
@@ -640,16 +658,23 @@ impl Peer {
                     Turn::Finished => self.finish(poller, ctx),
                     Turn::Crashed => {
                         // The peer died. Kill its socket for real: the old
-                        // port closes, in-flight datagrams to it are dropped
-                        // by the kernel, and neighbours' sends go nowhere
-                        // until the bootstrap publishes the revived peer's
-                        // new port. Timers die with it, and it stops
-                        // pinging — the topology manager evicts it and the
-                        // monitor grants recovery.
+                        // port closes and in-flight datagrams to it are
+                        // dropped by the kernel. The replacement binds now
+                        // and its port goes into the run's table, so
+                        // neighbours address it from their next turn on,
+                        // but it drops what it reads until the revive. Timers die
+                        // with it, and it stops pinging — the topology
+                        // manager evicts it and the monitor grants
+                        // recovery.
                         transport.shim.flush(&transport.socket);
                         let _ = poller.delete(&transport.socket);
                         transport.polled = Polled::default();
                         transport.socket = bind_peer_socket(self.rank, poller, ctx);
+                        // Fire-and-forget: the bootstrap's own table must
+                        // name the new port, or the table it broadcasts for
+                        // a later join would send every peer back to the
+                        // dead one.
+                        announce(&transport.socket, self.rank, ctx);
                         self.reassembler = Reassembler::new();
                         self.phase = Phase::AwaitGrant;
                     }
@@ -693,7 +718,7 @@ fn event_loop(
     ctx: &LoopShared<'_>,
     task_factory: TaskFactory<'_>,
 ) {
-    let poller = Poller::new().expect("create readiness poller");
+    let poller = &ctx.pollers[index];
     let mut events = Events::new();
     let mut buf = vec![0u8; 65536];
     let mut heartbeat = LoopHeartbeat::new();
@@ -706,7 +731,7 @@ fn event_loop(
     for peer in peers.values_mut() {
         if peer.rank < ctx.run.alpha {
             let host = ctx.run.host(peer.rank, task_factory(peer.rank));
-            peer.bind_and_discover(host, &poller, ctx, OnTable::Start);
+            peer.bind_and_discover(host, poller, ctx, OnTable::Start);
         }
     }
 
@@ -757,14 +782,18 @@ fn event_loop(
             }
         }
         for peer in peers.values_mut() {
-            peer.advance(&poller, ctx);
+            peer.advance(poller, ctx);
         }
         peers.retain(|_, peer| {
             if matches!(peer.phase, Phase::Done) {
                 // The run's last retirement releases the calling thread
-                // from the bootstrap service.
+                // from the bootstrap service and the other loops from
+                // their idle waits.
                 if ctx.balancer.mark_done() {
                     wake_bootstrap(ctx.bootstrap_addr);
+                    for other in ctx.pollers {
+                        let _ = other.notify();
+                    }
                 }
                 false
             } else {
@@ -830,8 +859,12 @@ pub(crate) fn run_iterative_reactor(
     let ports_version = AtomicU64::new(0);
     let dropped = AtomicU64::new(0);
     let balancer = Balancer::new(live_loops, total);
+    let pollers: Vec<Poller> = (0..live_loops)
+        .map(|_| Poller::new().expect("create readiness poller"))
+        .collect();
     let ctx = LoopShared {
         run: &run,
+        pollers: &pollers,
         impairment: config.extras.impairment(),
         bootstrap_addr,
         start,
@@ -857,6 +890,18 @@ pub(crate) fn run_iterative_reactor(
         bootstrap_service(&bootstrap_socket, run.alpha, total, || {
             balancer.all_done() || loops.iter().any(|l| l.is_finished())
         });
+        // Join the loops instead of leaving them to the scope, which only
+        // waits for their closures to return: a thread it does not join is
+        // detached, and its teardown — returning its allocator arena —
+        // races the next run's loops, which then open fresh arenas. Loops
+        // that exit together (the last retirement notifies the others)
+        // lost that race often enough to raise a benchmark pass's peak
+        // RSS by 15–25 %.
+        for handle in loops {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     let loops = balancer.stats();
     *LAST_LOOP_STATS.lock().unwrap() = Some(loops.clone());
@@ -1044,10 +1089,15 @@ mod tests {
 
     impl Hostile {
         fn new() -> Self {
+            Self::with_config(&RunConfig::quick(Scheme::Synchronous, HOSTILE_RANKS).with_gossip(2))
+        }
+
+        /// The harness over a run of [`HOSTILE_RANKS`] ranks configured as
+        /// `config` says.
+        fn with_config(config: &RunConfig) -> Self {
             let bind = || UdpSocket::bind(localhost_addr(0)).expect("bind test socket");
-            let config = RunConfig::quick(Scheme::Synchronous, HOSTILE_RANKS).with_gossip(2);
             Self {
-                run: RunScaffold::wall_clock(&config, 1),
+                run: RunScaffold::wall_clock(config, 1),
                 sinks: [bind(), bind()],
                 injector: bind(),
                 poller: Poller::new().expect("create poller"),
@@ -1066,6 +1116,7 @@ mod tests {
         fn ctx(&self) -> LoopShared<'_> {
             LoopShared {
                 run: &self.run,
+                pollers: std::slice::from_ref(&self.poller),
                 impairment: (0.0, 0.0),
                 bootstrap_addr: localhost_addr(self.sink_port(0)),
                 start: Instant::now(),
@@ -1265,6 +1316,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Revive at the grant: the crash binds the replacement socket, puts
+    /// its port in the run's table and announces it to the bootstrap, and
+    /// the grant revives the peer at once — no `Table` arrives in between.
+    /// (The bootstrap then names the new port in every table it sends, a
+    /// later joiner's included: `udp::tests::bootstrap_broadcasts_only_a_changed_table`.)
+    #[test]
+    fn a_crashed_peer_revives_at_the_grant_without_a_table() {
+        use crate::churn::ChurnPlan;
+        use crate::runtime::driver::ClockDomain;
+
+        let mut config = RunConfig::quick(Scheme::Synchronous, HOSTILE_RANKS).with_gossip(2);
+        config.churn = Some(ChurnPlan::kill(1, 1).with_checkpoint_interval(1));
+        let hostile = Hostile::with_config(&config);
+        let mut buf = vec![0u8; 65536];
+        let mut peer = hostile.running_peer(&mut buf);
+        let port = |peer: &Peer| {
+            let socket = &peer.transport.as_ref().expect("bound peer").socket;
+            socket.local_addr().expect("peer addr").port()
+        };
+        let dead_port = port(&peer);
+        // Sweep 1 completes on the first turn, and it is the peer's last.
+        peer.advance(&hostile.poller, &hostile.ctx());
+        assert!(matches!(peer.phase, Phase::AwaitGrant));
+        let new_port = port(&peer);
+        assert_ne!(new_port, dead_port);
+        assert_eq!(hostile.ports.lock().unwrap()[1], new_port);
+        // The bootstrap (sink 0) hears the new port's hello.
+        let bootstrap = &hostile.sinks[0];
+        bootstrap
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set sink timeout");
+        loop {
+            let (len, from) = bootstrap.recv_from(&mut buf).expect("the hello");
+            if Datagram::decode(&buf[..len]) == Some(Datagram::Hello { rank: 1 })
+                && from.port() == new_port
+            {
+                break;
+            }
+        }
+        // Not granted yet: it waits. Granted: it runs again at once.
+        peer.advance(&hostile.poller, &hostile.ctx());
+        assert!(matches!(peer.phase, Phase::AwaitGrant));
+        let host = peer.host.as_ref().expect("crashed peer is hosted");
+        host.self_grant(&hostile.run, ClockDomain::Virtual);
+        peer.advance(&hostile.poller, &hostile.ctx());
+        assert!(matches!(peer.phase, Phase::Running));
+        let engine = &peer.host.as_ref().expect("revived peer").engine;
+        assert!(!engine.crashed() && !engine.finished());
+        assert_eq!(port(&peer), new_port);
     }
 
     /// A read that does not fit the buffer is dropped whole: its head may

@@ -170,6 +170,7 @@ impl RunScaffold {
         let gossip = self.gossip.map(|(fanout, timing)| {
             let rank = engine.rank();
             GossipNode::new(rank, self.alpha, self.total(), fanout, self.seed, timing)
+                .with_scheme(self.scheme)
         });
         HostedPeer { engine, gossip }
     }

@@ -824,13 +824,19 @@ pub(crate) fn table_addrs(ports: &[u16], expected: usize) -> Option<Vec<SocketAd
 }
 
 /// Bootstrap service: collects one `HELLO(rank)` from every *initial* peer
-/// on the run's rendezvous `socket`, then answers every (re-)announcement
-/// with the full `total`-slot table (pre-provisioned join ranks appear as
-/// port 0 until they announce; a joiner's hello triggers a table
-/// re-broadcast so every running peer learns its address mid-run). Serves
-/// on the calling thread until `done()` holds; whoever makes it hold sends
-/// [`wake_bootstrap`], so the blocked receive returns at once — the read
-/// timeout is only the safety net behind that one droppable datagram.
+/// on the run's rendezvous `socket`, then publishes the full `total`-slot
+/// table (pre-provisioned join ranks appear as port 0 until they announce).
+/// A hello that changes the table — the one that completes it, a joiner's,
+/// a revived peer's new port — is answered by broadcasting the table to
+/// every announced peer, so every running peer learns the address mid-run;
+/// a repeated hello whose port the table already holds (a discovering
+/// peer's retry) only by the table to its sender. Broadcasting on every
+/// hello sent n tables per retry — quadratic in the peers at start-up,
+/// where loops that take longer than the retry interval to bind resend
+/// all their hellos. Serves on the calling thread until `done()` holds;
+/// whoever makes it hold sends [`wake_bootstrap`], so the blocked receive
+/// returns at once — the read timeout is only the safety net behind that
+/// one droppable datagram.
 pub(crate) fn bootstrap_service(
     socket: &UdpSocket,
     initial: usize,
@@ -849,20 +855,23 @@ pub(crate) fn bootstrap_service(
         let Some(Datagram::Hello { rank }) = Datagram::decode(&buf[..len]) else {
             continue;
         };
-        if rank < total {
-            ports[rank] = Some(from_addr.port());
+        if rank >= total {
+            continue;
         }
-        if ports.iter().take(initial).all(|p| p.is_some()) {
-            let table = Datagram::Table {
-                ports: ports.iter().map(|p| p.unwrap_or(0)).collect(),
-            }
-            .encode();
-            // Answer the announcer (and everyone else, so peers whose
-            // earlier table reply was not yet sent make progress and a
-            // joiner's port reaches the already-running peers).
+        let changed = ports[rank].replace(from_addr.port()) != Some(from_addr.port());
+        if !ports.iter().take(initial).all(|p| p.is_some()) {
+            continue;
+        }
+        let table = Datagram::Table {
+            ports: ports.iter().map(|p| p.unwrap_or(0)).collect(),
+        }
+        .encode();
+        if changed {
             for port in ports.iter().flatten() {
                 let _ = socket.send_to(&table, localhost_addr(*port));
             }
+        } else {
+            let _ = socket.send_to(&table, from_addr);
         }
     }
 }
@@ -891,6 +900,97 @@ mod tests {
 
     fn run(config: &RunConfig) -> DriverOutcome {
         run_sockets(config).outcome
+    }
+
+    /// The bootstrap answers a hello that changes the table by
+    /// broadcasting it (n datagrams) and a repeated one by a unicast to its
+    /// sender (1 datagram). Three initial ranks and one join slot: the
+    /// initial hellos, one retry, rank 2 rebinding after a crash, then the
+    /// joiner — whose table names rank 2's new port.
+    #[test]
+    fn bootstrap_broadcasts_only_a_changed_table() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let (initial, total) = (3, 4);
+        let service = UdpSocket::bind(localhost_addr(0)).expect("bind service");
+        let service_addr = service.local_addr().expect("service addr");
+        let bind = || {
+            let socket = UdpSocket::bind(localhost_addr(0)).expect("bind peer");
+            socket
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("set peer timeout");
+            socket
+        };
+        let port = |socket: &UdpSocket| socket.local_addr().expect("peer addr").port();
+        let stop = AtomicBool::new(false);
+        // Stops the service when the test body ends, failed assertions
+        // included, so a failure is reported instead of hanging the scope.
+        struct StopOnDrop<'a>(&'a AtomicBool, SocketAddr);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+                wake_bootstrap(self.1);
+            }
+        }
+        // The tables a socket has been sent, up to and including the first
+        // that equals `until` (datagrams from one sender arrive in order).
+        let tables_until = |socket: &UdpSocket, until: &[u16]| -> usize {
+            let mut buf = [0u8; 64];
+            let mut count = 0;
+            loop {
+                let (len, _) = socket.recv_from(&mut buf).expect("a table");
+                let Some(Datagram::Table { ports }) = Datagram::decode(&buf[..len]) else {
+                    panic!("the bootstrap only sends tables");
+                };
+                count += 1;
+                if ports == until {
+                    return count;
+                }
+            }
+        };
+        let nothing_pending = |socket: &UdpSocket| {
+            socket.set_nonblocking(true).expect("nonblocking");
+            let empty = socket.recv_from(&mut [0u8; 64]).is_err();
+            socket.set_nonblocking(false).expect("blocking");
+            empty
+        };
+        std::thread::scope(|scope| {
+            let _stop = StopOnDrop(&stop, service_addr);
+            scope.spawn(|| {
+                bootstrap_service(&service, initial, total, || stop.load(Ordering::Acquire))
+            });
+            let hello = |socket: &UdpSocket, rank| {
+                let datagram = Datagram::Hello { rank }.encode();
+                socket.send_to(&datagram, service_addr).expect("hello");
+            };
+            let peers: Vec<UdpSocket> = (0..initial).map(|_| bind()).collect();
+            for (rank, peer) in peers.iter().enumerate() {
+                hello(peer, rank);
+            }
+            // The third hello completes the table: one to every peer.
+            let first: Vec<u16> = peers.iter().map(port).chain([0]).collect();
+            for peer in &peers {
+                assert_eq!(tables_until(peer, &first), 1);
+            }
+            // A retry: one table, to the retrying peer only.
+            hello(&peers[1], 1);
+            // Rank 2 rebinds: a changed table, to every peer.
+            let moved = bind();
+            hello(&moved, 2);
+            let second = vec![first[0], first[1], port(&moved), 0];
+            assert_eq!(tables_until(&peers[0], &second), 1);
+            assert_eq!(tables_until(&peers[1], &second), 2, "the retry's unicast");
+            assert_eq!(tables_until(&moved, &second), 1);
+            // The joiner: its table names the moved port, and so does the
+            // broadcast every peer gets — the dead port gets nothing.
+            let joiner = bind();
+            hello(&joiner, 3);
+            let third = vec![first[0], first[1], port(&moved), port(&joiner)];
+            for peer in [&peers[0], &peers[1], &moved, &joiner] {
+                assert_eq!(tables_until(peer, &third), 1);
+            }
+            assert!(nothing_pending(&peers[2]), "a table went to the dead port");
+        });
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! 256 peers with no central failure detector: the reactor backend runs the
 //! decentralized control plane — SWIM gossip membership plus distributed
 //! convergence detection — so the run has *zero* topology-manager ping
-//! traffic. Every peer runs two cadences: once per probe period it probes a
-//! seeded random member (silence hardens into suspicion and then a death
+//! traffic. Every peer runs two cadences: once per probe period it probes the
+//! member a schedule shared by all peers assigns it, so every member is
+//! probed once per period (silence hardens into suspicion and then a death
 //! verdict, and the verdict — a rumor, not a monitor sweep — grants the
 //! crashed peer's recovery), and five times per probe period it pushes its
-//! rumors and convergence digest rows to another. The stop decision emerges
+//! rumors and convergence digest rows to another — at once, too, when its
+//! own row starts to meet the stop criterion. The stop decision emerges
 //! the same way: every peer folds the digests carried on probes, acks and
 //! pushes, and the first digest that proves global convergence terminates
 //! the run.
