@@ -403,13 +403,21 @@ impl GossipNode {
     }
 
     /// This peer recovered from a crash: refute the (correct) death verdict
-    /// with a bumped incarnation so the membership converges back to alive.
+    /// with a bumped incarnation so the membership converges back to alive,
+    /// and forget every probe outstanding at the crash — their acks died
+    /// with the old incarnation's socket, so keeping them would escalate a
+    /// live member at the first poll and time the outage as a round trip.
+    /// Suspicions stand: they are evidence about the member, not the probe.
     pub fn on_recovered(&mut self) {
         self.incarnation = self.incarnation.wrapping_add(1);
+        for member in &mut self.members {
+            member.probe_sent_at = None;
+            member.indirect_asked = false;
+        }
+        self.pending_indirect.clear();
         let me = self.rank;
         self.members[me].status = MemberStatus::Alive;
         self.members[me].incarnation = self.incarnation;
-        self.members[me].probe_sent_at = None;
         self.members[me].suspect_since = None;
         let rumor = Rumor {
             subject: me as u16,
@@ -1428,6 +1436,51 @@ mod tests {
             nodes[0].members[target].probe_sent_at, None,
             "but it vouches"
         );
+    }
+
+    /// A revived node forgets the probes it had outstanding at the crash:
+    /// their acks died with its old socket. Neither the ladder (indirect
+    /// round, suspicion) nor the estimator may act on them.
+    #[test]
+    fn a_revived_node_forgets_the_probes_it_had_outstanding() {
+        let mut nodes = cluster(3, 23);
+        let period = GossipTiming::wall_clock().probe_period;
+        // Warm-up: node 0's first probe is answered after 0.5 ms.
+        let first = nodes[0].poll(0);
+        let (warm, ref probe) = first[0];
+        let ack = nodes[warm].on_message(probe, 500_000);
+        nodes[0].on_message(&ack[0].1, 500_000);
+        let rtt = nodes[0].rtt;
+        let (ack_window, _) = windows(&nodes[0]);
+        // Node 0 probes `m`, then crashes before the ack arrives and runs
+        // no turn for twenty ack windows.
+        let batch = nodes[0].poll(period);
+        let (m, probe) = batch
+            .into_iter()
+            .find(|(_, msg)| msg.kind == GossipKind::Probe)
+            .expect("the second round probes");
+        assert!(nodes[0].members[m].probe_sent_at.is_some());
+        nodes[0].on_recovered();
+        // It revives in a window whose scheduled target is not `m`, so
+        // nothing it sends after the revive asks `m` for an ack.
+        let window = (period + 20 * ack_window).div_ceil(period)..;
+        let revived_in = window
+            .into_iter()
+            .find(|&w| nodes[0].scheduled_target(w) != Some(m))
+            .expect("a window probes the other member");
+        let now = nodes[0].window_start(revived_in);
+        for _ in 0..2 {
+            let batch = nodes[0].poll(now);
+            let escalated = batch
+                .iter()
+                .any(|(_, msg)| msg.kind == GossipKind::ProbeReq);
+            assert!(!escalated, "{batch:?}");
+        }
+        assert_eq!(nodes[0].members[m].status, MemberStatus::Alive);
+        // `m`'s ack to the probe of the dead incarnation is no sample.
+        let late = nodes[m].on_message(&probe, now);
+        nodes[0].on_message(&late[0].1, now);
+        assert_eq!(nodes[0].rtt, rtt, "the outage is not a round trip");
     }
 
     /// After warm-up at a steady round trip `r`, detection runs on windows

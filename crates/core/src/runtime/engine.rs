@@ -99,6 +99,13 @@ pub enum Wire {
 /// The substrate services a [`PeerEngine`] needs. Implementations execute
 /// the engine's actions on a concrete runtime; all methods are non-blocking.
 pub trait PeerTransport {
+    /// Whether the substrate charges a sweep modelled compute time — where
+    /// a sweep runs depends on it (see [`PeerTransport::schedule_compute`]).
+    /// A fact about the substrate, not a setting: only the simulated runtime
+    /// models compute; every wall-clock runtime and loopback complete a
+    /// sweep at the peer's next turn.
+    const MODELS_COMPUTE_TIME: bool = false;
+
     /// Current time in nanoseconds (virtual or wall-clock since run start).
     fn now_ns(&mut self) -> u64;
 
@@ -115,11 +122,16 @@ pub trait PeerTransport {
     /// Cancel a previously armed protocol timer.
     fn cancel_timer(&mut self, key: TimerKey);
 
-    /// A relaxation of `work_points` grid points has been performed; the
-    /// driver must call [`PeerEngine::on_compute_done`] once the substrate's
-    /// compute-cost model says the sweep has finished (immediately for
-    /// wall-clock runtimes, after the modelled virtual duration for the
-    /// simulated one).
+    /// A relaxation has begun; the driver must call
+    /// [`PeerEngine::on_compute_done`] once it completes. Where the
+    /// substrate [models compute time](PeerTransport::MODELS_COMPUTE_TIME),
+    /// the sweep has already run on the ghosts held at the begin and
+    /// `work_points` is its charged cost: completion comes after the
+    /// modelled virtual duration, and ghosts arriving in between wait for
+    /// the next sweep. Elsewhere completion comes at the peer's next turn
+    /// and `work_points` is not read; a peer with asynchronous neighbours
+    /// runs the sweep *in* the completion, on the ghosts that turn has just
+    /// delivered, and publishes it at once (`work_points` is then 0).
     fn schedule_compute(&mut self, work_points: u64);
 
     /// Send `wire` to every other peer over the substrate's control path:
@@ -699,7 +711,8 @@ pub struct PeerEngine {
     task: Box<dyn IterativeTask>,
     shared: SharedDetector,
     /// Result of the sweep currently being "executed" (published when the
-    /// transport reports compute completion).
+    /// transport reports compute completion); `None` while a sweep that
+    /// runs at its completion is pending.
     pending_relax: Option<LocalRelax>,
     /// One P2PSAP socket per neighbour rank.
     sockets: HashMap<usize, Socket>,
@@ -1088,53 +1101,90 @@ impl PeerEngine {
         }
     }
 
-    /// Start the next relaxation: the sweep runs now (so its outputs are
-    /// causally insulated from ghosts arriving *during* the sweep) and its
-    /// effects are published when the transport reports compute completion.
-    fn begin_relaxation(&mut self, transport: &mut impl PeerTransport) {
+    /// Start the next relaxation. Where the substrate models compute time
+    /// the sweep runs now, on the ghosts held at the begin, so its outputs
+    /// are causally insulated from ghosts arriving during the modelled
+    /// compute interval; its effects are published at the completion.
+    /// Elsewhere a peer with asynchronous neighbours only marks the sweep
+    /// pending, and it runs at the completion (see
+    /// [`PeerEngine::on_compute_done`]). A peer without any runs it now
+    /// too: no ghost it could read changes before the completion
+    /// (synchronous updates queue for the next sweep), so deferring would
+    /// gain nothing, and on a socket backend it would delay the plane that
+    /// carries the reliable channel's acknowledgements — the sweep would
+    /// run behind every other sweep of the event loop's pass instead of in
+    /// the drain that delivered the releasing update.
+    fn begin_relaxation<T: PeerTransport>(&mut self, transport: &mut T) {
         debug_assert!(!self.computing && !self.finished);
         self.computing = true;
         self.compute_started_ns = transport.now_ns();
+        let mut work_points = 0;
+        if T::MODELS_COMPUTE_TIME || self.async_neighbors.is_empty() {
+            let (relax, charged) = self.sweep();
+            self.pending_relax = Some(relax);
+            work_points = charged;
+        }
+        transport.schedule_compute(work_points);
+    }
+
+    /// Run the relaxation on the ghosts held now. Returns it and the work
+    /// the substrate charges for it.
+    fn sweep(&mut self) -> (LocalRelax, u64) {
         let relax = self.task.relax();
         let mut work_points = relax.work_points;
         if let Some(vol) = &self.volatility {
             // A fired slowdown event scales the sweep's compute cost (the
             // simulated backend charges it to the virtual clock; wall-clock
-            // backends run the kernel for real and ignore work points). The
-            // handle answers from its atomic per-rank cache unless a
-            // slowdown event is actually due this iteration.
+            // backends run the kernel for real and ignore work points, but
+            // the query still consumes the event). The handle answers from
+            // its atomic per-rank cache unless a slowdown event is actually
+            // due this iteration.
             let factor = vol.slowdown_factor(self.rank, self.task.relaxations());
             if factor > 1.0 {
                 work_points = (work_points as f64 * factor).round() as u64;
             }
         }
-        self.pending_relax = Some(relax);
-        transport.schedule_compute(work_points);
+        (relax, work_points)
     }
 
     /// The substrate's compute model says the pending sweep has finished:
     /// publish its results (`P2P_Send`), report to the convergence detector
     /// and advance if the scheme's wait condition allows it.
+    ///
+    /// A sweep the begin left pending runs here, first, on the ghosts the
+    /// peer's turn has just delivered, and is published at once: an
+    /// asynchronous update is then one turn old when a neighbour reads it,
+    /// not two (one turn to be computed, one more to be sent). Synchronous
+    /// inputs do not move — they were incorporated before the begin, and
+    /// later ones queue — so iterates and relaxation counts stay what the
+    /// problem determines.
     pub fn on_compute_done(&mut self, transport: &mut impl PeerTransport) {
         if self.finished || self.crashed {
             return;
         }
         self.computing = false;
-        let relax = self.pending_relax.take().expect("a sweep was in progress");
-        let iteration = self.task.relaxations();
-        let busy_ns = transport.now_ns().saturating_sub(self.compute_started_ns);
-        // A rollback that arrived mid-sweep supersedes the sweep's results:
-        // the state it was computed from is being abandoned. The sweep's
-        // cost was still paid — it counts towards the executed-work metric.
+        // A rollback that arrived mid-sweep supersedes the sweep: the state
+        // it reads is being abandoned. A sweep that already ran was still
+        // paid for — it counts towards the executed-work metric; one that
+        // would run now is not run.
         if let Some((to_iteration, generation)) = self.pending_rollback.take() {
             if generation > self.generation {
-                self.shared
-                    .lock()
-                    .record_load(self.rank, relax.work_points, busy_ns);
+                if let Some(relax) = self.pending_relax.take() {
+                    let busy_ns = transport.now_ns().saturating_sub(self.compute_started_ns);
+                    self.shared
+                        .lock()
+                        .record_load(self.rank, relax.work_points, busy_ns);
+                }
                 self.apply_rollback(to_iteration, generation, transport);
                 return;
             }
         }
+        let relax = match self.pending_relax.take() {
+            Some(relax) => relax,
+            None => self.sweep().0,
+        };
+        let iteration = self.task.relaxations();
+        let busy_ns = transport.now_ns().saturating_sub(self.compute_started_ns);
         // Volatility: deposit the periodic checkpoint, then ask the injector
         // whether this sweep was the peer's last. A crash strikes *before*
         // the sweep's updates are published — they are lost with the peer,
@@ -1741,13 +1791,18 @@ pub(crate) mod testing {
     }
 
     /// A task whose local difference ramps down to zero after `ramp`
-    /// relaxations; sends its relaxation count to every neighbour.
+    /// relaxations; sends every neighbour its relaxation count and the
+    /// first byte of the ghost its last sweep read (the sender's count), so
+    /// a test can tell which ghost a published sweep was computed from.
     pub(crate) struct RampTask {
         pub(crate) rank: usize,
         pub(crate) neighbors: Vec<usize>,
         pub(crate) remaining: u64,
         pub(crate) relaxed: u64,
-        pub(crate) incorporated: Vec<(usize, Vec<u8>)>,
+        /// First byte of the latest ghost incorporated (0 before any).
+        pub(crate) ghost: u8,
+        /// `ghost` as the last sweep read it.
+        pub(crate) swept_ghost: u8,
         /// Wall-clock cost of one relaxation (zero unless a test models
         /// uneven per-rank work).
         pub(crate) relax_cost: std::time::Duration,
@@ -1760,7 +1815,8 @@ pub(crate) mod testing {
                 neighbors,
                 remaining: ramp,
                 relaxed: 0,
-                incorporated: Vec::new(),
+                ghost: 0,
+                swept_ghost: 0,
                 relax_cost: std::time::Duration::ZERO,
             }
         }
@@ -1783,6 +1839,7 @@ pub(crate) mod testing {
             std::thread::sleep(self.relax_cost);
             self.remaining = self.remaining.saturating_sub(1);
             self.relaxed += 1;
+            self.swept_ghost = self.ghost;
             LocalRelax {
                 local_diff: self.remaining as f64,
                 work_points: 1,
@@ -1790,11 +1847,12 @@ pub(crate) mod testing {
         }
         fn encode_outgoing(&mut self, sink: &mut FrameSink) {
             for &nb in &self.neighbors {
-                sink.frame(nb).push(self.relaxed as u8);
+                sink.frame(nb)
+                    .extend_from_slice(&[self.relaxed as u8, self.swept_ghost]);
             }
         }
-        fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
-            self.incorporated.push((from, payload.to_vec()));
+        fn incorporate(&mut self, _from: usize, payload: &[u8]) -> f64 {
+            self.ghost = payload.first().copied().unwrap_or(0);
             0.0
         }
         fn neighbors(&self) -> Vec<usize> {
@@ -1911,9 +1969,11 @@ mod tests {
             assert!(ta.polled.compute_pending);
             ta.polled.compute_pending = false;
             a.on_compute_done(&mut ta);
-            // The next sweep starts immediately inside on_compute_done —
-            // the asynchronous scheme never waits for a delivery.
-            assert_eq!(a.relaxations(), sweep + 1);
+            // The completion published the sweep, and the next one is
+            // pending at once — the asynchronous scheme never waits for a
+            // delivery.
+            assert_eq!(a.relaxations(), sweep);
+            assert_eq!(ta.drain_segments().len(), 1);
             assert!(a.computing());
         }
     }
@@ -1966,7 +2026,87 @@ mod tests {
         let from_intra = ti.drain_segments();
         deliver(&mut peer, &mut tp, &from_intra, 0, 1);
         assert!(peer.computing(), "intra-cluster update suffices");
+        assert_eq!(peer.relaxations(), 1, "sweep 1 published, sweep 2 pending");
+        tp.polled.compute_pending = false;
+        peer.on_compute_done(&mut tp);
         assert_eq!(peer.relaxations(), 2);
+    }
+
+    /// The scripted transport on a substrate that models compute time, as
+    /// the simulated runtime does.
+    struct Modelled(ScriptTransport);
+
+    impl PeerTransport for Modelled {
+        const MODELS_COMPUTE_TIME: bool = true;
+
+        fn now_ns(&mut self) -> u64 {
+            self.0.now_ns()
+        }
+        fn transmit(&mut self, to: usize, wire: Wire) {
+            self.0.transmit(to, wire)
+        }
+        fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
+            self.0.arm_timer(key, delay_ns)
+        }
+        fn cancel_timer(&mut self, key: TimerKey) {
+            self.0.cancel_timer(key)
+        }
+        fn schedule_compute(&mut self, work_points: u64) {
+            self.0.schedule_compute(work_points)
+        }
+        fn broadcast(&mut self, wire: &Wire) {
+            self.0.broadcast(wire)
+        }
+    }
+
+    /// An asynchronous pair, four turns: in each, B's update `k` reaches A
+    /// after A began sweep `k` and before its completion. Returns what A
+    /// published at each completion, as `(A's relaxation, the relaxation of
+    /// B whose ghost A's sweep read)`.
+    fn echoes_of_ghosts_delivered_mid_sweep<T: PeerTransport>(
+        mut ta: T,
+        script: impl Fn(&mut T) -> &mut ScriptTransport,
+    ) -> Vec<(u8, u8)> {
+        let topology = Topology::nicta_single_cluster(2);
+        let (_, mut a, mut b) = engine_pair(Scheme::Asynchronous, &topology, (0, 1), 10, 0.5);
+        let mut tb = ScriptTransport::new(1);
+        a.on_start(&mut ta);
+        b.on_start(&mut tb);
+        let mut echoes = Vec::new();
+        for _ in 0..4 {
+            tb.polled.compute_pending = false;
+            b.on_compute_done(&mut tb);
+            for (_, segment) in tb.drain_segments() {
+                a.on_segment(1, segment, &mut ta);
+            }
+            script(&mut ta).polled.compute_pending = false;
+            a.on_compute_done(&mut ta);
+            for (_, segment) in script(&mut ta).drain_segments() {
+                let update = p2psap::data::WireSegment::decode(segment).expect("decodes");
+                let echo = &update.payload[GENERATION_TAG_BYTES..];
+                echoes.push((echo[0], echo[1]));
+            }
+        }
+        echoes
+    }
+
+    /// Where compute costs no modelled time, the update published in turn
+    /// `k` is computed from the ghost delivered before turn `k`: a
+    /// neighbour's update is one sweep old, not two.
+    #[test]
+    fn an_instant_substrate_sweeps_on_the_ghosts_of_its_own_turn() {
+        let echoes = echoes_of_ghosts_delivered_mid_sweep(ScriptTransport::new(0), |t| t);
+        assert_eq!(echoes, [(1, 1), (2, 2), (3, 3), (4, 4)]);
+    }
+
+    /// Where the substrate models compute time, the sweep reads its ghosts
+    /// at the begin: one delivered during the compute interval waits for
+    /// the next sweep (the simulated runtime's causal insulation).
+    #[test]
+    fn a_modelled_substrate_insulates_a_sweep_from_ghosts_arriving_mid_compute() {
+        let echoes =
+            echoes_of_ghosts_delivered_mid_sweep(Modelled(ScriptTransport::new(0)), |t| &mut t.0);
+        assert_eq!(echoes, [(1, 0), (2, 1), (3, 2), (4, 3)]);
     }
 
     #[test]

@@ -178,9 +178,10 @@ impl HostedPeer {
     /// One turn of a running peer on a polled transport — nothing but the
     /// sub-steps, in this order. A fatal sweep ends the turn at once: a dead
     /// peer neither gossips nor polls. A sweep that completes after the run
-    /// stopped is abandoned instead of published: its planes and report
-    /// would only reach peers that are finishing, and the peer finishes now
-    /// instead of one more publish later.
+    /// stopped is abandoned instead of published — and not computed, where
+    /// it would run at the completion: its planes and report would only
+    /// reach peers that are finishing, and the peer finishes now instead of
+    /// one more publish later.
     pub(crate) fn turn<T: PeerTransport>(
         &mut self,
         run: &RunScaffold,
@@ -359,24 +360,30 @@ mod tests {
 
     /// The stop cut: a sweep that completes after the run stopped is not
     /// published — the peer finishes at once, transmitting nothing and
-    /// broadcasting no second stop, with the sweep counted in its result.
+    /// broadcasting no second stop. A synchronous peer ran the sweep at its
+    /// begin and counts it in its result; an asynchronous one would have
+    /// run it at the completion, so it is not computed either.
     #[test]
     fn a_sweep_pending_when_the_run_stopped_finishes_without_transmitting() {
-        for config in [config(), config().with_gossip(1)] {
-            let (run, mut peer, mut transport) = started(config, 0);
-            assert!(transport.polled.compute_pending, "sweep 1 is pending");
-            transport.sent.clear();
-            // Rank 1 finished first: the stop board is flipped, its
-            // broadcast is owned.
-            assert!(run.shared.lock().deposit_result(1, 1, Vec::new(), 1));
-            assert_eq!(
-                peer.turn(&run, &mut transport, |t| &mut t.polled),
-                Turn::Finished
-            );
-            assert!(transport.sent.is_empty(), "published {:?}", transport.sent);
-            assert!(transport.broadcasts.is_empty());
-            assert!(!transport.polled.compute_pending);
-            assert_eq!(peer.engine.relaxations(), 1);
+        for (scheme, computed) in [(Scheme::Synchronous, 1), (Scheme::Asynchronous, 0)] {
+            let mut config = config();
+            config.scheme = scheme;
+            for config in [config.clone(), config.with_gossip(1)] {
+                let (run, mut peer, mut transport) = started(config, 0);
+                assert!(transport.polled.compute_pending, "sweep 1 is pending");
+                transport.sent.clear();
+                // Rank 1 finished first: the stop board is flipped, its
+                // broadcast is owned.
+                assert!(run.shared.lock().deposit_result(1, 1, Vec::new(), 1));
+                assert_eq!(
+                    peer.turn(&run, &mut transport, |t| &mut t.polled),
+                    Turn::Finished
+                );
+                assert!(transport.sent.is_empty(), "published {:?}", transport.sent);
+                assert!(transport.broadcasts.is_empty());
+                assert!(!transport.polled.compute_pending);
+                assert_eq!(peer.engine.relaxations(), computed, "{scheme}");
+            }
         }
     }
 

@@ -188,7 +188,9 @@ impl PeerTransport for LoopbackTransport {
     }
 
     fn schedule_compute(&mut self, _work_points: u64) {
-        // Zero-cost compute: the driver advances the engine on its next turn.
+        // Zero-cost compute: the completion is the driver's next turn,
+        // after that turn's deliveries (an asynchronous peer's sweep runs
+        // in it).
         self.polled.compute_pending = true;
     }
 

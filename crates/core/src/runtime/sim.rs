@@ -77,6 +77,10 @@ struct SimTransport<'a, 'c> {
 }
 
 impl PeerTransport for SimTransport<'_, '_> {
+    /// A sweep costs the virtual duration of its work points: it runs at
+    /// the begin and reads the ghosts of that instant only.
+    const MODELS_COMPUTE_TIME: bool = true;
+
     fn now_ns(&mut self) -> u64 {
         self.ctx.now().as_nanos()
     }

@@ -96,8 +96,9 @@ impl PeerTransport for ThreadTransport {
     }
 
     fn schedule_compute(&mut self, _work_points: u64) {
-        // The relaxation kernel already ran for real on this thread; the
-        // engine is advanced on the next drive-loop turn.
+        // No compute model: the completion is the next drive-loop turn,
+        // after that turn's deliveries (an asynchronous peer's sweep runs
+        // in it, for real).
         self.polled.compute_pending = true;
     }
 
@@ -299,14 +300,15 @@ mod tests {
     use crate::runtime::engine::testing::RampTask;
     use p2psap::Scheme;
 
-    /// The PR 13 livelock, deterministically: however much two free-running
-    /// neighbours have queued, one pass takes at most [`DRAIN_BUDGET`] wires
-    /// before it completes the pending sweep.
+    /// The drain-budget livelock, deterministically: however much two
+    /// free-running neighbours have queued, one pass takes at most
+    /// [`DRAIN_BUDGET`] wires before it completes — runs and publishes —
+    /// the pending sweep.
     #[test]
     fn a_flooded_inbox_cannot_starve_the_pending_sweep() {
         const QUEUED: usize = 10_000;
         let run = RunScaffold::wall_clock(&RunConfig::quick(Scheme::Asynchronous, 2), 1);
-        let (router, _routed) = unbounded();
+        let (router, routed) = unbounded::<Routed>();
         let mut transport = ThreadTransport {
             rank: 0,
             start: Instant::now(),
@@ -324,7 +326,11 @@ mod tests {
         }
 
         assert_eq!(pass(&run, &mut peer, &mut transport, &inbox), Turn::Running);
-        assert_eq!(peer.engine.relaxations(), 2, "sweep 1 done, sweep 2 begun");
+        assert_eq!(peer.engine.relaxations(), 1, "sweep 1 done");
+        let routed = std::iter::from_fn(|| routed.try_recv().ok());
+        let published = routed.filter(|r| matches!(r.wire, Wire::Segment(_)));
+        assert_eq!(published.count(), 1, "and published");
+        assert!(peer.engine.computing(), "sweep 2 pending");
         let left = std::iter::from_fn(|| inbox.try_recv().ok()).count();
         assert_eq!(left, QUEUED - DRAIN_BUDGET);
     }

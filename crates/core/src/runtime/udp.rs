@@ -786,8 +786,9 @@ impl PeerTransport for UdpTransport {
     }
 
     fn schedule_compute(&mut self, _work_points: u64) {
-        // The relaxation kernel already ran for real on this thread; the
-        // engine is advanced on the next drive-loop turn.
+        // No compute model: the completion is the next drive-loop turn,
+        // after that turn's deliveries (an asynchronous peer's sweep runs
+        // in it, for real).
         self.polled.compute_pending = true;
     }
 

@@ -66,3 +66,28 @@ fn all_schemes_produce_valid_obstacle_solutions() {
         }
     }
 }
+
+/// Where compute costs no modelled time (loopback) an asynchronous sweep
+/// runs at its completion, on the ghosts its own turn delivered, so an
+/// update is one sweep old when a neighbour reads it. PageRank on 128
+/// vertices then converges asynchronously within one sweep of the
+/// synchronous count, at 4 and at 16 peers (a sweep on the ghosts of the
+/// turn before took 9 and 10 against 7).
+#[test]
+fn asynchronous_pagerank_on_loopback_needs_at_most_one_sweep_more_than_synchronous() {
+    let min = |m: &p2pdc::RunMeasurement| m.relaxations_per_peer.iter().copied().min();
+    for peers in [4usize, 16] {
+        let workload = WorkloadKind::PageRank.build(128, peers);
+        let counts = [Scheme::Synchronous, Scheme::Asynchronous].map(|scheme| {
+            let config = RunConfig::single_cluster(scheme, peers);
+            let m = run_on(workload.as_ref(), &config, RuntimeKind::Loopback).measurement;
+            assert!(m.converged, "{scheme} at {peers} peers did not converge");
+            min(&m).expect("peers ran")
+        });
+        let [sync, asynchronous] = counts;
+        assert!(
+            asynchronous <= sync + 1,
+            "{peers} peers: asynchronous {asynchronous} vs synchronous {sync}"
+        );
+    }
+}
