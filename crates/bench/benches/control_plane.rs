@@ -4,7 +4,9 @@
 //! locked: a mutex acquisition plus a detector fold). Multi-threaded cells
 //! put every rank on its own thread hammering reports concurrently — the
 //! contended regime the reactor's event loops live in, where the mutex
-//! serializes all peers and the cells don't.
+//! serializes all peers and the cells don't. A clean report evaluates the
+//! stop rule: at 192 ranks every row but the last meets it, so the scan
+//! reads them all.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2pdc::{ConvergenceDetector, DetectorHandle};
@@ -48,6 +50,24 @@ fn bench_control_plane(c: &mut Criterion) {
             },
         );
     }
+
+    group.bench_with_input(
+        BenchmarkId::new("clean_report", "192_ranks"),
+        &192usize,
+        |b, &ranks| {
+            let shared = ConvergenceDetector::shared(1e-9, Scheme::Asynchronous, ranks);
+            for iteration in 1..=2 {
+                for rank in 0..ranks - 1 {
+                    shared.publish(rank, iteration, 0.0, true, iteration, 0, 4, 100);
+                }
+            }
+            let mut iteration = 2u64;
+            b.iter(|| {
+                iteration += 1;
+                assert!(!shared.publish(0, iteration, 0.0, true, iteration, 0, 4, 100));
+            });
+        },
+    );
 
     for threads in [4usize, 8] {
         for (path, report) in paths {

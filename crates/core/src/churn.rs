@@ -743,7 +743,7 @@ pub struct AdoptionTicket {
 }
 
 /// Per-run shared coordinator of the volatility subsystem. One per run, like
-/// the [`crate::runtime::engine::ConvergenceDetector`]; engines and drivers
+/// the [`crate::runtime::stop::ConvergenceDetector`]; engines and drivers
 /// reach it through [`SharedVolatility`].
 #[derive(Debug)]
 pub struct VolatilityState {

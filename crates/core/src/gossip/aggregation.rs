@@ -4,32 +4,30 @@
 //! stop decision does not come from the central
 //! [`ConvergenceDetector`](crate::runtime::ConvergenceDetector) fold: every
 //! peer keeps a [`ConvergenceDigest`] — one [`DigestRow`] per rank — merges
-//! the rows piggy-backed on every gossip exchange, and evaluates the global
-//! convergence criterion over its own merged copy. The first peer whose
-//! digest satisfies the criterion terminates and broadcasts the stop over
-//! the existing control path.
+//! the rows piggy-backed on every gossip exchange, and evaluates the stop
+//! rule ([`crate::runtime::stop::decision`]) over its own merged copy. The
+//! first peer whose digest satisfies it terminates and broadcasts the stop
+//! over the existing control path.
 //!
 //! **Why the decision is lossless.** Each row is authored only by its own
-//! rank and merged last-writer-wins under [`DigestRow::supersedes`]
-//! (generation, then author epoch, then iteration) — a join-semilattice, so
-//! merge order and duplication cannot corrupt evidence. A row states a fact
-//! about the author's own sweeps: every sweep in `[clean_since, latest]` had
-//! local difference at or below the tolerance. The synchronous criterion
-//! (`max clean_since <= min latest` over all ranks, one common generation)
-//! therefore exhibits a witness iteration contained in every rank's clean
-//! interval — exactly an iteration the central fold would have declared
-//! globally converged. The decision can *lag* the central fold by the rumor
-//! propagation time (peers keep relaxing meanwhile — the benchmark's
-//! `gossip.decision_lag_relaxations`), but it can never fire on evidence the
-//! central fold would have rejected.
+//! rank ([`Evidence::after`](crate::runtime::stop::Evidence::after), the
+//! step the central fold runs too) and merged last-writer-wins under
+//! [`DigestRow::supersedes`] (generation, then author epoch, then
+//! iteration) — a join-semilattice, so merge order and duplication cannot
+//! corrupt evidence. The central fold keeps every rank's newest row; a
+//! digest holds rows that are at most as new. It is the same rule; gossip
+//! sees the rows later. The decision can therefore *lag* the central fold
+//! by the rumor propagation time (peers keep relaxing meanwhile — the
+//! benchmark's `gossip.decision_lag_relaxations`).
 
-use crate::gossip::rumor::{DigestRow, ROW_HAS_ASYNC, ROW_STABLE};
+use crate::gossip::rumor::DigestRow;
 use crate::load_balance::PeerLoad;
+use crate::runtime::stop::{self, Evidence};
 use p2psap::Scheme;
 
-/// One sweep's summary the engine hands the gossip layer (the same facts it
-/// publishes to the central detector, pre-folded against the tolerance so
-/// digest rows never carry raw residuals).
+/// One sweep's summary the engine hands the gossip layer: its evidence row,
+/// author epoch and cumulative load, so digest rows never carry raw
+/// residuals.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepSummary {
     /// 1-based relaxation number.
@@ -56,6 +54,25 @@ pub struct SweepSummary {
     pub points: u64,
     /// Cumulative busy nanoseconds of this rank.
     pub busy_ns: u64,
+}
+
+impl SweepSummary {
+    /// The summary of the sweep that authored `row`, by the author's
+    /// incarnation `epoch`, with its cumulative load.
+    pub(crate) fn from_evidence(row: Evidence, epoch: u32, points: u64, busy_ns: u64) -> Self {
+        Self {
+            iteration: row.latest,
+            clean: row.clean_since != u64::MAX,
+            stable: row.stable,
+            clean_since: row.clean_since,
+            stable_streak: row.stable_streak,
+            generation: row.generation,
+            epoch,
+            has_async_neighbors: row.has_async,
+            points,
+            busy_ns,
+        }
+    }
 }
 
 /// A peer's merged view of every rank's convergence evidence.
@@ -88,33 +105,30 @@ impl ConvergenceDigest {
         &self.rows
     }
 
-    /// Fold this rank's own sweep into its row (authoring path). The streak
-    /// accounting (`clean_since`, `stable_streak`) comes pre-folded from the
-    /// engine: drivers only *sample* the latest summary (the sim's gossip
-    /// tick sees one sweep in dozens), so inferring streaks here from
-    /// consecutive recordings would reset them on every sample. Idempotent
-    /// per sweep.
+    /// Copy this rank's own sweep into its row (authoring path). The row
+    /// comes authored from the engine: drivers only *sample* the latest
+    /// summary (the sim's gossip tick sees one sweep in dozens), so
+    /// authoring here from consecutive recordings would reset streaks on
+    /// every sample. Idempotent per sweep.
     pub fn record_local(&mut self, rank: usize, sweep: &SweepSummary) {
         let row = &mut self.rows[rank];
-        if row.generation == sweep.generation
+        if row.evidence.generation == sweep.generation
             && row.epoch == sweep.epoch
-            && row.latest == sweep.iteration
+            && row.evidence.latest == sweep.iteration
         {
             return;
         }
         *row = DigestRow {
             rank: rank as u16,
-            generation: sweep.generation,
             epoch: sweep.epoch,
-            latest: sweep.iteration,
-            clean_since: sweep.clean_since,
-            stable_streak: sweep.stable_streak,
-            flags: (if sweep.stable { ROW_STABLE } else { 0 })
-                | (if sweep.has_async_neighbors {
-                    ROW_HAS_ASYNC
-                } else {
-                    0
-                }),
+            evidence: Evidence {
+                generation: sweep.generation,
+                latest: sweep.iteration,
+                clean_since: sweep.clean_since,
+                stable_streak: sweep.stable_streak,
+                stable: sweep.stable,
+                has_async: sweep.has_async_neighbors,
+            },
             points: sweep.points,
             busy_ns: sweep.busy_ns,
         };
@@ -140,12 +154,10 @@ impl ConvergenceDigest {
     /// silent interval (the central fold's `mark_crashed` analogue).
     pub fn void_below_epoch(&mut self, rank: usize, epoch_floor: u32) {
         if rank < self.rows.len() && self.rows[rank].epoch < epoch_floor {
-            let mut row = DigestRow::empty(rank);
-            row.generation = self.rows[rank].generation;
+            let row = &mut self.rows[rank];
             // Load history stays: placement weights outlive a crash.
-            row.points = self.rows[rank].points;
-            row.busy_ns = self.rows[rank].busy_ns;
-            self.rows[rank] = row;
+            row.epoch = 0;
+            row.evidence = row.evidence.void(row.evidence.generation);
         }
     }
 
@@ -162,54 +174,38 @@ impl ConvergenceDigest {
             .collect()
     }
 
-    /// Evaluate the global convergence criterion over the merged digest:
-    /// the same fold `ConvergenceDetector::report` applies centrally,
-    /// expressed over clean intervals instead of per-iteration entries.
-    /// `universe` is the live rank count (joins grow it), `generation` the
-    /// caller's rollback generation, and `evidence_ok(rank)` gates ranks
-    /// whose evidence is currently void (suspected or dead members).
+    /// Evaluate the stop rule over the merged digest. `universe` is the
+    /// live rank count (joins grow it), `generation` the caller's rollback
+    /// generation, and `evidence_ok(rank)` gates ranks whose evidence is
+    /// currently void (suspected or dead members).
     pub fn decision(
         &self,
         scheme: Scheme,
         universe: usize,
         generation: u32,
-        mut evidence_ok: impl FnMut(usize) -> bool,
+        evidence_ok: impl FnMut(usize) -> bool,
     ) -> bool {
-        if universe == 0 || universe > self.rows.len() {
+        let Some(rows) = self.rows.get(..universe) else {
             return false;
-        }
-        let rows = &self.rows[..universe];
-        if rows.iter().enumerate().any(|(rank, row)| {
-            row.generation != generation
-                || row.latest == 0
-                || !evidence_ok(rank)
-                || !row.meets_stop_criterion(scheme)
-        }) {
-            return false;
-        }
-        match scheme {
-            Scheme::Synchronous | Scheme::Hybrid => {
-                // Witness iteration: the latest start of a clean streak
-                // (every rank has one, checked above). It must lie inside
-                // every rank's clean interval — then every rank's local
-                // difference at the witness was at or below the tolerance,
-                // which is the central fold's per-iteration test.
-                let witness = rows.iter().map(|r| r.clean_since).max().unwrap_or(u64::MAX);
-                let covered = rows.iter().all(|r| r.latest >= witness);
-                // Hybrid: ranks with asynchronous (cross-cluster) neighbours
-                // must additionally be stable, so stale inter-cluster
-                // boundaries cannot fake convergence (same rule as the
-                // central fold).
-                let stable_ok = scheme == Scheme::Synchronous
-                    || rows
-                        .iter()
-                        .all(|r| r.flags & ROW_HAS_ASYNC == 0 || r.flags & ROW_STABLE != 0);
-                covered && stable_ok
-            }
-            // Asynchronous: every rank reported two consecutive stable
-            // sweeps (the central fold's streak criterion), checked above.
-            Scheme::Asynchronous => true,
-        }
+        };
+        (0..universe).all(evidence_ok)
+            && stop::decision(scheme, generation, rows.iter().map(|row| &row.evidence))
+    }
+}
+
+#[cfg(test)]
+impl SweepSummary {
+    /// A summary the way the engine authors it: `clean_since == u64::MAX`
+    /// means the sweep was dirty, a zero streak means it was unstable.
+    pub(crate) fn sample(iteration: u64, clean_since: u64, stable_streak: u32) -> Self {
+        let row = Evidence {
+            latest: iteration,
+            clean_since,
+            stable_streak,
+            stable: stable_streak > 0,
+            ..Evidence::NONE
+        };
+        Self::from_evidence(row, 0, iteration * 10, iteration * 1000)
     }
 }
 
@@ -217,39 +213,22 @@ impl ConvergenceDigest {
 mod tests {
     use super::*;
 
-    /// A summary the way the engine authors it: `clean_since == u64::MAX`
-    /// means the sweep was dirty, a zero streak means it was unstable.
-    fn sweep(iteration: u64, clean_since: u64, stable_streak: u32) -> SweepSummary {
-        SweepSummary {
-            iteration,
-            clean: clean_since != u64::MAX,
-            stable: stable_streak > 0,
-            clean_since,
-            stable_streak,
-            generation: 0,
-            epoch: 0,
-            has_async_neighbors: false,
-            points: iteration * 10,
-            busy_ns: iteration * 1000,
-        }
-    }
-
     #[test]
     fn sync_decision_needs_a_common_clean_iteration() {
         let mut digest = ConvergenceDigest::new(2);
-        digest.record_local(0, &sweep(1, u64::MAX, 0));
-        digest.record_local(0, &sweep(2, 2, 1));
-        digest.record_local(0, &sweep(3, 2, 2));
+        digest.record_local(0, &SweepSummary::sample(1, u64::MAX, 0));
+        digest.record_local(0, &SweepSummary::sample(2, 2, 1));
+        digest.record_local(0, &SweepSummary::sample(3, 2, 2));
         assert!(!digest.decision(Scheme::Synchronous, 2, 0, |_| true));
         // Rank 1 goes clean at iteration 3: the witness (3) is inside both
         // clean intervals [2,3] and [3,3].
-        digest.record_local(1, &sweep(1, u64::MAX, 0));
-        digest.record_local(1, &sweep(2, u64::MAX, 0));
+        digest.record_local(1, &SweepSummary::sample(1, u64::MAX, 0));
+        digest.record_local(1, &SweepSummary::sample(2, u64::MAX, 0));
         assert!(!digest.decision(Scheme::Synchronous, 2, 0, |_| true));
-        digest.record_local(1, &sweep(3, 3, 1));
+        digest.record_local(1, &SweepSummary::sample(3, 3, 1));
         assert!(digest.decision(Scheme::Synchronous, 2, 0, |_| true));
         // A dirty sweep resets the interval: no common clean iteration again.
-        digest.record_local(1, &sweep(4, u64::MAX, 0));
+        digest.record_local(1, &SweepSummary::sample(4, u64::MAX, 0));
         assert!(!digest.decision(Scheme::Synchronous, 2, 0, |_| true));
     }
 
@@ -257,8 +236,8 @@ mod tests {
     fn async_decision_needs_streaks_everywhere_and_respects_gates() {
         let mut digest = ConvergenceDigest::new(2);
         for it in 1..=3u64 {
-            digest.record_local(0, &sweep(it, 1, it as u32));
-            digest.record_local(1, &sweep(it, 1, it as u32));
+            digest.record_local(0, &SweepSummary::sample(it, 1, it as u32));
+            digest.record_local(1, &SweepSummary::sample(it, 1, it as u32));
         }
         assert!(digest.decision(Scheme::Asynchronous, 2, 0, |_| true));
         // A suspected member's evidence is void.
@@ -271,11 +250,11 @@ mod tests {
     #[test]
     fn sparse_sampling_keeps_engine_authored_streaks() {
         let mut digest = ConvergenceDigest::new(1);
-        digest.record_local(0, &sweep(10, 3, 8));
+        digest.record_local(0, &SweepSummary::sample(10, 3, 8));
         assert!(digest.decision(Scheme::Asynchronous, 1, 0, |_| true));
-        digest.record_local(0, &sweep(300, 3, 298));
-        assert_eq!(digest.row(0).stable_streak, 298);
-        assert_eq!(digest.row(0).clean_since, 3);
+        digest.record_local(0, &SweepSummary::sample(300, 3, 298));
+        assert_eq!(digest.row(0).evidence.stable_streak, 298);
+        assert_eq!(digest.row(0).evidence.clean_since, 3);
         assert!(digest.decision(Scheme::Asynchronous, 1, 0, |_| true));
     }
 
@@ -283,17 +262,17 @@ mod tests {
     fn merge_is_last_writer_wins_and_voiding_respects_epochs() {
         let mut a = ConvergenceDigest::new(2);
         let mut b = ConvergenceDigest::new(2);
-        b.record_local(1, &sweep(5, 5, 1));
+        b.record_local(1, &SweepSummary::sample(5, 5, 1));
         let row = *b.row(1);
         assert!(a.merge_row(&row));
         assert!(!a.merge_row(&row), "idempotent");
         // Death verdict: rank 1's epoch-0 evidence is void; its load stays.
         a.void_below_epoch(1, 1);
-        assert_eq!(a.row(1).latest, 0);
+        assert_eq!(a.row(1).evidence.latest, 0);
         assert_eq!(a.row(1).points, 50);
         // The stale row cannot re-enter by re-gossip once the recovered
         // incarnation (epoch 1) has reported.
-        let mut recovered = sweep(2, 2, 1);
+        let mut recovered = SweepSummary::sample(2, 2, 1);
         recovered.epoch = 1;
         b.record_local(1, &recovered);
         assert!(a.merge_row(b.row(1)));
@@ -303,8 +282,8 @@ mod tests {
     #[test]
     fn generation_mismatch_blocks_decision() {
         let mut digest = ConvergenceDigest::new(1);
-        digest.record_local(0, &sweep(2, 2, 1));
-        digest.record_local(0, &sweep(3, 2, 2));
+        digest.record_local(0, &SweepSummary::sample(2, 2, 1));
+        digest.record_local(0, &SweepSummary::sample(3, 2, 2));
         assert!(digest.decision(Scheme::Asynchronous, 1, 0, |_| true));
         assert!(!digest.decision(Scheme::Asynchronous, 1, 1, |_| true));
     }

@@ -38,10 +38,10 @@
 //! digest rows ([`crate::gossip::aggregation`]) to one seeded random
 //! member, which merges them and answers nothing; and the poll in which
 //! the node's own row starts to meet the stop criterion
-//! ([`DigestRow::meets_stop_criterion`]) pushes it to `fanout` members at
-//! once instead of waiting for the next push instant. Probes, acks and
-//! probe-reqs carry the same piggy-back, so every message is an
-//! anti-entropy round.
+//! ([`Evidence::meets_stop_criterion`](crate::runtime::stop::Evidence::meets_stop_criterion))
+//! pushes it to `fanout` members at once instead of waiting for the next
+//! push instant. Probes, acks and probe-reqs carry the same piggy-back, so
+//! every message is an anti-entropy round.
 //!
 //! The node is sans-io like the engine: `poll`/`on_message` return the
 //! messages to send and the driver owns delivery, so the same state machine
@@ -340,7 +340,8 @@ impl GossipNode {
 
     /// Watch `scheme`'s stop criterion: the poll in which this node's own
     /// digest row starts to meet it pushes the row to `fanout` members at
-    /// once (see [`DigestRow::meets_stop_criterion`]).
+    /// once (see
+    /// [`Evidence::meets_stop_criterion`](crate::runtime::stop::Evidence::meets_stop_criterion)).
     pub fn with_scheme(mut self, scheme: Scheme) -> Self {
         self.scheme = Some(scheme);
         self
@@ -582,9 +583,10 @@ impl GossipNode {
         // The eager push: the decision waits for every rank's row to meet
         // the criterion, so the row that just started to is pushed now
         // rather than at the next push instant.
+        let own = self.digest.row(self.rank).evidence;
         let ready = self
             .scheme
-            .is_some_and(|scheme| self.digest.row(self.rank).meets_stop_criterion(scheme));
+            .is_some_and(|scheme| own.meets_stop_criterion(scheme));
         if ready && !self.own_row_ready {
             for target in self.pick_targets(None) {
                 stats::count_push();
@@ -1073,18 +1075,7 @@ mod tests {
     #[test]
     fn responsive_members_stay_alive_and_digests_spread() {
         let mut nodes = cluster(4, 7);
-        nodes[2].record_sweep(&SweepSummary {
-            iteration: 5,
-            clean: true,
-            stable: true,
-            clean_since: 5,
-            stable_streak: 1,
-            generation: 0,
-            epoch: 0,
-            has_async_neighbors: false,
-            points: 50,
-            busy_ns: 1000,
-        });
+        nodes[2].record_sweep(&SweepSummary::sample(5, 5, 1));
         let period = GossipTiming::wall_clock().probe_period;
         for round in 0..6u64 {
             let now = round * period;
@@ -1095,7 +1086,7 @@ mod tests {
         }
         for node in &nodes {
             assert!(node.dead_ranks().is_empty());
-            assert_eq!(node.digest().row(2).latest, 5, "row propagated");
+            assert_eq!(node.digest().row(2).evidence.latest, 5, "row propagated");
         }
     }
 
@@ -1317,18 +1308,7 @@ mod tests {
         let timing = GossipTiming::wall_clock();
         let push = timing.push_period();
         assert_eq!(push, timing.probe_period / PUSHES_PER_PROBE);
-        nodes[0].record_sweep(&SweepSummary {
-            iteration: 9,
-            clean: true,
-            stable: true,
-            clean_since: 7,
-            stable_streak: 2,
-            generation: 0,
-            epoch: 0,
-            has_async_neighbors: false,
-            points: 10,
-            busy_ns: 100,
-        });
+        nodes[0].record_sweep(&SweepSummary::sample(9, 7, 2));
         let armed = |node: &GossipNode| node.members.iter().map(|m| m.probe_sent_at).collect();
         let mut probed = vec![None; 3];
         for k in 0..2 * PUSHES_PER_PROBE {
@@ -1356,7 +1336,7 @@ mod tests {
             assert_eq!(msg.digest, nodes[0].digest().rows());
             // The receiver merges the rows and answers nothing.
             assert!(nodes[*to].on_message(msg, k * push).is_empty());
-            assert_eq!(nodes[*to].digest().row(0).latest, 9);
+            assert_eq!(nodes[*to].digest().row(0).evidence.latest, 9);
             let receiver: Vec<Option<u64>> = armed(&nodes[*to]);
             assert_eq!(receiver, [None; 3]);
         }
@@ -1731,17 +1711,9 @@ mod tests {
     #[test]
     fn a_row_that_starts_to_meet_the_stop_criterion_is_pushed_at_once() {
         let (n, fanout) = (8, 3);
-        let sweep = |iteration: u64, clean_since: u64, stable_streak: u32| SweepSummary {
-            iteration,
-            clean: clean_since != u64::MAX,
-            stable: stable_streak > 0,
-            clean_since,
-            stable_streak,
-            generation: 0,
-            epoch: 0,
+        let sweep = |iteration, clean_since, stable_streak| SweepSummary {
             has_async_neighbors: true,
-            points: 10,
-            busy_ns: 100,
+            ..SweepSummary::sample(iteration, clean_since, stable_streak)
         };
         let pushes = |batch: &[(usize, GossipMessage)]| -> Vec<usize> {
             batch
@@ -1780,7 +1752,10 @@ mod tests {
                     assert_eq!(distinct.len(), fanout);
                     assert!(!targets.contains(&2), "never to itself");
                     for (_, msg) in batch {
-                        assert_eq!(msg.digest[2].latest, iteration, "the row that just met it");
+                        assert_eq!(
+                            msg.digest[2].evidence.latest, iteration,
+                            "the row that just met it"
+                        );
                     }
                 } else {
                     assert!(

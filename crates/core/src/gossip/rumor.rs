@@ -11,7 +11,7 @@
 //! discipline is exercised on every substrate.
 
 use crate::load_balance::PeerLoad;
-use p2psap::Scheme;
+use crate::runtime::stop::Evidence;
 
 /// SWIM membership verdict a rumor disseminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,55 +66,32 @@ impl Rumor {
     }
 }
 
-/// One rank's convergence evidence, authored only by that rank and merged
-/// last-writer-wins everywhere else (see [`DigestRow::supersedes`]). The row
-/// states: "every sweep in `[clean_since, latest]` had local difference at or
-/// below the tolerance" (`clean_since == u64::MAX` when the latest sweep was
-/// dirty), plus the stability streak the asynchronous criterion folds and the
-/// cumulative load the gossiped placement weights come from.
+/// One rank's convergence [`Evidence`], authored only by that rank and
+/// merged last-writer-wins everywhere else (see [`DigestRow::supersedes`]),
+/// plus the cumulative load the gossiped placement weights come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DigestRow {
     /// Authoring rank.
     pub rank: u16,
-    /// Rollback generation the evidence belongs to.
-    pub generation: u32,
     /// Author-side epoch, bumped on recovery so post-restart evidence
     /// supersedes the dead incarnation's rows even though the restored
     /// iteration counter went backwards.
     pub epoch: u32,
-    /// Latest iteration the author reported (0 = no sweep yet).
-    pub latest: u64,
-    /// First iteration of the author's current at-or-below-tolerance streak
-    /// (`u64::MAX`: the latest sweep was dirty).
-    pub clean_since: u64,
-    /// Consecutive stable sweeps (the asynchronous criterion's streak).
-    pub stable_streak: u32,
-    /// Bit flags: bit 0 = the latest sweep was stable, bit 1 = the author
-    /// has asynchronous neighbours (the hybrid criterion needs its
-    /// stability).
-    pub flags: u8,
+    /// The author's evidence row, exactly as the stop rule reads it.
+    pub evidence: Evidence,
     /// Cumulative grid points relaxed (gossiped load estimate).
     pub points: u64,
     /// Cumulative busy nanoseconds (gossiped load estimate).
     pub busy_ns: u64,
 }
 
-/// [`DigestRow::flags`] bit 0: the latest sweep was stable.
-pub const ROW_STABLE: u8 = 1;
-/// [`DigestRow::flags`] bit 1: the author has asynchronous neighbours.
-pub const ROW_HAS_ASYNC: u8 = 2;
-
 impl DigestRow {
     /// An empty row for `rank` (no evidence yet).
     pub fn empty(rank: usize) -> Self {
         Self {
             rank: rank as u16,
-            generation: 0,
             epoch: 0,
-            latest: 0,
-            clean_since: u64::MAX,
-            stable_streak: 0,
-            flags: 0,
+            evidence: Evidence::NONE,
             points: 0,
             busy_ns: 0,
         }
@@ -123,21 +100,8 @@ impl DigestRow {
     /// Last-writer-wins merge order for rows of the same rank: newer
     /// generation beats older, then newer author epoch, then later iteration.
     pub fn supersedes(&self, other: &DigestRow) -> bool {
-        (self.generation, self.epoch, self.latest) > (other.generation, other.epoch, other.latest)
-    }
-
-    /// Whether this row meets its own part of `scheme`'s stop criterion,
-    /// which every row of the universe must meet before
-    /// [`ConvergenceDigest::decision`](crate::gossip::ConvergenceDigest::decision)
-    /// can fire: two consecutive stable sweeps under the asynchronous
-    /// scheme, a running clean streak under the synchronous and hybrid ones
-    /// (which then also need a witness iteration common to every streak).
-    /// A node pushes its own row the moment it starts to meet it.
-    pub fn meets_stop_criterion(&self, scheme: Scheme) -> bool {
-        match scheme {
-            Scheme::Asynchronous => self.stable_streak >= 2,
-            Scheme::Synchronous | Scheme::Hybrid => self.clean_since != u64::MAX,
-        }
+        let order = |row: &DigestRow| (row.evidence.generation, row.epoch, row.evidence.latest);
+        order(self) > order(other)
     }
 
     /// The load estimate this row gossips.
@@ -214,7 +178,8 @@ const HEADER_BYTES: usize = 13;
 const RUMOR_BYTES: usize = 7;
 /// Encoded size of one [`DigestRow`]:
 /// rank(2) generation(4) epoch(4) latest(8) clean_since(8) streak(4)
-/// flags(1) points(8) busy_ns(8).
+/// flags(1: bit 0 stable, bit 1 has asynchronous neighbours, no other bit
+/// is read) points(8) busy_ns(8).
 const ROW_BYTES: usize = 47;
 /// Trailing integrity checksum (`p2psap::data::frame_checksum`, the one the
 /// data segments carry) over header + rumors + rows. Gossip
@@ -246,13 +211,14 @@ impl GossipMessage {
             out.push(rumor.status.to_byte());
         }
         for row in &self.digest {
+            let evidence = &row.evidence;
             out.extend_from_slice(&row.rank.to_be_bytes());
-            out.extend_from_slice(&row.generation.to_be_bytes());
+            out.extend_from_slice(&evidence.generation.to_be_bytes());
             out.extend_from_slice(&row.epoch.to_be_bytes());
-            out.extend_from_slice(&row.latest.to_be_bytes());
-            out.extend_from_slice(&row.clean_since.to_be_bytes());
-            out.extend_from_slice(&row.stable_streak.to_be_bytes());
-            out.push(row.flags);
+            out.extend_from_slice(&evidence.latest.to_be_bytes());
+            out.extend_from_slice(&evidence.clean_since.to_be_bytes());
+            out.extend_from_slice(&evidence.stable_streak.to_be_bytes());
+            out.push(u8::from(evidence.stable) | u8::from(evidence.has_async) << 1);
             out.extend_from_slice(&row.points.to_be_bytes());
             out.extend_from_slice(&row.busy_ns.to_be_bytes());
         }
@@ -319,14 +285,18 @@ impl GossipMessage {
             |i: usize| u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
         let mut digest = Vec::with_capacity(row_count);
         for _ in 0..row_count {
+            let flags = bytes[at + 30];
             digest.push(DigestRow {
                 rank: u16::from_be_bytes([bytes[at], bytes[at + 1]]),
-                generation: u32_at(at + 2),
                 epoch: u32_at(at + 6),
-                latest: u64_at(at + 10),
-                clean_since: u64_at(at + 18),
-                stable_streak: u32_at(at + 26),
-                flags: bytes[at + 30],
+                evidence: Evidence {
+                    generation: u32_at(at + 2),
+                    latest: u64_at(at + 10),
+                    clean_since: u64_at(at + 18),
+                    stable_streak: u32_at(at + 26),
+                    stable: flags & 1 != 0,
+                    has_async: flags & 2 != 0,
+                },
                 points: u64_at(at + 31),
                 busy_ns: u64_at(at + 39),
             });
@@ -367,12 +337,15 @@ mod tests {
             ],
             digest: vec![DigestRow {
                 rank: 4,
-                generation: 1,
                 epoch: 2,
-                latest: 1234,
-                clean_since: 1200,
-                stable_streak: 3,
-                flags: ROW_STABLE | ROW_HAS_ASYNC,
+                evidence: Evidence {
+                    generation: 1,
+                    latest: 1234,
+                    clean_since: 1200,
+                    stable_streak: 3,
+                    stable: true,
+                    has_async: true,
+                },
                 points: 99,
                 busy_ns: 1_000_000,
             }],
@@ -410,17 +383,18 @@ mod tests {
     #[test]
     fn row_merge_order() {
         let base = DigestRow::empty(2);
-        let later = DigestRow { latest: 5, ..base };
-        let recovered = DigestRow {
-            epoch: 1,
-            latest: 2,
+        let at = |generation, epoch, latest| DigestRow {
+            epoch,
+            evidence: Evidence {
+                generation,
+                latest,
+                ..base.evidence
+            },
             ..base
         };
-        let new_generation = DigestRow {
-            generation: 1,
-            latest: 1,
-            ..base
-        };
+        let later = at(0, 0, 5);
+        let recovered = at(0, 1, 2);
+        let new_generation = at(1, 0, 1);
         assert!(later.supersedes(&base));
         // A recovered rank's restored counter went backwards, but its bumped
         // epoch still supersedes the dead incarnation's rows.
@@ -454,12 +428,15 @@ mod tests {
                 }],
                 digest: vec![DigestRow {
                     rank: from,
-                    generation: incarnation,
                     epoch: rumor_seed,
-                    latest,
-                    clean_since,
-                    stable_streak: rumor_seed,
-                    flags: (rumor_seed % 4) as u8,
+                    evidence: Evidence {
+                        generation: incarnation,
+                        latest,
+                        clean_since,
+                        stable_streak: rumor_seed,
+                        stable: rumor_seed & 1 != 0,
+                        has_async: rumor_seed & 2 != 0,
+                    },
                     points: latest,
                     busy_ns: clean_since,
                 }],

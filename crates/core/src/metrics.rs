@@ -56,7 +56,7 @@ pub struct RunMeasurement {
 
 impl RunMeasurement {
     /// The one constructor every runtime uses (via
-    /// [`crate::runtime::engine::ConvergenceDetector::finish_run`]), so all
+    /// [`crate::runtime::stop::ConvergenceDetector::finish_run`]), so all
     /// runtimes report identical metric shapes. The fixed-point residual is
     /// a solution-quality check only the experiment layer can compute; it
     /// starts out as NaN and is filled in there.

@@ -13,8 +13,8 @@
 //! `RunScaffold::crash_verdict`, whoever detects the failure.
 
 use crate::churn::SharedVolatility;
-use crate::runtime::engine::SharedDetector;
 use crate::runtime::report_cell::contention;
+use crate::runtime::stop::SharedDetector;
 use crate::topology_manager::TopologyManager;
 use desim::{SimDuration, SimTime};
 use netsim::{ClusterId, NodeId, Topology};
@@ -215,7 +215,7 @@ impl LoopHeartbeat {
 mod tests {
     use super::*;
     use crate::churn::{ChurnPlan, VolatilityState};
-    use crate::runtime::engine::ConvergenceDetector;
+    use crate::runtime::stop::ConvergenceDetector;
     use netsim::LinkSpec;
     use p2psap::Scheme;
 

@@ -20,10 +20,12 @@
 //! timer, schedule the completion of a relaxation, broadcast a stop or a
 //! rollback). [`crate::runtime`] lists the transports that exist.
 //!
-//! Global convergence detection lives in [`ConvergenceDetector`], shared by
-//! all peers of a run. It is an omniscient observer (it consumes no network
-//! resources), standing in for the coordinator-based detection a deployment
-//! would use.
+//! Global convergence detection lives in
+//! [`ConvergenceDetector`](crate::runtime::stop::ConvergenceDetector),
+//! shared by all peers of a run. It is an omniscient observer (it consumes
+//! no network resources), standing in for the coordinator-based detection a
+//! deployment would use; the engine authors its own evidence row with the
+//! same rule ([`crate::runtime::stop`]) for the gossip control plane.
 //!
 //! # Volatility and elastic membership
 //!
@@ -61,14 +63,11 @@ use crate::churn::SharedVolatility;
 use crate::fault::Checkpoint;
 use crate::gossip::SweepSummary;
 use crate::load_balance::PeerLoad;
-use crate::metrics::RunMeasurement;
-use crate::runtime::report_cell::{contention, CellReport, ReportBoard};
+use crate::runtime::stop::{Evidence, SharedDetector};
 use bytes::Bytes;
-use desim::SimDuration;
 use netsim::{NodeId, Topology};
 use p2psap::{Scheme, Socket};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifier of a protocol timer armed by a peer's socket:
 /// `(neighbour rank, protocol layer, protocol tag)`.
@@ -200,495 +199,6 @@ impl TimerQueue {
     }
 }
 
-/// Shared state used for global convergence detection and result
-/// collection, one per run.
-pub struct ConvergenceDetector {
-    tolerance: f64,
-    scheme: Scheme,
-    peers: usize,
-    /// Which peers have at least one asynchronous (non-waiting) neighbour.
-    has_async_neighbor: Vec<bool>,
-    /// Per-iteration: (number of peers that completed it, max local diff).
-    iteration_reports: HashMap<u64, (usize, f64)>,
-    /// Latest "stable" flag per peer: the peer's last sweep was below the
-    /// tolerance *and* it had incorporated at least one fresh update from
-    /// every asynchronous neighbour since its last above-tolerance sweep.
-    /// This guards against declaring convergence on stale boundary data.
-    latest_stable: Vec<bool>,
-    /// Consecutive stable reports per peer (asynchronous rule).
-    streaks: Vec<u32>,
-    /// Set when global convergence is detected.
-    stop: bool,
-    stop_time_ns: Option<u64>,
-    /// Whether the stop signal has been broadcast to every peer.
-    stop_broadcast: bool,
-    /// Peers that have acknowledged the stop and deposited their result.
-    results: Vec<Option<(u64, Vec<u8>)>>,
-    /// Rollback generation: bumped by a synchronous recovery; reports
-    /// carrying an older generation are stale and discarded.
-    generation: u32,
-    /// The common restart iteration of the current generation (meaningful
-    /// when `generation > 0`). Published here so drivers whose rollback
-    /// broadcast can be lost (a UDP datagram) have a polling fallback — the
-    /// same safety net the stop signal has.
-    rollback_target: u64,
-    /// Highest iteration each peer has reported in the current generation:
-    /// a recovered peer re-executing checkpointed iterations must not count
-    /// twice towards iteration completeness.
-    last_reported: Vec<u64>,
-    /// Live per-peer load accounting (points relaxed, busy time) — the
-    /// throughput estimates the load balancer and recovery path consume.
-    loads: Vec<PeerLoad>,
-    /// Under [`ControlPlane::Gossip`](super::ControlPlane) the stop decision
-    /// belongs to the gossiped digests: `report` still folds evidence (the
-    /// loads feed placement) but never flips the stop itself.
-    distributed_decision: bool,
-    /// The lock-free report cells engines publish dirty sweeps into; folded
-    /// into the fields above whenever the detector mutex is taken.
-    board: Arc<ReportBoard>,
-    /// Per-rank serial of the last cell report folded in, so a cell is
-    /// applied at most once per publication.
-    folded_serials: Vec<u64>,
-}
-
-/// The sharing wrapper around a [`ConvergenceDetector`]: a lock-free
-/// [`ReportBoard`] for the common-case sweep beside the mutex-protected
-/// detector for everything that actually decides (convergence, rollback,
-/// results). Every locked entry point folds outstanding cell reports first,
-/// so locked code always observes the state it would see if every report
-/// had taken the lock (`publish_agrees_with_locked_reports` checks it).
-pub struct DetectorHandle {
-    board: Arc<ReportBoard>,
-    tolerance: f64,
-    inner: Mutex<ConvergenceDetector>,
-}
-
-/// A [`ConvergenceDetector`] shared between the peers of one run.
-pub type SharedDetector = Arc<DetectorHandle>;
-
-impl DetectorHandle {
-    /// Lock the detector, folding all outstanding cell reports so the guard
-    /// observes up-to-date state.
-    pub fn lock(&self) -> MutexGuard<'_, ConvergenceDetector> {
-        contention::count_detector_lock();
-        let mut detector = self.inner.lock().unwrap();
-        detector.fold_cells();
-        detector
-    }
-
-    /// Whether global convergence (or the cap) has stopped the run —
-    /// lock-free mirror of [`ConvergenceDetector::stopped`].
-    pub fn stopped(&self) -> bool {
-        self.board.stopped()
-    }
-
-    /// Lock-free mirror of [`ConvergenceDetector::current_rollback`].
-    pub fn current_rollback(&self) -> Option<(u64, u32)> {
-        self.board.current_rollback()
-    }
-
-    /// Publish one sweep's load accounting and convergence report; returns
-    /// true when the run has stopped. The common case — a dirty sweep
-    /// (`diff > tolerance`) of a running run — is lock-free: the load
-    /// counters and the report go into the peer's cell and are folded in by
-    /// the next locked operation. A clean sweep can decide convergence, so
-    /// it takes the locked path (which folds every outstanding cell first).
-    #[allow(clippy::too_many_arguments)]
-    pub fn publish(
-        &self,
-        rank: usize,
-        iteration: u64,
-        diff: f64,
-        stable: bool,
-        now_ns: u64,
-        generation: u32,
-        work_points: u64,
-        busy_ns: u64,
-    ) -> bool {
-        if diff > self.tolerance {
-            // A dirty sweep can never be stable (stability requires
-            // `diff <= tolerance`) and can never complete an iteration below
-            // the tolerance, so losing an overwritten intermediate report
-            // cannot change any convergence decision.
-            debug_assert!(!stable, "a dirty sweep cannot be stable");
-            let cell = self.board.cell(rank);
-            cell.add_load(work_points, busy_ns);
-            if self.board.stopped() {
-                // Stopped runs ignore reports (the locked path's early
-                // return); the loads still count, exactly as `record_load`
-                // before `report` did.
-                return true;
-            }
-            cell.publish(iteration, diff, generation);
-            return self.board.stopped();
-        }
-        contention::count_detector_report_lock();
-        let mut detector = self.lock();
-        detector.record_load(rank, work_points, busy_ns);
-        detector.report(rank, iteration, diff, stable, now_ns, generation)
-    }
-}
-
-impl ConvergenceDetector {
-    /// Create the detector with report cells provisioned for `capacity`
-    /// ranks (`capacity >= peers`). The cell array is lock-free and cannot
-    /// be resized, so runs that may grow (planned joins) must provision the
-    /// final peer count up front.
-    pub fn with_capacity(tolerance: f64, scheme: Scheme, peers: usize, capacity: usize) -> Self {
-        let capacity = capacity.max(peers);
-        Self {
-            tolerance,
-            scheme,
-            peers,
-            has_async_neighbor: vec![false; peers],
-            iteration_reports: HashMap::new(),
-            latest_stable: vec![false; peers],
-            streaks: vec![0; peers],
-            stop: false,
-            stop_time_ns: None,
-            stop_broadcast: false,
-            results: vec![None; peers],
-            generation: 0,
-            rollback_target: 0,
-            last_reported: vec![0; peers],
-            distributed_decision: false,
-            loads: vec![PeerLoad::default(); peers],
-            board: Arc::new(ReportBoard::new(capacity)),
-            folded_serials: vec![0; capacity],
-        }
-    }
-
-    /// Create a shared detector handle.
-    pub fn shared(tolerance: f64, scheme: Scheme, peers: usize) -> SharedDetector {
-        Self::shared_with_capacity(tolerance, scheme, peers, peers)
-    }
-
-    /// Create a shared detector handle provisioned for up to `capacity`
-    /// ranks (see [`ConvergenceDetector::with_capacity`]).
-    pub fn shared_with_capacity(
-        tolerance: f64,
-        scheme: Scheme,
-        peers: usize,
-        capacity: usize,
-    ) -> SharedDetector {
-        let detector = Self::with_capacity(tolerance, scheme, peers, capacity);
-        Arc::new(DetectorHandle {
-            board: detector.board.clone(),
-            tolerance,
-            inner: Mutex::new(detector),
-        })
-    }
-
-    /// Whether global convergence (or the cap) has stopped the run.
-    pub fn stopped(&self) -> bool {
-        self.stop
-    }
-
-    /// Record the completion of relaxation number `iteration` (1-based) by
-    /// peer `rank` with local difference `diff`; returns true when this
-    /// report establishes global convergence. `stable` is computed by the
-    /// peer (below tolerance, and fresh updates from every asynchronous
-    /// neighbour since its last dirty sweep); `generation` is the peer's
-    /// rollback generation — reports predating a synchronous
-    /// rollback are stale and discarded.
-    pub fn report(
-        &mut self,
-        rank: usize,
-        iteration: u64,
-        diff: f64,
-        stable: bool,
-        now_ns: u64,
-        generation: u32,
-    ) -> bool {
-        if self.stop {
-            return true;
-        }
-        if generation != self.generation {
-            return self.stop;
-        }
-        self.latest_stable[rank] = stable;
-        if stable {
-            self.streaks[rank] = self.streaks[rank].saturating_add(1);
-        } else {
-            self.streaks[rank] = 0;
-        }
-        // A peer restored from a checkpoint (without a rollback broadcast —
-        // an asynchronous or hybrid recovery) re-executes iterations it
-        // already reported; counting them again would let an iteration
-        // entry reach completeness with another peer's report missing.
-        // Only a peer's *first* report of an iteration counts.
-        let counted = iteration > self.last_reported[rank];
-        if counted {
-            self.last_reported[rank] = iteration;
-        }
-        let converged = match self.scheme {
-            // Synchronous and hybrid schemes progress iteration by iteration:
-            // stop at the first iteration whose global max difference is below
-            // the tolerance (the same test the sequential solver applies). For
-            // hybrid runs, peers with asynchronous (cross-cluster) neighbours
-            // must additionally be stable, so stale inter-cluster boundaries
-            // cannot fake convergence.
-            Scheme::Synchronous | Scheme::Hybrid if counted => {
-                let entry = self.iteration_reports.entry(iteration).or_insert((0, 0.0));
-                entry.0 += 1;
-                entry.1 = entry.1.max(diff);
-                let complete = entry.0 == self.peers;
-                let max_diff = entry.1;
-                if complete {
-                    // Each peer's first report of an iteration counts exactly
-                    // once, so a complete entry can never be touched again —
-                    // drop it to keep the map bounded by the in-flight
-                    // iterations.
-                    self.iteration_reports.remove(&iteration);
-                }
-                complete
-                    && max_diff <= self.tolerance
-                    && self
-                        .has_async_neighbor
-                        .iter()
-                        .zip(self.latest_stable.iter())
-                        .all(|(async_nb, stable)| !async_nb || *stable)
-            }
-            // A re-reported iteration can never complete an entry.
-            Scheme::Synchronous | Scheme::Hybrid => false,
-            // Asynchronous scheme: every peer must have reported two
-            // consecutive stable sweeps.
-            Scheme::Asynchronous => self.streaks.iter().all(|s| *s >= 2),
-        };
-        if converged && !self.distributed_decision {
-            self.stop = true;
-            self.stop_time_ns = Some(now_ns);
-            self.board.publish_stop(true);
-        }
-        self.stop
-    }
-
-    /// Hand the stop decision to the gossip layer: `report` keeps folding
-    /// evidence and loads, but only [`ConvergenceDetector::deposit_result`]
-    /// (driven by the deciding peer's gossip digest) may stop the run.
-    pub fn set_distributed_decision(&mut self, distributed: bool) {
-        self.distributed_decision = distributed;
-    }
-
-    /// Fold every outstanding cell publication into the detector state.
-    /// Called by [`DetectorHandle::lock`], so all locked operations observe
-    /// the evidence they would see if every report had taken the lock.
-    fn fold_cells(&mut self) {
-        let board = Arc::clone(&self.board);
-        for rank in 0..self.peers {
-            let cell = board.cell(rank);
-            let (points, busy_ns) = cell.take_load();
-            if points > 0 || busy_ns > 0 {
-                self.record_load(rank, points, busy_ns);
-            }
-            let report = cell.read();
-            if report.serial == self.folded_serials[rank] {
-                continue;
-            }
-            self.folded_serials[rank] = report.serial;
-            self.apply_dirty(rank, report);
-        }
-        // Dirty reports never complete an iteration entry, so entries a
-        // rank skipped past (cell overwrites) would linger forever without
-        // this frontier prune. An entry at or below every rank's watermark
-        // can never be counted into again, so dropping it loses nothing.
-        if self.iteration_reports.len() > 2 * self.peers.max(1) {
-            if let Some(&frontier) = self.last_reported.iter().min() {
-                self.iteration_reports.retain(|&it, _| it > frontier);
-            }
-        }
-    }
-
-    /// Apply one folded dirty-sweep report: exactly the state transitions
-    /// [`ConvergenceDetector::report`] performs for `diff > tolerance`,
-    /// `stable == false` — which can reset stability evidence and advance
-    /// watermarks but can never declare convergence.
-    fn apply_dirty(&mut self, rank: usize, report: CellReport) {
-        if self.stop || report.generation != self.generation {
-            return;
-        }
-        debug_assert!(report.diff > self.tolerance);
-        self.latest_stable[rank] = false;
-        self.streaks[rank] = 0;
-        if report.iteration <= self.last_reported[rank] {
-            return;
-        }
-        self.last_reported[rank] = report.iteration;
-        if matches!(self.scheme, Scheme::Synchronous | Scheme::Hybrid) {
-            let entry = self
-                .iteration_reports
-                .entry(report.iteration)
-                .or_insert((0, 0.0));
-            entry.0 += 1;
-            entry.1 = entry.1.max(report.diff);
-            if entry.0 == self.peers {
-                // Complete, but its max diff includes this dirty report's
-                // `diff > tolerance` — the locked path would likewise remove
-                // it without declaring convergence.
-                self.iteration_reports.remove(&report.iteration);
-            }
-        }
-    }
-
-    /// Deposit peer `rank`'s final result after the stop signal (or the
-    /// relaxation cap) ended its loop; stamps the stop if this peer is the
-    /// first to react (cap-ended runs have no converged stop). Returns true
-    /// exactly once per run: the caller owning that true broadcasts the stop
-    /// signal to the remaining peers.
-    pub fn deposit_result(
-        &mut self,
-        rank: usize,
-        relaxations: u64,
-        result: Vec<u8>,
-        now_ns: u64,
-    ) -> bool {
-        if self.stop_time_ns.is_none() {
-            self.stop = true;
-            self.stop_time_ns = Some(now_ns);
-            self.board.publish_stop(true);
-        }
-        self.results[rank] = Some((relaxations, result));
-        if self.stop_broadcast {
-            false
-        } else {
-            self.stop_broadcast = true;
-            true
-        }
-    }
-
-    /// Account `points` relaxed over `busy_ns` of the backend's clock by
-    /// peer `rank` (live throughput estimation).
-    pub fn record_load(&mut self, rank: usize, points: u64, busy_ns: u64) {
-        self.loads[rank].points += points;
-        self.loads[rank].busy_seconds += busy_ns as f64 / 1e9;
-    }
-
-    /// Live per-peer load estimates.
-    pub fn loads(&self) -> &[PeerLoad] {
-        &self.loads
-    }
-
-    /// Void a peer's stability evidence: its streak restarts and its last
-    /// report no longer counts as stable. Used when the peer's state is no
-    /// longer what the evidence was gathered on — a crash, or the adoption
-    /// of a re-sliced block.
-    pub fn void_stability(&mut self, rank: usize) {
-        self.streaks[rank] = 0;
-        self.latest_stable[rank] = false;
-    }
-
-    /// A peer crashed: its convergence evidence is void until it reports
-    /// again after recovery, so a run can never be declared converged on a
-    /// dead peer's stale stability.
-    pub fn mark_crashed(&mut self, rank: usize) {
-        self.void_stability(rank);
-    }
-
-    /// Void every peer's stability evidence. A live repartition moves block
-    /// data between ranks, so *all* pre-adoption stability was gathered on
-    /// boundary data that no longer describes the neighbours — convergence
-    /// must be re-established globally on the re-sliced state.
-    pub fn void_all_stability(&mut self) {
-        for rank in 0..self.peers {
-            self.void_stability(rank);
-        }
-    }
-
-    /// Grow the run to `new_peers` ranks (elastic membership: a join event
-    /// fired). The new ranks start with no convergence evidence, no result
-    /// and no load history, so the run cannot be declared converged before
-    /// they report, and `finish_run` will wait for their results.
-    pub fn grow(&mut self, new_peers: usize) {
-        if new_peers <= self.peers {
-            return;
-        }
-        assert!(
-            new_peers <= self.board.capacity(),
-            "detector grown to {new_peers} ranks but report cells were \
-             provisioned for {} — create the detector with \
-             `shared_with_capacity` sized to the provisioned topology",
-            self.board.capacity()
-        );
-        self.peers = new_peers;
-        self.has_async_neighbor.resize(new_peers, false);
-        self.latest_stable.resize(new_peers, false);
-        self.streaks.resize(new_peers, 0);
-        self.results.resize(new_peers, None);
-        self.last_reported.resize(new_peers, self.rollback_target);
-        self.loads.resize(new_peers, PeerLoad::default());
-        // In-flight iteration entries are kept: completeness is checked
-        // against the *current* peer count, so a pending iteration now also
-        // waits for the joiner's report of it (the joiner's restored counter
-        // starts at or below every survivor's, so it will report them).
-    }
-
-    /// Start a new rollback generation: every peer restarts from the common
-    /// checkpointed iteration `from_iteration`, so in-flight convergence
-    /// evidence (pending iteration reports, stability streaks, report
-    /// watermarks) is void. Reports from older generations are discarded
-    /// when peers report them.
-    pub fn begin_generation(&mut self, generation: u32, from_iteration: u64) {
-        self.generation = generation;
-        self.rollback_target = from_iteration;
-        self.board.publish_rollback(from_iteration, generation);
-        self.iteration_reports.clear();
-        for watermark in &mut self.last_reported {
-            *watermark = from_iteration;
-        }
-        for streak in &mut self.streaks {
-            *streak = 0;
-        }
-        for stable in &mut self.latest_stable {
-            *stable = false;
-        }
-    }
-
-    /// The run's current rollback, if a synchronous recovery has started
-    /// one: `(restart iteration, generation)`. Drivers poll this as a
-    /// fallback for a lost rollback broadcast (see
-    /// [`PeerEngine::poll_rollback`]).
-    pub fn current_rollback(&self) -> Option<(u64, u32)> {
-        (self.generation > 0).then_some((self.rollback_target, self.generation))
-    }
-
-    /// Assemble the run's [`RunMeasurement`] and the per-rank results. Used
-    /// by every runtime so all report the same metric shapes. `fallback_now`
-    /// is the clock value when the run ended without a recorded stop time
-    /// (deadline reached, missing results).
-    pub fn finish_run(
-        &self,
-        fallback_now_ns: u64,
-        max_relaxations: u64,
-    ) -> (RunMeasurement, Vec<(usize, Vec<u8>)>) {
-        let elapsed = SimDuration::from_nanos(self.stop_time_ns.unwrap_or(fallback_now_ns));
-        let mut relaxations = Vec::with_capacity(self.peers);
-        let mut results = Vec::with_capacity(self.peers);
-        let mut all_reported = true;
-        for (rank, entry) in self.results.iter().enumerate() {
-            match entry {
-                Some((r, data)) => {
-                    relaxations.push(*r);
-                    results.push((rank, data.clone()));
-                }
-                None => {
-                    all_reported = false;
-                    relaxations.push(0);
-                }
-            }
-        }
-        let converged =
-            self.stop && all_reported && relaxations.iter().all(|&r| r < max_relaxations);
-        let mut measurement = RunMeasurement::from_run(self.peers, elapsed, relaxations, converged);
-        measurement.points_per_sec = self
-            .loads
-            .iter()
-            .map(|l| l.throughput().unwrap_or(0.0))
-            .collect();
-        measurement.points_relaxed_per_peer = self.loads.iter().map(|l| l.points).collect();
-        (measurement, results)
-    }
-}
-
 /// Drives one peer's [`IterativeTask`] on any substrate: relax, `P2P_Send`
 /// the boundary updates through the P2PSAP sockets, `P2P_Receive` the
 /// neighbours' updates, and repeat until global convergence. The scheme of
@@ -726,8 +236,6 @@ pub struct PeerEngine {
     /// Largest change introduced by asynchronous updates since the last
     /// convergence report.
     max_ghost_change: f64,
-    /// Convergence tolerance (used to compute the stability flag).
-    tolerance: f64,
     /// Queued updates from synchronous neighbours (FIFO, one per iteration):
     /// each the delivered slice of its received segment, not a copy.
     pending_sync: HashMap<usize, VecDeque<Bytes>>,
@@ -741,7 +249,7 @@ pub struct PeerEngine {
     /// until the driver calls [`PeerEngine::recover`].
     crashed: bool,
     /// This peer's rollback generation (see
-    /// [`ConvergenceDetector::begin_generation`]).
+    /// [`crate::runtime::stop::ConvergenceDetector::begin_generation`]).
     generation: u32,
     /// This peer's membership epoch (see
     /// [`crate::churn::MembershipPlan::epoch`]): bumped when the engine
@@ -769,9 +277,10 @@ pub struct PeerEngine {
     /// rank's digest row).
     total_points: u64,
     total_busy_ns: u64,
-    /// The digest summary of the last completed sweep — what the gossip
-    /// layer piggy-backs; `None` under the centralized plane's readers.
-    last_sweep: Option<SweepSummary>,
+    /// This rank's convergence evidence, authored from every sweep — what
+    /// the gossip layer piggy-backs (the centralized plane's detector
+    /// authors its own copy from the reports).
+    evidence: Evidence,
 }
 
 /// The wait rule of Table I: whether a peer running `scheme` waits for the
@@ -817,10 +326,11 @@ impl PeerEngine {
                 async_fresh.insert(nb, 0);
             }
         }
-        let tolerance = {
-            let mut detector = shared.lock();
-            detector.has_async_neighbor[rank] = !async_neighbors.is_empty();
-            detector.tolerance
+        let has_async = !async_neighbors.is_empty();
+        shared.lock().set_has_async_neighbors(rank, has_async);
+        let evidence = Evidence {
+            has_async,
+            ..Evidence::NONE
         };
         Self {
             rank,
@@ -835,7 +345,6 @@ impl PeerEngine {
             async_neighbors,
             async_fresh,
             max_ghost_change: 0.0,
-            tolerance,
             pending_sync,
             computing: false,
             finished: false,
@@ -850,7 +359,7 @@ impl PeerEngine {
             report_epoch: 0,
             total_points: 0,
             total_busy_ns: 0,
-            last_sweep: None,
+            evidence,
         }
     }
 
@@ -939,8 +448,10 @@ impl PeerEngine {
             *counter = 0;
         }
         self.max_ghost_change = 0.0;
+        let has_async = !self.async_neighbors.is_empty();
+        self.evidence.has_async = has_async;
         let mut shared = self.shared.lock();
-        shared.has_async_neighbor[self.rank] = !self.async_neighbors.is_empty();
+        shared.set_has_async_neighbors(self.rank, has_async);
         shared.void_all_stability();
     }
 
@@ -1048,7 +559,14 @@ impl PeerEngine {
     /// The digest summary of the last completed sweep (the gossip control
     /// plane's authoring input; `None` before the first sweep).
     pub fn sweep_summary(&self) -> Option<SweepSummary> {
-        self.last_sweep
+        (self.evidence.latest > 0).then(|| {
+            SweepSummary::from_evidence(
+                self.evidence,
+                self.report_epoch,
+                self.total_points,
+                self.total_busy_ns,
+            )
+        })
     }
 
     /// This peer's current rollback generation.
@@ -1256,53 +774,29 @@ impl PeerEngine {
         // dirty sweep, and those updates themselves changed the boundary by
         // less than the tolerance (otherwise the boundary data is still
         // moving and "convergence" would be an artefact of staleness).
-        let stable = relax.local_diff <= self.tolerance
+        let tolerance = self.shared.tolerance();
+        let clean = relax.local_diff <= tolerance;
+        let stable = clean
             && self
                 .async_neighbors
                 .iter()
                 .all(|nb| self.async_fresh[nb] >= 1)
-            && self.max_ghost_change <= self.tolerance;
-        if relax.local_diff > self.tolerance {
+            && self.max_ghost_change <= tolerance;
+        if !clean {
             for counter in self.async_fresh.values_mut() {
                 *counter = 0;
             }
         }
         self.max_ghost_change = 0.0;
-        // Author this sweep's digest row for the gossip control plane (the
-        // centralized plane's drivers simply never read it). The streak
-        // accounting lives here because only the engine sees every sweep:
-        // gossip drivers sample `sweep_summary` at their own cadence.
+        // Author this sweep's evidence row for the gossip control plane
+        // (the centralized plane's drivers simply never read it). It lives
+        // here because only the engine sees every sweep: gossip drivers
+        // sample `sweep_summary` at their own cadence.
         self.total_points += relax.work_points;
         self.total_busy_ns += busy_ns;
-        let clean = relax.local_diff <= self.tolerance;
-        let prev = self
-            .last_sweep
-            .filter(|p| p.generation == self.generation && p.epoch == self.report_epoch);
-        let clean_since = if !clean {
-            u64::MAX
-        } else {
-            match prev {
-                Some(p) if p.clean_since != u64::MAX => p.clean_since,
-                _ => iteration,
-            }
-        };
-        let stable_streak = if !stable {
-            0
-        } else {
-            prev.map_or(0, |p| p.stable_streak).saturating_add(1)
-        };
-        self.last_sweep = Some(SweepSummary {
-            iteration,
-            clean,
-            stable,
-            clean_since,
-            stable_streak,
-            generation: self.generation,
-            epoch: self.report_epoch,
-            has_async_neighbors: !self.async_neighbors.is_empty(),
-            points: self.total_points,
-            busy_ns: self.total_busy_ns,
-        });
+        self.evidence = self
+            .evidence
+            .after(iteration, clean, stable, self.generation);
         // Report to the convergence detector and account the sweep into the
         // live per-peer load estimate. A dirty sweep goes into this rank's
         // lock-free report cell; only a clean (possibly-converging) sweep
@@ -1486,7 +980,7 @@ impl PeerEngine {
         // The recovered incarnation authors digest rows under a fresh epoch:
         // anything the crashed incarnation published is void evidence.
         self.report_epoch = self.report_epoch.wrapping_add(1);
-        self.last_sweep = None;
+        self.evidence = self.evidence.void(self.generation);
         if let Some((to_iteration, generation)) = rollback {
             // Rolling back: queued pre-rollback updates belong to abandoned
             // iterations and every peer will publish afresh from the common
@@ -1871,6 +1365,8 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::{RampTask, ScriptTransport};
     use super::*;
+    use crate::runtime::stop::ConvergenceDetector;
+    use std::sync::Arc;
 
     fn engine_pair(
         scheme: Scheme,
@@ -2121,14 +1617,14 @@ mod tests {
         ta.polled.compute_pending = false;
         a.on_compute_done(&mut ta);
         // A reported diff 0 but B has not: no convergence yet.
-        assert!(!shared.lock().stopped());
+        assert!(!shared.stopped());
         assert!(!a.finished());
 
         tb.polled.compute_pending = false;
         b.on_compute_done(&mut tb);
         // B's report completes the iteration below tolerance: B detects the
         // stop, finishes, and is the one peer to broadcast.
-        assert!(shared.lock().stopped());
+        assert!(shared.stopped());
         assert!(b.finished());
         assert_eq!(tb.broadcasts, vec![Wire::Stop]);
 
@@ -2221,123 +1717,5 @@ mod tests {
             !measurement.converged,
             "hitting the cap is reported as non-convergence"
         );
-    }
-
-    /// Everything of a detector a run can act on, read under its lock.
-    /// `iteration_reports` is left out on purpose: a cell overwritten
-    /// between two folds never counts its older iteration, and such an
-    /// entry — it holds a dirty report — could never have completed at or
-    /// below the tolerance.
-    fn observable(detector: &ConvergenceDetector) -> impl PartialEq + std::fmt::Debug {
-        (
-            (detector.stop, detector.stop_time_ns, detector.generation),
-            detector.streaks.clone(),
-            detector.latest_stable.clone(),
-            detector.last_reported.clone(),
-            detector.loads.iter().map(|l| l.points).collect::<Vec<_>>(),
-        )
-    }
-
-    proptest::proptest! {
-        /// The lock-free report cells defer work, they decide nothing: one
-        /// random report script — dirty and clean sweeps, re-reported and
-        /// skipped iterations, stale generations, loads, and interleaved
-        /// locked operations (a bare `lock()`, a rollback, a join, a crash)
-        /// — fed to two detectors, one through `publish` and one through
-        /// what a clean sweep runs anyway (`lock()` + `record_load` +
-        /// `report`), stops both at the same step with the same evidence
-        /// (streaks, stability, watermarks, loads, generation).
-        /// The lock-free view (`stopped()`, each report's return value) is
-        /// compared after every step, the full state whenever the script
-        /// locks and at the end.
-        #[test]
-        fn publish_agrees_with_locked_reports(
-            scheme_pick in 0usize..3,
-            peers in 2usize..5,
-            steps in 20u64..160,
-            seed in proptest::any::<u64>(),
-        ) {
-            use proptest::{prop_assert, prop_assert_eq};
-            let scheme = [Scheme::Synchronous, Scheme::Asynchronous, Scheme::Hybrid][scheme_pick];
-            let tolerance = 0.5;
-            let capacity = peers + 1;
-            let make = || {
-                let shared =
-                    ConvergenceDetector::shared_with_capacity(tolerance, scheme, peers, capacity);
-                // Hybrid: rank 0 sits on the cluster edge, so its stability
-                // gates the stop.
-                shared.lock().has_async_neighbor[0] = scheme == Scheme::Hybrid;
-                shared
-            };
-            let (cells, locked) = (make(), make());
-            let mut rng = proptest::TestRng::new(seed);
-            let mut live = peers;
-            let mut generation = 0u32;
-            // Each rank's own generation lags the detector's and only moves
-            // forward, as an engine's does.
-            let mut adopted = vec![0u32; capacity];
-            let mut iteration = vec![0u64; capacity];
-            for step in 0..steps {
-                match rng.below(24) {
-                    0 => prop_assert_eq!(observable(&cells.lock()), observable(&locked.lock())),
-                    1 => {
-                        generation += 1;
-                        let from = iteration[..live].iter().copied().min().unwrap_or(0);
-                        iteration[..live].fill(from);
-                        for shared in [&cells, &locked] {
-                            shared.lock().begin_generation(generation, from);
-                        }
-                    }
-                    2 if live < capacity => {
-                        live += 1;
-                        for shared in [&cells, &locked] {
-                            shared.lock().grow(live);
-                        }
-                    }
-                    3 => {
-                        let rank = rng.below(live as u64) as usize;
-                        for shared in [&cells, &locked] {
-                            shared.lock().mark_crashed(rank);
-                        }
-                    }
-                    _ => {
-                        let rank = rng.below(live as u64) as usize;
-                        // Mostly the next iteration; sometimes a re-report
-                        // (restored peer) or a skipped one.
-                        iteration[rank] += [0, 2, 1, 1, 1, 1, 1, 1][rng.below(8) as usize];
-                        let clean = rng.below(4) != 0;
-                        let diff = if clean {
-                            tolerance * rng.unit_f64()
-                        } else {
-                            tolerance + 0.01 + rng.unit_f64()
-                        };
-                        let stable = clean && rng.below(8) != 0;
-                        if rng.below(4) != 0 {
-                            adopted[rank] = generation;
-                        }
-                        let reported = adopted[rank];
-                        let (points, busy_ns) = (rng.below(1_000), rng.below(1_000_000));
-                        let through_cells = cells.publish(
-                            rank, iteration[rank], diff, stable, step, reported, points, busy_ns,
-                        );
-                        let through_lock = {
-                            let mut detector = locked.lock();
-                            detector.record_load(rank, points, busy_ns);
-                            detector.report(rank, iteration[rank], diff, stable, step, reported)
-                        };
-                        prop_assert_eq!(through_cells, through_lock, "step {}", step);
-                    }
-                }
-                prop_assert_eq!(cells.stopped(), locked.stopped(), "step {}", step);
-                prop_assert_eq!(cells.current_rollback(), locked.current_rollback());
-            }
-            let (a, b) = (cells.lock(), locked.lock());
-            prop_assert_eq!(observable(&a), observable(&b));
-            // Busy time is summed in integer nanoseconds in the cells and in
-            // seconds under the lock: equal up to rounding, not bit for bit.
-            for (x, y) in a.loads.iter().zip(&b.loads) {
-                prop_assert!((x.busy_seconds - y.busy_seconds).abs() <= 1e-9 * y.busy_seconds);
-            }
-        }
     }
 }

@@ -11,7 +11,8 @@
 //!   conditions (synchronous waits for every neighbour, asynchronous never
 //!   waits, hybrid waits intra-cluster only), the per-neighbour update
 //!   buffers, and the convergence / termination handshake against the shared
-//!   [`engine::ConvergenceDetector`]. The engine is sans-io: it never
+//!   [`stop::ConvergenceDetector`] (the stop rule both control planes
+//!   evaluate lives in [`stop`]). The engine is sans-io: it never
 //!   blocks, never sleeps, and reaches the substrate only through the
 //!   [`engine::PeerTransport`] trait (transmit or broadcast an
 //!   [`engine::Wire`], arm/cancel a protocol timer, schedule compute
@@ -68,14 +69,14 @@ pub mod reactor;
 pub mod report_cell;
 pub(crate) mod scaffold;
 pub mod sim;
+pub mod stop;
 pub mod threads;
 pub mod udp;
 
 pub use driver::{ClockDomain, DriverOutcome, RuntimeKind, TaskFactory};
-pub use engine::{
-    ConvergenceDetector, DetectorHandle, PeerEngine, PeerTransport, SharedDetector, TimerKey, Wire,
-};
+pub use engine::{PeerEngine, PeerTransport, TimerKey, Wire};
 pub use report_cell::{ReportBoard, ReportCell};
+pub use stop::{ConvergenceDetector, DetectorHandle, SharedDetector};
 pub use udp::{LossShim, Reassembler};
 
 use crate::churn::ChurnPlan;

@@ -8,11 +8,11 @@
 //! scheme here splits reports by what they can *cause*:
 //!
 //! * A report whose local difference is **above** the tolerance can never
-//!   establish convergence — its only effects are monotone bookkeeping
-//!   (streak reset, iteration-report counts that can only complete with a
-//!   max difference above the tolerance, watermark advances). Such a
-//!   "dirty" report is published into the reporting rank's [`ReportCell`]
-//!   (a single-writer seqlock slot) with zero lock acquisitions.
+//!   establish convergence — its only effect is to reset the rank's
+//!   evidence row to "dirty at this iteration", whatever dirty reports came
+//!   before it. Such a "dirty" report is published into the reporting
+//!   rank's [`ReportCell`] (a single-writer seqlock slot) with zero lock
+//!   acquisitions.
 //! * A report **at or below** the tolerance — the only kind that can flip
 //!   the run to converged — still takes the detector mutex, as does every
 //!   other control-plane operation (crash accounting, rollback, growth).
@@ -27,7 +27,7 @@
 //! `tests/hot_sweep_locks.rs` proves with them that the hot sweep acquires
 //! zero locks.
 //!
-//! [`ConvergenceDetector`]: crate::runtime::engine::ConvergenceDetector
+//! [`ConvergenceDetector`]: crate::runtime::stop::ConvergenceDetector
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -45,8 +45,6 @@ pub struct ReportCell {
     serial: AtomicU64,
     /// Reported relaxation number (1-based, the task's counter).
     iteration: AtomicU64,
-    /// Reported local difference (f64 bits).
-    diff_bits: AtomicU64,
     /// The reporting engine's rollback generation: folds discard reports
     /// from voided generations, exactly like the locked `report` does.
     generation: AtomicU32,
@@ -64,7 +62,6 @@ impl Default for ReportCell {
             seq: AtomicU64::new(0),
             serial: AtomicU64::new(0),
             iteration: AtomicU64::new(0),
-            diff_bits: AtomicU64::new(0),
             generation: AtomicU32::new(0),
             points: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
@@ -79,15 +76,13 @@ pub struct CellReport {
     pub serial: u64,
     /// Reported relaxation number.
     pub iteration: u64,
-    /// Reported local difference.
-    pub diff: f64,
     /// Reporting engine's rollback generation.
     pub generation: u32,
 }
 
 impl ReportCell {
     /// Publish a dirty report (single writer: the owning engine).
-    pub fn publish(&self, iteration: u64, diff: f64, generation: u32) {
+    pub fn publish(&self, iteration: u64, generation: u32) {
         // Boehm's seqlock writer protocol: odd stamp, release fence, data,
         // even stamp (release). The fence keeps the data stores from
         // floating above the odd stamp.
@@ -95,7 +90,6 @@ impl ReportCell {
         self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
         std::sync::atomic::fence(Ordering::Release);
         self.iteration.store(iteration, Ordering::Relaxed);
-        self.diff_bits.store(diff.to_bits(), Ordering::Relaxed);
         self.generation.store(generation, Ordering::Relaxed);
         self.serial.fetch_add(1, Ordering::Relaxed);
         self.seq.store(seq.wrapping_add(2), Ordering::Release);
@@ -132,7 +126,6 @@ impl ReportCell {
             let report = CellReport {
                 serial: self.serial.load(Ordering::Relaxed),
                 iteration: self.iteration.load(Ordering::Relaxed),
-                diff: f64::from_bits(self.diff_bits.load(Ordering::Relaxed)),
                 generation: self.generation.load(Ordering::Relaxed),
             };
             // Acquire fence so the field loads cannot drift past the
@@ -286,18 +279,17 @@ mod tests {
     #[test]
     fn publish_then_read_round_trips() {
         let cell = ReportCell::default();
-        cell.publish(7, 0.25, 3);
+        cell.publish(7, 3);
         let report = cell.read();
         assert_eq!(report.serial, 1);
         assert_eq!(report.iteration, 7);
-        assert_eq!(report.diff, 0.25);
         assert_eq!(report.generation, 3);
         // Overwrite: latest value wins, serial advances.
-        cell.publish(8, 0.125, 3);
+        cell.publish(8, 4);
         let report = cell.read();
         assert_eq!(report.serial, 2);
         assert_eq!(report.iteration, 8);
-        assert_eq!(report.diff, 0.125);
+        assert_eq!(report.generation, 4);
     }
 
     #[test]
@@ -323,14 +315,14 @@ mod tests {
 
     #[test]
     fn concurrent_publishes_always_read_consistent_pairs() {
-        // One writer hammers the cell with (iteration, diff = iteration as
-        // f64); readers must never observe a torn pair.
+        // One writer hammers the cell with (iteration, generation =
+        // iteration); readers must never observe a torn pair.
         let board = std::sync::Arc::new(ReportBoard::new(1));
         let writer = {
             let board = std::sync::Arc::clone(&board);
             std::thread::spawn(move || {
                 for i in 1..=50_000u64 {
-                    board.cell(0).publish(i, i as f64, 1);
+                    board.cell(0).publish(i, i as u32);
                 }
             })
         };
@@ -338,7 +330,7 @@ mod tests {
         for _ in 0..50_000 {
             let report = board.cell(0).read();
             assert_eq!(
-                report.diff, report.iteration as f64,
+                report.generation as u64, report.iteration,
                 "torn seqlock read: {report:?}"
             );
             assert!(report.serial >= last_serial, "serial went backwards");

@@ -16,8 +16,9 @@ use crate::churn::{ChurnEvent, ChurnEventKind, SharedVolatility, VolatilityState
 use crate::gossip::{GossipNode, GossipTiming};
 use crate::runtime::detection::{self, SharedTopologyManager};
 use crate::runtime::driver::{ClockDomain, DriverOutcome};
-use crate::runtime::engine::{ConvergenceDetector, PeerEngine, SharedDetector};
+use crate::runtime::engine::PeerEngine;
 use crate::runtime::host::{CrashVerdict, HostedPeer};
+use crate::runtime::stop::{ConvergenceDetector, SharedDetector};
 use crate::runtime::RunConfig;
 use netsim::{LinkFaults, NetStats, Topology};
 use p2psap::Scheme;

@@ -10,6 +10,7 @@
 
 use bytes::Bytes;
 use p2pdc::gossip::GossipKind;
+use p2pdc::runtime::stop::Evidence;
 use p2pdc::{DigestRow, GossipMessage, MemberStatus, Rumor};
 use p2psap::data::{Ack, AckBlock, WireSegment, MAX_ACKS_PER_SEGMENT, SEGMENT_CHECKSUM_BYTES};
 use proptest::TestRng;
@@ -59,12 +60,15 @@ fn gossip_frame(rng: &mut TestRng) -> Vec<u8> {
     let digest = (0..rng.below(650))
         .map(|_| DigestRow {
             rank: rng.next_u64() as u16,
-            generation: rng.next_u64() as u32,
             epoch: rng.next_u64() as u32,
-            latest: rng.next_u64(),
-            clean_since: rng.next_u64(),
-            stable_streak: rng.next_u64() as u32,
-            flags: rng.next_u64() as u8,
+            evidence: Evidence {
+                generation: rng.next_u64() as u32,
+                latest: rng.next_u64(),
+                clean_since: rng.next_u64(),
+                stable_streak: rng.next_u64() as u32,
+                stable: rng.below(2) == 0,
+                has_async: rng.below(2) == 0,
+            },
             points: rng.next_u64(),
             busy_ns: rng.next_u64(),
         })

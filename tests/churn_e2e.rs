@@ -206,6 +206,28 @@ fn hybrid_two_cluster_run_absorbs_a_crash_without_rollback() {
     }
 }
 
+/// A crash may not end a hybrid run early, and the central plane stops
+/// where the gossip plane does (the fault-free twin of this cell stops at
+/// ≈ 20× tol on both planes, so there is no absolute residual bound).
+#[test]
+fn a_crash_does_not_end_a_hybrid_run_early() {
+    let workload = WorkloadKind::Obstacle.build(8, 4);
+    let mut clean = RunConfig::two_clusters(Scheme::Hybrid, 4);
+    clean.seed = 11;
+    let crashed = clean
+        .clone()
+        .with_churn(ChurnPlan::kill(1, 12).with_checkpoint_interval(5));
+    let gossip = crashed.clone().with_gossip(2);
+    let [clean, m, gossip] = [clean, crashed, gossip]
+        .map(|c| run_on(workload.as_ref(), &c, RuntimeKind::Sim).measurement);
+    assert!(m.converged && m.crashes == 1, "{m:?}");
+    assert!(
+        m.min_relaxations() >= clean.min_relaxations(),
+        "{m:?} vs {clean:?}"
+    );
+    assert!(m.residual <= 2.0 * gossip.residual, "{m:?} vs {gossip:?}");
+}
+
 /// The same crash/rollback protocol over real UDP sockets: the victim's
 /// socket genuinely dies, the bootstrap republishes its replacement port,
 /// and the synchronous run converges through the rollback.

@@ -255,12 +255,15 @@ fn every_single_bit_flip_of_a_gossip_frame_fails_decode() {
         ],
         digest: vec![p2pdc::DigestRow {
             rank: 3,
-            generation: 1,
             epoch: 2,
-            latest: 40,
-            clean_since: 31,
-            stable_streak: 9,
-            flags: 0b11,
+            evidence: p2pdc::runtime::stop::Evidence {
+                generation: 1,
+                latest: 40,
+                clean_since: 31,
+                stable_streak: 9,
+                stable: true,
+                has_async: true,
+            },
             points: 1_024,
             busy_ns: 77_000,
         }],
