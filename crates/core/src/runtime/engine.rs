@@ -20,9 +20,8 @@
 //! timer, schedule the completion of a relaxation, broadcast a stop or a
 //! rollback). [`crate::runtime`] lists the transports that exist.
 //!
-//! Global convergence detection lives in
-//! [`ConvergenceDetector`](crate::runtime::stop::ConvergenceDetector),
-//! shared by all peers of a run. It is an omniscient observer (it consumes
+//! Global convergence detection lives in [`ConvergenceDetector`], shared
+//! by all peers of a run. It is an omniscient observer (it consumes
 //! no network resources), standing in for the coordinator-based detection a
 //! deployment would use; the engine authors its own evidence row with the
 //! same rule ([`crate::runtime::stop`]) for the gossip control plane.
@@ -63,11 +62,12 @@ use crate::churn::SharedVolatility;
 use crate::fault::Checkpoint;
 use crate::gossip::SweepSummary;
 use crate::load_balance::PeerLoad;
-use crate::runtime::stop::{Evidence, SharedDetector};
+use crate::runtime::stop::{ConvergenceDetector, Evidence, SharedDetector};
 use bytes::Bytes;
 use netsim::{NodeId, Topology};
 use p2psap::{Scheme, Socket};
 use std::collections::{HashMap, VecDeque};
+use std::sync::MutexGuard;
 
 /// Identifier of a protocol timer armed by a peer's socket:
 /// `(neighbour rank, protocol layer, protocol tag)`.
@@ -307,32 +307,7 @@ impl PeerEngine {
         shared: SharedDetector,
         max_relaxations: u64,
     ) -> Self {
-        let neighbors = task.neighbors();
-        let mut sockets = HashMap::new();
-        let mut sync_neighbors = Vec::new();
-        let mut async_neighbors = Vec::new();
-        let mut async_fresh = HashMap::new();
-        let mut pending_sync = HashMap::new();
-        for &nb in &neighbors {
-            let connection = topology.connection_type(NodeId(rank), NodeId(nb));
-            // The socket derives the communication mode from (scheme,
-            // connection) through the P2PSAP controller (Table I).
-            sockets.insert(nb, Socket::open(scheme, connection));
-            if waits(scheme, connection) {
-                sync_neighbors.push(nb);
-                pending_sync.insert(nb, VecDeque::new());
-            } else {
-                async_neighbors.push(nb);
-                async_fresh.insert(nb, 0);
-            }
-        }
-        let has_async = !async_neighbors.is_empty();
-        shared.lock().set_has_async_neighbors(rank, has_async);
-        let evidence = Evidence {
-            has_async,
-            ..Evidence::NONE
-        };
-        Self {
+        let mut engine = Self {
             rank,
             max_relaxations,
             scheme,
@@ -340,12 +315,12 @@ impl PeerEngine {
             task,
             shared,
             pending_relax: None,
-            sockets,
-            sync_neighbors,
-            async_neighbors,
-            async_fresh,
+            sockets: HashMap::new(),
+            sync_neighbors: Vec::new(),
+            async_neighbors: Vec::new(),
+            async_fresh: HashMap::new(),
             max_ghost_change: 0.0,
-            pending_sync,
+            pending_sync: HashMap::new(),
             computing: false,
             finished: false,
             volatility: None,
@@ -359,8 +334,10 @@ impl PeerEngine {
             report_epoch: 0,
             total_points: 0,
             total_busy_ns: 0,
-            evidence,
-        }
+            evidence: Evidence::NONE,
+        };
+        drop(engine.wire_neighbors());
+        engine
     }
 
     /// Copy the detector's live per-peer load estimates into the engine's
@@ -411,14 +388,19 @@ impl PeerEngine {
         Some(engine)
     }
 
-    /// Recompute the per-neighbour communication state from the (new) task
-    /// after a live repartition. Sockets, FIFO queues and freshness counters
-    /// of neighbours that *persist* are kept — their reliable sessions must
-    /// stay continuous — while lost neighbours are dropped and new ones get
-    /// fresh sockets (both endpoints of a new edge open at adoption, so the
-    /// sessions start consistently; a segment sent before the other end
-    /// adopted is recovered by the reliable channel's retransmission).
-    fn rebuild_comms(&mut self) {
+    /// Wire the engine to its task's neighbours, at creation and again after
+    /// every live repartition. Each neighbour gets a socket whose mode the
+    /// P2PSAP controller derives from (scheme, connection) (Table I), and
+    /// the wait rule sorts it into the synchronous or asynchronous set.
+    /// Sockets, FIFO queues and freshness counters of neighbours that
+    /// *persist* are kept — their reliable sessions must stay continuous —
+    /// while lost neighbours are dropped and new ones get fresh sockets
+    /// (both endpoints of a new edge open at adoption, so the sessions start
+    /// consistently; a segment sent before the other end adopted is
+    /// recovered by the reliable channel's retransmission). Returns the
+    /// detector, locked once, with whether this rank has asynchronous
+    /// neighbours already published.
+    fn wire_neighbors(&mut self) -> MutexGuard<'_, ConvergenceDetector> {
         let neighbors = self.task.neighbors();
         self.sockets.retain(|nb, _| neighbors.contains(nb));
         self.pending_sync.retain(|nb, _| neighbors.contains(nb));
@@ -440,10 +422,9 @@ impl PeerEngine {
                 self.pending_sync.remove(&nb);
             }
         }
-        // The adopted block is new state: freshness counters restart (every
+        // The block may be new state: freshness counters restart (every
         // asynchronous neighbour must deliver again before this rank may
-        // claim stability) and any pre-adoption stability evidence is void —
-        // convergence must be re-established on the re-sliced data.
+        // claim stability).
         for counter in self.async_fresh.values_mut() {
             *counter = 0;
         }
@@ -452,7 +433,7 @@ impl PeerEngine {
         self.evidence.has_async = has_async;
         let mut shared = self.shared.lock();
         shared.set_has_async_neighbors(self.rank, has_async);
-        shared.void_all_stability();
+        shared
     }
 
     /// Adopt the current membership plan: replace the task by this rank's
@@ -478,7 +459,10 @@ impl PeerEngine {
         self.task = ticket
             .repartitioner
             .task_for(self.rank, &ticket.parts, &global, iteration);
-        self.rebuild_comms();
+        // The adopted block is new state: any pre-adoption stability
+        // evidence is void — convergence must be re-established on the
+        // re-sliced data.
+        self.wire_neighbors().void_all_stability();
         self.epoch = ticket.epoch;
     }
 

@@ -48,30 +48,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// How often the event loops compare their measured busy time and consider
-/// migrating a peer between loops.
-const REBALANCE_PERIOD: Duration = Duration::from_millis(50);
-
-/// Required relative busy-time imbalance (busiest vs least-busy loop over
-/// the last period) before a migration fires.
-const REBALANCE_RATIO: f64 = 1.25;
-
-/// A loop busier than this share of the period is never a migration target,
-/// and one idler than `1 - this` never a source — absolute noise guard so
-/// quiescent phases (discovery, drain-out) do not shuffle peers.
-const REBALANCE_MIN_BUSY: Duration = Duration::from_millis(5);
-
 /// Per-loop busy-time observability of a socket run: returned with the run
 /// ([`SocketRunOutcome::loops`]) and kept for the most recent run of the
 /// process (see [`last_loop_stats`]).
 #[derive(Debug, Clone)]
 pub struct LoopStats {
-    /// Per-loop busy nanoseconds over the first completed rebalance period
-    /// (the distribution the first migration decision saw).
-    pub busy_ns_first_period: Vec<u64>,
     /// Per-loop busy nanoseconds accumulated over the whole run.
     pub busy_ns_final: Vec<u64>,
-    /// Peer migrations performed between loops.
+    /// Peer migrations between loops: always 0, since each loop keeps the
+    /// shard it was spawned with. Kept because the benchmark's
+    /// `reactor.migrations_per_solve` metric reads it.
     pub migrations: u64,
     /// Data segments the peers sent, summed when each retires
     /// ([`PeerEngine::sent_segments`](crate::runtime::engine::PeerEngine::sent_segments)).
@@ -91,7 +77,7 @@ impl LoopStats {
 /// examples and benches ([`run_iterative_reactor`] overwrites it per run).
 static LAST_LOOP_STATS: Mutex<Option<LoopStats>> = Mutex::new(None);
 
-/// Per-loop busy-time shares and migration count of the most recent reactor
+/// Per-loop busy time and sent-segment counts of the most recent reactor
 /// run, if one completed.
 pub fn last_loop_stats() -> Option<LoopStats> {
     LAST_LOOP_STATS.lock().unwrap().clone()
@@ -120,7 +106,7 @@ pub struct SocketRunOutcome {
     pub outcome: DriverOutcome,
     /// The localhost ports the peers last bound, in rank order.
     pub ports: Vec<u16>,
-    /// Per-loop busy time and migrations of this run.
+    /// Per-loop busy time and sent segments of this run.
     pub loops: LoopStats,
 }
 
@@ -129,7 +115,7 @@ pub struct SocketRunOutcome {
 const HELLO_RETRY: Duration = Duration::from_millis(25);
 
 /// Poll-timeout ceiling when every owned peer is quiescent: bounds the
-/// latency of the dormant-join, await-grant, discovery and mailbox polls.
+/// latency of the dormant-join, await-grant and discovery polls.
 /// Not the end of a run: a stopped peer is woken by the stop broadcast on
 /// its socket, and the loop that retires the run's last peer wakes the
 /// others with [`Poller::notify`].
@@ -173,8 +159,7 @@ enum Phase {
 struct Peer {
     rank: usize,
     phase: Phase,
-    /// Engine and SWIM node (they migrate with the peer between event
-    /// loops). `None` only while [`Phase::Dormant`].
+    /// Engine and SWIM node. `None` only while [`Phase::Dormant`].
     host: Option<HostedPeer>,
     /// `None` only while [`Phase::Dormant`] (no socket yet).
     transport: Option<UdpTransport>,
@@ -209,63 +194,29 @@ struct LoopShared<'a> {
     /// so the run never stops).
     ports_version: &'a AtomicU64,
     dropped: &'a AtomicU64,
-    balancer: &'a Balancer,
+    tally: &'a LoopTally,
 }
 
-/// Decision state of the periodic rebalance, taken with `try_lock` so the
-/// check never blocks an event loop.
-struct RebalanceClock {
-    last_check: Instant,
-    /// Busy-ns snapshot at the last check (deltas, not totals, drive the
-    /// decision: a loop that was overloaded early but balanced now must not
-    /// keep shedding).
-    last_busy: Vec<u64>,
-    /// The first completed period's per-loop busy deltas (observability).
-    first_period: Option<Vec<u64>>,
-}
-
-/// Measured busy-time accounting and peer migration between event loops,
-/// and the tally of the segments retired peers sent.
-/// Each loop times its own drain+advance work into `busy_ns`; every
-/// [`REBALANCE_PERIOD`] one loop compares the per-period deltas, and the
-/// busiest loop sheds one Running peer into the least-busy loop's mailbox.
-/// Migration happens at a safe point by construction — between loop
-/// iterations nothing of a peer lives on the loop's stack; the socket stays
-/// open (kernel-buffered datagrams survive), only its poller registration
-/// moves.
-struct Balancer {
-    /// Peers in flight towards each loop.
-    mailboxes: Vec<Mutex<Vec<Peer>>>,
-    /// Lock-free occupancy hint per mailbox, so the per-iteration check is
-    /// a load instead of a mutex acquisition.
-    pending: Vec<AtomicUsize>,
-    /// Measured busy nanoseconds per loop.
+/// What the event loops tally together: each loop's measured busy time, the
+/// retired peers that end the run, and the segments the retired peers sent.
+struct LoopTally {
+    /// Measured busy nanoseconds per loop (its drain + advance work).
     busy_ns: Vec<AtomicU64>,
     /// Retired (Done) peers across all loops; loops exit when every
-    /// provisioned rank has retired, wherever it ended up living.
+    /// provisioned rank has retired.
     done: AtomicUsize,
     total: usize,
-    migrations: AtomicU64,
     /// `(data segments, bare acks)` of the retired peers.
     sent_segments: [AtomicU64; 2],
-    clock: Mutex<RebalanceClock>,
 }
 
-impl Balancer {
+impl LoopTally {
     fn new(loops: usize, total: usize) -> Self {
         Self {
-            mailboxes: (0..loops).map(|_| Mutex::new(Vec::new())).collect(),
-            pending: (0..loops).map(|_| AtomicUsize::new(0)).collect(),
             busy_ns: (0..loops).map(|_| AtomicU64::new(0)).collect(),
             done: AtomicUsize::new(0),
             total,
-            migrations: AtomicU64::new(0),
             sent_segments: [AtomicU64::new(0), AtomicU64::new(0)],
-            clock: Mutex::new(RebalanceClock {
-                last_check: Instant::now(),
-                last_busy: vec![0; loops],
-                first_period: None,
-            }),
         }
     }
 
@@ -289,77 +240,14 @@ impl Balancer {
         self.done.load(Ordering::Acquire) >= self.total
     }
 
-    /// Hand `peer` to `target`'s mailbox (its socket must already be
-    /// deregistered from the source poller).
-    fn deliver(&self, target: usize, peer: Peer) {
-        self.mailboxes[target].lock().unwrap().push(peer);
-        self.pending[target].fetch_add(1, Ordering::Release);
-        self.migrations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Take the peers delivered to loop `index`, if any.
-    fn collect(&self, index: usize) -> Vec<Peer> {
-        if self.pending[index].load(Ordering::Acquire) == 0 {
-            return Vec::new();
-        }
-        let mut inbox = self.mailboxes[index].lock().unwrap();
-        self.pending[index].store(0, Ordering::Release);
-        std::mem::take(&mut *inbox)
-    }
-
-    /// Rebalance check for loop `index`: returns the loop it should shed
-    /// one Running peer to, when `index` was the busiest loop of a completed
-    /// period and the imbalance clears the ratio and noise guards. Any loop
-    /// may close a period; only the busiest one acts on it.
-    fn shed_target(&self, index: usize) -> Option<usize> {
-        let mut clock = self.clock.try_lock().ok()?;
-        if clock.last_check.elapsed() < REBALANCE_PERIOD {
-            return None;
-        }
-        let busy: Vec<u64> = self
-            .busy_ns
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let deltas: Vec<u64> = busy
-            .iter()
-            .zip(&clock.last_busy)
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        clock.last_check = Instant::now();
-        clock.last_busy = busy;
-        if clock.first_period.is_none() {
-            clock.first_period = Some(deltas.clone());
-        }
-        drop(clock);
-        // The period accounting above runs even when migration can't — the
-        // busy-share stats stay meaningful on single-loop runs.
-        if self.mailboxes.len() < 2 {
-            return None;
-        }
-        let (max_loop, max_delta) = deltas.iter().copied().enumerate().max_by_key(|&(_, d)| d)?;
-        let (min_loop, min_delta) = deltas.iter().copied().enumerate().min_by_key(|&(_, d)| d)?;
-        let floor = REBALANCE_MIN_BUSY.as_nanos() as u64;
-        if max_loop != index
-            || min_loop == index
-            || max_delta < floor
-            || (max_delta as f64) < (min_delta as f64) * REBALANCE_RATIO + floor as f64
-        {
-            return None;
-        }
-        Some(min_loop)
-    }
-
     fn stats(&self) -> LoopStats {
-        let clock = self.clock.lock().unwrap();
         LoopStats {
-            busy_ns_first_period: clock.first_period.clone().unwrap_or_default(),
             busy_ns_final: self
                 .busy_ns
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-            migrations: self.migrations.load(Ordering::Relaxed),
+            migrations: 0,
             data_segments: self.sent_segments[0].load(Ordering::Relaxed),
             bare_acks: self.sent_segments[1].load(Ordering::Relaxed),
         }
@@ -475,7 +363,7 @@ impl Peer {
     /// drops and sent segments, deregister the socket.
     fn finish(&mut self, poller: &Poller, ctx: &LoopShared<'_>) {
         if let Some(host) = &self.host {
-            ctx.balancer.add_sent_segments(host.engine.sent_segments());
+            ctx.tally.add_sent_segments(host.engine.sent_segments());
         }
         if let Some(transport) = &mut self.transport {
             transport.shim.flush(&transport.socket);
@@ -709,9 +597,8 @@ impl Peer {
     }
 }
 
-/// One event loop: drive the peers of `ranks` (its initial shard) plus any
-/// peers migrated in from busier loops, until every provisioned rank —
-/// wherever it ended up living — has retired.
+/// One event loop: drive the peers of `ranks`, the contiguous shard it was
+/// spawned with, until every provisioned rank has retired.
 fn event_loop(
     index: usize,
     ranks: std::ops::Range<usize>,
@@ -723,8 +610,11 @@ fn event_loop(
     let mut buf = vec![0u8; 65536];
     let mut heartbeat = LoopHeartbeat::new();
     let mut running_nodes: Vec<NodeId> = Vec::new();
-    // Keyed by rank (the rank is also each socket's poller key), because
-    // migration makes the resident set non-contiguous.
+    // Keyed by rank (the rank is also each socket's poller key). The shard
+    // is contiguous and only shrinks, so a rank-ordered `Vec` could hold it,
+    // but that changes the order the loop advances its peers (the map's is
+    // hashed), and timings of that swap on `obstacle-lockstep` disagree on
+    // whether the order matters.
     let mut peers: HashMap<usize, Peer> = ranks.map(|rank| (rank, Peer::dormant(rank))).collect();
     // Initial ranks get their engine and socket up front; pre-provisioned
     // join ranks stay dormant.
@@ -735,20 +625,10 @@ fn event_loop(
         }
     }
 
-    while !ctx.balancer.all_done() {
-        // Adopt peers migrated in from a busier loop: their sockets are
-        // open but deregistered; register them under this loop's poller.
-        for peer in ctx.balancer.collect(index) {
-            if let Some(transport) = &peer.transport {
-                poller
-                    .add(&transport.socket, peer.rank)
-                    .expect("register migrated socket");
-            }
-            peers.insert(peer.rank, peer);
-        }
+    while !ctx.tally.all_done() {
         // A pending compute means an immediate turn; otherwise sleep in the
         // poller until the earliest protocol timer, capped so the dormant /
-        // await-grant / discovery / stop / mailbox polls stay responsive.
+        // await-grant / discovery / stop polls stay responsive.
         let timeout = if peers.values().any(Peer::busy) {
             Duration::ZERO
         } else {
@@ -789,7 +669,7 @@ fn event_loop(
                 // The run's last retirement releases the calling thread
                 // from the bootstrap service and the other loops from
                 // their idle waits.
-                if ctx.balancer.mark_done() {
+                if ctx.tally.mark_done() {
                     wake_bootstrap(ctx.bootstrap_addr);
                     for other in ctx.pollers {
                         let _ = other.notify();
@@ -800,29 +680,7 @@ fn event_loop(
                 true
             }
         });
-        ctx.balancer
-            .add_busy(index, work.elapsed().as_nanos() as u64);
-        // Rebalance at a safe point: between loop iterations nothing of a
-        // peer lives on this stack, so the busiest loop can hand one running
-        // peer to the least-busy loop's mailbox. The socket stays open
-        // (kernel-buffered datagrams survive the hop); only its poller
-        // registration moves. Shedding the *only* running peer would just
-        // relocate the hotspot, so require two.
-        if let Some(target) = ctx.balancer.shed_target(index) {
-            let mut running = peers
-                .values()
-                .filter(|p| matches!(p.phase, Phase::Running))
-                .map(|p| p.rank);
-            let shed_rank = running.next().and_then(|_| running.next());
-            drop(running);
-            if let Some(rank) = shed_rank {
-                let peer = peers.remove(&rank).expect("just found running peer");
-                if let Some(transport) = &peer.transport {
-                    let _ = poller.delete(&transport.socket);
-                }
-                ctx.balancer.deliver(target, peer);
-            }
-        }
+        ctx.tally.add_busy(index, work.elapsed().as_nanos() as u64);
     }
 }
 
@@ -838,9 +696,8 @@ pub(crate) fn run_iterative_reactor(
     // for ranks that may join mid-run.
     let total = config.provisioned_peers();
     let chunk = total.div_ceil(loops.clamp(1, total));
-    // div_ceil can leave trailing loops with empty shards; size the balancer
-    // to the loops that actually spawn, or a migration could land in a
-    // mailbox no thread ever collects.
+    // div_ceil can leave trailing loops with empty shards; spawn and tally
+    // only the loops that get peers.
     let live_loops = total.div_ceil(chunk);
     // Each loop heartbeats all its peers at once, so the eviction window
     // scales with the multiplex degree (a loaded loop's iteration outlasting
@@ -858,7 +715,7 @@ pub(crate) fn run_iterative_reactor(
     let ports = Mutex::new(vec![0u16; total]);
     let ports_version = AtomicU64::new(0);
     let dropped = AtomicU64::new(0);
-    let balancer = Balancer::new(live_loops, total);
+    let tally = LoopTally::new(live_loops, total);
     let pollers: Vec<Poller> = (0..live_loops)
         .map(|_| Poller::new().expect("create readiness poller"))
         .collect();
@@ -871,7 +728,7 @@ pub(crate) fn run_iterative_reactor(
         ports: &ports,
         ports_version: &ports_version,
         dropped: &dropped,
-        balancer: &balancer,
+        tally: &tally,
     };
     std::thread::scope(|scope| {
         run.spawn_monitor(scope, start);
@@ -888,7 +745,7 @@ pub(crate) fn run_iterative_reactor(
         // own for it and ends the moment the last peer does. A loop that
         // ended early panicked; stop serving so the scope can report it.
         bootstrap_service(&bootstrap_socket, run.alpha, total, || {
-            balancer.all_done() || loops.iter().any(|l| l.is_finished())
+            tally.all_done() || loops.iter().any(|l| l.is_finished())
         });
         // Join the loops instead of leaving them to the scope, which only
         // waits for their closures to return: a thread it does not join is
@@ -903,7 +760,7 @@ pub(crate) fn run_iterative_reactor(
             }
         }
     });
-    let loops = balancer.stats();
+    let loops = tally.stats();
     *LAST_LOOP_STATS.lock().unwrap() = Some(loops.clone());
 
     SocketRunOutcome {
@@ -1001,73 +858,16 @@ mod tests {
         assert_eq!(outcome.results.len(), 4);
     }
 
-    /// The migration decision: only the busiest loop of a completed period
-    /// sheds, only when the imbalance clears the ratio and absolute-noise
-    /// guards, and the target is the least-busy loop.
+    /// Retirement counting drains the run: the loops exit once every
+    /// provisioned rank has retired, and only the last retirement says so.
     #[test]
-    fn shed_target_picks_the_least_busy_loop_only_under_real_imbalance() {
-        let balancer = Balancer::new(3, 6);
-        // Synthetic period: loop 0 did 40 ms of work, loop 1 did 10 ms,
-        // loop 2 did 2 ms.
-        balancer.add_busy(0, 40_000_000);
-        balancer.add_busy(1, 10_000_000);
-        balancer.add_busy(2, 2_000_000);
-        // The period has not elapsed yet: nobody sheds.
-        assert_eq!(balancer.shed_target(0), None);
-        std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
-        // Loop 1 closes the period first but is not the busiest, so it does
-        // not act — and the period is consumed for everyone.
-        assert_eq!(balancer.shed_target(1), None);
-        assert_eq!(balancer.shed_target(0), None, "period already closed");
-        // Next period: same imbalance again, the busiest loop acts.
-        balancer.add_busy(0, 40_000_000);
-        balancer.add_busy(1, 10_000_000);
-        balancer.add_busy(2, 2_000_000);
-        std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
-        assert_eq!(balancer.shed_target(0), Some(2));
-        // A balanced period sheds nothing even at high absolute load.
-        for index in 0..3 {
-            balancer.add_busy(index, 30_000_000);
-        }
-        std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
-        assert_eq!(balancer.shed_target(0), None);
-        // The first completed period's deltas were captured for the stats.
-        let stats = balancer.stats();
-        assert_eq!(
-            stats.busy_ns_first_period,
-            vec![40_000_000, 10_000_000, 2_000_000]
-        );
-        assert_eq!(stats.migrations, 0, "decisions alone are not migrations");
-    }
-
-    /// A quiescent imbalance (all deltas under the noise floor) must not
-    /// shuffle peers.
-    #[test]
-    fn shed_target_respects_noise_floor() {
-        let quiet = Balancer::new(2, 4);
-        quiet.add_busy(0, 100_000); // 0.1 ms: under the 5 ms floor
-        std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
-        assert_eq!(quiet.shed_target(0), None, "noise must not migrate peers");
-    }
-
-    /// The mailbox round trip: a delivered peer is visible through the
-    /// lock-free occupancy hint, collected exactly once, and counted as a
-    /// migration; retirement counting drains the run.
-    #[test]
-    fn mailbox_delivery_and_done_counting() {
-        let balancer = Balancer::new(2, 2);
-        assert!(balancer.collect(1).is_empty());
-        balancer.deliver(1, Peer::dormant(7));
-        assert!(balancer.collect(0).is_empty(), "wrong mailbox stays empty");
-        let arrived = balancer.collect(1);
-        assert_eq!(arrived.len(), 1);
-        assert_eq!(arrived[0].rank, 7);
-        assert!(balancer.collect(1).is_empty(), "collect drains the mailbox");
-        assert_eq!(balancer.stats().migrations, 1);
-        assert!(!balancer.all_done());
-        balancer.mark_done();
-        balancer.mark_done();
-        assert!(balancer.all_done());
+    fn the_run_drains_when_every_provisioned_rank_has_retired() {
+        let tally = LoopTally::new(2, 2);
+        assert!(!tally.all_done());
+        assert!(!tally.mark_done());
+        assert!(!tally.all_done());
+        assert!(tally.mark_done(), "the last retirement");
+        assert!(tally.all_done());
     }
 
     /// Rank 1 of a three-rank run on a real socket, standing alone: the
@@ -1082,7 +882,7 @@ mod tests {
         ports: Mutex<Vec<u16>>,
         ports_version: AtomicU64,
         dropped: AtomicU64,
-        balancer: Balancer,
+        tally: LoopTally,
     }
 
     const HOSTILE_RANKS: usize = 3;
@@ -1104,7 +904,7 @@ mod tests {
                 ports: Mutex::new(vec![0; HOSTILE_RANKS]),
                 ports_version: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
-                balancer: Balancer::new(1, HOSTILE_RANKS),
+                tally: LoopTally::new(1, HOSTILE_RANKS),
             }
         }
 
@@ -1123,7 +923,7 @@ mod tests {
                 ports: &self.ports,
                 ports_version: &self.ports_version,
                 dropped: &self.dropped,
-                balancer: &self.balancer,
+                tally: &self.tally,
             }
         }
 

@@ -1463,12 +1463,14 @@ mod tests {
         assert!(ports.iter().all(|&p| p != 0));
     }
 
-    /// The udp backend is the reactor at one event loop per *provisioned*
-    /// peer (dormant join slots included), and its peers stay put: however
-    /// lopsided the measured busy time, a loop with a single running peer
-    /// never sheds it (the "require two running peers" rule).
+    /// A loop's busy time is its own shard's work: every event loop keeps
+    /// the contiguous rank shard it was spawned with, so a slow rank 0
+    /// (15 ms sweeps) loads loop 0 for the whole run — on the udp backend,
+    /// the reactor at one event loop per *provisioned* peer (dormant join
+    /// slot included), and on a two-loop reactor where rank 0 shares loop 0
+    /// with rank 1.
     #[test]
-    fn one_event_loop_per_provisioned_peer_and_no_migration_under_uneven_work() {
+    fn a_loops_busy_time_is_its_own_shards_work() {
         use crate::churn::ChurnPlan;
 
         let peers = 3;
@@ -1478,24 +1480,30 @@ mod tests {
             .with_churn(ChurnPlan::new(vec![]).with_join(0, u64::MAX));
         config.tolerance = 0.5;
         let relax_cost = Duration::from_millis(15);
-        let run = super::run_sockets(&config, &|rank| {
+        let factory = |rank| -> Box<dyn crate::app::IterativeTask> {
             let mut task = RampTask::line(rank, peers, RAMP);
             if rank == 0 {
                 task.relax_cost = relax_cost;
             }
             Box::new(task)
-        });
-        assert!(run.outcome.measurement.converged);
-        assert_eq!(run.loops.loops(), peers + 1);
-        // The imbalance was real: rank 0's loop was busy for every one of
-        // its slow relaxations, the others only shuffled tiny datagrams.
-        let busy = &run.loops.busy_ns_final;
-        assert!(
-            busy[0] >= RAMP * relax_cost.as_nanos() as u64,
-            "rank 0's loop measured {busy:?}"
-        );
-        assert!(busy[0] > 2 * busy[1].max(busy[2]), "busy time {busy:?}");
-        assert_eq!(run.loops.migrations, 0);
+        };
+        for (loops, run) in [
+            (peers + 1, super::run_sockets(&config, &factory)),
+            (2, run_iterative_reactor(&config, &factory, 2)),
+        ] {
+            assert!(run.outcome.measurement.converged, "{loops} loops");
+            assert_eq!(run.loops.loops(), loops);
+            // Rank 0's loop was busy for every one of its slow relaxations.
+            let busy = &run.loops.busy_ns_final;
+            assert!(
+                busy[0] >= RAMP * relax_cost.as_nanos() as u64,
+                "{loops} loops: rank 0's loop measured {busy:?}"
+            );
+            // The other loops only shuffled tiny datagrams.
+            let others = busy[1..].iter().copied().max().unwrap_or(0);
+            assert!(busy[0] > 2 * others, "{loops} loops: busy time {busy:?}");
+            assert_eq!(run.loops.migrations, 0);
+        }
     }
 
     #[test]

@@ -4,16 +4,17 @@
 //! as a handful of OS threads.
 //!
 //! The run solves the obstacle problem asynchronously and survives a seeded
-//! mid-run crash: the victim is evicted through missed pings, its block is
-//! restored from the latest live checkpoint, and a fresh peer joins the run
-//! afterwards, triggering a live repartition of the planes.
+//! mid-run crash: the victim is evicted through missed pings, it revives on
+//! a re-slice of the planes assembled from the live checkpoints, and a
+//! fresh peer joins the run right after, triggering another live
+//! repartition.
 //!
 //! ```text
 //! cargo run --release -p apps --example reactor_cluster [n] [peers]
 //! ```
 //!
 //! The default 256-peer run moves half-megabyte ghost planes per exchange
-//! and takes a couple of minutes on a small box; try `64 64` for a
+//! and takes a minute or two on a small box; try `64 64` for a
 //! seconds-long tour of the same machinery.
 
 use p2pdc::{run_on, BackendExtras, ChurnPlan, RunConfig, RuntimeKind, Scheme, WorkloadKind};
@@ -28,19 +29,32 @@ fn main() {
     let workload = WorkloadKind::Obstacle.build(n, peers);
     println!("obstacle problem {n}^3, {peers} peers multiplexed on the reactor backend\n");
 
-    // Crash the middle peer early, recover it from the live checkpoints,
-    // then grow the run by one joining peer once the recovery has settled.
-    // A ghost plane is n^2 values, so at n = 257 every exchange moves half
-    // a megabyte; the tolerance is coarsened with the population to keep
-    // the demo's total data volume in check, and the churn events sit at
-    // the very start of the run so they fire at any tolerance.
+    // Crash the middle peer at its first sweep, recover it through a
+    // repartitioning recovery, and grow the run by one joining peer on the
+    // victim's first sweep after its restore. A ghost plane is n^2 values,
+    // so at n = 257 every exchange moves half a megabyte; the tolerance is
+    // coarsened with the population to keep the demo's data volume in check.
+    //
+    // All three events fire at any tolerance, because the asynchronous stop
+    // needs two consecutive stable sweeps in every rank's evidence row:
+    // * the crash: the victim's first sweep comes before its second;
+    // * the recovery: the crash voids the victim's row, and it stays void
+    //   until the victim sweeps again after its restore;
+    // * the join: it sits on the victim's clock at the crash sweep. The
+    //   crash is checked first and ends that sweep, so the join stays
+    //   armed. The repartitioning recovery restores the victim's counter
+    //   to the oldest latest checkpoint of any rank, which is at least 0 =
+    //   crash_at - 1. So the victim's first sweep after the restore reaches
+    //   crash_at and fires the join, before its row can hold two stable
+    //   sweeps. (A later crash sweep would not do: a rank still short of
+    //   the victim's last checkpoint pulls the restored counter further
+    //   back, and the stop could then come first.)
     let tolerance = if peers > 64 { 1e-3 } else { 1e-4 };
-    let crash_at = 3;
-    let join_at = 8;
+    let crash_at = 1;
     let plan = ChurnPlan::kill(peers / 2, crash_at)
         .with_checkpoint_interval(2)
         .with_repartition(true)
-        .with_join(0, join_at);
+        .with_join(peers / 2, crash_at);
     let mut config = RunConfig::single_cluster(Scheme::Asynchronous, peers)
         .with_churn(plan)
         .with_extras(BackendExtras::Reactor {
@@ -73,23 +87,15 @@ fn main() {
     assert_eq!(m.recoveries, 1, "the victim must recover");
     assert!(m.joins >= 1, "the seeded join must fire");
 
-    // The measured loop rebalance at work: per-loop busy-time shares over
-    // the first rebalance period (the imbalance the first migration
-    // decision saw) against the whole run, plus the migrations performed.
+    // How the fixed rank shards loaded the event loops over the whole run.
     if let Some(stats) = p2pdc::runtime::reactor::last_loop_stats() {
-        let shares = |busy: &[u64]| -> String {
-            let total: u64 = busy.iter().sum::<u64>().max(1);
-            busy.iter()
-                .map(|&ns| format!("{:.0}%", ns as f64 * 100.0 / total as f64))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        println!(
-            "\nper-loop busy shares: first period [{}] -> whole run [{}] ({} migrations)",
-            shares(&stats.busy_ns_first_period),
-            shares(&stats.busy_ns_final),
-            stats.migrations,
-        );
+        let total: u64 = stats.busy_ns_final.iter().sum::<u64>().max(1);
+        let shares: Vec<String> = stats
+            .busy_ns_final
+            .iter()
+            .map(|&ns| format!("{:.0}%", ns as f64 * 100.0 / total as f64))
+            .collect();
+        println!("\nper-loop busy shares: [{}]", shares.join(" "));
     }
     println!("\n{peers} peers, one crash, one join - absorbed on a couple of event loops");
 }
