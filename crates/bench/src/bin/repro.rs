@@ -7,8 +7,8 @@
 //! repro fig5 [--full]          # Figure 5: 96³ obstacle problem (default: scaled 32³)
 //! repro fig6 [--full]          # Figure 6: 144³ obstacle problem (default: scaled 48³)
 //! repro ablation               # data-channel design-choice ablation
-//! repro scale [--full]         # reactor peer-scaling curve (64/256; --full adds 1024 and a
-//!                              # 1024-peer crash+recovery run)
+//! repro scale [--full]         # reactor peer-scaling curve (64/256 and a 256-peer
+//!                              # crash+recovery run; --full adds the same pair at 1024)
 //! repro fuzz [--seed-batch ci | --seed N] [--count N]
 //!                              # scenario fuzzer: seeded random churn plans over random
 //!                              # (workload x scheme x control plane) configs, run on sim +
@@ -65,6 +65,15 @@ fn run_scale(full: bool) {
     write_json("scale", &rows);
     if !rows.iter().all(|r| r.converged) {
         eprintln!("WARNING: a peer-scaling cell failed to converge");
+        std::process::exit(1);
+    }
+    // A crash row that finished without its crash, or without recovering
+    // from it, measured something else.
+    if rows
+        .iter()
+        .any(|r| r.churn && (r.crashes, r.recoveries) != (1, 1))
+    {
+        eprintln!("WARNING: a crash row did not count exactly one crash and one recovery");
         std::process::exit(1);
     }
 }

@@ -198,7 +198,15 @@ pub fn run_scale_once(peers: usize, churn: bool) -> ScaleBenchRow {
     );
     config.tolerance = 1e-6;
     if churn {
-        config = config.with_churn(ChurnPlan::kill(peers / 2, 12).with_checkpoint_interval(5));
+        // The crash fires at any tolerance and at any speed of convergence:
+        // the asynchronous stop needs two consecutive stable sweeps in every
+        // rank's evidence row, and a crash strikes before its sweep is
+        // reported, so at the victim's second sweep its row holds at most
+        // one. The crash then voids the row until the victim sweeps again
+        // after its restore, so the recovery comes before the stop too. (A
+        // much later sweep would not do: a fault-free 1024-peer solve
+        // averages about 10 sweeps per peer, so the stop could come first.)
+        config = config.with_churn(ChurnPlan::kill(peers / 2, 2).with_checkpoint_interval(5));
     }
     let event_loops = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -222,11 +230,15 @@ pub fn run_scale_once(peers: usize, churn: bool) -> ScaleBenchRow {
     }
 }
 
-/// Run the peer-scaling curve. The CI smoke sweep stops at 256 peers; the
-/// full (local/nightly) sweep adds the 1024-peer point and a 1024-peer run
-/// with one seeded crash + recovery.
+/// Run the peer-scaling curve. The CI smoke sweep stops at 256 peers, with
+/// one 256-peer run through a seeded crash + recovery; the full
+/// (local/nightly) sweep adds the same pair at 1024 peers.
 pub fn run_scale_curve(full: bool) -> Vec<ScaleBenchRow> {
-    let mut rows = vec![run_scale_once(64, false), run_scale_once(256, false)];
+    let mut rows = vec![
+        run_scale_once(64, false),
+        run_scale_once(256, false),
+        run_scale_once(256, true),
+    ];
     if full {
         rows.push(run_scale_once(1024, false));
         rows.push(run_scale_once(1024, true));
@@ -509,6 +521,15 @@ mod tests {
         assert_eq!(row.crashes, 0);
         assert!(row.event_loops >= 1);
         assert!(row.wall_time_s > 0.0);
+    }
+
+    /// A crash cell counts exactly one crash and one recovery at any size:
+    /// its crash sits on a sweep the asynchronous stop cannot precede.
+    #[test]
+    fn scale_crash_cell_counts_one_crash_and_one_recovery() {
+        let row = run_scale_once(8, true);
+        assert!(row.converged, "8-peer reactor crash cell did not converge");
+        assert_eq!((row.crashes, row.recoveries), (1, 1));
     }
 
     #[test]

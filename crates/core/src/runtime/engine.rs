@@ -268,6 +268,8 @@ pub struct PeerEngine {
     /// under the shared lock without allocating once warm. Snapshotting (vs
     /// holding the lock) keeps the shared and volatility locks un-nested.
     loads_scratch: Vec<PeerLoad>,
+    /// Reusable holder of the payloads one socket event delivered.
+    received: Vec<Bytes>,
     /// Digest author epoch under the gossip control plane: bumped by every
     /// recovery, so rows published by a crashed incarnation lose the digest
     /// merge against the recovered one (see
@@ -331,6 +333,7 @@ impl PeerEngine {
             compute_started_ns: 0,
             frame_sink: FrameSink::new(),
             loads_scratch: Vec::new(),
+            received: Vec::new(),
             report_epoch: 0,
             total_points: 0,
             total_busy_ns: 0,
@@ -1128,15 +1131,15 @@ impl PeerEngine {
             return;
         };
         let out = event(socket, now);
-        // Delivered application payloads (a retransmission may bring none).
-        let mut received = Vec::new();
-        while let Some(p) = socket.receive() {
-            received.push(p);
-        }
+        // Delivered application payloads (a retransmission may bring none),
+        // taken out of the socket so its borrow ends before they are read.
+        let mut received = std::mem::take(&mut self.received);
+        received.extend(std::iter::from_fn(|| socket.receive()));
         self.run_socket_output(transport, neighbor, out);
-        for payload in received {
+        for payload in received.drain(..) {
             self.receive_payload(neighbor, payload, transport);
         }
+        self.received = received;
         self.try_advance(transport);
     }
 

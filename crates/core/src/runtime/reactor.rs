@@ -7,10 +7,10 @@
 //! `RunScaffold`, and what a running peer does per turn and with each
 //! inbound wire is the shared hosted peer's (`runtime::host`). What lives
 //! here is the wait — the per-peer phase machine (`Peer`) and the event loop
-//! that drives it through the vendored [`polling`] readiness poller (epoll
-//! on Linux) — and what a crash does to the wire: the socket closes and a
-//! replacement binds. The backends differ only in how many loops share the
-//! provisioned peers:
+//! that sleeps in the vendored [`polling`] readiness poller (epoll on Linux),
+//! then turns each peer in rank order: read its socket, advance — and what a
+//! crash does to the wire: the socket closes and a replacement binds. The
+//! backends differ only in how many loops share the provisioned peers:
 //!
 //! * `reactor` — a small fixed pool of event-loop threads, each owning a
 //!   contiguous slice of peers. A thousand peers are a thousand sockets on
@@ -42,7 +42,6 @@ use crate::runtime::RunConfig;
 use bytes::Bytes;
 use netsim::NodeId;
 use polling::{Events, Poller};
-use std::collections::HashMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -168,7 +167,7 @@ struct Peer {
     /// [`EARLY_SEGMENTS`]), handed to the engine once it has started.
     early: Vec<(usize, Bytes)>,
     heartbeat: Option<Heartbeat>,
-    /// Table received by the drain sweep, applied by the advance sweep.
+    /// Table read by [`Peer::drain`], applied by the next [`Peer::advance`].
     table: Option<Vec<SocketAddr>>,
     /// Last observed [`LoopShared::ports_version`]; a newer shared value
     /// means some rank rebound and this peer must refresh its address book.
@@ -598,7 +597,10 @@ impl Peer {
 }
 
 /// One event loop: drive the peers of `ranks`, the contiguous shard it was
-/// spawned with, until every provisioned rank has retired.
+/// spawned with, until every provisioned rank has retired. A pass turns each
+/// peer once, in rank order: read its socket dry (ready or not — the poller
+/// only ends the wait), then advance. An update a loop-mate sent earlier in
+/// the pass is read in this pass (ARCHITECTURE.md, "Where a sweep runs").
 fn event_loop(
     index: usize,
     ranks: std::ops::Range<usize>,
@@ -610,15 +612,11 @@ fn event_loop(
     let mut buf = vec![0u8; 65536];
     let mut heartbeat = LoopHeartbeat::new();
     let mut running_nodes: Vec<NodeId> = Vec::new();
-    // Keyed by rank (the rank is also each socket's poller key). The shard
-    // is contiguous and only shrinks, so a rank-ordered `Vec` could hold it,
-    // but that changes the order the loop advances its peers (the map's is
-    // hashed), and timings of that swap on `obstacle-lockstep` disagree on
-    // whether the order matters.
-    let mut peers: HashMap<usize, Peer> = ranks.map(|rank| (rank, Peer::dormant(rank))).collect();
+    // In rank order, which is load-bearing; retirement only shrinks it.
+    let mut peers: Vec<Peer> = ranks.map(Peer::dormant).collect();
     // Initial ranks get their engine and socket up front; pre-provisioned
     // join ranks stay dormant.
-    for peer in peers.values_mut() {
+    for peer in &mut peers {
         if peer.rank < ctx.run.alpha {
             let host = ctx.run.host(peer.rank, task_factory(peer.rank));
             peer.bind_and_discover(host, poller, ctx, OnTable::Start);
@@ -627,25 +625,21 @@ fn event_loop(
 
     while !ctx.tally.all_done() {
         // A pending compute means an immediate turn; otherwise sleep in the
-        // poller until the earliest protocol timer, capped so the dormant /
-        // await-grant / discovery / stop polls stay responsive.
-        let timeout = if peers.values().any(Peer::busy) {
+        // poller until a socket is readable or the earliest protocol timer,
+        // capped so the dormant / await-grant / discovery / stop polls stay
+        // responsive.
+        let timeout = if peers.iter().any(Peer::busy) {
             Duration::ZERO
         } else {
             let now_ns = ctx.start.elapsed().as_nanos() as u64;
             peers
-                .values()
+                .iter()
                 .filter_map(|p| p.next_deadline(now_ns))
                 .fold(IDLE_POLL_CAP, Duration::min)
         };
         events.clear();
         let _ = poller.wait(&mut events, Some(timeout));
         let work = Instant::now();
-        for event in events.iter() {
-            if let Some(peer) = peers.get_mut(&event.key) {
-                peer.drain(&mut buf);
-            }
-        }
         // One batched heartbeat per ping period covering every running peer
         // this loop multiplexes: a single topology-server acquisition
         // instead of one per peer.
@@ -654,17 +648,18 @@ fn event_loop(
                 running_nodes.clear();
                 running_nodes.extend(
                     peers
-                        .values()
+                        .iter()
                         .filter(|p| matches!(p.phase, Phase::Running))
                         .map(|p| NodeId(p.rank)),
                 );
                 heartbeat.beat_many(topo, &ctx.run.topology, ctx.start, &running_nodes);
             }
         }
-        for peer in peers.values_mut() {
+        for peer in &mut peers {
+            peer.drain(&mut buf);
             peer.advance(poller, ctx);
         }
-        peers.retain(|_, peer| {
+        peers.retain(|peer| {
             if matches!(peer.phase, Phase::Done) {
                 // The run's last retirement releases the calling thread
                 // from the bootstrap service and the other loops from
@@ -856,6 +851,88 @@ mod tests {
         let outcome = run(&config);
         assert!(outcome.measurement.converged);
         assert_eq!(outcome.results.len(), 4);
+    }
+
+    /// A loop turns its peers in rank order, each reading its socket at its
+    /// own turn, so an asynchronous sweep of rank 1 reads the update rank 0
+    /// published earlier in the same pass, and rank 0 the one rank 1
+    /// published in the pass before: each sweep reads its loop-mate's
+    /// latest update. A loop that read every socket before advancing any
+    /// peer would leave whichever rank advanced second one pass behind. Two
+    /// ramp ranks on one event loop log each sweep beside the count the
+    /// other last published.
+    #[test]
+    fn an_asynchronous_sweep_reads_a_loop_mates_update_of_the_same_pass() {
+        use crate::app::{FrameSink, IterativeTask, LocalRelax};
+        use std::sync::Arc;
+
+        /// A ramp rank that logs what the test compares.
+        struct Witnessed {
+            task: RampTask,
+            /// Each rank's count as of its latest publish.
+            published: Arc<[AtomicU64; 2]>,
+            /// Every sweep: `(rank, the other's published count, ghost read)`.
+            log: Arc<Mutex<Vec<(usize, u64, u8)>>>,
+        }
+        impl IterativeTask for Witnessed {
+            fn relax(&mut self) -> LocalRelax {
+                let relax = self.task.relax();
+                let rank = self.task.rank;
+                let other = self.published[1 - rank].load(Ordering::Relaxed);
+                let read = self.task.swept_ghost;
+                self.log.lock().unwrap().push((rank, other, read));
+                relax
+            }
+            fn encode_outgoing(&mut self, sink: &mut FrameSink) {
+                self.published[self.task.rank].store(self.task.relaxed, Ordering::Relaxed);
+                self.task.encode_outgoing(sink)
+            }
+            fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
+                self.task.incorporate(from, payload)
+            }
+            fn neighbors(&self) -> Vec<usize> {
+                self.task.neighbors()
+            }
+            fn result(&self) -> Vec<u8> {
+                self.task.result()
+            }
+            fn relaxations(&self) -> u64 {
+                self.task.relaxations()
+            }
+        }
+
+        let mut config =
+            RunConfig::quick(Scheme::Asynchronous, 2).with_extras(BackendExtras::Reactor {
+                event_loops: 1,
+                loss_probability: 0.0,
+                reorder_probability: 0.0,
+            });
+        config.tolerance = 0.5;
+        let published = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let outcome = super::run_sockets(&config, &|rank| {
+            Box::new(Witnessed {
+                task: RampTask::line(rank, 2, 60),
+                published: Arc::clone(&published),
+                log: Arc::clone(&log),
+            })
+        })
+        .outcome;
+        assert!(outcome.measurement.converged);
+        let log = log.lock().unwrap();
+        assert!(log.len() >= 120, "{} sweeps", log.len());
+        // A rank's first sweep may race its loop-mate's start.
+        for rank in 0..2 {
+            let sweeps = log.iter().filter(|(r, ..)| *r == rank);
+            for (sweep, &(_, latest, read)) in sweeps.enumerate().skip(1) {
+                assert_eq!(
+                    read,
+                    latest as u8,
+                    "rank {rank}'s sweep {} read update {read}, not the latest, {latest}",
+                    sweep + 1
+                );
+            }
+        }
     }
 
     /// Retirement counting drains the run: the loops exit once every
@@ -1255,11 +1332,13 @@ mod tests {
     /// acknowledgement, so a bare ack only leaves when no plane follows in
     /// time — at most one per directed link, the last plane's, against one
     /// per plane before. Eight peers on one event loop, as
-    /// `obstacle-lockstep` runs them, on a grid small enough that an
-    /// unoptimised build's iteration stays well inside `ACK_DELAY_NS`; the
-    /// best of three solves is held to the bound, so one event-loop stall on
-    /// a loaded box cannot fail it. The counts are printed (CI runs this
-    /// with `--nocapture`).
+    /// `obstacle-lockstep` runs them: a peer reads its neighbours' planes
+    /// at its turn and publishes its next plane in the same turn, so an
+    /// acknowledgement waits out one sweep of its own, on a grid small
+    /// enough that an unoptimised build's sweep stays well inside
+    /// `ACK_DELAY_NS`. The best of three solves is held to the bound, so
+    /// one event-loop stall on a loaded box cannot fail it. The counts are
+    /// printed (CI runs this with `--nocapture`).
     #[test]
     fn synchronous_solve_acknowledges_on_data_not_in_bare_acks() {
         use crate::obstacle_app::ObstacleTask;
