@@ -45,9 +45,9 @@
 //!
 //! The node is sans-io like the engine: `poll`/`on_message` return the
 //! messages to send and the driver owns delivery, so the same state machine
-//! runs over real sockets (udp/reactor), routed channels (threads) and the
-//! deterministic substrates (sim/loopback), where the seeded fanout makes
-//! same-seed runs replay exactly.
+//! runs over real sockets (reactor) and the deterministic substrates
+//! (sim/loopback), where the seeded fanout makes same-seed runs replay
+//! exactly.
 
 use crate::gossip::aggregation::{ConvergenceDigest, SweepSummary};
 use crate::gossip::rumor::{DigestRow, GossipKind, GossipMessage, MemberStatus, Rumor};
@@ -132,7 +132,7 @@ pub struct GossipTiming {
 }
 
 impl GossipTiming {
-    /// Wall-clock defaults for the socket/thread backends. The windows are
+    /// Wall-clock defaults for the socket backend. The windows are
     /// what a node uses until its first probe is acknowledged, and the cap
     /// of what it derives afterwards. On `gossip-churn` (32 reactor peers
     /// on 2 event loops, 2 cores) 25–34 k direct probe → ack round trips
@@ -262,12 +262,9 @@ pub struct GossipNode {
     /// per node, not per member, because a node probes one member per
     /// period and a per-member estimate would see less than one sample per
     /// member per solve. Pooling assumes every member is equally far away.
-    /// That holds wherever gossip runs today: the socket backends share one
-    /// host, `sim` gossip bypasses the fabric and loopback has no latency.
-    /// On `threads` it holds within one cluster; a two-cluster `threads`
-    /// run (links three orders of magnitude apart) would pool a mixture
-    /// this one estimate does not describe, and no gossip run in the tree
-    /// is one. `None` until the first sample.
+    /// That holds wherever gossip runs: the reactor's peers share one host,
+    /// `sim` gossip bypasses the fabric and loopback has no latency. `None`
+    /// until the first sample.
     rtt: Option<RttEstimate>,
     rng: ChaCha8Rng,
     incarnation: u32,

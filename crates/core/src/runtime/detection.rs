@@ -1,4 +1,4 @@
-//! Wall-clock failure detection shared by the thread and socket runtimes.
+//! Wall-clock failure detection of the socket runtime.
 //!
 //! The real-time backends detect peer death the way the paper's
 //! centralized topology manager does: every peer pings a run-local
@@ -17,7 +17,7 @@ use crate::runtime::report_cell::contention;
 use crate::runtime::stop::SharedDetector;
 use crate::topology_manager::TopologyManager;
 use desim::{SimDuration, SimTime};
-use netsim::{ClusterId, NodeId, Topology};
+use netsim::{NodeId, Topology};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,11 +40,10 @@ fn now_since(start: Instant) -> SimTime {
 /// Create the run's failure-detector server with every rank registered (at
 /// time zero, before any peer thread spawns — a slow spawn must not read as
 /// missed pings). `multiplex` is how many peers share one heartbeat driver:
-/// 1 for the thread-per-peer backends, peers-per-loop for the reactor. A
-/// loop multiplexing hundreds of peers beats them all once per loop
-/// iteration, and a loaded iteration can easily outlast three bare ping
-/// periods — so the eviction window scales with the multiplex degree
-/// instead of reading a busy loop as mass death.
+/// the peers per event loop of the reactor. A loop multiplexing hundreds of
+/// peers beats them all once per loop iteration, and a loaded iteration can
+/// easily outlast three bare ping periods — so the eviction window scales
+/// with the multiplex degree instead of reading a busy loop as mass death.
 pub(crate) fn server_with_all_ranks(
     topology: &Topology,
     multiplex: usize,
@@ -113,51 +112,24 @@ pub(crate) fn run_monitor(
     }
 }
 
-/// One peer's heartbeat towards the failure detector.
-pub(crate) struct Heartbeat {
+/// Register `rank` with the failure detector afresh, its cluster and speed
+/// from `topology`: a joiner announcing itself, or a revived rank
+/// rejoining. Its pings then ride its event loop's [`LoopHeartbeat`].
+pub(crate) fn rejoin(
+    topo: &SharedTopologyManager,
+    topology: &Topology,
     rank: usize,
-    cluster: ClusterId,
-    cpu_speed: f64,
-    last_ping: Instant,
-}
-
-impl Heartbeat {
-    /// The heartbeat of `rank` (topology supplies its cluster and speed).
-    pub(crate) fn new(topology: &Topology, rank: usize) -> Self {
-        let node = NodeId(rank);
-        Self {
-            rank,
-            cluster: topology.cluster_of(node),
-            cpu_speed: topology.node(node).cpu_speed,
-            last_ping: Instant::now(),
-        }
-    }
-
-    /// Ping the server if a period has elapsed. A peer the server no longer
-    /// knows (evicted spuriously, e.g. after a scheduling hiccup)
-    /// re-registers, as the paper's protocol demands of evicted peers.
-    pub(crate) fn beat(&mut self, topo: &SharedTopologyManager, start: Instant) {
-        if self.last_ping.elapsed() < PING_PERIOD {
-            return;
-        }
-        let now = now_since(start);
-        contention::count_topology_lock();
-        let mut topo = topo.lock().unwrap();
-        if !topo.ping(NodeId(self.rank), now) {
-            topo.register(NodeId(self.rank), self.cluster, self.cpu_speed, now);
-        }
-        self.last_ping = Instant::now();
-    }
-
-    /// A revived rank rejoins: register afresh and restart the cadence.
-    pub(crate) fn rejoin(&mut self, topo: &SharedTopologyManager, start: Instant) {
-        let now = now_since(start);
-        contention::count_topology_lock();
-        topo.lock()
-            .unwrap()
-            .register(NodeId(self.rank), self.cluster, self.cpu_speed, now);
-        self.last_ping = Instant::now();
-    }
+    start: Instant,
+) {
+    let node = NodeId(rank);
+    let now = now_since(start);
+    contention::count_topology_lock();
+    topo.lock().unwrap().register(
+        node,
+        topology.cluster_of(node),
+        topology.node(node).cpu_speed,
+        now,
+    );
 }
 
 /// One event loop's batched heartbeat towards the failure detector: a
@@ -184,8 +156,8 @@ impl LoopHeartbeat {
     }
 
     /// Ping on behalf of `nodes`; any the server no longer knows (evicted
-    /// spuriously) are re-registered from the topology's specs, exactly as
-    /// [`Heartbeat::beat`] does for a single peer.
+    /// spuriously, e.g. after a scheduling hiccup) re-register from the
+    /// topology's specs, as the paper's protocol demands of evicted peers.
     pub(crate) fn beat_many(
         &mut self,
         topo: &SharedTopologyManager,
@@ -244,11 +216,11 @@ mod tests {
             // Rank 1 heartbeats; rank 0 never pings, so the monitor evicts
             // it while the coordinator knows of no crash — the grant it
             // attempts on that eviction edge is a no-op.
-            let mut heartbeat = Heartbeat::new(&topology, 1);
+            let mut heartbeat = LoopHeartbeat::new();
             let deadline = Instant::now() + Duration::from_secs(10);
             while topo.lock().unwrap().peer(NodeId(0)).is_some() {
                 assert!(Instant::now() < deadline, "rank 0 was never evicted");
-                heartbeat.beat(&topo, start);
+                heartbeat.beat_many(&topo, &topology, start, &[NodeId(1)]);
                 std::thread::sleep(Duration::from_millis(2));
             }
             // Let the monitor sweep past the eviction edge, then land the
@@ -260,7 +232,7 @@ mod tests {
                     Instant::now() < deadline,
                     "eviction edge was consumed without a grant"
                 );
-                heartbeat.beat(&topo, start);
+                heartbeat.beat_many(&topo, &topology, start, &[NodeId(1)]);
                 std::thread::sleep(Duration::from_millis(2));
             }
             // Stop the run so the monitor loop exits.

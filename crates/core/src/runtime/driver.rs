@@ -1,6 +1,8 @@
 //! The backend table: what a [`RuntimeKind`] is called and which drive
 //! loop runs it, one `match` each — the only per-backend dispatch above the
-//! drivers.
+//! drivers. There are three rows, one per clock: `sim` (virtual time),
+//! `loopback` (an event count) and `reactor` (wall clock, over real
+//! sockets).
 //!
 //! Every runtime backend consumes the shared [`RunConfig`] (plus its own
 //! typed knobs from [`BackendExtras`](crate::runtime::BackendExtras)), runs
@@ -11,11 +13,12 @@
 
 use crate::app::IterativeTask;
 use crate::metrics::RunMeasurement;
-use crate::runtime::{loopback, reactor, sim, threads, udp, RunConfig};
+use crate::runtime::{loopback, reactor, sim, RunConfig};
 use netsim::NetStats;
 use serde::{Deserialize, Serialize};
 
-/// The runtime backend an experiment executes on. All five drive the same
+/// The runtime backend an experiment executes on: one virtual-time, one
+/// event-count and one wall-clock backend. All three drive the same
 /// [`crate::runtime::engine::PeerEngine`]; they differ only in the substrate
 /// carrying the P2PSAP segments and in the clock behind the measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,29 +27,23 @@ pub enum RuntimeKind {
     /// (deterministic, models latency/bandwidth/loss — the evaluation
     /// harness default).
     Sim,
-    /// One OS thread per peer, channel-routed segments with scaled link
-    /// latency (wall-clock).
-    Threads,
     /// Single-threaded in-process round-robin with instant delivery
     /// (deterministic, fastest).
     Loopback,
     /// Real localhost UDP sockets with framing, bootstrap discovery and an
-    /// optional loss/reorder shim: the reactor's drive loop at one event
-    /// loop (one OS thread) per peer (wall-clock).
-    Udp,
-    /// Readiness-polled event loops multiplexing many peers per OS thread
-    /// over nonblocking UDP sockets — the scale backend for hundreds to
-    /// thousands of peers (wall-clock).
+    /// optional loss/reorder shim, driven by readiness-polled event loops
+    /// that each multiplex many peers (wall-clock). A handful of loops runs
+    /// thousands of peers; one loop per provisioned peer
+    /// ([`BackendExtras::Reactor`](crate::BackendExtras)) is the
+    /// thread-per-peer shape of a small run.
     Reactor,
 }
 
 impl RuntimeKind {
     /// Every backend, in the order the bench matrix reports them.
-    pub const ALL: [RuntimeKind; 5] = [
+    pub const ALL: [RuntimeKind; 3] = [
         RuntimeKind::Sim,
-        RuntimeKind::Threads,
         RuntimeKind::Loopback,
-        RuntimeKind::Udp,
         RuntimeKind::Reactor,
     ];
 
@@ -54,9 +51,7 @@ impl RuntimeKind {
     pub fn label(&self) -> &'static str {
         match self {
             RuntimeKind::Sim => "sim",
-            RuntimeKind::Threads => "threads",
             RuntimeKind::Loopback => "loopback",
-            RuntimeKind::Udp => "udp",
             RuntimeKind::Reactor => "reactor",
         }
     }
@@ -65,9 +60,7 @@ impl RuntimeKind {
     pub(crate) fn run(self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
         match self {
             RuntimeKind::Sim => sim::run_iterative(config, task_factory),
-            RuntimeKind::Threads => threads::run_iterative_threads(config, task_factory),
             RuntimeKind::Loopback => loopback::run_iterative_loopback(config, task_factory),
-            RuntimeKind::Udp => udp::run_sockets(config, task_factory).outcome,
             RuntimeKind::Reactor => reactor::run_sockets(config, task_factory).outcome,
         }
     }
@@ -84,7 +77,7 @@ impl std::fmt::Display for RuntimeKind {
 pub enum ClockDomain {
     /// Simulated virtual time (deterministic, models the network): `sim`.
     Virtual,
-    /// Real wall-clock time: `threads`, `udp`, `reactor`.
+    /// Real wall-clock time: `reactor`.
     Wall,
     /// A monotone engine-event counter (deterministic, not a duration):
     /// `loopback`.
@@ -103,10 +96,10 @@ pub struct DriverOutcome {
     /// Per-rank serialized results (from [`IterativeTask::result`]).
     pub results: Vec<(usize, Vec<u8>)>,
     /// Network statistics, when the backend models the fabric (`Some` on the
-    /// simulated backend only; socket backends use the real network stack).
+    /// simulated backend only; the reactor uses the real network stack).
     pub net: Option<NetStats>,
-    /// Datagrams dropped by the deterministic loss shim (socket backends
-    /// with impairment armed; zero everywhere else).
+    /// Datagrams dropped by the deterministic loss shim (the reactor with
+    /// impairment armed; zero everywhere else).
     pub datagrams_dropped: u64,
 }
 
@@ -119,6 +112,6 @@ mod tests {
     #[test]
     fn every_runtime_kind_resolves_to_a_driver_with_a_stable_label() {
         let labels: Vec<&str> = RuntimeKind::ALL.iter().map(RuntimeKind::label).collect();
-        assert_eq!(labels, ["sim", "threads", "loopback", "udp", "reactor"]);
+        assert_eq!(labels, ["sim", "loopback", "reactor"]);
     }
 }

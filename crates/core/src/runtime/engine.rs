@@ -153,7 +153,7 @@ pub trait PeerTransport {
 
 /// Deadline queue for protocol timers: the timer half of the `Polled` core
 /// (`runtime::host`) every transport that is polled for due work embeds
-/// (threads, loopback, the socket backends). Re-arming a key replaces its
+/// (loopback, the reactor's sockets). Re-arming a key replaces its
 /// previous deadline; popping is in deadline order.
 #[derive(Debug, Default)]
 pub struct TimerQueue {

@@ -6,7 +6,7 @@
 //! [`HostedPeer`] is the engine plus its optional SWIM node as the run
 //! scaffold builds them ([`RunScaffold::host`]); its methods are the
 //! transitions, and [`HostedPeer::turn`] strings them together for the
-//! wall-clock backends. A backend that owns its clock (loopback ticks an
+//! wall-clock backend. A backend that owns its clock (loopback ticks an
 //! event counter, desim calls the simulator back) calls the same sub-steps
 //! between its own clock operations. Every engine event a drive loop raises
 //! enters through here, so a per-peer event record or a liveness oracle has

@@ -1,4 +1,4 @@
-//! The P2PDC runtimes: one peer loop, one run scaffold, five substrates.
+//! The P2PDC runtimes: one peer loop, one run scaffold, three substrates.
 //!
 //! # Engine / scaffold / transport split
 //!
@@ -33,25 +33,22 @@
 //!   relaxations charge virtual time through the
 //!   [`crate::compute::ComputeModel`].
 //!
-//! * [`threads`] — the wall-clock substrate used by the examples: one OS
-//!   thread per peer, segments routed through channels with scaled link
-//!   latency, relaxations costing their real kernel time.
-//!
 //! * [`loopback`] — the zero-latency in-process substrate used by quick
 //!   tests: instant delivery, round-robin drive, an event counter for a
 //!   clock. The cheapest way to exercise the full peer loop.
 //!
-//! * [`reactor`] — the socket drive loop: readiness-polled event loops
+//! * [`reactor`] — the wall-clock substrate: readiness-polled event loops
 //!   (the vendored `polling` epoll wrapper) each multiplexing many peers
-//!   over nonblocking localhost UDP sockets. As the `reactor` backend it
-//!   runs thousands of peers on a handful of loops, where the
-//!   thread-per-peer backends cap out at tens.
+//!   over nonblocking localhost UDP sockets, relaxations costing their real
+//!   kernel time. Its event-loop count is a setting
+//!   ([`BackendExtras::Reactor`]): a handful of loops runs thousands of
+//!   peers, and one loop per provisioned peer is the thread-per-peer shape
+//!   of a small real-socket run.
 //!
 //! * [`udp`] — the wire layer under the socket drive loop (P2PSAP segments
 //!   framed into datagrams with reassembly, peer discovery over the socket
 //!   itself, an optional deterministic loss/reorder shim so the protocol's
-//!   reliability machinery meets a genuinely lossy network stack), and the
-//!   `udp` backend: the reactor at one event loop per peer.
+//!   reliability machinery meets a genuinely lossy network stack).
 //!
 //! Every backend is one row of the [`driver`] table (its label and its
 //! drive loop); the dispatch layer, the bench grids and the e2e helpers
@@ -70,7 +67,6 @@ pub mod report_cell;
 pub(crate) mod scaffold;
 pub mod sim;
 pub mod stop;
-pub mod threads;
 pub mod udp;
 
 pub use driver::{ClockDomain, DriverOutcome, RuntimeKind, TaskFactory};
@@ -126,7 +122,7 @@ impl ControlPlane {
 /// Typed per-backend knobs layered on the shared [`RunConfig`]. Each
 /// backend reads its own variant through the accessor
 /// methods (which fall back to the backend's defaults for every other
-/// variant), so one `RunConfig` drives all five backends and a config built
+/// variant), so one `RunConfig` drives all three backends and a config built
 /// for one backend degrades gracefully on another.
 #[derive(Debug, Clone, Default)]
 pub enum BackendExtras {
@@ -138,22 +134,12 @@ pub enum BackendExtras {
         /// Virtual-time cap.
         deadline: SimDuration,
     },
-    /// Thread backend: link-latency scaling.
-    Threads {
-        /// Scale factor applied to link latencies (1.0 = real latencies).
-        latency_scale: f64,
-    },
-    /// UDP backend: the deterministic loss/reorder shim.
-    Udp {
-        /// Probability that the shim drops an outgoing datagram.
-        loss_probability: f64,
-        /// Probability that the shim holds a datagram back one slot.
-        reorder_probability: f64,
-    },
-    /// Reactor backend: event-loop sizing plus the same shim as [`udp`].
+    /// Reactor backend: event-loop sizing plus the deterministic
+    /// loss/reorder shim of the wire layer ([`LossShim`]).
     Reactor {
         /// Number of event-loop threads (0 = size from the host's
-        /// available parallelism).
+        /// available parallelism; clamped to the provisioned peers, so
+        /// [`RunConfig::provisioned_peers`] is one loop per peer).
         event_loops: usize,
         /// Probability that the shim drops an outgoing datagram.
         loss_probability: f64,
@@ -175,22 +161,10 @@ impl BackendExtras {
         }
     }
 
-    /// The thread backend's link-latency scale factor.
-    pub fn latency_scale(&self) -> f64 {
-        match self {
-            BackendExtras::Threads { latency_scale } => *latency_scale,
-            _ => RunConfig::DEFAULT_LATENCY_SCALE,
-        }
-    }
-
-    /// The socket backends' `(loss, reorder)` shim probabilities.
+    /// The reactor backend's `(loss, reorder)` shim probabilities.
     pub fn impairment(&self) -> (f64, f64) {
         match self {
-            BackendExtras::Udp {
-                loss_probability,
-                reorder_probability,
-            }
-            | BackendExtras::Reactor {
+            BackendExtras::Reactor {
                 loss_probability,
                 reorder_probability,
                 ..
@@ -213,7 +187,7 @@ impl BackendExtras {
 /// convergence tolerance and the relaxation cap. Backend-specific knobs
 /// travel in the typed [`BackendExtras`] enum (`extras`); each driver reads
 /// its own variant and falls back to its defaults for every other, so the
-/// same config runs on all five backends.
+/// same config runs on all three backends.
 ///
 /// `seed` and `compute` are shared here rather than duplicated per backend:
 /// the seed drives every deterministic random source (the simulated fabric,
@@ -247,9 +221,9 @@ pub struct RunConfig {
     /// ignored. [`crate::experiment::run_on`] fills this in automatically
     /// for churn-armed runs.
     pub repartitioner: Option<ReslicerHandle>,
-    /// Typed backend-specific knobs (sim deadline, thread latency scale,
-    /// socket impairment, reactor event-loop count). The default variant
-    /// means "every backend's defaults".
+    /// Typed backend-specific knobs (sim deadline, reactor event-loop
+    /// count and socket impairment). The default variant means "every
+    /// backend's defaults".
     pub extras: BackendExtras,
     /// How membership and the stop decision are carried (central ping
     /// server + detector fold, or SWIM-style gossip).
@@ -264,10 +238,6 @@ impl RunConfig {
     /// Relaxation cap of the `quick` configurations used by tests and
     /// examples.
     pub const QUICK_MAX_RELAXATIONS: u64 = 500_000;
-
-    /// Default link-latency scale factor of the thread runtime (previously
-    /// inlined as a magic `0.05` at the dispatch site).
-    pub const DEFAULT_LATENCY_SCALE: f64 = 0.05;
 
     /// Default convergence tolerance.
     pub const DEFAULT_TOLERANCE: f64 = 1e-4;

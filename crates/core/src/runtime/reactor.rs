@@ -1,7 +1,7 @@
 //! The socket drive loop of P2PDC: readiness-polled event loops, each
 //! multiplexing any number of peers over nonblocking UDP sockets.
 //!
-//! Both real-socket backends run this module. The wire — datagram framing,
+//! The `reactor` backend runs this module. The wire — datagram framing,
 //! fragment reassembly, bootstrap discovery, loss shim, pacing gate — is
 //! [`crate::runtime::udp`]'s; the run around the loop is the shared
 //! `RunScaffold`, and what a running peer does per turn and with each
@@ -9,17 +9,17 @@
 //! here is the wait — the per-peer phase machine (`Peer`) and the event loop
 //! that sleeps in the vendored [`polling`] readiness poller (epoll on Linux),
 //! then turns each peer in rank order: read its socket, advance — and what a
-//! crash does to the wire: the socket closes and a replacement binds. The
-//! backends differ only in how many loops share the provisioned peers:
+//! crash does to the wire: the socket closes and a replacement binds.
 //!
-//! * `reactor` — a small fixed pool of event-loop threads, each owning a
-//!   contiguous slice of peers. A thousand peers are a thousand sockets on
-//!   a handful of threads, so the 1024-peer rows of the scaling grid run on
-//!   a laptop (the thread-per-peer backends cap out at tens: past the core
-//!   count the scheduler burns the run's time context-switching idle
-//!   waiters).
-//! * `udp` — one event loop per provisioned peer
-//!   (`udp::run_sockets`).
+//! The event-loop count is a setting
+//! ([`BackendExtras::Reactor`](crate::BackendExtras)); each loop owns a
+//! contiguous slice of the provisioned peers. A small pool, sized from the
+//! host's parallelism by default, runs a thousand peers as a thousand
+//! sockets on a handful of threads, so the 1024-peer rows of the scaling
+//! grid run on a laptop (one OS thread per peer caps out at tens: past the
+//! core count the scheduler burns the run's time context-switching idle
+//! waiters). One loop per provisioned peer is the thread-per-peer shape of
+//! a small real-socket run, on the same state machine.
 //!
 //! Blocking is forbidden inside an event loop, so every wait is a per-peer
 //! state machine phase: bootstrap discovery resends hellos on poll ticks
@@ -29,7 +29,7 @@
 //! already published) until the failure monitor grants recovery — it
 //! revives at once — or the run stops.
 
-use crate::runtime::detection::{Heartbeat, LoopHeartbeat};
+use crate::runtime::detection::{self, LoopHeartbeat};
 use crate::runtime::driver::{DriverOutcome, TaskFactory};
 use crate::runtime::engine::Wire;
 use crate::runtime::host::{CrashVerdict, HostedPeer, Polled, Turn};
@@ -166,7 +166,6 @@ struct Peer {
     /// Segments reassembled while [`Phase::Discovering`] (at most
     /// [`EARLY_SEGMENTS`]), handed to the engine once it has started.
     early: Vec<(usize, Bytes)>,
-    heartbeat: Option<Heartbeat>,
     /// Table read by [`Peer::drain`], applied by the next [`Peer::advance`].
     table: Option<Vec<SocketAddr>>,
     /// Last observed [`LoopShared::ports_version`]; a newer shared value
@@ -302,7 +301,6 @@ impl Peer {
             transport: None,
             reassembler: Reassembler::new(),
             early: Vec::new(),
-            heartbeat: None,
             table: None,
             seen_ports_version: 0,
         }
@@ -330,7 +328,6 @@ impl Peer {
             LossShim::new(ctx.run.seed.wrapping_add(self.rank as u64), loss, reorder),
             ctx.run.topology.clone(),
         ));
-        self.heartbeat = Some(Heartbeat::new(&ctx.run.topology, self.rank));
         self.phase = Phase::Discovering {
             hello_at: Instant::now(),
             then,
@@ -343,10 +340,7 @@ impl Peer {
     /// trip stands between the grant and the restore.
     fn revive(&mut self, ctx: &LoopShared<'_>) {
         if let Some(topo) = &ctx.run.topo {
-            self.heartbeat
-                .as_mut()
-                .expect("bound peer has heartbeat")
-                .rejoin(topo, ctx.start);
+            detection::rejoin(topo, &ctx.run.topology, self.rank, ctx.start);
         }
         let transport = self
             .transport
@@ -497,10 +491,7 @@ impl Peer {
                     // A joiner registers with the failure detector before its
                     // first relaxation.
                     if let (OnTable::JoinStart, Some(topo)) = (&then, &ctx.run.topo) {
-                        self.heartbeat
-                            .as_mut()
-                            .expect("bound peer has heartbeat")
-                            .rejoin(topo, ctx.start);
+                        detection::rejoin(topo, &ctx.run.topology, self.rank, ctx.start);
                     }
                     host.engine.on_start(transport);
                     for (from, segment) in self.early.drain(..) {

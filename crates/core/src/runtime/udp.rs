@@ -1,4 +1,4 @@
-//! The wire layer of the socket backends, and the `udp` backend itself.
+//! The wire layer of the socket drive loop.
 //!
 //! P2PSAP wire segments leave the process here: every peer owns a
 //! [`std::net::UdpSocket`] bound to an ephemeral localhost port and segments
@@ -18,7 +18,7 @@
 //!   *fragment train*: laid end to end, sent with one [`send_train`] and —
 //!   on a socket that [`accept_trains`] — read back with one
 //!   [`recv_train`]. The `sys` submodule holds that kernel boundary and
-//!   every `unsafe` line of the socket backends.
+//!   every `unsafe` line of the socket runtime.
 //! * **Bootstrap** — peers discover each other over the socket itself: a
 //!   bootstrap service owned by the run (served on the run's calling
 //!   thread, which would otherwise only wait) binds its own port, every
@@ -37,10 +37,6 @@
 //!   peer drives its engine through: in-place framing, wall-clock protocol
 //!   timers, the asynchronous pacing gate and the control broadcasts.
 //!
-//! The `udp` backend (`run_sockets`) is the reactor at one event loop per
-//! provisioned peer: the thread-per-peer shape of a small real-socket run,
-//! on the same state machine that multiplexes thousands.
-//!
 //! Latency is whatever the kernel's loopback path provides (microseconds);
 //! the topology only contributes the cluster split that the hybrid scheme's
 //! wait rule and the Table I controller consume. Runs are therefore *not*
@@ -48,11 +44,8 @@
 //! still match the other runtimes, which is what the cross-runtime
 //! agreement tests assert.
 
-use crate::runtime::driver::TaskFactory;
 use crate::runtime::engine::{PeerTransport, TimerKey, Wire};
 use crate::runtime::host::{PacingGate, Polled};
-use crate::runtime::reactor::{run_iterative_reactor, SocketRunOutcome};
-use crate::runtime::RunConfig;
 use bytes::Bytes;
 use netsim::Topology;
 use rand::{RngCore, SeedableRng};
@@ -652,19 +645,7 @@ impl LossShim {
     }
 }
 
-/// The run of the `udp` backend: the reactor's peer state machine at one
-/// event loop (one OS thread) per provisioned peer, with its socket-level
-/// detail (bound ports, per-loop stats) still attached. Reads the
-/// loss/reorder shim probabilities from
-/// [`BackendExtras::Udp`](crate::BackendExtras). Link latencies are not
-/// emulated — the kernel's loopback path provides the real ones; the
-/// topology still drives the peer count, the hybrid wait rule and Table I.
-/// The shim draws its randomness from the shared `seed`.
-pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> SocketRunOutcome {
-    run_iterative_reactor(config, task_factory, config.provisioned_peers())
-}
-
-/// The [`PeerTransport`] of the socket backends.
+/// The [`PeerTransport`] of a socket peer.
 pub struct UdpTransport {
     pub(crate) rank: usize,
     pub(crate) start: Instant,
@@ -889,14 +870,20 @@ pub(crate) fn wake_bootstrap(addr: SocketAddr) {
 mod tests {
     use super::*;
     use crate::runtime::engine::testing::RampTask;
-    use crate::runtime::DriverOutcome;
+    use crate::runtime::reactor::{run_iterative_reactor, SocketRunOutcome};
+    use crate::runtime::{DriverOutcome, RunConfig};
     use p2psap::Scheme;
 
     const RAMP: u64 = 10;
 
+    /// A ramp run on the reactor at one event loop per provisioned peer.
     fn run_sockets(config: &RunConfig) -> SocketRunOutcome {
         let peers = config.topology.len();
-        super::run_sockets(config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
+        run_iterative_reactor(
+            config,
+            &|rank| Box::new(RampTask::line(rank, peers, RAMP)),
+            config.provisioned_peers(),
+        )
     }
 
     fn run(config: &RunConfig) -> DriverOutcome {
@@ -1465,10 +1452,9 @@ mod tests {
 
     /// A loop's busy time is its own shard's work: every event loop keeps
     /// the contiguous rank shard it was spawned with, so a slow rank 0
-    /// (15 ms sweeps) loads loop 0 for the whole run — on the udp backend,
-    /// the reactor at one event loop per *provisioned* peer (dormant join
-    /// slot included), and on a two-loop reactor where rank 0 shares loop 0
-    /// with rank 1.
+    /// (15 ms sweeps) loads loop 0 for the whole run — at one event loop
+    /// per *provisioned* peer (dormant join slot included), and on two
+    /// loops where rank 0 shares loop 0 with rank 1.
     #[test]
     fn a_loops_busy_time_is_its_own_shards_work() {
         use crate::churn::ChurnPlan;
@@ -1488,7 +1474,10 @@ mod tests {
             Box::new(task)
         };
         for (loops, run) in [
-            (peers + 1, super::run_sockets(&config, &factory)),
+            (
+                peers + 1,
+                run_iterative_reactor(&config, &factory, config.provisioned_peers()),
+            ),
             (2, run_iterative_reactor(&config, &factory, 2)),
         ] {
             assert!(run.outcome.measurement.converged, "{loops} loops");
@@ -1531,7 +1520,8 @@ mod tests {
         // The reliable synchronous channel retransmits dropped segments, so
         // the run still converges in lockstep over a 10%-loss path.
         let mut config =
-            RunConfig::quick(Scheme::Synchronous, 2).with_extras(crate::BackendExtras::Udp {
+            RunConfig::quick(Scheme::Synchronous, 2).with_extras(crate::BackendExtras::Reactor {
+                event_loops: 2,
                 loss_probability: 0.1,
                 reorder_probability: 0.1,
             });

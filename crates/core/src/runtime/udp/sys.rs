@@ -1,4 +1,4 @@
-//! The kernel boundary of the socket backends: every `unsafe` line of
+//! The kernel boundary of the socket runtime: every `unsafe` line of
 //! `crate::runtime` sits in this file, behind safe functions.
 //!
 //! A framed segment crosses the kernel as a *fragment train*. The sender

@@ -3,10 +3,10 @@
 //! The paper's data channel has two levels: a physical layer (one composite
 //! protocol per network type — Ethernet, InfiniBand, Myrinet) and a transport
 //! layer. Switching networks substitutes one physical composite for another.
-//! In this reproduction the wire itself is the `netsim` fabric (or an
-//! in-process channel in the thread runtime); the physical composite adapts
-//! between the transport layer and that wire and carries the network-type
-//! identity used by reconfiguration.
+//! In this reproduction the wire itself is the `netsim` fabric (or a
+//! localhost UDP socket in the reactor runtime); the physical composite
+//! adapts between the transport layer and that wire and carries the
+//! network-type identity used by reconfiguration.
 //!
 //! The adapter forwards both ways unchanged, so [`crate::Session`], whose
 //! data path is straight-line code, has nothing to run for it; the composite

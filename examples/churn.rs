@@ -1,11 +1,11 @@
-//! Crash and recover a peer mid-run on the thread backend.
+//! Crash and recover a peer mid-run on the reactor backend.
 //!
-//! One OS thread per peer solves the obstacle problem asynchronously; a
-//! seeded churn plan kills one peer as it completes its second relaxation.
-//! The dead peer stops pinging the run's topology manager, is evicted after
-//! three missed ping periods, and the recovery path restarts its block from
-//! the latest live checkpoint — the run still converges to the fault-free
-//! residual quality.
+//! Peers on real localhost UDP sockets solve the obstacle problem
+//! asynchronously; a seeded churn plan kills one peer as it completes its
+//! second relaxation. The dead peer's socket closes, it stops pinging the
+//! run's topology manager, is evicted after three missed ping periods, and
+//! the recovery path restarts its block from the latest live checkpoint —
+//! the run still converges to the fault-free residual quality.
 //!
 //! ```text
 //! cargo run --release -p apps --example churn
@@ -20,7 +20,7 @@ fn main() {
 
     // Fault-free baseline, for comparison.
     let clean = RunConfig::quick(Scheme::Asynchronous, peers);
-    let baseline = run_on(workload.as_ref(), &clean, RuntimeKind::Threads);
+    let baseline = run_on(workload.as_ref(), &clean, RuntimeKind::Reactor);
     println!(
         "fault-free: converged={} relaxations={:?} residual={:.3e}",
         baseline.measurement.converged,
@@ -28,7 +28,7 @@ fn main() {
         baseline.measurement.residual,
     );
 
-    // Kill peer 1 as it completes its second relaxation. Thread-backend
+    // Kill peer 1 as it completes its second relaxation. Wall-clock
     // relaxation counts vary with the scheduler (the middle peer may
     // converge in 60 relaxations or in 1 300), so a crash point scaled
     // from the baseline can be outrun. This one cannot: the asynchronous
@@ -40,7 +40,7 @@ fn main() {
         .clone()
         .with_churn(ChurnPlan::kill(1, crash_at).with_checkpoint_interval(1));
     println!("\ninjecting: crash of rank 1 after {crash_at} relaxations ...");
-    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Threads);
+    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Reactor);
     println!(
         "with churn: converged={} crashes={} recoveries={} rollbacks={} downtime={:.1}ms",
         result.measurement.converged,

@@ -1,6 +1,6 @@
-//! Quickstart: solve a small 3-D obstacle problem with P2PDC on the thread
-//! runtime (real OS threads, one per peer) and compare the distributed
-//! solution with the sequential baseline.
+//! Quickstart: solve a small 3-D obstacle problem with P2PDC on the reactor
+//! runtime (real localhost UDP sockets, one per peer, on a few event loops)
+//! and compare the distributed solution with the sequential baseline.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -14,7 +14,7 @@ use p2pdc::{
 fn main() {
     let n = 16;
     let peers = 4;
-    println!("P2PDC quickstart: {n}^3 obstacle problem on {peers} peers (thread runtime)");
+    println!("P2PDC quickstart: {n}^3 obstacle problem on {peers} peers (reactor runtime)");
 
     // The application side of the programming model: the workload supplies
     // the per-peer Calculate() (an ObstacleTask); the environment drives the
@@ -31,7 +31,7 @@ fn main() {
     });
     let problem = workload.problem();
     let config = RunConfig::quick(scheme, peers);
-    let result = run_on(&workload, &config, RuntimeKind::Threads);
+    let result = run_on(&workload, &config, RuntimeKind::Reactor);
 
     println!(
         "converged: {} in {:.3} s wall-clock, relaxations per peer: {:?}",

@@ -1,15 +1,16 @@
 //! Obstacle problem over real localhost UDP sockets: the three schemes of
-//! computation on the UDP runtime backend, with an optional loss/reorder
-//! shim so the protocol's reliability machinery visibly earns its keep.
+//! computation on the reactor backend at one event loop per peer, with an
+//! optional loss/reorder shim so the protocol's reliability machinery
+//! visibly earns its keep.
 //!
 //! ```text
 //! cargo run --release --example udp_cluster [n] [peers] [loss]
 //! ```
 //!
-//! Every peer is an OS thread owning a `UdpSocket` bound to an ephemeral
-//! 127.0.0.1 port; peers discover each other through a bootstrap exchange
-//! over the sockets themselves, and P2PSAP segments travel as framed UDP
-//! datagrams through the kernel's loopback path.
+//! Every peer is an event loop (one OS thread) owning a `UdpSocket` bound
+//! to an ephemeral 127.0.0.1 port; peers discover each other through a
+//! bootstrap exchange over the sockets themselves, and P2PSAP segments
+//! travel as framed UDP datagrams through the kernel's loopback path.
 
 use p2pdc::{
     run_on, BackendExtras, ObstacleInstance, ObstacleParams, ObstacleWorkload, RunConfig,
@@ -32,11 +33,13 @@ fn main() {
             peers,
             instance: ObstacleInstance::Membrane,
         });
-        let config = RunConfig::quick(scheme, peers).with_extras(BackendExtras::Udp {
+        let mut config = RunConfig::quick(scheme, peers);
+        config.extras = BackendExtras::Reactor {
+            event_loops: config.provisioned_peers(),
             loss_probability: loss,
             reorder_probability: loss,
-        });
-        let result = run_on(&workload, &config, RuntimeKind::Udp);
+        };
+        let result = run_on(&workload, &config, RuntimeKind::Reactor);
         println!(
             "{scheme:<13} converged={} wall={:.3}s relaxations={:?} dropped={} residual={:.2e}",
             result.measurement.converged,

@@ -4,7 +4,7 @@
 //! synchronous runs roll back) and cross-runtime agreement on the recovery
 //! counts.
 
-use p2pdc::{run_on, ChurnPlan, RunConfig, RuntimeKind, Scheme, WorkloadKind};
+use p2pdc::{run_on, BackendExtras, ChurnPlan, RunConfig, RuntimeKind, Scheme, WorkloadKind};
 
 /// The crash point of the e2e scenarios: ~30% of the fault-free synchronous
 /// convergence iteration of the obstacle workload at this size (measured
@@ -16,6 +16,16 @@ fn crash_at_fraction(baseline_iterations: u64, fraction: f64) -> u64 {
 
 fn obstacle_config(scheme: Scheme, peers: usize) -> RunConfig {
     RunConfig::quick(scheme, peers)
+}
+
+/// `config` on the reactor at one event loop per provisioned peer, join
+/// slots included: the thread-per-peer shape of a small real-socket run.
+fn one_loop_per_peer(config: &RunConfig) -> RunConfig {
+    config.clone().with_extras(BackendExtras::Reactor {
+        event_loops: config.provisioned_peers(),
+        loss_probability: 0.0,
+        reorder_probability: 0.0,
+    })
 }
 
 /// The same seeded crash produces identical recovery counts on the two
@@ -62,7 +72,7 @@ fn loopback_and_sim_agree_on_recovery_counts_for_the_same_seeded_crash() {
 }
 
 /// An asynchronous obstacle run with one peer killed at ~30% progress meets
-/// the same residual tolerance as the fault-free run, on all four backends —
+/// the same residual tolerance as the fault-free run, on every backend —
 /// the paper's headline fault-tolerance claim.
 #[test]
 fn async_obstacle_run_survives_a_mid_run_crash_on_every_backend() {
@@ -180,14 +190,10 @@ fn hybrid_two_cluster_run_absorbs_a_crash_without_rollback() {
     let mut faulty = clean.clone();
     faulty.churn =
         Some(ChurnPlan::kill(2, crash_at).with_checkpoint_interval((crash_at / 2).max(1)));
-    // Threads is the wall-clock case: an update lost with the dead peer's
-    // inbox must come back through the reliable channel's real-time
+    // The reactor is the wall-clock case: an update lost with the dead
+    // peer's socket must come back through the reliable channel's real-time
     // retransmission, or the victim's intra-cluster edge would deadlock.
-    for runtime in [
-        RuntimeKind::Loopback,
-        RuntimeKind::Sim,
-        RuntimeKind::Threads,
-    ] {
+    for runtime in RuntimeKind::ALL {
         let clean_result = run_on(workload.as_ref(), &clean, runtime);
         let result = run_on(workload.as_ref(), &faulty, runtime);
         assert!(result.measurement.converged, "{runtime} did not converge");
@@ -250,10 +256,14 @@ fn sync_crash_over_real_udp_sockets_recovers_via_rollback() {
     let mut faulty = clean.clone();
     faulty.churn =
         Some(ChurnPlan::kill(1, crash_at).with_checkpoint_interval((crash_at / 2).max(1)));
-    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Udp);
+    let result = run_on(
+        workload.as_ref(),
+        &one_loop_per_peer(&faulty),
+        RuntimeKind::Reactor,
+    );
     assert!(
         result.measurement.converged,
-        "udp churn run did not converge"
+        "socket churn run did not converge"
     );
     assert_eq!(result.measurement.crashes, 1);
     assert_eq!(result.measurement.recoveries, 1);
@@ -316,7 +326,7 @@ fn heat_and_pagerank_survive_crashes_through_their_restore_hooks() {
 
 /// The acceptance scenario of the elastic-membership subsystem: a seeded
 /// plan with one crash *and* one join, with live repartitioning armed,
-/// converges on all four backends; the measurement reports the join and at
+/// converges on every backend; the measurement reports the join and at
 /// least one applied re-slice (the recovery's and/or the join's).
 #[test]
 fn seeded_crash_plus_join_converges_with_repartition_on_every_backend() {
@@ -393,11 +403,9 @@ fn seeded_crash_plus_join_converges_with_repartition_on_every_backend() {
 /// Synchronous relaxation counts stay problem-determined through a
 /// repartitioned recovery *and* a join: the re-slice restores every peer
 /// onto one common global iterate (ghosts included) and the sweep sequence
-/// of a synchronous run does not depend on the decomposition, so all five
-/// backends (udp is the reactor at one event loop per peer, so udp ≡ reactor
-/// ≡ loopback is one plan's assertion) agree on the convergence iteration
-/// even though their capacity estimates (and hence their new partitions)
-/// differ.
+/// of a synchronous run does not depend on the decomposition, so every
+/// backend agrees on the convergence iteration even though their capacity
+/// estimates (and hence their new partitions) differ.
 #[test]
 fn repartitioned_sync_run_keeps_cross_runtime_relaxation_agreement() {
     let peers = 3;
@@ -477,9 +485,13 @@ fn join_mid_run_over_real_udp_sockets() {
             .with_checkpoint_interval((join_at / 2).max(1))
             .with_join(0, join_at),
     );
-    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Udp);
+    let result = run_on(
+        workload.as_ref(),
+        &one_loop_per_peer(&faulty),
+        RuntimeKind::Reactor,
+    );
     let m = &result.measurement;
-    assert!(m.converged, "udp join run did not converge");
+    assert!(m.converged, "socket join run did not converge");
     assert_eq!(m.crashes, 0);
     assert_eq!(m.joins, 1);
     assert_eq!(m.repartitions, 1);
@@ -504,11 +516,7 @@ fn per_peer_throughput_estimates_are_live() {
     let peers = 2;
     let workload = WorkloadKind::Obstacle.build(8, peers);
     let config = obstacle_config(Scheme::Synchronous, peers);
-    for runtime in [
-        RuntimeKind::Loopback,
-        RuntimeKind::Sim,
-        RuntimeKind::Threads,
-    ] {
+    for runtime in RuntimeKind::ALL {
         let result = run_on(workload.as_ref(), &config, runtime);
         assert_eq!(
             result.measurement.points_per_sec.len(),

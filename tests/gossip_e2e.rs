@@ -25,6 +25,17 @@ fn min_relaxations(m: &RunMeasurement) -> u64 {
     m.relaxations_per_peer.iter().copied().min().unwrap_or(0)
 }
 
+/// `config` on the reactor at one event loop per provisioned peer: the
+/// thread-per-peer shape of a small real-socket run, beside the default
+/// pool's shared loops.
+fn one_loop_per_peer(config: &RunConfig) -> RunConfig {
+    config.clone().with_extras(BackendExtras::Reactor {
+        event_loops: config.provisioned_peers(),
+        loss_probability: 0.0,
+        reorder_probability: 0.0,
+    })
+}
+
 /// How far the gossip stop may trail the centralized one, in push periods
 /// (`GossipTiming::push_period`, a fifth of the probe period in the
 /// backend's own clock units), on the backends whose gossip turn keeps time
@@ -38,9 +49,10 @@ fn min_relaxations(m: &RunMeasurement) -> u64 {
 /// (pagerank) and 8.4 (heat) push periods on sim.
 const LAG_PUSH_PERIODS: f64 = 4.0;
 
-/// The same bound on the wall-clock backends (udp, reactor), where peers
-/// relax as fast as the box lets them — a 10³ synchronous obstacle sweep is
-/// tens of microseconds, so one push period alone is dozens of relaxations.
+/// The same bound on the wall-clock backend (the reactor, at one loop per
+/// peer and at its default pool), where peers relax as fast as the box lets
+/// them — a 10³ synchronous obstacle sweep is tens of microseconds, so one
+/// push period alone is dozens of relaxations.
 /// Why 40 (the 8 probe periods this bound allowed before pushes existed):
 /// the 4 push periods of dissemination above, and the rest is a loaded
 /// box's scheduling — a peer's turn, and so its push, slips by several
@@ -50,8 +62,9 @@ const LAG_PUSH_PERIODS: f64 = 4.0;
 const LAG_PUSH_PERIODS_WALL_CLOCK: f64 = 40.0;
 
 /// Gossip vs centralized on the synchronous scheme, for all three workloads
-/// on all four e2e backends: both converge, and the gossip stop never fires
-/// earlier than the centralized one (with a bounded decision lag).
+/// on every backend (the reactor at one loop per peer and at its default
+/// pool): both converge, and the gossip stop never fires earlier than the
+/// centralized one (with a bounded decision lag).
 #[test]
 fn gossip_sync_decision_is_lossless_on_every_backend_and_workload() {
     let _shared = STATS.read().unwrap_or_else(|poison| poison.into_inner());
@@ -64,15 +77,19 @@ fn gossip_sync_decision_is_lossless_on_every_backend_and_workload() {
         let workload = kind.build(size, peers);
         let mut config = RunConfig::single_cluster(Scheme::Synchronous, peers);
         config.tolerance = tolerance;
-        for runtime in [
-            RuntimeKind::Loopback,
-            RuntimeKind::Sim,
-            RuntimeKind::Udp,
-            RuntimeKind::Reactor,
+        for (runtime, config, shape) in [
+            (RuntimeKind::Loopback, config.clone(), ""),
+            (RuntimeKind::Sim, config.clone(), ""),
+            (
+                RuntimeKind::Reactor,
+                one_loop_per_peer(&config),
+                " (a loop per peer)",
+            ),
+            (RuntimeKind::Reactor, config.clone(), ""),
         ] {
             let centralized = run_on(workload.as_ref(), &config, runtime);
             let gossip = run_on(workload.as_ref(), &config.clone().with_gossip(2), runtime);
-            let label = format!("{} / {}", kind.label(), runtime.label());
+            let label = format!("{} / {}{shape}", kind.label(), runtime.label());
             assert!(
                 centralized.measurement.converged,
                 "{label}: centralized run did not converge"
@@ -118,10 +135,11 @@ fn gossip_sync_decision_is_lossless_on_every_backend_and_workload() {
     }
 }
 
-/// A mid-run crash on the wall-clock backends with the ping server retired:
-/// the victim's recovery can only be granted through SWIM death verdicts
-/// (there is no monitor thread under gossip), so a completed recovery
-/// proves gossip-only eviction end to end.
+/// A mid-run crash on the wall-clock backend, at one event loop per peer and
+/// at its default pool, with the ping server retired: the victim's recovery
+/// can only be granted through SWIM death verdicts (there is no monitor
+/// thread under gossip), so a completed recovery proves gossip-only
+/// eviction end to end.
 #[test]
 fn gossip_only_eviction_recovers_a_crashed_peer_on_wall_clock_backends() {
     let _shared = STATS.read().unwrap_or_else(|poison| poison.into_inner());
@@ -129,10 +147,12 @@ fn gossip_only_eviction_recovers_a_crashed_peer_on_wall_clock_backends() {
     let workload = WorkloadKind::Obstacle.build(10, peers);
     let mut config = RunConfig::quick(Scheme::Asynchronous, peers).with_gossip(2);
     config.churn = Some(ChurnPlan::kill(1, 12).with_checkpoint_interval(5));
-    for runtime in [RuntimeKind::Udp, RuntimeKind::Reactor] {
-        let result = run_on(workload.as_ref(), &config, runtime);
+    for (config, label) in [
+        (one_loop_per_peer(&config), "reactor (a loop per peer)"),
+        (config.clone(), "reactor"),
+    ] {
+        let result = run_on(workload.as_ref(), &config, RuntimeKind::Reactor);
         let m = &result.measurement;
-        let label = runtime.label();
         assert!(m.converged, "{label}: faulty gossip run did not converge");
         assert_eq!(m.crashes, 1, "{label}: crash count");
         assert_eq!(

@@ -1,6 +1,6 @@
-//! End-to-end tests of the UDP runtime: the obstacle application running
-//! over real localhost sockets, checked for agreement with the in-process
-//! backends. These are the tests CI's `socket-e2e` job runs with a hard
+//! End-to-end tests of the UDP wire layer: the obstacle application running
+//! over real localhost sockets, on the reactor at one event loop per peer,
+//! checked for agreement with the in-process backends. These are the tests CI's `socket-e2e` job runs with a hard
 //! timeout (a hung handshake must fail fast, not stall the workflow).
 
 use p2pdc::{
@@ -11,6 +11,17 @@ use p2pdc::{
 fn run_obstacle(n: usize, config: &RunConfig, runtime: RuntimeKind) -> RuntimeExperimentResult {
     let workload = WorkloadKind::Obstacle.build(n, config.peers());
     run_on(workload.as_ref(), config, runtime)
+}
+
+/// `config` on the reactor at one event loop per provisioned peer (the
+/// thread-per-peer shape of a small real-socket run), with the shim dropping
+/// and reordering datagrams with probability `impairment` each.
+fn one_loop_per_peer(config: &RunConfig, impairment: f64) -> RunConfig {
+    config.clone().with_extras(BackendExtras::Reactor {
+        event_loops: config.provisioned_peers(),
+        loss_probability: impairment,
+        reorder_probability: impairment,
+    })
 }
 
 const TOLERANCE: f64 = RunConfig::DEFAULT_TOLERANCE;
@@ -27,7 +38,7 @@ const TOLERANCE: f64 = RunConfig::DEFAULT_TOLERANCE;
 fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
     let config = RunConfig::single_cluster(Scheme::Synchronous, 4);
     let loopback = run_obstacle(10, &config, RuntimeKind::Loopback);
-    let udp = run_obstacle(10, &config, RuntimeKind::Udp);
+    let udp = run_obstacle(10, &one_loop_per_peer(&config, 0.0), RuntimeKind::Reactor);
     assert!(loopback.measurement.converged && udp.measurement.converged);
     let min = |m: &p2pdc::RunMeasurement| m.relaxations_per_peer.iter().copied().min().unwrap_or(0);
     assert_eq!(
@@ -60,7 +71,7 @@ fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
 fn multi_fragment_boundary_planes_reassemble_end_to_end() {
     let config = RunConfig::single_cluster(Scheme::Synchronous, 2);
     let loopback = run_obstacle(16, &config, RuntimeKind::Loopback);
-    let udp = run_obstacle(16, &config, RuntimeKind::Udp);
+    let udp = run_obstacle(16, &one_loop_per_peer(&config, 0.0), RuntimeKind::Reactor);
     assert!(udp.measurement.converged);
     assert!(
         (udp.measurement.max_relaxations() as i64 - loopback.measurement.max_relaxations() as i64)
@@ -79,12 +90,8 @@ fn multi_fragment_boundary_planes_reassemble_end_to_end() {
 /// accurate solution, using the freshest updates that do arrive.
 #[test]
 fn asynchronous_two_cluster_run_tolerates_real_datagram_loss() {
-    let config =
-        RunConfig::quick_two_clusters(Scheme::Asynchronous, 2).with_extras(BackendExtras::Udp {
-            loss_probability: 0.05,
-            reorder_probability: 0.05,
-        });
-    let result = run_obstacle(10, &config, RuntimeKind::Udp);
+    let config = RunConfig::quick_two_clusters(Scheme::Asynchronous, 2);
+    let result = run_obstacle(10, &one_loop_per_peer(&config, 0.05), RuntimeKind::Reactor);
     assert!(result.measurement.converged, "lossy run did not converge");
     assert!(
         result.datagrams_dropped > 0,
@@ -101,8 +108,8 @@ fn asynchronous_two_cluster_run_tolerates_real_datagram_loss() {
 /// waited-for, the cross-cluster link runs asynchronously — on real sockets.
 #[test]
 fn hybrid_scheme_converges_over_udp_across_two_clusters() {
-    let config = RunConfig::two_clusters(Scheme::Hybrid, 4);
-    let result = run_obstacle(10, &config, RuntimeKind::Udp);
+    let config = one_loop_per_peer(&RunConfig::two_clusters(Scheme::Hybrid, 4), 0.0);
+    let result = run_obstacle(10, &config, RuntimeKind::Reactor);
     assert!(result.measurement.converged);
     assert_eq!(result.measurement.peers, 4);
     assert!(

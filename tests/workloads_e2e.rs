@@ -114,10 +114,10 @@ fn reactor_agrees_with_loopback_on_synchronous_relaxation_counts() {
 }
 
 /// The full grid — every workload on every backend under both schemes — at
-/// sizes bounded by the asynchronous × udp cells (a free-running peer
+/// sizes bounded by the asynchronous × reactor cells (a free-running peer
 /// relaxes hundreds of times per real-socket round trip). Every cell
 /// converges under its residual cap, and the synchronous convergence
-/// iteration is one number per workload on all five backends.
+/// iteration is one number per workload on all three backends.
 #[test]
 fn every_workload_converges_on_every_backend_and_synchronous_counts_agree() {
     let peers = 2;
