@@ -914,13 +914,13 @@ impl VolatilityState {
     }
 
     /// A joined rank whose substrate peer must be spawned, consumed by the
-    /// driver (loopback/sim spawn from the drive loop).
+    /// sim driver (it spawns from the triggering sweep's callback).
     pub fn take_pending_spawn(&mut self) -> Option<usize> {
         self.pending_spawn.take()
     }
 
-    /// Consume the pending spawn if it is for `rank` (a reactor's dormant
-    /// join slot polls this).
+    /// Consume the pending spawn if it is for `rank` (a dormant join slot
+    /// of the walk polls this).
     pub fn take_spawn_if(&mut self, rank: usize) -> bool {
         if self.pending_spawn == Some(rank) {
             self.pending_spawn = None;

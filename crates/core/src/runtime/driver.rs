@@ -27,8 +27,8 @@ pub enum RuntimeKind {
     /// (deterministic, models latency/bandwidth/loss — the evaluation
     /// harness default).
     Sim,
-    /// Single-threaded in-process round-robin with instant delivery
-    /// (deterministic, fastest).
+    /// The reactor's walk over in-memory queues on one thread, with instant
+    /// delivery and an event-count clock (deterministic, fastest).
     Loopback,
     /// Real localhost UDP sockets with framing, bootstrap discovery and an
     /// optional loss/reorder shim, driven by readiness-polled event loops

@@ -1205,7 +1205,7 @@ impl PeerEngine {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
-    use crate::runtime::host::Polled;
+    use crate::runtime::host::{Polled, PolledTransport};
 
     /// Scripted in-memory transport: records what the engine (or the hosted
     /// peer around it) does, in order, so tests can assert on it and shuttle
@@ -1240,6 +1240,12 @@ pub(crate) mod testing {
             };
             let sent = std::mem::take(&mut self.sent);
             sent.into_iter().filter_map(segment).collect()
+        }
+    }
+
+    impl PolledTransport for ScriptTransport {
+        fn polled(&mut self) -> &mut Polled {
+            &mut self.polled
         }
     }
 

@@ -3,15 +3,11 @@
 //!
 //! A backend delivers bytes and supplies a clock; what happens to a peer
 //! when bytes arrive or the clock moves does not depend on the substrate.
-//! [`HostedPeer`] is the engine plus its optional SWIM node as the run
-//! scaffold builds them ([`RunScaffold::host`]); its methods are the
-//! transitions, and [`HostedPeer::turn`] strings them together for the
-//! wall-clock backend. A backend that owns its clock (loopback ticks an
-//! event counter, desim calls the simulator back) calls the same sub-steps
-//! between its own clock operations. Every engine event a drive loop raises
-//! enters through here, so a per-peer event record or a liveness oracle has
-//! one place to hang. What stays in the backend file is what really differs:
-//! how the loop waits, and what a crash does to the wire.
+//! [`HostedPeer`] is the engine plus its optional SWIM node
+//! ([`RunScaffold::host`]); its methods are the transitions, which
+//! [`HostedPeer::turn`] strings together for the walk (`runtime::walk`) and
+//! `sim` calls one desim callback at a time. Every engine event a drive loop
+//! raises enters through here.
 //!
 //! Also here: what more than one transport is made of — the [`Polled`]
 //! core and the [`PacingGate`].
@@ -30,6 +26,11 @@ use netsim::{NodeId, Topology};
 pub(crate) struct Polled {
     pub(crate) timers: TimerQueue,
     pub(crate) compute_pending: bool,
+}
+
+/// A transport its drive loop polls for due work: it keeps a [`Polled`].
+pub(crate) trait PolledTransport: PeerTransport {
+    fn polled(&mut self) -> &mut Polled;
 }
 
 /// The rule behind [`PeerTransport::pacing_gate`] where links have a rate:
@@ -169,35 +170,26 @@ impl HostedPeer {
         }
     }
 
-    /// Adopt a pending asynchronous/hybrid re-slice while idle (the engine
-    /// also polls between sweeps). Returns whether a plan was adopted.
-    pub(crate) fn poll_membership(&mut self, transport: &mut impl PeerTransport) -> bool {
-        self.engine.poll_membership(transport)
-    }
-
     /// One turn of a running peer on a polled transport — nothing but the
     /// sub-steps, in this order. A fatal sweep ends the turn at once: a dead
     /// peer neither gossips nor polls. A sweep that completes after the run
     /// stopped is abandoned instead of published — and not computed, where
     /// it would run at the completion: its planes and report would only
     /// reach peers that are finishing, and the peer finishes now instead of
-    /// one more publish later.
-    pub(crate) fn turn<T: PeerTransport>(
-        &mut self,
-        run: &RunScaffold,
-        transport: &mut T,
-        polled: impl Fn(&mut T) -> &mut Polled,
-    ) -> Turn {
+    /// one more publish later. An idle peer adopts a pending
+    /// asynchronous/hybrid re-slice last (the engine also polls between
+    /// sweeps).
+    pub(crate) fn turn(&mut self, run: &RunScaffold, transport: &mut impl PolledTransport) -> Turn {
         // Every due protocol timer (the clock is re-read per timer: firing
         // one takes time).
         while !self.engine.finished() {
             let now = transport.now_ns();
-            let Some(key) = polled(transport).timers.pop_due(now) else {
+            let Some(key) = transport.polled().timers.pop_due(now) else {
                 break;
             };
             self.fire_timer(key, transport);
         }
-        if !self.engine.finished() && std::mem::take(&mut polled(transport).compute_pending) {
+        if !self.engine.finished() && std::mem::take(&mut transport.polled().compute_pending) {
             if run.shared.stopped() {
                 self.engine.on_distributed_decision(transport);
             } else if self.complete_compute(transport) {
@@ -215,7 +207,7 @@ impl HostedPeer {
             self.engine.on_stop_signal(transport);
         } else {
             self.engine.poll_rollback(transport);
-            self.poll_membership(transport);
+            self.engine.poll_membership(transport);
         }
         if self.engine.finished() {
             Turn::Finished
@@ -305,8 +297,8 @@ mod tests {
         let (_, mut b, mut tb) = started(config().with_gossip(1), 1);
         // First turn: each publishes update 1 (reliable: its retransmission
         // timer is armed) and waits for its neighbour.
-        assert_eq!(a.turn(&run, &mut ta, |t| &mut t.polled), Turn::Running);
-        assert_eq!(b.turn(&run, &mut tb, |t| &mut t.polled), Turn::Running);
+        assert_eq!(a.turn(&run, &mut ta), Turn::Running);
+        assert_eq!(b.turn(&run, &mut tb), Turn::Running);
         let first = data_seqs(&ta.sent)[0];
         // B's update reaches A — sweep 2 is pending — but no acknowledgement
         // of A's own does, and a rollback is published that A has not seen.
@@ -321,7 +313,7 @@ mod tests {
         ta.computes_after_sent.clear();
         ta.now_ns += 10_000_000_000;
 
-        assert_eq!(a.turn(&run, &mut ta, |t| &mut t.polled), Turn::Running);
+        assert_eq!(a.turn(&run, &mut ta), Turn::Running);
         // The due timers fired in deadline order — the delayed ack of B's
         // update, then the retransmission of update 1 — before update 2 …
         let kinds: Vec<SegmentKind> = segments(&ta.sent).iter().map(|s| s.kind).collect();
@@ -346,7 +338,7 @@ mod tests {
         config.churn = Some(ChurnPlan::kill(0, 1));
         let (run, mut peer, mut transport) = started(config, 0);
         run.shared.lock().begin_generation(1, 0);
-        let turn = peer.turn(&run, &mut transport, |t| &mut t.polled);
+        let turn = peer.turn(&run, &mut transport);
         assert_eq!(turn, Turn::Crashed);
         assert!(transport.sent.is_empty(), "a dead peer is silent");
         assert_eq!(peer.engine.generation(), 0, "and polls no verdict");
@@ -375,10 +367,7 @@ mod tests {
                 // Rank 1 finished first: the stop board is flipped, its
                 // broadcast is owned.
                 assert!(run.shared.lock().deposit_result(1, 1, Vec::new(), 1));
-                assert_eq!(
-                    peer.turn(&run, &mut transport, |t| &mut t.polled),
-                    Turn::Finished
-                );
+                assert_eq!(peer.turn(&run, &mut transport), Turn::Finished);
                 assert!(transport.sent.is_empty(), "published {:?}", transport.sent);
                 assert!(transport.broadcasts.is_empty());
                 assert!(!transport.polled.compute_pending);

@@ -1,46 +1,40 @@
 //! The loopback runtime of P2PDC: single-process, zero-latency, fully
 //! deterministic.
 //!
-//! The third [`PeerTransport`] implementation, and the cheapest: every peer
-//! lives in one thread, wires are delivered instantly through in-memory
-//! queues, and the "clock" is a counter that advances one nanosecond per
-//! engine event (it only has to be monotone for the P2PSAP sockets and the
-//! convergence detector — the elapsed time it yields is not a performance
-//! measurement). Peers are driven round-robin, so runs are bit-for-bit
-//! reproducible with no simulator in the loop.
+//! The cheapest substrate of the shared walk (`runtime::walk`): every rank
+//! is one shard on one loop on the calling thread, wires go through
+//! in-memory queues, and the clock is a counter that ticks once per unit of
+//! work — a delivered wire, a turn, a burst of gossip (it only has to be
+//! monotone for the P2PSAP sockets and the convergence detector; the
+//! elapsed time it yields is not a performance measurement). Quick tests,
+//! the scenario fuzzer and the cross-runtime count tests run here, on the
+//! turn order the reactor ships, bit-for-bit reproducibly.
 //!
-//! Quick tests and the engine's own unit tests use this runtime: it
-//! exercises the exact scheme-wait, socket and termination logic of the
-//! other substrates at a fraction of their cost, and demonstrates that the
-//! engine abstraction really is runtime-agnostic.
-//!
-//! The substrate owns its clock, and same-seed outcomes depend on where it
-//! ticks: so instead of the hosted peer's whole `turn` it calls the same
-//! sub-steps (`runtime::host`), each as one `Loopback::event` — tick, show
-//! the clock to the peer's transport, call, flush what the call sent. Its
-//! own beyond that: traffic to a crashed peer is held, not lost, and the
-//! gossip turn ticks between its steps.
+//! What is loopback's own is its substrate: traffic to a crashed peer is
+//! held, not lost; a crashed rank revives no earlier than the plan's
+//! modelled detection delay; the wait jumps the clock to the next deadline,
+//! and a run that stops relaxing ends at the wedge guard or, with nothing
+//! left scheduled, at the idle exit.
 
 use crate::churn::ChurnEventKind;
 use crate::gossip::GossipTiming;
 use crate::runtime::driver::{ClockDomain, DriverOutcome, TaskFactory};
-use crate::runtime::engine::{PeerEngine, PeerTransport, TimerKey, Wire};
-use crate::runtime::host::{CrashVerdict, HostedPeer, Polled};
+use crate::runtime::engine::{PeerTransport, TimerKey, Wire};
+use crate::runtime::host::{HostedPeer, Polled, PolledTransport, Turn};
 use crate::runtime::scaffold::RunScaffold;
+use crate::runtime::walk::{walk, Peer, Phase, Substrate};
 use crate::runtime::RunConfig;
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Event-count link-fault model of the loopback substrate: the
-/// [`netsim::LinkFaults`] predicate the virtual-time backend uses, with the
-/// event counter standing in for nanoseconds, plus what is loopback's own.
-/// Data wires crossing a cut edge are *held* until the edge reopens (the
-/// loopback clock cannot reach retransmission timescales, so dropping them
-/// would deadlock a synchronous edge — the same reasoning that holds
-/// in-flight traffic to crashed peers); gossip wires are *dropped* (the
-/// control plane is built for loss, and that loss is what raises suspicions
-/// during a partition). Stop and rollback broadcasts model reliable control
-/// delivery on both deterministic backends, so they pass unimpaired.
+/// [`netsim::LinkFaults`] predicate of the virtual-time backend on the event
+/// clock. Data wires crossing a cut edge are *held* until it reopens (as
+/// traffic to a crashed peer is held); gossip wires are *dropped* (that loss
+/// raises suspicions during a partition); stop and rollback pass unimpaired
+/// (reliable control delivery, as on sim).
 #[derive(Default)]
 struct LoopLinkState {
     /// Partitions, flapping edges and corruption budgets.
@@ -119,20 +113,17 @@ impl LoopLinkState {
     }
 
     /// Move held wires whose edge reopened (or delay elapsed) into the
-    /// destination inboxes. Returns whether anything was released.
-    fn release_due(&mut self, clock: u64, inboxes: &mut [VecDeque<(usize, Wire)>]) -> bool {
-        let mut released = false;
+    /// destination inboxes.
+    fn release_due(&mut self, clock: u64, inboxes: &mut [VecDeque<(usize, Wire)>]) {
         let mut at = 0;
         while at < self.held.len() {
             if self.held[at].0 <= clock {
                 let (_, from, to, wire) = self.held.swap_remove(at);
                 inboxes[to].push_back((from, wire));
-                released = true;
             } else {
                 at += 1;
             }
         }
-        released
     }
 
     /// Earliest pending release (for the idle clock jump).
@@ -141,46 +132,85 @@ impl LoopLinkState {
     }
 }
 
-/// Nanoseconds of protocol-timer delay per loopback event tick (0.1 ms):
-/// the exchange rate [`LoopbackTransport::arm_timer`] applies to the
-/// session stack's ns-denominated timer requests. Chosen so the reliable
-/// channel's 600 ms retransmission timeout becomes 6 000 events — far
-/// above any loopback round trip (a handful of events), far below the
-/// driver's wedge-guard gap even at full exponential back-off.
+/// Nanoseconds of protocol-timer delay per event tick (0.1 ms): the reliable
+/// channel's 600 ms retransmission timeout becomes 6 000 events — far above
+/// a loopback round trip, far below the wedge guard's gap even at full
+/// exponential back-off.
 const NS_PER_EVENT: u64 = 100_000;
+
+/// Wedge guard: a run whose clock keeps advancing (gossip, timers, held
+/// wires) while no engine relaxes for this many events ends unconverged —
+/// loopback has no deadline, and a cut that never heals would otherwise
+/// drive the chatter forever.
+const WEDGE_EVENT_GAP: u64 = 1_000_000;
+
+/// The wire every rank shares: the event clock, one inbox per provisioned
+/// rank, and the link-fault model when the plan schedules link faults.
+#[derive(Default)]
+struct Queues {
+    clock: u64,
+    inboxes: Vec<VecDeque<(usize, Wire)>>,
+    links: Option<LoopLinkState>,
+    /// Something was sent or a peer changed phase since the last wait.
+    moved: bool,
+    /// The clock of the last delivery or gossip burst (one unit of work).
+    event_at: u64,
+}
+
+impl Queues {
+    /// Put a wire on the way to `to`, through the link-fault model if armed.
+    fn send(&mut self, from: usize, to: usize, wire: Wire) {
+        self.moved = true;
+        match self.links.as_mut() {
+            Some(l) => l.route(from, to, wire, self.clock, &mut self.inboxes),
+            None => self.inboxes[to].push_back((from, wire)),
+        }
+    }
+
+    /// One unit of work: the clock ticks.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
 
 /// The [`PeerTransport`] of the loopback runtime: instant delivery into
 /// sibling inboxes, timers on the shared event-counter clock.
 struct LoopbackTransport {
     rank: usize,
-    peers: usize,
-    /// Event-counter clock, set by the driver before every engine call.
-    clock_ns: u64,
-    /// Wires produced by the last call into the peer, drained into the
-    /// destination inboxes by the driver.
-    outbox: Vec<(usize, Wire)>,
+    queues: Rc<RefCell<Queues>>,
     polled: Polled,
+    /// The clock a crashed rank revives at, at the earliest.
+    recover_at: u64,
+}
+
+impl PolledTransport for LoopbackTransport {
+    fn polled(&mut self) -> &mut Polled {
+        &mut self.polled
+    }
 }
 
 impl PeerTransport for LoopbackTransport {
     fn now_ns(&mut self) -> u64 {
-        self.clock_ns
+        self.queues.borrow().clock
     }
 
     fn transmit(&mut self, to: usize, wire: Wire) {
-        self.outbox.push((to, wire));
+        let mut queues = self.queues.borrow_mut();
+        // A burst of gossip sent outside a delivery is one unit of work.
+        if matches!(wire, Wire::Gossip(_)) && queues.event_at != queues.clock {
+            queues.event_at = queues.tick();
+        }
+        queues.send(self.rank, to, wire);
     }
 
     fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
-        // Session protocol timers are ns-denominated (the stack knows
-        // nothing of the event-counter clock). Map them onto the event
-        // clock at [`NS_PER_EVENT`] so a reliable-channel retransmission
-        // (600 ms RTO) lands thousands of events out — reachable while
-        // gossip chatter keeps the clock busy — instead of hundreds of
-        // millions, which the wedge guard rightly calls a stalled run.
+        // Session timers are ns-denominated: at one event per ns a 600 ms
+        // retransmission would land past the wedge guard's gap.
+        let now = self.queues.borrow().clock;
         self.polled
             .timers
-            .arm(key, self.clock_ns + (delay_ns / NS_PER_EVENT).max(1));
+            .arm(key, now + (delay_ns / NS_PER_EVENT).max(1));
     }
 
     fn cancel_timer(&mut self, key: TimerKey) {
@@ -188,89 +218,58 @@ impl PeerTransport for LoopbackTransport {
     }
 
     fn schedule_compute(&mut self, _work_points: u64) {
-        // Zero-cost compute: the completion is the driver's next turn,
-        // after that turn's deliveries (an asynchronous peer's sweep runs
-        // in it).
+        // Zero-cost compute: the completion is the peer's next turn, after
+        // that turn's deliveries (an asynchronous peer's sweep runs in it).
         self.polled.compute_pending = true;
     }
 
     fn broadcast(&mut self, wire: &Wire) {
-        for rank in 0..self.peers {
-            if rank != self.rank {
-                self.outbox.push((rank, wire.clone()));
-            }
+        let mut queues = self.queues.borrow_mut();
+        for rank in (0..queues.inboxes.len()).filter(|&rank| rank != self.rank) {
+            queues.send(self.rank, rank, wire.clone());
         }
     }
 }
 
-/// The substrate: every provisioned rank's slot (`None` until a join rank's
-/// join fires), transport and inbox, the event clock, and the link-fault
-/// model when the plan schedules link faults.
-struct Loopback {
-    clock: u64,
-    peers: Vec<Option<HostedPeer>>,
-    transports: Vec<LoopbackTransport>,
-    inboxes: Vec<VecDeque<(usize, Wire)>>,
-    links: Option<LoopLinkState>,
+/// The substrate: the shared queues, the run, and the wedge guard's
+/// record (the clock at the last change of the relaxation total, and it).
+struct Loopback<'a> {
+    run: &'a RunScaffold,
+    queues: Rc<RefCell<Queues>>,
+    retired: Vec<Peer<LoopbackTransport>>,
+    last_relax_clock: u64,
+    last_relax_total: u64,
 }
 
-impl Loopback {
-    /// Drain `rank`'s outbox into the destination inboxes, through the
-    /// link-fault model when one is armed.
-    fn flush(&mut self, rank: usize) {
-        for (to, wire) in self.transports[rank].outbox.drain(..) {
-            match self.links.as_mut() {
-                Some(l) => l.route(rank, to, wire, self.clock, &mut self.inboxes),
-                None => self.inboxes[to].push_back((rank, wire)),
-            }
-        }
-    }
-
-    /// One engine event of `rank`: tick the clock, show it to the peer's
-    /// transport, make the call, flush what it sent.
-    fn event<R>(
-        &mut self,
-        rank: usize,
-        call: impl FnOnce(&mut HostedPeer, &mut LoopbackTransport) -> R,
-    ) -> R {
-        self.clock += 1;
-        self.transports[rank].clock_ns = self.clock;
-        let peer = self.peers[rank]
-            .as_mut()
-            .expect("events go to spawned ranks");
-        let result = call(peer, &mut self.transports[rank]);
-        self.flush(rank);
-        result
-    }
-
-    fn engine(&self, rank: usize) -> &PeerEngine {
-        &self.peers[rank].as_ref().expect("spawned").engine
-    }
-
+impl Loopback<'_> {
     /// Env-gated (`LOOPBACK_WEDGE_DEBUG=1`) dump of the per-rank drive state
-    /// on the two no-progress exit paths (wedge guard and empty idle-jump) —
+    /// on the two no-progress exit paths (wedge guard and empty idle jump) —
     /// the scenario fuzzer's first debugging stop when a loopback run ends
     /// unconverged.
-    fn dump_no_progress_exit(&self, path: &str) {
+    fn dump_no_progress_exit(&self, path: &str, peers: &mut [Peer<LoopbackTransport>]) {
         if std::env::var("LOOPBACK_WEDGE_DEBUG").is_err() {
             return;
         }
-        eprintln!("{path} at clock {}:", self.clock);
-        for (rank, peer) in self.peers.iter().enumerate() {
-            let Some(HostedPeer { engine: e, gossip }) = peer else {
-                eprintln!("  rank {rank}: unspawned");
+        let queues = self.queues.borrow();
+        eprintln!("{path} at clock {}:", queues.clock);
+        for peer in peers {
+            let (Some(HostedPeer { engine: e, gossip }), Some(t)) = (&peer.host, &peer.transport)
+            else {
+                eprintln!("  rank {}: unspawned", peer.rank);
                 continue;
             };
             eprintln!(
-                "  rank {rank}: relax={} finished={} crashed={} computing={} gen={} inbox={} compute_pending={} timer_deadline={:?} gossip_deadline={:?} dead_ranks={:?}",
+                "  rank {}: {:?} relax={} finished={} crashed={} computing={} gen={} inbox={} compute_pending={} timer_deadline={:?} gossip_deadline={:?} dead_ranks={:?}",
+                peer.rank,
+                peer.phase,
                 e.relaxations(),
                 e.finished(),
                 e.crashed(),
                 e.computing(),
                 e.generation(),
-                self.inboxes[rank].len(),
-                self.transports[rank].polled.compute_pending,
-                self.transports[rank].polled.timers.earliest_deadline(),
+                queues.inboxes[peer.rank].len(),
+                t.polled.compute_pending,
+                t.polled.timers.earliest_deadline(),
                 gossip.as_ref().map(|g| g.next_deadline()),
                 gossip.as_ref().map(|g| g.dead_ranks()),
             );
@@ -278,36 +277,197 @@ impl Loopback {
     }
 }
 
+impl Substrate for Loopback<'_> {
+    type Transport = LoopbackTransport;
+
+    fn attach(&mut self, rank: usize, _joined: bool) -> LoopbackTransport {
+        self.queues.borrow_mut().moved = true;
+        LoopbackTransport {
+            rank,
+            queues: Rc::clone(&self.queues),
+            polled: Polled::default(),
+            recover_at: 0,
+        }
+    }
+
+    /// Nothing to discover: the start is one unit of work.
+    fn discover(&mut self, _: usize, _: &mut LoopbackTransport) -> Option<Vec<(usize, Wire)>> {
+        self.queues.borrow_mut().tick();
+        Some(Vec::new())
+    }
+
+    fn drain_into(
+        &mut self,
+        rank: usize,
+        phase: Phase,
+        transport: &mut LoopbackTransport,
+        mut deliver: impl FnMut(usize, Wire, &mut LoopbackTransport) -> bool,
+    ) {
+        // A crashed peer's traffic waits in its inbox until the revive
+        // rather than being dropped: retransmission timescales are out of
+        // the event clock's reach while any peer is busy, so a dropped,
+        // unacknowledged update would deadlock a synchronous edge. Real loss
+        // under a crash lives on the reactor.
+        if phase != Phase::Running {
+            return;
+        }
+        loop {
+            let next = {
+                let mut queues = self.queues.borrow_mut();
+                queues.inboxes[rank].pop_front().inspect(|_| {
+                    queues.event_at = queues.tick();
+                })
+            };
+            let Some((from, wire)) = next else { break };
+            if !deliver(from, wire, transport) {
+                return;
+            }
+        }
+        // The turn that follows.
+        self.queues.borrow_mut().tick();
+    }
+
+    fn turned(
+        &mut self,
+        rank: usize,
+        turn: Turn,
+        host: &HostedPeer,
+        transport: &mut LoopbackTransport,
+    ) {
+        let mut queues = self.queues.borrow_mut();
+        let clock = queues.clock;
+        if turn == Turn::Crashed {
+            // The rank grants its own recovery and waits out the plan's
+            // modelled failure-detection delay, standing in for the ping
+            // sweep the reactor runs for real.
+            transport.recover_at = clock + host.self_grant(self.run, ClockDomain::EventCount);
+            queues.moved = true;
+        }
+        // Arm due link-fault events on this rank's relaxation clock.
+        if let Some(l) = queues.links.as_mut() {
+            let relaxations = host.engine.relaxations();
+            let domain = ClockDomain::EventCount;
+            for event in (self.run).arm_link_events(rank, relaxations, &l.faults, clock, domain) {
+                // The loopback link has no latency to scale; each unit of
+                // slowdown beyond 1x becomes one event of delay.
+                if let ChurnEventKind::AsymmetricLatency { peer, factor } = event.kind {
+                    let delay = (factor - 1.0).round().max(0.0) as u64;
+                    l.asym.push((rank, peer, delay));
+                }
+            }
+        }
+    }
+
+    fn revive(&mut self, _: usize, transport: &mut LoopbackTransport) -> bool {
+        let mut queues = self.queues.borrow_mut();
+        if queues.clock < transport.recover_at {
+            return false;
+        }
+        queues.tick();
+        queues.moved = true;
+        true
+    }
+
+    /// Kept, with its task's blocks, until the run's outcome is built:
+    /// freed mid-run they shrink the heap the next run allocates from.
+    fn retire(&mut self, peer: Peer<LoopbackTransport>) {
+        self.queues.borrow_mut().moved = true;
+        self.retired.push(peer);
+    }
+
+    fn wait(
+        &mut self,
+        peers: &mut [Peer<LoopbackTransport>],
+        busy: bool,
+        deadline: Option<u64>,
+    ) -> bool {
+        if peers.is_empty() {
+            return false;
+        }
+        let relax_total: u64 = peers
+            .iter()
+            .filter_map(|p| p.host.as_ref())
+            .map(|h| h.engine.relaxations())
+            .sum();
+        let mut queues = self.queues.borrow_mut();
+        let clock = queues.clock;
+        // `!=` rather than `>`: a checkpoint restore rewinds the counters,
+        // and the rewind itself is evidence the run is still moving.
+        if relax_total != self.last_relax_total {
+            self.last_relax_total = relax_total;
+            self.last_relax_clock = clock;
+        } else if clock.saturating_sub(self.last_relax_clock) > WEDGE_EVENT_GAP {
+            drop(queues);
+            self.dump_no_progress_exit("WEDGE", peers);
+            return false;
+        }
+        if !std::mem::take(&mut queues.moved) && !busy {
+            // Everyone is waiting: jump the clock to the earliest protocol
+            // timer, revival, live gossip deadline or held wire's release,
+            // or give up if none exists — finish_run then reports the run
+            // as not converged. A timer or revival at or before the clock
+            // fell due during the pass, after its peer's turn: take the
+            // pass. A gossip deadline must lie strictly ahead: one at or
+            // before the clock was already polled without effect, and
+            // letting it shadow a later genuine deadline would end a run
+            // that still has scheduled work.
+            let earliest = peers
+                .iter()
+                .filter_map(|p| {
+                    let (host, transport) = (p.host.as_ref()?, p.transport.as_ref()?);
+                    match p.phase {
+                        Phase::AwaitGrant => Some(transport.recover_at),
+                        // Only live gossip nodes can still make progress.
+                        Phase::Running if !host.engine.finished() && !host.engine.crashed() => host
+                            .gossip
+                            .as_ref()
+                            .map(|g| g.next_deadline())
+                            .filter(|&at| at > clock),
+                        _ => None,
+                    }
+                })
+                .chain(deadline)
+                .chain(queues.links.as_ref().and_then(LoopLinkState::next_release))
+                .min();
+            let Some(at) = earliest else {
+                drop(queues);
+                self.dump_no_progress_exit("IDLE-EXIT", peers);
+                return false;
+            };
+            if at > clock {
+                // The wedge guard measures processed events, and a jump
+                // processes none: the jumped span must not count toward
+                // the gap, or every retransmission on this clock would
+                // read as a wedge before it fires.
+                self.last_relax_clock += at - clock;
+                queues.clock = at;
+            }
+        }
+        // Release wires whose cut edge reopened (or whose asymmetric delay
+        // elapsed) into the destination inboxes.
+        let queues = &mut *queues;
+        if let Some(l) = queues.links.as_mut() {
+            l.release_due(queues.clock, &mut queues.inboxes);
+        }
+        true
+    }
+}
+
 /// Run a distributed iterative computation in-process with zero latency
-/// (the outcome's elapsed time counts engine events, not time). Needs
-/// nothing beyond the shared [`RunConfig`]: latencies are ignored, the
-/// topology only drives the peer count and the hybrid scheme's
-/// cluster-split wait rule, and no [`BackendExtras`](crate::BackendExtras)
-/// variant is read.
+/// (the outcome's elapsed time counts events, not time). Needs nothing
+/// beyond the shared [`RunConfig`]: latencies are ignored, the topology only
+/// drives the peer count and the hybrid scheme's cluster-split wait rule,
+/// and no [`BackendExtras`](crate::BackendExtras) variant is read.
 pub(crate) fn run_iterative_loopback(
     config: &RunConfig,
     task_factory: TaskFactory<'_>,
 ) -> DriverOutcome {
-    // Substrate capacity (transports, inboxes) is provisioned for ranks that
-    // may join mid-run; their peers stay unspawned until the join fires.
-    // Under the gossip control plane the event-counter clock drives the
-    // probe cadence, so runs stay bit-for-bit deterministic.
+    // Inboxes are provisioned for ranks that may join mid-run. Under the
+    // gossip control plane the event-counter clock drives the probe
+    // cadence, so runs stay bit-for-bit deterministic.
     let total = config.provisioned_peers();
     let run = RunScaffold::new(config, GossipTiming::event_count(total));
-    let mut sub = Loopback {
-        clock: 0,
-        peers: (0..total)
-            .map(|rank| (rank < run.alpha).then(|| run.host(rank, task_factory(rank))))
-            .collect(),
-        transports: (0..total)
-            .map(|rank| LoopbackTransport {
-                rank,
-                peers: total,
-                clock_ns: 0,
-                outbox: Vec::new(),
-                polled: Polled::default(),
-            })
-            .collect(),
+    let queues = Rc::new(RefCell::new(Queues {
         inboxes: (0..total).map(|_| VecDeque::new()).collect(),
         // Scenario link faults, when the plan schedules any (the event-count
         // twin of the sim backend's netsim fault schedule).
@@ -316,254 +476,18 @@ pub(crate) fn run_iterative_loopback(
             .as_ref()
             .filter(|plan| plan.link_fault_count() > 0)
             .map(|_| LoopLinkState::default()),
+        ..Queues::default()
+    }));
+    let mut sub = Loopback {
+        run: &run,
+        queues: Rc::clone(&queues),
+        retired: Vec::new(),
+        last_relax_clock: 0,
+        last_relax_total: 0,
     };
-
-    for rank in 0..run.alpha {
-        sub.event(rank, |peer, transport| peer.engine.on_start(transport));
-    }
-
-    // Clock values at which crashed ranks recover (the plan's modelled
-    // failure-detection latency stands in for the ping sweep the wall-clock
-    // backends run for real).
-    let mut recover_at: HashMap<usize, u64> = HashMap::new();
-    // Wedge guard: the event clock at the last completed relaxation, and
-    // the relaxation total it was observed at. A run where the clock keeps
-    // advancing (gossip probes, protocol timers, link-fault releases) while
-    // no engine relaxes for WEDGE_EVENT_GAP events is declared wedged and
-    // reported as non-converged — the loopback substrate has no deadline,
-    // so without this a fault schedule that permanently stalls the engines
-    // (e.g. a cut that never heals) would drive the chatter forever.
-    const WEDGE_EVENT_GAP: u64 = 1_000_000;
-    let mut last_relax_clock: u64 = 0;
-    let mut last_relax_total: u64 = 0;
-
-    loop {
-        let mut progress = false;
-        // Release wires whose cut edge reopened (or whose asymmetric delay
-        // elapsed) into the destination inboxes.
-        if let Some(l) = sub.links.as_mut() {
-            if l.release_due(sub.clock, &mut sub.inboxes) {
-                progress = true;
-            }
-        }
-        // A join fired: spawn the pre-provisioned rank. Its engine adopts
-        // the joined slice of the membership plan and starts relaxing.
-        if let Some(vol) = &run.volatility {
-            let spawn = vol.lock().take_pending_spawn();
-            if let Some(rank) = spawn {
-                if sub.peers[rank].is_none() {
-                    if let Some(peer) = run.join_host(rank) {
-                        sub.peers[rank] = Some(peer);
-                        sub.event(rank, |peer, transport| peer.engine.on_start(transport));
-                        progress = true;
-                    }
-                }
-            }
-        }
-        for rank in 0..total {
-            if sub.peers[rank].is_none() {
-                continue;
-            }
-            // A crashed peer is silent: its protocol timers die with it and
-            // nothing is delivered to it until, after the modelled detection
-            // delay, the recovery path revives the rank. In-flight traffic
-            // waits in its inbox rather than being dropped: the loopback
-            // clock advances one tick per event, so protocol retransmission
-            // timescales (milliseconds) are unreachable while any peer is
-            // busy — dropping a delivered-but-unacknowledged update here
-            // would lose it forever and deadlock a synchronous edge. Real
-            // loss-under-crash semantics live on the UDP backend, whose
-            // sockets genuinely drop and retransmit in wall-clock time.
-            if sub.engine(rank).crashed() {
-                if let std::collections::hash_map::Entry::Vacant(entry) = recover_at.entry(rank) {
-                    let peer = sub.peers[rank].as_ref().expect("spawned");
-                    entry.insert(sub.clock + peer.self_grant(&run, ClockDomain::EventCount));
-                    sub.transports[rank].polled = Polled::default();
-                    progress = true;
-                    continue;
-                }
-                match run.crash_verdict(rank) {
-                    // The run ended (cap) while the peer was down.
-                    CrashVerdict::Stopped => {
-                        recover_at.remove(&rank);
-                        sub.event(rank, |peer, transport| {
-                            peer.deliver(rank, Wire::Stop, transport)
-                        });
-                        progress = true;
-                    }
-                    CrashVerdict::Granted if sub.clock >= recover_at[&rank] => {
-                        recover_at.remove(&rank);
-                        sub.event(rank, |peer, transport| peer.revive(transport));
-                        progress = true;
-                    }
-                    _ => {}
-                }
-                continue;
-            }
-            // Deliver everything queued for this peer.
-            while let Some((from, wire)) = sub.inboxes[rank].pop_front() {
-                sub.event(rank, |peer, transport| peer.deliver(from, wire, transport));
-                progress = true;
-                if sub.engine(rank).crashed() {
-                    break;
-                }
-            }
-            // Fire due protocol timers.
-            while let Some(key) = sub.transports[rank].polled.timers.pop_due(sub.clock) {
-                sub.event(rank, |peer, transport| peer.fire_timer(key, transport));
-                progress = true;
-            }
-            // Complete a pending relaxation.
-            if std::mem::take(&mut sub.transports[rank].polled.compute_pending) {
-                sub.event(rank, |peer, transport| peer.complete_compute(transport));
-                // Arm due link-fault events on this rank's relaxation clock.
-                let relaxations = sub.engine(rank).relaxations();
-                if let Some(l) = sub.links.as_mut() {
-                    for event in run.arm_link_events(
-                        rank,
-                        relaxations,
-                        &l.faults,
-                        sub.clock,
-                        ClockDomain::EventCount,
-                    ) {
-                        // The loopback link has no latency to scale; each
-                        // unit of slowdown beyond 1x becomes one engine
-                        // event of delay.
-                        if let ChurnEventKind::AsymmetricLatency { peer, factor } = event.kind {
-                            let delay = (factor - 1.0).round().max(0.0) as u64;
-                            l.asym.push((rank, peer, delay));
-                        }
-                    }
-                }
-                progress = true;
-            }
-            // Gossip control plane turn: author the latest sweep, run the
-            // probe cycle on the event-counter clock, and evaluate the stop
-            // decision over the merged digest. Not `HostedPeer::gossip_turn`:
-            // this one ticks the event clock between its steps (the probe
-            // delivery and the decision are each one event) and leaves the
-            // recovery grant to the crashed rank's own visit above, and
-            // same-seed outcomes — elapsed events, placement loads — depend
-            // on both.
-            let peer = sub.peers[rank].as_mut().expect("spawned");
-            if let Some(g) = peer.gossip.as_mut() {
-                let engine = &peer.engine;
-                if !engine.finished() && !engine.crashed() {
-                    if let Some(sweep) = engine.sweep_summary() {
-                        g.record_sweep(&sweep);
-                    }
-                    let msgs = g.poll(sub.clock);
-                    let decided = g.decide(config.scheme, engine.generation());
-                    if !msgs.is_empty() {
-                        sub.clock += 1;
-                        for (to, msg) in msgs {
-                            sub.transports[rank].transmit(to, Wire::Gossip(msg.encode()));
-                        }
-                        sub.flush(rank);
-                        progress = true;
-                    }
-                    if decided {
-                        sub.event(rank, |peer, transport| {
-                            peer.engine.on_distributed_decision(transport)
-                        });
-                        progress = true;
-                    }
-                }
-            }
-            // Adopt a pending asynchronous/hybrid re-slice even while idle
-            // (the engine also polls between sweeps; this covers a peer
-            // parked in a scheme wait with no traffic in flight). The clock
-            // ticks only when a plan was adopted.
-            if !sub.engine(rank).finished() && !sub.engine(rank).computing() {
-                sub.transports[rank].clock_ns = sub.clock;
-                let peer = sub.peers[rank].as_mut().expect("spawned");
-                if peer.poll_membership(&mut sub.transports[rank]) {
-                    sub.clock += 1;
-                    sub.flush(rank);
-                    progress = true;
-                }
-            }
-            // Propagate a stop another peer established.
-            if !sub.engine(rank).finished() && !sub.engine(rank).computing() && run.shared.stopped()
-            {
-                sub.event(rank, |peer, transport| {
-                    peer.deliver(rank, Wire::Stop, transport)
-                });
-                progress = true;
-            }
-        }
-        if sub.peers.iter().flatten().all(|p| p.engine.finished()) {
-            break;
-        }
-        let relax_total: u64 = sub
-            .peers
-            .iter()
-            .flatten()
-            .map(|p| p.engine.relaxations())
-            .sum();
-        // `!=` rather than `>`: a checkpoint restore rewinds the counters,
-        // and the rewind itself is evidence the run is still moving.
-        if relax_total != last_relax_total {
-            last_relax_total = relax_total;
-            last_relax_clock = sub.clock;
-        } else if sub.clock.saturating_sub(last_relax_clock) > WEDGE_EVENT_GAP {
-            // Wedged (see the guard's declaration): end the run; finish_run
-            // reports it as not converged.
-            sub.dump_no_progress_exit("WEDGE");
-            break;
-        }
-        if !progress {
-            // Everyone is waiting: jump the clock to the earliest armed
-            // protocol timer (e.g. a retransmission) or pending recovery, or
-            // give up if neither exists — finish_run then reports the run as
-            // not converged.
-            let clock = sub.clock;
-            let earliest = sub
-                .transports
-                .iter()
-                .filter_map(|t| t.polled.timers.earliest_deadline())
-                .chain(recover_at.values().copied())
-                .chain(
-                    // Probe cadence: only live gossip nodes can still make
-                    // progress, so only their deadlines keep the clock alive.
-                    sub.peers
-                        .iter()
-                        .flatten()
-                        .filter(|p| !p.engine.finished() && !p.engine.crashed())
-                        .filter_map(|p| p.gossip.as_ref().map(|g| g.next_deadline())),
-                )
-                // A held wire behind a cut edge releases at a known clock; a
-                // quiet network must still advance to that point.
-                .chain(sub.links.as_ref().and_then(LoopLinkState::next_release))
-                // Only strictly-future instants can unblock anything: a
-                // deadline at or before the current clock was already swept
-                // this turn without progress, and letting it shadow a later
-                // genuine deadline (a pending recovery, another node's probe
-                // round) would end a run that still has scheduled work.
-                .filter(|&deadline| deadline > clock)
-                .min();
-            match earliest {
-                Some(deadline) => {
-                    // An idle jump processes zero events, and the wedge
-                    // guard measures processed events — so the jumped span
-                    // must not count toward the gap. The reliable channel's
-                    // retransmission timeout is ns-denominated (600 ms),
-                    // which on this clock is a deadline hundreds of millions
-                    // of ticks out: charging the jump to the guard would
-                    // declare every corrupted-then-retransmitted synchronous
-                    // segment a wedge before the retransmission fires.
-                    last_relax_clock += deadline - clock;
-                    sub.clock = deadline;
-                }
-                None => {
-                    sub.dump_no_progress_exit("IDLE-EXIT");
-                    break;
-                }
-            }
-        }
-    }
-
-    run.finish(sub.clock, None, 0)
+    walk(&mut sub, &run, 0..total, task_factory);
+    let clock = queues.borrow().clock;
+    run.finish(clock, None, 0)
 }
 
 #[cfg(test)]

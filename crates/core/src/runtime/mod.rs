@@ -18,12 +18,12 @@
 //!   [`engine::Wire`], arm/cancel a protocol timer, schedule compute
 //!   completion, pace an asynchronous send).
 //!
-//! * `scaffold` + `host` — what every backend does *around* and *in* its
-//!   drive loop, written once: the detector / volatility / repartitioner
-//!   construction, the ping-server-or-gossip choice, the hosted peer (engine
-//!   and SWIM node) and its transitions — an inbound wire, due timers, the
-//!   finished sweep, the gossip turn, the verdict polls, crash → grant →
-//!   revive — and the assembly of the uniform [`driver::DriverOutcome`].
+//! * `scaffold` + `host` + `walk` — what every backend does *around* and
+//!   *in* its drive loop, written once: the run's shared state and outcome,
+//!   the hosted peer (engine and SWIM node) and its transitions — an
+//!   inbound wire, due timers, the finished sweep, the gossip turn, the
+//!   verdict polls, crash → grant → revive — and the one drive loop of the
+//!   polled backends, which turns a shard of peers in rank order.
 //!
 //! A backend is then "deliver bytes, supply a clock, call the scaffold":
 //!
@@ -34,16 +34,15 @@
 //!   [`crate::compute::ComputeModel`].
 //!
 //! * [`loopback`] — the zero-latency in-process substrate used by quick
-//!   tests: instant delivery, round-robin drive, an event counter for a
-//!   clock. The cheapest way to exercise the full peer loop.
+//!   tests and the fuzzer: the walk over in-memory queues, an event
+//!   counter for a clock. The cheapest way to exercise the full peer loop,
+//!   in the order the reactor ships.
 //!
-//! * [`reactor`] — the wall-clock substrate: readiness-polled event loops
-//!   (the vendored `polling` epoll wrapper) each multiplexing many peers
-//!   over nonblocking localhost UDP sockets, relaxations costing their real
-//!   kernel time. Its event-loop count is a setting
-//!   ([`BackendExtras::Reactor`]): a handful of loops runs thousands of
-//!   peers, and one loop per provisioned peer is the thread-per-peer shape
-//!   of a small real-socket run.
+//! * [`reactor`] — the wall-clock substrate: the walk on readiness-polled
+//!   event loops (the vendored `polling` epoll wrapper) each multiplexing
+//!   many peers over nonblocking localhost UDP sockets, relaxations costing
+//!   their real kernel time. Its event-loop count is a setting
+//!   ([`BackendExtras::Reactor`]), up to one loop per provisioned peer.
 //!
 //! * [`udp`] — the wire layer under the socket drive loop (P2PSAP segments
 //!   framed into datagrams with reassembly, peer discovery over the socket
@@ -53,9 +52,9 @@
 //! Every backend is one row of the [`driver`] table (its label and its
 //! drive loop); the dispatch layer, the bench grids and the e2e helpers
 //! iterate [`RuntimeKind::ALL`] instead of matching on backends, so adding
-//! a substrate is one module implementing [`engine::PeerTransport`] plus a
-//! drive loop that hands wires and turns to hosted peers, and one table row
-//! (see the "adding a backend" recipe in ARCHITECTURE.md).
+//! a polled substrate is one module implementing [`engine::PeerTransport`]
+//! and the walk's substrate, and one table row (see the "adding a backend"
+//! recipe in ARCHITECTURE.md).
 
 pub(crate) mod detection;
 pub mod driver;
@@ -68,6 +67,7 @@ pub(crate) mod scaffold;
 pub mod sim;
 pub mod stop;
 pub mod udp;
+pub(crate) mod walk;
 
 pub use driver::{ClockDomain, DriverOutcome, RuntimeKind, TaskFactory};
 pub use engine::{PeerEngine, PeerTransport, TimerKey, Wire};
@@ -303,12 +303,6 @@ impl RunConfig {
     /// Arm the run with a peer-volatility schedule.
     pub fn with_churn(mut self, plan: ChurnPlan) -> Self {
         self.churn = Some(plan);
-        self
-    }
-
-    /// Attach the workload's live-repartitioning handle.
-    pub fn with_repartitioner(mut self, handle: ReslicerHandle) -> Self {
-        self.repartitioner = Some(handle);
         self
     }
 

@@ -1,45 +1,37 @@
-//! The socket drive loop of P2PDC: readiness-polled event loops, each
+//! The socket substrate of P2PDC: readiness-polled event loops, each
 //! multiplexing any number of peers over nonblocking UDP sockets.
 //!
-//! The `reactor` backend runs this module. The wire — datagram framing,
-//! fragment reassembly, bootstrap discovery, loss shim, pacing gate — is
-//! [`crate::runtime::udp`]'s; the run around the loop is the shared
-//! `RunScaffold`, and what a running peer does per turn and with each
-//! inbound wire is the shared hosted peer's (`runtime::host`). What lives
-//! here is the wait — the per-peer phase machine (`Peer`) and the event loop
-//! that sleeps in the vendored [`polling`] readiness poller (epoll on Linux),
-//! then turns each peer in rank order: read its socket, advance — and what a
-//! crash does to the wire: the socket closes and a replacement binds.
+//! The wire — framing, reassembly, bootstrap, loss shim, pacing gate — is
+//! [`crate::runtime::udp`]'s, the run around the loops the shared
+//! `RunScaffold`'s, and each loop is the shared walk (`runtime::walk`) over
+//! its contiguous shard of the provisioned peers. What lives here is what
+//! the walk asks of a substrate: a socket per peer and its bootstrap
+//! discovery, the read of that socket, what a crash does to the wire (the
+//! socket closes, a replacement binds and is published at once, and it
+//! swallows what it reads until the grant), and the wait — a sleep in the
+//! vendored [`polling`] readiness poller (epoll on Linux) plus the batched
+//! heartbeat. Nothing here blocks: discovery resends hellos on poll ticks
+//! until the rank→address table lands.
 //!
 //! The event-loop count is a setting
-//! ([`BackendExtras::Reactor`](crate::BackendExtras)); each loop owns a
-//! contiguous slice of the provisioned peers. A small pool, sized from the
-//! host's parallelism by default, runs a thousand peers as a thousand
-//! sockets on a handful of threads, so the 1024-peer rows of the scaling
-//! grid run on a laptop (one OS thread per peer caps out at tens: past the
-//! core count the scheduler burns the run's time context-switching idle
-//! waiters). One loop per provisioned peer is the thread-per-peer shape of
-//! a small real-socket run, on the same state machine.
-//!
-//! Blocking is forbidden inside an event loop, so every wait is a per-peer
-//! state machine phase: bootstrap discovery resends hellos on poll ticks
-//! until the rank→address table lands, a pre-provisioned join rank stays
-//! dormant until its seeded join fires, and a crashed peer parks in an
-//! await-grant phase (its replacement socket already bound and its port
-//! already published) until the failure monitor grants recovery — it
-//! revives at once — or the run stops.
+//! ([`BackendExtras::Reactor`](crate::BackendExtras)). A small pool, sized
+//! from the host's parallelism by default, runs a thousand peers as a
+//! thousand sockets on a handful of threads (one OS thread per peer caps
+//! out at tens: past the core count the scheduler burns the run's time
+//! context-switching idle waiters); one loop per provisioned peer is the
+//! thread-per-peer shape of a small real-socket run.
 
 use crate::runtime::detection::{self, LoopHeartbeat};
 use crate::runtime::driver::{DriverOutcome, TaskFactory};
 use crate::runtime::engine::Wire;
-use crate::runtime::host::{CrashVerdict, HostedPeer, Polled, Turn};
-use crate::runtime::scaffold::{JoinPoll, RunScaffold};
+use crate::runtime::host::{HostedPeer, Turn};
+use crate::runtime::scaffold::RunScaffold;
 use crate::runtime::udp::{
     accept_trains, bootstrap_service, grow_socket_buffers, localhost_addr, recv_train, table_addrs,
     wake_bootstrap, Datagram, LossShim, Reassembler, UdpTransport,
 };
+use crate::runtime::walk::{walk, Peer, Phase, Substrate};
 use crate::runtime::RunConfig;
-use bytes::Bytes;
 use netsim::NodeId;
 use polling::{Events, Poller};
 use std::net::{SocketAddr, UdpSocket};
@@ -73,28 +65,13 @@ impl LoopStats {
 }
 
 /// Stats of the most recent completed socket run on this process, for
-/// examples and benches ([`run_iterative_reactor`] overwrites it per run).
+/// examples and benches ([`run_sockets`] overwrites it per run).
 static LAST_LOOP_STATS: Mutex<Option<LoopStats>> = Mutex::new(None);
 
 /// Per-loop busy time and sent-segment counts of the most recent reactor
 /// run, if one completed.
 pub fn last_loop_stats() -> Option<LoopStats> {
     LAST_LOOP_STATS.lock().unwrap().clone()
-}
-
-/// The run of the `reactor` backend, with its socket-level detail (bound
-/// ports, per-loop stats) still attached. Reads the event-loop count and the
-/// loss/reorder shim probabilities from
-/// [`BackendExtras::Reactor`](crate::BackendExtras): the event-loop pool is
-/// explicit via extras, otherwise sized from the host's parallelism (the
-/// loops are compute-bound — the relaxation kernels run inline on them).
-pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> SocketRunOutcome {
-    let loops = config.extras.event_loops().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    run_iterative_reactor(config, task_factory, loops)
 }
 
 /// Outcome of a socket run: the uniform [`DriverOutcome`] plus what only a
@@ -109,15 +86,12 @@ pub struct SocketRunOutcome {
     pub loops: LoopStats,
 }
 
-/// How long a discovering peer waits before re-announcing itself to the
-/// bootstrap service.
+/// How long a discovering peer waits before re-announcing itself.
 const HELLO_RETRY: Duration = Duration::from_millis(25);
 
 /// Poll-timeout ceiling when every owned peer is quiescent: bounds the
-/// latency of the dormant-join, await-grant and discovery polls.
-/// Not the end of a run: a stopped peer is woken by the stop broadcast on
-/// its socket, and the loop that retires the run's last peer wakes the
-/// others with [`Poller::notify`].
+/// latency of the dormant-join, await-grant and discovery polls (the run's
+/// last retirement wakes the other loops with [`Poller::notify`]).
 const IDLE_POLL_CAP: Duration = Duration::from_millis(2);
 
 /// How many complete segments a discovering peer keeps for its engine. A
@@ -125,113 +99,48 @@ const IDLE_POLL_CAP: Duration = Duration::from_millis(2);
 /// scheme, waits; what does not fit is dropped as the network would drop it.
 const EARLY_SEGMENTS: usize = 16;
 
-/// What to do with a hosted peer once the rank→address table arrives.
-enum OnTable {
-    /// Initial rank: first discovery, then `on_start`.
-    Start,
-    /// Mid-run joiner: announce to the failure detector, then `on_start`.
-    JoinStart,
-}
-
-/// One multiplexed peer's slot in an event loop.
-enum Phase {
-    /// Pre-provisioned join rank: no socket, no hosted peer, waiting for
-    /// its seeded join to fire (or the run to end first).
-    Dormant,
-    /// Socket bound, hello sent; waiting for the bootstrap table.
-    Discovering {
-        /// When the last hello went out (resend after [`HELLO_RETRY`]).
-        hello_at: Instant,
-        /// What to do once the table lands.
-        then: OnTable,
-    },
-    /// Crashed; replacement socket bound and its port published, waiting
-    /// for the recovery grant (or the run to stop).
-    AwaitGrant,
-    /// Discovered and computing.
-    Running,
-    /// Finished (or never spawned); shim flushed, socket deregistered.
-    Done,
-}
-
-/// One peer multiplexed onto an event loop.
-struct Peer {
-    rank: usize,
-    phase: Phase,
-    /// Engine and SWIM node. `None` only while [`Phase::Dormant`].
-    host: Option<HostedPeer>,
-    /// `None` only while [`Phase::Dormant`] (no socket yet).
-    transport: Option<UdpTransport>,
-    reassembler: Reassembler,
-    /// Segments reassembled while [`Phase::Discovering`] (at most
-    /// [`EARLY_SEGMENTS`]), handed to the engine once it has started.
-    early: Vec<(usize, Bytes)>,
-    /// Table read by [`Peer::drain`], applied by the next [`Peer::advance`].
-    table: Option<Vec<SocketAddr>>,
-    /// Last observed [`LoopShared::ports_version`]; a newer shared value
-    /// means some rank rebound and this peer must refresh its address book.
-    seen_ports_version: u64,
-}
-
 /// Everything an event loop shares with its siblings.
+#[derive(Clone, Copy)]
 struct LoopShared<'a> {
     run: &'a RunScaffold,
-    /// Every loop's readiness poller, by loop index: a loop waits on its
-    /// own and [`Poller::notify`]s the others.
+    /// Every loop's readiness poller, by loop index.
     pollers: &'a [Poller],
     /// The loss shim's `(loss, reorder)` probabilities.
     impairment: (f64, f64),
     bootstrap_addr: SocketAddr,
     start: Instant,
     ports: &'a Mutex<Vec<u16>>,
-    /// Bumped on every write to `ports`. Peers poll it each Running turn and
-    /// re-sync their address book when it moves: the `Table` re-broadcast
-    /// after a rebind is a single unacked datagram, and a peer that misses
-    /// it would send ghosts to a recovered peer's dead port forever (the
-    /// victim's freshness guard then rightly never reports stability again,
-    /// so the run never stops).
+    /// Bumped on every write to `ports`; a running peer re-syncs its address
+    /// book when it moves ([`sync_addrs`]).
     ports_version: &'a AtomicU64,
-    dropped: &'a AtomicU64,
     tally: &'a LoopTally,
 }
 
-/// What the event loops tally together: each loop's measured busy time, the
-/// retired peers that end the run, and the segments the retired peers sent.
+/// What the event loops tally together: each loop's busy time, the retired
+/// peers (the loops exit once all `total` have), their sent `(data
+/// segments, bare acks)` and the datagrams their shims dropped.
+#[derive(Default)]
 struct LoopTally {
-    /// Measured busy nanoseconds per loop (its drain + advance work).
     busy_ns: Vec<AtomicU64>,
-    /// Retired (Done) peers across all loops; loops exit when every
-    /// provisioned rank has retired.
     done: AtomicUsize,
     total: usize,
-    /// `(data segments, bare acks)` of the retired peers.
     sent_segments: [AtomicU64; 2],
+    dropped: AtomicU64,
 }
 
 impl LoopTally {
     fn new(loops: usize, total: usize) -> Self {
         Self {
             busy_ns: (0..loops).map(|_| AtomicU64::new(0)).collect(),
-            done: AtomicUsize::new(0),
             total,
-            sent_segments: [AtomicU64::new(0), AtomicU64::new(0)],
+            ..Self::default()
         }
     }
 
-    fn add_busy(&self, index: usize, ns: u64) {
-        self.busy_ns[index].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// A peer retired (reached [`Phase::Done`]); the run drains out once
-    /// every provisioned rank has. Returns whether this was the last one.
+    /// A peer retired; the run drains out once every provisioned rank has.
+    /// Returns whether this was the last one.
     fn mark_done(&self) -> bool {
         self.done.fetch_add(1, Ordering::AcqRel) + 1 >= self.total
-    }
-
-    /// Count a retiring peer's `(data segments, bare acks)`.
-    fn add_sent_segments(&self, (data, acks): (u64, u64)) {
-        self.sent_segments[0].fetch_add(data, Ordering::Relaxed);
-        self.sent_segments[1].fetch_add(acks, Ordering::Relaxed);
     }
 
     fn all_done(&self) -> bool {
@@ -239,23 +148,19 @@ impl LoopTally {
     }
 
     fn stats(&self) -> LoopStats {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         LoopStats {
-            busy_ns_final: self
-                .busy_ns
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            busy_ns_final: self.busy_ns.iter().map(load).collect(),
             migrations: 0,
-            data_segments: self.sent_segments[0].load(Ordering::Relaxed),
-            bare_acks: self.sent_segments[1].load(Ordering::Relaxed),
+            data_segments: load(&self.sent_segments[0]),
+            bare_acks: load(&self.sent_segments[1]),
         }
     }
 }
 
-/// Bind a fresh nonblocking socket for `rank`, register it with the poller
-/// under the rank as key, and publish its port. The socket gets grown kernel
-/// buffers and asks for fragment trains whole (`UDP_GRO`), so from here on
-/// only [`recv_train`] may read it — [`Peer::drain`] does.
+/// Bind a fresh nonblocking socket for `rank` (grown buffers, fragment
+/// trains whole, so only [`recv_train`] may read it), register it with the
+/// poller under the rank as key, and publish its port.
 fn bind_peer_socket(rank: usize, poller: &Poller, ctx: &LoopShared<'_>) -> UdpSocket {
     let socket = UdpSocket::bind(localhost_addr(0)).expect("bind peer socket on localhost");
     socket.set_nonblocking(true).expect("set nonblocking");
@@ -267,18 +172,16 @@ fn bind_peer_socket(rank: usize, poller: &Poller, ctx: &LoopShared<'_>) -> UdpSo
     socket
 }
 
-/// Announce `rank`'s socket to the bootstrap service (one datagram; a
-/// discovering peer resends it until the table arrives).
+/// Announce `rank`'s socket to the bootstrap service (one datagram).
 fn announce(socket: &UdpSocket, rank: usize, ctx: &LoopShared<'_>) {
     let hello = Datagram::Hello { rank }.encode();
     let _ = socket.send_to(&hello, ctx.bootstrap_addr);
 }
 
 /// Re-sync `transport`'s address book from the run's port table when any
-/// rank rebound its socket since `seen` (the [`LoopShared::ports_version`]
-/// it last read). Heals a lost `Table` re-broadcast: without this, ghosts
-/// to a recovered peer's dead port keep its freshness guard unstable
-/// forever and the run burns to the relaxation cap.
+/// rank rebound its socket since `seen`. Heals a lost `Table` re-broadcast
+/// (one unacked datagram): without this, ghosts to a recovered peer's dead
+/// port keep its freshness guard unstable and the run never stops.
 fn sync_addrs(transport: &mut UdpTransport, seen: &mut u64, rank: usize, ctx: &LoopShared<'_>) {
     let ports_version = ctx.ports_version.load(Ordering::Acquire);
     if ports_version != *seen {
@@ -291,393 +194,298 @@ fn sync_addrs(transport: &mut UdpTransport, seen: &mut u64, rank: usize, ctx: &L
     }
 }
 
-impl Peer {
-    /// A pre-provisioned slot: no socket, no engine.
-    fn dormant(rank: usize) -> Self {
+/// What a peer's socket keeps beside its transport: segments reassembled
+/// while discovering (at most [`EARLY_SEGMENTS`]) and the table read then,
+/// its last hello, whether it joined mid-run, and the
+/// [`LoopShared::ports_version`] it last synced to.
+#[derive(Default)]
+struct SocketWire {
+    reassembler: Reassembler,
+    early: Vec<(usize, Wire)>,
+    table: Option<Vec<SocketAddr>>,
+    hello_at: Option<Instant>,
+    joined: bool,
+    seen_ports_version: u64,
+}
+
+/// One event loop's substrate: its shard's sockets (`wires[rank - lo]` is
+/// `rank`'s), its poller, a receive buffer for the largest read there is,
+/// and the batched heartbeat.
+struct Sockets<'a> {
+    index: usize,
+    lo: usize,
+    ctx: LoopShared<'a>,
+    poller: &'a Poller,
+    events: Events,
+    buf: Vec<u8>,
+    heartbeat: LoopHeartbeat,
+    running_nodes: Vec<NodeId>,
+    wires: Vec<SocketWire>,
+    /// When the pass under way started, for the loop's busy time.
+    work: Option<Instant>,
+}
+
+impl<'a> Sockets<'a> {
+    fn new(index: usize, ranks: std::ops::Range<usize>, ctx: LoopShared<'a>) -> Self {
         Self {
-            rank,
-            phase: Phase::Dormant,
-            host: None,
-            transport: None,
-            reassembler: Reassembler::new(),
-            early: Vec::new(),
-            table: None,
-            seen_ports_version: 0,
+            index,
+            lo: ranks.start,
+            ctx,
+            poller: &ctx.pollers[index],
+            events: Events::new(),
+            buf: vec![0u8; 65536],
+            heartbeat: LoopHeartbeat::new(),
+            running_nodes: Vec::new(),
+            wires: ranks.map(|_| SocketWire::default()).collect(),
+            work: None,
         }
     }
+}
 
-    /// Bring the hosted peer onto the wire: a fresh socket and the
-    /// bootstrap hello, then wait for the rank→address table.
-    fn bind_and_discover(
-        &mut self,
-        host: HostedPeer,
-        poller: &Poller,
-        ctx: &LoopShared<'_>,
-        then: OnTable,
-    ) {
-        self.host = Some(host);
+/// Act on one datagram off a peer's socket; returns whether the peer keeps
+/// reading. Network bytes are untrusted — anything that does not decode,
+/// or names a table of the wrong length, is dropped. Fragments (the data
+/// hot path) are parsed borrowed and copied once, into a pooled reassembly
+/// buffer. While discovering, the bootstrap table is the only datagram
+/// acted on, but data fragments racing ahead of it — a neighbour whose
+/// table came first is already sending — are reassembled and the complete
+/// segments kept for the engine: discarding them would leave a synchronous
+/// sender waiting out its retransmission timeout before the first sweep. A
+/// crashed peer's replacement socket swallows stray traffic unread until
+/// recovery.
+fn dispatch(
+    wire: &mut SocketWire,
+    phase: Phase,
+    transport: &mut UdpTransport,
+    bytes: &[u8],
+    deliver: &mut impl FnMut(usize, Wire, &mut UdpTransport) -> bool,
+) -> bool {
+    if phase == Phase::AwaitGrant {
+        return true;
+    }
+    if let Some((from, msg_id, index, count, payload)) = Datagram::fragment_fields(bytes) {
+        let reassembled = wire
+            .reassembler
+            .push_ref(from, msg_id, index, count, payload);
+        let Some((from, segment)) = reassembled else {
+            return true;
+        };
+        if phase == Phase::Running {
+            return deliver(from, Wire::Segment(segment), transport);
+        }
+        if wire.early.len() < EARLY_SEGMENTS {
+            wire.early.push((from, Wire::Segment(segment)));
+        }
+        return true;
+    }
+    match (Datagram::decode(bytes), phase) {
+        // The bootstrap table, or its re-broadcast mid-run: a joiner
+        // announced or a recovered peer rebound its socket.
+        (Some(Datagram::Table { ports }), _) => {
+            if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
+                match phase {
+                    Phase::Running => transport.addrs = addrs,
+                    _ => wire.table = Some(addrs),
+                }
+            }
+            true
+        }
+        // Stop, rollback, gossip. Late hellos and foreign noise are ignored.
+        (Some(datagram), Phase::Running) => match datagram.into_wire() {
+            Some((from, w)) => deliver(from, w, transport),
+            None => true,
+        },
+        _ => true,
+    }
+}
+
+impl Substrate for Sockets<'_> {
+    type Transport = UdpTransport;
+
+    /// A fresh socket and the bootstrap hello; the peer then waits for the
+    /// rank→address table.
+    fn attach(&mut self, rank: usize, joined: bool) -> UdpTransport {
+        let ctx = &self.ctx;
         let (loss, reorder) = ctx.impairment;
-        let socket = bind_peer_socket(self.rank, poller, ctx);
-        announce(&socket, self.rank, ctx);
-        self.transport = Some(UdpTransport::new(
-            self.rank,
+        let socket = bind_peer_socket(rank, self.poller, ctx);
+        announce(&socket, rank, ctx);
+        let wire = &mut self.wires[rank - self.lo];
+        wire.hello_at = Some(Instant::now());
+        wire.joined = joined;
+        UdpTransport::new(
+            rank,
             ctx.start,
             socket,
             vec![localhost_addr(0); ctx.run.total()],
             // Per-rank stream so peers do not share drop decisions.
-            LossShim::new(ctx.run.seed.wrapping_add(self.rank as u64), loss, reorder),
+            LossShim::new(ctx.run.seed.wrapping_add(rank as u64), loss, reorder),
             ctx.run.topology.clone(),
-        ));
-        self.phase = Phase::Discovering {
-            hello_at: Instant::now(),
-            then,
+        )
+    }
+
+    fn discover(
+        &mut self,
+        rank: usize,
+        transport: &mut UdpTransport,
+    ) -> Option<Vec<(usize, Wire)>> {
+        let wire = &mut self.wires[rank - self.lo];
+        let Some(addrs) = wire.table.take() else {
+            if wire.hello_at.is_none_or(|at| at.elapsed() >= HELLO_RETRY) {
+                wire.hello_at = Some(Instant::now());
+                announce(&transport.socket, rank, &self.ctx);
+            }
+            return None;
         };
+        transport.addrs = addrs;
+        // A joiner registers with the failure detector before its first
+        // relaxation.
+        if let (true, Some(topo)) = (wire.joined, &self.ctx.run.topo) {
+            detection::rejoin(topo, &self.ctx.run.topology, rank, self.ctx.start);
+        }
+        Some(std::mem::take(&mut wire.early))
     }
 
-    /// Revive the crashed peer the moment its recovery is granted: its
-    /// replacement socket's port has been in the run's port table (and
-    /// announced to the bootstrap) since the crash, so no bootstrap round
-    /// trip stands between the grant and the restore.
-    fn revive(&mut self, ctx: &LoopShared<'_>) {
-        if let Some(topo) = &ctx.run.topo {
-            detection::rejoin(topo, &ctx.run.topology, self.rank, ctx.start);
-        }
-        let transport = self
-            .transport
-            .as_mut()
-            .expect("crashed peer keeps a socket");
-        sync_addrs(transport, &mut self.seen_ports_version, self.rank, ctx);
-        let host = self.host.as_mut().expect("crashed peer is hosted");
-        host.revive(transport);
-        self.phase = Phase::Running;
-    }
-
-    /// Retire the peer: flush the shim's held-back datagram, account its
-    /// drops and sent segments, deregister the socket.
-    fn finish(&mut self, poller: &Poller, ctx: &LoopShared<'_>) {
-        if let Some(host) = &self.host {
-            ctx.tally.add_sent_segments(host.engine.sent_segments());
-        }
-        if let Some(transport) = &mut self.transport {
-            transport.shim.flush(&transport.socket);
-            ctx.dropped
-                .fetch_add(transport.shim.dropped, Ordering::Relaxed);
-            transport.shim.dropped = 0;
-            let _ = poller.delete(&transport.socket);
-        }
-        self.phase = Phase::Done;
-    }
-
-    /// Drain everything the kernel has buffered on this peer's socket and
-    /// dispatch it: the one place a socket backend reads datagrams. A read
-    /// is a fragment train ([`recv_train`]) — the datagrams of one segment
-    /// when the sender's kernel and this socket's `UDP_GRO` kept them
-    /// together, else a single datagram — and each of its datagrams goes
-    /// through [`Peer::dispatch`] as if read alone. A peer whose engine has
-    /// finished stops reading.
-    fn drain(&mut self, buf: &mut [u8]) {
-        while let Some(transport) = self.transport.as_ref() {
-            let Ok(train) = recv_train(&transport.socket, buf) else {
-                return;
-            };
+    /// Read everything the kernel has buffered on the peer's socket, ready
+    /// or not (the poller only ends the wait). A read is a fragment train
+    /// ([`recv_train`]): the datagrams of one segment when `UDP_GRO` kept
+    /// them together, else one, each dispatched as if read alone. A running
+    /// peer then re-syncs its address book.
+    fn drain_into(
+        &mut self,
+        rank: usize,
+        phase: Phase,
+        transport: &mut UdpTransport,
+        mut deliver: impl FnMut(usize, Wire, &mut UdpTransport) -> bool,
+    ) {
+        let wire = &mut self.wires[rank - self.lo];
+        while let Ok(train) = recv_train(&transport.socket, &mut self.buf) {
             for datagram in train {
-                if !self.dispatch(datagram) {
+                if !dispatch(wire, phase, transport, datagram, &mut deliver) {
                     return;
                 }
             }
         }
+        if phase == Phase::Running {
+            sync_addrs(transport, &mut wire.seen_ports_version, rank, &self.ctx);
+        }
     }
 
-    /// Act on one datagram off the socket; returns whether the peer keeps
-    /// reading. Network bytes are untrusted — anything that does not
-    /// decode, or names a table of the wrong length, is dropped. While
-    /// discovering, the bootstrap table is the only datagram acted on, but
-    /// data fragments racing ahead of it — a neighbour whose table came
-    /// first is already sending — are reassembled and the complete segments
-    /// kept for the engine: discarding them would leave a synchronous
-    /// sender waiting out its retransmission timeout before the first
-    /// sweep.
-    fn dispatch(&mut self, bytes: &[u8]) -> bool {
-        let Some(transport) = self.transport.as_mut() else {
-            return false;
-        };
-        match &mut self.phase {
-            Phase::Discovering { .. } => {
-                if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                    Datagram::fragment_fields(bytes)
-                {
-                    let segment = self
-                        .reassembler
-                        .push_ref(from, msg_id, frag_index, frag_count, payload);
-                    if self.early.len() < EARLY_SEGMENTS {
-                        self.early.extend(segment);
-                    }
-                } else if let Some(Datagram::Table { ports }) = Datagram::decode(bytes) {
-                    if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
-                        self.table = Some(addrs);
-                    }
-                }
-            }
-            Phase::Running => {
-                let host = self.host.as_mut().expect("running peer is hosted");
-                if host.engine.finished() {
-                    return false;
-                }
-                // Fragments (the data hot path) are parsed borrowed and
-                // copied once, into a pooled reassembly buffer; control
-                // datagrams take the allocating decode.
-                if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                    Datagram::fragment_fields(bytes)
-                {
-                    if let Some((from, segment)) = self
-                        .reassembler
-                        .push_ref(from, msg_id, frag_index, frag_count, payload)
-                    {
-                        host.deliver(from, Wire::Segment(segment), transport);
-                    }
-                    return true;
-                }
-                match Datagram::decode(bytes) {
-                    // A table re-broadcast mid-run: a joiner announced or a
-                    // recovered peer rebound its socket.
-                    Some(Datagram::Table { ports }) => {
-                        if let Some(addrs) = table_addrs(&ports, transport.addrs.len()) {
-                            transport.addrs = addrs;
-                        }
-                    }
-                    // Stop, rollback, gossip. Fragments were parsed above;
-                    // late hellos and foreign noise are ignored.
-                    Some(datagram) => {
-                        if let Some((from, wire)) = datagram.into_wire() {
-                            host.deliver(from, wire, transport);
-                        }
-                    }
-                    None => {}
-                }
-            }
-            // Dormant peers have no socket; a crashed peer's replacement
-            // socket swallows stray traffic unread until recovery.
-            _ => {}
+    /// A crash kills the peer's socket for real: the kernel drops what is
+    /// in flight to the old port. The replacement binds now and its port
+    /// goes into the run's table, so neighbours address it from their next
+    /// turn on. The peer stops pinging: the topology manager evicts it and
+    /// the monitor grants recovery.
+    fn turned(&mut self, rank: usize, turn: Turn, _: &HostedPeer, transport: &mut UdpTransport) {
+        if turn != Turn::Crashed {
+            return;
         }
+        transport.shim.flush(&transport.socket);
+        let _ = self.poller.delete(&transport.socket);
+        transport.socket = bind_peer_socket(rank, self.poller, &self.ctx);
+        // Fire-and-forget: the bootstrap's own table must name the new
+        // port, or the table it broadcasts for a later join would send
+        // every peer back to the dead one.
+        announce(&transport.socket, rank, &self.ctx);
+        self.wires[rank - self.lo].reassembler = Reassembler::new();
+    }
+
+    /// Revive at once: the replacement socket's port has been in the run's
+    /// port table (and announced to the bootstrap) since the crash, so no
+    /// bootstrap round trip stands between the grant and the restore.
+    fn revive(&mut self, rank: usize, transport: &mut UdpTransport) -> bool {
+        let ctx = &self.ctx;
+        if let Some(topo) = &ctx.run.topo {
+            detection::rejoin(topo, &ctx.run.topology, rank, ctx.start);
+        }
+        let seen = &mut self.wires[rank - self.lo].seen_ports_version;
+        sync_addrs(transport, seen, rank, ctx);
         true
     }
 
-    /// One state-machine turn.
-    fn advance(&mut self, poller: &Poller, ctx: &LoopShared<'_>) {
-        match &mut self.phase {
-            Phase::Done => {}
-            Phase::Dormant => match ctx.run.poll_join(self.rank) {
-                JoinPoll::Joined(host) => {
-                    self.bind_and_discover(*host, poller, ctx, OnTable::JoinStart)
-                }
-                // The run ended before the join fired: exit without ever
-                // having existed.
-                JoinPoll::Never => self.phase = Phase::Done,
-                JoinPoll::Pending => {}
-            },
-            Phase::Discovering { hello_at, .. } => {
-                if let Some(addrs) = self.table.take() {
-                    let transport = self
-                        .transport
-                        .as_mut()
-                        .expect("discovering peer has socket");
-                    transport.addrs = addrs;
-                    let host = self.host.as_mut().expect("discovering peer is hosted");
-                    let Phase::Discovering { then, .. } =
-                        std::mem::replace(&mut self.phase, Phase::Running)
-                    else {
-                        unreachable!()
-                    };
-                    // A joiner registers with the failure detector before its
-                    // first relaxation.
-                    if let (OnTable::JoinStart, Some(topo)) = (&then, &ctx.run.topo) {
-                        detection::rejoin(topo, &ctx.run.topology, self.rank, ctx.start);
-                    }
-                    host.engine.on_start(transport);
-                    for (from, segment) in self.early.drain(..) {
-                        host.deliver(from, Wire::Segment(segment), transport);
-                    }
-                } else if hello_at.elapsed() >= HELLO_RETRY {
-                    *hello_at = Instant::now();
-                    let transport = self
-                        .transport
-                        .as_ref()
-                        .expect("discovering peer has socket");
-                    announce(&transport.socket, self.rank, ctx);
-                }
-            }
-            Phase::AwaitGrant => match ctx.run.crash_verdict(self.rank) {
-                CrashVerdict::Pending => {}
-                CrashVerdict::Granted => self.revive(ctx),
-                // Relaxation cap reached elsewhere while this peer was
-                // down: fold it into the stop instead of reviving it.
-                CrashVerdict::Stopped => {
-                    let transport = self
-                        .transport
-                        .as_mut()
-                        .expect("crashed peer keeps a socket");
-                    self.host.as_mut().expect("crashed peer is hosted").deliver(
-                        self.rank,
-                        Wire::Stop,
-                        transport,
-                    );
-                    self.finish(poller, ctx);
-                }
-            },
-            Phase::Running => {
-                let transport = self.transport.as_mut().expect("running peer has socket");
-                sync_addrs(transport, &mut self.seen_ports_version, self.rank, ctx);
-                // (Heartbeats are batched at the event-loop level: one
-                // topology-server acquisition per ping period covers every
-                // running peer the loop multiplexes.)
-                let host = self.host.as_mut().expect("running peer is hosted");
-                match host.turn(ctx.run, transport, |t| &mut t.polled) {
-                    Turn::Running => {}
-                    Turn::Finished => self.finish(poller, ctx),
-                    Turn::Crashed => {
-                        // The peer died. Kill its socket for real: the old
-                        // port closes and in-flight datagrams to it are
-                        // dropped by the kernel. The replacement binds now
-                        // and its port goes into the run's table, so
-                        // neighbours address it from their next turn on,
-                        // but it drops what it reads until the revive. Timers die
-                        // with it, and it stops pinging — the topology
-                        // manager evicts it and the monitor grants
-                        // recovery.
-                        transport.shim.flush(&transport.socket);
-                        let _ = poller.delete(&transport.socket);
-                        transport.polled = Polled::default();
-                        transport.socket = bind_peer_socket(self.rank, poller, ctx);
-                        // Fire-and-forget: the bootstrap's own table must
-                        // name the new port, or the table it broadcasts for
-                        // a later join would send every peer back to the
-                        // dead one.
-                        announce(&transport.socket, self.rank, ctx);
-                        self.reassembler = Reassembler::new();
-                        self.phase = Phase::AwaitGrant;
-                    }
-                }
+    /// Flush the shim's held-back datagram, account its drops and sent
+    /// segments, deregister the socket. The run's last retirement releases
+    /// the calling thread from the bootstrap service and the other loops
+    /// from their idle waits.
+    fn retire(&mut self, mut peer: Peer<UdpTransport>) {
+        let ctx = &self.ctx;
+        if let Some(host) = &peer.host {
+            let (data, acks) = host.engine.sent_segments();
+            ctx.tally.sent_segments[0].fetch_add(data, Ordering::Relaxed);
+            ctx.tally.sent_segments[1].fetch_add(acks, Ordering::Relaxed);
+        }
+        if let Some(transport) = &mut peer.transport {
+            transport.shim.flush(&transport.socket);
+            let dropped = std::mem::take(&mut transport.shim.dropped);
+            ctx.tally.dropped.fetch_add(dropped, Ordering::Relaxed);
+            let _ = self.poller.delete(&transport.socket);
+            self.wires[transport.rank - self.lo] = SocketWire::default();
+        }
+        if ctx.tally.mark_done() {
+            wake_bootstrap(ctx.bootstrap_addr);
+            for other in ctx.pollers {
+                let _ = other.notify();
             }
         }
     }
 
-    /// Whether this peer needs an immediate next turn (zero poll timeout).
-    fn busy(&self) -> bool {
-        match self.phase {
-            Phase::Running => {
-                self.transport
-                    .as_ref()
-                    .is_some_and(|t| t.polled.compute_pending)
-                    || self.host.as_ref().is_some_and(|h| h.engine.computing())
-            }
-            _ => false,
+    /// Sleep in the poller until a socket is readable or the earliest
+    /// protocol timer, capped so the dormant / await-grant / discovery /
+    /// stop polls stay responsive — not at all when a peer is busy. Then
+    /// one batched heartbeat per ping period covers every running peer this
+    /// loop multiplexes: a single topology-server acquisition instead of one
+    /// per peer.
+    fn wait(
+        &mut self,
+        peers: &mut [Peer<UdpTransport>],
+        busy: bool,
+        deadline: Option<u64>,
+    ) -> bool {
+        let ctx = &self.ctx;
+        if let Some(work) = self.work.take() {
+            let ns = work.elapsed().as_nanos() as u64;
+            ctx.tally.busy_ns[self.index].fetch_add(ns, Ordering::Relaxed);
         }
-    }
-
-    /// This peer's next self-imposed deadline, as a delay from now.
-    fn next_deadline(&self, now_ns: u64) -> Option<Duration> {
-        match self.phase {
-            Phase::Running => self
-                .transport
-                .as_ref()
-                .and_then(|t| t.polled.timers.earliest_deadline())
-                .map(|deadline| Duration::from_nanos(deadline.saturating_sub(now_ns))),
-            _ => None,
+        if ctx.tally.all_done() {
+            return false;
         }
-    }
-}
-
-/// One event loop: drive the peers of `ranks`, the contiguous shard it was
-/// spawned with, until every provisioned rank has retired. A pass turns each
-/// peer once, in rank order: read its socket dry (ready or not — the poller
-/// only ends the wait), then advance. An update a loop-mate sent earlier in
-/// the pass is read in this pass (ARCHITECTURE.md, "Where a sweep runs").
-fn event_loop(
-    index: usize,
-    ranks: std::ops::Range<usize>,
-    ctx: &LoopShared<'_>,
-    task_factory: TaskFactory<'_>,
-) {
-    let poller = &ctx.pollers[index];
-    let mut events = Events::new();
-    let mut buf = vec![0u8; 65536];
-    let mut heartbeat = LoopHeartbeat::new();
-    let mut running_nodes: Vec<NodeId> = Vec::new();
-    // In rank order, which is load-bearing; retirement only shrinks it.
-    let mut peers: Vec<Peer> = ranks.map(Peer::dormant).collect();
-    // Initial ranks get their engine and socket up front; pre-provisioned
-    // join ranks stay dormant.
-    for peer in &mut peers {
-        if peer.rank < ctx.run.alpha {
-            let host = ctx.run.host(peer.rank, task_factory(peer.rank));
-            peer.bind_and_discover(host, poller, ctx, OnTable::Start);
-        }
-    }
-
-    while !ctx.tally.all_done() {
-        // A pending compute means an immediate turn; otherwise sleep in the
-        // poller until a socket is readable or the earliest protocol timer,
-        // capped so the dormant / await-grant / discovery / stop polls stay
-        // responsive.
-        let timeout = if peers.iter().any(Peer::busy) {
+        let timeout = if busy {
             Duration::ZERO
         } else {
             let now_ns = ctx.start.elapsed().as_nanos() as u64;
-            peers
-                .iter()
-                .filter_map(|p| p.next_deadline(now_ns))
-                .fold(IDLE_POLL_CAP, Duration::min)
+            deadline.map_or(IDLE_POLL_CAP, |at| {
+                Duration::from_nanos(at.saturating_sub(now_ns)).min(IDLE_POLL_CAP)
+            })
         };
-        events.clear();
-        let _ = poller.wait(&mut events, Some(timeout));
-        let work = Instant::now();
-        // One batched heartbeat per ping period covering every running peer
-        // this loop multiplexes: a single topology-server acquisition
-        // instead of one per peer.
+        self.events.clear();
+        let _ = self.poller.wait(&mut self.events, Some(timeout));
+        self.work = Some(Instant::now());
         if let Some(topo) = &ctx.run.topo {
-            if heartbeat.due() {
-                running_nodes.clear();
-                running_nodes.extend(
-                    peers
-                        .iter()
-                        .filter(|p| matches!(p.phase, Phase::Running))
-                        .map(|p| NodeId(p.rank)),
-                );
-                heartbeat.beat_many(topo, &ctx.run.topology, ctx.start, &running_nodes);
+            if self.heartbeat.due() {
+                self.running_nodes.clear();
+                let running = peers.iter().filter(|p| p.phase == Phase::Running);
+                self.running_nodes.extend(running.map(|p| NodeId(p.rank)));
+                let (topology, start) = (&ctx.run.topology, ctx.start);
+                self.heartbeat
+                    .beat_many(topo, topology, start, &self.running_nodes);
             }
         }
-        for peer in &mut peers {
-            peer.drain(&mut buf);
-            peer.advance(poller, ctx);
-        }
-        peers.retain(|peer| {
-            if matches!(peer.phase, Phase::Done) {
-                // The run's last retirement releases the calling thread
-                // from the bootstrap service and the other loops from
-                // their idle waits.
-                if ctx.tally.mark_done() {
-                    wake_bootstrap(ctx.bootstrap_addr);
-                    for other in ctx.pollers {
-                        let _ = other.notify();
-                    }
-                }
-                false
-            } else {
-                true
-            }
-        });
-        ctx.tally.add_busy(index, work.elapsed().as_nanos() as u64);
+        true
     }
 }
 
-/// Run a distributed iterative computation over nonblocking localhost UDP
-/// sockets, the provisioned peers sharded over (at most) `loops`
-/// readiness-polled event loops.
-pub(crate) fn run_iterative_reactor(
-    config: &RunConfig,
-    task_factory: TaskFactory<'_>,
-    loops: usize,
-) -> SocketRunOutcome {
+/// The run of the `reactor` backend over nonblocking localhost UDP sockets,
+/// with its socket-level detail (bound ports, per-loop stats) still
+/// attached. The provisioned peers are sharded over (at most) the
+/// event-loop count of [`BackendExtras::Reactor`](crate::BackendExtras),
+/// by default the host's parallelism (the loops are compute-bound — the
+/// relaxation kernels run inline on them); the loss/reorder shim
+/// probabilities come from there too.
+pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> SocketRunOutcome {
+    let loops = config.extras.event_loops().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     // Bootstrap-table slots and a dormant event-loop slot are provisioned
     // for ranks that may join mid-run.
     let total = config.provisioned_peers();
@@ -700,7 +508,6 @@ pub(crate) fn run_iterative_reactor(
     let start = Instant::now();
     let ports = Mutex::new(vec![0u16; total]);
     let ports_version = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
     let tally = LoopTally::new(live_loops, total);
     let pollers: Vec<Poller> = (0..live_loops)
         .map(|_| Poller::new().expect("create readiness poller"))
@@ -713,7 +520,6 @@ pub(crate) fn run_iterative_reactor(
         start,
         ports: &ports,
         ports_version: &ports_version,
-        dropped: &dropped,
         tally: &tally,
     };
     std::thread::scope(|scope| {
@@ -721,9 +527,11 @@ pub(crate) fn run_iterative_reactor(
         let ctx = &ctx;
         let loops: Vec<_> = (0..live_loops)
             .map(|index| {
-                let lo = index * chunk;
-                let hi = ((index + 1) * chunk).min(total);
-                scope.spawn(move || event_loop(index, lo..hi, ctx, task_factory))
+                let ranks = index * chunk..((index + 1) * chunk).min(total);
+                scope.spawn(move || {
+                    let mut sockets = Sockets::new(index, ranks.clone(), *ctx);
+                    walk(&mut sockets, ctx.run, ranks, task_factory)
+                })
             })
             .collect();
         // The calling thread would only wait for the loops to retire: it
@@ -753,7 +561,7 @@ pub(crate) fn run_iterative_reactor(
         outcome: run.finish(
             start.elapsed().as_nanos() as u64,
             None,
-            dropped.load(Ordering::Relaxed),
+            tally.dropped.load(Ordering::Relaxed),
         ),
         ports: ports.into_inner().unwrap(),
         loops,
@@ -766,6 +574,7 @@ mod tests {
     use crate::runtime::engine::testing::RampTask;
     use crate::runtime::udp::{encode_fragment_into, send_train, MAX_FRAGMENT_PAYLOAD};
     use crate::BackendExtras;
+    use bytes::Bytes;
     use netsim::ConnectionType;
     use p2psap::data::{SegmentKind, WireSegment};
     use p2psap::Scheme;
@@ -844,88 +653,6 @@ mod tests {
         assert_eq!(outcome.results.len(), 4);
     }
 
-    /// A loop turns its peers in rank order, each reading its socket at its
-    /// own turn, so an asynchronous sweep of rank 1 reads the update rank 0
-    /// published earlier in the same pass, and rank 0 the one rank 1
-    /// published in the pass before: each sweep reads its loop-mate's
-    /// latest update. A loop that read every socket before advancing any
-    /// peer would leave whichever rank advanced second one pass behind. Two
-    /// ramp ranks on one event loop log each sweep beside the count the
-    /// other last published.
-    #[test]
-    fn an_asynchronous_sweep_reads_a_loop_mates_update_of_the_same_pass() {
-        use crate::app::{FrameSink, IterativeTask, LocalRelax};
-        use std::sync::Arc;
-
-        /// A ramp rank that logs what the test compares.
-        struct Witnessed {
-            task: RampTask,
-            /// Each rank's count as of its latest publish.
-            published: Arc<[AtomicU64; 2]>,
-            /// Every sweep: `(rank, the other's published count, ghost read)`.
-            log: Arc<Mutex<Vec<(usize, u64, u8)>>>,
-        }
-        impl IterativeTask for Witnessed {
-            fn relax(&mut self) -> LocalRelax {
-                let relax = self.task.relax();
-                let rank = self.task.rank;
-                let other = self.published[1 - rank].load(Ordering::Relaxed);
-                let read = self.task.swept_ghost;
-                self.log.lock().unwrap().push((rank, other, read));
-                relax
-            }
-            fn encode_outgoing(&mut self, sink: &mut FrameSink) {
-                self.published[self.task.rank].store(self.task.relaxed, Ordering::Relaxed);
-                self.task.encode_outgoing(sink)
-            }
-            fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
-                self.task.incorporate(from, payload)
-            }
-            fn neighbors(&self) -> Vec<usize> {
-                self.task.neighbors()
-            }
-            fn result(&self) -> Vec<u8> {
-                self.task.result()
-            }
-            fn relaxations(&self) -> u64 {
-                self.task.relaxations()
-            }
-        }
-
-        let mut config =
-            RunConfig::quick(Scheme::Asynchronous, 2).with_extras(BackendExtras::Reactor {
-                event_loops: 1,
-                loss_probability: 0.0,
-                reorder_probability: 0.0,
-            });
-        config.tolerance = 0.5;
-        let published = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let outcome = super::run_sockets(&config, &|rank| {
-            Box::new(Witnessed {
-                task: RampTask::line(rank, 2, 60),
-                published: Arc::clone(&published),
-                log: Arc::clone(&log),
-            })
-        })
-        .outcome;
-        assert!(outcome.measurement.converged);
-        let log = log.lock().unwrap();
-        assert!(log.len() >= 120, "{} sweeps", log.len());
-        // A rank's first sweep may race its loop-mate's start.
-        for rank in 0..2 {
-            let sweeps = log.iter().filter(|(r, ..)| *r == rank);
-            for (sweep, &(_, latest, read)) in sweeps.enumerate().skip(1) {
-                assert_eq!(
-                    read,
-                    latest as u8,
-                    "rank {rank}'s sweep {} read update {read}, not the latest, {latest}",
-                    sweep + 1
-                );
-            }
-        }
-    }
-
     /// Retirement counting drains the run: the loops exit once every
     /// provisioned rank has retired, and only the last retirement says so.
     #[test]
@@ -949,7 +676,6 @@ mod tests {
         poller: Poller,
         ports: Mutex<Vec<u16>>,
         ports_version: AtomicU64,
-        dropped: AtomicU64,
         tally: LoopTally,
     }
 
@@ -971,7 +697,6 @@ mod tests {
                 poller: Poller::new().expect("create poller"),
                 ports: Mutex::new(vec![0; HOSTILE_RANKS]),
                 ports_version: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
                 tally: LoopTally::new(1, HOSTILE_RANKS),
             }
         }
@@ -990,46 +715,58 @@ mod tests {
                 start: Instant::now(),
                 ports: &self.ports,
                 ports_version: &self.ports_version,
-                dropped: &self.dropped,
                 tally: &self.tally,
             }
         }
 
+        /// The substrate of a loop whose shard is rank 1 alone.
+        fn sockets(&self) -> Sockets<'_> {
+            Sockets::new(0, 1..2, self.ctx())
+        }
+
         /// The peer, bound and waiting for the bootstrap table.
-        fn discovering_peer(&self) -> Peer {
-            let mut peer = Peer::dormant(1);
+        fn discovering_peer(&self, sockets: &mut Sockets<'_>) -> Peer<UdpTransport> {
             let task = Box::new(RampTask::line(1, HOSTILE_RANKS, RAMP));
-            let host = self.run.host(1, task);
-            peer.bind_and_discover(host, &self.poller, &self.ctx(), OnTable::Start);
-            peer
+            Peer {
+                rank: 1,
+                phase: Phase::Discovering,
+                host: Some(self.run.host(1, task)),
+                transport: Some(sockets.attach(1, false)),
+            }
         }
 
         /// The peer after the table (every rank at a sink) arrived.
-        fn running_peer(&self, buf: &mut [u8]) -> Peer {
-            let mut peer = self.discovering_peer();
-            self.deliver_table(&mut peer, buf);
+        fn running_peer(&self, sockets: &mut Sockets<'_>) -> Peer<UdpTransport> {
+            let mut peer = self.discovering_peer(sockets);
+            self.deliver_table(sockets, &mut peer);
             peer
         }
 
         /// Publish the table (every rank at sink 0) and let the peer start.
-        fn deliver_table(&self, peer: &mut Peer, buf: &mut [u8]) {
+        fn deliver_table(&self, sockets: &mut Sockets<'_>, peer: &mut Peer<UdpTransport>) {
             let table = Datagram::Table {
                 ports: vec![self.sink_port(0); HOSTILE_RANKS],
             };
-            self.inject(peer, &table.encode(), buf);
-            peer.advance(&self.poller, &self.ctx());
-            assert!(matches!(peer.phase, Phase::Running));
+            self.inject(sockets, peer, &table.encode());
+            peer.advance(sockets, &self.run);
+            assert_eq!(peer.phase, Phase::Running);
         }
 
         /// Deliver `bytes` to the peer's socket as one datagram.
-        fn inject(&self, peer: &mut Peer, bytes: &[u8], buf: &mut [u8]) {
-            self.inject_train(peer, bytes, bytes.len().max(1), buf);
+        fn inject(&self, sockets: &mut Sockets<'_>, peer: &mut Peer<UdpTransport>, bytes: &[u8]) {
+            self.inject_train(sockets, peer, bytes, bytes.len().max(1));
         }
 
         /// Deliver `bytes` to the peer's socket as a fragment train cut
         /// every `stride` bytes, the way an event loop sees it: wait for
         /// readiness, then drain.
-        fn inject_train(&self, peer: &mut Peer, bytes: &[u8], stride: usize, buf: &mut [u8]) {
+        fn inject_train(
+            &self,
+            sockets: &mut Sockets<'_>,
+            peer: &mut Peer<UdpTransport>,
+            bytes: &[u8],
+            stride: usize,
+        ) {
             let socket = &peer.transport.as_ref().expect("bound peer").socket;
             let addr = socket.local_addr().expect("peer addr");
             send_train(&self.injector, bytes, stride, addr).expect("inject train");
@@ -1037,7 +774,7 @@ mod tests {
             self.poller
                 .wait(&mut events, Some(Duration::from_secs(5)))
                 .expect("poll peer socket");
-            peer.drain(buf);
+            peer.drain(sockets);
         }
 
         /// One hostile datagram: random bytes, or a datagram of any kind
@@ -1103,7 +840,7 @@ mod tests {
         ) {
             let mut rng = proptest::TestRng::new(seed);
             let hostile = Hostile::new();
-            let mut buf = vec![0u8; 65536];
+            let mut sockets = hostile.sockets();
             // A genuine gossip frame from rank 0, as the valid baseline the
             // truncations and bit flips start from.
             let gossip_frame = hostile
@@ -1153,28 +890,30 @@ mod tests {
                 books
             };
 
-            let mut peer = hostile.discovering_peer();
+            let mut peer = hostile.discovering_peer(&mut sockets);
             let unset = vec![localhost_addr(0); HOSTILE_RANKS];
             for _ in 0..24 {
                 let (bytes, stride) = hostile_train(&mut rng);
-                let expected = books(peer.table.clone(), &bytes, stride);
-                hostile.inject_train(&mut peer, &bytes, stride, &mut buf);
+                let expected = books(sockets.wires[0].table.clone(), &bytes, stride);
+                hostile.inject_train(&mut sockets, &mut peer, &bytes, stride);
                 // A discovering peer reads every datagram.
-                proptest::prop_assert_eq!(Some(&peer.table), expected.last());
+                proptest::prop_assert_eq!(Some(&sockets.wires[0].table), expected.last());
                 proptest::prop_assert_eq!(&peer.transport.as_ref().unwrap().addrs, &unset);
             }
 
-            let mut peer = hostile.running_peer(&mut buf);
+            let mut sockets = hostile.sockets();
+            let mut peer = hostile.running_peer(&mut sockets);
             for _ in 0..48 {
                 // A forged stop ends the engine, and a finished peer stops
                 // reading its socket: carry on with a fresh one.
                 if peer.host.as_ref().unwrap().engine.finished() {
-                    peer = hostile.running_peer(&mut buf);
+                    sockets = hostile.sockets();
+                    peer = hostile.running_peer(&mut sockets);
                 }
                 let (bytes, stride) = hostile_train(&mut rng);
                 let addrs = peer.transport.as_ref().unwrap().addrs.clone();
                 let expected = books(Some(addrs), &bytes, stride);
-                hostile.inject_train(&mut peer, &bytes, stride, &mut buf);
+                hostile.inject_train(&mut sockets, &mut peer, &bytes, stride);
                 let addrs = Some(peer.transport.as_ref().unwrap().addrs.clone());
                 if peer.host.as_ref().unwrap().engine.finished() {
                     // It stopped reading somewhere inside the train.
@@ -1199,16 +938,16 @@ mod tests {
         let mut config = RunConfig::quick(Scheme::Synchronous, HOSTILE_RANKS).with_gossip(2);
         config.churn = Some(ChurnPlan::kill(1, 1).with_checkpoint_interval(1));
         let hostile = Hostile::with_config(&config);
-        let mut buf = vec![0u8; 65536];
-        let mut peer = hostile.running_peer(&mut buf);
-        let port = |peer: &Peer| {
+        let mut sockets = hostile.sockets();
+        let mut peer = hostile.running_peer(&mut sockets);
+        let port = |peer: &Peer<UdpTransport>| {
             let socket = &peer.transport.as_ref().expect("bound peer").socket;
             socket.local_addr().expect("peer addr").port()
         };
         let dead_port = port(&peer);
         // Sweep 1 completes on the first turn, and it is the peer's last.
-        peer.advance(&hostile.poller, &hostile.ctx());
-        assert!(matches!(peer.phase, Phase::AwaitGrant));
+        peer.advance(&mut sockets, &hostile.run);
+        assert_eq!(peer.phase, Phase::AwaitGrant);
         let new_port = port(&peer);
         assert_ne!(new_port, dead_port);
         assert_eq!(hostile.ports.lock().unwrap()[1], new_port);
@@ -1217,6 +956,7 @@ mod tests {
         bootstrap
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("set sink timeout");
+        let mut buf = [0u8; 64];
         loop {
             let (len, from) = bootstrap.recv_from(&mut buf).expect("the hello");
             if Datagram::decode(&buf[..len]) == Some(Datagram::Hello { rank: 1 })
@@ -1226,12 +966,12 @@ mod tests {
             }
         }
         // Not granted yet: it waits. Granted: it runs again at once.
-        peer.advance(&hostile.poller, &hostile.ctx());
-        assert!(matches!(peer.phase, Phase::AwaitGrant));
+        peer.advance(&mut sockets, &hostile.run);
+        assert_eq!(peer.phase, Phase::AwaitGrant);
         let host = peer.host.as_ref().expect("crashed peer is hosted");
         host.self_grant(&hostile.run, ClockDomain::Virtual);
-        peer.advance(&hostile.poller, &hostile.ctx());
-        assert!(matches!(peer.phase, Phase::Running));
+        peer.advance(&mut sockets, &hostile.run);
+        assert_eq!(peer.phase, Phase::Running);
         let engine = &peer.host.as_ref().expect("revived peer").engine;
         assert!(!engine.crashed() && !engine.finished());
         assert_eq!(port(&peer), new_port);
@@ -1245,8 +985,8 @@ mod tests {
     #[test]
     fn truncated_read_is_dropped_whole() {
         let hostile = Hostile::new();
-        let mut buf = vec![0u8; 65536];
-        let mut peer = hostile.running_peer(&mut buf);
+        let mut sockets = hostile.sockets();
+        let mut peer = hostile.running_peer(&mut sockets);
         let before = peer.transport.as_ref().unwrap().addrs.clone();
         let table = Datagram::Table {
             ports: vec![hostile.sink_port(1); HOSTILE_RANKS],
@@ -1256,9 +996,11 @@ mod tests {
         padded.extend_from_slice(&[0xEE; 5]);
         // The buffer holds exactly the table: were the head of the
         // truncated read dispatched, the address book would move.
-        hostile.inject(&mut peer, &padded, &mut buf[..table.len()]);
+        sockets.buf.truncate(table.len());
+        hostile.inject(&mut sockets, &mut peer, &padded);
         assert_eq!(peer.transport.as_ref().unwrap().addrs, before);
-        hostile.inject(&mut peer, &padded, &mut buf);
+        sockets.buf.resize(65536, 0);
+        hostile.inject(&mut sockets, &mut peer, &padded);
         assert_ne!(peer.transport.as_ref().unwrap().addrs, before);
     }
 
@@ -1274,8 +1016,8 @@ mod tests {
     #[test]
     fn segment_arriving_before_the_table_reaches_the_engine() {
         let hostile = Hostile::new();
-        let mut buf = vec![0u8; 65536];
-        let mut peer = hostile.discovering_peer();
+        let mut sockets = hostile.sockets();
+        let mut peer = hostile.discovering_peer(&mut sockets);
 
         let mut sender = p2psap::Socket::open(Scheme::Synchronous, ConnectionType::IntraCluster);
         let (seq, out) = sender.send(Bytes::from(vec![7u8; 2 * MAX_FRAGMENT_PAYLOAD + 100]), 1);
@@ -1285,15 +1027,20 @@ mod tests {
         let mut datagram = Vec::new();
         for (index, fragment) in fragments.iter().enumerate() {
             encode_fragment_into(&mut datagram, 0, 9, index as u16, 3, fragment);
-            hostile.inject(&mut peer, &datagram, &mut buf);
+            hostile.inject(&mut sockets, &mut peer, &datagram);
         }
-        assert!(matches!(peer.phase, Phase::Discovering { .. }));
-        assert_eq!(peer.early.len(), 1, "the complete segment is kept");
+        assert_eq!(peer.phase, Phase::Discovering);
+        assert_eq!(
+            sockets.wires[0].early.len(),
+            1,
+            "the complete segment is kept"
+        );
 
-        hostile.deliver_table(&mut peer, &mut buf);
-        assert!(peer.early.is_empty());
+        hostile.deliver_table(&mut sockets, &mut peer);
+        assert!(sockets.wires[0].early.is_empty());
         std::thread::sleep(Duration::from_nanos(p2psap::ACK_DELAY_NS));
-        peer.advance(&hostile.poller, &hostile.ctx());
+        peer.advance(&mut sockets, &hostile.run);
+        let mut buf = vec![0u8; 65536];
         let sink = &hostile.sinks[0];
         sink.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("set sink timeout");

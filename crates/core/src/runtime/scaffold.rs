@@ -176,9 +176,9 @@ impl RunScaffold {
         HostedPeer { engine, gossip }
     }
 
-    /// A dormant join rank's poll on the backends where every rank watches
-    /// for its own join (the deterministic backends dispatch the spawn
-    /// centrally and call [`RunScaffold::join_host`] directly).
+    /// A dormant join rank's poll of its join, which the walk makes every
+    /// pass (`sim` dispatches the spawn from the triggering sweep and calls
+    /// [`RunScaffold::join_host`] directly).
     pub(crate) fn poll_join(&self, rank: usize) -> JoinPoll {
         let vol = self.volatility.as_ref().expect("join ranks imply churn");
         if vol.lock().take_spawn_if(rank) {

@@ -45,7 +45,7 @@
 //! agreement tests assert.
 
 use crate::runtime::engine::{PeerTransport, TimerKey, Wire};
-use crate::runtime::host::{PacingGate, Polled};
+use crate::runtime::host::{PacingGate, Polled, PolledTransport};
 use bytes::Bytes;
 use netsim::Topology;
 use rand::{RngCore, SeedableRng};
@@ -376,28 +376,6 @@ impl Datagram {
     }
 }
 
-/// Split one P2PSAP wire segment into fragment datagrams of at most
-/// [`MAX_FRAGMENT_PAYLOAD`] payload bytes each.
-pub fn frame_segment(from: usize, msg_id: u32, segment: &[u8]) -> Vec<Datagram> {
-    let chunks: Vec<&[u8]> = if segment.is_empty() {
-        vec![&[]]
-    } else {
-        segment.chunks(MAX_FRAGMENT_PAYLOAD).collect()
-    };
-    let frag_count = chunks.len() as u16;
-    chunks
-        .into_iter()
-        .enumerate()
-        .map(|(i, chunk)| Datagram::Fragment {
-            from,
-            msg_id,
-            frag_index: i as u16,
-            frag_count,
-            payload: chunk.to_vec(),
-        })
-        .collect()
-}
-
 /// Reassembles framed segments from fragment datagrams, tolerating
 /// out-of-order and duplicate delivery. At most 256 partial messages,
 /// reserving at most 16 384 fragment slots between them, are buffered;
@@ -428,32 +406,6 @@ impl Reassembler {
     /// An empty reassembler.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of partially reassembled messages currently buffered.
-    pub fn pending(&self) -> usize {
-        self.partial.len()
-    }
-
-    /// Fragment slots those messages reserve between them (received or not).
-    pub fn reserved_slots(&self) -> usize {
-        self.reserved
-    }
-
-    /// Feed one fragment; returns the complete segment (with its sender)
-    /// when this fragment finishes a message.
-    pub fn push(&mut self, datagram: Datagram) -> Option<(usize, Bytes)> {
-        let Datagram::Fragment {
-            from,
-            msg_id,
-            frag_index,
-            frag_count,
-            payload,
-        } = datagram
-        else {
-            return None;
-        };
-        self.push_ref(from, msg_id, frag_index, frag_count, &payload)
     }
 
     /// Feed one fragment by reference (the receive hot path, paired with
@@ -703,14 +655,19 @@ impl UdpTransport {
     }
 }
 
+impl PolledTransport for UdpTransport {
+    fn polled(&mut self) -> &mut Polled {
+        &mut self.polled
+    }
+}
+
 impl PeerTransport for UdpTransport {
     fn now_ns(&mut self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
 
     /// Frame a segment and send it to rank `to` as one fragment train: the
-    /// same datagrams as [`frame_segment`] + [`Datagram::encode`] (the tests
-    /// pin it), laid end to end in the reused send buffer and handed to the
+    /// segment's [`Datagram::Fragment`]s, encoded (the tests pin it), laid end to end in the reused send buffer and handed to the
     /// kernel together (see [`send_train`]; a single-fragment segment is a
     /// train of one, a plain `send_to`). The loss shim still decides per
     /// fragment, and send errors are ignored as they always were: a train
@@ -870,20 +827,77 @@ pub(crate) fn wake_bootstrap(addr: SocketAddr) {
 mod tests {
     use super::*;
     use crate::runtime::engine::testing::RampTask;
-    use crate::runtime::reactor::{run_iterative_reactor, SocketRunOutcome};
-    use crate::runtime::{DriverOutcome, RunConfig};
+    use crate::runtime::reactor::{run_sockets as run_reactor, SocketRunOutcome};
+    use crate::runtime::{BackendExtras, DriverOutcome, RunConfig};
     use p2psap::Scheme;
 
     const RAMP: u64 = 10;
 
+    /// Split one P2PSAP wire segment into fragment datagrams of at most
+    /// [`MAX_FRAGMENT_PAYLOAD`] payload bytes each.
+    fn frame_segment(from: usize, msg_id: u32, segment: &[u8]) -> Vec<Datagram> {
+        let chunks: Vec<&[u8]> = if segment.is_empty() {
+            vec![&[]]
+        } else {
+            segment.chunks(MAX_FRAGMENT_PAYLOAD).collect()
+        };
+        let frag_count = chunks.len() as u16;
+        chunks
+            .into_iter()
+            .enumerate()
+            .map(|(i, chunk)| Datagram::Fragment {
+                from,
+                msg_id,
+                frag_index: i as u16,
+                frag_count,
+                payload: chunk.to_vec(),
+            })
+            .collect()
+    }
+
+    impl Reassembler {
+        /// Number of partially reassembled messages currently buffered.
+        fn pending(&self) -> usize {
+            self.partial.len()
+        }
+
+        /// Fragment slots those messages reserve between them (received or not).
+        fn reserved_slots(&self) -> usize {
+            self.reserved
+        }
+
+        /// Feed one fragment; returns the complete segment (with its sender)
+        /// when this fragment finishes a message.
+        fn push(&mut self, datagram: Datagram) -> Option<(usize, Bytes)> {
+            let Datagram::Fragment {
+                from,
+                msg_id,
+                frag_index,
+                frag_count,
+                payload,
+            } = datagram
+            else {
+                return None;
+            };
+            self.push_ref(from, msg_id, frag_index, frag_count, &payload)
+        }
+    }
+
+    /// `config` on the reactor at `loops` event loops.
+    fn with_loops(config: &RunConfig, loops: usize) -> RunConfig {
+        let (loss_probability, reorder_probability) = config.extras.impairment();
+        config.clone().with_extras(BackendExtras::Reactor {
+            event_loops: loops,
+            loss_probability,
+            reorder_probability,
+        })
+    }
+
     /// A ramp run on the reactor at one event loop per provisioned peer.
     fn run_sockets(config: &RunConfig) -> SocketRunOutcome {
         let peers = config.topology.len();
-        run_iterative_reactor(
-            config,
-            &|rank| Box::new(RampTask::line(rank, peers, RAMP)),
-            config.provisioned_peers(),
-        )
+        let config = with_loops(config, config.provisioned_peers());
+        run_reactor(&config, &|rank| Box::new(RampTask::line(rank, peers, RAMP)))
     }
 
     fn run(config: &RunConfig) -> DriverOutcome {
@@ -1476,9 +1490,9 @@ mod tests {
         for (loops, run) in [
             (
                 peers + 1,
-                run_iterative_reactor(&config, &factory, config.provisioned_peers()),
+                run_reactor(&with_loops(&config, peers + 1), &factory),
             ),
-            (2, run_iterative_reactor(&config, &factory, 2)),
+            (2, run_reactor(&with_loops(&config, 2), &factory)),
         ] {
             assert!(run.outcome.measurement.converged, "{loops} loops");
             assert_eq!(run.loops.loops(), loops);
