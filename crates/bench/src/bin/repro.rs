@@ -28,6 +28,11 @@ use bench_suite::{
 };
 use p2pdc::format_table;
 
+/// Tracks live and peak heap bytes, so `repro scale` reports each row's
+/// heap peak.
+#[global_allocator]
+static HEAP: p2pdc::allocs::PeakAllocator = p2pdc::allocs::PeakAllocator;
+
 fn write_json(name: &str, value: &impl serde::Serialize) {
     let _ = std::fs::create_dir_all("results");
     let path = format!("results/{name}.json");

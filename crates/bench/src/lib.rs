@@ -5,8 +5,8 @@
 //! is measured by the benchmark of record (`benchmark/`), not here.
 
 use p2pdc::{
-    derive_row, run_on, BackendExtras, ChurnPlan, ComputeModel, FigureRow, RunConfig, RuntimeKind,
-    Scheme, WorkloadKind,
+    allocs, derive_row, run_on, BackendExtras, ChurnPlan, ComputeModel, FigureRow, RunConfig,
+    RuntimeKind, Scheme, WorkloadKind,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -181,6 +181,10 @@ pub struct ScaleBenchRow {
     pub crashes: u64,
     /// Recoveries completed (must equal `crashes` on a healthy run).
     pub recoveries: u64,
+    /// The most heap the run held at once, in MiB above what was live
+    /// before it (0 unless the process installed
+    /// [`p2pdc::allocs::PeakAllocator`], as `repro` does).
+    pub heap_peak_mib: f64,
 }
 
 /// Run one cell of the peer-scaling curve: PageRank with 4 vertices per
@@ -212,9 +216,12 @@ pub fn run_scale_once(peers: usize, churn: bool) -> ScaleBenchRow {
         .map(|p| p.get())
         .unwrap_or(1)
         .clamp(1, peers);
+    allocs::reset_peak();
+    let live_before = allocs::heap().live;
     let started = Instant::now();
     let result = run_on(workload.as_ref(), &config, RuntimeKind::Reactor);
     let wall = started.elapsed();
+    let heap_peak = allocs::heap().peak.saturating_sub(live_before);
     ScaleBenchRow {
         peers,
         size,
@@ -227,6 +234,7 @@ pub fn run_scale_once(peers: usize, churn: bool) -> ScaleBenchRow {
         residual: result.measurement.residual,
         crashes: result.measurement.crashes,
         recoveries: result.measurement.recoveries,
+        heap_peak_mib: heap_peak as f64 / (1024.0 * 1024.0),
     }
 }
 
@@ -250,12 +258,20 @@ pub fn run_scale_curve(full: bool) -> Vec<ScaleBenchRow> {
 pub fn format_scale_curve(rows: &[ScaleBenchRow]) -> String {
     let mut out = String::from("== Reactor peer-scaling curve ==\n");
     out.push_str(&format!(
-        "{:<8} {:<8} {:<7} {:>10} {:>13} {:>13} {:>8} {:>10}\n",
-        "peers", "loops", "churn", "wall [s]", "relaxations", "crash/rec", "conv", "residual"
+        "{:<8} {:<8} {:<7} {:>10} {:>13} {:>13} {:>8} {:>10} {:>11}\n",
+        "peers",
+        "loops",
+        "churn",
+        "wall [s]",
+        "relaxations",
+        "crash/rec",
+        "conv",
+        "residual",
+        "heap [MiB]"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:<8} {:<8} {:<7} {:>10.3} {:>13} {:>13} {:>8} {:>10.2e}\n",
+            "{:<8} {:<8} {:<7} {:>10.3} {:>13} {:>13} {:>8} {:>10.2e} {:>11.2}\n",
             r.peers,
             r.event_loops,
             r.churn,
@@ -263,7 +279,8 @@ pub fn format_scale_curve(rows: &[ScaleBenchRow]) -> String {
             r.total_relaxations,
             format!("{}/{}", r.crashes, r.recoveries),
             r.converged,
-            r.residual
+            r.residual,
+            r.heap_peak_mib
         ));
     }
     out

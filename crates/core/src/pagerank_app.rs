@@ -138,13 +138,23 @@ fn owner_in(parts: &[(usize, usize)], v: usize) -> usize {
     owner
 }
 
+/// The balanced contiguous vertex partition of `vertices` over `peers`.
+fn balanced_parts(vertices: usize, peers: usize) -> Arc<Vec<(usize, usize)>> {
+    Arc::new(
+        (0..peers)
+            .map(|k| balanced_partition(vertices, peers, k))
+            .collect(),
+    )
+}
+
 /// The per-peer computation: a vertex partition's rank vector iterated on
 /// local plus freshest-received rank mass, speaking the [`IterativeTask`]
 /// interface. The partition is explicit (live repartitioning re-slices it
 /// mid-run); [`PageRankTask::new`] builds the balanced one.
 pub struct PageRankTask {
     graph: Arc<PageRankGraph>,
-    /// The full contiguous vertex partition (`(start, len)` per rank).
+    /// The full contiguous vertex partition (`(start, len)` per rank),
+    /// shared by every task built from one partition.
     parts: Arc<Vec<(usize, usize)>>,
     rank: usize,
     v_start: usize,
@@ -170,13 +180,20 @@ impl PageRankTask {
     /// Create the task of peer `rank` among `peers` peers (balanced
     /// partition, uniform initial ranks).
     pub fn new(graph: Arc<PageRankGraph>, peers: usize, rank: usize) -> Self {
+        let parts = balanced_parts(graph.len(), peers);
+        Self::uniform(graph, parts, rank)
+    }
+
+    /// The task of `rank` under a shared partition, every rank (owned and
+    /// neighbours') at the uniform starting value.
+    fn uniform(graph: Arc<PageRankGraph>, parts: Arc<Vec<(usize, usize)>>, rank: usize) -> Self {
         let n = graph.len();
-        assert!(peers <= n, "{peers} peers cannot split {n} vertices");
-        let parts: Vec<(usize, usize)> = (0..peers)
-            .map(|k| balanced_partition(n, peers, k))
-            .collect();
-        let uniform = vec![1.0 / n as f64; n];
-        Self::from_parts(graph, &parts, rank, &uniform, 0)
+        assert!(
+            parts.len() <= n,
+            "{} peers cannot split {n} vertices",
+            parts.len()
+        );
+        Self::seeded(graph, parts, rank, |_| 1.0 / n as f64, 0)
     }
 
     /// Create the task of `rank` for an explicit vertex partition, with
@@ -191,8 +208,26 @@ impl PageRankTask {
         global: &[f64],
         iteration: u64,
     ) -> Self {
-        let n = graph.len();
-        assert_eq!(global.len(), n, "global rank vector size mismatch");
+        assert_eq!(
+            global.len(),
+            graph.len(),
+            "global rank vector size mismatch"
+        );
+        let parts = Arc::new(parts.to_vec());
+        Self::seeded(graph, parts, rank, |v| global[v], iteration)
+    }
+
+    /// The task of `rank` under `parts`, its owned ranks and the seeded
+    /// external contributions read off `value` (vertex → global rank), with
+    /// the relaxation counter at `iteration`. Only the vertices of `rank`
+    /// and of its neighbour peers are read.
+    fn seeded(
+        graph: Arc<PageRankGraph>,
+        parts: Arc<Vec<(usize, usize)>>,
+        rank: usize,
+        value: impl Fn(usize) -> f64,
+        iteration: u64,
+    ) -> Self {
         let (v_start, v_len) = parts[rank];
         let work_points = (v_start..v_start + v_len)
             .map(|v| graph.degree(v) as u64)
@@ -201,7 +236,7 @@ impl PageRankTask {
             let mut set = std::collections::BTreeSet::new();
             for v in v_start..v_start + v_len {
                 for &u in graph.neighbors(v) {
-                    let owner = owner_in(parts, u as usize);
+                    let owner = owner_in(&parts, u as usize);
                     if owner != rank {
                         set.insert(owner);
                     }
@@ -211,10 +246,10 @@ impl PageRankTask {
         };
         let mut task = Self {
             graph,
-            parts: Arc::new(parts.to_vec()),
+            parts,
             rank,
             v_start,
-            ranks: global[v_start..v_start + v_len].to_vec(),
+            ranks: (v_start..v_start + v_len).map(&value).collect(),
             external: BTreeMap::new(),
             neighbor_peers,
             work_points,
@@ -223,8 +258,7 @@ impl PageRankTask {
             contribution_scratch: Vec::new(),
         };
         for peer in task.neighbor_peers.clone() {
-            let (peer_start, peer_len) = task.parts[peer];
-            let seeded = task.contribution_from(peer, &global[peer_start..peer_start + peer_len]);
+            let seeded = task.contribution_from(peer, &value);
             task.external.insert(peer, seeded);
         }
         task
@@ -236,14 +270,14 @@ impl PageRankTask {
     }
 
     /// The contribution vector peer `peer` pushes into this partition, given
-    /// that peer's rank vector. Used only to seed [`PageRankTask::external`]
-    /// at construction (afterwards the real vectors arrive by message).
-    fn contribution_from(&self, peer: usize, peer_ranks: &[f64]) -> Vec<f64> {
-        let (peer_start, _) = self.parts[peer];
+    /// the ranks of that peer's vertices. Used only to seed
+    /// [`PageRankTask::external`] at construction (afterwards the real
+    /// vectors arrive by message).
+    fn contribution_from(&self, peer: usize, value: impl Fn(usize) -> f64) -> Vec<f64> {
+        let (peer_start, peer_len) = self.parts[peer];
         let mut contribution = vec![0.0; self.ranks.len()];
-        for (i, r) in peer_ranks.iter().enumerate() {
-            let v = peer_start + i;
-            let share = r / self.graph.degree(v) as f64;
+        for v in peer_start..peer_start + peer_len {
+            let share = value(v) / self.graph.degree(v) as f64;
             for &u in self.graph.neighbors(v) {
                 let u = u as usize;
                 if (self.v_start..self.v_start + self.ranks.len()).contains(&u) {
@@ -359,7 +393,8 @@ impl IterativeTask for PageRankTask {
 /// residual for the workload-generic experiment driver.
 pub struct PageRankWorkload {
     graph: Arc<PageRankGraph>,
-    peers: usize,
+    /// The balanced partition, built once and shared by every task.
+    parts: Arc<Vec<(usize, usize)>>,
 }
 
 impl PageRankWorkload {
@@ -367,7 +402,7 @@ impl PageRankWorkload {
     pub fn ring_with_chords(vertices: usize, peers: usize) -> Self {
         Self {
             graph: Arc::new(PageRankGraph::ring_with_chords(vertices)),
-            peers,
+            parts: balanced_parts(vertices, peers),
         }
     }
 
@@ -383,11 +418,12 @@ impl Workload for PageRankWorkload {
     }
 
     fn peers(&self) -> usize {
-        self.peers
+        self.parts.len()
     }
 
     fn task(&self, rank: usize) -> Box<dyn IterativeTask> {
-        Box::new(PageRankTask::new(Arc::clone(&self.graph), self.peers, rank))
+        let (graph, parts) = (Arc::clone(&self.graph), Arc::clone(&self.parts));
+        Box::new(PageRankTask::uniform(graph, parts, rank))
     }
 
     fn assemble(&self, results: &[(usize, Vec<u8>)]) -> Vec<f64> {

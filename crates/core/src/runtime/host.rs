@@ -38,20 +38,15 @@ pub(crate) trait PolledTransport: PeerTransport {
 /// serialization rate is skipped — the next relaxation's supersedes it
 /// anyway. Without it a free-running asynchronous peer floods the path
 /// faster than the receiver drains it, and a reliable channel's
-/// retransmissions amplify the overload.
-#[derive(Debug)]
+/// retransmissions amplify the overload. A peer gates only its neighbours:
+/// one entry per rank gated, found by a linear scan.
+#[derive(Debug, Default)]
 pub(crate) struct PacingGate {
-    /// Earliest transport-clock ns the next update may leave, per rank.
-    next_send_ok: Vec<u64>,
+    /// Earliest transport-clock ns the next update may leave, per gated rank.
+    next_send_ok: Vec<(usize, u64)>,
 }
 
 impl PacingGate {
-    pub(crate) fn new(peers: usize) -> Self {
-        Self {
-            next_send_ok: vec![0; peers],
-        }
-    }
-
     /// Whether an update of `wire_bytes` may leave `from → to` at `now_ns`;
     /// admitting it closes the gate for the link's serialization delay.
     pub(crate) fn admit(
@@ -62,11 +57,19 @@ impl PacingGate {
         wire_bytes: usize,
         now_ns: u64,
     ) -> bool {
-        if now_ns < self.next_send_ok[to] {
+        let at = match self.next_send_ok.iter().position(|&(rank, _)| rank == to) {
+            Some(at) => at,
+            None => {
+                self.next_send_ok.push((to, 0));
+                self.next_send_ok.len() - 1
+            }
+        };
+        let next_send_ok = &mut self.next_send_ok[at].1;
+        if now_ns < *next_send_ok {
             return false;
         }
         let link = topology.link_between(NodeId(from), NodeId(to));
-        self.next_send_ok[to] = now_ns + link.serialization_delay(wire_bytes).as_nanos();
+        *next_send_ok = now_ns + link.serialization_delay(wire_bytes).as_nanos();
         true
     }
 }
@@ -439,5 +442,21 @@ mod tests {
         let plan = ChurnPlan::new(vec![]).with_partition(2, 1, &[2], 30, 90);
         assert!(!arm(plan.clone(), ClockDomain::Virtual).blocked(2, 3, 140));
         assert!(arm(plan, ClockDomain::EventCount).blocked(2, 3, 140));
+    }
+
+    /// The gate closes per neighbour for the link's serialization delay and
+    /// keeps an entry only for the ranks it gated, whatever the run's size.
+    #[test]
+    fn the_pacing_gate_keeps_one_entry_per_gated_neighbour() {
+        let topology = netsim::Topology::nicta_single_cluster(1024);
+        let link = topology.link_between(NodeId(0), NodeId(1)).clone();
+        let delay = link.serialization_delay(12_500).as_nanos();
+        let mut gate = PacingGate::default();
+        assert!(gate.admit(&topology, 0, 1, 12_500, 0));
+        assert!(gate.admit(&topology, 0, 1000, 12_500, 1));
+        assert!(!gate.admit(&topology, 0, 1, 12_500, delay - 1));
+        assert!(gate.admit(&topology, 0, 1, 12_500, delay));
+        assert!(!gate.admit(&topology, 0, 1000, 12_500, delay));
+        assert_eq!(gate.next_send_ok.len(), 2);
     }
 }

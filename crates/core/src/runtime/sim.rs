@@ -320,7 +320,7 @@ pub(crate) fn run_iterative(config: &RunConfig, task_factory: TaskFactory<'_>) -
                 fabric: fabric_id,
                 topology: run.topology.clone(),
                 compute: config.compute,
-                pacing: PacingGate::new(total),
+                pacing: PacingGate::default(),
                 slots: HashMap::new(),
                 next_slot: 0,
                 armed: HashMap::new(),

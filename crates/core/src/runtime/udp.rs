@@ -19,13 +19,15 @@
 //!   on a socket that [`accept_trains`] — read back with one
 //!   [`recv_train`]. The `sys` submodule holds that kernel boundary and
 //!   every `unsafe` line of the socket runtime.
-//! * **Bootstrap** — peers discover each other over the socket itself: a
-//!   bootstrap service owned by the run (served on the run's calling
-//!   thread, which would otherwise only wait) binds its own port, every
-//!   peer announces `HELLO(rank)` from its freshly bound socket (retrying
-//!   until answered), and once all ranks have announced, the service
-//!   replies with the full rank→port table. No addresses are configured up
-//!   front.
+//! * **Bootstrap** — peers meet over the socket itself: a bootstrap
+//!   service owned by the run (served on the run's calling thread, which
+//!   would otherwise only wait) binds its own port, every peer announces
+//!   `HELLO(rank)` from its freshly bound socket (retrying until answered),
+//!   and once all initial ranks have announced, the service replies with
+//!   the rank→port table — a peer's start signal, taken only at the run's
+//!   length. The addresses a peer sends to come from the run's one
+//!   [`PortTable`], which every socket writes when it binds: no peer keeps
+//!   an address book of its own, and nothing off the network writes it.
 //! * **Loss / reorder shim** — [`LossShim`] wraps the socket's send path
 //!   with a deterministic [`ChaCha8Rng`] seeded from the experiment seed,
 //!   dropping or swapping datagrams with configured probabilities, so the
@@ -35,7 +37,8 @@
 //!   and one it held back follows the train alone.
 //! * **Transport** — `UdpTransport`, the [`PeerTransport`] every socket
 //!   peer drives its engine through: in-place framing, wall-clock protocol
-//!   timers, the asynchronous pacing gate and the control broadcasts.
+//!   timers, the asynchronous pacing gate and the control broadcasts, each
+//!   addressed through the shared [`PortTable`] at send time.
 //!
 //! Latency is whatever the kernel's loopback path provides (microseconds);
 //! the topology only contributes the cluster split that the hybrid scheme's
@@ -52,6 +55,8 @@ use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
+use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod sys;
@@ -597,13 +602,46 @@ impl LossShim {
     }
 }
 
+/// The run's rank → port table, its one address book: each socket writes
+/// its port when it binds, every [`UdpTransport`] reads its destinations at
+/// send time, and nothing off the network writes it. Port 0: no socket yet.
+#[derive(Debug, Clone)]
+pub struct PortTable(Arc<[AtomicU16]>);
+
+impl PortTable {
+    /// A table of `ranks` slots, none bound.
+    pub fn new(ranks: usize) -> Self {
+        Self((0..ranks).map(|_| AtomicU16::new(0)).collect())
+    }
+
+    /// Publish `rank`'s port.
+    pub fn set(&self, rank: usize, port: u16) {
+        self.0[rank].store(port, Ordering::Release);
+    }
+
+    /// `rank`'s localhost address, if it has a socket (and is a rank).
+    pub fn addr(&self, rank: usize) -> Option<SocketAddr> {
+        let port = self.0.get(rank)?.load(Ordering::Acquire);
+        (port != 0).then(|| localhost_addr(port))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Every rank's port, in rank order.
+    pub(crate) fn ports(&self) -> Vec<u16> {
+        self.0.iter().map(|p| p.load(Ordering::Acquire)).collect()
+    }
+}
+
 /// The [`PeerTransport`] of a socket peer.
 pub struct UdpTransport {
     pub(crate) rank: usize,
     pub(crate) start: Instant,
     pub(crate) socket: UdpSocket,
-    /// Rank → address table obtained from bootstrap.
-    pub(crate) addrs: Vec<SocketAddr>,
+    /// The run's rank → port table.
+    pub(crate) ports: PortTable,
     pub(crate) shim: LossShim,
     /// Per-sender message counter for framing.
     pub(crate) next_msg_id: u32,
@@ -620,13 +658,12 @@ pub struct UdpTransport {
 
 impl UdpTransport {
     /// The transport of `rank` over `socket`, on a clock that started at
-    /// `start`; `addrs` is the rank → address book (port 0 marks a rank
-    /// that has not announced yet).
+    /// `start`, addressing its peers through the run's `ports`.
     pub fn new(
         rank: usize,
         start: Instant,
         socket: UdpSocket,
-        addrs: Vec<SocketAddr>,
+        ports: PortTable,
         shim: LossShim,
         topology: Topology,
     ) -> Self {
@@ -634,11 +671,11 @@ impl UdpTransport {
             rank,
             start,
             socket,
-            addrs,
+            ports,
             shim,
             next_msg_id: 0,
             polled: Polled::default(),
-            pacing: PacingGate::new(topology.len()),
+            pacing: PacingGate::default(),
             topology,
             send_frame: Vec::new(),
         }
@@ -647,9 +684,9 @@ impl UdpTransport {
     /// Send one encoded control datagram to rank `to` — past the loss shim:
     /// stop and rollback are the coordinator's reliable path, and gossip *is*
     /// the failure-detection path (a dropped probe must look like a dead
-    /// peer, not like shim noise). Dormant ranks (port 0) are skipped.
+    /// peer, not like shim noise). Ranks without a socket are skipped.
     fn send_control(&self, to: usize, datagram: &[u8]) {
-        if let Some(addr) = self.addrs.get(to).filter(|addr| addr.port() != 0) {
+        if let Some(addr) = self.ports.addr(to) {
             let _ = self.socket.send_to(datagram, addr);
         }
     }
@@ -684,12 +721,12 @@ impl PeerTransport for UdpTransport {
                 return;
             }
         };
-        // A pre-provisioned join rank that has not announced yet shows as
-        // port 0: nothing to send to (the reliable channel retransmits once
-        // the bootstrap republishes the table with its real port).
-        if self.addrs[to].port() == 0 {
+        // A pre-provisioned join rank that has not spawned yet has no
+        // socket: nothing to send to (the reliable channel retransmits once
+        // its port is in the table).
+        let Some(addr) = self.ports.addr(to) else {
             return;
-        }
+        };
         let msg_id = self.next_msg_id;
         self.next_msg_id = self.next_msg_id.wrapping_add(1);
         let frag_count = if segment.is_empty() {
@@ -711,7 +748,7 @@ impl PeerTransport for UdpTransport {
             );
         }
         self.shim
-            .send_train(&self.socket, &self.send_frame, TRAIN_STRIDE, self.addrs[to]);
+            .send_train(&self.socket, &self.send_frame, TRAIN_STRIDE, addr);
     }
 
     fn arm_timer(&mut self, key: TimerKey, delay_ns: u64) {
@@ -737,7 +774,7 @@ impl PeerTransport for UdpTransport {
             return;
         };
         let datagram = datagram.encode();
-        for rank in (0..self.addrs.len()).filter(|&rank| rank != self.rank) {
+        for rank in (0..self.ports.len()).filter(|&rank| rank != self.rank) {
             self.send_control(rank, &datagram);
         }
     }
@@ -749,17 +786,9 @@ impl PeerTransport for UdpTransport {
     }
 }
 
-/// The localhost address of `port` (port 0 binds an ephemeral one; in a
-/// rank→address table it marks a join rank that has not announced yet).
+/// The localhost address of `port` (port 0 binds an ephemeral one).
 pub(crate) fn localhost_addr(port: u16) -> SocketAddr {
     SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port))
-}
-
-/// The address book a received [`Datagram::Table`] publishes, if it covers
-/// exactly the `expected` provisioned ranks (a table of any other length is
-/// not from this run's bootstrap).
-pub(crate) fn table_addrs(ports: &[u16], expected: usize) -> Option<Vec<SocketAddr>> {
-    (ports.len() == expected).then(|| ports.iter().copied().map(localhost_addr).collect())
 }
 
 /// Bootstrap service: collects one `HELLO(rank)` from every *initial* peer
@@ -767,8 +796,8 @@ pub(crate) fn table_addrs(ports: &[u16], expected: usize) -> Option<Vec<SocketAd
 /// table (pre-provisioned join ranks appear as port 0 until they announce).
 /// A hello that changes the table — the one that completes it, a joiner's,
 /// a revived peer's new port — is answered by broadcasting the table to
-/// every announced peer, so every running peer learns the address mid-run;
-/// a repeated hello whose port the table already holds (a discovering
+/// every announced peer (only a discovering one acts on it); a repeated
+/// hello whose port the table already holds (a discovering
 /// peer's retry) only by the table to its sender. Broadcasting on every
 /// hello sent n tables per retry — quadratic in the peers at start-up,
 /// where loops that take longer than the retry interval to bind resend
@@ -1221,11 +1250,13 @@ mod tests {
 
     /// Rank 0's transport in a two-rank run whose rank 1 is `peer`.
     fn transport_to(peer: &UdpSocket, shim: LossShim) -> UdpTransport {
+        let ports = PortTable::new(2);
+        ports.set(1, peer.local_addr().unwrap().port());
         UdpTransport::new(
             0,
             Instant::now(),
             test_socket(),
-            vec![localhost_addr(0), peer.local_addr().unwrap()],
+            ports,
             shim,
             RunConfig::quick(Scheme::Synchronous, 2).topology,
         )

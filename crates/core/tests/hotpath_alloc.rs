@@ -37,7 +37,7 @@
 
 use p2pdc::allocs::{self, CountingAllocator};
 use p2pdc::app::{FrameSink, IterativeTask};
-use p2pdc::runtime::udp::{encode_fragment_into, UdpTransport, MAX_FRAGMENT_PAYLOAD};
+use p2pdc::runtime::udp::{encode_fragment_into, PortTable, UdpTransport, MAX_FRAGMENT_PAYLOAD};
 use p2pdc::{
     HeatTask, LossShim, ObstacleTask, PageRankGraph, PageRankTask, PeerTransport, RunConfig,
     Scheme, UpdateMsg, Wire, WorkloadKind,
@@ -185,11 +185,13 @@ fn steady_state_ghost_exchange_does_not_allocate() {
     // what its buffer cannot hold the kernel drops, which costs the sender
     // nothing.
     let sink = UdpSocket::bind("127.0.0.1:0").expect("bind sink");
+    let ports = PortTable::new(2);
+    ports.set(1, sink.local_addr().unwrap().port());
     let mut transport = UdpTransport::new(
         0,
         Instant::now(),
         UdpSocket::bind("127.0.0.1:0").expect("bind sender"),
-        vec![sink.local_addr().unwrap(); 2],
+        ports,
         LossShim::new(0, 0.0, 0.0),
         RunConfig::quick(Scheme::Synchronous, 2).topology,
     );

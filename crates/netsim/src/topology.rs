@@ -6,6 +6,7 @@
 
 use crate::link::LinkSpec;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifier of a peer machine in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,9 +53,13 @@ pub struct NodeSpec {
 
 /// A network topology: a set of nodes partitioned into clusters plus the link
 /// specifications used inside and between clusters.
+///
+/// The node table is shared between clones and copied on write
+/// ([`Topology::push_node`], [`Topology::set_cpu_speed`]), so a clone costs
+/// one pointer, not one entry per node: every peer of a run keeps one.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    nodes: Vec<NodeSpec>,
+    nodes: Arc<Vec<NodeSpec>>,
     intra_link: LinkSpec,
     inter_link: LinkSpec,
 }
@@ -71,7 +76,7 @@ impl Topology {
             })
             .collect();
         Self {
-            nodes,
+            nodes: Arc::new(nodes),
             intra_link: intra_link.clone(),
             inter_link: intra_link,
         }
@@ -90,7 +95,7 @@ impl Topology {
             })
             .collect();
         Self {
-            nodes,
+            nodes: Arc::new(nodes),
             intra_link,
             inter_link,
         }
@@ -131,7 +136,7 @@ impl Topology {
     /// Set the relative CPU speed of a node (heterogeneity experiments).
     pub fn set_cpu_speed(&mut self, id: NodeId, speed: f64) {
         assert!(speed > 0.0, "cpu speed must be positive");
-        self.nodes[id.0].cpu_speed = speed;
+        Arc::make_mut(&mut self.nodes)[id.0].cpu_speed = speed;
     }
 
     /// Cluster of a node.
@@ -186,7 +191,7 @@ impl Topology {
     pub fn push_node(&mut self, cluster: ClusterId, cpu_speed: f64) -> NodeId {
         assert!(cpu_speed > 0.0, "cpu speed must be positive");
         let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeSpec {
+        Arc::make_mut(&mut self.nodes).push(NodeSpec {
             id,
             cluster,
             cpu_speed,
@@ -255,5 +260,16 @@ mod tests {
         t.set_cpu_speed(NodeId(1), 2.0);
         assert_eq!(t.node(NodeId(1)).cpu_speed, 2.0);
         assert_eq!(t.node(NodeId(0)).cpu_speed, 1.0);
+    }
+
+    #[test]
+    fn clones_share_the_node_table_until_one_writes() {
+        let mut t = Topology::nicta_single_cluster(4);
+        let copy = t.clone();
+        assert!(Arc::ptr_eq(&t.nodes, &copy.nodes));
+        t.set_cpu_speed(NodeId(1), 2.0);
+        t.push_node(ClusterId(1), 1.0);
+        assert_eq!((t.len(), t.node(NodeId(1)).cpu_speed), (5, 2.0));
+        assert_eq!((copy.len(), copy.node(NodeId(1)).cpu_speed), (4, 1.0));
     }
 }

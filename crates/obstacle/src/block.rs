@@ -10,8 +10,9 @@
 
 use crate::grid::BlockDecomposition;
 use crate::problem::ObstacleProblem;
-use crate::richardson::{initial_iterate, RichardsonConfig, SolveResult};
+use crate::richardson::{RichardsonConfig, SolveResult};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// The state a peer keeps for its share of the iterate vector.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -33,9 +34,15 @@ pub struct NodeState {
 
 impl NodeState {
     /// Create the state of peer `r` under `decomp`, initialised (including
-    /// ghost planes) from the canonical initial iterate `P_K(0)`.
+    /// ghost planes) from the canonical initial iterate `P_K(0)` — projected
+    /// over the planes the peer keeps only, elementwise the values of
+    /// [`crate::initial_iterate`] without building all `n³` of them.
     pub fn new(problem: &ObstacleProblem, decomp: &BlockDecomposition, r: usize) -> Self {
-        Self::from_global(problem, decomp, r, &initial_iterate(problem), 0)
+        Self::seeded(problem, decomp, r, 0, |points| {
+            let mut v = vec![0.0; points.len()];
+            problem.project_from(points.start, &mut v);
+            v
+        })
     }
 
     /// Create the state of peer `r` under `decomp`, initialised (owned
@@ -52,19 +59,34 @@ impl NodeState {
         full: &[f64],
         relaxations: u64,
     ) -> Self {
+        assert_eq!(full.len(), problem.len(), "global iterate size mismatch");
+        Self::seeded(problem, decomp, r, relaxations, |points| {
+            full[points].to_vec()
+        })
+    }
+
+    /// The state of peer `r` under `decomp` with its owned and ghost planes
+    /// read off `seed` (a global point range → its values).
+    fn seeded(
+        problem: &ObstacleProblem,
+        decomp: &BlockDecomposition,
+        r: usize,
+        relaxations: u64,
+        seed: impl Fn(Range<usize>) -> Vec<f64>,
+    ) -> Self {
         let n = problem.grid.n;
         let plane = problem.grid.plane_len();
-        assert_eq!(full.len(), n * plane, "global iterate size mismatch");
+        let planes = |z: Range<usize>| seed(z.start * plane..z.end * plane);
         let z_start = decomp.start(r);
         let z_end = decomp.end(r);
-        let u = full[z_start * plane..z_end * plane].to_vec();
+        let u = planes(z_start..z_end);
         let ghost_lo = if z_start > 0 {
-            full[(z_start - 1) * plane..z_start * plane].to_vec()
+            planes(z_start - 1..z_start)
         } else {
             Vec::new()
         };
         let ghost_hi = if z_end < n {
-            full[z_end * plane..(z_end + 1) * plane].to_vec()
+            planes(z_end..z_end + 1)
         } else {
             Vec::new()
         };
@@ -629,6 +651,27 @@ mod tests {
         assert_eq!(nodes[0].z_start(), 0);
         assert_eq!(nodes[2].z_end(), 8);
         assert_eq!(nodes[1].first_plane().len(), 64);
+    }
+
+    /// Seeding a peer's own slab is slicing the whole `P_K(0)`, bit for bit:
+    /// owned planes, both ghosts and the sweep buffer.
+    #[test]
+    fn slab_seeded_state_is_the_sliced_initial_iterate() {
+        use crate::richardson::initial_iterate;
+        for problem in [ObstacleProblem::membrane(9), ObstacleProblem::financial(7)] {
+            let full = initial_iterate(&problem);
+            let n = problem.grid.n;
+            for peers in [1, 2, 3, n] {
+                let decomp = BlockDecomposition::balanced(n, peers);
+                for r in 0..peers {
+                    let seeded = NodeState::new(&problem, &decomp, r);
+                    let sliced = NodeState::from_global(&problem, &decomp, r, &full, 0);
+                    let state =
+                        |s: &NodeState| [&s.u, &s.ghost_lo, &s.ghost_hi, &s.next].map(|v| bits(v));
+                    assert_eq!(state(&seeded), state(&sliced), "{peers} peers, rank {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -163,7 +163,14 @@ impl ObstacleProblem {
     /// Component-wise projection onto `K = { v ≥ ψ }`, in place.
     pub fn project(&self, v: &mut [f64]) {
         assert_eq!(v.len(), self.len());
-        for (vi, psi) in v.iter_mut().zip(self.psi.iter()) {
+        self.project_from(0, v);
+    }
+
+    /// Project `v`, the points of the iterate from `offset` on, onto the
+    /// constraint set (a peer's planes, projected without the rest).
+    pub(crate) fn project_from(&self, offset: usize, v: &mut [f64]) {
+        let psi = &self.psi[offset..offset + v.len()];
+        for (vi, psi) in v.iter_mut().zip(psi) {
             if *vi < *psi {
                 *vi = *psi;
             }
