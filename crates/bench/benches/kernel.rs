@@ -5,7 +5,9 @@
 //! bare memory streams.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use obstacle::{initial_iterate, sweep, BlockDecomposition, NodeState, ObstacleProblem};
+use obstacle::{
+    initial_iterate, kernel_interior, sweep, BlockDecomposition, NodeState, ObstacleProblem,
+};
 
 fn bench_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("richardson_kernel");
@@ -27,16 +29,20 @@ fn bench_kernel(c: &mut Criterion) {
 /// grid per sweep), beside `stream_floor` — the kernel's four streams with no
 /// stencil: read `u`, `rhs`, `psi`, write `next`. The gap between `blocked`
 /// and `stream_floor` is the kernel's headroom. n = 24 fits in L2; 36 and 56
-/// are the grids of `obstacle-lockstep` and `obstacle-kernel`.
+/// are the grids of `obstacle-lockstep` and `obstacle-kernel`. The `blocked`
+/// rows are named after the row interior this host's sweeps run
+/// (`blocked-avx2` or `blocked-portable`), so two hosts' numbers are never
+/// compared unawares.
 fn bench_node_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("node_kernel");
+    let blocked = format!("blocked-{}", kernel_interior());
     for n in [24usize, 36, 56] {
         let problem = ObstacleProblem::membrane(n);
         let decomp = BlockDecomposition::balanced(n, 1);
         let delta = problem.optimal_delta();
         let mut state = NodeState::new(&problem, &decomp, 0);
         group.throughput(Throughput::Elements(state.local_len() as u64));
-        group.bench_with_input(BenchmarkId::new("blocked", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new(&blocked, n), &n, |b, _| {
             b.iter(|| std::hint::black_box(state.sweep(&problem, delta)));
         });
         let mut state = NodeState::new(&problem, &decomp, 0);

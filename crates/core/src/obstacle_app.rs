@@ -40,12 +40,16 @@ impl UpdateMsg {
     /// straight from grid storage into a pooled buffer. Byte-identical to
     /// [`UpdateMsg::encode`] (which delegates here).
     pub fn encode_into(out: &mut Vec<u8>, from: u32, iteration: u64, plane: &[f64]) {
-        out.reserve(16 + plane.len() * 8);
-        out.extend_from_slice(&from.to_le_bytes());
-        out.extend_from_slice(&(plane.len() as u32).to_le_bytes());
-        out.extend_from_slice(&iteration.to_le_bytes());
-        for v in plane {
-            out.extend_from_slice(&v.to_le_bytes());
+        // Grow once, then write in place: the plane loop is fixed-size
+        // copies with no capacity check per value.
+        let start = out.len();
+        out.resize(start + 16 + plane.len() * 8, 0);
+        let (header, body) = out[start..].split_at_mut(16);
+        header[..4].copy_from_slice(&from.to_le_bytes());
+        header[4..8].copy_from_slice(&(plane.len() as u32).to_le_bytes());
+        header[8..].copy_from_slice(&iteration.to_le_bytes());
+        for (slot, v) in body.chunks_exact_mut(8).zip(plane) {
+            slot.copy_from_slice(&v.to_le_bytes());
         }
     }
 

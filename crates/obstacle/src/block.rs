@@ -7,6 +7,15 @@
 //! copies of the neighbouring peers' boundary planes. After a sweep the peer
 //! sends its first plane to the peer below and its last plane to the peer
 //! above.
+//!
+//! Every obstacle sweep of the crate runs one kernel, `relax_planes`: a walk
+//! over planes and rows whose inner columns run in chunks of several points
+//! side by side. The chunk loop has two interiors: four lanes of AVX2
+//! intrinsics, chosen at run time on an x86_64 CPU that has AVX2, and two
+//! lanes of portable code on every other host. Both give the iterates of the
+//! per-point oracle [`NodeState::sweep_scalar`] bit for bit, so which one
+//! runs never shows in a result ([`kernel_interior`] says which). The AVX2
+//! interior holds the crate's only `unsafe` code.
 
 use crate::grid::BlockDecomposition;
 use crate::problem::ObstacleProblem;
@@ -203,11 +212,17 @@ impl NodeState {
     /// ghost planes standing in for the neighbours' planes (an absent
     /// neighbour is a persistent zero plane — the homogeneous Dirichlet
     /// boundary — which is bit-identical to skipping the subtraction, since
-    /// `x - 0.0 == x` for every `f64`). Produces bit-identical iterates to
+    /// `x - 0.0 == x` for every `f64`), on the row interior of this host
+    /// ([`kernel_interior`]). Produces bit-identical iterates to
     /// [`NodeState::sweep_scalar`] and to the sequential
     /// [`crate::richardson::sweep`], preserving the decomposition-invariant
     /// relaxation counts.
     pub fn sweep(&mut self, problem: &ObstacleProblem, delta: f64) -> f64 {
+        self.sweep_on(Interior::detected(), problem, delta)
+    }
+
+    /// [`NodeState::sweep`] on a given row interior.
+    fn sweep_on(&mut self, interior: Interior, problem: &ObstacleProblem, delta: f64) -> f64 {
         let plane = self.n * self.n;
         if self.zeros.len() < plane {
             // Deserialized states arrive without the scratch plane.
@@ -225,7 +240,8 @@ impl NodeState {
             zeros
         };
         let window = self.z_start * plane..self.z_end * plane;
-        let max_diff = relax_planes(
+        let max_diff = relax_planes_with(
+            interior,
             self.n,
             &self.u,
             below,
@@ -242,8 +258,9 @@ impl NodeState {
     }
 
     /// The straightforward per-point sweep, independent of
-    /// `relax_planes`: the equivalence oracle the lane-parallel kernel
-    /// must match bit for bit, and the scalar side of the kernel bench.
+    /// `relax_planes`: the equivalence oracle every interior of the
+    /// lane-parallel kernel must match bit for bit, and the scalar side of
+    /// the kernel bench.
     pub fn sweep_scalar(&mut self, problem: &ObstacleProblem, delta: f64) -> f64 {
         let n = self.n;
         let plane = n * n;
@@ -395,29 +412,142 @@ fn relax_point(
     project(center - delta * (acc - rhs), psi)
 }
 
-/// Points per chunk of the row kernel's interior: the chunk's points are
+/// Points per chunk of the portable interior: the chunk's points are
 /// relaxed side by side and each lane keeps its own running maximum, so
 /// neither the stores nor the `max` reduction form one serial chain. Two
-/// lanes — one SSE2 register of `f64` — measured fastest: at n = 56 they and
-/// four lanes both sit within 5 % of the same loop with no `max` at all, and
-/// at n = 24 / 36 four lanes are 7–9 % slower (more scalar remainder).
+/// lanes — one SSE2 register of `f64` — measured fastest for portable code:
+/// at n = 56 they and four lanes both sit within 5 % of the same loop with no
+/// `max` at all, and at n = 24 / 36 four lanes are 7–9 % slower (more scalar
+/// remainder). Compiled for AVX2, a portable 4-lane chunk stays in 128-bit
+/// registers and runs slower still, so the 4-lane interior is written in
+/// intrinsics ([`Interior::Avx2`]).
 const LANES: usize = 2;
+
+/// The loop over whole chunks of a row's inner columns — the one part of
+/// [`relax_row`] that differs between hosts. [`Interior::detected`] picks
+/// the widest one the CPU runs; nothing else chooses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Interior {
+    /// Portable Rust, [`LANES`] points per chunk (SSE2 code on x86_64).
+    Portable,
+    /// Four points per chunk in AVX2 intrinsics; the token inside proves
+    /// that the CPU has AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(avx2::Avx2),
+}
+
+impl Interior {
+    /// The interior this host runs: AVX2 where the CPU has it, the portable
+    /// one everywhere else. The feature test is cached by the standard
+    /// library, so calling this once per sweep costs one load.
+    fn detected() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = avx2::Avx2::detect() {
+            return Self::Avx2(avx2);
+        }
+        Self::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Self::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx2(_) => "avx2",
+        }
+    }
+}
+
+/// The interior of the row kernel that every obstacle sweep on this host
+/// runs: `"avx2"` (four lanes of AVX2 intrinsics) where the CPU has AVX2,
+/// `"portable"` (two lanes of portable code) everywhere else. Both give the
+/// same bits; benches and logs print this to say which one they measured.
+pub fn kernel_interior() -> &'static str {
+    Interior::detected().name()
+}
 
 /// Relax whole planes: `u` holds `u.len() / n²` consecutive z-planes, the
 /// relaxed values go to `next`, and the sup-norm of `next − u` is returned.
 /// This is the obstacle kernel: [`NodeState::sweep`] runs it over a peer's
 /// block with its ghost planes, [`crate::richardson::sweep`] over the whole
 /// grid with zero planes, so the distributed sweep, the sequential reference
-/// and the residual cannot disagree.
+/// and the residual cannot disagree. It runs the row interior the host
+/// supports ([`kernel_interior`]), so all of them switch together, and every
+/// interior gives the same bits.
 ///
 /// `below` / `above` are the planes just outside the block (zeros on the
 /// grid's boundary), `zeros` holds at least `n` zeros (the boundary row),
-/// and `rhs` / `psi` are the problem data over the block. Never inlined, so
-/// the hot loop's code layout is fixed per plane walk and does not move
-/// with the code of its callers.
+/// and `rhs` / `psi` are the problem data over the block.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn relax_planes(
+    n: usize,
+    u: &[f64],
+    below: &[f64],
+    above: &[f64],
+    zeros: &[f64],
+    rhs: &[f64],
+    psi: &[f64],
+    next: &mut [f64],
+    delta: f64,
+) -> f64 {
+    relax_planes_with(
+        Interior::detected(),
+        n,
+        u,
+        below,
+        above,
+        zeros,
+        rhs,
+        psi,
+        next,
+        delta,
+    )
+}
+
+/// [`relax_planes`] on a given row interior. Never inlined, so the hot
+/// loop's code layout is fixed per plane walk and does not move with the
+/// code of its callers; the AVX2 walk is compiled for AVX2 as a whole, so
+/// its rows call no function.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-pub(crate) fn relax_planes(
+fn relax_planes_with(
+    interior: Interior,
+    n: usize,
+    u: &[f64],
+    below: &[f64],
+    above: &[f64],
+    zeros: &[f64],
+    rhs: &[f64],
+    psi: &[f64],
+    next: &mut [f64],
+    delta: f64,
+) -> f64 {
+    match interior {
+        Interior::Portable => walk_planes(
+            LANES,
+            portable_chunks,
+            n,
+            u,
+            below,
+            above,
+            zeros,
+            rhs,
+            psi,
+            next,
+            delta,
+        ),
+        #[cfg(target_arch = "x86_64")]
+        Interior::Avx2(avx2) => avx2.relax_planes(n, u, below, above, zeros, rhs, psi, next, delta),
+    }
+}
+
+/// The plane walk shared by every interior: resolve each row's neighbour
+/// rows and relax it with [`relax_row`], whose inner columns run `chunks`
+/// in chunks of `width` points.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn walk_planes(
+    width: usize,
+    chunks: impl Fn(Inner<'_>, f64) -> f64,
     n: usize,
     u: &[f64],
     below: &[f64],
@@ -469,6 +599,8 @@ pub(crate) fn relax_planes(
                 zero_row
             };
             let d = relax_row(
+                width,
+                &chunks,
                 &u_plane[row.clone()],
                 front,
                 back,
@@ -505,15 +637,17 @@ fn keep_max(lane: &mut f64, p: f64, center: f64) {
 /// up front, and return the row's sup-norm successive difference.
 ///
 /// Columns `0` and `n-1`, whose left / right neighbour is the zero boundary,
-/// are peeled. The interior runs over slices cut to a whole number of
-/// [`LANES`]-point chunks, so it carries no boundary branch and no bounds
-/// check per point: each chunk relaxes its points side by side, stores them,
-/// and raises one running maximum per lane, and the lanes are folded once
-/// per row. The compiler turns a chunk into straight SSE2 code, projection
-/// and `max` included.
+/// are peeled, and the inner columns past the last whole chunk of `width`
+/// points run point by point too. The interior `chunks` runs over slices cut
+/// to a whole number of chunks, so it carries no boundary branch and no
+/// bounds check per point: each chunk relaxes its points side by side,
+/// stores them, and raises one running maximum per lane, and the lanes are
+/// folded once per row.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn relax_row(
+    width: usize,
+    chunks: impl Fn(Inner<'_>, f64) -> f64,
     row: &[f64],
     front: &[f64],
     back: &[f64],
@@ -541,27 +675,80 @@ fn relax_row(
             row[i], left, right, front[i], back[i], below[i], above[i], rhs[i], psi[i], delta,
         )
     };
-    let mut maxima = [0.0f64; LANES];
+    let mut max_diff = 0.0f64;
     let last = n - 1;
-    let interior = last - 1;
-    let chunked = interior - interior % LANES;
+    let columns = last - 1;
+    let chunked = columns - columns % width;
     // The peeled columns and the interior's remainder, point by point.
     let mut single = |i: usize, p: f64| {
         out[i] = p;
-        keep_max(&mut maxima[0], p, row[i]);
+        keep_max(&mut max_diff, p, row[i]);
     };
     single(0, point(0, 0.0, row[1]));
     single(last, point(last, row[last - 1], 0.0));
     for i in 1 + chunked..last {
         single(i, point(i, row[i - 1], row[i + 1]));
     }
-    // Every slice below is `chunked` long and index `i` is column `i + 1`.
-    let (c, l, r) = (&row[1..=chunked], &row[..chunked], &row[2..chunked + 2]);
-    let (f, b) = (&front[1..=chunked], &back[1..=chunked]);
-    let (lo, hi) = (&below[1..=chunked], &above[1..=chunked]);
-    let (rh, ps) = (&rhs[1..=chunked], &psi[1..=chunked]);
-    let o = &mut out[1..=chunked];
-    for chunk in 0..chunked / LANES {
+    let inner = Inner {
+        center: &row[1..=chunked],
+        left: &row[..chunked],
+        right: &row[2..chunked + 2],
+        front: &front[1..=chunked],
+        back: &back[1..=chunked],
+        below: &below[1..=chunked],
+        above: &above[1..=chunked],
+        rhs: &rhs[1..=chunked],
+        psi: &psi[1..=chunked],
+        out: &mut out[1..=chunked],
+    };
+    max_diff.max(chunks(inner, delta))
+}
+
+/// A row's inner columns cut to a whole number of chunks: every slice is
+/// the same length, and index `i` is column `i + 1` of the row.
+struct Inner<'a> {
+    center: &'a [f64],
+    left: &'a [f64],
+    right: &'a [f64],
+    front: &'a [f64],
+    back: &'a [f64],
+    below: &'a [f64],
+    above: &'a [f64],
+    rhs: &'a [f64],
+    psi: &'a [f64],
+    out: &'a mut [f64],
+}
+
+/// The portable interior: [`LANES`]-point chunks of [`relax_point`], one
+/// running maximum per lane; returns the inner columns' sup-norm
+/// difference. The compiler turns a chunk into straight SSE2 code,
+/// projection and `max` included.
+#[inline(always)]
+fn portable_chunks(inner: Inner<'_>, delta: f64) -> f64 {
+    let Inner {
+        center,
+        left,
+        right,
+        front,
+        back,
+        below,
+        above,
+        rhs,
+        psi,
+        out,
+    } = inner;
+    // Cut every slice to one length that is visibly a whole number of
+    // chunks, so the loop carries no bounds check and the compiler
+    // vectorizes the chunk.
+    let chunks = center.len() / LANES;
+    let len = chunks * LANES;
+    let (c, l, r) = (&center[..len], &left[..len], &right[..len]);
+    let (f, b) = (&front[..len], &back[..len]);
+    let (lo, hi) = (&below[..len], &above[..len]);
+    let (rh, ps) = (&rhs[..len], &psi[..len]);
+    let o = &mut out[..len];
+    let mut maxima = [0.0f64; LANES];
+    for chunk in 0..chunks {
         let mut p = [0.0f64; LANES];
         for (k, p) in p.iter_mut().enumerate() {
             let i = chunk * LANES + k;
@@ -576,6 +763,129 @@ fn relax_row(
         }
     }
     maxima.into_iter().fold(0.0, f64::max)
+}
+
+/// The AVX2 interior: [`relax_point`] four lanes wide in intrinsics, in the
+/// same operation order and with no fused multiply-add, so every lane gives
+/// the bits of the scalar update. `_mm256_max_pd(a, b)` is `a > b ? a : b`
+/// per lane — `project` when `b` is the obstacle (signed-zero ties and NaN
+/// included) and [`keep_max`] when `b` is the running maximum — and clearing
+/// the sign bit is `f64::abs`.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::Inner;
+    use std::arch::x86_64::*;
+
+    /// Points per chunk: one AVX2 register of `f64`.
+    const WIDTH: usize = 4;
+
+    /// Proof that this CPU runs AVX2: [`Avx2::detect`] is the only way to
+    /// make one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        /// `Some` exactly when the CPU has AVX2.
+        pub(super) fn detect() -> Option<Self> {
+            is_x86_feature_detected!("avx2").then_some(Self(()))
+        }
+
+        /// `relax_planes` on the AVX2 interior.
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn relax_planes(
+            self,
+            n: usize,
+            u: &[f64],
+            below: &[f64],
+            above: &[f64],
+            zeros: &[f64],
+            rhs: &[f64],
+            psi: &[f64],
+            next: &mut [f64],
+            delta: f64,
+        ) -> f64 {
+            // SAFETY: an `Avx2` exists only where `detect` found AVX2 on
+            // this CPU, which is all `relax_planes` needs beyond its
+            // arguments.
+            unsafe { relax_planes(n, u, below, above, zeros, rhs, psi, next, delta) }
+        }
+    }
+
+    /// The shared plane walk compiled for AVX2, with [`chunks`] as its
+    /// interior.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    fn relax_planes(
+        n: usize,
+        u: &[f64],
+        below: &[f64],
+        above: &[f64],
+        zeros: &[f64],
+        rhs: &[f64],
+        psi: &[f64],
+        next: &mut [f64],
+        delta: f64,
+    ) -> f64 {
+        let chunks = |inner: Inner<'_>, delta| chunks(inner, delta);
+        super::walk_planes(
+            WIDTH, chunks, n, u, below, above, zeros, rhs, psi, next, delta,
+        )
+    }
+
+    /// Relax the inner columns four points at a time and return their
+    /// sup-norm difference.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn chunks(inner: Inner<'_>, delta: f64) -> f64 {
+        let Inner {
+            center: c,
+            left: l,
+            right: r,
+            front: f,
+            back: b,
+            below: lo,
+            above: hi,
+            rhs: rh,
+            psi: ps,
+            out: o,
+        } = inner;
+        let len = c.len();
+        assert!(
+            len.is_multiple_of(WIDTH)
+                && [l, r, f, b, lo, hi, rh, ps].iter().all(|s| s.len() == len)
+                && o.len() == len,
+            "interior shape mismatch"
+        );
+        let six = _mm256_set1_pd(6.0);
+        let delta = _mm256_set1_pd(delta);
+        let magnitude = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+        let mut max = _mm256_setzero_pd();
+        for i in (0..len).step_by(WIDTH) {
+            // SAFETY: `i + 4 <= len` because `len` is a multiple of 4, and
+            // every slice read here holds `len` values (asserted above), so
+            // each load reads four in-bounds `f64`s.
+            let [center, left, right, front, back, below, above, rhs, psi] =
+                [c, l, r, f, b, lo, hi, rh, ps]
+                    .map(|s| unsafe { _mm256_loadu_pd(s.as_ptr().add(i)) });
+            let mut acc = _mm256_mul_pd(six, center);
+            acc = _mm256_sub_pd(acc, left);
+            acc = _mm256_sub_pd(acc, right);
+            acc = _mm256_sub_pd(acc, front);
+            acc = _mm256_sub_pd(acc, back);
+            acc = _mm256_sub_pd(acc, below);
+            acc = _mm256_sub_pd(acc, above);
+            let step = _mm256_mul_pd(delta, _mm256_sub_pd(acc, rhs));
+            let p = _mm256_max_pd(_mm256_sub_pd(center, step), psi);
+            // SAFETY: `o` holds `len` values (asserted above) and
+            // `i + 4 <= len`, so the store writes four in-bounds `f64`s.
+            unsafe { _mm256_storeu_pd(o.as_mut_ptr().add(i), p) };
+            let d = _mm256_and_pd(_mm256_sub_pd(p, center), magnitude);
+            max = _mm256_max_pd(d, max);
+        }
+        // Fold the four lane maxima: none is NaN, so the order is free.
+        let pair = _mm_max_pd(_mm256_castpd256_pd128(max), _mm256_extractf128_pd::<1>(max));
+        _mm_cvtsd_f64(_mm_max_sd(pair, _mm_unpackhi_pd(pair, pair)))
+    }
 }
 
 /// Sequentially emulate the *synchronous* distributed scheme with `alpha`
@@ -781,19 +1091,52 @@ mod tests {
         (u, diffs)
     }
 
+    /// Every row interior this host runs, each to be called directly: the
+    /// portable one always, and AVX2 where the CPU has it.
+    fn interiors() -> Vec<Interior> {
+        let mut all = vec![Interior::Portable, Interior::detected()];
+        all.dedup();
+        all
+    }
+
+    /// Each interior of the blocked kernel against the scalar oracle: the
+    /// same iterates and successive differences, bit for bit.
     fn assert_bit_identical(problem: &ObstacleProblem, alpha: usize, sweeps: usize) {
-        let (blocked, blocked_diffs) = drive(problem, alpha, sweeps, NodeState::sweep);
         let (scalar, scalar_diffs) = drive(problem, alpha, sweeps, NodeState::sweep_scalar);
-        for (idx, (a, b)) in blocked.iter().zip(scalar.iter()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "iterate bit mismatch at {idx} (alpha={alpha})"
-            );
+        for interior in interiors() {
+            let (blocked, blocked_diffs) = drive(problem, alpha, sweeps, |node, problem, delta| {
+                node.sweep_on(interior, problem, delta)
+            });
+            let name = interior.name();
+            for (idx, (a, b)) in blocked.iter().zip(scalar.iter()).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{name}: iterate bit mismatch at {idx} (alpha={alpha})"
+                );
+            }
+            for (a, b) in blocked_diffs.iter().zip(scalar_diffs.iter()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{name}: sup-norm diff mismatch");
+            }
         }
-        for (a, b) in blocked_diffs.iter().zip(scalar_diffs.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "sup-norm diff mismatch");
-        }
+    }
+
+    /// Say in the test log which interior this host's sweeps run: a host
+    /// without AVX2 checks only the portable one, and only this line shows
+    /// it.
+    #[test]
+    fn reports_the_dispatched_interior() {
+        let names: Vec<_> = interiors().into_iter().map(Interior::name).collect();
+        eprintln!(
+            "obstacle kernel: sweeps run the {} interior; interiors tested here: {names:?}",
+            kernel_interior()
+        );
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            kernel_interior() == "avx2",
+            std::arch::is_x86_feature_detected!("avx2")
+        );
+        assert_eq!(kernel_interior(), *names.last().expect("portable"));
     }
 
     #[test]
@@ -811,9 +1154,10 @@ mod tests {
 
     #[test]
     fn blocked_kernel_handles_single_point_rows() {
-        // n = 2 rows consist of the two peeled columns alone; n = 3, 4, 5
-        // add a one-point remainder, one whole chunk, and both.
-        for n in [2usize, 3, 4, 5] {
+        // n = 2 rows consist of the two peeled columns alone; n = 3..=11
+        // add 1..=9 inner columns: every remainder of a 2- and a 4-point
+        // chunk, alone and after one or two whole chunks.
+        for n in 2usize..=11 {
             let problem = ObstacleProblem::membrane(n);
             assert_bit_identical(&problem, 1, 10);
         }
@@ -918,13 +1262,14 @@ mod tests {
         }
 
         proptest! {
-            /// The lane-parallel kernel is bit-identical to the scalar kernel
-            /// on random problems, decompositions and sweep counts. Rows of
-            /// 2..14 points cover every interior remainder and rows of
-            /// several whole chunks.
+            /// Every interior of the lane-parallel kernel is bit-identical to
+            /// the scalar kernel on random problems, decompositions and sweep
+            /// counts. Rows of 2..20 points have 0..=17 inner columns: every
+            /// remainder of a 2- and a 4-point chunk after up to four whole
+            /// 4-point chunks.
             #[test]
             fn blocked_matches_scalar_on_random_problems(
-                n in 2usize..14,
+                n in 2usize..20,
                 alpha_seed in 1usize..16,
                 sweeps in 1usize..12,
                 seed in any::<u64>(),

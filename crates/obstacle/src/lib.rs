@@ -24,7 +24,7 @@ pub mod grid;
 pub mod problem;
 pub mod richardson;
 
-pub use block::{solve_block_synchronous, store_le_plane, NodeState};
+pub use block::{kernel_interior, solve_block_synchronous, store_le_plane, NodeState};
 pub use convergence::{l2_norm, sup_norm, sup_norm_diff, ConvergenceCriterion, GlobalConvergence};
 pub use grid::{BlockDecomposition, Grid3};
 pub use problem::{ObstacleProblem, NO_OBSTACLE};
