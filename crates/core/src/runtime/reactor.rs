@@ -57,6 +57,10 @@ pub struct LoopStats {
     pub data_segments: u64,
     /// Bare acknowledgement segments the peers sent, summed the same way.
     pub bare_acks: u64,
+    /// Per-loop relaxations: the sweeps of each loop's peers, summed when
+    /// each retires (the tasks' counters, as in
+    /// [`RunMeasurement::relaxations_per_peer`](crate::metrics::RunMeasurement::relaxations_per_peer)).
+    pub relaxations: Vec<u64>,
 }
 
 impl LoopStats {
@@ -116,12 +120,14 @@ struct LoopShared<'a> {
     tally: &'a LoopTally,
 }
 
-/// What the event loops tally together: each loop's busy time, the retired
-/// peers (the loops exit once all `total` have), their sent `(data
-/// segments, bare acks)` and the datagrams their shims dropped.
+/// What the event loops tally together: each loop's busy time and its
+/// peers' relaxations, the retired peers (the loops exit once all `total`
+/// have), their sent `(data segments, bare acks)` and the datagrams their
+/// shims dropped.
 #[derive(Default)]
 struct LoopTally {
     busy_ns: Vec<AtomicU64>,
+    relaxations: Vec<AtomicU64>,
     done: AtomicUsize,
     total: usize,
     sent_segments: [AtomicU64; 2],
@@ -132,6 +138,7 @@ impl LoopTally {
     fn new(loops: usize, total: usize) -> Self {
         Self {
             busy_ns: (0..loops).map(|_| AtomicU64::new(0)).collect(),
+            relaxations: (0..loops).map(|_| AtomicU64::new(0)).collect(),
             total,
             ..Self::default()
         }
@@ -154,6 +161,7 @@ impl LoopTally {
             migrations: 0,
             data_segments: load(&self.sent_segments[0]),
             bare_acks: load(&self.sent_segments[1]),
+            relaxations: self.relaxations.iter().map(load).collect(),
         }
     }
 }
@@ -370,16 +378,18 @@ impl Substrate for Sockets<'_> {
         true
     }
 
-    /// Flush the shim's held-back datagram, account its drops and sent
-    /// segments, deregister the socket. The run's last retirement releases
-    /// the calling thread from the bootstrap service and the other loops
-    /// from their idle waits.
+    /// Flush the shim's held-back datagram, account its drops, sent
+    /// segments and relaxations, deregister the socket. The run's last
+    /// retirement releases the calling thread from the bootstrap service
+    /// and the other loops from their idle waits.
     fn retire(&mut self, mut peer: Peer<UdpTransport>) {
         let ctx = &self.ctx;
         if let Some(host) = &peer.host {
             let (data, acks) = host.engine.sent_segments();
             ctx.tally.sent_segments[0].fetch_add(data, Ordering::Relaxed);
             ctx.tally.sent_segments[1].fetch_add(acks, Ordering::Relaxed);
+            let relaxations = host.engine.relaxations();
+            ctx.tally.relaxations[self.index].fetch_add(relaxations, Ordering::Relaxed);
         }
         if let Some(transport) = &mut peer.transport {
             transport.shim.flush(&transport.socket);
@@ -447,13 +457,12 @@ impl Substrate for Sockets<'_> {
 /// event-loop count of [`BackendExtras::Reactor`](crate::BackendExtras),
 /// by default the host's parallelism (the loops are compute-bound — the
 /// relaxation kernels run inline on them); the loss/reorder shim
-/// probabilities come from there too.
+/// probabilities come from there too. A loop may hand part of a large
+/// obstacle sweep to a helper thread ([`obstacle::join`]) only when the
+/// loops leave a core idle; loops that fill the cores sweep whole.
 pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> SocketRunOutcome {
-    let loops = config.extras.event_loops().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let loops = config.extras.event_loops().unwrap_or(cores);
     // Bootstrap-table slots and a dormant event-loop slot are provisioned
     // for ranks that may join mid-run.
     let total = config.provisioned_peers();
@@ -488,6 +497,7 @@ pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> 
         ports: &ports,
         tally: &tally,
     };
+    let lend_idle_cores = live_loops < cores;
     std::thread::scope(|scope| {
         run.spawn_monitor(scope, start);
         let ctx = &ctx;
@@ -495,6 +505,7 @@ pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> 
             .map(|index| {
                 let ranks = index * chunk..((index + 1) * chunk).min(total);
                 scope.spawn(move || {
+                    obstacle::join::allow_helpers(lend_idle_cores);
                     let mut sockets = Sockets::new(index, ranks.clone(), *ctx);
                     walk(&mut sockets, ctx.run, ranks, task_factory)
                 })
@@ -617,6 +628,87 @@ mod tests {
         let outcome = run(&config);
         assert!(outcome.measurement.converged);
         assert_eq!(outcome.results.len(), 4);
+    }
+
+    /// A ramp task that also sweeps an obstacle block large enough to cut,
+    /// and notes whether its loop thread may borrow a helper and how many
+    /// parts it handed off.
+    struct SweepingTask {
+        ramp: RampTask,
+        problem: std::sync::Arc<obstacle::ObstacleProblem>,
+        block: obstacle::NodeState,
+        allowed: std::sync::Arc<AtomicUsize>,
+        handoffs: std::sync::Arc<AtomicU64>,
+    }
+
+    impl crate::app::IterativeTask for SweepingTask {
+        fn relax(&mut self) -> crate::app::LocalRelax {
+            let before = obstacle::join::handoffs();
+            self.block
+                .sweep(&self.problem, self.problem.optimal_delta());
+            let handed = obstacle::join::handoffs() - before;
+            self.handoffs.fetch_add(handed, Ordering::Relaxed);
+            if obstacle::join::helpers_allowed() {
+                self.allowed.fetch_add(1, Ordering::Relaxed);
+            }
+            self.ramp.relax()
+        }
+        fn encode_outgoing(&mut self, sink: &mut crate::app::FrameSink) {
+            self.ramp.encode_outgoing(sink)
+        }
+        fn incorporate(&mut self, from: usize, payload: &[u8]) -> f64 {
+            self.ramp.incorporate(from, payload)
+        }
+        fn neighbors(&self) -> Vec<usize> {
+            self.ramp.neighbors()
+        }
+        fn result(&self) -> Vec<u8> {
+            self.ramp.result()
+        }
+        fn relaxations(&self) -> u64 {
+            self.ramp.relaxations()
+        }
+    }
+
+    /// Loops that fill the cores never hand a part of a sweep to a helper,
+    /// however large the block; fewer loops than cores may.
+    #[test]
+    fn loops_that_fill_the_cores_never_hand_a_sweep_off() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let n = 44;
+        let problem = std::sync::Arc::new(obstacle::ObstacleProblem::membrane(n));
+        let decomp = obstacle::BlockDecomposition::balanced(n, 1);
+        for loops in [cores, 1] {
+            let peers = 2 * cores;
+            let allowed = std::sync::Arc::new(AtomicUsize::new(0));
+            let handoffs = std::sync::Arc::new(AtomicU64::new(0));
+            let mut config =
+                RunConfig::quick(Scheme::Synchronous, peers).with_extras(BackendExtras::Reactor {
+                    event_loops: loops,
+                    loss_probability: 0.0,
+                    reorder_probability: 0.0,
+                });
+            config.tolerance = 0.5;
+            let factory = |rank| -> Box<dyn crate::app::IterativeTask> {
+                Box::new(SweepingTask {
+                    ramp: RampTask::line(rank, peers, 3),
+                    problem: problem.clone(),
+                    block: obstacle::NodeState::new(&problem, &decomp, 0),
+                    allowed: allowed.clone(),
+                    handoffs: handoffs.clone(),
+                })
+            };
+            let outcome = super::run_sockets(&config, &factory).outcome;
+            assert!(outcome.measurement.converged, "{loops} loops");
+            let sweeps = outcome.measurement.total_relaxations() as usize;
+            let fill = loops >= cores || obstacle::join::helpers() == 0;
+            if fill {
+                assert_eq!(handoffs.load(Ordering::Relaxed), 0, "{loops} loops");
+                assert_eq!(allowed.load(Ordering::Relaxed), 0, "{loops} loops");
+            } else {
+                assert_eq!(allowed.load(Ordering::Relaxed), sweeps, "{loops} loops");
+            }
+        }
     }
 
     /// Retirement counting drains the run: the loops exit once every

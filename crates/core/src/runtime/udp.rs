@@ -1540,6 +1540,27 @@ mod tests {
         }
     }
 
+    /// The per-loop relaxation counts are the run's, split by shard: on
+    /// two loops over three asynchronous peers, where loop 0 carries ranks
+    /// 0 and 1, they add up to the run's relaxations, and loop 0's count is
+    /// its two peers'.
+    #[test]
+    fn per_loop_relaxations_add_up_to_the_runs() {
+        let mut config = RunConfig::quick(Scheme::Asynchronous, 3);
+        config.tolerance = 0.5;
+        let run = run_reactor(&with_loops(&config, 2), &|rank| {
+            Box::new(RampTask::line(rank, 3, RAMP))
+        });
+        let per_peer = &run.outcome.measurement.relaxations_per_peer;
+        assert!(run.outcome.measurement.converged);
+        assert_eq!(run.loops.relaxations.len(), 2);
+        assert_eq!(
+            run.loops.relaxations.iter().sum::<u64>(),
+            per_peer.iter().sum::<u64>()
+        );
+        assert_eq!(run.loops.relaxations[0], per_peer[0] + per_peer[1]);
+    }
+
     #[test]
     fn asynchronous_scheme_over_udp_converges() {
         let mut config = RunConfig::quick(Scheme::Asynchronous, 3);

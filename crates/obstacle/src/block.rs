@@ -15,9 +15,18 @@
 //! lanes of portable code on every other host. Both give the iterates of the
 //! per-point oracle [`NodeState::sweep_scalar`] bit for bit, so which one
 //! runs never shows in a result ([`kernel_interior`] says which). The AVX2
-//! interior holds the crate's only `unsafe` code.
+//! interior holds the kernel's `unsafe` code.
+//!
+//! A block of at least two parts of [`SPLIT_POINTS`] points is cut in two by
+//! plane range, and the calling thread relaxes one part while an idle helper
+//! thread ([`crate::join`]) relaxes the other — on a host with a core to
+//! spare, and only on a thread that may borrow one. Each part runs the same
+//! plane walk on its own half of the output; the planes either side of the
+//! cut are read from the other part's slice of the iterate, so the iterates
+//! and the successive difference keep their bits.
 
 use crate::grid::BlockDecomposition;
+use crate::join;
 use crate::problem::ObstacleProblem;
 use crate::richardson::{RichardsonConfig, SolveResult};
 use serde::{Deserialize, Serialize};
@@ -213,16 +222,23 @@ impl NodeState {
     /// neighbour is a persistent zero plane — the homogeneous Dirichlet
     /// boundary — which is bit-identical to skipping the subtraction, since
     /// `x - 0.0 == x` for every `f64`), on the row interior of this host
-    /// ([`kernel_interior`]). Produces bit-identical iterates to
+    /// ([`kernel_interior`]), split with a helper thread when the block is
+    /// large enough. Produces bit-identical iterates to
     /// [`NodeState::sweep_scalar`] and to the sequential
     /// [`crate::richardson::sweep`], preserving the decomposition-invariant
     /// relaxation counts.
     pub fn sweep(&mut self, problem: &ObstacleProblem, delta: f64) -> f64 {
-        self.sweep_on(Interior::detected(), problem, delta)
+        self.sweep_on(Interior::detected(), Split::SHIPPED, problem, delta)
     }
 
-    /// [`NodeState::sweep`] on a given row interior.
-    fn sweep_on(&mut self, interior: Interior, problem: &ObstacleProblem, delta: f64) -> f64 {
+    /// [`NodeState::sweep`] on a given row interior and split rule.
+    fn sweep_on(
+        &mut self,
+        interior: Interior,
+        split: Split,
+        problem: &ObstacleProblem,
+        delta: f64,
+    ) -> f64 {
         let plane = self.n * self.n;
         if self.zeros.len() < plane {
             // Deserialized states arrive without the scratch plane.
@@ -240,8 +256,9 @@ impl NodeState {
             zeros
         };
         let window = self.z_start * plane..self.z_end * plane;
-        let max_diff = relax_planes_with(
+        let max_diff = relax_planes_split(
             interior,
+            split,
             self.n,
             &self.u,
             below,
@@ -465,6 +482,81 @@ pub fn kernel_interior() -> &'static str {
     Interior::detected().name()
 }
 
+/// The points the calling thread relaxes while a parked helper wakes up and
+/// starts on its part: the mean start in a loopback `obstacle-kernel` run
+/// measured 16–19 µs (a futex wake; the `join/handoff` rows of the kernel
+/// bench read 7–9 µs for a helper parked 10 µs, 17 µs for one parked
+/// 200 µs), at about 2.2 ns a point. The caller's part is larger by this
+/// many points, so both parts end together.
+const HANDOFF_POINTS: usize = 8_192;
+
+/// The fewest points each part of a split sweep holds: four hand-offs, so
+/// the wake-up costs a part at most a quarter of its time, and a helper
+/// that has not started by the end of the caller's part is not waited for
+/// (the caller takes its part back, [`join::join`]). It splits
+/// `obstacle-kernel`'s 87 808-point peer blocks (28 planes of 56², cut
+/// 16 + 12) and the 175 616-point sequential grid, and never
+/// `obstacle-lockstep`'s blocks of 5 184–6 480 points.
+pub const SPLIT_POINTS: usize = 4 * HANDOFF_POINTS;
+
+/// When a sweep cuts its block in two, and where.
+#[derive(Debug, Clone, Copy)]
+enum Split {
+    /// Cut a block whose parts each hold at least `min_points` points; the
+    /// calling thread's part is larger by about `lead_points` — the points
+    /// it relaxes while the helper wakes up — so both parts end together.
+    Sized {
+        min_points: usize,
+        lead_points: usize,
+    },
+    /// Cut before this plane, and the parts no further.
+    #[cfg(test)]
+    At(usize),
+    /// Cut every block of two planes or more in halves, and the parts again.
+    #[cfg(test)]
+    Every,
+}
+
+impl Split {
+    /// The rule every sweep of the program runs.
+    const SHIPPED: Self = Self::Sized {
+        min_points: SPLIT_POINTS,
+        lead_points: HANDOFF_POINTS,
+    };
+
+    /// The plane before which a block of `planes` planes of `plane` points
+    /// is cut, if it is cut. `Sized` cuts only where this thread may borrow
+    /// a helper, and the helper takes half of what is left after the
+    /// caller's lead, rounded down. The test rules cut whether or not a
+    /// helper exists, so a one-core host checks the cut too.
+    fn cut(self, planes: usize, plane: usize) -> Option<usize> {
+        match self {
+            Self::Sized {
+                min_points,
+                lead_points,
+            } => {
+                let helper = (planes * plane).saturating_sub(lead_points) / (2 * plane);
+                let holds = |planes: usize| planes > 0 && planes * plane >= min_points;
+                let cut = holds(helper) && holds(planes - helper);
+                (cut && join::helpers_allowed()).then_some(planes - helper)
+            }
+            #[cfg(test)]
+            Self::At(cut) => (0 < cut && cut < planes).then_some(cut),
+            #[cfg(test)]
+            Self::Every => (planes >= 2).then_some(planes - planes / 2),
+        }
+    }
+
+    /// The rule the two parts of a cut block follow.
+    fn parts(self) -> Self {
+        match self {
+            #[cfg(test)]
+            Self::At(_) => Self::At(0),
+            sized => sized,
+        }
+    }
+}
+
 /// Relax whole planes: `u` holds `u.len() / n²` consecutive z-planes, the
 /// relaxed values go to `next`, and the sup-norm of `next − u` is returned.
 /// This is the obstacle kernel: [`NodeState::sweep`] runs it over a peer's
@@ -472,7 +564,10 @@ pub fn kernel_interior() -> &'static str {
 /// grid with zero planes, so the distributed sweep, the sequential reference
 /// and the residual cannot disagree. It runs the row interior the host
 /// supports ([`kernel_interior`]), so all of them switch together, and every
-/// interior gives the same bits.
+/// interior gives the same bits. A block of two parts of at least
+/// [`SPLIT_POINTS`] points each is cut in two, and an idle helper thread
+/// relaxes one part while the caller relaxes the other; the cut changes no
+/// bit either.
 ///
 /// `below` / `above` are the planes just outside the block (zeros on the
 /// grid's boundary), `zeros` holds at least `n` zeros (the boundary row),
@@ -489,8 +584,9 @@ pub(crate) fn relax_planes(
     next: &mut [f64],
     delta: f64,
 ) -> f64 {
-    relax_planes_with(
+    relax_planes_split(
         Interior::detected(),
+        Split::SHIPPED,
         n,
         u,
         below,
@@ -501,6 +597,98 @@ pub(crate) fn relax_planes(
         next,
         delta,
     )
+}
+
+/// [`relax_planes`] on a given row interior and split rule: cut the block
+/// where `split` says, or relax it whole.
+#[allow(clippy::too_many_arguments)]
+fn relax_planes_split(
+    interior: Interior,
+    split: Split,
+    n: usize,
+    u: &[f64],
+    below: &[f64],
+    above: &[f64],
+    zeros: &[f64],
+    rhs: &[f64],
+    psi: &[f64],
+    next: &mut [f64],
+    delta: f64,
+) -> f64 {
+    let plane = n * n;
+    let planes = u.len() / plane.max(1);
+    match split.cut(planes, plane) {
+        Some(cut) => relax_cut(
+            interior,
+            split.parts(),
+            cut,
+            n,
+            u,
+            below,
+            above,
+            zeros,
+            rhs,
+            psi,
+            next,
+            delta,
+        ),
+        None => relax_planes_with(interior, n, u, below, above, zeros, rhs, psi, next, delta),
+    }
+}
+
+/// The block cut before plane `cut`: the calling thread relaxes planes
+/// `..cut` and a helper, if one is idle, planes `cut..` at the same time
+/// ([`join::join`]; inline after the first part when none is). Each part
+/// writes its own half of `next`, and the plane either side of the cut is
+/// its neighbour's, read from the other part's slice of `u` — exactly what
+/// the walk over the whole block reads there. Either part may cut again
+/// under `split` (a nested cut takes a second idle helper). The two maxima
+/// fold by [`keep_max`]'s rule, which no grouping of the differences
+/// changes, so the result has the bits of the uncut walk.
+#[allow(clippy::too_many_arguments)]
+fn relax_cut(
+    interior: Interior,
+    split: Split,
+    cut: usize,
+    n: usize,
+    u: &[f64],
+    below: &[f64],
+    above: &[f64],
+    zeros: &[f64],
+    rhs: &[f64],
+    psi: &[f64],
+    next: &mut [f64],
+    delta: f64,
+) -> f64 {
+    let plane = n * n;
+    let at = cut * plane;
+    assert!(
+        cut > 0 && at < u.len() && [rhs, psi].iter().all(|s| s.len() == u.len()),
+        "cut outside the block"
+    );
+    let (u_lo, u_hi) = u.split_at(at);
+    let (rhs_lo, rhs_hi) = rhs.split_at(at);
+    let (psi_lo, psi_hi) = psi.split_at(at);
+    let (next_lo, next_hi) = next.split_at_mut(at);
+    let (lo, hi) = join::join(
+        || {
+            let above = &u_hi[..plane];
+            relax_planes_split(
+                interior, split, n, u_lo, below, above, zeros, rhs_lo, psi_lo, next_lo, delta,
+            )
+        },
+        || {
+            let below = &u_lo[at - plane..];
+            relax_planes_split(
+                interior, split, n, u_hi, below, above, zeros, rhs_hi, psi_hi, next_hi, delta,
+            )
+        },
+    );
+    if hi > lo {
+        hi
+    } else {
+        lo
+    }
 }
 
 /// [`relax_planes`] on a given row interior. Never inlined, so the hot
@@ -863,10 +1051,23 @@ mod avx2 {
         for i in (0..len).step_by(WIDTH) {
             // SAFETY: `i + 4 <= len` because `len` is a multiple of 4, and
             // every slice read here holds `len` values (asserted above), so
-            // each load reads four in-bounds `f64`s.
-            let [center, left, right, front, back, below, above, rhs, psi] =
-                [c, l, r, f, b, lo, hi, rh, ps]
-                    .map(|s| unsafe { _mm256_loadu_pd(s.as_ptr().add(i)) });
+            // each load reads four in-bounds `f64`s. The loads are written
+            // out, not mapped over an array: LLVM does not always inline
+            // `array::map` into this AVX2 function, and an outlined map
+            // calls a closure per load and ran the kernel 5× slower.
+            let [center, left, right, front, back, below, above, rhs, psi] = unsafe {
+                [
+                    _mm256_loadu_pd(c.as_ptr().add(i)),
+                    _mm256_loadu_pd(l.as_ptr().add(i)),
+                    _mm256_loadu_pd(r.as_ptr().add(i)),
+                    _mm256_loadu_pd(f.as_ptr().add(i)),
+                    _mm256_loadu_pd(b.as_ptr().add(i)),
+                    _mm256_loadu_pd(lo.as_ptr().add(i)),
+                    _mm256_loadu_pd(hi.as_ptr().add(i)),
+                    _mm256_loadu_pd(rh.as_ptr().add(i)),
+                    _mm256_loadu_pd(ps.as_ptr().add(i)),
+                ]
+            };
             let mut acc = _mm256_mul_pd(six, center);
             acc = _mm256_sub_pd(acc, left);
             acc = _mm256_sub_pd(acc, right);
@@ -1099,37 +1300,67 @@ mod tests {
         all
     }
 
-    /// Each interior of the blocked kernel against the scalar oracle: the
-    /// same iterates and successive differences, bit for bit.
+    /// The rule that never cuts a block.
+    const WHOLE: Split = Split::Sized {
+        min_points: usize::MAX,
+        lead_points: 0,
+    };
+
+    /// `drive` on one interior and split rule.
+    fn drive_on(
+        problem: &ObstacleProblem,
+        alpha: usize,
+        sweeps: usize,
+        interior: Interior,
+        split: Split,
+    ) -> (Vec<f64>, Vec<f64>) {
+        drive(problem, alpha, sweeps, |node, problem, delta| {
+            node.sweep_on(interior, split, problem, delta)
+        })
+    }
+
+    /// The same iterates and successive differences, bit for bit.
+    fn assert_same_bits(got: &(Vec<f64>, Vec<f64>), want: &(Vec<f64>, Vec<f64>), what: &str) {
+        for (idx, (a, b)) in got.0.iter().zip(&want.0).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: iterate bit mismatch at {idx}"
+            );
+        }
+        assert_eq!(
+            bits(&got.1),
+            bits(&want.1),
+            "{what}: sup-norm diff mismatch"
+        );
+    }
+
+    /// Each interior of the blocked kernel against the scalar oracle, with
+    /// its blocks whole and cut in halves on every sweep (two planes or
+    /// more): the same iterates and successive differences, bit for bit.
     fn assert_bit_identical(problem: &ObstacleProblem, alpha: usize, sweeps: usize) {
-        let (scalar, scalar_diffs) = drive(problem, alpha, sweeps, NodeState::sweep_scalar);
+        let scalar = drive(problem, alpha, sweeps, NodeState::sweep_scalar);
         for interior in interiors() {
-            let (blocked, blocked_diffs) = drive(problem, alpha, sweeps, |node, problem, delta| {
-                node.sweep_on(interior, problem, delta)
-            });
-            let name = interior.name();
-            for (idx, (a, b)) in blocked.iter().zip(scalar.iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{name}: iterate bit mismatch at {idx} (alpha={alpha})"
-                );
-            }
-            for (a, b) in blocked_diffs.iter().zip(scalar_diffs.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{name}: sup-norm diff mismatch");
+            for split in [WHOLE, Split::Every] {
+                let blocked = drive_on(problem, alpha, sweeps, interior, split);
+                let what = format!("{} {split:?}, alpha={alpha}", interior.name());
+                assert_same_bits(&blocked, &scalar, &what);
             }
         }
     }
 
-    /// Say in the test log which interior this host's sweeps run: a host
-    /// without AVX2 checks only the portable one, and only this line shows
-    /// it.
+    /// Say in the test log which interior this host's sweeps run and how
+    /// many helper threads a large sweep may split with: a host without
+    /// AVX2 checks only the portable interior, and on a one-core host only
+    /// the forced cuts of the tests ran the split.
     #[test]
     fn reports_the_dispatched_interior() {
         let names: Vec<_> = interiors().into_iter().map(Interior::name).collect();
         eprintln!(
-            "obstacle kernel: sweeps run the {} interior; interiors tested here: {names:?}",
-            kernel_interior()
+            "obstacle kernel: sweeps run the {} interior with {} helper thread(s); \
+             interiors tested here: {names:?}",
+            kernel_interior(),
+            join::helpers()
         );
         #[cfg(target_arch = "x86_64")]
         assert_eq!(
@@ -1150,6 +1381,59 @@ mod tests {
                 assert_bit_identical(&problem, alpha, 25);
             }
         }
+    }
+
+    /// The split rule of the program: the benchmark's peer blocks and
+    /// sequential grid are cut, the caller keeping the larger part, and
+    /// `obstacle-lockstep`'s blocks never are.
+    #[test]
+    fn shipped_rule_cuts_large_blocks_only() {
+        let cut = |planes: usize, n: usize| Split::SHIPPED.cut(planes, n * n);
+        if !join::helpers_allowed() {
+            assert_eq!(cut(28, 56), None, "no helper to cut for");
+            return;
+        }
+        assert_eq!(cut(28, 56), Some(16), "obstacle-kernel peer block");
+        assert_eq!(cut(56, 56), Some(30), "obstacle-kernel sequential grid");
+        for planes in [4, 5] {
+            assert_eq!(cut(planes, 36), None, "obstacle-lockstep block");
+        }
+    }
+
+    /// Eight threads sweeping at once: most find no idle helper and run
+    /// their cuts inline, some hand a part off, all give the scalar bits.
+    #[test]
+    fn concurrent_split_sweeps_keep_their_bits() {
+        let problem = ObstacleProblem::financial(12);
+        let scalar = drive(&problem, 2, 10, NodeState::sweep_scalar);
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| drive_on(&problem, 2, 10, Interior::detected(), Split::Every))
+                })
+                .collect();
+            for run in runs {
+                assert_same_bits(&run.join().expect("sweeping thread"), &scalar, "thread");
+            }
+        });
+    }
+
+    /// A thread that may not borrow a helper runs its sweeps whole, even a
+    /// block the program's rule would cut.
+    #[test]
+    fn a_thread_that_may_not_borrow_never_hands_off() {
+        std::thread::spawn(|| {
+            join::allow_helpers(false);
+            let problem = ObstacleProblem::membrane(44);
+            let decomp = BlockDecomposition::balanced(44, 1);
+            let mut node = NodeState::new(&problem, &decomp, 0);
+            for _ in 0..3 {
+                node.sweep(&problem, problem.optimal_delta());
+            }
+            assert_eq!(join::handoffs(), 0);
+        })
+        .join()
+        .expect("the test thread");
     }
 
     #[test]
@@ -1277,6 +1561,30 @@ mod tests {
                 let problem = awkward_problem(n, seed);
                 let alpha = 1 + alpha_seed % n;
                 assert_bit_identical(&problem, alpha, sweeps);
+            }
+
+            /// Every cut of every block, on every interior, is bit-identical
+            /// to the scalar kernel and to the uncut kernel.
+            #[test]
+            fn every_cut_matches_the_uncut_kernel(
+                n in 2usize..20,
+                alpha_seed in 1usize..16,
+                sweeps in 1usize..6,
+                seed in any::<u64>(),
+            ) {
+                let problem = awkward_problem(n, seed);
+                let alpha = 1 + alpha_seed % n;
+                let planes = n.div_ceil(alpha);
+                let scalar = drive(&problem, alpha, sweeps, NodeState::sweep_scalar);
+                for interior in interiors() {
+                    let whole = drive_on(&problem, alpha, sweeps, interior, WHOLE);
+                    assert_same_bits(&whole, &scalar, interior.name());
+                    for cut in 1..planes {
+                        let cut_run = drive_on(&problem, alpha, sweeps, interior, Split::At(cut));
+                        let what = format!("{} cut {cut}, alpha={alpha}", interior.name());
+                        assert_same_bits(&cut_run, &whole, &what);
+                    }
+                }
             }
 
             /// The sequential sweep is the distributed kernel over the whole

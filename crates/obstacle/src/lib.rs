@@ -15,12 +15,15 @@
 //!   used by the distributed runtimes and the sequential emulation of the
 //!   synchronous scheme.
 //! * [`GlobalConvergence`] — coordinator-side distributed convergence test.
+//! * [`join`] — the helper threads a large sweep hands part of its planes
+//!   to, on the cores the run leaves idle.
 
 #![warn(missing_docs)]
 
 pub mod block;
 pub mod convergence;
 pub mod grid;
+pub mod join;
 pub mod problem;
 pub mod richardson;
 

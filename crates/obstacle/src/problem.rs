@@ -16,7 +16,9 @@
 //! `0 < δ < 2/ρ(A)` follows from the M-matrix / contraction arguments of the
 //! paper's references.
 
+use crate::block::SPLIT_POINTS;
 use crate::grid::Grid3;
+use crate::join;
 use serde::{Deserialize, Serialize};
 
 /// Effective "minus infinity" obstacle used for unconstrained validation
@@ -34,9 +36,21 @@ pub struct ObstacleProblem {
     pub psi: Vec<f64>,
 }
 
+/// The grid of a new problem of `n` points per dimension. A grid whose sweep
+/// can be split with a helper thread starts the helpers first, before the
+/// problem's arrays are allocated ([`join::start`]).
+fn grid_for_problem(n: usize) -> Grid3 {
+    let grid = Grid3::new(n);
+    if grid.len() >= 2 * SPLIT_POINTS {
+        join::start();
+    }
+    grid
+}
+
 impl ObstacleProblem {
     /// Build a problem from explicit data.
     pub fn new(grid: Grid3, rhs: Vec<f64>, psi: Vec<f64>) -> Self {
+        grid_for_problem(grid.n);
         assert_eq!(rhs.len(), grid.len(), "rhs size mismatch");
         assert_eq!(psi.len(), grid.len(), "psi size mismatch");
         Self { grid, rhs, psi }
@@ -59,7 +73,7 @@ impl ObstacleProblem {
     /// analytic solution (the obstacle is set to −∞, so the projection is
     /// inactive).
     pub fn poisson_validation(n: usize) -> Self {
-        let grid = Grid3::new(n);
+        let grid = grid_for_problem(n);
         let h = grid.h();
         let pi = std::f64::consts::PI;
         let mut rhs = vec![0.0; grid.len()];
@@ -90,7 +104,7 @@ impl ObstacleProblem {
     /// spherical bump obstacle in the middle of the cube. The solution touches
     /// the obstacle on a contact set and is discrete-harmonic elsewhere.
     pub fn membrane(n: usize) -> Self {
-        let grid = Grid3::new(n);
+        let grid = grid_for_problem(n);
         let mut psi = vec![0.0; grid.len()];
         for (i, j, k) in grid.points() {
             let (x, y, z) = (grid.coord(i), grid.coord(j), grid.coord(k));
@@ -108,7 +122,7 @@ impl ObstacleProblem {
     /// linear "payoff"-like ridge and a sink term pulls the solution down, so
     /// both the contact set and the free region are non-trivial.
     pub fn financial(n: usize) -> Self {
-        let grid = Grid3::new(n);
+        let grid = grid_for_problem(n);
         let h = grid.h();
         let mut psi = vec![0.0; grid.len()];
         let mut rhs = vec![0.0; grid.len()];

@@ -4,7 +4,11 @@
 //! the sup-norm of the successive difference falls below the tolerance.
 //! This is the reference (baseline) solver: the distributed synchronous
 //! scheme must reproduce exactly the same iterates, and speedups in the
-//! experiments are measured against this single-peer execution.
+//! experiments are measured against this single-peer execution. Its sweep
+//! is the peers' kernel, so on a host with more than one core a grid of at
+//! least two parts of [`crate::block::SPLIT_POINTS`] points is swept by the
+//! calling thread and a helper thread together ([`crate::join`]), with the
+//! same bits as one thread.
 
 use crate::block::relax_planes;
 use crate::convergence::ConvergenceCriterion;
@@ -54,7 +58,8 @@ pub fn initial_iterate(problem: &ObstacleProblem) -> Vec<f64> {
 
 /// One full projected Richardson sweep: writes `P_K(u − δ(Au − b))` into
 /// `next` and returns the sup-norm of `next − u`. It is the distributed
-/// peers' kernel run over the whole grid with zero ghost planes, so it is
+/// peers' kernel run over the whole grid with zero ghost planes — split
+/// with a helper thread where the grid is large enough — so it is
 /// bit-identical to a synchronous sweep under any decomposition.
 pub fn sweep(problem: &ObstacleProblem, u: &[f64], next: &mut [f64], delta: f64) -> f64 {
     let zeros = vec![0.0; problem.grid.plane_len()];
