@@ -38,10 +38,6 @@ pub mod events {
     pub const TIMEOUT: EventName = EventName("Timeout");
     /// Raised when a loss is detected (used by congestion control).
     pub const LOSS_DETECTED: EventName = EventName("LossDetected");
-    /// Raised when a session opens.
-    pub const SESSION_OPEN: EventName = EventName("SessionOpen");
-    /// Raised when a session closes.
-    pub const SESSION_CLOSE: EventName = EventName("SessionClose");
 }
 
 #[cfg(test)]

@@ -52,11 +52,6 @@ impl Message {
         &self.payload
     }
 
-    /// Replace the payload (still no copy: `Bytes` is shared).
-    pub fn set_payload(&mut self, payload: Bytes) {
-        self.payload = payload;
-    }
-
     /// Payload length in bytes.
     pub fn payload_len(&self) -> usize {
         self.payload.len()

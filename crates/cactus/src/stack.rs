@@ -83,11 +83,6 @@ impl ProtocolStack {
         self.layers.len() - 1
     }
 
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Mutable access to a layer (for reconfiguration).
     pub fn layer_mut(&mut self, index: usize) -> &mut CompositeProtocol {
         &mut self.layers[index]
@@ -110,22 +105,9 @@ impl ProtocolStack {
         self.raise_at(top, events::USER_SEND, msg)
     }
 
-    /// Inject an application receive request at the top layer.
-    pub fn user_receive(&mut self, msg: Message) -> StackOutput {
-        let top = self.top();
-        self.raise_at(top, events::USER_RECEIVE, msg)
-    }
-
     /// Inject a segment arriving from the network at the bottom layer.
     pub fn from_net(&mut self, msg: Message) -> StackOutput {
         self.raise_at(0, events::MSG_FROM_NET, msg)
-    }
-
-    /// Fire a timer previously requested by `layer` with `tag`.
-    pub fn timer_fired(&mut self, layer: usize, tag: u64) -> StackOutput {
-        let mut msg = Message::default();
-        msg.set_u64("timer_tag", tag);
-        self.raise_at(layer, events::TIMEOUT, msg)
     }
 
     /// Raise an arbitrary event at a layer and propagate the consequences

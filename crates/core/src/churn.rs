@@ -28,12 +28,13 @@
 //!    silent. The substrate makes the crash real to the degree it can — the
 //!    reactor drops the peer's socket (in-flight datagrams are lost for
 //!    real), the deterministic runtimes stop driving the peer.
-//! 2. Detection: on the wall-clock backends the dead peer stops pinging the
-//!    [`crate::topology_manager::TopologyManager`] and is evicted after
-//!    three missed ping periods
-//!    ([`crate::topology_manager::TopologyManager::evictions_since`] feeds
-//!    the recovery path); the deterministic backends model the same latency
-//!    with the plan's [`ChurnPlan::detection_delay_ns`].
+//! 2. Detection: every backend models it with one rule — the crashed rank
+//!    grants its own recovery ([`VolatilityState::grant`]) and waits out the
+//!    plan's detection delay ([`ChurnPlan::detection_delay_ns`] of virtual
+//!    or wall-clock time on sim and the reactor,
+//!    [`ChurnPlan::detection_delay_events`] on loopback's event clock).
+//!    Under the gossip control plane SWIM's death verdict also grants it,
+//!    and on the reactor only the verdict does.
 //! 3. Recovery: [`VolatilityState::grant`] consumes
 //!    [`FaultManager::on_failure`] — a spare peer adopts the rank, or, with
 //!    no spares left, the surviving peer with the highest measured
@@ -202,9 +203,10 @@ pub struct ChurnPlan {
     /// Engines deposit a checkpoint every this many relaxations (and once at
     /// iteration 0, so a rollback target always exists).
     pub checkpoint_interval: u64,
-    /// Failure-detection latency modelled by the simulated backend
-    /// (nanoseconds of virtual time). The wall-clock backends detect for
-    /// real, through three missed ping periods of the topology manager.
+    /// Failure-detection latency a crashed rank waits out before it
+    /// revives: nanoseconds of virtual time on sim, of wall-clock time on
+    /// the reactor's central control plane (under gossip the reactor's
+    /// rank revives at SWIM's death verdict instead).
     pub detection_delay_ns: u64,
     /// Failure-detection latency on the loopback backend, whose clock ticks
     /// one unit per engine event rather than per nanosecond.
@@ -225,8 +227,8 @@ impl ChurnPlan {
     /// Default checkpoint interval (relaxations).
     pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 20;
 
-    /// Default modelled detection latency: 30 ms, three periods of a 10 ms
-    /// ping — the same rule the wall-clock topology manager applies.
+    /// Default modelled detection latency: 30 ms, three missed periods of
+    /// a 10 ms ping, the topology manager's eviction rule.
     pub const DEFAULT_DETECTION_DELAY_NS: u64 = 30_000_000;
 
     /// Default modelled detection latency in loopback engine events (a few
@@ -289,15 +291,9 @@ impl ChurnPlan {
         self
     }
 
-    /// Replace the modelled detection latency of the simulated backend.
+    /// Replace the modelled detection latency of sim and the reactor.
     pub fn with_detection_delay_ns(mut self, delay_ns: u64) -> Self {
         self.detection_delay_ns = delay_ns;
-        self
-    }
-
-    /// Replace the modelled detection latency of the loopback backend.
-    pub fn with_detection_delay_events(mut self, events: u64) -> Self {
-        self.detection_delay_events = events;
         self
     }
 
@@ -843,7 +839,7 @@ impl VolatilityState {
         self.checkpoint_interval
     }
 
-    /// Modelled failure-detection latency of the simulated backend.
+    /// Modelled failure-detection latency of sim and the reactor (ns).
     pub fn detection_delay_ns(&self) -> u64 {
         self.detection_delay_ns
     }
@@ -877,11 +873,6 @@ impl VolatilityState {
             self.canvas = Some(handle.0.global_canvas());
             self.repartitioner = Some(handle);
         }
-    }
-
-    /// Current membership epoch (bumped by every published plan).
-    pub fn current_epoch(&self) -> u32 {
-        self.epoch
     }
 
     /// Current number of ranks in the run (grows on joins).

@@ -2,9 +2,9 @@
 //! developed" in the paper's implementation; implemented here as an
 //! extension).
 //!
-//! Failures are detected by the topology manager's missed-ping rule (or, on
-//! the deterministic backends, scheduled by a seeded
-//! [`crate::churn::ChurnPlan`]); this module decides what to do with the
+//! Failures are scheduled by a seeded [`crate::churn::ChurnPlan`] and
+//! detected after the plan's modelled delay (or, under gossip, by SWIM's
+//! death verdict); this module decides what to do with the
 //! failed peer's sub-task: reassign it to a spare peer, restarting from the
 //! most recent checkpoint of that peer's block state. Asynchronous
 //! iterations tolerate the resulting staleness (the paper notes asynchronous

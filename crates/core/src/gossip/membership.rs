@@ -6,9 +6,9 @@
 //! through `fanout` helpers; only when the suspicion survives the full
 //! window is it declared *dead* — the death rumor is
 //! disseminated and the driver feeds it into the run's volatility
-//! coordinator ([`crate::churn::VolatilityState::grant`]), which is exactly
-//! where the centralized `TopologyManager::evictions_since` sweep used to
-//! hand over (the recovery path downstream of the verdict is unchanged).
+//! coordinator ([`crate::churn::VolatilityState::grant`]), the same grant a
+//! crashed rank takes itself on the central control plane (the recovery
+//! path downstream of the grant is shared).
 //! The ack and suspicion windows follow the probe round trip the node
 //! measures, in its own clock units (RFC 6298's estimator; [`GossipTiming`]
 //! is their initial value and ceiling).

@@ -264,11 +264,6 @@ impl PageRankTask {
         task
     }
 
-    /// The vertex range owned by this task, as `(first, count)`.
-    pub fn vertex_range(&self) -> (usize, usize) {
-        (self.v_start, self.ranks.len())
-    }
-
     /// The contribution vector peer `peer` pushes into this partition, given
     /// the ranks of that peer's vertices. Used only to seed
     /// [`PageRankTask::external`] at construction (afterwards the real

@@ -925,9 +925,8 @@ impl PeerEngine {
     /// fate: restore the task from the checkpoint the coordinator hands
     /// back, and — for synchronous runs — broadcast the rollback that
     /// realigns every peer on the common checkpointed iteration. The driver
-    /// calls this after the failure was detected (missed pings on the
-    /// wall-clock backends, the plan's modelled delay on the deterministic
-    /// ones).
+    /// calls this after the failure was detected (the plan's modelled
+    /// delay, or a SWIM death verdict under gossip).
     pub fn recover(&mut self, transport: &mut impl PeerTransport) {
         if !self.crashed || self.finished {
             return;

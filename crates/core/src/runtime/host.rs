@@ -229,12 +229,13 @@ impl HostedPeer {
         }
     }
 
-    /// Failure detection on the deterministic backends, where no ping is
-    /// ever missed: the crashed rank grants its own recovery and waits out
-    /// the plan's modelled detection delay, returned in `clock`'s units
-    /// (events for [`ClockDomain::EventCount`], else ns). Placement weights
-    /// are the gossiped load estimates when the run gossips, else the
-    /// detector's.
+    /// Failure detection, the one rule every backend applies: the crashed
+    /// rank grants its own recovery and waits out the plan's modelled
+    /// detection delay, returned in `clock`'s units (events for
+    /// [`ClockDomain::EventCount`], else ns). Sim and loopback call it on
+    /// both control planes, the reactor on the central one only: under
+    /// gossip, SWIM's death verdict grants there. Placement weights are the
+    /// gossiped load estimates when the run gossips, else the detector's.
     pub(crate) fn self_grant(&self, run: &RunScaffold, clock: ClockDomain) -> u64 {
         let loads = match &self.gossip {
             Some(node) => node.gossiped_loads(run.total()),

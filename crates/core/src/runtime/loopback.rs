@@ -280,7 +280,7 @@ impl Loopback<'_> {
 impl Substrate for Loopback<'_> {
     type Transport = LoopbackTransport;
 
-    fn attach(&mut self, rank: usize, _joined: bool) -> LoopbackTransport {
+    fn attach(&mut self, rank: usize) -> LoopbackTransport {
         self.queues.borrow_mut().moved = true;
         LoopbackTransport {
             rank,

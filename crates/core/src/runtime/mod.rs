@@ -56,7 +56,6 @@
 //! and the walk's substrate, and one table row (see the "adding a backend"
 //! recipe in ARCHITECTURE.md).
 
-pub(crate) mod detection;
 pub mod driver;
 pub mod engine;
 pub(crate) mod host;
@@ -85,16 +84,16 @@ use p2psap::Scheme;
 /// How membership and the stop decision are carried during a run.
 ///
 /// `Centralized` (the default) keeps the original machinery: every peer
-/// pings the run's `TopologyManager` and deposits convergence evidence into
-/// the shared [`ConvergenceDetector`] fold. `Gossip` retires both for the
-/// run: membership travels as SWIM-style probes and rumors
-/// ([`crate::gossip`]) piggy-backed on the backend's own wire path, and the
-/// stop decision emerges from merged convergence digests — each peer
-/// evaluates the same criterion over its own merged copy and the first
-/// satisfied peer broadcasts the stop.
+/// deposits convergence evidence into the shared [`ConvergenceDetector`]
+/// fold, and a crashed rank is declared dead after the churn plan's
+/// detection delay. `Gossip` replaces both for the run: membership travels
+/// as SWIM-style probes and rumors ([`crate::gossip`]) piggy-backed on the
+/// backend's own wire path, and the stop decision emerges from merged
+/// convergence digests — each peer evaluates the same criterion over its
+/// own merged copy and the first satisfied peer broadcasts the stop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ControlPlane {
-    /// Central ping server + shared detector fold (the original design).
+    /// Modelled detection delay + shared detector fold (the original design).
     #[default]
     Centralized,
     /// SWIM-style gossip membership + distributed convergence detection.

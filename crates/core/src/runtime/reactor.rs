@@ -9,9 +9,9 @@
 //! discovery, the read of that socket, what a crash does to the wire (the
 //! socket closes, a replacement binds and is published at once, and it
 //! swallows what it reads until the grant), and the wait — a sleep in the
-//! vendored [`polling`] readiness poller (epoll on Linux) plus the batched
-//! heartbeat. Nothing here blocks: discovery resends hellos on poll ticks
-//! until the bootstrap's table, the start signal, lands. No peer keeps an
+//! vendored [`polling`] readiness poller (epoll on Linux). Nothing here
+//! blocks: discovery resends hellos on poll ticks until the bootstrap's
+//! table, the start signal, lands. No peer keeps an
 //! address book: a socket writes its port into the run's [`PortTable`] when
 //! it binds, and every transport reads it there when it sends.
 //!
@@ -23,9 +23,9 @@
 //! context-switching idle waiters); one loop per provisioned peer is the
 //! thread-per-peer shape of a small real-socket run.
 
-use crate::runtime::detection::{self, LoopHeartbeat};
-use crate::runtime::driver::{DriverOutcome, TaskFactory};
-use crate::runtime::engine::Wire;
+use crate::gossip::GossipTiming;
+use crate::runtime::driver::{ClockDomain, DriverOutcome, TaskFactory};
+use crate::runtime::engine::{PeerTransport, Wire};
 use crate::runtime::host::{HostedPeer, Turn};
 use crate::runtime::scaffold::RunScaffold;
 use crate::runtime::udp::{
@@ -34,7 +34,6 @@ use crate::runtime::udp::{
 };
 use crate::runtime::walk::{walk, Peer, Phase, Substrate};
 use crate::runtime::RunConfig;
-use netsim::NodeId;
 use polling::{Events, Poller};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -188,19 +187,19 @@ fn announce(socket: &UdpSocket, rank: usize, ctx: &LoopShared<'_>) {
 
 /// What a peer's socket keeps beside its transport: segments reassembled
 /// while discovering (at most [`EARLY_SEGMENTS`]), whether the bootstrap
-/// table arrived then, its last hello and whether it joined mid-run.
+/// table arrived then, its last hello and, after a crash, the transport
+/// clock it may revive at.
 #[derive(Default)]
 struct SocketWire {
     reassembler: Reassembler,
     early: Vec<(usize, Wire)>,
     table: bool,
     hello_at: Option<Instant>,
-    joined: bool,
+    recover_at: u64,
 }
 
 /// One event loop's substrate: its shard's sockets (`wires[rank - lo]` is
-/// `rank`'s), its poller, a receive buffer for the largest read there is,
-/// and the batched heartbeat.
+/// `rank`'s), its poller and a receive buffer for the largest read there is.
 struct Sockets<'a> {
     index: usize,
     lo: usize,
@@ -208,8 +207,6 @@ struct Sockets<'a> {
     poller: &'a Poller,
     events: Events,
     buf: Vec<u8>,
-    heartbeat: LoopHeartbeat,
-    running_nodes: Vec<NodeId>,
     wires: Vec<SocketWire>,
     /// When the pass under way started, for the loop's busy time.
     work: Option<Instant>,
@@ -224,8 +221,6 @@ impl<'a> Sockets<'a> {
             poller: &ctx.pollers[index],
             events: Events::new(),
             buf: vec![0u8; 65536],
-            heartbeat: LoopHeartbeat::new(),
-            running_nodes: Vec::new(),
             wires: ranks.map(|_| SocketWire::default()).collect(),
             work: None,
         }
@@ -290,14 +285,12 @@ impl Substrate for Sockets<'_> {
 
     /// A fresh socket and the bootstrap hello; the peer then waits for the
     /// bootstrap table.
-    fn attach(&mut self, rank: usize, joined: bool) -> UdpTransport {
+    fn attach(&mut self, rank: usize) -> UdpTransport {
         let ctx = &self.ctx;
         let (loss, reorder) = ctx.impairment;
         let socket = bind_peer_socket(rank, self.poller, ctx);
         announce(&socket, rank, ctx);
-        let wire = &mut self.wires[rank - self.lo];
-        wire.hello_at = Some(Instant::now());
-        wire.joined = joined;
+        self.wires[rank - self.lo].hello_at = Some(Instant::now());
         UdpTransport::new(
             rank,
             ctx.start,
@@ -321,11 +314,6 @@ impl Substrate for Sockets<'_> {
                 announce(&transport.socket, rank, &self.ctx);
             }
             return None;
-        }
-        // A joiner registers with the failure detector before its first
-        // relaxation.
-        if let (true, Some(topo)) = (wire.joined, &self.ctx.run.topo) {
-            detection::rejoin(topo, &self.ctx.run.topology, rank, self.ctx.start);
         }
         Some(std::mem::take(&mut wire.early))
     }
@@ -355,27 +343,29 @@ impl Substrate for Sockets<'_> {
     /// in flight to the old port. The replacement binds now and its port
     /// goes into the run's table, so every peer addresses it from its next
     /// send on; the bootstrap need not hear of it, since its table only
-    /// ever starts a discovering peer. The peer stops pinging: the topology
-    /// manager evicts it and the monitor grants recovery.
-    fn turned(&mut self, rank: usize, turn: Turn, _: &HostedPeer, transport: &mut UdpTransport) {
+    /// ever starts a discovering peer. On the central control plane the
+    /// rank grants its own recovery and waits out the plan's detection
+    /// delay, as loopback and sim do; under gossip, SWIM's death verdict
+    /// grants it.
+    fn turned(&mut self, rank: usize, turn: Turn, host: &HostedPeer, transport: &mut UdpTransport) {
         if turn != Turn::Crashed {
             return;
         }
         transport.shim.flush(&transport.socket);
         let _ = self.poller.delete(&transport.socket);
         transport.socket = bind_peer_socket(rank, self.poller, &self.ctx);
-        self.wires[rank - self.lo].reassembler = Reassembler::new();
+        let wire = &mut self.wires[rank - self.lo];
+        wire.reassembler = Reassembler::new();
+        if host.gossip.is_none() {
+            wire.recover_at = transport.now_ns() + host.self_grant(self.ctx.run, ClockDomain::Wall);
+        }
     }
 
-    /// Revive at once: the replacement socket's port has been in the run's
-    /// port table since the crash, so no bootstrap round trip stands between
-    /// the grant and the restore.
-    fn revive(&mut self, rank: usize, _: &mut UdpTransport) -> bool {
-        let ctx = &self.ctx;
-        if let Some(topo) = &ctx.run.topo {
-            detection::rejoin(topo, &ctx.run.topology, rank, ctx.start);
-        }
-        true
+    /// Revive once the detection delay is over: the replacement socket's
+    /// port has been in the run's port table since the crash, so no
+    /// bootstrap round trip stands between the grant and the restore.
+    fn revive(&mut self, rank: usize, transport: &mut UdpTransport) -> bool {
+        transport.now_ns() >= self.wires[rank - self.lo].recover_at
     }
 
     /// Flush the shim's held-back datagram, account its drops, sent
@@ -408,16 +398,8 @@ impl Substrate for Sockets<'_> {
 
     /// Sleep in the poller until a socket is readable or the earliest
     /// protocol timer, capped so the dormant / await-grant / discovery /
-    /// stop polls stay responsive — not at all when a peer is busy. Then
-    /// one batched heartbeat per ping period covers every running peer this
-    /// loop multiplexes: a single topology-server acquisition instead of one
-    /// per peer.
-    fn wait(
-        &mut self,
-        peers: &mut [Peer<UdpTransport>],
-        busy: bool,
-        deadline: Option<u64>,
-    ) -> bool {
+    /// stop polls stay responsive — not at all when a peer is busy.
+    fn wait(&mut self, _: &mut [Peer<UdpTransport>], busy: bool, deadline: Option<u64>) -> bool {
         let ctx = &self.ctx;
         if let Some(work) = self.work.take() {
             let ns = work.elapsed().as_nanos() as u64;
@@ -437,16 +419,6 @@ impl Substrate for Sockets<'_> {
         self.events.clear();
         let _ = self.poller.wait(&mut self.events, Some(timeout));
         self.work = Some(Instant::now());
-        if let Some(topo) = &ctx.run.topo {
-            if self.heartbeat.due() {
-                self.running_nodes.clear();
-                let running = peers.iter().filter(|p| p.phase == Phase::Running);
-                self.running_nodes.extend(running.map(|p| NodeId(p.rank)));
-                let (topology, start) = (&ctx.run.topology, ctx.start);
-                self.heartbeat
-                    .beat_many(topo, topology, start, &self.running_nodes);
-            }
-        }
         true
     }
 }
@@ -470,11 +442,7 @@ pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> 
     // div_ceil can leave trailing loops with empty shards; spawn and tally
     // only the loops that get peers.
     let live_loops = total.div_ceil(chunk);
-    // Each loop heartbeats all its peers at once, so the eviction window
-    // scales with the multiplex degree (a loaded loop's iteration outlasting
-    // three bare ping periods must not read as the death of every peer it
-    // drives).
-    let run = RunScaffold::wall_clock(config, chunk);
+    let run = RunScaffold::new(config, GossipTiming::wall_clock());
 
     // Bootstrap: bind the service port first so peers have a rendezvous
     // (hellos queue in the kernel until the service below reads them).
@@ -499,7 +467,6 @@ pub(crate) fn run_sockets(config: &RunConfig, task_factory: TaskFactory<'_>) -> 
     };
     let lend_idle_cores = live_loops < cores;
     std::thread::scope(|scope| {
-        run.spawn_monitor(scope, start);
         let ctx = &ctx;
         let loops: Vec<_> = (0..live_loops)
             .map(|index| {
@@ -748,7 +715,7 @@ mod tests {
         fn with_config(config: &RunConfig) -> Self {
             let bind = || UdpSocket::bind(localhost_addr(0)).expect("bind test socket");
             let hostile = Self {
-                run: RunScaffold::wall_clock(config, 1),
+                run: RunScaffold::new(config, GossipTiming::wall_clock()),
                 sinks: [bind(), bind()],
                 injector: bind(),
                 poller: Poller::new().expect("create poller"),
@@ -792,7 +759,7 @@ mod tests {
                 rank: 1,
                 phase: Phase::Discovering,
                 host: Some(self.run.host(1, task)),
-                transport: Some(sockets.attach(1, false)),
+                transport: Some(sockets.attach(1)),
             }
         }
 
@@ -1190,9 +1157,10 @@ mod tests {
     }
 
     /// Crash + recovery inside an event loop: the victim's socket is
-    /// replaced, the failure monitor grants recovery, and the revived peer
-    /// rediscovers and restores from its checkpoint — all without blocking
-    /// the sibling peers multiplexed on the same loop.
+    /// replaced, the victim grants its own recovery after the plan's
+    /// detection delay, and the revived peer restores from its checkpoint
+    /// — all without blocking the sibling peers multiplexed on the same
+    /// loop.
     #[test]
     fn seeded_crash_recovers_on_a_shared_event_loop() {
         use crate::churn::ChurnPlan;

@@ -225,7 +225,9 @@ pub mod contention {
         /// (checkpoint due, event due, slowdown due). Zero on sweeps with no
         /// due event and no checkpoint boundary.
         pub volatility_sweep_locks: u64,
-        /// Topology-manager mutex acquisitions (heartbeats, eviction sweeps).
+        /// Topology-manager mutex acquisitions: always 0, since no run
+        /// shares a topology manager. Kept because the benchmark's traced
+        /// pass reads it.
         pub topology_locks: u64,
     }
 
@@ -233,7 +235,6 @@ pub mod contention {
     static DETECTOR_REPORT: AtomicU64 = AtomicU64::new(0);
     static VOLATILITY: AtomicU64 = AtomicU64::new(0);
     static VOLATILITY_SWEEP: AtomicU64 = AtomicU64::new(0);
-    static TOPOLOGY: AtomicU64 = AtomicU64::new(0);
 
     macro_rules! bump {
         ($name:ident, $counter:ident) => {
@@ -249,7 +250,6 @@ pub mod contention {
     bump!(count_detector_report_lock, DETECTOR_REPORT);
     bump!(count_volatility_lock, VOLATILITY);
     bump!(count_volatility_sweep_lock, VOLATILITY_SWEEP);
-    bump!(count_topology_lock, TOPOLOGY);
 
     /// Reset all counters to zero.
     pub fn reset() {
@@ -257,7 +257,6 @@ pub mod contention {
         DETECTOR_REPORT.store(0, Ordering::Relaxed);
         VOLATILITY.store(0, Ordering::Relaxed);
         VOLATILITY_SWEEP.store(0, Ordering::Relaxed);
-        TOPOLOGY.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot the counters.
@@ -267,7 +266,7 @@ pub mod contention {
             detector_report_locks: DETECTOR_REPORT.load(Ordering::Relaxed),
             volatility_locks: VOLATILITY.load(Ordering::Relaxed),
             volatility_sweep_locks: VOLATILITY_SWEEP.load(Ordering::Relaxed),
-            topology_locks: TOPOLOGY.load(Ordering::Relaxed),
+            topology_locks: 0,
         }
     }
 }

@@ -3,18 +3,19 @@
 //!
 //! A backend delivers bytes and supplies a clock. What the run is made of —
 //! the shared convergence detector, the volatility coordinator and its
-//! repartitioner, the choice between the central ping server and the gossip
-//! control plane, how a peer is built or joins mid-run, what verdict a
-//! crashed rank waits for, and how the measurement is assembled — does not
-//! depend on the substrate, so every `run_iterative_*` function builds one
-//! [`RunScaffold`] and calls into it instead of repeating the wiring. The
-//! peers it builds are [`HostedPeer`]s: what a drive loop does *with* a peer
-//! is written once too, in [`crate::runtime::host`].
+//! repartitioner, the choice between the central detector fold and the
+//! gossip control plane, how a peer is built or joins mid-run, what verdict
+//! a crashed rank waits for (its own grant after the plan's detection delay,
+//! [`HostedPeer::self_grant`], or a death rumor), and how the measurement is
+//! assembled — does not depend on the substrate, so every `run_iterative_*`
+//! function builds one [`RunScaffold`] and calls into it instead of
+//! repeating the wiring. The peers it builds are [`HostedPeer`]s: what a
+//! drive loop does *with* a peer is written once too, in
+//! [`crate::runtime::host`].
 
 use crate::app::IterativeTask;
 use crate::churn::{ChurnEvent, ChurnEventKind, SharedVolatility, VolatilityState};
 use crate::gossip::{GossipNode, GossipTiming};
-use crate::runtime::detection::{self, SharedTopologyManager};
 use crate::runtime::driver::{ClockDomain, DriverOutcome};
 use crate::runtime::engine::PeerEngine;
 use crate::runtime::host::{CrashVerdict, HostedPeer};
@@ -23,8 +24,6 @@ use crate::runtime::RunConfig;
 use netsim::{LinkFaults, NetStats, Topology};
 use p2psap::Scheme;
 use std::sync::Arc;
-use std::thread::Scope;
-use std::time::Instant;
 
 /// The substrate-independent state of one run.
 pub(crate) struct RunScaffold {
@@ -40,9 +39,6 @@ pub(crate) struct RunScaffold {
     pub(crate) shared: SharedDetector,
     /// `Some` when the run is churn-armed.
     pub(crate) volatility: Option<SharedVolatility>,
-    /// The central ping server (wall-clock backends, centralized control
-    /// plane, churn armed — see [`RunScaffold::wall_clock`]).
-    pub(crate) topo: Option<SharedTopologyManager>,
     /// Fanout and cadence of the gossip control plane, when the run uses it.
     gossip: Option<(usize, GossipTiming)>,
 }
@@ -92,48 +88,13 @@ impl RunScaffold {
             topology,
             shared,
             volatility,
-            topo: None,
             gossip,
         }
-    }
-
-    /// The scaffold of a wall-clock backend, where failure detection is
-    /// real: churn-armed runs get a run-local topology-manager server the
-    /// peers ping (every initial rank registered before any peer spawns; a
-    /// joiner registers when its join fires) and a monitor sweeping it for
-    /// missed pings ([`RunScaffold::spawn_monitor`]). Under the gossip
-    /// control plane the ping server is retired for the run — SWIM probes
-    /// detect silence and death rumors trigger the recovery grant.
-    /// `multiplex` is how many peers share one heartbeat driver (see
-    /// [`detection::server_with_all_ranks`]).
-    pub(crate) fn wall_clock(config: &RunConfig, multiplex: usize) -> Self {
-        let mut run = Self::new(config, GossipTiming::wall_clock());
-        if run.gossip.is_none() && run.volatility.is_some() {
-            run.topo = Some(detection::server_with_all_ranks(
-                &config.topology,
-                multiplex,
-            ));
-        }
-        run
     }
 
     /// Provisioned rank count (initial peers plus join slots).
     pub(crate) fn total(&self) -> usize {
         self.topology.len()
-    }
-
-    /// Run the failure monitor on a thread of the backend's scope, when the
-    /// ping server is armed.
-    pub(crate) fn spawn_monitor<'scope>(
-        &'scope self,
-        scope: &'scope Scope<'scope, '_>,
-        start: Instant,
-    ) {
-        if let (Some(vol), Some(topo)) = (&self.volatility, &self.topo) {
-            scope.spawn(move || {
-                detection::run_monitor(vol, topo, &self.shared, self.total(), start)
-            });
-        }
     }
 
     /// Initial rank `rank`, ready to start: its engine and, when the run
@@ -192,9 +153,9 @@ impl RunScaffold {
     }
 
     /// A crashed rank's non-blocking poll of the run's verdict: the run
-    /// stopped while it was down, its recovery was granted (by the failure
-    /// monitor, a death rumor, or its own [`HostedPeer::self_grant`]), or
-    /// neither yet. How to wait between polls is the backend's business.
+    /// stopped while it was down, its recovery was granted (by its own
+    /// [`HostedPeer::self_grant`] or a death rumor), or neither yet. How to
+    /// wait between polls is the backend's business.
     pub(crate) fn crash_verdict(&self, rank: usize) -> CrashVerdict {
         if self.shared.stopped() {
             CrashVerdict::Stopped

@@ -48,8 +48,8 @@ pub(crate) struct Peer<T> {
 pub(crate) trait Substrate {
     /// A rank's end of the wire, on the substrate's clock.
     type Transport: PolledTransport;
-    /// Bring `rank` onto the wire (`joined`: its seeded join fired mid-run).
-    fn attach(&mut self, rank: usize, joined: bool) -> Self::Transport;
+    /// Bring `rank` onto the wire.
+    fn attach(&mut self, rank: usize) -> Self::Transport;
     /// Once a discovering peer may start: the wires that arrived before.
     fn discover(
         &mut self,
@@ -115,7 +115,7 @@ impl<T: PolledTransport> Peer<T> {
             match run.poll_join(rank) {
                 JoinPoll::Joined(host) => {
                     self.host = Some(*host);
-                    self.transport = Some(sub.attach(rank, true));
+                    self.transport = Some(sub.attach(rank));
                     self.phase = Phase::Discovering;
                 }
                 // The run ended before the join fired: retire without ever
@@ -193,7 +193,7 @@ pub(crate) fn walk<S: Substrate>(
                     Phase::Dormant
                 },
                 host: initial.then(|| run.host(rank, task_factory(rank))),
-                transport: initial.then(|| sub.attach(rank, false)),
+                transport: initial.then(|| sub.attach(rank)),
             }
         })
         .collect();

@@ -148,11 +148,6 @@ impl TaskManager {
     pub fn job(&self, job_id: usize) -> &Job {
         &self.jobs[job_id]
     }
-
-    /// Number of submitted jobs.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
 }
 
 impl Default for TaskManager {

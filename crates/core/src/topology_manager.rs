@@ -14,11 +14,6 @@ use std::collections::BTreeMap;
 /// Number of missed ping periods after which a peer is evicted.
 pub const MISSED_PINGS_BEFORE_EVICTION: u32 = 3;
 
-/// Eviction-log entries kept for [`TopologyManager::evictions_since`]. A
-/// long-lived server evicts indefinitely; monitors poll with a recent
-/// watermark, so only a bounded tail is ever useful.
-const EVICTION_LOG_CAPACITY: usize = 1024;
-
 /// State the server keeps per registered peer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PeerRecord {
@@ -39,8 +34,6 @@ pub struct PeerRecord {
 pub struct TopologyManager {
     ping_period: SimDuration,
     peers: BTreeMap<usize, PeerRecord>,
-    /// Every eviction the server has performed, in order (time, peer).
-    eviction_log: Vec<(SimTime, NodeId)>,
 }
 
 impl TopologyManager {
@@ -50,7 +43,6 @@ impl TopologyManager {
         Self {
             ping_period,
             peers: BTreeMap::new(),
-            eviction_log: Vec::new(),
         }
     }
 
@@ -89,9 +81,9 @@ impl TopologyManager {
         }
     }
 
-    /// One batched ping sweep on behalf of many peers (an event loop pinging
-    /// for every peer it multiplexes, so the 10 ms cadence costs one server
-    /// acquisition per loop instead of one per peer). Returns the nodes the
+    /// One batched ping sweep on behalf of many peers (one server
+    /// acquisition for a whole batch, e.g. every peer an event loop
+    /// multiplexes, instead of one per peer). Returns the nodes the
     /// server no longer knows — they must re-register, exactly as a `false`
     /// from [`TopologyManager::ping`] demands.
     pub fn ping_many(&mut self, nodes: &[NodeId], now: SimTime) -> Vec<NodeId> {
@@ -118,28 +110,8 @@ impl TopologyManager {
             .collect();
         for id in &stale {
             self.peers.remove(id);
-            self.eviction_log.push((now, NodeId(*id)));
-        }
-        if self.eviction_log.len() > EVICTION_LOG_CAPACITY {
-            let excess = self.eviction_log.len() - EVICTION_LOG_CAPACITY;
-            self.eviction_log.drain(..excess);
         }
         stale.into_iter().map(NodeId).collect()
-    }
-
-    /// Sweep for stale peers at `now` and return every eviction that has
-    /// happened strictly after `since` — including evictions performed by
-    /// earlier sweeps. This is the API the failure-injection / recovery path
-    /// polls: a monitor remembers its last sweep time and receives each
-    /// eviction exactly once, even if another caller's `evict_stale` removed
-    /// the peer in between.
-    pub fn evictions_since(&mut self, since: SimTime, now: SimTime) -> Vec<NodeId> {
-        let _ = self.evict_stale(now);
-        self.eviction_log
-            .iter()
-            .filter(|(at, _)| *at > since)
-            .map(|(_, node)| *node)
-            .collect()
     }
 
     /// Explicitly remove a peer (e.g. on an `exit` command).
@@ -255,35 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn evictions_since_reports_each_eviction_once_at_the_three_ping_boundary() {
-        let mut m = manager();
-        m.register(NodeId(0), ClusterId(0), 1.0, t(0.0));
-        m.register(NodeId(1), ClusterId(0), 1.0, t(0.0));
-        // Exactly three missed periods is NOT yet an eviction (the rule is
-        // strictly-older-than three periods)...
-        assert!(m.evictions_since(SimTime::ZERO, t(3.0)).is_empty());
-        assert_eq!(m.peer_count(), 2);
-        // ...just past the boundary both peers go, and the sweep reports them.
-        let evicted = m.evictions_since(t(3.0), t(3.001));
-        assert_eq!(evicted, vec![NodeId(0), NodeId(1)]);
-        // A later sweep from the same watermark re-reports them; advancing
-        // the watermark past the eviction time silences them.
-        assert_eq!(m.evictions_since(t(3.0), t(4.0)).len(), 2);
-        assert!(m.evictions_since(t(3.5), t(4.0)).is_empty());
-    }
-
-    #[test]
-    fn evictions_since_sees_evictions_performed_by_other_sweeps() {
-        let mut m = manager();
-        m.register(NodeId(4), ClusterId(0), 1.0, t(0.0));
-        // Another caller's evict_stale removes the peer first.
-        assert_eq!(m.evict_stale(t(5.0)), vec![NodeId(4)]);
-        // The monitor still learns about it from its own sweep window.
-        assert_eq!(m.evictions_since(t(1.0), t(6.0)), vec![NodeId(4)]);
-        assert!(m.evictions_since(t(5.0), t(6.0)).is_empty());
-    }
-
-    #[test]
     fn batched_ping_refreshes_known_peers_and_reports_unknown_ones() {
         let mut m = manager();
         m.register(NodeId(0), ClusterId(0), 1.0, t(0.0));
@@ -291,10 +234,7 @@ mod tests {
         // One batched sweep covering a known, an evicted and a never-known
         // peer: the known ones refresh, the others come back for
         // re-registration.
-        assert_eq!(
-            m.evictions_since(SimTime::ZERO, t(3.5)),
-            vec![NodeId(0), NodeId(1)]
-        );
+        assert_eq!(m.evict_stale(t(3.5)), vec![NodeId(0), NodeId(1)]);
         m.register(NodeId(1), ClusterId(0), 1.0, t(3.5));
         let unknown = m.ping_many(&[NodeId(0), NodeId(1), NodeId(9)], t(3.6));
         assert_eq!(unknown, vec![NodeId(0), NodeId(9)]);

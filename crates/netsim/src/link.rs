@@ -72,19 +72,6 @@ impl LinkSpec {
         self
     }
 
-    /// Builder: set the latency.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Builder: set the bandwidth in bits per second.
-    pub fn with_bandwidth_bps(mut self, bw: f64) -> Self {
-        assert!(bw > 0.0, "bandwidth must be positive");
-        self.bandwidth_bps = bw;
-        self
-    }
-
     /// Time to clock `bytes` onto the wire at this link's bandwidth.
     pub fn serialization_delay(&self, bytes: usize) -> SimDuration {
         let bits = bytes as f64 * 8.0;

@@ -61,13 +61,6 @@ impl Netem {
         self
     }
 
-    /// Builder: duplication probability.
-    pub fn with_duplicate(mut self, duplicate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&duplicate));
-        self.duplicate = duplicate;
-        self
-    }
-
     /// Decide the fate of one packet.
     pub fn apply<R: RngCore>(&self, rng: &mut R) -> NetemOutcome {
         if self.loss > 0.0 && uniform01(rng) < self.loss {

@@ -181,11 +181,6 @@ impl Topology {
         &self.inter_link
     }
 
-    /// Mutable access to the inter-cluster link (netem re-configuration).
-    pub fn inter_link_mut(&mut self) -> &mut LinkSpec {
-        &mut self.inter_link
-    }
-
     /// Append a node to the topology (elastic membership: a peer joining a
     /// run mid-flight). The new node gets the next free id.
     pub fn push_node(&mut self, cluster: ClusterId, cpu_speed: f64) -> NodeId {

@@ -120,11 +120,6 @@ impl Controller {
         Self { rules: Vec::new() }
     }
 
-    /// Append a rule with lower precedence than existing ones.
-    pub fn push_rule(&mut self, rule: Rule) {
-        self.rules.push(rule);
-    }
-
     /// Prepend a rule with the highest precedence.
     pub fn push_rule_front(&mut self, rule: Rule) {
         self.rules.insert(0, rule);

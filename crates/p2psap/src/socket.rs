@@ -149,11 +149,6 @@ impl Socket {
         self.recv_queue.pop_front()
     }
 
-    /// Number of delivered payloads waiting to be received.
-    pub fn pending_receives(&self) -> usize {
-        self.recv_queue.len()
-    }
-
     /// Return a wire buffer to the session's pool. Runtimes that copy
     /// segments onto the wire (UDP, reactor) call this after
     /// `Bytes::try_reclaim` succeeds, so steady-state sends stop allocating.

@@ -175,11 +175,6 @@ impl Simulator {
         id
     }
 
-    /// Number of registered processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
-    }
-
     /// Inject a message from "outside" the simulation, delivered at `at`.
     pub fn inject(&mut self, to: ProcessId, payload: Payload, at: SimTime) {
         self.queue.push(
@@ -200,11 +195,6 @@ impl Simulator {
     /// Read-only access to collected statistics and traces.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Mutable access to statistics (for pre-run initialisation).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// Access a process after the run (e.g. to read results). Panics if the
@@ -305,11 +295,6 @@ impl Simulator {
             }
             None => false,
         }
-    }
-
-    /// Whether a halt has been requested/processed.
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Number of pending events.

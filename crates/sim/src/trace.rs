@@ -87,11 +87,6 @@ impl Tracer {
         self.series.get(name).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Names of all counters, in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(|s| s.as_str())
-    }
-
     /// Snapshot of all counters.
     pub fn counters(&self) -> &BTreeMap<String, u64> {
         &self.counters

@@ -2,8 +2,8 @@
 //!
 //! Peers on real localhost UDP sockets solve the obstacle problem
 //! asynchronously; a seeded churn plan kills one peer as it completes its
-//! second relaxation. The dead peer's socket closes, it stops pinging the
-//! run's topology manager, is evicted after three missed ping periods, and
+//! second relaxation. The dead peer's socket closes, it waits out the
+//! plan's detection delay (30 ms by default, three missed 10 ms pings), and
 //! the recovery path restarts its block from the latest live checkpoint —
 //! the run still converges to the fault-free residual quality.
 //!

@@ -1,13 +1,14 @@
 //! 256 peers with no central failure detector: the reactor backend runs the
 //! decentralized control plane — SWIM gossip membership plus distributed
-//! convergence detection — so the run has *zero* topology-manager ping
-//! traffic. Every peer runs two cadences: once per probe period it probes the
-//! member a schedule shared by all peers assigns it, so every member is
-//! probed once per period (silence hardens into suspicion and then a death
-//! verdict, and the verdict — a rumor, not a monitor sweep — grants the
-//! crashed peer's recovery), and five times per probe period it pushes its
-//! rumors and convergence digest rows to another — at once, too, when its
-//! own row starts to meet the stop criterion. The stop decision emerges
+//! convergence detection — instead of the central plane's modelled
+//! detection delay and shared detector fold. Every peer runs two cadences:
+//! once per probe period it probes the member a schedule shared by all
+//! peers assigns it, so every member is probed once per period (silence
+//! hardens into suspicion and then a death verdict, and the verdict — a
+//! rumor, not the plan's delay — grants the crashed peer's recovery), and
+//! five times per probe period it pushes its rumors and convergence digest
+//! rows to another — at once, too, when its own row starts to meet the stop
+//! criterion. The stop decision emerges
 //! the same way: every peer folds the digests carried on probes, acks and
 //! pushes, and the first digest that proves global convergence terminates
 //! the run.
@@ -32,12 +33,12 @@ fn main() {
     let workload = WorkloadKind::Obstacle.build(n, peers);
     println!(
         "obstacle problem {n}^3, {peers} peers on the reactor backend, \
-         gossip control plane (fanout {fanout}, no ping server)\n"
+         gossip control plane (fanout {fanout})\n"
     );
 
     // One seeded crash early in the run: eviction and recovery must come
     // entirely from gossip death verdicts — under the gossip control plane
-    // the per-run topology-manager ping server is never started.
+    // a crashed reactor rank does not grant its own recovery.
     let tolerance = if peers > 64 { 1e-3 } else { 1e-4 };
     let plan = ChurnPlan::kill(peers / 2, 3).with_checkpoint_interval(2);
     let mut config = RunConfig::single_cluster(Scheme::Asynchronous, peers)
@@ -93,8 +94,7 @@ fn main() {
         g.death_verdicts >= 1,
         "the crash must surface as a gossip death verdict"
     );
-    // The ping server is never constructed under gossip, so its mutex is
-    // untouched.
+    // No run shares a topology manager: its lock is never taken.
     let locks = p2pdc::runtime::report_cell::contention::snapshot();
     assert_eq!(
         locks.topology_locks, 0,

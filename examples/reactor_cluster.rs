@@ -4,7 +4,7 @@
 //! runs as a handful of OS threads.
 //!
 //! The run solves the obstacle problem asynchronously and survives a seeded
-//! mid-run crash: the victim is evicted through missed pings, it revives on
+//! mid-run crash: the victim waits out the plan's detection delay, revives on
 //! a re-slice of the planes assembled from the live checkpoints, and a
 //! fresh peer joins the run right after, triggering another live
 //! repartition.

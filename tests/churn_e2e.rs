@@ -269,11 +269,65 @@ fn sync_crash_over_real_udp_sockets_recovers_via_rollback() {
     assert_eq!(result.measurement.recoveries, 1);
     assert_eq!(result.measurement.rollbacks, 1);
     assert!(result.measurement.residual < clean.tolerance * 2.0);
-    // Real downtime: detection took at least the three missed ping periods.
+    // Real downtime: the victim waited out the plan's detection delay.
     assert!(
         result.measurement.downtime_s >= 0.02,
         "downtime {}s is shorter than the missed-ping detection window",
         result.measurement.downtime_s
+    );
+}
+
+/// A synchronous two-peer crash on the reactor with the plan's detection
+/// delay `delay_ns`, on the central control plane or with `with_gossip(2)`:
+/// the crash must converge with one crash and one recovery. Returns the
+/// downtime in seconds.
+fn reactor_crash_downtime(delay_ns: u64, gossip: bool) -> f64 {
+    let peers = 2;
+    let workload = WorkloadKind::Obstacle.build(8, peers);
+    let clean = obstacle_config(Scheme::Synchronous, peers);
+    let baseline = run_on(workload.as_ref(), &clean, RuntimeKind::Loopback);
+    let iterations = *baseline
+        .measurement
+        .relaxations_per_peer
+        .iter()
+        .min()
+        .unwrap();
+    let crash_at = crash_at_fraction(iterations, 0.5);
+    let mut faulty = clean.with_churn(
+        ChurnPlan::kill(1, crash_at)
+            .with_checkpoint_interval((crash_at / 2).max(1))
+            .with_detection_delay_ns(delay_ns),
+    );
+    if gossip {
+        faulty = faulty.with_gossip(2);
+    }
+    let m = run_on(workload.as_ref(), &faulty, RuntimeKind::Reactor).measurement;
+    let label = if gossip { "gossip" } else { "central" };
+    assert!(m.converged, "{label}: {m:?}");
+    assert_eq!((m.crashes, m.recoveries), (1, 1), "{label}");
+    m.downtime_s
+}
+
+/// On the central control plane a crashed reactor rank grants its own
+/// recovery and waits out the plan's detection delay, as loopback and sim
+/// do on their clocks.
+#[test]
+fn a_central_plane_reactor_crash_waits_out_the_plans_detection_delay() {
+    let downtime = reactor_crash_downtime(80_000_000, false);
+    assert!(
+        downtime >= 0.08,
+        "downtime {downtime}s is under the 80 ms delay"
+    );
+}
+
+/// Under gossip the reactor's recovery is granted by SWIM's death verdict,
+/// not by the plan's delay: a 10 s delay does not hold the victim down.
+#[test]
+fn a_gossip_plane_reactor_crash_recovers_at_the_death_verdict() {
+    let downtime = reactor_crash_downtime(10_000_000_000, true);
+    assert!(
+        downtime < 1.0,
+        "downtime {downtime}s: the plan's delay was waited out"
     );
 }
 
@@ -382,9 +436,9 @@ fn seeded_crash_plus_join_converges_with_repartition_on_every_backend() {
             // their quality is tolerance-exact everywhere. Asynchronous
             // quality depends on how long survivors free-ran against the
             // dead rank's frozen boundary: bounded-tolerance staleness on
-            // the deterministic backends (modelled ~1 ms detection), the
-            // documented asynchronous staleness bound on the wall-clock
-            // ones (real ~30 ms missed-ping detection with microsecond
+            // the deterministic backends, the documented asynchronous
+            // staleness bound on the reactor (the same 1 ms delay, waited
+            // out in wall-clock time while its neighbours run microsecond
             // sweeps — the same 2e-2 bound the WAN staleness test uses).
             let bound = match (scheme, runtime) {
                 (Scheme::Synchronous, _) => clean.tolerance * 2.0,

@@ -136,10 +136,9 @@ fn gossip_sync_decision_is_lossless_on_every_backend_and_workload() {
 }
 
 /// A mid-run crash on the wall-clock backend, at one event loop per peer and
-/// at its default pool, with the ping server retired: the victim's recovery
-/// can only be granted through SWIM death verdicts (there is no monitor
-/// thread under gossip), so a completed recovery proves gossip-only
-/// eviction end to end.
+/// at its default pool: under gossip the reactor's victim does not grant
+/// its own recovery, so only a SWIM death verdict can grant it, and a
+/// completed recovery proves gossip-only eviction end to end.
 #[test]
 fn gossip_only_eviction_recovers_a_crashed_peer_on_wall_clock_backends() {
     let _shared = STATS.read().unwrap_or_else(|poison| poison.into_inner());
